@@ -9,10 +9,11 @@
 
 #include "bench_common.h"
 #include "core/stats.h"
+#include "fleetsim/engine.h"
 #include "grid/forecast.h"
 #include "grid/presets.h"
 #include "grid/simulator.h"
-#include "sched/simulator.h"
+#include "sched/policy.h"
 #include "sched/workload_gen.h"
 
 #include "cli/registry.h"
@@ -44,21 +45,22 @@ static int tool_main(int, char**) {
   sched::WorkloadParams wp;
   wp.horizon_hours = 24.0 * 28;
   wp.arrival_rate_per_hour = 2.0;
-  const auto jobs = sched::generate_jobs(wp);
+  const auto jobs = fleetsim::FleetJobs::from_jobs(sched::generate_jobs(wp));
 
   TextTable p({"Home region", "Policy", "Carbon (kg)", "vs run-now",
                "Mean wait (h)"});
   for (std::size_t r = 0; r < traces.size(); ++r) {
-    std::vector<sched::Site> site = {
-        sched::make_site(traces[r].region_code(), traces[r], 24)};
-    sched::SchedulerSimulator sim(site, HourOfYear(month_start_hour(5)));
+    const fleetsim::FleetEngine sim(
+        {sched::make_site(traces[r].region_code(), traces[r], 24)},
+        HourOfYear(month_start_hour(5)));
+    auto run = [&](const char* policy, const sched::PolicyConfig& cfg) {
+      return sim.run(jobs, *sched::make_policy(policy, cfg));
+    };
+    const auto base = run("fcfs-local", {});
 
-    sched::PolicyConfig now_cfg;
-    now_cfg.policy = sched::Policy::kFcfsLocal;
-    const auto base = sim.run(jobs, now_cfg);
-
-    auto report = [&](const char* label, const sched::PolicyConfig& cfg) {
-      const auto m = sim.run(jobs, cfg);
+    auto report = [&](const char* label, const char* policy,
+                      const sched::PolicyConfig& cfg) {
+      const auto m = run(policy, cfg);
       const double delta = 100.0 *
                            (base.total_carbon.to_grams() -
                             m.total_carbon.to_grams()) /
@@ -69,17 +71,15 @@ static int tool_main(int, char**) {
                  TextTable::num(m.mean_wait_hours, 2)});
     };
 
-    report("run-now", now_cfg);
+    report("run-now", "fcfs-local", {});
     sched::PolicyConfig thr;
-    thr.policy = sched::Policy::kThresholdDelay;
     thr.ci_threshold_g_per_kwh =
         stats::quantile(traces[r].values(), 0.35);
     thr.max_delay_hours = 12;
-    report("threshold-delay (p35)", thr);
+    report("threshold-delay (p35)", "threshold-delay", thr);
     sched::PolicyConfig fc;
-    fc.policy = sched::Policy::kForecastDelay;
     fc.max_delay_hours = 12;
-    report("forecast-delay (12 h)", fc);
+    report("forecast-delay (12 h)", "forecast-delay", fc);
   }
   bench::print_table(p);
 

@@ -18,6 +18,7 @@
 #include "bench_common.h"
 #include "embodied/catalog.h"
 #include "embodied/uncertainty.h"
+#include "fleetsim/engine.h"
 #include "grid/analysis.h"
 #include "grid/presets.h"
 #include "grid/simulator.h"
@@ -25,7 +26,7 @@
 #include "lifecycle/systems.h"
 #include "lifecycle/upgrade.h"
 #include "reporter.h"
-#include "sched/simulator.h"
+#include "sched/policy.h"
 #include "sched/workload_gen.h"
 
 #include "cli/registry.h"
@@ -144,15 +145,14 @@ static int tool_main(int argc, char** argv) {
     std::vector<sched::Site> sites = {sched::make_site("ESO", traces[0], 12),
                                       sched::make_site("CISO", traces[1], 12),
                                       sched::make_site("ERCOT", traces[2], 12)};
-    sched::SchedulerSimulator sim(sites, HourOfYear(0));
+    const fleetsim::FleetEngine sim(sites, HourOfYear(0));
     sched::WorkloadParams wp;
     wp.horizon_hours = 24.0 * 28;
-    const auto jobs = sched::generate_jobs(wp);
-    sched::PolicyConfig cfg;
-    cfg.policy = sched::Policy::kGreedyLowestCi;
+    const auto jobs = fleetsim::FleetJobs::from_jobs(sched::generate_jobs(wp));
     rows.push_back(time_kernel("scheduler_month", window_ms,
                                static_cast<double>(jobs.size()), [&] {
-      return sim.run(jobs, cfg).total_carbon.to_grams();
+      const auto policy = sched::make_policy("greedy-lowest-ci");
+      return sim.run(jobs, *policy).total_carbon.to_grams();
     }));
   }
 

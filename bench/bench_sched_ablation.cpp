@@ -13,10 +13,10 @@
 
 #include "bench_common.h"
 #include "core/rng.h"
+#include "fleetsim/engine.h"
 #include "grid/presets.h"
 #include "grid/simulator.h"
 #include "reporter.h"
-#include "sched/engine.h"
 #include "sched/policy.h"
 #include "sched/workload_gen.h"
 
@@ -112,12 +112,12 @@ static int tool_main(int argc, char** argv) {
       sched::make_site("ESO", traces[0], 16),
       sched::make_site("CISO", traces[1], 16),
   };
-  sched::SchedulingEngine engine(sites, HourOfYear(month_start_hour(5)));
+  const fleetsim::FleetEngine engine(sites, HourOfYear(month_start_hour(5)));
 
   sched::WorkloadParams wp;
   wp.horizon_hours = 24.0 * (args.smoke ? 7 : 28);
   wp.arrival_rate_per_hour = 2.5;
-  const auto jobs = sched::generate_jobs(wp);
+  const auto jobs = fleetsim::FleetJobs::from_jobs(sched::generate_jobs(wp));
 
   // One knob bag serves every registered policy: each reads only its own
   // fields (threshold tuned below ERCOT's June median).

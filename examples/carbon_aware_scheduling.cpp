@@ -7,9 +7,10 @@
 #include <iostream>
 
 #include "core/table.h"
+#include "fleetsim/engine.h"
 #include "grid/presets.h"
 #include "grid/simulator.h"
-#include "sched/simulator.h"
+#include "sched/policy.h"
 #include "sched/workload_gen.h"
 
 #include "cli/registry.h"
@@ -24,34 +25,29 @@ static int tool_main(int, char**) {
       sched::make_site("ESO", traces[0], 12),
       sched::make_site("CISO", traces[1], 12),
   };
-  sched::SchedulerSimulator sim(sites, HourOfYear(month_start_hour(5)));
+  const fleetsim::FleetEngine sim(sites, HourOfYear(month_start_hour(5)));
 
   sched::WorkloadParams wp;
   wp.horizon_hours = 24.0 * 28;
   wp.arrival_rate_per_hour = 2.0;
   wp.user_count = 6;
-  const auto jobs = sched::generate_jobs(wp);
+  // Generated times snap to the engine's 1/1024 h tick grid.
+  const auto jobs = fleetsim::FleetJobs::from_jobs(sched::generate_jobs(wp));
 
   std::cout << banner("Carbon-aware scheduling across ERCOT / ESO / CISO");
   std::cout << jobs.size() << " jobs over 28 days from June 1; home site: "
             << "ERCOT\n\n";
 
-  const std::pair<const char*, sched::Policy> policies[] = {
-      {"fcfs-local", sched::Policy::kFcfsLocal},
-      {"greedy-lowest-ci", sched::Policy::kGreedyLowestCi},
-      {"threshold-delay", sched::Policy::kThresholdDelay},
-      {"budget-aware", sched::Policy::kBudgetAware},
-  };
+  sched::PolicyConfig cfg;
+  cfg.ci_threshold_g_per_kwh = 320;
+  cfg.max_delay_hours = 12;
+  cfg.user_budget = Mass::kilograms(250);
 
   TextTable t({"Policy", "Carbon (kg)", "Mean wait (h)", "Remote jobs",
                "Utilization"});
-  for (const auto& [label, policy] : policies) {
-    sched::PolicyConfig cfg;
-    cfg.policy = policy;
-    cfg.ci_threshold_g_per_kwh = 320;
-    cfg.max_delay_hours = 12;
-    cfg.user_budget = Mass::kilograms(250);
-    const auto m = sim.run(jobs, cfg);
+  for (const char* label : {"fcfs-local", "greedy-lowest-ci", "threshold-delay",
+                            "budget-aware"}) {
+    const auto m = sim.run(jobs, *sched::make_policy(label, cfg));
     t.add_row({label, TextTable::num(m.total_carbon.to_kilograms(), 1),
                TextTable::num(m.mean_wait_hours, 2),
                std::to_string(m.remote_dispatches),
@@ -60,11 +56,8 @@ static int tool_main(int, char**) {
   std::cout << t.to_string();
 
   // Budget accounting detail for the budget-aware run.
-  sched::PolicyConfig cfg;
-  cfg.policy = sched::Policy::kBudgetAware;
-  cfg.user_budget = Mass::kilograms(250);
   sched::CarbonBudgetLedger ledger;
-  sim.run(jobs, cfg, nullptr, &ledger);
+  sim.run(jobs, *sched::make_policy("budget-aware", cfg), nullptr, &ledger);
   std::cout << "\nPer-user carbon-budget ledger (allocation 250 kg):\n";
   TextTable ut({"User", "spent (kg)", "remaining %", "status"});
   for (int u = 0; u < wp.user_count; ++u) {

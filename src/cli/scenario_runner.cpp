@@ -10,11 +10,13 @@
 #include "core/stats.h"
 #include "core/thread_annotations.h"
 #include "core/thread_pool.h"
+#include "fleetsim/engine.h"
 #include "grid/analysis.h"
 #include "grid/import.h"
 #include "grid/presets.h"
 #include "grid/simulator.h"
 #include "mc/engine.h"
+#include "sched/policy.h"
 #include "sched/workload_gen.h"
 #include "serve/cache.h"
 
@@ -158,7 +160,7 @@ ScenarioReport run_scenarios(const ScenarioOptions& opts) {
   sched::WorkloadParams wp;
   wp.horizon_hours = 24.0 * opts.horizon_days;
   wp.arrival_rate_per_hour = opts.arrival_rate_per_hour;
-  const auto jobs = sched::generate_jobs(wp);
+  const auto jobs = fleetsim::FleetJobs::from_jobs(sched::generate_jobs(wp));
   const HourOfYear epoch(month_start_hour(opts.start_month));
 
   // Home + the two cleanest other regions, the same trio for every policy
@@ -188,8 +190,7 @@ ScenarioReport run_scenarios(const ScenarioOptions& opts) {
         const std::size_t r = cell / policies.size();
         const std::string& policy_name = policies[cell % policies.size()];
 
-        const std::vector<sched::Site> sites = build_sites(r);
-        sched::SchedulingEngine engine(sites, epoch);
+        const fleetsim::FleetEngine engine(build_sites(r), epoch);
         const auto policy = sched::make_policy(policy_name);
         const auto metrics = engine.run(jobs, *policy);
 
@@ -237,8 +238,9 @@ ScenarioReport run_scenarios(const ScenarioOptions& opts) {
           Rng rng = mc::substream(opts.uncertainty_seed, k);
           sched::WorkloadParams sample_wp = wp;
           sample_wp.seed = rng.next_u64();
-          const auto sample_jobs = sched::generate_jobs(sample_wp);
-          sched::SchedulingEngine engine(build_sites(r), epoch);
+          const auto sample_jobs =
+              fleetsim::FleetJobs::from_jobs(sched::generate_jobs(sample_wp));
+          const fleetsim::FleetEngine engine(build_sites(r), epoch);
           double base_g = 0;
           for (std::size_t p = 0; p < policies.size(); ++p) {
             const auto policy = sched::make_policy(policies[p]);

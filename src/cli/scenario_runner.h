@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
@@ -17,7 +18,6 @@
 #include "core/table.h"
 #include "grid/region.h"
 #include "grid/trace.h"
-#include "sched/simulator.h"
 
 namespace hpcarbon::cli {
 

@@ -10,10 +10,10 @@
 #include "core/error.h"
 #include "core/thread_pool.h"
 #include "embodied/catalog.h"
+#include "fleetsim/engine.h"
 #include "grid/presets.h"
 #include "grid/simulator.h"
 #include "hw/node.h"
-#include "sched/engine.h"
 #include "sched/policy.h"
 #include "sched/workload_gen.h"
 
@@ -155,12 +155,11 @@ void sweep_sched(const SweepOptions& opts, SweepReport& report) {
   const auto traces = traces_for(
       grid::fig7_regions(),
       overrides_matching(opts, grid::codes_of(grid::fig7_regions())));
-  const std::vector<sched::Site> sites = {
-      sched::make_site("ERCOT", traces[2], 16),
-      sched::make_site("ESO", traces[0], 16),
-      sched::make_site("CISO", traces[1], 16),
-  };
-  const HourOfYear epoch(month_start_hour(5));
+  // run() is const, so every Monte-Carlo thread shares one engine.
+  const fleetsim::FleetEngine fleet({sched::make_site("ERCOT", traces[2], 16),
+                                     sched::make_site("ESO", traces[0], 16),
+                                     sched::make_site("CISO", traces[1], 16)},
+                                    HourOfYear(month_start_hour(5)));
   // Pin the savings denominator explicitly rather than trusting static
   // registration order across translation units (scenario_runner does the
   // same): policies[0] must be the fcfs-local baseline.
@@ -181,12 +180,12 @@ void sweep_sched(const SweepOptions& opts, SweepReport& report) {
         wp.horizon_hours = 24.0 * 28;
         wp.arrival_rate_per_hour = 2.5;
         wp.seed = rng.next_u64();
-        const auto jobs = sched::generate_jobs(wp);
-        sched::SchedulingEngine sim(sites, epoch);
+        const auto jobs =
+            fleetsim::FleetJobs::from_jobs(sched::generate_jobs(wp));
         double base_g = 0;
         for (std::size_t p = 0; p < policies.size(); ++p) {
           const auto policy = policies[p].make({});
-          const double g = sim.run(jobs, *policy).total_carbon.to_grams();
+          const double g = fleet.run(jobs, *policy).total_carbon.to_grams();
           if (p == 0) base_g = g;  // fcfs-local, pinned above
           out[p] = base_g > 0 ? 100.0 * (base_g - g) / base_g : 0.0;
         }

@@ -65,8 +65,8 @@ int FleetEngine::capacity_total() const {
 namespace {
 
 /// (completion tick, site), min-heap on tick. Ties pop in arbitrary order
-/// — like the original engine, all due completions free their slots
-/// before any decision is consulted, so tie order is unobservable.
+/// — all due completions free their slots before any decision is
+/// consulted, so tie order is unobservable.
 using Completion = std::pair<Tick, std::uint32_t>;
 
 constexpr Tick kNoEvent = std::numeric_limits<Tick>::max();
@@ -88,8 +88,7 @@ sched::ScheduleMetrics FleetEngine::run(const FleetJobs& jobs,
 
   // Policies take arrivals as sched::Job values (begin_run scans users,
   // forecasts read traces) and see queued jobs through PendingJob — one
-  // materialization pass; tick times convert to exact doubles, so every
-  // double a policy reads equals what SchedulingEngine would hand it.
+  // materialization pass; tick times convert to exact doubles.
   const std::vector<sched::Job> arrivals = jobs.to_jobs();
 
   sched::CarbonBudgetLedger ledger;
@@ -126,21 +125,14 @@ sched::ScheduleMetrics FleetEngine::run(const FleetJobs& jobs,
   Tick t = 0;
   double t_hours = 0;  // always hours_of(t); the view's double clock
 
-  sched::ClusterView view;
-  view.sites_ = &sites_;
-  view.free_slots_ = &free_slots;
-  view.integrators_ = &integrators_;
-  view.ledger_ = &ledger;
-  view.pue_ = &pue_;
-  view.now_ = &t_hours;
-  view.epoch_ = epoch_;
+  const sched::ClusterView view(sites_, free_slots, integrators_, ledger,
+                                pue_, t_hours, epoch_);
 
   policy.begin_run(arrivals, ledger, view);
 
-  // Accounting is expression-identical to SchedulingEngine::run's
-  // start_job (same operations, same order, same doubles) — that is the
-  // whole bit-identity argument, so any edit here must mirror
-  // sched/engine.cpp.
+  // Accounting runs in a fixed order on exact tick-derived doubles, so a
+  // run is bit-reproducible (tests/reference_engine.h evaluates the same
+  // expressions in the same order; test_fleetsim pins the two bitwise).
   auto start_job = [&](const sched::Job& j, std::size_t site, Tick now_tick,
                        Tick duration_tick) {
     const double now = t_hours;
@@ -194,9 +186,9 @@ sched::ScheduleMetrics FleetEngine::run(const FleetJobs& jobs,
     }
   };
 
-  // Event loop: arrivals, completions, hourly ticks, and planned starts —
-  // the same four wake sources as SchedulingEngine, all on the integer
-  // tick clock.
+  // Event loop: arrivals, completions, hourly ticks (so delay/throttle
+  // policies re-evaluate as the grid's intensity moves), and planned
+  // starts, all on the integer tick clock.
   while (next_arrival < n || !completions.empty() || !waiting.empty()) {
     Tick next_tick = kNoEvent;
     if (next_arrival < n) {

@@ -1,29 +1,35 @@
-// Event-heap discrete-event fleet engine: the datacenter-scale rebuild of
-// sched::SchedulingEngine.
+// Event-heap discrete-event fleet engine: the one scheduling event loop.
 //
-// Same mechanism contract as the original engine — sorted arrivals, a
+// Every scheduler run goes through FleetEngine::run: `hpcarbon run` and
+// `sweep`, the serve sched and fleetsim families, `hpcarbon fleetsim`,
+// the benches, and the examples. The mechanism is sorted arrivals, a
 // completion min-heap, hourly re-evaluation ticks while jobs queue,
-// per-site free slots, O(1) prefix-sum carbon, and every decision
-// delegated to a sched::SchedulingPolicy — but sized for thousands of
-// nodes and millions of jobs:
+// per-site free slots, and O(1) prefix-sum carbon. Every decision is
+// delegated to a sched::SchedulingPolicy. The engine is sized for
+// thousands of nodes and millions of jobs:
 //
 //  * integer event ticks (fleetsim/jobs.h, 1024/hour): event matching is
 //    an integer compare, not a `<= t + 1e-12` epsilon, and because the
 //    tick rate is a power of two every tick converts to an *exact*
-//    double, so the carbon/energy/wait arithmetic evaluates the same
-//    expressions on the same doubles as SchedulingEngine — metrics,
-//    outcomes, and ledgers are bit-identical on tick-aligned workloads
-//    (tests/test_fleetsim.cpp pins this for all registered policies);
+//    double, so the carbon/energy/wait arithmetic reads exact times.
+//    Double-hour workloads (sched::generate_jobs, the jobs CSV) enter
+//    through FleetJobs::from_jobs, which snaps each time to the nearest
+//    tick (at most 1.8 s);
 //  * struct-of-arrays job storage in and out (FleetJobs / FleetOutcomes):
 //    no per-job heap Job while jobs wait on disk-format vectors;
 //  * run() is const — all mutable state is per-call, so Monte-Carlo
 //    uncertainty sweeps fan one engine out across mc::Engine threads.
 //
-// Policies written against ClusterView run unmodified: the engine binds
-// the same view (friend access) with its double clock slaved to the tick
-// clock. Policy-planned starts that are not tick-aligned are rounded up
-// to the next tick (built-in policies plan whole-hour offsets, which are
-// always aligned).
+// Policies see the run through a sched::ClusterView bound to the engine's
+// per-run state, with its double clock slaved to the tick clock.
+// Policy-planned starts that are not tick-aligned are rounded up to the
+// next tick (built-in policies plan whole-hour offsets, which are always
+// aligned).
+//
+// tests/reference_engine.h keeps the double-clock loop this engine
+// replaced; tests/test_fleetsim.cpp pins bit-identical metrics, outcomes,
+// and ledgers against it on tick-aligned workloads for every registered
+// policy.
 #pragma once
 
 #include <cstdint>
@@ -35,16 +41,18 @@
 #include "op/operational.h"
 #include "op/pue.h"
 #include "sched/budget.h"
-#include "sched/engine.h"
 #include "sched/job.h"
+#include "sched/metrics.h"
 #include "sched/policy.h"
 
 namespace hpcarbon::fleetsim {
 
 /// Register the fleetsim instrument names (hpcarbon_fleetsim_jobs_total)
 /// in `registry` so private-registry consumers expose the same metric
-/// set as the process-global one. Runs always record into
-/// MetricsRegistry::global(); a private registry reports 0.
+/// set as the process-global one. Every run records its job count into
+/// MetricsRegistry::global() (so the counter covers every scheduler run
+/// in the process, sched and fleetsim alike); a private registry
+/// reports 0.
 void register_metrics(obs::MetricsRegistry& registry);
 
 /// Per-job outcomes in dispatch order, struct-of-arrays (a million jobs
@@ -64,8 +72,7 @@ struct FleetOutcomes {
 class FleetEngine {
  public:
   /// sites[0] is the home site; `epoch` anchors tick 0 on the traces'
-  /// calendar (UTC). Builds one CarbonIntegrator per site, exactly like
-  /// SchedulingEngine.
+  /// calendar (UTC). Builds one CarbonIntegrator per site.
   FleetEngine(std::vector<sched::Site> sites, HourOfYear epoch,
               op::PueModel pue = op::PueModel());
 

@@ -1,6 +1,7 @@
 #include "fleetsim/jobs.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <numeric>
 
@@ -46,9 +47,9 @@ void FleetJobs::validate() const {
 }
 
 FleetJobs FleetJobs::from_jobs(const std::vector<sched::Job>& jobs) {
-  // Sort by submit like the scheduling engine does, so queue order (and
-  // therefore every policy decision) matches a direct SchedulingEngine run
-  // on the same list.
+  // Stable sort by submit: jobs submitted at the same instant keep their
+  // input order, so FCFS tie-breaking (and therefore every policy
+  // decision) is a deterministic function of the job list.
   std::vector<std::size_t> order(jobs.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
   std::stable_sort(order.begin(), order.end(),
@@ -94,6 +95,11 @@ double parse_num(const std::string& cell, const char* column,
   const double v = std::strtod(cell.c_str(), &end);
   if (cell.empty() || end != cell.c_str() + cell.size()) {
     throw Error("jobs CSV: non-numeric " + std::string(column) + " '" + cell +
+                "' (line " + std::to_string(line) + ")");
+  }
+  // strtod accepts "nan" and "inf"; neither is a time, a power, or a site.
+  if (!std::isfinite(v)) {
+    throw Error("jobs CSV: non-finite " + std::string(column) + " '" + cell +
                 "' (line " + std::to_string(line) + ")");
   }
   return v;

@@ -1,22 +1,23 @@
 // Struct-of-arrays job storage for the fleet simulator, on an integer
 // tick clock.
 //
-// The scheduling engine in sched/engine.h keeps time as fractional-hour
-// doubles, which forced epsilon comparisons on event matching and a
-// 72-byte Job struct per queue entry — fine for the paper's few thousand
-// jobs, hostile to millions. The fleet simulator stores jobs as parallel
-// vectors (submit/duration ticks, IT power, user id) and quantizes time to
-// an integer tick grid:
+// Jobs are parallel vectors (submit/duration ticks, IT power, user id)
+// rather than one 72-byte Job struct each, and time is quantized to an
+// integer tick grid:
 //
 //   kTicksPerHour = 1024 (a power of two)
 //
 // so every event time is tick/1024 hours — *exactly* representable as a
 // double (the numerator stays far below 2^53 for any simulated horizon).
 // Sums and differences of tick-quantized hours are therefore exact FP
-// arithmetic, which is what lets fleetsim::FleetEngine reproduce the
-// double-based SchedulingEngine bit for bit on tick-aligned workloads
-// (tests/test_fleetsim.cpp) while matching events with integer compares,
-// no 1e-12 epsilon anywhere.
+// arithmetic, and fleetsim::FleetEngine matches events with integer
+// compares, no 1e-12 epsilon anywhere.
+//
+// Double-hour workloads (sched::generate_jobs, the jobs CSV) enter the
+// grid through FleetJobs::from_jobs, which snaps every submit time and
+// duration to the nearest tick: at most 1/2048 h (about 1.8 s) per time.
+// On the `hpcarbon run` trio that moves a policy's savings_pct by a few
+// hundredths of a percentage point (tests/test_fleetsim.cpp bounds it).
 #pragma once
 
 #include <cmath>
@@ -93,7 +94,7 @@ struct FleetJobs {
 
   /// Materialize sched::Job values (exact: tick times convert to the same
   /// doubles the engine computes with). Used to brief policies'
-  /// begin_run() and by the parity tests.
+  /// begin_run() and by the tests.
   std::vector<sched::Job> to_jobs() const;
 };
 
@@ -106,8 +107,9 @@ struct FleetJobs {
 /// recording cluster; it is validated against [0, site_count) and reported
 /// via `origin_site` when requested, but placement stays with the policy.
 /// Throws hpcarbon::Error with 1-based source line numbers on ragged rows,
-/// malformed numbers, non-positive durations or powers, negative submits,
-/// or out-of-range sites — same contract as the grid-trace importer.
+/// malformed or non-finite numbers, non-positive durations or powers,
+/// negative submits, or out-of-range sites — same contract as the
+/// grid-trace importer.
 FleetJobs parse_jobs_csv(const std::string& text, std::size_t site_count = 1,
                          std::vector<std::int32_t>* origin_site = nullptr);
 

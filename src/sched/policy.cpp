@@ -12,20 +12,6 @@
 
 namespace hpcarbon::sched {
 
-const char* to_string(Policy p) {
-  switch (p) {
-    case Policy::kFcfsLocal: return "fcfs-local";
-    case Policy::kGreedyLowestCi: return "greedy-lowest-ci";
-    case Policy::kThresholdDelay: return "threshold-delay";
-    case Policy::kBudgetAware: return "budget-aware";
-    case Policy::kForecastDelay: return "forecast-delay";
-    case Policy::kNetBenefit: return "net-benefit";
-    case Policy::kForecastNetBenefit: return "forecast-net-benefit";
-    case Policy::kRenewableCap: return "renewable-cap";
-  }
-  return "?";
-}
-
 double ClusterView::current_ci(std::size_t i) const {
   // Native-resolution lookup: hourly traces resolve to the same sample the
   // old at(hour_at(now())) read; 5-/15-minute imports expose the live
@@ -390,12 +376,8 @@ std::unique_ptr<SchedulingPolicy> make_policy(const std::string& name,
   return desc->make(cfg);
 }
 
-std::unique_ptr<SchedulingPolicy> make_policy(const PolicyConfig& cfg) {
-  return make_policy(to_string(cfg.policy), cfg);
-}
-
-// Built-in registrations, in Policy-enum order (this order is what
-// `hpcarbon policies`, policy_names(), and the ablation matrix report).
+// Built-in registrations. This order is what `hpcarbon policies`,
+// policy_names(), and the ablation matrix report.
 HPCARBON_REGISTER_POLICY(
     fcfs_local, "fcfs-local", "fcfs",
     "Run everything at the home site, first come first served "

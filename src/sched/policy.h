@@ -17,8 +17,7 @@
 //                         `hpcarbon policies`, and the ablation bench with
 //                         no further wiring.
 //
-// The engine that drives these lives in sched/engine.h; the legacy
-// enum-based SchedulerSimulator facade in sched/simulator.h delegates here.
+// The engine that drives these is fleetsim::FleetEngine (fleetsim/engine.h).
 #pragma once
 
 #include <cmath>
@@ -34,31 +33,11 @@
 #include "sched/budget.h"
 #include "sched/job.h"
 
-namespace hpcarbon::fleetsim {
-class FleetEngine;  // binds ClusterView for integer-tick runs (src/fleetsim)
-}
-
 namespace hpcarbon::sched {
-
-/// Legacy programmatic identifiers. The registry below is the open,
-/// string-keyed surface; this enum is retained so existing code and tests
-/// can configure the built-in policies without string lookups.
-enum class Policy {
-  kFcfsLocal,
-  kGreedyLowestCi,
-  kThresholdDelay,
-  kBudgetAware,
-  kForecastDelay,
-  kNetBenefit,
-  kForecastNetBenefit,
-  kRenewableCap,
-};
-const char* to_string(Policy p);
 
 /// Knob bag shared by every built-in policy; each class reads only the
 /// fields it documents. Registry `make` functions receive one of these.
 struct PolicyConfig {
-  Policy policy = Policy::kFcfsLocal;
   /// ThresholdDelay: run when local CI <= threshold…
   double ci_threshold_g_per_kwh = 150.0;
   /// …or when the job has waited this long (also the ForecastDelay search
@@ -91,6 +70,22 @@ struct DispatchDecision {
 /// of one run. All carbon queries are O(1) via per-site prefix sums.
 class ClusterView {
  public:
+  /// Bind a view over an engine's per-run state. The view keeps
+  /// references, so every argument must outlive the run; `now` is the
+  /// engine's clock in hours since `epoch`, read on every now() call.
+  ClusterView(const std::vector<Site>& sites,
+              const std::vector<int>& free_slots,
+              const std::vector<op::CarbonIntegrator>& integrators,
+              const CarbonBudgetLedger& ledger, const op::PueModel& pue,
+              const double& now, HourOfYear epoch)
+      : sites_(&sites),
+        free_slots_(&free_slots),
+        integrators_(&integrators),
+        ledger_(&ledger),
+        pue_(&pue),
+        now_(&now),
+        epoch_(epoch) {}
+
   /// Current simulation time, global fractional hours since the epoch.
   double now() const { return *now_; }
   HourOfYear epoch() const { return epoch_; }
@@ -120,14 +115,12 @@ class ClusterView {
   long lowest_ci_free_site() const;
 
  private:
-  friend class SchedulingEngine;
-  friend class ::hpcarbon::fleetsim::FleetEngine;
-  const std::vector<Site>* sites_ = nullptr;
-  const std::vector<int>* free_slots_ = nullptr;
-  const std::vector<op::CarbonIntegrator>* integrators_ = nullptr;
-  const CarbonBudgetLedger* ledger_ = nullptr;
-  const op::PueModel* pue_ = nullptr;
-  const double* now_ = nullptr;
+  const std::vector<Site>* sites_;
+  const std::vector<int>* free_slots_;
+  const std::vector<op::CarbonIntegrator>* integrators_;
+  const CarbonBudgetLedger* ledger_;
+  const op::PueModel* pue_;
+  const double* now_;
   HourOfYear epoch_;
 };
 
@@ -194,8 +187,7 @@ struct PolicyDescriptor {
 /// replaces). Built-ins self-register via HPCARBON_REGISTER_POLICY.
 void register_policy(PolicyDescriptor descriptor);
 
-/// All registered policies, in registration order (built-ins first, in
-/// Policy-enum order).
+/// All registered policies, in registration order (built-ins first).
 std::vector<PolicyDescriptor> registered_policies();
 
 /// Lookup by canonical or short name; nullopt when unknown. Returns a
@@ -206,8 +198,6 @@ std::optional<PolicyDescriptor> find_policy(const std::string& name_or_short);
 /// Factory. Throws hpcarbon::Error for unknown names.
 std::unique_ptr<SchedulingPolicy> make_policy(const std::string& name,
                                               const PolicyConfig& cfg = {});
-/// Legacy enum-keyed factory (routes through the registry).
-std::unique_ptr<SchedulingPolicy> make_policy(const PolicyConfig& cfg);
 
 }  // namespace hpcarbon::sched
 

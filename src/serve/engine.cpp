@@ -22,7 +22,6 @@
 #include "fleetsim/uncertainty.h"
 #include "fleetsim/workload.h"
 #include "op/pue.h"
-#include "sched/engine.h"
 #include "sched/policy.h"
 #include "sched/workload_gen.h"
 #include "workload/suite.h"
@@ -176,18 +175,22 @@ std::vector<sched::Site> query_sites(const json::Value& params,
   return sites;
 }
 
-json::Value evaluate_sched(const json::Value& params, TraceStore& traces) {
-  const std::vector<sched::Site> sites = query_sites(params, traces);
-
-  sched::WorkloadParams wp;
-  wp.horizon_hours = 24.0 * num(params, "days");
-  wp.arrival_rate_per_hour = num(params, "rate");
-  wp.seed = static_cast<std::uint64_t>(num(params, "seed"));
-  const auto jobs = sched::generate_jobs(wp);
+/// The trio engine, with tick 0 at the query's start month.
+fleetsim::FleetEngine query_engine(const json::Value& params,
+                                   TraceStore& traces) {
   const HourOfYear epoch(
       month_start_hour(static_cast<int>(num(params, "start_month"))));
+  return fleetsim::FleetEngine(query_sites(params, traces), epoch);
+}
 
-  sched::SchedulingEngine engine(sites, epoch);
+/// The policy-vs-baseline answer both trio families share: fcfs-local and
+/// the query's policy run the same jobs through one engine. Writes the
+/// policy's metrics and its savings on the baseline into `out` and
+/// returns the policy's metrics for family-specific fields.
+sched::ScheduleMetrics policy_vs_baseline(const json::Value& params,
+                                          const fleetsim::FleetEngine& engine,
+                                          const fleetsim::FleetJobs& jobs,
+                                          json::Value& out) {
   const auto baseline_policy = sched::make_policy("fcfs-local");
   const auto base = engine.run(jobs, *baseline_policy);
   const auto policy = sched::make_policy(str(params, "policy"));
@@ -195,7 +198,6 @@ json::Value evaluate_sched(const json::Value& params, TraceStore& traces) {
 
   const double base_g = base.total_carbon.to_grams();
   const double g = metrics.total_carbon.to_grams();
-  json::Value out = json::Value::object();
   out.set("baseline_carbon_kg",
           json::Value::number(base.total_carbon.to_kilograms()));
   out.set("carbon_kg", json::Value::number(metrics.total_carbon.to_kilograms()));
@@ -206,41 +208,33 @@ json::Value evaluate_sched(const json::Value& params, TraceStore& traces) {
   out.set("remote_dispatches", json::Value::number(metrics.remote_dispatches));
   out.set("savings_pct", json::Value::number(
                              base_g > 0 ? 100.0 * (base_g - g) / base_g : 0.0));
+  return metrics;
+}
+
+json::Value evaluate_sched(const json::Value& params, TraceStore& traces) {
+  sched::WorkloadParams wp;
+  wp.horizon_hours = 24.0 * num(params, "days");
+  wp.arrival_rate_per_hour = num(params, "rate");
+  wp.seed = static_cast<std::uint64_t>(num(params, "seed"));
+  const fleetsim::FleetEngine engine = query_engine(params, traces);
+  json::Value out = json::Value::object();
+  policy_vs_baseline(params, engine,
+                     fleetsim::FleetJobs::from_jobs(sched::generate_jobs(wp)),
+                     out);
   return out;
 }
 
 json::Value evaluate_fleetsim(const json::Value& params, TraceStore& traces) {
-  const std::vector<sched::Site> sites = query_sites(params, traces);
-  const HourOfYear epoch(
-      month_start_hour(static_cast<int>(num(params, "start_month"))));
-  const fleetsim::FleetEngine engine(sites, epoch);
-
   fleetsim::FleetWorkloadParams wp;
   wp.process = fleetsim::arrival_process_from(str(params, "process"));
   wp.horizon_hours = 24.0 * num(params, "days");
   wp.rate_per_hour = num(params, "rate");
   wp.seed = static_cast<std::uint64_t>(num(params, "seed"));
-  const fleetsim::FleetJobs jobs = fleetsim::generate_fleet_jobs(wp);
-
-  const auto baseline_policy = sched::make_policy("fcfs-local");
-  const auto base = engine.run(jobs, *baseline_policy);
-  const auto policy = sched::make_policy(str(params, "policy"));
-  const auto metrics = engine.run(jobs, *policy);
-
-  const double base_g = base.total_carbon.to_grams();
-  const double g = metrics.total_carbon.to_grams();
+  const fleetsim::FleetEngine engine = query_engine(params, traces);
   json::Value out = json::Value::object();
-  out.set("baseline_carbon_kg",
-          json::Value::number(base.total_carbon.to_kilograms()));
-  out.set("carbon_kg", json::Value::number(metrics.total_carbon.to_kilograms()));
-  out.set("jobs", json::Value::number(static_cast<double>(jobs.size())));
-  out.set("jobs_completed", json::Value::number(metrics.jobs_completed));
-  out.set("mean_wait_hours", json::Value::number(metrics.mean_wait_hours));
-  out.set("p95_wait_hours", json::Value::number(metrics.p95_wait_hours));
+  const sched::ScheduleMetrics metrics = policy_vs_baseline(
+      params, engine, fleetsim::generate_fleet_jobs(wp), out);
   out.set("process", json::Value::string(fleetsim::to_string(wp.process)));
-  out.set("remote_dispatches", json::Value::number(metrics.remote_dispatches));
-  out.set("savings_pct", json::Value::number(
-                             base_g > 0 ? 100.0 * (base_g - g) / base_g : 0.0));
   out.set("utilization", json::Value::number(metrics.utilization));
 
   const int samples = static_cast<int>(num(params, "samples"));

@@ -282,9 +282,10 @@ void normalize_breakeven(ParamReader& r) {
   r.number("pue", 1.2, 1.0, 3.0);
 }
 
-void normalize_sched(ParamReader& r) {
-  // regions[0] is the home site; the engine adds the two cleanest others
-  // as remote-dispatch options, mirroring `hpcarbon run`.
+/// The trio contract the sched and fleetsim families share: regions[0] is
+/// the home site and the engine adds the two cleanest others as remote
+/// options, mirroring `hpcarbon run`; the policy must be registered.
+void normalize_trio(ParamReader& r) {
   const auto regions = r.string_array(
       "regions", {"ERCOT", "ESO", "CISO"}, 1, grid::all_regions().size());
   std::set<std::string> seen;
@@ -307,6 +308,10 @@ void normalize_sched(ParamReader& r) {
   // {"policy":"greedy"} and {"policy":"greedy-lowest-ci"} share a cache
   // entry.
   r.rewrite("policy", desc->name);
+}
+
+void normalize_sched(ParamReader& r) {
+  normalize_trio(r);
   r.number("days", 28.0, 0.5, 366.0);
   r.number("rate", 2.5, 0.01, 1000.0);
   r.integer("capacity", 16, 1, 4096);
@@ -315,27 +320,7 @@ void normalize_sched(ParamReader& r) {
 }
 
 void normalize_fleetsim(ParamReader& r) {
-  // Same trio contract as sched: regions[0] is the home site, the engine
-  // adds the two cleanest others as remote options.
-  const auto regions = r.string_array(
-      "regions", {"ERCOT", "ESO", "CISO"}, 1, grid::all_regions().size());
-  std::set<std::string> seen;
-  for (const auto& code : regions) {
-    check_region(r, "regions", code);
-    if (!seen.insert(code).second) {
-      r.fail("regions", "lists region '" + code + "' twice");
-    }
-  }
-  const std::string policy = r.required_str("policy");
-  const auto desc = sched::find_policy(policy);
-  if (!desc) {
-    std::string known;
-    for (const auto& d : sched::registered_policies()) {
-      known += (known.empty() ? "" : ", ") + d.short_name;
-    }
-    r.fail("policy", "names no registered policy (known: " + known + ")");
-  }
-  r.rewrite("policy", desc->name);
+  normalize_trio(r);
   const std::string process = r.str("process", "poisson");
   if (process != "poisson" && process != "diurnal" && process != "bursty") {
     r.fail("process", "must be one of poisson, diurnal, bursty");

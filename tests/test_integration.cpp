@@ -5,6 +5,7 @@
 
 #include "embodied/catalog.h"
 #include "embodied/uncertainty.h"
+#include "fleetsim/engine.h"
 #include "grid/analysis.h"
 #include "grid/presets.h"
 #include "grid/simulator.h"
@@ -15,7 +16,7 @@
 #include "lifecycle/upgrade.h"
 #include "op/operational.h"
 #include "op/tracker.h"
-#include "sched/simulator.h"
+#include "sched/policy.h"
 #include "sched/workload_gen.h"
 
 namespace hpcarbon {
@@ -84,26 +85,27 @@ TEST(Integration, SchedulerOverRealTracesConservesWork) {
   std::vector<sched::Site> sites;
   for (const auto& t : traces) sites.push_back(sched::make_site(
       t.region_code(), t, 8));
-  sched::SchedulerSimulator sim(sites, HourOfYear(0));
+  const fleetsim::FleetEngine sim(sites, HourOfYear(0));
   sched::WorkloadParams wp;
   wp.horizon_hours = 24 * 7;
   wp.seed = 77;
-  const auto jobs = sched::generate_jobs(wp);
+  const auto fleet_jobs =
+      fleetsim::FleetJobs::from_jobs(sched::generate_jobs(wp));
+  const auto jobs = fleet_jobs.to_jobs();  // the snapped jobs the engine runs
 
   double expected_it_kwh = 0;
   for (const auto& j : jobs) {
     expected_it_kwh += j.it_power.to_kilowatts() * j.duration_hours;
   }
-  sched::PolicyConfig cfg;
-  cfg.policy = sched::Policy::kGreedyLowestCi;
-  std::vector<sched::JobOutcome> outcomes;
-  const auto m = sim.run(jobs, cfg, &outcomes, nullptr);
+  const auto greedy = sched::make_policy("greedy-lowest-ci");
+  fleetsim::FleetOutcomes outcomes;
+  const auto m = sim.run(fleet_jobs, *greedy, &outcomes);
   EXPECT_EQ(outcomes.size(), jobs.size());
   // Facility energy = IT * PUE + transfers.
   EXPECT_GE(m.total_energy.to_kwh(), expected_it_kwh * 1.2 - 1e-6);
   // Per-job carbon sums to the metric total.
   double sum = 0;
-  for (const auto& o : outcomes) sum += o.carbon.to_grams();
+  for (const double g : outcomes.carbon_g) sum += g;
   EXPECT_NEAR(sum, m.total_carbon.to_grams(), 1e-3);
 }
 

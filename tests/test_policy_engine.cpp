@@ -1,28 +1,26 @@
-// Engine/policy/registry layer tests.
-//
-// Golden parity: every refactored policy class, run through the engine via
-// the string-keyed registry, must reproduce the metrics of the legacy
-// enum-configured facade on a fixed seeded workload (the facade is the
-// pre-refactor surface, so all its hand-computed expectations in
-// test_scheduler.cpp transitively pin the engine too), and the engine's
-// O(1) prefix-sum carbon must match an hour-stepping re-computation of
-// every job's carbon within 1e-9.
-#include "sched/engine.h"
-
+// Engine/policy/registry layer tests: the string-keyed registry, the
+// engine's guards, and the policies' behaviour on hand-built grids. The
+// engine's O(1) prefix-sum carbon must match an hour-stepping
+// re-computation of every job's carbon within 1e-9.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <map>
 
 #include "core/error.h"
+#include "fleetsim/engine.h"
 #include "grid/presets.h"
 #include "grid/simulator.h"
 #include "sched/policy.h"
-#include "sched/simulator.h"
 #include "sched/workload_gen.h"
 
 namespace hpcarbon::sched {
 namespace {
+
+using fleetsim::FleetEngine;
+using fleetsim::FleetJobs;
+using fleetsim::FleetOutcomes;
+using fleetsim::hours_of;
 
 grid::CarbonIntensityTrace constant_trace(const std::string& code, double v) {
   return grid::CarbonIntensityTrace(code, kUtc,
@@ -46,49 +44,40 @@ std::vector<Site> fig7_sites(int capacity = 32) {
           make_site("CISO", traces[1], capacity)};
 }
 
-std::vector<Job> seeded_jobs() {
+FleetJobs seeded_jobs() {
   WorkloadParams wp;
   wp.horizon_hours = 24 * 10;
   wp.arrival_rate_per_hour = 2.0;
   wp.seed = 31337;
-  return generate_jobs(wp);
+  return FleetJobs::from_jobs(generate_jobs(wp));
 }
 
-PolicyConfig tuned_config() {
-  PolicyConfig cfg;
-  cfg.ci_threshold_g_per_kwh = 320;
-  cfg.max_delay_hours = 12;
-  cfg.user_budget = Mass::kilograms(150);
-  cfg.burn_cap_g_per_hour = 4000;
-  return cfg;
+/// One run of `policy` on a double-hour job list (snapped to the engine's
+/// tick grid; every hand-built job below is already on it).
+ScheduleMetrics run(const FleetEngine& engine, const std::vector<Job>& jobs,
+                    SchedulingPolicy& policy,
+                    FleetOutcomes* outcomes = nullptr) {
+  return engine.run(FleetJobs::from_jobs(jobs), policy, outcomes);
 }
 
-// The eight built-ins, in Policy-enum (= registration) order.
-constexpr Policy kBuiltins[] = {
-    Policy::kFcfsLocal,      Policy::kGreedyLowestCi,
-    Policy::kThresholdDelay, Policy::kBudgetAware,
-    Policy::kForecastDelay,  Policy::kNetBenefit,
-    Policy::kForecastNetBenefit, Policy::kRenewableCap};
-
-bool is_builtin(const std::string& name) {
-  for (Policy p : kBuiltins) {
-    if (name == to_string(p)) return true;
-  }
-  return false;
-}
+// The eight built-ins, in registration order.
+constexpr const char* kBuiltins[] = {
+    "fcfs-local",     "greedy-lowest-ci", "threshold-delay",
+    "budget-aware",   "forecast-delay",   "net-benefit",
+    "forecast-net-benefit", "renewable-cap"};
 
 TEST(PolicyRegistry, AllBuiltinsRegistered) {
   // >=: other tests in this binary may register probe policies; the
   // assertions here must hold in any execution order.
   const auto all = registered_policies();
   ASSERT_GE(all.size(), 8u);
-  // Registration order is Policy-enum order; fcfs-local first (the
-  // baseline position the scenario runner relies on).
+  // Built-ins register first, fcfs-local leading (the baseline position
+  // the scenario runner relies on).
   EXPECT_EQ(all[0].name, "fcfs-local");
-  for (Policy p : kBuiltins) {
-    const auto desc = find_policy(to_string(p));
-    ASSERT_TRUE(desc.has_value()) << to_string(p);
-    EXPECT_EQ(desc->name, to_string(p));
+  for (const char* name : kBuiltins) {
+    const auto desc = find_policy(name);
+    ASSERT_TRUE(desc.has_value()) << name;
+    EXPECT_EQ(desc->name, name);
     const auto policy = desc->make(PolicyConfig{});
     ASSERT_NE(policy, nullptr);
     EXPECT_EQ(policy->name(), desc->name);
@@ -115,88 +104,33 @@ TEST(PolicyRegistry, ReRegisteringReplaces) {
   EXPECT_EQ(find_policy("zz-parity-probe")->description, "second");
 }
 
-// Golden parity: for each registered policy, the legacy facade (enum
-// config) and the direct engine+registry path must produce bit-identical
-// metrics and outcomes on a fixed seeded workload across the Fig. 7 sites.
-TEST(PolicyEngine, GoldenParityFacadeVsRegistry) {
-  const auto sites = fig7_sites();
-  const auto jobs = seeded_jobs();
-  const HourOfYear epoch(month_start_hour(5));
-  const auto cfg = tuned_config();
-
-  for (const auto& desc : registered_policies()) {
-    // Only the built-ins have an enum spelling the facade can be asked
-    // for; probe policies registered by other tests are skipped.
-    if (!is_builtin(desc.name)) continue;
-    PolicyConfig enum_cfg = cfg;
-    for (Policy p : kBuiltins) {
-      if (to_string(p) == desc.name) enum_cfg.policy = p;
-    }
-
-    SchedulerSimulator facade(sites, epoch);
-    std::vector<JobOutcome> facade_outcomes;
-    const auto facade_m =
-        facade.run(jobs, enum_cfg, &facade_outcomes, nullptr);
-
-    SchedulingEngine engine(sites, epoch);
-    const auto policy = make_policy(desc.name, cfg);
-    std::vector<JobOutcome> engine_outcomes;
-    const auto engine_m = engine.run(jobs, *policy, &engine_outcomes, nullptr);
-
-    EXPECT_DOUBLE_EQ(facade_m.total_carbon.to_grams(),
-                     engine_m.total_carbon.to_grams())
-        << desc.name;
-    EXPECT_DOUBLE_EQ(facade_m.transfer_carbon.to_grams(),
-                     engine_m.transfer_carbon.to_grams())
-        << desc.name;
-    EXPECT_DOUBLE_EQ(facade_m.total_energy.to_kwh(),
-                     engine_m.total_energy.to_kwh())
-        << desc.name;
-    EXPECT_DOUBLE_EQ(facade_m.mean_wait_hours, engine_m.mean_wait_hours)
-        << desc.name;
-    EXPECT_DOUBLE_EQ(facade_m.p95_wait_hours, engine_m.p95_wait_hours)
-        << desc.name;
-    EXPECT_DOUBLE_EQ(facade_m.utilization, engine_m.utilization) << desc.name;
-    EXPECT_EQ(facade_m.jobs_completed, engine_m.jobs_completed) << desc.name;
-    EXPECT_EQ(facade_m.remote_dispatches, engine_m.remote_dispatches)
-        << desc.name;
-    ASSERT_EQ(facade_outcomes.size(), engine_outcomes.size()) << desc.name;
-    for (std::size_t i = 0; i < facade_outcomes.size(); ++i) {
-      EXPECT_EQ(facade_outcomes[i].job_id, engine_outcomes[i].job_id);
-      EXPECT_EQ(facade_outcomes[i].site, engine_outcomes[i].site);
-      EXPECT_DOUBLE_EQ(facade_outcomes[i].start_hour,
-                       engine_outcomes[i].start_hour);
-    }
-  }
-}
-
 // The engine's O(1) prefix-sum carbon must agree with an hour-stepping
 // recomputation of every job's compute carbon (the pre-refactor pricing
 // loop) within 1e-9 relative — the parity bound the refactor promises.
 TEST(PolicyEngine, PrefixSumCarbonMatchesHourSteppingPerJob) {
   const auto sites = fig7_sites();
-  const auto jobs = seeded_jobs();
+  const FleetJobs fleet_jobs = seeded_jobs();
+  const std::vector<Job> jobs = fleet_jobs.to_jobs();
   const HourOfYear epoch(month_start_hour(5));
   std::map<int, const Job*> by_id;
   for (const auto& j : jobs) by_id[j.id] = &j;
-  std::map<std::string, std::size_t> site_index;
-  for (std::size_t s = 0; s < sites.size(); ++s) site_index[sites[s].code] = s;
 
   const op::PueModel pue;  // constant 1.2
   for (const char* name : {"fcfs-local", "greedy-lowest-ci", "net-benefit",
                            "forecast-net-benefit"}) {
-    SchedulingEngine engine(sites, epoch, pue);
+    const FleetEngine engine(sites, epoch, pue);
     const auto policy = make_policy(name, PolicyConfig{});
-    std::vector<JobOutcome> outcomes;
-    engine.run(jobs, *policy, &outcomes, nullptr);
+    FleetOutcomes outcomes;
+    engine.run(fleet_jobs, *policy, &outcomes);
     ASSERT_EQ(outcomes.size(), jobs.size()) << name;
-    for (const auto& o : outcomes) {
-      const Job& j = *by_id.at(o.job_id);
-      const std::size_t s = site_index.at(o.site);
+    for (std::size_t i = 0; i < outcomes.size(); ++i) {
+      const Job& j = *by_id.at(outcomes.job_id[i]);
+      const std::size_t s = outcomes.site[i];
+      const double start_hour = hours_of(outcomes.start[i]);
       // Hour-stepping reference (the old interval_carbon_g).
       double grams = 0;
       double remaining = j.duration_hours;
-      double cursor = o.start_hour;
+      double cursor = start_hour;
       const double kw = j.it_power.to_kilowatts();
       while (remaining > 1e-12) {
         const double hour_end = std::floor(cursor) + 1.0;
@@ -210,27 +144,26 @@ TEST(PolicyEngine, PrefixSumCarbonMatchesHourSteppingPerJob) {
       }
       if (s != 0) {
         const HourOfYear h =
-            epoch.shifted(static_cast<int>(std::floor(o.start_hour)));
+            epoch.shifted(static_cast<int>(std::floor(start_hour)));
         grams += sites[s].transfer_energy.to_kwh() *
                  sites[s].trace_utc.at(h).to_g_per_kwh();
       }
-      EXPECT_NEAR(o.carbon.to_grams(), grams,
-                  1e-9 * std::max(1.0, grams))
-          << name << " job " << o.job_id;
+      EXPECT_NEAR(outcomes.carbon_g[i], grams, 1e-9 * std::max(1.0, grams))
+          << name << " job " << outcomes.job_id[i];
     }
   }
 }
 
 TEST(PolicyEngine, EngineEmptyWorkloadYieldsZeroMetrics) {
   std::vector<Site> sites = {make_site("A", constant_trace("A", 100.0), 2)};
-  SchedulingEngine engine(sites, HourOfYear(0));
+  const FleetEngine engine(sites, HourOfYear(0));
   for (const auto& desc : registered_policies()) {
     const auto policy = desc.make(PolicyConfig{});
-    std::vector<JobOutcome> outcomes;
-    const auto m = engine.run({}, *policy, &outcomes, nullptr);
+    FleetOutcomes outcomes;
+    const auto m = run(engine, {}, *policy, &outcomes);
     EXPECT_EQ(m.jobs_completed, 0) << desc.name;
     EXPECT_DOUBLE_EQ(m.total_carbon.to_grams(), 0.0) << desc.name;
-    EXPECT_TRUE(outcomes.empty()) << desc.name;
+    EXPECT_EQ(outcomes.size(), 0u) << desc.name;
   }
 }
 
@@ -246,14 +179,14 @@ TEST(PolicyEngine, RejectsInvalidDispatchDecision) {
     }
   };
   std::vector<Site> sites = {make_site("A", constant_trace("A", 100.0), 2)};
-  SchedulingEngine engine(sites, HourOfYear(0));
+  const FleetEngine engine(sites, HourOfYear(0));
   BrokenPolicy broken;
   Job j;
   j.id = 0;
   j.user = "u";
   j.duration_hours = 1;
   j.it_power = Power::kilowatts(1);
-  EXPECT_THROW(engine.run({j}, broken), Error);
+  EXPECT_THROW(run(engine, {j}, broken), Error);
 }
 
 TEST(ForecastNetBenefit, RoutesToPredictedCleanerSite) {
@@ -265,7 +198,7 @@ TEST(ForecastNetBenefit, RoutesToPredictedCleanerSite) {
       make_site("SQ", square_trace("SQ", 50, 500), 16),
       make_site("FLAT", constant_trace("FLAT", 150.0), 16,
                 Energy::kilowatt_hours(0.1))};
-  SchedulingEngine engine(sites, HourOfYear(60 * 24), op::PueModel(1.0));
+  const FleetEngine engine(sites, HourOfYear(60 * 24), op::PueModel(1.0));
   std::vector<Job> jobs;
   for (int i = 0; i < 4; ++i) {
     Job j;
@@ -278,8 +211,8 @@ TEST(ForecastNetBenefit, RoutesToPredictedCleanerSite) {
   }
   const auto nb = make_policy("net-benefit", PolicyConfig{});
   const auto fnb = make_policy("forecast-net-benefit", PolicyConfig{});
-  const auto m_nb = engine.run(jobs, *nb);
-  const auto m_fnb = engine.run(jobs, *fnb);
+  const auto m_nb = run(engine, jobs, *nb);
+  const auto m_fnb = run(engine, jobs, *fnb);
   // Instantaneous comparison at hour 10: home CI 50 < remote 150 → stays.
   EXPECT_EQ(m_nb.remote_dispatches, 0);
   // Forecast over 12 h: home ~275 vs remote 150 + tiny transfer → moves.
@@ -293,7 +226,7 @@ TEST(RenewableCap, ThrottlesBurnRateWithinWindow) {
   // budgeted burn rate (until the fairness guard kicks in, which this
   // workload doesn't reach).
   std::vector<Site> sites = {make_site("A", constant_trace("A", 100.0), 64)};
-  SchedulingEngine engine(sites, HourOfYear(0), op::PueModel(1.0));
+  const FleetEngine engine(sites, HourOfYear(0), op::PueModel(1.0));
   std::vector<Job> jobs;
   for (int i = 0; i < 30; ++i) {
     Job j;
@@ -309,23 +242,24 @@ TEST(RenewableCap, ThrottlesBurnRateWithinWindow) {
   cfg.burn_window_hours = 10.0;
   cfg.max_delay_hours = 1000.0;  // fairness guard out of the way
   const auto cap = make_policy("renewable-cap", cfg);
-  std::vector<JobOutcome> outcomes;
-  const auto m = engine.run(jobs, *cap, &outcomes, nullptr);
+  FleetOutcomes outcomes;
+  const auto m = run(engine, jobs, *cap, &outcomes);
   EXPECT_EQ(m.jobs_completed, 30);
   EXPECT_GT(m.mean_wait_hours, 1.0);  // visibly throttled
   // Verify the invariant directly: carbon started within any rolling
   // window never exceeds cap * window (one job of slack at the boundary:
   // the policy admits while the observed rate is still at or below cap).
-  for (const auto& a : outcomes) {
+  for (std::size_t a = 0; a < outcomes.size(); ++a) {
+    const double a_start = hours_of(outcomes.start[a]);
     double window_g = 0;
-    for (const auto& b : outcomes) {
-      if (b.start_hour <= a.start_hour &&
-          b.start_hour > a.start_hour - 10.0) {
-        window_g += b.carbon.to_grams();
+    for (std::size_t b = 0; b < outcomes.size(); ++b) {
+      const double b_start = hours_of(outcomes.start[b]);
+      if (b_start <= a_start && b_start > a_start - 10.0) {
+        window_g += outcomes.carbon_g[b];
       }
     }
     EXPECT_LE(window_g, 500.0 * 10.0 + 1000.0 + 1e-6)
-        << "window ending at " << a.start_hour;
+        << "window ending at " << a_start;
   }
 }
 
@@ -333,7 +267,7 @@ TEST(RenewableCap, FairnessGuardReleasesOverdueJobs) {
   // Cap so tight it would starve forever; the max-delay guard must still
   // push every job through.
   std::vector<Site> sites = {make_site("A", constant_trace("A", 100.0), 64)};
-  SchedulingEngine engine(sites, HourOfYear(0), op::PueModel(1.0));
+  const FleetEngine engine(sites, HourOfYear(0), op::PueModel(1.0));
   std::vector<Job> jobs;
   for (int i = 0; i < 10; ++i) {
     Job j;
@@ -349,11 +283,12 @@ TEST(RenewableCap, FairnessGuardReleasesOverdueJobs) {
   cfg.burn_window_hours = 24.0;
   cfg.max_delay_hours = 6.0;
   const auto cap = make_policy("renewable-cap", cfg);
-  std::vector<JobOutcome> outcomes;
-  const auto m = engine.run(jobs, *cap, &outcomes, nullptr);
+  FleetOutcomes outcomes;
+  const auto m = run(engine, jobs, *cap, &outcomes);
   EXPECT_EQ(m.jobs_completed, 10);
-  for (const auto& o : outcomes) {
-    EXPECT_LE(o.wait_hours, 6.0 + 1.5) << "job " << o.job_id;
+  for (std::size_t i = 0; i < outcomes.size(); ++i) {
+    EXPECT_LE(outcomes.wait_hours[i], 6.0 + 1.5)
+        << "job " << outcomes.job_id[i];
   }
 }
 
@@ -362,7 +297,7 @@ TEST(RenewableCap, ShiftsCarbonOutOfDirtySpikes) {
   // throttles there and releases in the clean half — lower carbon than
   // FCFS at the cost of queue wait.
   std::vector<Site> sites = {make_site("SQ", square_trace("SQ", 50, 500), 32)};
-  SchedulingEngine engine(sites, HourOfYear(0), op::PueModel(1.0));
+  const FleetEngine engine(sites, HourOfYear(0), op::PueModel(1.0));
   std::vector<Job> jobs;
   for (int i = 0; i < 16; ++i) {
     Job j;
@@ -379,8 +314,8 @@ TEST(RenewableCap, ShiftsCarbonOutOfDirtySpikes) {
   cfg.max_delay_hours = 24.0;
   const auto fcfs = make_policy("fcfs-local", cfg);
   const auto cap = make_policy("renewable-cap", cfg);
-  const auto m_fcfs = engine.run(jobs, *fcfs);
-  const auto m_cap = engine.run(jobs, *cap);
+  const auto m_fcfs = run(engine, jobs, *fcfs);
+  const auto m_cap = run(engine, jobs, *cap);
   EXPECT_EQ(m_cap.jobs_completed, 16);
   EXPECT_LT(m_cap.total_carbon.to_grams(), m_fcfs.total_carbon.to_grams());
   EXPECT_GT(m_cap.mean_wait_hours, m_fcfs.mean_wait_hours);

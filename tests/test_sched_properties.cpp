@@ -8,13 +8,18 @@
 #include <algorithm>
 
 #include "core/stats.h"
+#include "fleetsim/engine.h"
 #include "grid/presets.h"
 #include "grid/simulator.h"
-#include "sched/simulator.h"
+#include "sched/policy.h"
 #include "sched/workload_gen.h"
 
 namespace hpcarbon::sched {
 namespace {
+
+using fleetsim::FleetEngine;
+using fleetsim::FleetJobs;
+using fleetsim::FleetOutcomes;
 
 class PolicySweep : public ::testing::TestWithParam<std::string> {
  protected:
@@ -31,12 +36,16 @@ class PolicySweep : public ::testing::TestWithParam<std::string> {
     // so the delay-budget property below is exact.
     wp.arrival_rate_per_hour = 1.5;
     wp.seed = 4242;
-    jobs_ = new std::vector<Job>(generate_jobs(wp));
+    fleet_jobs_ = new FleetJobs(FleetJobs::from_jobs(generate_jobs(wp)));
+    // The snapped jobs, as the engine runs them.
+    jobs_ = new std::vector<Job>(fleet_jobs_->to_jobs());
   }
   static void TearDownTestSuite() {
     delete sites_;
+    delete fleet_jobs_;
     delete jobs_;
     sites_ = nullptr;
+    fleet_jobs_ = nullptr;
     jobs_ = nullptr;
   }
   static PolicyConfig config() {
@@ -47,26 +56,27 @@ class PolicySweep : public ::testing::TestWithParam<std::string> {
     return cfg;
   }
   /// Engine + registry-made policy for the parametrized name.
-  static ScheduleMetrics run_param(SchedulingEngine& engine,
-                                   std::vector<JobOutcome>* outcomes = nullptr) {
+  static ScheduleMetrics run_param(const FleetEngine& engine,
+                                   FleetOutcomes* outcomes = nullptr) {
     const auto policy = make_policy(GetParam(), config());
-    return engine.run(*jobs_, *policy, outcomes, nullptr);
+    return engine.run(*fleet_jobs_, *policy, outcomes);
   }
   static std::vector<Site>* sites_;
+  static FleetJobs* fleet_jobs_;
   static std::vector<Job>* jobs_;
 };
 
 std::vector<Site>* PolicySweep::sites_ = nullptr;
+FleetJobs* PolicySweep::fleet_jobs_ = nullptr;
 std::vector<Job>* PolicySweep::jobs_ = nullptr;
 
 TEST_P(PolicySweep, CompletesEveryJobExactlyOnce) {
-  SchedulingEngine sim(*sites_, HourOfYear(month_start_hour(5)));
-  std::vector<JobOutcome> outcomes;
+  const FleetEngine sim(*sites_, HourOfYear(month_start_hour(5)));
+  FleetOutcomes outcomes;
   const auto m = run_param(sim, &outcomes);
   EXPECT_EQ(m.jobs_completed, static_cast<int>(jobs_->size()));
   ASSERT_EQ(outcomes.size(), jobs_->size());
-  std::vector<int> ids;
-  for (const auto& o : outcomes) ids.push_back(o.job_id);
+  std::vector<int> ids(outcomes.job_id.begin(), outcomes.job_id.end());
   std::sort(ids.begin(), ids.end());
   for (std::size_t i = 0; i < ids.size(); ++i) {
     EXPECT_EQ(ids[i], static_cast<int>(i));
@@ -74,7 +84,7 @@ TEST_P(PolicySweep, CompletesEveryJobExactlyOnce) {
 }
 
 TEST_P(PolicySweep, EnergyAtLeastItDemandTimesPue) {
-  SchedulingEngine sim(*sites_, HourOfYear(month_start_hour(5)));
+  const FleetEngine sim(*sites_, HourOfYear(month_start_hour(5)));
   const auto m = run_param(sim);
   double it_kwh = 0;
   for (const auto& j : *jobs_) {
@@ -84,11 +94,11 @@ TEST_P(PolicySweep, EnergyAtLeastItDemandTimesPue) {
 }
 
 TEST_P(PolicySweep, NoJobStartsBeforeSubmission) {
-  SchedulingEngine sim(*sites_, HourOfYear(month_start_hour(5)));
-  std::vector<JobOutcome> outcomes;
+  const FleetEngine sim(*sites_, HourOfYear(month_start_hour(5)));
+  FleetOutcomes outcomes;
   run_param(sim, &outcomes);
-  for (const auto& o : outcomes) {
-    EXPECT_GE(o.wait_hours, -1e-9) << "job " << o.job_id;
+  for (std::size_t i = 0; i < outcomes.size(); ++i) {
+    EXPECT_GE(outcomes.wait_hours[i], -1e-9) << "job " << outcomes.job_id[i];
   }
 }
 
@@ -98,19 +108,20 @@ TEST_P(PolicySweep, DelayPoliciesRespectTheDelayBudget) {
   if (p != "threshold-delay" && p != "forecast-delay" && p != "renewable-cap") {
     GTEST_SKIP();
   }
-  SchedulingEngine sim(*sites_, HourOfYear(month_start_hour(5)));
-  std::vector<JobOutcome> outcomes;
+  const FleetEngine sim(*sites_, HourOfYear(month_start_hour(5)));
+  FleetOutcomes outcomes;
   const auto cfg = config();
   run_param(sim, &outcomes);
-  for (const auto& o : outcomes) {
+  for (std::size_t i = 0; i < outcomes.size(); ++i) {
     // Delay budget + at most one dispatch tick of slack (capacity is never
     // binding at this load).
-    EXPECT_LE(o.wait_hours, cfg.max_delay_hours + 1.5) << "job " << o.job_id;
+    EXPECT_LE(outcomes.wait_hours[i], cfg.max_delay_hours + 1.5)
+        << "job " << outcomes.job_id[i];
   }
 }
 
 TEST_P(PolicySweep, DeterministicAcrossRuns) {
-  SchedulingEngine sim(*sites_, HourOfYear(month_start_hour(5)));
+  const FleetEngine sim(*sites_, HourOfYear(month_start_hour(5)));
   const auto a = run_param(sim);
   const auto b = run_param(sim);
   EXPECT_DOUBLE_EQ(a.total_carbon.to_grams(), b.total_carbon.to_grams());
@@ -121,7 +132,7 @@ TEST_P(PolicySweep, DeterministicAcrossRuns) {
 TEST_P(PolicySweep, NeverBeatsClairvoyantLowerBound) {
   // Lower bound: every job runs at the year-minimum intensity across all
   // sites, with no transfer cost.
-  SchedulingEngine sim(*sites_, HourOfYear(month_start_hour(5)));
+  const FleetEngine sim(*sites_, HourOfYear(month_start_hour(5)));
   const auto m = run_param(sim);
   double min_ci = 1e18;
   for (const auto& s : *sites_) {
@@ -135,11 +146,11 @@ TEST_P(PolicySweep, NeverBeatsClairvoyantLowerBound) {
 }
 
 TEST_P(PolicySweep, PerJobCarbonSumsToTotal) {
-  SchedulingEngine sim(*sites_, HourOfYear(month_start_hour(5)));
-  std::vector<JobOutcome> outcomes;
+  const FleetEngine sim(*sites_, HourOfYear(month_start_hour(5)));
+  FleetOutcomes outcomes;
   const auto m = run_param(sim, &outcomes);
   double sum = 0;
-  for (const auto& o : outcomes) sum += o.carbon.to_grams();
+  for (const double g : outcomes.carbon_g) sum += g;
   EXPECT_NEAR(sum, m.total_carbon.to_grams(),
               1e-6 * m.total_carbon.to_grams());
 }

@@ -1,19 +1,32 @@
 // Scheduler tests: the carbon-aware policies the paper's Sec. 4 implications
 // call for must beat the carbon-unaware baseline on synthetic grids and
 // behave sanely on the real region presets.
-#include "sched/simulator.h"
-
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "core/error.h"
+#include "fleetsim/engine.h"
 #include "grid/presets.h"
 #include "grid/simulator.h"
+#include "sched/policy.h"
 #include "sched/workload_gen.h"
 
 namespace hpcarbon::sched {
 namespace {
+
+using fleetsim::FleetEngine;
+using fleetsim::FleetOutcomes;
+
+/// One run of the named policy on a double-hour job list (snapped to the
+/// engine's tick grid; every job below is already on it).
+ScheduleMetrics run(const FleetEngine& engine, const std::vector<Job>& jobs,
+                    const std::string& policy, const PolicyConfig& cfg = {},
+                    FleetOutcomes* outcomes = nullptr,
+                    CarbonBudgetLedger* ledger = nullptr) {
+  return engine.run(fleetsim::FleetJobs::from_jobs(jobs),
+                    *make_policy(policy, cfg), outcomes, ledger);
+}
 
 grid::CarbonIntensityTrace constant_trace(const std::string& code, double v) {
   return grid::CarbonIntensityTrace(
@@ -47,11 +60,9 @@ std::vector<Job> simple_jobs(int n, double power_kw = 1.0,
 
 TEST(Scheduler, FcfsCarbonMatchesHandComputation) {
   std::vector<Site> sites = {make_site("A", constant_trace("A", 100.0), 4)};
-  SchedulerSimulator sim(sites, HourOfYear(0), op::PueModel(1.0));
-  PolicyConfig cfg;
-  cfg.policy = Policy::kFcfsLocal;
+  const FleetEngine sim(sites, HourOfYear(0), op::PueModel(1.0));
   const auto jobs = simple_jobs(4);  // all fit concurrently
-  const auto m = sim.run(jobs, cfg);
+  const auto m = run(sim, jobs, "fcfs-local");
   // 4 jobs x 1 kW x 2 h x 100 g/kWh = 800 g.
   EXPECT_NEAR(m.total_carbon.to_grams(), 800.0, 1e-6);
   EXPECT_EQ(m.jobs_completed, 4);
@@ -61,12 +72,10 @@ TEST(Scheduler, FcfsCarbonMatchesHandComputation) {
 
 TEST(Scheduler, QueuesWhenCapacityExhausted) {
   std::vector<Site> sites = {make_site("A", constant_trace("A", 100.0), 1)};
-  SchedulerSimulator sim(sites, HourOfYear(0));
-  PolicyConfig cfg;
-  cfg.policy = Policy::kFcfsLocal;
+  const FleetEngine sim(sites, HourOfYear(0));
   // Two jobs at t=0 and t=0.5, each 2 h long: second waits 1.5 h.
   auto jobs = simple_jobs(2);
-  const auto m = sim.run(jobs, cfg);
+  const auto m = run(sim, jobs, "fcfs-local");
   EXPECT_EQ(m.jobs_completed, 2);
   EXPECT_NEAR(m.mean_wait_hours, 0.75, 1e-6);
 }
@@ -76,11 +85,9 @@ TEST(Scheduler, GreedyRoutesToCleanSite) {
       make_site("DIRTY", constant_trace("DIRTY", 500.0), 8),
       make_site("CLEAN", constant_trace("CLEAN", 50.0), 8,
                 Energy::kilowatt_hours(0))};
-  SchedulerSimulator sim(sites, HourOfYear(0), op::PueModel(1.0));
-  PolicyConfig greedy;
-  greedy.policy = Policy::kGreedyLowestCi;
+  const FleetEngine sim(sites, HourOfYear(0), op::PueModel(1.0));
   const auto jobs = simple_jobs(6);
-  const auto m = sim.run(jobs, greedy);
+  const auto m = run(sim, jobs, "greedy-lowest-ci");
   // Everything lands on CLEAN: 6 x 2 kWh x 50 g.
   EXPECT_NEAR(m.total_carbon.to_grams(), 600.0, 1e-6);
   EXPECT_EQ(m.remote_dispatches, 6);
@@ -96,24 +103,20 @@ TEST(Scheduler, GreedyBeatsFcfsOnRealRegions) {
   std::vector<Site> sites = {make_site("ERCOT", traces[2], 12),
                              make_site("ESO", traces[0], 12),
                              make_site("CISO", traces[1], 12)};
-  SchedulerSimulator sim(sites, HourOfYear(month_start_hour(5)));
+  const FleetEngine sim(sites, HourOfYear(month_start_hour(5)));
   WorkloadParams wp;
   wp.horizon_hours = 24 * 14;
   wp.arrival_rate_per_hour = 2.0;
   const auto jobs = generate_jobs(wp);
-  PolicyConfig fcfs;
-  fcfs.policy = Policy::kFcfsLocal;
-  PolicyConfig greedy;
-  greedy.policy = Policy::kGreedyLowestCi;
-  const auto mf = sim.run(jobs, fcfs);
-  const auto mg = sim.run(jobs, greedy);
+  const auto mf = run(sim, jobs, "fcfs-local");
+  const auto mg = run(sim, jobs, "greedy-lowest-ci");
   EXPECT_LT(mg.total_carbon.to_grams(), mf.total_carbon.to_grams() * 0.85);
   EXPECT_EQ(mf.jobs_completed, mg.jobs_completed);
 }
 
 TEST(Scheduler, ThresholdDelayShiftsWorkToCleanHours) {
   std::vector<Site> sites = {make_site("SQ", square_trace("SQ", 50, 500), 16)};
-  SchedulerSimulator sim(sites, HourOfYear(0), op::PueModel(1.0));
+  const FleetEngine sim(sites, HourOfYear(0), op::PueModel(1.0));
   // Jobs submitted during the dirty half of day 0.
   std::vector<Job> jobs;
   for (int i = 0; i < 8; ++i) {
@@ -125,14 +128,11 @@ TEST(Scheduler, ThresholdDelayShiftsWorkToCleanHours) {
     j.it_power = Power::kilowatts(1.0);
     jobs.push_back(j);
   }
-  PolicyConfig now;
-  now.policy = Policy::kFcfsLocal;
   PolicyConfig delay;
-  delay.policy = Policy::kThresholdDelay;
   delay.ci_threshold_g_per_kwh = 100.0;
   delay.max_delay_hours = 24.0;
-  const auto mn = sim.run(jobs, now);
-  const auto md = sim.run(jobs, delay);
+  const auto mn = run(sim, jobs, "fcfs-local");
+  const auto md = run(sim, jobs, "threshold-delay", delay);
   // Delayed jobs run in the 50 g window: 10x cleaner.
   EXPECT_NEAR(mn.total_carbon.to_grams(), 8 * 500.0, 1e-6);
   EXPECT_NEAR(md.total_carbon.to_grams(), 8 * 50.0, 1e-6);
@@ -142,13 +142,12 @@ TEST(Scheduler, ThresholdDelayShiftsWorkToCleanHours) {
 TEST(Scheduler, ThresholdDelayRespectsMaxDelay) {
   std::vector<Site> sites = {
       make_site("HI", constant_trace("HI", 400.0), 16)};
-  SchedulerSimulator sim(sites, HourOfYear(0));
+  const FleetEngine sim(sites, HourOfYear(0));
   PolicyConfig delay;
-  delay.policy = Policy::kThresholdDelay;
   delay.ci_threshold_g_per_kwh = 100.0;  // never satisfied
   delay.max_delay_hours = 6.0;
   const auto jobs = simple_jobs(3);
-  const auto m = sim.run(jobs, delay);
+  const auto m = run(sim, jobs, "threshold-delay", delay);
   EXPECT_EQ(m.jobs_completed, 3);
   // Everyone waits out the max delay (within a tick of 1 h).
   EXPECT_GE(m.mean_wait_hours, 5.0);
@@ -157,7 +156,7 @@ TEST(Scheduler, ThresholdDelayRespectsMaxDelay) {
 
 TEST(Scheduler, BudgetAwarePrioritizesEconomicalUsers) {
   std::vector<Site> sites = {make_site("A", constant_trace("A", 100.0), 1)};
-  SchedulerSimulator sim(sites, HourOfYear(0), op::PueModel(1.0));
+  const FleetEngine sim(sites, HourOfYear(0), op::PueModel(1.0));
   // u0 submits a huge job first (drains budget), then both users queue.
   std::vector<Job> jobs;
   Job big;
@@ -177,19 +176,20 @@ TEST(Scheduler, BudgetAwarePrioritizesEconomicalUsers) {
     jobs.push_back(j);
   }
   PolicyConfig cfg;
-  cfg.policy = Policy::kBudgetAware;
   cfg.user_budget = Mass::kilograms(10);
-  std::vector<JobOutcome> outcomes;
+  FleetOutcomes outcomes;
   CarbonBudgetLedger ledger;
-  sim.run(jobs, cfg, &outcomes, &ledger);
+  run(sim, jobs, "budget-aware", cfg, &outcomes, &ledger);
   // After the hog's big job, thrifty's jobs should start before hog's
   // remaining ones.
   double hog_first = 1e9, thrifty_last = -1;
-  for (const auto& o : outcomes) {
-    if (o.job_id == 0) continue;
-    const bool is_hog = (o.job_id % 2 == 1);
-    if (is_hog) hog_first = std::min(hog_first, o.start_hour);
-    else thrifty_last = std::max(thrifty_last, o.start_hour);
+  for (std::size_t i = 0; i < outcomes.size(); ++i) {
+    const int id = outcomes.job_id[i];
+    if (id == 0) continue;
+    const bool is_hog = (id % 2 == 1);
+    const double start = fleetsim::hours_of(outcomes.start[i]);
+    if (is_hog) hog_first = std::min(hog_first, start);
+    else thrifty_last = std::max(thrifty_last, start);
   }
   EXPECT_LT(thrifty_last, hog_first);
   EXPECT_TRUE(ledger.is_overdrawn("hog"));
@@ -204,34 +204,29 @@ TEST(Scheduler, TransferPenaltyDiscouragesMarginalMoves) {
       make_site("HOME", constant_trace("HOME", 100.0), 8),
       make_site("AWAY", constant_trace("AWAY", 90.0), 8,
                 Energy::kilowatt_hours(5.0))};
-  SchedulerSimulator sim(sites, HourOfYear(0), op::PueModel(1.0));
-  PolicyConfig greedy;
-  greedy.policy = Policy::kGreedyLowestCi;
-  const auto m = sim.run(simple_jobs(4), greedy);
+  const FleetEngine sim(sites, HourOfYear(0), op::PueModel(1.0));
+  const auto m = run(sim, simple_jobs(4), "greedy-lowest-ci");
   EXPECT_EQ(m.remote_dispatches, 4);
   EXPECT_NEAR(m.transfer_carbon.to_grams(), 4 * 5.0 * 90.0, 1e-6);
   // Including transfer, AWAY was a net loss vs staying home.
-  PolicyConfig fcfs;
-  fcfs.policy = Policy::kFcfsLocal;
-  const auto mh = sim.run(simple_jobs(4), fcfs);
+  const auto mh = run(sim, simple_jobs(4), "fcfs-local");
   EXPECT_GT(m.total_carbon.to_grams(), mh.total_carbon.to_grams());
 }
 
 TEST(Scheduler, UtilizationAndEnergyAccounting) {
   std::vector<Site> sites = {make_site("A", constant_trace("A", 100.0), 2)};
-  SchedulerSimulator sim(sites, HourOfYear(0), op::PueModel(1.5));
-  PolicyConfig cfg;
+  const FleetEngine sim(sites, HourOfYear(0), op::PueModel(1.5));
   const auto jobs = simple_jobs(2, 2.0, 3.0);  // 2 jobs, 2 kW, 3 h
-  const auto m = sim.run(jobs, cfg);
+  const auto m = run(sim, jobs, "fcfs-local");
   EXPECT_NEAR(m.total_energy.to_kwh(), 2 * 2.0 * 3.0 * 1.5, 1e-6);
   EXPECT_GT(m.utilization, 0.5);
   EXPECT_LE(m.utilization, 1.0);
 }
 
 TEST(Scheduler, Validation) {
-  EXPECT_THROW(SchedulerSimulator({}, HourOfYear(0)), Error);
+  EXPECT_THROW(FleetEngine({}, HourOfYear(0)), Error);
   std::vector<Site> sites = {make_site("A", constant_trace("A", 100.0), 0)};
-  EXPECT_THROW(SchedulerSimulator(sites, HourOfYear(0)), Error);
+  EXPECT_THROW(FleetEngine(sites, HourOfYear(0)), Error);
 }
 
 TEST(Scheduler, EmptyWorkloadYieldsZeroMetrics) {
@@ -239,23 +234,19 @@ TEST(Scheduler, EmptyWorkloadYieldsZeroMetrics) {
   // zero jobs on a quiet horizon; that must report all-zero metrics, not
   // abort.
   std::vector<Site> ok = {make_site("A", constant_trace("A", 100.0), 2)};
-  SchedulerSimulator sim(ok, HourOfYear(0));
-  for (Policy p : {Policy::kFcfsLocal, Policy::kGreedyLowestCi,
-                   Policy::kThresholdDelay, Policy::kBudgetAware,
-                   Policy::kForecastDelay, Policy::kNetBenefit,
-                   Policy::kForecastNetBenefit, Policy::kRenewableCap}) {
-    PolicyConfig cfg;
-    cfg.policy = p;
-    std::vector<JobOutcome> outcomes;
+  const FleetEngine sim(ok, HourOfYear(0));
+  for (const auto& desc : registered_policies()) {
+    const std::string& p = desc.name;
+    FleetOutcomes outcomes;
     CarbonBudgetLedger ledger;
-    const auto m = sim.run({}, cfg, &outcomes, &ledger);
-    EXPECT_EQ(m.jobs_completed, 0) << to_string(p);
-    EXPECT_EQ(m.remote_dispatches, 0) << to_string(p);
-    EXPECT_DOUBLE_EQ(m.total_carbon.to_grams(), 0.0) << to_string(p);
-    EXPECT_DOUBLE_EQ(m.total_energy.to_kwh(), 0.0) << to_string(p);
-    EXPECT_DOUBLE_EQ(m.mean_wait_hours, 0.0) << to_string(p);
-    EXPECT_DOUBLE_EQ(m.utilization, 0.0) << to_string(p);
-    EXPECT_TRUE(outcomes.empty()) << to_string(p);
+    const auto m = run(sim, {}, p, {}, &outcomes, &ledger);
+    EXPECT_EQ(m.jobs_completed, 0) << p;
+    EXPECT_EQ(m.remote_dispatches, 0) << p;
+    EXPECT_DOUBLE_EQ(m.total_carbon.to_grams(), 0.0) << p;
+    EXPECT_DOUBLE_EQ(m.total_energy.to_kwh(), 0.0) << p;
+    EXPECT_DOUBLE_EQ(m.mean_wait_hours, 0.0) << p;
+    EXPECT_DOUBLE_EQ(m.utilization, 0.0) << p;
+    EXPECT_EQ(outcomes.size(), 0u) << p;
   }
 }
 
@@ -268,26 +259,25 @@ TEST(Scheduler, LowestCiTieBreaksToLowestSiteIndex) {
   std::vector<Site> sites = {make_site("A", constant_trace("A", 100.0), 4),
                              make_site("B", constant_trace("B", 100.0), 4),
                              make_site("C", constant_trace("C", 100.0), 4)};
-  SchedulerSimulator sim(sites, HourOfYear(0), op::PueModel(1.0));
-  for (Policy p : {Policy::kGreedyLowestCi, Policy::kBudgetAware,
-                   Policy::kNetBenefit, Policy::kForecastNetBenefit}) {
-    PolicyConfig cfg;
-    cfg.policy = p;
-    std::vector<JobOutcome> outcomes;
-    const auto m = sim.run(simple_jobs(6), cfg, &outcomes, nullptr);
-    EXPECT_EQ(m.remote_dispatches, 0) << to_string(p);
-    EXPECT_DOUBLE_EQ(m.transfer_carbon.to_grams(), 0.0) << to_string(p);
-    for (const auto& o : outcomes) {
-      EXPECT_EQ(o.site, "A") << to_string(p) << " job " << o.job_id;
+  const FleetEngine sim(sites, HourOfYear(0), op::PueModel(1.0));
+  for (const char* p : {"greedy-lowest-ci", "budget-aware", "net-benefit",
+                        "forecast-net-benefit"}) {
+    FleetOutcomes outcomes;
+    const auto m = run(sim, simple_jobs(6), p, {}, &outcomes);
+    EXPECT_EQ(m.remote_dispatches, 0) << p;
+    EXPECT_DOUBLE_EQ(m.transfer_carbon.to_grams(), 0.0) << p;
+    for (std::size_t i = 0; i < outcomes.size(); ++i) {
+      EXPECT_EQ(sim.sites()[outcomes.site[i]].code, "A")
+          << p << " job " << outcomes.job_id[i];
     }
   }
 }
 
 TEST(Scheduler, PolicyNames) {
-  EXPECT_STREQ(to_string(Policy::kFcfsLocal), "fcfs-local");
-  EXPECT_STREQ(to_string(Policy::kBudgetAware), "budget-aware");
-  EXPECT_STREQ(to_string(Policy::kForecastDelay), "forecast-delay");
-  EXPECT_STREQ(to_string(Policy::kNetBenefit), "net-benefit");
+  EXPECT_EQ(make_policy("fcfs")->name(), "fcfs-local");
+  EXPECT_EQ(make_policy("budget")->name(), "budget-aware");
+  EXPECT_EQ(make_policy("forecast")->name(), "forecast-delay");
+  EXPECT_EQ(make_policy("net-benefit")->name(), "net-benefit");
 }
 
 TEST(Scheduler, ForecastDelayShiftsToPredictedCleanHours) {
@@ -296,7 +286,7 @@ TEST(Scheduler, ForecastDelayShiftsToPredictedCleanHours) {
   // needing a hand-tuned threshold.
   std::vector<Site> sites = {make_site("SQ", square_trace("SQ", 50, 500), 16)};
   // Epoch far enough into the year for a full 14-day training window.
-  SchedulerSimulator sim(sites, HourOfYear(60 * 24), op::PueModel(1.0));
+  const FleetEngine sim(sites, HourOfYear(60 * 24), op::PueModel(1.0));
   std::vector<Job> jobs;
   for (int i = 0; i < 6; ++i) {
     Job j;
@@ -307,13 +297,10 @@ TEST(Scheduler, ForecastDelayShiftsToPredictedCleanHours) {
     j.it_power = Power::kilowatts(1.0);
     jobs.push_back(j);
   }
-  PolicyConfig now_cfg;
-  now_cfg.policy = Policy::kFcfsLocal;
   PolicyConfig fc;
-  fc.policy = Policy::kForecastDelay;
   fc.max_delay_hours = 14.0;
-  const auto mn = sim.run(jobs, now_cfg);
-  const auto mf = sim.run(jobs, fc);
+  const auto mn = run(sim, jobs, "fcfs-local");
+  const auto mf = run(sim, jobs, "forecast-delay", fc);
   EXPECT_NEAR(mn.total_carbon.to_grams(), 6 * 2 * 500.0, 1e-6);
   EXPECT_NEAR(mf.total_carbon.to_grams(), 6 * 2 * 50.0, 1e-6);
   EXPECT_GT(mf.mean_wait_hours, 5.0);
@@ -321,12 +308,11 @@ TEST(Scheduler, ForecastDelayShiftsToPredictedCleanHours) {
 
 TEST(Scheduler, ForecastDelayRunsImmediatelyInCleanHours) {
   std::vector<Site> sites = {make_site("SQ", square_trace("SQ", 50, 500), 16)};
-  SchedulerSimulator sim(sites, HourOfYear(60 * 24), op::PueModel(1.0));
+  const FleetEngine sim(sites, HourOfYear(60 * 24), op::PueModel(1.0));
   std::vector<Job> jobs = simple_jobs(3);  // submitted in the clean window
   PolicyConfig fc;
-  fc.policy = Policy::kForecastDelay;
   fc.max_delay_hours = 12.0;
-  const auto m = sim.run(jobs, fc);
+  const auto m = run(sim, jobs, "forecast-delay", fc);
   EXPECT_LT(m.mean_wait_hours, 1.0);
   EXPECT_NEAR(m.total_carbon.to_grams(), 3 * 2 * 50.0, 1e-6);
 }
@@ -338,10 +324,8 @@ TEST(Scheduler, NetBenefitSkipsMarginalMoves) {
       make_site("HOME", constant_trace("HOME", 100.0), 8),
       make_site("AWAY", constant_trace("AWAY", 90.0), 8,
                 Energy::kilowatt_hours(5.0))};
-  SchedulerSimulator sim(sites, HourOfYear(0), op::PueModel(1.0));
-  PolicyConfig nb;
-  nb.policy = Policy::kNetBenefit;
-  const auto m = sim.run(simple_jobs(4), nb);
+  const FleetEngine sim(sites, HourOfYear(0), op::PueModel(1.0));
+  const auto m = run(sim, simple_jobs(4), "net-benefit");
   EXPECT_EQ(m.remote_dispatches, 0);
   EXPECT_NEAR(m.total_carbon.to_grams(), 4 * 2 * 100.0, 1e-6);
 }
@@ -351,14 +335,10 @@ TEST(Scheduler, NetBenefitTakesClearlyProfitableMoves) {
       make_site("HOME", constant_trace("HOME", 500.0), 8),
       make_site("AWAY", constant_trace("AWAY", 50.0), 8,
                 Energy::kilowatt_hours(0.5))};
-  SchedulerSimulator sim(sites, HourOfYear(0), op::PueModel(1.0));
-  PolicyConfig nb;
-  nb.policy = Policy::kNetBenefit;
-  const auto m = sim.run(simple_jobs(4), nb);
+  const FleetEngine sim(sites, HourOfYear(0), op::PueModel(1.0));
+  const auto m = run(sim, simple_jobs(4), "net-benefit");
   EXPECT_EQ(m.remote_dispatches, 4);
-  PolicyConfig greedy;
-  greedy.policy = Policy::kGreedyLowestCi;
-  const auto mg = sim.run(simple_jobs(4), greedy);
+  const auto mg = run(sim, simple_jobs(4), "greedy-lowest-ci");
   EXPECT_NEAR(m.total_carbon.to_grams(), mg.total_carbon.to_grams(), 1e-6);
 }
 
@@ -370,14 +350,10 @@ TEST(Scheduler, NetBenefitNeverWorseThanFcfsOnConstantGrids) {
         make_site("HOME", constant_trace("HOME", 100.0), 4),
         make_site("AWAY", constant_trace("AWAY", away_ci), 4,
                   Energy::kilowatt_hours(1.0))};
-    SchedulerSimulator sim(sites, HourOfYear(0), op::PueModel(1.0));
-    PolicyConfig nb;
-    nb.policy = Policy::kNetBenefit;
-    PolicyConfig fcfs;
-    fcfs.policy = Policy::kFcfsLocal;
+    const FleetEngine sim(sites, HourOfYear(0), op::PueModel(1.0));
     const auto jobs = simple_jobs(4);
-    EXPECT_LE(sim.run(jobs, nb).total_carbon.to_grams(),
-              sim.run(jobs, fcfs).total_carbon.to_grams() + 1e-6)
+    EXPECT_LE(run(sim, jobs, "net-benefit").total_carbon.to_grams(),
+              run(sim, jobs, "fcfs-local").total_carbon.to_grams() + 1e-6)
         << "away_ci=" << away_ci;
   }
 }

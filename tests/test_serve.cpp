@@ -23,6 +23,7 @@
 #include "serve/engine.h"
 #include "serve/limits.h"
 #include "serve/request.h"
+#include "sched/workload_gen.h"
 #include "workload/suite.h"
 
 namespace hpcarbon::serve {
@@ -228,6 +229,51 @@ TEST(Evaluate, SchedMatchesRunScenarios) {
             report.rows[1].jobs_completed);
   EXPECT_EQ(static_cast<int>(r.find("remote_dispatches")->as_number()),
             report.rows[1].remote_dispatches);
+}
+
+// The sched family is a FleetEngine run too: its generated jobs snap onto
+// the tick grid through FleetJobs::from_jobs, and every field is the
+// direct engine answer, bit for bit.
+TEST(Evaluate, SchedMatchesFleetEngineDirectly) {
+  TraceStore store;
+  const Query q = parse(
+      R"({"op":"sched","params":{"regions":["ERCOT","ESO","CISO"],)"
+      R"("policy":"greedy","days":7,"rate":1}})");
+  const json::Value r = evaluate(q, store);
+
+  const int capacity = 16;
+  std::vector<sched::Site> sites = {
+      sched::make_site("ERCOT", *store.preset("ERCOT"), capacity),
+      sched::make_site("ESO", *store.preset("ESO"), capacity),
+      sched::make_site("CISO", *store.preset("CISO"), capacity)};
+  const fleetsim::FleetEngine engine(sites,
+                                     HourOfYear(month_start_hour(5)));
+  sched::WorkloadParams wp;
+  wp.horizon_hours = 24.0 * 7;
+  wp.arrival_rate_per_hour = 1.0;
+  const fleetsim::FleetJobs jobs =
+      fleetsim::FleetJobs::from_jobs(sched::generate_jobs(wp));
+  const auto baseline = sched::make_policy("fcfs-local");
+  const auto base = engine.run(jobs, *baseline);
+  const auto greedy = sched::make_policy("greedy-lowest-ci");
+  const auto metrics = engine.run(jobs, *greedy);
+
+  const double base_g = base.total_carbon.to_grams();
+  const double g = metrics.total_carbon.to_grams();
+  EXPECT_EQ(r.find("jobs")->as_number(), static_cast<double>(jobs.size()));
+  EXPECT_EQ(r.find("baseline_carbon_kg")->as_number(),
+            base.total_carbon.to_kilograms());
+  EXPECT_EQ(r.find("carbon_kg")->as_number(),
+            metrics.total_carbon.to_kilograms());
+  EXPECT_EQ(r.find("jobs_completed")->as_number(), metrics.jobs_completed);
+  EXPECT_EQ(r.find("mean_wait_hours")->as_number(), metrics.mean_wait_hours);
+  EXPECT_EQ(r.find("p95_wait_hours")->as_number(), metrics.p95_wait_hours);
+  EXPECT_EQ(r.find("remote_dispatches")->as_number(),
+            metrics.remote_dispatches);
+  EXPECT_EQ(r.find("savings_pct")->as_number(), 100.0 * (base_g - g) / base_g);
+  // The sched field set is fixed: no fleetsim-only fields leak in.
+  EXPECT_EQ(r.find("utilization"), nullptr);
+  EXPECT_EQ(r.find("process"), nullptr);
 }
 
 // Acceptance: the fleetsim family is the FleetEngine answer — same trio
