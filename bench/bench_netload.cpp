@@ -27,8 +27,8 @@
 // inline is the saturation shape) on 127.0.0.1:<ephemeral>.
 //
 // Flags beyond the shared bench set: --conns N (top of the scaling
-// sweep), --depth D (pipelining depth per connection), --rate R
-// (open-loop offered req/s).
+// sweep, 1..1048576), --depth D (pipelining depth per connection,
+// 1..1048576), --rate R (open-loop offered req/s, (0, 1e6]).
 #include <sys/resource.h>
 
 #include <algorithm>
@@ -52,6 +52,45 @@ using namespace hpcarbon;
 namespace {
 
 constexpr std::uint64_t kArrivalSeed = 23;  // pinned, like the mix seeds
+
+/// Upper bound of --conns and --depth: far past any fd limit, and small
+/// enough that neither the fd budget (conns + 64) nor the x8 connection
+/// ladder can overflow.
+constexpr long long kMaxCount = 1LL << 20;
+/// Upper bound of --rate: the open phase builds two seconds of requests.
+constexpr double kMaxRate = 1e6;
+
+/// The whole of `v` as an integer in [1, kMaxCount]; hpcarbon::Error
+/// otherwise ("abc", "8x", "-1", "0").
+std::size_t parse_count(const char* flag, const std::string& v) {
+  std::size_t consumed = 0;
+  long long n = 0;
+  try {
+    n = std::stoll(v, &consumed);
+  } catch (const std::exception&) {
+    consumed = 0;
+  }
+  if (consumed != v.size() || n < 1 || n > kMaxCount) {
+    throw Error(std::string(flag) + " expects an integer in [1, " +
+                std::to_string(kMaxCount) + "], got '" + v + "'");
+  }
+  return static_cast<std::size_t>(n);
+}
+
+/// The whole of `v` as a rate in (0, kMaxRate]; hpcarbon::Error otherwise.
+double parse_rate(const std::string& v) {
+  std::size_t consumed = 0;
+  double r = 0;
+  try {
+    r = std::stod(v, &consumed);
+  } catch (const std::exception&) {
+    consumed = 0;
+  }
+  if (consumed != v.size() || !(r > 0) || r > kMaxRate) {
+    throw Error("--rate expects req/s in (0, 1e6], got '" + v + "'");
+  }
+  return r;
+}
 
 /// Raise RLIMIT_NOFILE toward its hard cap so >=1000 client sockets plus
 /// the server side fit; no-op when the soft limit already suffices.
@@ -99,11 +138,11 @@ int tool_main(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--conns") {
-      top_conns = static_cast<std::size_t>(std::stoul(next_value("--conns")));
+      top_conns = parse_count("--conns", next_value("--conns"));
     } else if (arg == "--depth") {
-      depth = static_cast<std::size_t>(std::stoul(next_value("--depth")));
+      depth = parse_count("--depth", next_value("--depth"));
     } else if (arg == "--rate") {
-      rate = std::stod(next_value("--rate"));
+      rate = parse_rate(next_value("--rate"));
     } else {
       rest.push_back(argv[i]);
     }

@@ -81,8 +81,7 @@ int cmd_metrics(int argc, char** argv) {
     // engine registers the full instrument catalog (all zeros), which is
     // exactly what a format smoke wants to see.
     serve::Engine engine;
-    engine.sync_metrics();
-    std::cout << obs::to_prometheus(engine.registry().snapshot());
+    std::cout << obs::to_prometheus(engine.snapshot());
     return 0;
   }
   std::cout << scrape_unix(unix_path);

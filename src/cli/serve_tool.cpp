@@ -160,12 +160,11 @@ bool parse_net_flag(const std::string& arg, int argc, char** argv, int& i,
 /// One-line operational summary on stderr, assembled from the engine's
 /// obs registry (stderr only — stdout is the data plane).
 void print_stats_summary(serve::Engine& engine) {
-  engine.sync_metrics();
   std::uint64_t requests = 0;
   std::int64_t cache_hits = 0;
   std::int64_t cache_misses = 0;
   obs::Histogram::Snapshot lat;
-  for (const auto& s : engine.registry().snapshot()) {
+  for (const auto& s : engine.snapshot()) {
     if (s.name == "hpcarbon_serve_requests_total") {
       requests += static_cast<std::uint64_t>(s.value);
     } else if (s.name == "hpcarbon_serve_total_latency_us") {
@@ -221,12 +220,12 @@ class PeriodicStats {
 };
 
 /// `--metrics-unix PATH`: Prometheus scrape endpoint over the engine's
-/// registry, mirroring cache/trace counters before every snapshot.
+/// registry, refreshing the uptime gauge before every snapshot.
 std::unique_ptr<obs::ScrapeServer> start_scrape_server(
     const std::string& path, serve::Engine& engine) {
   if (path.empty()) return nullptr;
   auto scrape = std::make_unique<obs::ScrapeServer>(
-      path, &engine.registry(), [&engine] { engine.sync_metrics(); });
+      path, &engine.registry(), [&engine] { engine.refresh_uptime(); });
   scrape->start();
   std::cerr << "hpcarbon serve: metrics on unix " << path << "\n";
   return scrape;

@@ -86,7 +86,7 @@ Server::Server(ServerOptions opts)
           "hpcarbon_net_conn_lifetime_us", "",
           "Connection lifetime, accept to close (overflow bucket past "
           "100 s).")),
-      engine_((opts_.serve.frontend = &fe_stats_, opts_.serve)) {}
+      engine_(opts_.serve) {}
 
 Server::~Server() {
   close_listeners();
@@ -566,12 +566,9 @@ bool Server::try_submit(std::shared_ptr<Conn> c, Slot* slot) {
     const std::size_t inflight = task_queue_.size() + executing_;
     if (inflight >= opts_.max_inflight) return false;
     task_queue_.push_back(Task{std::move(c), slot});
-    const auto seen = static_cast<std::uint64_t>(inflight + 1);
-    queue_depth_.set(static_cast<std::int64_t>(seen));
-    if (seen > max_inflight_seen_) {
-      max_inflight_seen_ = seen;
-      fe_stats_.max_inflight.observe_max(static_cast<std::int64_t>(seen));
-    }
+    const auto seen = static_cast<std::int64_t>(inflight + 1);
+    queue_depth_.set(seen);
+    fe_stats_.max_inflight.observe_max(seen);
   }
   task_cv_.notify_one();
   return true;

@@ -63,8 +63,9 @@
 namespace hpcarbon::net {
 
 struct ServerOptions {
-  /// Engine configuration (cache geometry, trace store). The server
-  /// installs its own FrontEndStats into `serve.frontend`.
+  /// Engine configuration (cache geometry, trace store, registry). The
+  /// server's FrontEndStats registers in the same registry as the engine,
+  /// whose {"op":"stats"} reads those series as its net_* fields.
   serve::ServeOptions serve;
 
   /// TCP listen address "host:port" (port 0 = ephemeral; see
@@ -126,7 +127,7 @@ class Server {
   /// only). A second call forces immediate shutdown.
   void begin_drain();
 
-  /// Transport counters ({"op":"stats"} reports these as net_*).
+  /// Transport instruments ({"op":"stats"} reads their series as net_*).
   const serve::FrontEndStats& stats() const { return fe_stats_; }
   serve::Engine& engine() { return engine_; }
   const ServerOptions& options() const { return opts_; }
@@ -201,7 +202,6 @@ class Server {
   std::condition_variable_any task_cv_;
   std::deque<Task> task_queue_ HPCARBON_GUARDED_BY(task_mu_);
   std::size_t executing_ HPCARBON_GUARDED_BY(task_mu_) = 0;
-  std::uint64_t max_inflight_seen_ HPCARBON_GUARDED_BY(task_mu_) = 0;
   bool workers_stop_ HPCARBON_GUARDED_BY(task_mu_) = false;
 
   AnnotatedMutex done_mu_;

@@ -85,13 +85,6 @@ std::uint64_t Counter::value() const {
   return total;
 }
 
-void Counter::advance_to(std::uint64_t target) {
-  const std::uint64_t current = value();
-  if (target > current) {
-    stripes_[0].v.fetch_add(target - current, std::memory_order_relaxed);
-  }
-}
-
 // --------------------------------------------------------------------------
 // Gauge
 

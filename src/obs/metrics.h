@@ -18,6 +18,12 @@
 //    registry's own mutex is touched at registration and scrape only,
 //    never per request.
 //
+// Every count has one home. Subsystems record into a registry at the
+// moment the event happens — the result cache and trace store on the one
+// they were built on, the socket front-end on its server's — and the
+// {"op":"stats"} / {"op":"metrics"} control requests and the scrape
+// socket all read that registry's snapshot; nothing is copied in later.
+//
 // Registration is idempotent by (name, labels) and insertion-ordered, so
 // every front-end that registers the same instruments in the same
 // construction order exposes the same metric set — the property behind
@@ -99,13 +105,6 @@ class Counter {
 
   /// Sum over stripes (one relaxed pass; exact once writers quiesce).
   std::uint64_t value() const;
-
-  /// Raise the counter to `target` (no-op when already past it): the
-  /// scrape-time bridge for subsystems that keep their own authoritative
-  /// counters (the cache shards, the trace store) — their totals are
-  /// mirrored into obs with zero hot-path cost. Concurrent advance_to
-  /// calls must be serialized by the caller (the engine's scrape mutex).
-  void advance_to(std::uint64_t target);
 
  private:
   struct alignas(64) Stripe {
@@ -244,7 +243,8 @@ class MetricsRegistry {
 
   /// Process-wide registry: the default sink of every subsystem. Tests
   /// that need isolated counts construct their own instance and pass it
-  /// through ServeOptions / ServerOptions.
+  /// through ServeOptions / ServerOptions and the ResultCache /
+  /// TraceStore constructors.
   static MetricsRegistry& global();
 
   Counter& counter(std::string_view name, std::string_view labels,

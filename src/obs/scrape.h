@@ -4,8 +4,9 @@
 // tooling wants Prometheus text. Rather than multiplexing the two on one
 // socket, the daemon exposes a second, trivially simple endpoint: each
 // connection receives one full Prometheus exposition of the registry
-// (after an optional pre-scrape sync hook — the engine mirrors its cache
-// and trace counters into obs there) and is closed. `hpcarbon metrics
+// (after an optional pre-scrape hook — the serve daemon sets its uptime
+// gauge there; every other count is already in the registry) and is
+// closed. `hpcarbon metrics
 // --unix PATH` and any netcat-style scraper read it without speaking a
 // protocol; the CI loopback smoke validates the format with
 // tools/check_prometheus.py.

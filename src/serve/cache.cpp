@@ -16,14 +16,36 @@ constexpr std::size_t kEntryOverhead = 64;
 
 }  // namespace
 
-ResultCache::ResultCache(std::size_t shards, std::size_t byte_budget) {
+ResultCache::Metrics ResultCache::bind_metrics(obs::MetricsRegistry& r) {
+  return {r.counter("hpcarbon_cache_hits_total", "", "ResultCache hits."),
+          r.counter("hpcarbon_cache_misses_total", "", "ResultCache misses."),
+          r.counter("hpcarbon_cache_evictions_total", "",
+                    "ResultCache evictions."),
+          r.counter("hpcarbon_cache_inserts_total", "",
+                    "ResultCache inserts."),
+          r.gauge("hpcarbon_cache_entries", "", "Cached results resident."),
+          r.gauge("hpcarbon_cache_bytes", "", "Cached result bytes resident.")};
+}
+
+ResultCache::ResultCache(std::size_t shards, std::size_t byte_budget,
+                         obs::MetricsRegistry* registry)
+    : own_registry_(registry ? nullptr
+                             : std::make_unique<obs::MetricsRegistry>()),
+      metrics_(bind_metrics(registry ? *registry : *own_registry_)) {
   HPC_REQUIRE(shards >= 1, "ResultCache needs at least one shard");
   HPC_REQUIRE(byte_budget >= shards * kEntryOverhead,
               "ResultCache byte budget too small for its shard count");
   budget_per_shard_ = byte_budget / shards;
+  obs::MetricsRegistry& reg = registry ? *registry : *own_registry_;
   shards_.reserve(shards);
   for (std::size_t i = 0; i < shards; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
+    // One statement each: series order is part of the exposition.
+    const std::string l = "shard=\"" + std::to_string(i) + "\"";
+    obs::Gauge& entries = reg.gauge("hpcarbon_cache_shard_entries", l,
+                                    "Cached results resident, by shard.");
+    obs::Gauge& bytes = reg.gauge("hpcarbon_cache_shard_bytes", l,
+                                  "Cached result bytes, by shard.");
+    shards_.push_back(std::make_unique<Shard>(entries, bytes));
   }
 }
 
@@ -37,18 +59,20 @@ ResultCache::Shard& ResultCache::shard_of(std::uint64_t key) {
   return *shards_[key % shards_.size()];
 }
 
+void ResultCache::occupy(Shard& s, int sign, std::size_t cost) {
+  const std::int64_t bytes = sign * static_cast<std::int64_t>(cost);
+  s.bytes = sign > 0 ? s.bytes + cost : s.bytes - cost;
+  s.entries_gauge.add(sign);
+  s.bytes_gauge.add(bytes);
+  metrics_.entries.add(sign);
+  metrics_.bytes.add(bytes);
+}
+
 std::optional<std::string> ResultCache::get(std::uint64_t key,
                                             std::string_view canonical) {
-  Shard& s = shard_of(key);
-  MutexLock lock(s.mu);
-  const auto it = s.index.find(key);
-  if (it == s.index.end() || it->second->canonical != canonical) {
-    ++s.misses;  // absent, or a 64-bit hash collision: never serve it
-    return std::nullopt;
-  }
-  ++s.hits;
-  s.lru.splice(s.lru.begin(), s.lru, it->second);  // refresh recency
-  return it->second->value;
+  std::string value;
+  if (!get_append(key, canonical, value)) return std::nullopt;
+  return value;
 }
 
 bool ResultCache::get_append(std::uint64_t key, std::string_view canonical,
@@ -57,10 +81,10 @@ bool ResultCache::get_append(std::uint64_t key, std::string_view canonical,
   MutexLock lock(s.mu);
   const auto it = s.index.find(key);
   if (it == s.index.end() || it->second->canonical != canonical) {
-    ++s.misses;  // absent, or a 64-bit hash collision: never serve it
+    metrics_.misses.inc();  // absent, or a hash collision: never serve it
     return false;
   }
-  ++s.hits;
+  metrics_.hits.inc();
   s.lru.splice(s.lru.begin(), s.lru, it->second);  // refresh recency
   out += it->second->value;
   return true;
@@ -73,79 +97,98 @@ void ResultCache::put(std::uint64_t key, std::string_view canonical,
   MutexLock lock(s.mu);
   if (cost > budget_per_shard_) return;  // would evict the whole shard
   const auto it = s.index.find(key);
-  if (it != s.index.end()) {
-    s.bytes -= entry_cost(it->second->canonical, it->second->value);
+  if (it != s.index.end()) {  // replace: the old value leaves, the new enters
+    occupy(s, -1, entry_cost(it->second->canonical, it->second->value));
     it->second->canonical = std::string(canonical);
     it->second->value = std::move(value);
-    s.bytes += cost;
     s.lru.splice(s.lru.begin(), s.lru, it->second);
   } else {
     s.lru.push_front(Entry{key, std::string(canonical), std::move(value)});
     s.index[key] = s.lru.begin();
-    s.bytes += cost;
-    ++s.inserts;
+    metrics_.inserts.inc();
   }
+  occupy(s, 1, cost);
   while (s.bytes > budget_per_shard_) {
     const Entry& victim = s.lru.back();
-    s.bytes -= entry_cost(victim.canonical, victim.value);
+    occupy(s, -1, entry_cost(victim.canonical, victim.value));
     s.index.erase(victim.key);
     s.lru.pop_back();
-    ++s.evictions;
+    metrics_.evictions.inc();
   }
 }
 
 CacheStats ResultCache::stats() const {
-  CacheStats total;
-  total.shard_entries.reserve(shards_.size());
-  total.shard_bytes.reserve(shards_.size());
+  CacheStats total{metrics_.hits.value(), metrics_.misses.value(),
+                   metrics_.evictions.value(), metrics_.inserts.value(),
+                   static_cast<std::size_t>(metrics_.entries.value()),
+                   static_cast<std::size_t>(metrics_.bytes.value()), {}, {}};
   for (const auto& shard : shards_) {
-    MutexLock lock(shard->mu);
-    total.hits += shard->hits;
-    total.misses += shard->misses;
-    total.evictions += shard->evictions;
-    total.inserts += shard->inserts;
-    total.entries += shard->lru.size();
-    total.bytes += shard->bytes;
-    total.shard_entries.push_back(shard->lru.size());
-    total.shard_bytes.push_back(shard->bytes);
+    total.shard_entries.push_back(
+        static_cast<std::size_t>(shard->entries_gauge.value()));
+    total.shard_bytes.push_back(
+        static_cast<std::size_t>(shard->bytes_gauge.value()));
   }
   return total;
 }
 
 // --- TraceStore -------------------------------------------------------------
 
+TraceStore::Metrics TraceStore::register_metrics(obs::MetricsRegistry& r) {
+  return {r.counter("hpcarbon_trace_store_hits_total", "", "TraceStore hits."),
+          r.counter("hpcarbon_trace_store_misses_total", "",
+                    "TraceStore misses."),
+          r.gauge("hpcarbon_trace_store_entries", "", "Traces resident.")};
+}
+
+TraceStore::TraceStore(obs::MetricsRegistry* registry)
+    : own_registry_(registry ? nullptr
+                             : std::make_unique<obs::MetricsRegistry>()),
+      metrics_(register_metrics(registry ? *registry : *own_registry_)) {}
+
 TraceStore& TraceStore::global() {
-  static TraceStore store;
+  static TraceStore store(&obs::MetricsRegistry::global());
   return store;
+}
+
+TraceStore::TracePtr TraceStore::find_locked(const std::string& key,
+                                             std::string* note) {
+  const auto it = entries_.find(key);
+  if (it == entries_.end()) return nullptr;
+  metrics_.hits.inc();
+  it->second.last_use = ++use_clock_;
+  if (note != nullptr) *note = it->second.note;
+  return it->second.trace;
+}
+
+TraceStore::TracePtr TraceStore::insert_locked(const std::string& key,
+                                               Entry entry,
+                                               std::string* note) {
+  // Two racing first touches build identical traces; the first insert
+  // wins and the second counts as a hit on it.
+  if (TracePtr resident = find_locked(key, note)) return resident;
+  metrics_.misses.inc();
+  metrics_.entries.add(1);
+  entry.last_use = ++use_clock_;
+  if (note != nullptr) *note = entry.note;
+  return entries_.emplace(key, std::move(entry)).first->second.trace;
 }
 
 TraceStore::TracePtr TraceStore::preset(const std::string& code) {
   const std::string key = "preset:" + code;
   {
     MutexLock lock(mu_);
-    const auto it = entries_.find(key);
-    if (it != entries_.end()) {
-      ++hits_;
-      it->second.last_use = ++use_clock_;
-      return it->second.trace;
-    }
+    if (TracePtr hit = find_locked(key, nullptr)) return hit;
   }
   const auto spec = grid::find_region(code);
   if (!spec) throw Error("TraceStore: unknown region code '" + code + "'");
   // Generate outside the lock: a year-long synthetic trace is the
   // expensive part, and concurrent first-touch generation of *different*
   // regions should overlap. Two racing generations of the same code
-  // produce identical traces (the simulator is deterministic per spec);
-  // the first insert wins.
+  // produce identical traces (the simulator is deterministic per spec).
   auto trace = std::make_shared<const grid::CarbonIntensityTrace>(
       grid::GridSimulator(*spec).run());
   MutexLock lock(mu_);
-  const auto [it, inserted] =
-      entries_.try_emplace(key, Entry{trace, {}, false, 0});
-  if (inserted) ++misses_;
-  else ++hits_;
-  it->second.last_use = ++use_clock_;
-  return it->second.trace;
+  return insert_locked(key, Entry{std::move(trace), {}, false, 0}, nullptr);
 }
 
 TraceStore::TracePtr TraceStore::imported(const std::string& code,
@@ -154,13 +197,7 @@ TraceStore::TracePtr TraceStore::imported(const std::string& code,
   const std::string key = "import:" + code + "=" + path;
   {
     MutexLock lock(mu_);
-    const auto it = entries_.find(key);
-    if (it != entries_.end()) {
-      ++hits_;
-      it->second.last_use = ++use_clock_;
-      if (note != nullptr) *note = it->second.note;
-      return it->second.trace;
-    }
+    if (TracePtr hit = find_locked(key, note)) return hit;
   }
   const auto spec = grid::find_region(code);
   if (!spec) throw Error("TraceStore: unknown region code '" + code + "'");
@@ -172,12 +209,7 @@ TraceStore::TracePtr TraceStore::imported(const std::string& code,
   Entry entry{std::move(trace),
               code + " <- " + path + ": " + report.to_string(), true, 0};
   MutexLock lock(mu_);
-  const auto [it, inserted] = entries_.try_emplace(key, std::move(entry));
-  if (inserted) ++misses_;
-  else ++hits_;
-  it->second.last_use = ++use_clock_;
-  if (note != nullptr) *note = it->second.note;
-  TracePtr result = it->second.trace;
+  TracePtr result = insert_locked(key, std::move(entry), note);
   evict_imports_locked();
   return result;
 }
@@ -199,6 +231,7 @@ void TraceStore::evict_imports_locked() {
     }
     if (imports <= max_imports_ || victim == entries_.end()) return;
     entries_.erase(victim);
+    metrics_.entries.sub(1);
   }
 }
 
@@ -216,23 +249,6 @@ std::size_t TraceStore::max_imports() const {
 std::size_t TraceStore::size() const {
   MutexLock lock(mu_);
   return entries_.size();
-}
-
-std::uint64_t TraceStore::hits() const {
-  MutexLock lock(mu_);
-  return hits_;
-}
-
-std::uint64_t TraceStore::misses() const {
-  MutexLock lock(mu_);
-  return misses_;
-}
-
-void TraceStore::clear() {
-  MutexLock lock(mu_);
-  entries_.clear();
-  hits_ = 0;
-  misses_ = 0;
 }
 
 }  // namespace hpcarbon::serve

@@ -6,8 +6,7 @@
 //    the canonical FNV-1a/64 request hash (serve/request.h). N independent
 //    mutex-guarded shards (key-selected) keep concurrent lookups from
 //    serializing on one lock; the byte budget is split evenly across
-//    shards and enforced by LRU eviction per shard. Hit/miss/eviction
-//    counters aggregate over shards for the stats op and bench_serve.
+//    shards and enforced by LRU eviction per shard.
 //
 //  * TraceStore — a process-wide store of immutable, fully-built
 //    CarbonIntensityTraces behind shared_ptr. Generating a preset region's
@@ -17,6 +16,13 @@
 //    The CLI's traces_for (scenario_runner) and every serve query pull
 //    traces through it, so multi-section sweeps and repeated queries stop
 //    re-parsing identical inputs.
+//
+// Both count hits, misses, inserts, evictions and occupancy as each event
+// happens, into the registry they were built on (the hpcarbon_cache_* and
+// hpcarbon_trace_store_* series) and nowhere else. Built without one,
+// each owns a private registry, so its stats() / hits() / misses() see
+// only its own traffic; caches and stores sharing a registry add up
+// there, and a destroyed one's residents stay counted.
 #pragma once
 
 #include <cstddef>
@@ -31,14 +37,13 @@
 
 #include "core/thread_annotations.h"
 #include "grid/trace.h"
+#include "obs/metrics.h"
 
 namespace hpcarbon::serve {
 
-/// Aggregate counters over all shards (one consistent-enough snapshot;
-/// shards are read one lock at a time), plus the per-shard occupancy
-/// breakdown — totals alone hide shard imbalance, which is exactly what
-/// an operator tuning --shards needs to see ({"op":"stats"} reports
-/// these as the shard_entries / shard_bytes arrays).
+/// The cache's registry instruments, read once (exact once writers
+/// quiesce), plus the per-shard occupancy breakdown — totals alone hide
+/// shard imbalance, which an operator tuning --shards needs to see.
 struct CacheStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
@@ -55,8 +60,11 @@ struct CacheStats {
 class ResultCache {
  public:
   /// `byte_budget` is split evenly across `shards`; both must be >= 1.
+  /// Counts go to `registry`, which must outlive the cache; nullptr gives
+  /// the cache a registry of its own.
   explicit ResultCache(std::size_t shards = 8,
-                       std::size_t byte_budget = 8u << 20);
+                       std::size_t byte_budget = 8u << 20,
+                       obs::MetricsRegistry* registry = nullptr);
 
   ResultCache(const ResultCache&) = delete;
   ResultCache& operator=(const ResultCache&) = delete;
@@ -100,22 +108,36 @@ class ResultCache {
     std::string value;
   };
   struct Shard {
+    Shard(obs::Gauge& entries, obs::Gauge& bytes)
+        : entries_gauge(entries), bytes_gauge(bytes) {}
+    obs::Gauge& entries_gauge;  // hpcarbon_cache_shard_entries{shard=i}
+    obs::Gauge& bytes_gauge;    // hpcarbon_cache_shard_bytes{shard=i}
     mutable AnnotatedMutex mu;
     /// Front = most recently used. Every field below holds the shard
-    /// invariant (index points into lru; bytes == sum of entry costs;
-    /// entries == inserts - evictions) only while mu is held.
+    /// invariant (index points into lru; bytes == sum of entry costs,
+    /// the tally the budget is enforced on) only while mu is held.
     std::list<Entry> lru HPCARBON_GUARDED_BY(mu);
     std::unordered_map<std::uint64_t, std::list<Entry>::iterator> index
         HPCARBON_GUARDED_BY(mu);
     std::size_t bytes HPCARBON_GUARDED_BY(mu) = 0;
-    std::uint64_t hits HPCARBON_GUARDED_BY(mu) = 0;
-    std::uint64_t misses HPCARBON_GUARDED_BY(mu) = 0;
-    std::uint64_t evictions HPCARBON_GUARDED_BY(mu) = 0;
-    std::uint64_t inserts HPCARBON_GUARDED_BY(mu) = 0;
+  };
+  struct Metrics {  // the cache-wide hpcarbon_cache_* series
+    obs::Counter& hits;
+    obs::Counter& misses;
+    obs::Counter& evictions;
+    obs::Counter& inserts;
+    obs::Gauge& entries;
+    obs::Gauge& bytes;
   };
 
+  static Metrics bind_metrics(obs::MetricsRegistry& r);
   Shard& shard_of(std::uint64_t key);
+  /// One entry of `cost` bytes enters (`sign` +1) or leaves (-1) shard
+  /// `s`: the budget tally and the occupancy gauges move together.
+  void occupy(Shard& s, int sign, std::size_t cost) HPCARBON_REQUIRES(s.mu);
 
+  std::unique_ptr<obs::MetricsRegistry> own_registry_;  // built without one
+  Metrics metrics_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::size_t budget_per_shard_;
 };
@@ -124,12 +146,23 @@ class TraceStore {
  public:
   using TracePtr = std::shared_ptr<const grid::CarbonIntensityTrace>;
 
-  TraceStore() = default;
+  /// Counts go to `registry`, which must outlive the store; nullptr
+  /// gives the store a registry of its own.
+  explicit TraceStore(obs::MetricsRegistry* registry = nullptr);
   TraceStore(const TraceStore&) = delete;
   TraceStore& operator=(const TraceStore&) = delete;
 
-  /// Process-wide store shared by the CLI tools and serve engines.
+  /// Process-wide store shared by the CLI tools and serve engines; it
+  /// counts into obs::MetricsRegistry::global().
   static TraceStore& global();
+
+  /// The hpcarbon_trace_store_* series, registered idempotently.
+  struct Metrics {
+    obs::Counter& hits;
+    obs::Counter& misses;
+    obs::Gauge& entries;
+  };
+  static Metrics register_metrics(obs::MetricsRegistry& registry);
 
   /// The generated synthetic trace of a Table 3 region code, built once
   /// (bit-identical to grid::generate_traces — the simulator is
@@ -147,11 +180,10 @@ class TraceStore {
 
   /// Traces currently held.
   std::size_t size() const;
-  /// Lookup counters (a miss is a generate/parse).
-  std::uint64_t hits() const;
-  std::uint64_t misses() const;
-  /// Drop every cached trace and reset counters (tests).
-  void clear();
+  /// Lookup counters (a miss is a generate/parse), read from the
+  /// registry the store counts into.
+  std::uint64_t hits() const { return metrics_.hits.value(); }
+  std::uint64_t misses() const { return metrics_.misses.value(); }
 
   /// Cap on *imported* traces held at once (presets are bounded by the
   /// seven Table 3 regions and never evicted). When a new import would
@@ -170,12 +202,18 @@ class TraceStore {
     std::uint64_t last_use = 0;  // recency stamp for import eviction
   };
 
+  /// The resident trace under `key`, counted as a hit; nullptr if absent.
+  TracePtr find_locked(const std::string& key, std::string* note)
+      HPCARBON_REQUIRES(mu_);
+  /// Insert `entry` under `key` (a miss) unless a racing first touch did.
+  TracePtr insert_locked(const std::string& key, Entry entry,
+                         std::string* note) HPCARBON_REQUIRES(mu_);
   void evict_imports_locked() HPCARBON_REQUIRES(mu_);
 
+  std::unique_ptr<obs::MetricsRegistry> own_registry_;  // built without one
+  Metrics metrics_;
   mutable AnnotatedMutex mu_;
   std::map<std::string, Entry> entries_ HPCARBON_GUARDED_BY(mu_);
-  std::uint64_t hits_ HPCARBON_GUARDED_BY(mu_) = 0;
-  std::uint64_t misses_ HPCARBON_GUARDED_BY(mu_) = 0;
   std::uint64_t use_clock_ HPCARBON_GUARDED_BY(mu_) = 0;
   std::size_t max_imports_ HPCARBON_GUARDED_BY(mu_) = 32;
 };

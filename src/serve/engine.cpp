@@ -445,10 +445,93 @@ FrontEndStats::FrontEndStats(obs::MetricsRegistry& registry)
           registry.gauge("hpcarbon_net_max_inflight", "",
                          "High-water mark of requests in flight.")) {}
 
-Engine::Engine(ServeOptions opts)
-    : opts_(std::move(opts)), cache_(opts_.cache_shards, opts_.cache_bytes) {
-  register_instruments();
+namespace {
+
+// An engine registers in one fixed order — family slots, its cache, the
+// trace store, build info, uptime, the compute kernels — so every engine,
+// whatever its transport, exposes the same metric set in the same order
+// (see the idle-snapshot contract in obs/metrics.h).
+std::array<FamilySlots, Engine::kSlotCount> register_family_slots(
+    obs::MetricsRegistry& reg) {
+  const std::vector<std::string> families = query_families();
+  HPC_REQUIRE(families.size() == Engine::kFamilyCount,
+              "engine instrument slots out of sync with query_families()");
+  auto label = [](const std::string& family) {
+    return "family=\"" + family + "\"";
+  };
+  std::array<FamilySlots, Engine::kSlotCount> slots{};
+  for (std::size_t i = 0; i < Engine::kFamilyCount; ++i) {
+    FamilySlots& s = slots[i];
+    const std::string l = label(families[i]);
+    s.requests = &reg.counter("hpcarbon_serve_requests_total", l,
+                              "Requests answered, by family.");
+    s.parse_us =
+        &reg.histogram("hpcarbon_serve_parse_latency_us", l,
+                       "Request parse+plan latency (batch front-end).");
+    s.eval_us = &reg.histogram("hpcarbon_serve_eval_latency_us", l,
+                               "Cache-miss evaluate+serialize latency.");
+    s.total_us =
+        &reg.histogram("hpcarbon_serve_total_latency_us", l,
+                       "End-to-end request latency, line in to line out "
+                       "(pipe/socket front-ends).");
+  }
+  for (const auto& [slot, name] : {std::pair{Engine::kStatsSlot, "stats"},
+                                   {Engine::kMetricsSlot, "metrics"},
+                                   {Engine::kErrorSlot, "error"}}) {
+    slots[slot].requests = &reg.counter("hpcarbon_serve_requests_total",
+                                        label(name),
+                                        "Requests answered, by family.");
+  }
+  return slots;
 }
+
+/// The series after the cache's; returns the uptime gauge. Subsystems that
+/// may count into another registry (trace store, pool, mc, fleetsim) are
+/// registered here too, so every engine exposes one metric set.
+obs::Gauge& register_process_series(obs::MetricsRegistry& reg) {
+  TraceStore::register_metrics(reg);
+  reg.gauge("hpcarbon_build_info",
+            "version=\"" + obs::build_fingerprint() + "\"",
+            "Build fingerprint; value is always 1.")
+      .set(1);
+  obs::Gauge& uptime = reg.gauge(
+      "hpcarbon_process_uptime_seconds", "",
+      "Daemon uptime (whole seconds; 0 for the pipe/batch front-ends).");
+  ThreadPool::register_metrics(reg);
+  mc::register_metrics(reg);
+  fleetsim::register_metrics(reg);
+  return uptime;
+}
+
+/// {"op":"stats"} fields that each read one counter or gauge series. A
+/// series nobody registered reads 0: the net_* fields on the pipe/batch
+/// front-ends, which have no transport.
+constexpr std::pair<const char*, const char*> kStatsSeries[] = {
+    {"bytes", "hpcarbon_cache_bytes"},
+    {"entries", "hpcarbon_cache_entries"},
+    {"evictions", "hpcarbon_cache_evictions_total"},
+    {"hits", "hpcarbon_cache_hits_total"},
+    {"inserts", "hpcarbon_cache_inserts_total"},
+    {"misses", "hpcarbon_cache_misses_total"},
+    {"net_accepted", "hpcarbon_net_connections_accepted_total"},
+    {"net_active", "hpcarbon_net_connections_active"},
+    {"net_bytes_in", "hpcarbon_net_bytes_in_total"},
+    {"net_bytes_out", "hpcarbon_net_bytes_out_total"},
+    {"net_max_inflight", "hpcarbon_net_max_inflight"},
+    {"net_shed", "hpcarbon_net_requests_shed_total"},
+    {"trace_entries", "hpcarbon_trace_store_entries"},
+    {"trace_hits", "hpcarbon_trace_store_hits_total"},
+    {"trace_misses", "hpcarbon_trace_store_misses_total"},
+    {"uptime_s", "hpcarbon_process_uptime_seconds"},
+};
+
+}  // namespace
+
+Engine::Engine(ServeOptions opts)
+    : opts_(std::move(opts)),
+      slots_(register_family_slots(registry())),
+      cache_(opts_.cache_shards, opts_.cache_bytes, &registry()),
+      uptime_seconds_(register_process_series(registry())) {}
 
 ThreadPool& Engine::pool() const {
   return opts_.pool != nullptr ? *opts_.pool : ThreadPool::global();
@@ -463,116 +546,19 @@ obs::MetricsRegistry& Engine::registry() const {
                                    : obs::MetricsRegistry::global();
 }
 
-void Engine::register_instruments() {
-  obs::MetricsRegistry& reg = registry();
-  // Registration order is fixed (families in documentation order, then
-  // the pseudo-families, then the mirrored subsystem instruments) so
-  // every engine, whatever its transport, exposes the same metric set in
-  // the same order — see the idle-snapshot contract in obs/metrics.h.
-  const std::vector<std::string> families = query_families();
-  HPC_REQUIRE(families.size() == kFamilyCount,
-              "engine instrument slots out of sync with query_families()");
-  auto label = [](const std::string& family) {
-    return "family=\"" + family + "\"";
-  };
-  for (std::size_t i = 0; i < kFamilyCount; ++i) {
-    FamilySlots& s = slots_[i];
-    const std::string l = label(families[i]);
-    s.requests = &reg.counter("hpcarbon_serve_requests_total", l,
-                              "Requests answered, by family.");
-    s.parse_us =
-        &reg.histogram("hpcarbon_serve_parse_latency_us", l,
-                       "Request parse+plan latency (batch front-end).");
-    s.eval_us = &reg.histogram("hpcarbon_serve_eval_latency_us", l,
-                               "Cache-miss evaluate+serialize latency.");
-    s.total_us =
-        &reg.histogram("hpcarbon_serve_total_latency_us", l,
-                       "End-to-end request latency, line in to line out "
-                       "(pipe/socket front-ends).");
-  }
-  slots_[kStatsSlot].requests =
-      &reg.counter("hpcarbon_serve_requests_total", label("stats"),
-                   "Requests answered, by family.");
-  slots_[kMetricsSlot].requests =
-      &reg.counter("hpcarbon_serve_requests_total", label("metrics"),
-                   "Requests answered, by family.");
-  slots_[kErrorSlot].requests =
-      &reg.counter("hpcarbon_serve_requests_total", label("error"),
-                   "Requests answered, by family.");
-
-  // Mirrored instruments: the cache shards and the trace store keep their
-  // own authoritative counters; sync_metrics() copies them in at scrape
-  // time (advance_to / set), so the query hot path never double-counts.
-  cache_hits_ = &reg.counter("hpcarbon_cache_hits_total", "",
-                             "ResultCache hits (mirrored at scrape).");
-  cache_misses_ = &reg.counter("hpcarbon_cache_misses_total", "",
-                               "ResultCache misses (mirrored at scrape).");
-  cache_evictions_ = &reg.counter("hpcarbon_cache_evictions_total", "",
-                                  "ResultCache evictions (mirrored at scrape).");
-  cache_inserts_ = &reg.counter("hpcarbon_cache_inserts_total", "",
-                                "ResultCache inserts (mirrored at scrape).");
-  cache_entries_ =
-      &reg.gauge("hpcarbon_cache_entries", "", "Cached results resident.");
-  cache_bytes_ =
-      &reg.gauge("hpcarbon_cache_bytes", "", "Cached result bytes resident.");
-  shard_entries_.clear();
-  shard_bytes_.clear();
-  for (std::size_t i = 0; i < cache_.shard_count(); ++i) {
-    const std::string l = "shard=\"" + std::to_string(i) + "\"";
-    shard_entries_.push_back(
-        &reg.gauge("hpcarbon_cache_shard_entries", l,
-                   "Cached results resident, by shard."));
-    shard_bytes_.push_back(&reg.gauge("hpcarbon_cache_shard_bytes", l,
-                                      "Cached result bytes, by shard."));
-  }
-  trace_hits_ = &reg.counter("hpcarbon_trace_store_hits_total", "",
-                             "TraceStore hits (mirrored at scrape).");
-  trace_misses_ = &reg.counter("hpcarbon_trace_store_misses_total", "",
-                               "TraceStore misses (mirrored at scrape).");
-  trace_entries_ =
-      &reg.gauge("hpcarbon_trace_store_entries", "", "Traces resident.");
-
-  reg.gauge("hpcarbon_build_info",
-            "version=\"" + obs::build_fingerprint() + "\"",
-            "Build fingerprint; value is always 1.")
-      .set(1);
-  uptime_seconds_ = &reg.gauge(
-      "hpcarbon_process_uptime_seconds", "",
-      "Daemon uptime (whole seconds; 0 for the pipe/batch front-ends).");
-
-  // Subsystems that record into the process-global registry register
-  // their names here too, so private-registry engines (tests) expose the
-  // identical metric set — with zero values — as the global one.
-  ThreadPool::register_metrics(reg);
-  mc::register_metrics(reg);
-  fleetsim::register_metrics(reg);
-}
-
-void Engine::sync_metrics() const {
-  MutexLock lock(scrape_mu_);
-  const CacheStats cs = cache_.stats();
-  cache_hits_->advance_to(cs.hits);
-  cache_misses_->advance_to(cs.misses);
-  cache_evictions_->advance_to(cs.evictions);
-  cache_inserts_->advance_to(cs.inserts);
-  cache_entries_->set(static_cast<std::int64_t>(cs.entries));
-  cache_bytes_->set(static_cast<std::int64_t>(cs.bytes));
-  for (std::size_t i = 0; i < shard_entries_.size(); ++i) {
-    shard_entries_[i]->set(static_cast<std::int64_t>(cs.shard_entries[i]));
-    shard_bytes_[i]->set(static_cast<std::int64_t>(cs.shard_bytes[i]));
-  }
-  const TraceStore& ts = traces();
-  trace_hits_->advance_to(ts.hits());
-  trace_misses_->advance_to(ts.misses());
-  trace_entries_->set(static_cast<std::int64_t>(ts.size()));
-  uptime_seconds_->set(
+void Engine::refresh_uptime() const {
+  uptime_seconds_.set(
       opts_.uptime ? static_cast<std::int64_t>(opts_.uptime()) : 0);
 }
 
+std::vector<obs::MetricSample> Engine::snapshot() const {
+  refresh_uptime();
+  return registry().snapshot();
+}
+
 std::string Engine::metrics_response(const std::string& id) const {
-  sync_metrics();
-  const json::Value body = obs::to_json(registry().snapshot(),
-                                        {"hpcarbon_net_", "hpcarbon_process_"});
+  const json::Value body =
+      obs::to_json(snapshot(), {"hpcarbon_net_", "hpcarbon_process_"});
   std::string response;
   success_prefix_to(response, id, "metrics");
   body.dump_to(response, /*sort_keys=*/true);
@@ -581,71 +567,44 @@ std::string Engine::metrics_response(const std::string& id) const {
 }
 
 std::string Engine::stats_response(const std::string& id) const {
-  const CacheStats cs = cache_.stats();
-  const TraceStore& ts = traces();
-  json::Value out = json::Value::object();
-  out.set("build", json::Value::string(obs::build_fingerprint()));
-  out.set("bytes", json::Value::number(static_cast<double>(cs.bytes)));
-  out.set("byte_budget",
-          json::Value::number(static_cast<double>(cache_.byte_budget())));
-  out.set("entries", json::Value::number(static_cast<double>(cs.entries)));
-  out.set("evictions", json::Value::number(static_cast<double>(cs.evictions)));
-  out.set("hits", json::Value::number(static_cast<double>(cs.hits)));
-  out.set("inserts", json::Value::number(static_cast<double>(cs.inserts)));
-  // End-to-end line latency over all query families (the obs total_us
+  std::unordered_map<std::string, double> value_of;  // by series id
+  // End-to-end line latency over all query families (the total_us
   // histograms merged — associative, so the merge order is irrelevant).
   // The batch front-end answers whole segments, not lines, so it records
   // no total_us and reports lat_count 0, like an idle daemon.
   obs::Histogram::Snapshot lat;
-  for (std::size_t i = 0; i < kFamilyCount; ++i) {
-    lat.merge(slots_[i].total_us->snapshot());
+  for (const obs::MetricSample& s : snapshot()) {
+    if (s.name == "hpcarbon_serve_total_latency_us") lat.merge(s.hist);
+    value_of.emplace(s.id(), static_cast<double>(s.value));
   }
-  out.set("lat_count", json::Value::number(static_cast<double>(lat.count)));
-  out.set("lat_p50_us", json::Value::number(lat.quantile_us(0.50)));
-  out.set("lat_p99_us", json::Value::number(lat.quantile_us(0.99)));
-  out.set("misses", json::Value::number(static_cast<double>(cs.misses)));
-  // Transport counters: the socket front-end (src/net) wires its
-  // FrontEndStats in through ServeOptions; pipe and batch have no
-  // transport and report zeros, so the field set is identical everywhere.
-  const FrontEndStats* fe = opts_.frontend;
-  auto tally = [](std::uint64_t v) {
+  auto series = [&](const std::string& series_id) {
+    const auto it = value_of.find(series_id);
+    return json::Value::number(it == value_of.end() ? 0.0 : it->second);
+  };
+  auto number = [](auto v) {
     return json::Value::number(static_cast<double>(v));
   };
-  auto level = [](std::int64_t v) {
-    return json::Value::number(static_cast<double>(v));
-  };
-  out.set("net_accepted",
-          tally(fe != nullptr ? fe->connections_accepted.value() : 0));
-  out.set("net_active",
-          level(fe != nullptr ? fe->connections_active.value() : 0));
-  out.set("net_bytes_in", tally(fe != nullptr ? fe->bytes_in.value() : 0));
-  out.set("net_bytes_out", tally(fe != nullptr ? fe->bytes_out.value() : 0));
-  out.set("net_max_inflight",
-          level(fe != nullptr ? fe->max_inflight.value() : 0));
-  out.set("net_shed", tally(fe != nullptr ? fe->requests_shed.value() : 0));
+  json::Value out = json::Value::object();
+  for (const auto& [field, series_id] : kStatsSeries) {
+    out.set(field, series(series_id));
+  }
+  out.set("lat_count", number(lat.count));
+  out.set("lat_p50_us", number(lat.quantile_us(0.50)));
+  out.set("lat_p99_us", number(lat.quantile_us(0.99)));
   // Per-shard occupancy, in shard order: imbalance (a hot shard thrashing
-  // while others idle) is invisible in the totals above.
+  // while others idle) is invisible in the totals.
   json::Value shard_bytes = json::Value::array();
   json::Value shard_entries = json::Value::array();
-  for (std::size_t i = 0; i < cs.shard_entries.size(); ++i) {
-    shard_entries.push_back(
-        json::Value::number(static_cast<double>(cs.shard_entries[i])));
-    shard_bytes.push_back(
-        json::Value::number(static_cast<double>(cs.shard_bytes[i])));
+  for (std::size_t i = 0; i < cache_.shard_count(); ++i) {
+    const std::string l = "{shard=\"" + std::to_string(i) + "\"}";
+    shard_bytes.push_back(series("hpcarbon_cache_shard_bytes" + l));
+    shard_entries.push_back(series("hpcarbon_cache_shard_entries" + l));
   }
   out.set("shard_bytes", std::move(shard_bytes));
   out.set("shard_entries", std::move(shard_entries));
-  out.set("shards",
-          json::Value::number(static_cast<double>(cache_.shard_count())));
-  out.set("trace_entries", json::Value::number(static_cast<double>(ts.size())));
-  out.set("trace_hits", json::Value::number(static_cast<double>(ts.hits())));
-  out.set("trace_misses",
-          json::Value::number(static_cast<double>(ts.misses())));
-  out.set("uptime_s",
-          json::Value::number(opts_.uptime
-                                  ? static_cast<double>(static_cast<std::int64_t>(
-                                        opts_.uptime()))
-                                  : 0.0));
+  out.set("build", json::Value::string(obs::build_fingerprint()));
+  out.set("byte_budget", number(cache_.byte_budget()));
+  out.set("shards", number(cache_.shard_count()));
   std::string response;
   success_prefix_to(response, id, "stats");
   out.dump_to(response, /*sort_keys=*/true);

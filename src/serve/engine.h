@@ -40,14 +40,14 @@ class ThreadPool;
 
 namespace hpcarbon::serve {
 
-/// Front-end transport instruments (the hpcarbon_net_* obs domain),
-/// reported through the {"op":"stats"} control request as the net_*
-/// fields so overload shedding and connection churn are observable
-/// in-band. The socket server (src/net) owns one — registered against
-/// its metrics registry — and updates it from its event loop and
-/// workers; the pipe/batch front-ends have no transport, report every
-/// field as zero, and pass no pointer. Each field is a monotonic tally,
-/// a level, or a high-water mark, never a cross-field invariant.
+/// Front-end transport instruments (the hpcarbon_net_* obs domain). The
+/// socket server (src/net) owns one, registered in the same registry as
+/// its engine, and updates it from its event loop and workers; the
+/// {"op":"stats"} control request reads these series as its net_* fields,
+/// so overload shedding and connection churn are observable in-band. The
+/// pipe/batch front-ends have no transport, register none of them, and
+/// read zeros. Each field is a monotonic tally, a level, or a high-water
+/// mark, never a cross-field invariant.
 struct FrontEndStats {
   /// Registers (idempotently) the hpcarbon_net_* series in `registry`.
   explicit FrontEndStats(obs::MetricsRegistry& registry);
@@ -67,14 +67,13 @@ struct ServeOptions {
   /// Pool the batch planner fans leaders over; nullptr selects
   /// ThreadPool::global(). Responses are bit-identical either way.
   ThreadPool* pool = nullptr;
-  /// Trace source; nullptr selects TraceStore::global().
+  /// Trace source; nullptr selects TraceStore::global(). Its lookups
+  /// count in the registry it was built on.
   TraceStore* traces = nullptr;
-  /// Transport counters surfaced by {"op":"stats"} as the net_* fields;
-  /// nullptr (pipe/batch — no transport) reports zeros for all of them.
-  const FrontEndStats* frontend = nullptr;
-  /// Metrics sink; nullptr selects obs::MetricsRegistry::global(). Tests
-  /// that assert exact counts pass a private registry (instruments are
-  /// process-shared otherwise).
+  /// Metrics sink, which the engine's cache counts into and stats and
+  /// metrics read; nullptr selects obs::MetricsRegistry::global(). Tests
+  /// asserting exact counts pass a private one and build their TraceStore
+  /// on it.
   obs::MetricsRegistry* registry = nullptr;
   /// Daemon uptime in seconds, reported (floored) as the stats uptime_s
   /// field and the hpcarbon_process_uptime_seconds gauge. Unset (pipe /
@@ -151,43 +150,29 @@ class Engine {
   CacheStats cache_stats() const { return cache_.stats(); }
   const ServeOptions& options() const { return opts_; }
 
-  /// Mirror the subsystem-owned counters (cache shards, trace store,
-  /// uptime) into the obs registry. Runs before every {"op":"metrics"}
-  /// snapshot; the daemon's Prometheus scrape socket calls it as its
-  /// pre-scrape hook. Thread-safe (scrape mutex); zero hot-path cost.
-  void sync_metrics() const;
+  /// Set the uptime gauge from ServeOptions::uptime: the one step left
+  /// before a snapshot (every count is recorded as it happens). The
+  /// scrape socket runs it as its pre-scrape hook.
+  void refresh_uptime() const;
+  /// refresh_uptime(), then the registry snapshot: what {"op":"stats"},
+  /// {"op":"metrics"}, --stats-interval and `metrics --local` all read.
+  std::vector<obs::MetricSample> snapshot() const;
   obs::MetricsRegistry& registry() const;
 
  private:
   ThreadPool& pool() const;
   TraceStore& traces() const;
-  /// {"op":"stats"} response body for the current counters.
+  /// {"op":"stats"} response body: a fixed projection of one snapshot().
   std::string stats_response(const std::string& id) const;
   /// {"op":"metrics"} response body: the obs snapshot as sorted-key JSON,
   /// transport-dependent domains excluded (see obs/export.h).
   std::string metrics_response(const std::string& id) const;
-  void register_instruments();
 
   ServeOptions opts_;
+  /// Hot-path instrument slots (see FamilySlots); registered before cache_.
+  std::array<FamilySlots, kSlotCount> slots_;
   ResultCache cache_;
-
-  /// Hot-path instrument slots (see FamilySlots).
-  std::array<FamilySlots, kSlotCount> slots_{};
-  /// Scrape-sync handles: cache / trace-store counters mirrored into obs
-  /// by sync_metrics (advance_to under scrape_mu_).
-  obs::Counter* cache_hits_ = nullptr;
-  obs::Counter* cache_misses_ = nullptr;
-  obs::Counter* cache_evictions_ = nullptr;
-  obs::Counter* cache_inserts_ = nullptr;
-  obs::Gauge* cache_entries_ = nullptr;
-  obs::Gauge* cache_bytes_ = nullptr;
-  std::vector<obs::Gauge*> shard_entries_;
-  std::vector<obs::Gauge*> shard_bytes_;
-  obs::Counter* trace_hits_ = nullptr;
-  obs::Counter* trace_misses_ = nullptr;
-  obs::Gauge* trace_entries_ = nullptr;
-  obs::Gauge* uptime_seconds_ = nullptr;
-  mutable AnnotatedMutex scrape_mu_;
+  obs::Gauge& uptime_seconds_;
 };
 
 }  // namespace hpcarbon::serve

@@ -166,16 +166,12 @@ TEST(ObsHistogram, ConcurrentRecordingTotalsAreThreadCountInvariant) {
 // ---------------------------------------------------------------------------
 // Counter / Gauge.
 
-TEST(ObsCounter, IncValueAndAdvanceTo) {
+TEST(ObsCounter, IncAndValue) {
   Counter c;
   EXPECT_EQ(c.value(), 0u);
   c.inc();
   c.inc(41);
   EXPECT_EQ(c.value(), 42u);
-  c.advance_to(100);  // raise to the authoritative external total
-  EXPECT_EQ(c.value(), 100u);
-  c.advance_to(50);  // never moves backwards
-  EXPECT_EQ(c.value(), 100u);
 }
 
 TEST(ObsGauge, SetAddSubObserveMax) {

@@ -18,6 +18,7 @@
 
 #include "core/rng.h"
 #include "core/thread_pool.h"
+#include "obs/metrics.h"
 #include "serve/cache.h"
 #include "serve/engine.h"
 
@@ -178,19 +179,25 @@ TEST(RaceStress, BatchDuplicateKeysRacingTheLeader) {
     }
   }
 
+  // Each engine counts into a registry of its own (its TraceStore too),
+  // so the ledger below is the batch engine's alone.
   ThreadPool pool(8);
-  TraceStore traces;
+  obs::MetricsRegistry registry;
+  TraceStore traces(&registry);
   ServeOptions opts;
   opts.pool = &pool;
   opts.traces = &traces;
+  opts.registry = &registry;
   opts.cache_shards = 1;
   opts.cache_bytes = 1024;  // a few entries: leaders evict each other
   Engine batch_engine(opts);
   const auto batch = batch_engine.handle_batch(lines);
 
-  TraceStore seq_traces;
+  obs::MetricsRegistry seq_registry;
+  TraceStore seq_traces(&seq_registry);
   ServeOptions seq_opts = opts;
   seq_opts.traces = &seq_traces;
+  seq_opts.registry = &seq_registry;
   Engine seq_engine(seq_opts);
   ASSERT_EQ(batch.size(), lines.size());
   for (std::size_t i = 0; i < lines.size(); ++i) {

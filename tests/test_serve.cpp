@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <fstream>
 #include <regex>
 #include <string>
 #include <vector>
@@ -375,6 +376,22 @@ TEST(Evaluate, TraceStatsMatchSummaryAndPrefixSums) {
 
 // --- Engine: front-line behaviour -------------------------------------------
 
+/// A private metrics registry with a TraceStore built on it. An engine
+/// given its options() counts only its own traffic, trace lookups
+/// included; engines on the default global registry share instruments
+/// with every other engine in the process, so tests that assert exact
+/// counts give each engine one of these.
+struct Isolated {
+  obs::MetricsRegistry registry;
+  TraceStore traces{&registry};
+
+  ServeOptions options(ServeOptions opts = {}) {
+    opts.registry = &registry;
+    opts.traces = &traces;
+    return opts;
+  }
+};
+
 std::vector<std::string> family_lines() {
   return {
       R"({"id":"q1","op":"embodied","params":{"part":"a100-pcie-40"}})",
@@ -387,7 +404,8 @@ std::vector<std::string> family_lines() {
 }
 
 TEST(Engine, AnswersAllSixFamilies) {
-  Engine engine;
+  Isolated iso;
+  Engine engine(iso.options());
   for (const auto& line : family_lines()) {
     const std::string response = engine.handle_line(line);
     EXPECT_NE(response.find("\"ok\":true"), std::string::npos) << response;
@@ -397,7 +415,8 @@ TEST(Engine, AnswersAllSixFamilies) {
 }
 
 TEST(Engine, ErrorResponsesEchoTheIdAndAreNotCached) {
-  Engine engine;
+  Isolated iso;
+  Engine engine(iso.options());
   const std::string bad = engine.handle_line(
       R"({"id":"oops","op":"embodied","params":{"part":"gtx-480"}})");
   EXPECT_NE(bad.find("\"ok\":false"), std::string::npos);
@@ -409,7 +428,8 @@ TEST(Engine, ErrorResponsesEchoTheIdAndAreNotCached) {
 }
 
 TEST(Engine, CacheHitsReturnIdenticalBytes) {
-  Engine engine;
+  Isolated iso;
+  Engine engine(iso.options());
   const std::string first = engine.handle_line(family_lines()[0]);
   const std::string second = engine.handle_line(family_lines()[0]);
   EXPECT_EQ(first, second);
@@ -428,10 +448,11 @@ TEST(Engine, BatchMatchesSequentialByteForByte) {
   lines.push_back(R"({"id":"dup","op":"embodied","params":{"part":"a100-pcie-40"}})");
   lines.push_back(R"({"id":"bad","op":"embodied","params":{"parts":"x"}})");
 
-  Engine batch_engine;
+  Isolated batch_iso, seq_iso;
+  Engine batch_engine(batch_iso.options());
   const auto batch = batch_engine.handle_batch(lines);
 
-  Engine seq_engine;
+  Engine seq_engine(seq_iso.options());
   std::vector<std::string> seq;
   for (const auto& line : lines) seq.push_back(seq_engine.handle_line(line));
 
@@ -477,7 +498,8 @@ TEST(Engine, BatchDedupsInFlightDuplicates) {
       R"({"op":"sched","params":{"policy":"greedy-lowest-ci","days":7,"rate":1}})",
       R"({"op":"embodied","params":{"part":"mi250x"}})",
   };
-  Engine engine;
+  Isolated iso;
+  Engine engine(iso.options());
   const auto responses = engine.handle_batch(lines);
   const auto stats = engine.cache_stats();
   EXPECT_EQ(stats.inserts, 2u);   // one leader per distinct key
@@ -489,7 +511,8 @@ TEST(Engine, BatchDedupsInFlightDuplicates) {
 }
 
 TEST(Engine, StatsControlRequestReportsCounters) {
-  Engine engine;
+  Isolated iso;
+  Engine engine(iso.options());
   engine.handle_line(family_lines()[0]);
   engine.handle_line(family_lines()[0]);
   const std::string stats = engine.handle_line(R"({"op":"stats","id":"s"})");
@@ -533,17 +556,13 @@ TEST(Engine, StatsInsideBatchMatchesSequentialReplay) {
       R"({"op":"trace","params":{"region":"ESO"}})",
       R"({"op":"stats","id":"end"})",
   };
-  // Stats lines report TraceStore counters too, so each engine gets its
-  // own store: the comparison must not see the other engine's lookups
-  // through the process-global one.
-  TraceStore batch_traces, seq_traces;
-  ServeOptions batch_opts;
-  batch_opts.traces = &batch_traces;
-  Engine batch_engine(batch_opts);
+  // Stats lines report cache and TraceStore counters, so each engine gets
+  // its own registry and store: the comparison must not see the other
+  // engine's traffic through the process-global ones.
+  Isolated batch_iso, seq_iso;
+  Engine batch_engine(batch_iso.options());
   const auto batch = batch_engine.handle_batch(lines);
-  ServeOptions seq_opts;
-  seq_opts.traces = &seq_traces;
-  Engine seq_engine(seq_opts);
+  Engine seq_engine(seq_iso.options());
   std::vector<std::string> seq;
   for (const auto& line : lines) seq.push_back(seq_engine.handle_line(line));
   ASSERT_EQ(batch.size(), seq.size());
@@ -569,7 +588,8 @@ TEST(Engine, OversizeLineRejectedWithByteCount) {
   big.append(kMaxRequestLineBytes, 'x');
   big += "\"}}";
 
-  Engine engine;
+  Isolated iso;
+  Engine engine(iso.options());
   const std::string direct = engine.handle_line(big);
   EXPECT_NE(direct.find(oversize_line_error(big.size())), std::string::npos)
       << direct;
@@ -704,7 +724,8 @@ TEST(Engine, MetricsCountsQueryTraffic) {
 TEST(Engine, EvictionKeepsAnsweringCorrectly) {
   // A cache too small for even one response forces every request down the
   // evaluate path; answers stay correct and byte-identical.
-  ServeOptions opts;
+  Isolated iso;
+  ServeOptions opts = iso.options();
   opts.cache_shards = 1;
   opts.cache_bytes = 96;  // below any response's entry cost
   Engine tiny(opts);
@@ -714,6 +735,166 @@ TEST(Engine, EvictionKeepsAnsweringCorrectly) {
   EXPECT_EQ(tiny.cache_stats().entries, 0u);
   Engine normal;
   EXPECT_EQ(normal.handle_line(family_lines()[0]), a);
+}
+
+/// Non-empty lines of a tests/data file.
+std::vector<std::string> data_lines(const std::string& name) {
+  std::ifstream in(std::string(HPCARBON_TEST_DATA_DIR) + "/" + name);
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(in, line);) {
+    if (!line.empty()) lines.push_back(line);
+  }
+  return lines;
+}
+
+// The stats document is a fixed projection of the registry. Its bytes are
+// pinned to tests/data/stats_golden.jsonl, recorded while the cache and
+// trace store still kept their own tallies: the request fixture twice,
+// then one stats line, through the pipe path. Only the two latency
+// quantiles are masked, and the golden's build is this binary's.
+TEST(Engine, StatsDocumentMatchesGolden) {
+  Isolated iso;
+  Engine engine(iso.options());
+  const std::vector<std::string> requests = data_lines("requests.jsonl");
+  ASSERT_FALSE(requests.empty());
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const auto& line : requests) engine.handle_line(line);
+  }
+  const std::string stats = engine.handle_line(R"({"op":"stats","id":"s"})");
+
+  const std::vector<std::string> golden_lines =
+      data_lines("stats_golden.jsonl");
+  ASSERT_EQ(golden_lines.size(), 1u);
+  std::string golden = golden_lines[0];
+  const std::string build_token = "@BUILD@";
+  golden.replace(golden.find(build_token), build_token.size(),
+                 obs::build_fingerprint());
+  static const std::regex kQuantiles(R"re("lat_(p50_us|p99_us)":[^,}]*)re");
+  EXPECT_EQ(std::regex_replace(stats, kQuantiles, "\"lat_$1\":X"), golden);
+
+  // One source: every count and level in the stats document equals its
+  // series in a metrics snapshot taken straight after it.
+  const json::Value st =
+      *json::Value::parse(stats).find("result");
+  const json::Value mt =
+      *json::Value::parse(engine.handle_line(R"({"op":"metrics"})"))
+           .find("result");
+  auto series = [&](const std::string& id) {
+    const json::Value* v = mt.find(id);
+    EXPECT_NE(v, nullptr) << id;
+    return v != nullptr ? v->as_number() : -1.0;
+  };
+  const std::pair<const char*, const char*> same[] = {
+      {"bytes", "hpcarbon_cache_bytes"},
+      {"entries", "hpcarbon_cache_entries"},
+      {"evictions", "hpcarbon_cache_evictions_total"},
+      {"hits", "hpcarbon_cache_hits_total"},
+      {"inserts", "hpcarbon_cache_inserts_total"},
+      {"misses", "hpcarbon_cache_misses_total"},
+      {"trace_entries", "hpcarbon_trace_store_entries"},
+      {"trace_hits", "hpcarbon_trace_store_hits_total"},
+      {"trace_misses", "hpcarbon_trace_store_misses_total"},
+  };
+  for (const auto& [field, id] : same) {
+    EXPECT_EQ(st.find(field)->as_number(), series(id)) << field;
+  }
+  const auto& shard_entries = st.find("shard_entries")->items();
+  const auto& shard_bytes = st.find("shard_bytes")->items();
+  ASSERT_EQ(shard_entries.size(), 8u);
+  ASSERT_EQ(shard_bytes.size(), 8u);
+  for (std::size_t i = 0; i < shard_entries.size(); ++i) {
+    const std::string l = "{shard=\"" + std::to_string(i) + "\"}";
+    EXPECT_EQ(shard_entries[i].as_number(),
+              series("hpcarbon_cache_shard_entries" + l));
+    EXPECT_EQ(shard_bytes[i].as_number(),
+              series("hpcarbon_cache_shard_bytes" + l));
+  }
+  double lat_count = 0;
+  for (const auto& family : query_families()) {
+    const json::Value* h =
+        mt.find("hpcarbon_serve_total_latency_us{family=\"" + family + "\"}");
+    ASSERT_NE(h, nullptr) << family;
+    lat_count += h->find("count")->as_number();
+  }
+  EXPECT_EQ(st.find("lat_count")->as_number(), lat_count);
+}
+
+// The exposition lists series in registration order, so the order in
+// which an engine registers its cache and trace-store series is part of
+// the `metrics --local` and scrape bytes: the cache's counters, its
+// totals, each shard's entries before its bytes, then the store's.
+TEST(Engine, RegistersCacheSeriesInExpositionOrder) {
+  obs::MetricsRegistry reg;
+  ServeOptions opts;
+  opts.registry = &reg;
+  opts.cache_shards = 2;
+  const Engine engine(opts);
+  std::vector<std::string> ids;
+  for (const obs::MetricSample& s : reg.snapshot()) {
+    if (s.name.rfind("hpcarbon_cache_", 0) == 0 ||
+        s.name.rfind("hpcarbon_trace_store_", 0) == 0) {
+      ids.push_back(s.id());
+    }
+  }
+  const std::vector<std::string> expected = {
+      "hpcarbon_cache_hits_total",
+      "hpcarbon_cache_misses_total",
+      "hpcarbon_cache_evictions_total",
+      "hpcarbon_cache_inserts_total",
+      "hpcarbon_cache_entries",
+      "hpcarbon_cache_bytes",
+      "hpcarbon_cache_shard_entries{shard=\"0\"}",
+      "hpcarbon_cache_shard_bytes{shard=\"0\"}",
+      "hpcarbon_cache_shard_entries{shard=\"1\"}",
+      "hpcarbon_cache_shard_bytes{shard=\"1\"}",
+      "hpcarbon_trace_store_hits_total",
+      "hpcarbon_trace_store_misses_total",
+      "hpcarbon_trace_store_entries",
+  };
+  EXPECT_EQ(ids, expected);
+}
+
+// Engines built on one registry share its series: each reports the sum
+// of both caches' traffic and occupancy, in cache_stats() and in stats.
+TEST(Engine, EnginesSharingARegistryReportSummedCounts) {
+  Isolated shared;
+  Engine a(shared.options());
+  Engine b(shared.options());
+  Isolated own_a, own_b;
+  Engine solo_a(own_a.options());
+  Engine solo_b(own_b.options());
+  const std::vector<std::string> a_lines = {
+      family_lines()[0], family_lines()[0], family_lines()[2]};
+  const std::vector<std::string> b_lines = {
+      family_lines()[0], family_lines()[4], family_lines()[4],
+      family_lines()[4]};
+  for (const auto& line : a_lines) {
+    EXPECT_EQ(a.handle_line(line), solo_a.handle_line(line));
+  }
+  for (const auto& line : b_lines) {
+    EXPECT_EQ(b.handle_line(line), solo_b.handle_line(line));
+  }
+
+  const CacheStats x = solo_a.cache_stats();
+  const CacheStats y = solo_b.cache_stats();
+  EXPECT_EQ(x.hits, 1u);
+  EXPECT_EQ(y.hits, 2u);
+  for (const CacheStats& sum : {a.cache_stats(), b.cache_stats()}) {
+    EXPECT_EQ(sum.hits, x.hits + y.hits);
+    EXPECT_EQ(sum.misses, x.misses + y.misses);
+    EXPECT_EQ(sum.inserts, x.inserts + y.inserts);
+    EXPECT_EQ(sum.entries, x.entries + y.entries);
+    EXPECT_EQ(sum.bytes, x.bytes + y.bytes);
+  }
+  const std::string stats = a.handle_line(R"({"op":"stats"})");
+  EXPECT_NE(stats.find("\"hits\":3,"), std::string::npos) << stats;
+  EXPECT_NE(stats.find("\"inserts\":" + std::to_string(x.inserts + y.inserts) +
+                       ","),
+            std::string::npos)
+      << stats;
+  EXPECT_NE(stats.find("\"bytes\":" + std::to_string(x.bytes + y.bytes) + ","),
+            std::string::npos)
+      << stats;
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include "core/rng.h"
 #include "grid/presets.h"
 #include "grid/simulator.h"
+#include "obs/metrics.h"
 #include "serve/cache.h"
 
 namespace hpcarbon::serve {
@@ -174,6 +175,53 @@ TEST(ResultCache, ShardIndependenceUnderThreadHammer) {
   EXPECT_EQ(shard_byte_sum, s.bytes);
 }
 
+// A cache built without a registry counts into one of its own: two side
+// by side never see each other's traffic (perfbench's layered replay runs
+// several at once and reads each one's counts).
+TEST(ResultCache, StandaloneCachesCountSeparately) {
+  ResultCache a(2, 1 << 16);
+  ResultCache b(2, 1 << 16);
+  a.put(1, "k1", "one");
+  EXPECT_TRUE(a.get(1, "k1").has_value());
+  EXPECT_FALSE(b.get(1, "k1").has_value());
+
+  const CacheStats sa = a.stats();
+  EXPECT_EQ(sa.hits, 1u);
+  EXPECT_EQ(sa.misses, 0u);
+  EXPECT_EQ(sa.inserts, 1u);
+  EXPECT_EQ(sa.entries, 1u);
+  EXPECT_EQ(sa.bytes, ResultCache::entry_cost("k1", "one"));
+  const CacheStats sb = b.stats();
+  EXPECT_EQ(sb.hits, 0u);
+  EXPECT_EQ(sb.misses, 1u);
+  EXPECT_EQ(sb.inserts, 0u);
+  EXPECT_EQ(sb.entries, 0u);
+  EXPECT_EQ(sb.bytes, 0u);
+}
+
+// Caches built on one registry share its series, so their counts and
+// occupancy add up there — and every one of them reads the sum.
+TEST(ResultCache, CachesSharingARegistryAddUp) {
+  obs::MetricsRegistry reg;
+  ResultCache a(2, 1 << 16, &reg);
+  ResultCache b(2, 1 << 16, &reg);
+  a.put(1, "k1", "one");
+  b.put(2, "k2", "two");
+  EXPECT_TRUE(a.get(1, "k1").has_value());
+  EXPECT_FALSE(b.get(1, "k1").has_value());  // b's own shards: a miss
+
+  for (const CacheStats& s : {a.stats(), b.stats()}) {
+    EXPECT_EQ(s.hits, 1u);
+    EXPECT_EQ(s.misses, 1u);
+    EXPECT_EQ(s.inserts, 2u);
+    EXPECT_EQ(s.entries, 2u);
+    EXPECT_EQ(s.bytes, ResultCache::entry_cost("k1", "one") +
+                           ResultCache::entry_cost("k2", "two"));
+  }
+  EXPECT_EQ(reg.gauge("hpcarbon_cache_entries", "", "").value(), 2);
+  EXPECT_EQ(reg.counter("hpcarbon_cache_hits_total", "", "").value(), 1u);
+}
+
 TEST(TraceStore, PresetMatchesBatchGeneratorBitForBit) {
   TraceStore store;
   const auto eso = store.preset("ESO");
@@ -209,10 +257,6 @@ TEST(TraceStore, ImportedParsesOnceAndCachesTheNote) {
   const auto c = store.imported("CISO", fixture_path());
   EXPECT_NE(c.get(), a.get());
   EXPECT_EQ(store.size(), 2u);
-
-  store.clear();
-  EXPECT_EQ(store.size(), 0u);
-  EXPECT_EQ(store.misses(), 0u);
 }
 
 TEST(TraceStore, ImportCapEvictsLeastRecentlyUsedImportOnly) {
@@ -237,6 +281,41 @@ TEST(TraceStore, ImportCapEvictsLeastRecentlyUsedImportOnly) {
   EXPECT_EQ(b2->values(), b->values());
   // Presets survive any import churn.
   EXPECT_EQ(store.preset("ESO").get(), preset.get());
+}
+
+TEST(TraceStore, StandaloneStoresCountSeparately) {
+  TraceStore a;
+  TraceStore b;
+  a.imported("ESO", fixture_path());
+  a.imported("ESO", fixture_path());
+  b.imported("ESO", fixture_path());
+  EXPECT_EQ(a.hits(), 1u);
+  EXPECT_EQ(a.misses(), 1u);
+  EXPECT_EQ(b.hits(), 0u);
+  EXPECT_EQ(b.misses(), 1u);
+}
+
+TEST(TraceStore, CountsIntoTheRegistryItWasBuiltOn) {
+  obs::MetricsRegistry reg;
+  TraceStore a(&reg);
+  TraceStore b(&reg);
+  a.imported("ESO", fixture_path());
+  b.imported("ESO", fixture_path());
+  b.imported("ESO", fixture_path());
+  EXPECT_EQ(a.misses(), 2u);  // the shared series: one parse in each store
+  EXPECT_EQ(a.hits(), 1u);
+  EXPECT_EQ(b.hits(), 1u);
+  EXPECT_EQ(reg.counter("hpcarbon_trace_store_misses_total", "", "").value(),
+            2u);
+  EXPECT_EQ(reg.gauge("hpcarbon_trace_store_entries", "", "").value(), 2);
+
+  // The process-wide store counts into the process-wide registry.
+  TraceStore::global().imported("CISO", fixture_path());
+  EXPECT_GE(TraceStore::global().misses(), 1u);
+  EXPECT_EQ(TraceStore::global().misses(),
+            obs::MetricsRegistry::global()
+                .counter("hpcarbon_trace_store_misses_total", "", "")
+                .value());
 }
 
 TEST(TraceStore, UnknownCodeAndMissingFileThrow) {

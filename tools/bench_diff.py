@@ -15,7 +15,9 @@ Two modes:
       Single file: compare the first row (the committed "before") against
       the last row (the newest measurement). This is the in-repo gate —
       the committed trajectory must show the newest row holding or
-      beating the oldest one.
+      beating the oldest one. A one-row trajectory is compared with
+      itself (its first and last row are the same row): it is a baseline
+      only, reported as such, and passes.
 
   bench_diff.py BASELINE CURRENT
       Two files: compare the last row of each (e.g. a committed
@@ -151,9 +153,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     doc_base = load_trajectory(args.baseline)
+    baseline_only = args.current is None and len(doc_base["rows"]) == 1
     if args.current is None:
-        if len(doc_base["rows"]) < 2:
-            fail(f"{args.baseline} has fewer than 2 rows; nothing to diff")
         doc_cur = doc_base
         base_row, cur_row = doc_base["rows"][0], doc_base["rows"][-1]
     else:
@@ -173,6 +174,9 @@ def main(argv=None):
             code = max(code, FINGERPRINT)
 
     print("\n".join(lines))
+    if baseline_only:
+        print(f"bench_diff: {args.baseline} has one row; baseline only, "
+              f"nothing to gate yet")
     if args.informational:
         if code != OK:
             print(f"bench_diff: informational mode; suppressing exit "

@@ -9,7 +9,9 @@ The contract under test (satellite of the hot-path performance pass):
     dropping a metric must not read as a pass,
   * a fingerprint mismatch is reported, and escalates to exit 3 only
     under --require-fingerprint-match,
-  * --informational prints everything and always exits 0.
+  * --informational prints everything and always exits 0,
+  * a one-row trajectory in single-file mode is a baseline only and
+    passes; a file with no rows is malformed.
 
 Run directly (python3 tools/test_bench_diff.py) or via ctest
 (bench_diff_unit).
@@ -212,12 +214,19 @@ class BenchDiffTest(unittest.TestCase):
         self.assertEqual(code, 2)
         self.assertIn("bench mismatch", err)
 
-    def test_single_row_single_file_is_error(self):
+    def test_single_row_single_file_is_baseline_only(self):
         row = make_row("only", {"m": metric(1.0, pinned=True)})
         path = self.write_trajectory("t.json", [row])
+        code, out, _ = self.run_diff([path])
+        self.assertEqual(code, 0)
+        self.assertIn("baseline only", out)
+        self.assertIn(" *m: 1 -> 1 ", out)  # the row against itself
+
+    def test_empty_rows_single_file_is_error(self):
+        path = self.write_trajectory("t.json", [])
         code, _, err = self.run_diff([path])
         self.assertEqual(code, 2)
-        self.assertIn("fewer than 2 rows", err)
+        self.assertIn("no trajectory rows", err)
 
     def test_malformed_file_is_error(self):
         path = os.path.join(self._tmp.name, "broken.json")
