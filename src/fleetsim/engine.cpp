@@ -69,6 +69,9 @@ namespace {
 /// consulted, so tie order is unobservable.
 using Completion = std::pair<Tick, std::uint32_t>;
 
+/// (planned start tick, arrival index), min-heap on tick.
+using PlannedStart = std::pair<Tick, std::size_t>;
+
 constexpr Tick kNoEvent = std::numeric_limits<Tick>::max();
 
 }  // namespace
@@ -97,16 +100,18 @@ sched::ScheduleMetrics FleetEngine::run(const FleetJobs& jobs,
   for (const auto& s : sites_) free_slots.push_back(s.capacity);
 
   std::vector<sched::PendingJob> waiting;
-  // Parallel to `waiting`: the tick the planned start rounds up to, and
-  // the job's duration in ticks (PendingJob cannot carry ticks).
-  struct WaitMeta {
-    Tick earliest;
-    Tick duration;
-  };
-  std::vector<WaitMeta> waiting_meta;
+  // Parallel to `waiting`: each queued job's arrival index into `jobs`.
+  std::vector<std::size_t> waiting_arrival;
   std::priority_queue<Completion, std::vector<Completion>,
                       std::greater<Completion>>
       completions;
+  // Plans that were ahead of the clock on arrival. Once stale entries
+  // (tick passed, or job started early) are popped, the top is the
+  // earliest planned start of a still-queued job ahead of the clock.
+  std::priority_queue<PlannedStart, std::vector<PlannedStart>,
+                      std::greater<PlannedStart>>
+      planned_starts;
+  std::vector<char> started(n, 0);  // by arrival index
 
   sched::ScheduleMetrics metrics;
   std::vector<double> waits;
@@ -176,13 +181,14 @@ sched::ScheduleMetrics FleetEngine::run(const FleetJobs& jobs,
                       decision->site < sites_.size() &&
                       free_slots[decision->site] > 0,
                   "policy returned an invalid dispatch decision");
-      const sched::Job j = waiting[decision->queue_index].job;
-      const Tick duration_tick = waiting_meta[decision->queue_index].duration;
+      const std::size_t a = waiting_arrival[decision->queue_index];
       waiting.erase(waiting.begin() +
                     static_cast<std::ptrdiff_t>(decision->queue_index));
-      waiting_meta.erase(waiting_meta.begin() +
-                         static_cast<std::ptrdiff_t>(decision->queue_index));
-      start_job(j, decision->site, t, duration_tick);
+      waiting_arrival.erase(
+          waiting_arrival.begin() +
+          static_cast<std::ptrdiff_t>(decision->queue_index));
+      started[a] = 1;
+      start_job(arrivals[a], decision->site, t, jobs.duration[a]);
     }
   };
 
@@ -201,8 +207,13 @@ sched::ScheduleMetrics FleetEngine::run(const FleetJobs& jobs,
       // Next whole hour (t >= 0, so integer division floors).
       next_tick =
           std::min(next_tick, (t / kTicksPerHour + 1) * kTicksPerHour);
-      for (const auto& m : waiting_meta) {
-        if (m.earliest > t) next_tick = std::min(next_tick, m.earliest);
+      while (!planned_starts.empty() &&
+             (planned_starts.top().first <= t ||
+              started[planned_starts.top().second] != 0)) {
+        planned_starts.pop();
+      }
+      if (!planned_starts.empty()) {
+        next_tick = std::min(next_tick, planned_starts.top().first);
       }
     }
     HPC_REQUIRE(next_tick != kNoEvent, "fleet simulator deadlock");
@@ -217,8 +228,9 @@ sched::ScheduleMetrics FleetEngine::run(const FleetJobs& jobs,
       const sched::Job& j = arrivals[next_arrival];
       const double planned = policy.planned_start(j, view);
       waiting.push_back(sched::PendingJob{j, planned});
-      waiting_meta.push_back(
-          WaitMeta{ceil_tick(planned), jobs.duration[next_arrival]});
+      waiting_arrival.push_back(next_arrival);
+      const Tick planned_tick = ceil_tick(planned);
+      if (planned_tick > t) planned_starts.emplace(planned_tick, next_arrival);
       ++next_arrival;
     }
     dispatch();

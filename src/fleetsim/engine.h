@@ -3,10 +3,10 @@
 // Every scheduler run goes through FleetEngine::run: `hpcarbon run` and
 // `sweep`, the serve sched and fleetsim families, `hpcarbon fleetsim`,
 // the benches, and the examples. The mechanism is sorted arrivals, a
-// completion min-heap, hourly re-evaluation ticks while jobs queue,
-// per-site free slots, and O(1) prefix-sum carbon. Every decision is
-// delegated to a sched::SchedulingPolicy. The engine is sized for
-// thousands of nodes and millions of jobs:
+// completion min-heap, hourly re-evaluation ticks while jobs queue, a
+// planned-start min-heap, per-site free slots, and O(1) prefix-sum
+// carbon. Every decision is delegated to a sched::SchedulingPolicy. The
+// engine is sized for thousands of nodes and millions of jobs:
 //
 //  * integer event ticks (fleetsim/jobs.h, 1024/hour): event matching is
 //    an integer compare, not a `<= t + 1e-12` epsilon, and because the
@@ -24,7 +24,11 @@
 // per-run state, with its double clock slaved to the tick clock.
 // Policy-planned starts that are not tick-aligned are rounded up to the
 // next tick (built-in policies plan whole-hour offsets, which are always
-// aligned).
+// aligned). A plan still ahead of the clock on arrival enters the
+// planned-start heap as (tick, arrival index) and wakes the engine at
+// that tick; an entry whose tick has passed or whose job already started
+// is dropped when it reaches the top, so finding the next wake-up costs
+// no scan of the queue.
 //
 // tests/reference_engine.h keeps the double-clock loop this engine
 // replaced; tests/test_fleetsim.cpp pins bit-identical metrics, outcomes,

@@ -6,19 +6,31 @@
 
 namespace hpcarbon::grid {
 
-double Forecast::predict_window(HourOfYear origin, int start_h,
-                                double duration_h) const {
+namespace {
+
+/// Mean of `predict(h)` over [start_h, start_h + duration_h), whole hours
+/// weighted 1 and a trailing partial hour by its fraction.
+template <typename PredictHour>
+double window_mean(int start_h, double duration_h, PredictHour predict) {
   HPC_REQUIRE(duration_h > 0, "window duration must be positive");
   double acc = 0;
   double remaining = duration_h;
   int h = start_h;
   while (remaining > 0) {
     const double w = remaining >= 1.0 ? 1.0 : remaining;
-    acc += predict(origin, h) * w;
+    acc += predict(h) * w;
     remaining -= w;
     ++h;
   }
   return acc / duration_h;
+}
+
+}  // namespace
+
+double Forecast::predict_window(HourOfYear origin, int start_h,
+                                double duration_h) const {
+  return window_mean(start_h, duration_h,
+                     [&](int h) { return predict(origin, h); });
 }
 
 PersistenceForecast::PersistenceForecast(const CarbonIntensityTrace& trace)
@@ -37,7 +49,7 @@ DiurnalTemplateForecast::DiurnalTemplateForecast(
               "level blend must be in [0,1]");
 }
 
-std::array<double, kHoursPerDay> DiurnalTemplateForecast::hourly_template(
+DiurnalTemplateForecast::Outlook DiurnalTemplateForecast::outlook(
     HourOfYear origin) const {
   std::array<double, kHoursPerDay> sum{};
   std::array<int, kHoursPerDay> count{};
@@ -47,27 +59,37 @@ std::array<double, kHoursPerDay> DiurnalTemplateForecast::hourly_template(
         trace_->at(h).to_g_per_kwh();
     ++count[static_cast<std::size_t>(h.hour_of_day())];
   }
-  std::array<double, kHoursPerDay> tmpl{};
+  Outlook outlook;
+  outlook.origin_ = origin;
   for (int i = 0; i < kHoursPerDay; ++i) {
     const auto iu = static_cast<std::size_t>(i);
-    tmpl[iu] = count[iu] > 0 ? sum[iu] / count[iu] : 0.0;
+    outlook.template_[iu] = count[iu] > 0 ? sum[iu] / count[iu] : 0.0;
   }
-  return tmpl;
-}
-
-double DiurnalTemplateForecast::predict(HourOfYear origin,
-                                        int horizon_hours) const {
-  const auto tmpl = hourly_template(origin);
-  const HourOfYear target = origin.shifted(horizon_hours);
-  const double template_value =
-      tmpl[static_cast<std::size_t>(target.hour_of_day())];
   // Level correction: shift toward the latest observation's deviation from
   // its own template slot (persistence of the weather regime).
   const HourOfYear last = origin.shifted(-1);
   const double last_dev =
       trace_->at(last).to_g_per_kwh() -
-      tmpl[static_cast<std::size_t>(last.hour_of_day())];
-  return std::max(0.0, template_value + level_blend_ * last_dev);
+      outlook.template_[static_cast<std::size_t>(last.hour_of_day())];
+  outlook.level_ = level_blend_ * last_dev;
+  return outlook;
+}
+
+double DiurnalTemplateForecast::Outlook::predict(int horizon_hours) const {
+  const HourOfYear target = origin_.shifted(horizon_hours);
+  return std::max(
+      0.0, template_[static_cast<std::size_t>(target.hour_of_day())] + level_);
+}
+
+double DiurnalTemplateForecast::Outlook::predict_window(
+    int start_h, double duration_h) const {
+  return window_mean(start_h, duration_h,
+                     [this](int h) { return predict(h); });
+}
+
+double DiurnalTemplateForecast::predict(HourOfYear origin,
+                                        int horizon_hours) const {
+  return outlook(origin).predict(horizon_hours);
 }
 
 ForecastSkill evaluate(const Forecast& forecast,

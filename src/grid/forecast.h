@@ -49,13 +49,37 @@ class PersistenceForecast : public Forecast {
 /// observation for level (bias) correction.
 class DiurnalTemplateForecast : public Forecast {
  public:
+  /// The forecast made at one origin hour: the 24-slot template and the
+  /// level term, built once from `window_days * 24` trace samples. Every
+  /// prediction from one origin reads this small value, so a caller that
+  /// asks many questions of one origin (a scheduler pricing sites or start
+  /// offsets within a simulated hour) builds it once and reuses it.
+  /// Answers are bit-identical to predict(origin, h) / predict_window.
+  class Outlook {
+   public:
+    HourOfYear origin() const { return origin_; }
+    /// Intensity predicted at origin + horizon_hours.
+    double predict(int horizon_hours) const;
+    /// Mean predicted intensity over [origin + start_h, origin + start_h +
+    /// duration_h), hour-granular (as Forecast::predict_window).
+    double predict_window(int start_h, double duration_h) const;
+
+   private:
+    friend class DiurnalTemplateForecast;
+    Outlook() = default;
+
+    HourOfYear origin_;
+    std::array<double, kHoursPerDay> template_{};
+    double level_ = 0;  // level_blend * (last observation - its slot)
+  };
+
   DiurnalTemplateForecast(const CarbonIntensityTrace& trace,
                           int window_days = 14, double level_blend = 0.3);
+  /// The forecast made at `origin`; O(window_days * 24).
+  Outlook outlook(HourOfYear origin) const;
   double predict(HourOfYear origin, int horizon_hours) const override;
 
  private:
-  std::array<double, kHoursPerDay> hourly_template(HourOfYear origin) const;
-
   const CarbonIntensityTrace* trace_;
   int window_days_;
   double level_blend_;

@@ -46,6 +46,19 @@ long ClusterView::lowest_ci_free_site() const {
 
 namespace {
 
+using Outlook = grid::DiurnalTemplateForecast::Outlook;
+
+/// The outlook `slot` holds, rebuilt only when the origin hour moves: a
+/// policy prices many jobs, sites and offsets within one simulated hour.
+const Outlook& outlook_at(std::optional<Outlook>& slot,
+                          const grid::DiurnalTemplateForecast& forecast,
+                          HourOfYear origin) {
+  if (!slot.has_value() || slot->origin() != origin) {
+    slot = forecast.outlook(origin);
+  }
+  return *slot;
+}
+
 // ---------------------------------------------------------------------------
 // Built-in policies. Each is one small class; the registry entries at the
 // bottom of this file are the only other place a policy appears.
@@ -90,13 +103,12 @@ class ThresholdDelayPolicy : public SchedulingPolicy {
   std::string name() const override { return "threshold-delay"; }
   std::optional<DispatchDecision> select(const std::vector<PendingJob>& queue,
                                          const ClusterView& view) override {
-    if (view.free_slots(0) <= 0) return std::nullopt;
-    const double ci = view.current_ci(0);
-    for (std::size_t i = 0; i < queue.size(); ++i) {
-      if (ci <= threshold_ ||
-          view.now() - queue[i].job.submit_hour >= max_delay_) {
-        return DispatchDecision{i, 0};
-      }
+    if (queue.empty() || view.free_slots(0) <= 0) return std::nullopt;
+    // The front job has waited longest (select's queue contract), so it
+    // is overdue whenever any queued job is.
+    if (view.current_ci(0) <= threshold_ ||
+        view.now() - queue.front().job.submit_hour >= max_delay_) {
+      return DispatchDecision{0, 0};
     }
     return std::nullopt;
   }
@@ -153,15 +165,16 @@ class ForecastDelayPolicy : public SchedulingPolicy {
                  const ClusterView& view) override {
     forecast_ = std::make_unique<grid::DiurnalTemplateForecast>(
         view.site(0).trace_utc, window_days_);
+    outlook_.reset();
   }
   double planned_start(const Job& job, const ClusterView& view) override {
-    const HourOfYear origin = view.hour_at(job.submit_hour);
+    const Outlook& outlook =
+        outlook_at(outlook_, *forecast_, view.hour_at(job.submit_hour));
     int best_offset = 0;
     double best_ci = std::numeric_limits<double>::infinity();
     const int max_w = static_cast<int>(max_delay_);
     for (int w = 0; w <= max_w; ++w) {
-      const double ci = forecast_->predict_window(origin, w,
-                                                  job.duration_hours);
+      const double ci = outlook.predict_window(w, job.duration_hours);
       if (ci < best_ci) {
         best_ci = ci;
         best_offset = w;
@@ -184,6 +197,7 @@ class ForecastDelayPolicy : public SchedulingPolicy {
   double max_delay_;
   int window_days_;
   std::unique_ptr<grid::DiurnalTemplateForecast> forecast_;
+  std::optional<Outlook> outlook_;
 };
 
 /// Cross-region dispatch only when the current intensity gap times the
@@ -231,6 +245,7 @@ class ForecastNetBenefitPolicy : public SchedulingPolicy {
       forecasts_.push_back(std::make_unique<grid::DiurnalTemplateForecast>(
           view.site(s).trace_utc, window_days_));
     }
+    outlooks_.assign(view.site_count(), std::nullopt);
   }
   std::optional<DispatchDecision> select(const std::vector<PendingJob>& queue,
                                          const ClusterView& view) override {
@@ -244,7 +259,8 @@ class ForecastNetBenefitPolicy : public SchedulingPolicy {
     for (std::size_t s = 0; s < view.site_count(); ++s) {
       if (view.free_slots(s) <= 0) continue;
       const double predicted_ci =
-          forecasts_[s]->predict_window(origin, 0, j.duration_hours);
+          outlook_at(outlooks_[s], *forecasts_[s], origin)
+              .predict_window(0, j.duration_hours);
       const double transfer_g =
           s == 0 ? 0.0
                  : view.site(s).transfer_energy.to_kwh() * view.current_ci(s);
@@ -262,6 +278,7 @@ class ForecastNetBenefitPolicy : public SchedulingPolicy {
  private:
   int window_days_;
   std::vector<std::unique_ptr<grid::DiurnalTemplateForecast>> forecasts_;
+  std::vector<std::optional<Outlook>> outlooks_;  // one per site
 };
 
 /// Throttle dispatch while the rolling emission rate exceeds a cap: a
@@ -300,10 +317,10 @@ class RenewableCapPolicy : public SchedulingPolicy {
       window_g += grams;
     }
     const bool over_cap = window_g / window_hours_ > cap_g_per_hour_;
-    for (std::size_t i = 0; i < queue.size(); ++i) {
-      const bool overdue =
-          view.now() - queue[i].job.submit_hour >= max_delay_;
-      if (!over_cap || overdue) return DispatchDecision{i, 0};
+    if (queue.empty()) return std::nullopt;
+    // As in ThresholdDelay, the front job is overdue whenever any is.
+    if (!over_cap || view.now() - queue.front().job.submit_hour >= max_delay_) {
+      return DispatchDecision{0, 0};
     }
     return std::nullopt;
   }

@@ -151,8 +151,13 @@ class SchedulingPolicy {
   }
 
   /// Called whenever cluster state changes (arrival, completion, hourly
-  /// tick, or a preceding dispatch) while the queue is non-empty. Return
-  /// the (job, site) to start now, or nullopt to wait.
+  /// tick, planned start, or a preceding dispatch) while the queue is
+  /// non-empty. Return the (job, site) to start now, or nullopt to wait.
+  ///
+  /// Queue contract: `queue` holds the waiting jobs in arrival order, so
+  /// submit_hour is non-decreasing along it, and jobs submitted at the
+  /// same instant keep their input order (id order for generated
+  /// workloads and the jobs CSV). The front job has waited longest.
   virtual std::optional<DispatchDecision> select(
       const std::vector<PendingJob>& queue, const ClusterView& view) = 0;
 

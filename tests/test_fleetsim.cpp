@@ -15,6 +15,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -84,6 +87,20 @@ void expect_metrics_bitwise(const sched::ScheduleMetrics& a,
   EXPECT_EQ(a.remote_dispatches, b.remote_dispatches) << label;
 }
 
+void expect_outcomes_bitwise(
+    const std::vector<sched::Site>& sites, const FleetOutcomes& got,
+    const std::vector<reference::JobOutcome>& expected,
+    const std::string& label) {
+  ASSERT_EQ(got.size(), expected.size()) << label;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got.job_id[i], expected[i].job_id) << label;
+    EXPECT_EQ(sites[got.site[i]].code, expected[i].site) << label;
+    EXPECT_EQ(hours_of(got.start[i]), expected[i].start_hour) << label;
+    EXPECT_EQ(got.wait_hours[i], expected[i].wait_hours) << label;
+    EXPECT_EQ(got.carbon_g[i], expected[i].carbon.to_grams()) << label;
+  }
+}
+
 TEST(FleetTicks, ConversionsAreExact) {
   EXPECT_EQ(hours_of(0), 0.0);
   EXPECT_EQ(hours_of(kTicksPerHour), 1.0);
@@ -125,18 +142,7 @@ TEST(FleetParity, AllRegistryPoliciesBitIdentical) {
     const auto got = fleet.run(fleet_jobs, *fleet_policy, &outcomes, &ledger);
 
     expect_metrics_bitwise(expected, got, desc.name);
-    ASSERT_EQ(outcomes.size(), oracle_outcomes.size()) << desc.name;
-    for (std::size_t i = 0; i < outcomes.size(); ++i) {
-      EXPECT_EQ(outcomes.job_id[i], oracle_outcomes[i].job_id) << desc.name;
-      EXPECT_EQ(sites[outcomes.site[i]].code, oracle_outcomes[i].site)
-          << desc.name;
-      EXPECT_EQ(hours_of(outcomes.start[i]), oracle_outcomes[i].start_hour)
-          << desc.name;
-      EXPECT_EQ(outcomes.wait_hours[i], oracle_outcomes[i].wait_hours)
-          << desc.name;
-      EXPECT_EQ(outcomes.carbon_g[i], oracle_outcomes[i].carbon.to_grams())
-          << desc.name;
-    }
+    expect_outcomes_bitwise(sites, outcomes, oracle_outcomes, desc.name);
     for (const auto& user : fleet_jobs.users) {
       EXPECT_EQ(ledger.spent(user).to_grams(),
                 oracle_ledger.spent(user).to_grams())
@@ -165,6 +171,102 @@ TEST(FleetParity, CongestedTrioStaysBitIdentical) {
     expect_metrics_bitwise(oracle.run(jobs, *p1), fleet.run(fleet_jobs, *p2),
                            name);
   }
+}
+
+// FleetParity runs one policy class through both engines, so it cannot
+// see a change on the policy side. These are the four queue-scanning and
+// forecasting policies' metrics as IEEE-754 bit patterns, recorded from
+// the per-call forecast and whole-queue scans they used before, on a
+// loaded trio: 12 slots per site against a mean demand of about 10 busy
+// slots, so queues build past the 12 h delay budget (p95 wait 14.4 h).
+TEST(FleetPins, PolicyAnswersKeepTheirBitPatterns) {
+  struct Pinned {
+    const char* policy;
+    std::uint64_t total_carbon_g;
+    std::uint64_t transfer_carbon_g;
+    std::uint64_t total_energy_kwh;
+    std::uint64_t mean_wait_hours;
+    std::uint64_t p95_wait_hours;
+    std::uint64_t utilization;
+    int jobs_completed;
+    int remote_dispatches;
+  };
+  constexpr Pinned kPinned[] = {
+      {"forecast-delay", 0x413664cf95dcb28f, 0, 0x40af36ca75ff5bbf,
+       0x40241ade4974c327, 0x402d66c000000000, 0x3fcf10d3ee272eca, 467, 0},
+      {"forecast-net-benefit", 0x411d25277096bd7f, 0x40d8d099c035e2cd,
+       0x40b084653affaddd, 0, 0, 0x3fd04587bea20a1a, 467, 466},
+      {"threshold-delay", 0x41368ba2daa05590, 0, 0x40af36ca75ff5bbe,
+       0x40281431e265f622, 0x402cd80000000000, 0x3fcf9baa6706cf1f, 467, 0},
+      {"renewable-cap", 0x41369a845dff5abe, 0, 0x40af36ca75ff5bbe,
+       0x40273ebf96bfdceb, 0x402cd80000000000, 0x3fcf03a819e707b2, 467, 0},
+  };
+  const FleetEngine fleet(fig7_sites(/*capacity=*/12), HourOfYear(3624));
+  const FleetJobs jobs = FleetJobs::from_jobs(seeded_quantized_jobs());
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  for (const Pinned& p : kPinned) {
+    const auto policy = sched::make_policy(p.policy, tuned_config());
+    const auto m = fleet.run(jobs, *policy);
+    EXPECT_EQ(bits(m.total_carbon.to_grams()), p.total_carbon_g) << p.policy;
+    EXPECT_EQ(bits(m.transfer_carbon.to_grams()), p.transfer_carbon_g)
+        << p.policy;
+    EXPECT_EQ(bits(m.total_energy.to_kwh()), p.total_energy_kwh) << p.policy;
+    EXPECT_EQ(bits(m.mean_wait_hours), p.mean_wait_hours) << p.policy;
+    EXPECT_EQ(bits(m.p95_wait_hours), p.p95_wait_hours) << p.policy;
+    EXPECT_EQ(bits(m.utilization), p.utilization) << p.policy;
+    EXPECT_EQ(m.jobs_completed, p.jobs_completed) << p.policy;
+    EXPECT_EQ(m.remote_dispatches, p.remote_dispatches) << p.policy;
+  }
+}
+
+/// Plans every start 3 h after submit, then ignores the plan: whenever
+/// home has a free slot it starts the newest queued job. Many jobs thus
+/// start before their planned tick, each leaving a stale entry in
+/// FleetEngine's planned-start heap; a stale entry that woke the engine
+/// would show up as an extra select() call.
+class EarlyNewestFirstPolicy : public sched::SchedulingPolicy {
+ public:
+  std::string name() const override { return "early-newest-first"; }
+  double planned_start(const sched::Job& job,
+                       const sched::ClusterView&) override {
+    return job.submit_hour + 3.0;
+  }
+  std::optional<sched::DispatchDecision> select(
+      const std::vector<sched::PendingJob>& queue,
+      const sched::ClusterView& view) override {
+    ++select_calls;
+    if (queue.empty() || view.free_slots(0) <= 0) return std::nullopt;
+    return sched::DispatchDecision{queue.size() - 1, 0};
+  }
+  std::size_t select_calls = 0;
+};
+
+TEST(FleetParity, StartsBeforeThePlanAddNoWakeUps) {
+  const auto sites = fig7_sites(/*capacity=*/4);
+  const HourOfYear epoch(3624);
+  const auto jobs = seeded_quantized_jobs();
+  reference::SchedulingEngine oracle(sites, epoch);
+  const FleetEngine fleet(sites, epoch);
+
+  EarlyNewestFirstPolicy oracle_policy;
+  std::vector<reference::JobOutcome> oracle_outcomes;
+  const auto expected = oracle.run(jobs, oracle_policy, &oracle_outcomes);
+  EarlyNewestFirstPolicy fleet_policy;
+  FleetOutcomes outcomes;
+  const auto got =
+      fleet.run(FleetJobs::from_jobs(jobs), fleet_policy, &outcomes);
+
+  expect_metrics_bitwise(expected, got, "early-newest-first");
+  expect_outcomes_bitwise(sites, outcomes, oracle_outcomes,
+                          "early-newest-first");
+  EXPECT_EQ(fleet_policy.select_calls, oracle_policy.select_calls);
+  // The workload does what the test needs: many jobs start before their
+  // plan, and many wait past it.
+  const auto early = std::count_if(outcomes.wait_hours.begin(),
+                                   outcomes.wait_hours.end(),
+                                   [](double w) { return w < 3.0; });
+  EXPECT_GT(early, 100);
+  EXPECT_GT(static_cast<std::ptrdiff_t>(outcomes.size()) - early, 100);
 }
 
 // Tie-heavy parity: bursty workloads submit whole batches at one tick, so

@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <string>
+#include <vector>
+
 #include "core/error.h"
+#include "grid/import.h"
 #include "grid/presets.h"
 #include "grid/simulator.h"
 
@@ -77,6 +83,7 @@ TEST(Forecast, WindowAveragesHourPredictions) {
   // Window [10, 14): hours 10,11 clean (100), hours 12,13 dirty (300).
   EXPECT_NEAR(f.predict_window(origin, 10, 4.0), 200.0, 1e-9);
   EXPECT_THROW(f.predict_window(origin, 0, 0.0), Error);
+  EXPECT_THROW(f.outlook(origin).predict_window(0, 0.0), Error);
 }
 
 TEST(Forecast, LevelBlendTracksRegimeShift) {
@@ -90,6 +97,144 @@ TEST(Forecast, LevelBlendTracksRegimeShift) {
   DiurnalTemplateForecast pure(trace, 14, 0.0);
   const HourOfYear origin(100 * 24);
   EXPECT_GT(blended.predict(origin, 3), pure.predict(origin, 3));
+}
+
+// DiurnalTemplateForecast::predict as it stood before Outlook existed,
+// kept as the oracle: it rebuilds the template on every call. The code is
+// verbatim except that trace reads come from `observed`, a table of the
+// same trace.at(h).to_g_per_kwh() values, which keeps a year of per-call
+// oracle answers cheap under the sanitizer builds.
+double reference_predict(const std::vector<double>& observed, int window_days,
+                         double level_blend, HourOfYear origin,
+                         int horizon_hours) {
+  auto at = [&](HourOfYear h) {
+    return observed[static_cast<std::size_t>(h.index())];
+  };
+  std::array<double, kHoursPerDay> sum{};
+  std::array<int, kHoursPerDay> count{};
+  for (int back = 1; back <= window_days * kHoursPerDay; ++back) {
+    const HourOfYear h = origin.shifted(-back);
+    sum[static_cast<std::size_t>(h.hour_of_day())] += at(h);
+    ++count[static_cast<std::size_t>(h.hour_of_day())];
+  }
+  std::array<double, kHoursPerDay> tmpl{};
+  for (int i = 0; i < kHoursPerDay; ++i) {
+    const auto iu = static_cast<std::size_t>(i);
+    tmpl[iu] = count[iu] > 0 ? sum[iu] / count[iu] : 0.0;
+  }
+  const HourOfYear target = origin.shifted(horizon_hours);
+  const double template_value =
+      tmpl[static_cast<std::size_t>(target.hour_of_day())];
+  const HourOfYear last = origin.shifted(-1);
+  const double last_dev =
+      at(last) - tmpl[static_cast<std::size_t>(last.hour_of_day())];
+  return std::max(0.0, template_value + level_blend * last_dev);
+}
+
+// Forecast::predict_window's loop as it stood, over precomputed
+// reference predictions (ref[h] == reference_predict(..., origin, h)).
+double reference_window(const std::vector<double>& ref, int start_h,
+                        double duration_h) {
+  double acc = 0;
+  double remaining = duration_h;
+  int h = start_h;
+  while (remaining > 0) {
+    const double w = remaining >= 1.0 ? 1.0 : remaining;
+    acc += ref[static_cast<std::size_t>(h)] * w;
+    remaining -= w;
+    ++h;
+  }
+  return acc / duration_h;
+}
+
+// The outlook path must answer bit for bit what the per-call oracle does
+// at every origin of the year (so windows also wrap the year boundary):
+// horizons 0-47, and windows of a quarter hour, 1 h and 5.5 h. The
+// four-day window, and predict's per-call entry points (which rebuild
+// through outlook() on every call), are checked on every fifth origin;
+// five is prime to 24, so those origins still cover every hour of the
+// day.
+void expect_outlook_matches_oracle(const CarbonIntensityTrace& trace) {
+  constexpr int kWindowDays = 14;
+  constexpr double kBlend = 0.3;
+  constexpr int kHorizons = 48;
+  constexpr int kLongWindow = 96;
+  constexpr int kStride = 5;
+  const DiurnalTemplateForecast forecast(trace, kWindowDays, kBlend);
+  std::vector<double> observed(kHoursPerYear);
+  for (int h = 0; h < kHoursPerYear; ++h) {
+    observed[static_cast<std::size_t>(h)] =
+        trace.at(HourOfYear(h)).to_g_per_kwh();
+  }
+  struct Window {
+    int start_h;
+    double duration_h;
+  };
+  const Window windows[] = {{0, 0.25}, {0, 1.0},  {0, 5.5},
+                            {7, 0.25}, {12, 1.0}, {5, 5.5}};
+  const Window per_call_windows[] = {{0, 0.25}, {0, 1.0}, {5, 5.5}};
+  std::size_t checked = 0;
+  std::size_t mismatches = 0;
+  std::string first;
+  auto expect_same = [&](double expected, double got, const char* path,
+                         int origin, int start_h, double duration_h) {
+    ++checked;
+    if (expected == got) return;
+    if (mismatches++ == 0) {
+      first = std::string(path) + " origin " + std::to_string(origin) +
+              " start " + std::to_string(start_h) + " duration " +
+              std::to_string(duration_h) + ": " + std::to_string(expected) +
+              " vs " + std::to_string(got);
+    }
+  };
+  std::vector<double> ref(kLongWindow);
+  for (int o = 0; o < kHoursPerYear; ++o) {
+    const HourOfYear origin(o);
+    const bool strided = o % kStride == 0;
+    for (int h = 0; h < (strided ? kLongWindow : kHorizons); ++h) {
+      ref[static_cast<std::size_t>(h)] =
+          reference_predict(observed, kWindowDays, kBlend, origin, h);
+    }
+    const DiurnalTemplateForecast::Outlook outlook = forecast.outlook(origin);
+    ASSERT_EQ(outlook.origin(), origin);
+    for (int h = 0; h < kHorizons; ++h) {
+      expect_same(ref[static_cast<std::size_t>(h)], outlook.predict(h),
+                  "outlook predict", o, h, 0);
+    }
+    for (const Window& w : windows) {
+      expect_same(reference_window(ref, w.start_h, w.duration_h),
+                  outlook.predict_window(w.start_h, w.duration_h),
+                  "outlook window", o, w.start_h, w.duration_h);
+    }
+    if (!strided) continue;
+    expect_same(reference_window(ref, 0, kLongWindow),
+                outlook.predict_window(0, kLongWindow), "outlook window", o, 0,
+                kLongWindow);
+    for (const int h : {0, 23, 47}) {
+      expect_same(ref[static_cast<std::size_t>(h)], forecast.predict(origin, h),
+                  "per-call predict", o, h, 0);
+    }
+    for (const Window& w : per_call_windows) {
+      expect_same(reference_window(ref, w.start_h, w.duration_h),
+                  forecast.predict_window(origin, w.start_h, w.duration_h),
+                  "per-call window", o, w.start_h, w.duration_h);
+    }
+  }
+  const std::size_t strided = (kHoursPerYear + kStride - 1) / kStride;
+  EXPECT_EQ(checked, kHoursPerYear * (kHorizons + std::size(windows)) +
+                         strided * (1 + 3 + std::size(per_call_windows)));
+  EXPECT_EQ(mismatches, 0u) << "first: " << first;
+}
+
+TEST(ForecastOracle, OutlookMatchesPerCallOnHourlyPreset) {
+  expect_outlook_matches_oracle(GridSimulator(ciso()).run());
+}
+
+TEST(ForecastOracle, OutlookMatchesPerCallOnFiveMinuteTrace) {
+  const auto trace = import_trace_file(
+      std::string(HPCARBON_TEST_DATA_DIR) + "/sample_5min.csv", "FIX", {});
+  ASSERT_EQ(trace.step_seconds(), 300.0);
+  expect_outlook_matches_oracle(trace);
 }
 
 TEST(Forecast, Validation) {
