@@ -35,11 +35,19 @@ StepSeries StepSeries::hourly(std::vector<double> values) {
   return StepSeries(std::move(values), kSecondsPerHour);
 }
 
+double StepSeries::wrapped(double hours) const {
+  // fmod returns an argument already in [0, period) unchanged, so only
+  // instants outside that range pay for it (-0.0 stays -0.0 either way).
+  if (hours >= 0.0 && hours < period_hours_) return hours;
+  double h = std::fmod(hours, period_hours_);
+  if (h < 0.0) h += period_hours_;
+  return h;
+}
+
 std::size_t StepSeries::index_at_hours(double hours) const {
   HPC_REQUIRE(!empty(), "lookup on an empty series");
   HPC_REQUIRE(std::isfinite(hours), "lookup instant must be finite");
-  double h = std::fmod(hours, period_hours_);
-  if (h < 0.0) h += period_hours_;
+  const double h = wrapped(hours);
   auto i = static_cast<std::size_t>(h / step_hours_);
   // Floating-point division can land exactly on size() when h is within one
   // ulp of the period; clamp to the final sample.
@@ -61,8 +69,7 @@ double StepSeries::integral(double start_hours, double duration_hours) const {
   HPC_REQUIRE(std::isfinite(start_hours) && std::isfinite(duration_hours) &&
                   duration_hours >= 0.0,
               "interval must be finite with non-negative duration");
-  double s = std::fmod(start_hours, period_hours_);
-  if (s < 0.0) s += period_hours_;
+  const double s = wrapped(start_hours);
   const double full_periods = std::floor(duration_hours / period_hours_);
   const double d = duration_hours - full_periods * period_hours_;
   double acc = full_periods * prefix_.back();

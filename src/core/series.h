@@ -75,6 +75,10 @@ class StepSeries {
   StepSeries rotated(long steps) const;
 
  private:
+  /// `hours` (finite) wrapped into the period, as std::fmod plus one
+  /// period for negative remainders. The result lies in [0, period], the
+  /// top only when a tiny negative remainder rounds up to the period.
+  double wrapped(double hours) const;
   /// Cumulative integral from 0 to `hours` in [0, period_hours], value·hours.
   double cumulative(double hours) const;
 

@@ -61,8 +61,20 @@ double cov_percent(std::span<const double> xs) {
 
 double quantile(std::span<const double> xs, double p) {
   HPC_REQUIRE(!xs.empty(), "quantile of empty range");
+  HPC_REQUIRE(p >= 0.0 && p <= 1.0, "quantile p outside [0,1]");
+  // Selection, not a sort: quantile_sorted reads only the order statistic
+  // at lo = floor(p * (n - 1)) and the one after it. nth_element puts the
+  // first in place, and the least of the elements after it is the second.
+  // Equal doubles differ at most in the sign of a zero, which the
+  // interpolation cannot tell apart, so the bits match a full sort's.
   std::vector<double> v(xs.begin(), xs.end());
-  std::sort(v.begin(), v.end());
+  const auto lo = static_cast<std::size_t>(
+      std::floor(p * static_cast<double>(v.size() - 1)));
+  const auto nth = v.begin() + static_cast<std::ptrdiff_t>(lo);
+  std::nth_element(v.begin(), nth, v.end());
+  if (nth + 1 != v.end()) {
+    std::iter_swap(nth + 1, std::min_element(nth + 1, v.end()));
+  }
   return quantile_sorted(v, p);
 }
 

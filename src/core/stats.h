@@ -21,13 +21,14 @@ double max(std::span<const double> xs);
 double cov_percent(std::span<const double> xs);
 
 /// Linear-interpolation quantile (R type-7, the matplotlib/numpy default the
-/// paper's box plots were drawn with). p in [0,1].
+/// paper's box plots were drawn with). p in [0,1]. O(n): selects the two
+/// order statistics it needs from a copy instead of sorting it.
 double quantile(std::span<const double> xs, double p);
 double median(std::span<const double> xs);
 
 /// One-sort descriptive summary of a sample.
 ///
-/// The free functions above each rescan (and `quantile` re-sorts) their
+/// The free functions above each rescan (and `quantile` copies) their
 /// input per call, which is fine for one-off figures but quadratic-feeling
 /// in summarization loops: the Monte-Carlo layer asks for mean, stddev,
 /// and several quantiles of the same vector. Summary pays one pass for the
@@ -52,7 +53,7 @@ class Summary {
   double max() const;
 
   /// R type-7 linear-interpolation quantile on the pre-sorted data; p in
-  /// [0,1]. Matches stats::quantile exactly, without the per-call sort.
+  /// [0,1]. Matches stats::quantile exactly, without the per-call copy.
   double quantile(double p) const;
   double median() const { return quantile(0.5); }
 

@@ -90,8 +90,10 @@ sched::ScheduleMetrics FleetEngine::run(const FleetJobs& jobs,
   const std::size_t n = jobs.size();
 
   // Policies take arrivals as sched::Job values (begin_run scans users,
-  // forecasts read traces) and see queued jobs through PendingJob — one
-  // materialization pass; tick times convert to exact doubles.
+  // forecasts read traces): one materialization pass, tick times converted
+  // to exact doubles. `arrivals` stays in place until run returns, so each
+  // queued PendingJob points at its arrival instead of copying it, and a
+  // queued job's arrival index is its offset from arrivals.data().
   const std::vector<sched::Job> arrivals = jobs.to_jobs();
 
   sched::CarbonBudgetLedger ledger;
@@ -100,8 +102,6 @@ sched::ScheduleMetrics FleetEngine::run(const FleetJobs& jobs,
   for (const auto& s : sites_) free_slots.push_back(s.capacity);
 
   std::vector<sched::PendingJob> waiting;
-  // Parallel to `waiting`: each queued job's arrival index into `jobs`.
-  std::vector<std::size_t> waiting_arrival;
   std::priority_queue<Completion, std::vector<Completion>,
                       std::greater<Completion>>
       completions;
@@ -181,14 +181,13 @@ sched::ScheduleMetrics FleetEngine::run(const FleetJobs& jobs,
                       decision->site < sites_.size() &&
                       free_slots[decision->site] > 0,
                   "policy returned an invalid dispatch decision");
-      const std::size_t a = waiting_arrival[decision->queue_index];
+      const sched::Job& j = *waiting[decision->queue_index].job;
+      const auto a = static_cast<std::size_t>(&j - arrivals.data());
+      // Entries are trivially copyable: the erase is one memmove.
       waiting.erase(waiting.begin() +
                     static_cast<std::ptrdiff_t>(decision->queue_index));
-      waiting_arrival.erase(
-          waiting_arrival.begin() +
-          static_cast<std::ptrdiff_t>(decision->queue_index));
       started[a] = 1;
-      start_job(arrivals[a], decision->site, t, jobs.duration[a]);
+      start_job(j, decision->site, t, jobs.duration[a]);
     }
   };
 
@@ -227,8 +226,7 @@ sched::ScheduleMetrics FleetEngine::run(const FleetJobs& jobs,
     while (next_arrival < n && jobs.submit[next_arrival] <= t) {
       const sched::Job& j = arrivals[next_arrival];
       const double planned = policy.planned_start(j, view);
-      waiting.push_back(sched::PendingJob{j, planned});
-      waiting_arrival.push_back(next_arrival);
+      waiting.push_back(sched::PendingJob{&j, planned});
       const Tick planned_tick = ceil_tick(planned);
       if (planned_tick > t) planned_starts.emplace(planned_tick, next_arrival);
       ++next_arrival;

@@ -17,6 +17,9 @@
 //    tick (at most 1.8 s);
 //  * struct-of-arrays job storage in and out (FleetJobs / FleetOutcomes):
 //    no per-job heap Job while jobs wait on disk-format vectors;
+//  * queue entries (sched::PendingJob) point at their arrival instead of
+//    copying the job: 16 trivially copyable bytes, so a dispatch takes
+//    its job out of the queue with one memmove (still O(queue) bytes);
 //  * run() is const — all mutable state is per-call, so Monte-Carlo
 //    uncertainty sweeps fan one engine out across mc::Engine threads.
 //

@@ -107,7 +107,7 @@ class ThresholdDelayPolicy : public SchedulingPolicy {
     // The front job has waited longest (select's queue contract), so it
     // is overdue whenever any queued job is.
     if (view.current_ci(0) <= threshold_ ||
-        view.now() - queue.front().job.submit_hour >= max_delay_) {
+        view.now() - queue.front().job->submit_hour >= max_delay_) {
       return DispatchDecision{0, 0};
     }
     return std::nullopt;
@@ -137,12 +137,15 @@ class BudgetAwarePolicy : public SchedulingPolicy {
     const long site = view.lowest_ci_free_site();
     if (site < 0) return std::nullopt;
     // Serve the waiting job whose user has been most economical; strict
-    // '>' keeps the earliest submission ahead on equal priority.
+    // '>' keeps the earliest submission ahead on equal priority. One
+    // ledger lookup per job: the best priority so far stays in a local.
     std::size_t best = 0;
+    double best_priority = view.ledger().priority(queue.front().job->user);
     for (std::size_t i = 1; i < queue.size(); ++i) {
-      if (view.ledger().priority(queue[i].job.user) >
-          view.ledger().priority(queue[best].job.user)) {
+      const double priority = view.ledger().priority(queue[i].job->user);
+      if (priority > best_priority) {
         best = i;
+        best_priority = priority;
       }
     }
     return DispatchDecision{best, static_cast<std::size_t>(site)};
@@ -186,7 +189,8 @@ class ForecastDelayPolicy : public SchedulingPolicy {
                                          const ClusterView& view) override {
     if (view.free_slots(0) <= 0) return std::nullopt;
     for (std::size_t i = 0; i < queue.size(); ++i) {
-      if (view.now() + 1e-12 >= queue[i].earliest_start) {
+      // Exact: on the tick clock both sides are multiples of 1/1024 h.
+      if (view.now() >= queue[i].earliest_start) {
         return DispatchDecision{i, 0};
       }
     }
@@ -214,7 +218,7 @@ class NetBenefitPolicy : public SchedulingPolicy {
     if (best < 0) return std::nullopt;
     std::size_t site = static_cast<std::size_t>(best);
     if (view.free_slots(0) > 0 && site != 0) {
-      const Job& j = queue.front().job;
+      const Job& j = *queue.front().job;
       const double ci_home = view.current_ci(0);
       const double ci_away = view.current_ci(site);
       const double job_kwh =
@@ -250,7 +254,7 @@ class ForecastNetBenefitPolicy : public SchedulingPolicy {
   std::optional<DispatchDecision> select(const std::vector<PendingJob>& queue,
                                          const ClusterView& view) override {
     if (queue.empty()) return std::nullopt;
-    const Job& j = queue.front().job;
+    const Job& j = *queue.front().job;
     const double job_kwh =
         j.it_power.to_kilowatts() * j.duration_hours * view.pue_base();
     const HourOfYear origin = view.hour_at(view.now());
@@ -319,7 +323,8 @@ class RenewableCapPolicy : public SchedulingPolicy {
     const bool over_cap = window_g / window_hours_ > cap_g_per_hour_;
     if (queue.empty()) return std::nullopt;
     // As in ThresholdDelay, the front job is overdue whenever any is.
-    if (!over_cap || view.now() - queue.front().job.submit_hour >= max_delay_) {
+    if (!over_cap ||
+        view.now() - queue.front().job->submit_hour >= max_delay_) {
       return DispatchDecision{0, 0};
     }
     return std::nullopt;

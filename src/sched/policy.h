@@ -25,6 +25,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/units.h"
@@ -55,10 +56,16 @@ struct PolicyConfig {
 };
 
 /// A queued job plus the policy-planned earliest start (ForecastDelay).
+/// `job` points into the arrivals vector begin_run received, which stays
+/// in place until the engine's run returns: a policy may read it in any
+/// callback of that run but must not keep it across runs. Sixteen
+/// trivially copyable bytes, so taking an entry out of the queue is one
+/// memmove of the entries behind it.
 struct PendingJob {
-  Job job;
+  const Job* job = nullptr;
   double earliest_start = 0;
 };
+static_assert(std::is_trivially_copyable_v<PendingJob>);
 
 /// What a policy hands back from select(): start `queue_index` on `site`.
 struct DispatchDecision {
@@ -157,7 +164,8 @@ class SchedulingPolicy {
   /// Queue contract: `queue` holds the waiting jobs in arrival order, so
   /// submit_hour is non-decreasing along it, and jobs submitted at the
   /// same instant keep their input order (id order for generated
-  /// workloads and the jobs CSV). The front job has waited longest.
+  /// workloads and the jobs CSV). The front job has waited longest. Each
+  /// entry's `job` points at its arrival (see PendingJob).
   virtual std::optional<DispatchDecision> select(
       const std::vector<PendingJob>& queue, const ClusterView& view) = 0;
 

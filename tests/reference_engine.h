@@ -2,12 +2,13 @@
 // fleetsim::FleetEngine replaced, kept as the test oracle.
 //
 // The library has one scheduling event loop (fleetsim/engine.h). This
-// header keeps the loop it replaced, unchanged, so tests/test_fleetsim.cpp
-// can pin FleetEngine bit for bit against an independent implementation:
-// kTicksPerHour is a power of two, so on tick-aligned workloads this loop
-// walks the same event sequence on exact doubles that FleetEngine walks on
-// integer ticks, and evaluates the same accounting expressions in the same
-// order. A rewrite of FleetEngine's event loop must keep that parity.
+// header keeps the loop it replaced, its event logic unchanged, so
+// tests/test_fleetsim.cpp can pin FleetEngine bit for bit against an
+// independent implementation: kTicksPerHour is a power of two, so on
+// tick-aligned workloads this loop walks the same event sequence on exact
+// doubles that FleetEngine walks on integer ticks, and evaluates the same
+// accounting expressions in the same order. A rewrite of FleetEngine's
+// event loop must keep that parity.
 #pragma once
 
 #include <algorithm>
@@ -135,7 +136,7 @@ class SchedulingEngine {
                         decision->site < sites_.size() &&
                         free_slots[decision->site] > 0,
                     "policy returned an invalid dispatch decision");
-        const sched::Job j = waiting[decision->queue_index].job;
+        const sched::Job& j = *waiting[decision->queue_index].job;
         waiting.erase(waiting.begin() +
                       static_cast<std::ptrdiff_t>(decision->queue_index));
         start_job(j, decision->site, t);
@@ -172,7 +173,7 @@ class SchedulingEngine {
       while (next_arrival < arrivals.size() &&
              arrivals[next_arrival].submit_hour <= t) {
         const sched::Job& j = arrivals[next_arrival];
-        waiting.push_back(sched::PendingJob{j, policy.planned_start(j, view)});
+        waiting.push_back(sched::PendingJob{&j, policy.planned_start(j, view)});
         ++next_arrival;
       }
       dispatch();

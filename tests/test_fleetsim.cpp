@@ -115,17 +115,13 @@ TEST(FleetTicks, ConversionsAreExact) {
   EXPECT_EQ(ceil_tick(hours_of(5) + 1e-9), Tick{6});
 }
 
-// The tentpole contract: every registered policy produces bit-identical
-// metrics, outcomes, and ledger balances through both engines on the
-// paper trio.
-TEST(FleetParity, AllRegistryPoliciesBitIdentical) {
-  const auto sites = fig7_sites();
+/// Run every registered policy through both engines on `sites` (June 1
+/// epoch) and pin metrics, outcomes, and ledger balances bitwise.
+void expect_registry_parity(const std::vector<sched::Site>& sites,
+                            const std::vector<sched::Job>& jobs,
+                            const sched::PolicyConfig& cfg) {
   const HourOfYear epoch(3624);  // June 1, as the scheduler suite uses
-  const auto jobs = seeded_quantized_jobs();
-  ASSERT_GT(jobs.size(), 200u);
   const FleetJobs fleet_jobs = FleetJobs::from_jobs(jobs);
-  const sched::PolicyConfig cfg = tuned_config();
-
   reference::SchedulingEngine oracle(sites, epoch);
   const FleetEngine fleet(sites, epoch);
 
@@ -154,34 +150,55 @@ TEST(FleetParity, AllRegistryPoliciesBitIdentical) {
   }
 }
 
+// The tentpole contract: every registered policy produces bit-identical
+// metrics, outcomes, and ledger balances through both engines on the
+// paper trio.
+TEST(FleetParity, AllRegistryPoliciesBitIdentical) {
+  const auto jobs = seeded_quantized_jobs();
+  ASSERT_GT(jobs.size(), 200u);
+  expect_registry_parity(fig7_sites(), jobs, tuned_config());
+}
+
 // Congested parity: capacity small enough that queues build and the
-// hourly-tick / planned-start wake sources all fire.
+// hourly-tick / planned-start wake sources all fire. fcfs-local's queue
+// grows into the hundreds, so dispatch takes entries from the front of a
+// deep queue, and from its middle under budget-aware and forecast-delay
+// (StartsBeforeThePlanAddNoWakeUps covers taking them from the back).
 TEST(FleetParity, CongestedTrioStaysBitIdentical) {
   const auto sites = fig7_sites(/*capacity=*/4);
-  const HourOfYear epoch(3624);
   const auto jobs = seeded_quantized_jobs();
-  const FleetJobs fleet_jobs = FleetJobs::from_jobs(jobs);
+  expect_registry_parity(sites, jobs, {});
 
-  reference::SchedulingEngine oracle(sites, epoch);
-  const FleetEngine fleet(sites, epoch);
-  for (const char* name : {"greedy-lowest-ci", "threshold-delay",
-                           "forecast-delay", "renewable-cap"}) {
-    const auto p1 = sched::make_policy(name);
-    const auto p2 = sched::make_policy(name);
-    expect_metrics_bitwise(oracle.run(jobs, *p1), fleet.run(fleet_jobs, *p2),
-                           name);
+  // The queue is deep: right after fcfs-local starts its i-th job, every
+  // job submitted by then that is not among the first i + 1 is waiting.
+  FleetOutcomes fcfs;
+  const auto policy = sched::make_policy("fcfs-local");
+  FleetEngine(sites, HourOfYear(3624))
+      .run(FleetJobs::from_jobs(jobs), *policy, &fcfs);
+  std::size_t deepest = 0;
+  for (std::size_t i = 0; i < fcfs.size(); ++i) {
+    const double start = hours_of(fcfs.start[i]);
+    const auto submitted = static_cast<std::size_t>(std::count_if(
+        jobs.begin(), jobs.end(),
+        [start](const sched::Job& j) { return j.submit_hour <= start; }));
+    deepest = std::max(deepest, submitted - (i + 1));
   }
+  EXPECT_GT(deepest, 200u);
 }
 
 // FleetParity runs one policy class through both engines, so it cannot
-// see a change on the policy side. These are the four queue-scanning and
+// see a change on the policy side. These are the queue-scanning and
 // forecasting policies' metrics as IEEE-754 bit patterns, recorded from
 // the per-call forecast and whole-queue scans they used before, on a
 // loaded trio: 12 slots per site against a mean demand of about 10 busy
-// slots, so queues build past the 12 h delay budget (p95 wait 14.4 h).
+// slots, so home-only queues build past the 12 h delay budget (p95 wait
+// 14.4 h). budget-aware places on any free site, so its queue builds
+// only at 4 slots per site; its row was recorded from the scan that
+// looked up both users' priorities on every comparison.
 TEST(FleetPins, PolicyAnswersKeepTheirBitPatterns) {
   struct Pinned {
     const char* policy;
+    int slots_per_site;
     std::uint64_t total_carbon_g;
     std::uint64_t transfer_carbon_g;
     std::uint64_t total_energy_kwh;
@@ -192,19 +209,22 @@ TEST(FleetPins, PolicyAnswersKeepTheirBitPatterns) {
     int remote_dispatches;
   };
   constexpr Pinned kPinned[] = {
-      {"forecast-delay", 0x413664cf95dcb28f, 0, 0x40af36ca75ff5bbf,
+      {"forecast-delay", 12, 0x413664cf95dcb28f, 0, 0x40af36ca75ff5bbf,
        0x40241ade4974c327, 0x402d66c000000000, 0x3fcf10d3ee272eca, 467, 0},
-      {"forecast-net-benefit", 0x411d25277096bd7f, 0x40d8d099c035e2cd,
+      {"forecast-net-benefit", 12, 0x411d25277096bd7f, 0x40d8d099c035e2cd,
        0x40b084653affaddd, 0, 0, 0x3fd04587bea20a1a, 467, 466},
-      {"threshold-delay", 0x41368ba2daa05590, 0, 0x40af36ca75ff5bbe,
+      {"threshold-delay", 12, 0x41368ba2daa05590, 0, 0x40af36ca75ff5bbe,
        0x40281431e265f622, 0x402cd80000000000, 0x3fcf9baa6706cf1f, 467, 0},
-      {"renewable-cap", 0x41369a845dff5abe, 0, 0x40af36ca75ff5bbe,
+      {"renewable-cap", 12, 0x41369a845dff5abe, 0, 0x40af36ca75ff5bbe,
        0x40273ebf96bfdceb, 0x402cd80000000000, 0x3fcf03a819e707b2, 467, 0},
+      {"budget-aware", 4, 0x412c40db0482d978, 0x40daae807b9d8c5d,
+       0x40b048653affadde, 0x3fdb202bdab948e8, 0x4004816666666665,
+       0x3fe8684b9df30f27, 467, 346},
   };
-  const FleetEngine fleet(fig7_sites(/*capacity=*/12), HourOfYear(3624));
   const FleetJobs jobs = FleetJobs::from_jobs(seeded_quantized_jobs());
   const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
   for (const Pinned& p : kPinned) {
+    const FleetEngine fleet(fig7_sites(p.slots_per_site), HourOfYear(3624));
     const auto policy = sched::make_policy(p.policy, tuned_config());
     const auto m = fleet.run(jobs, *policy);
     EXPECT_EQ(bits(m.total_carbon.to_grams()), p.total_carbon_g) << p.policy;

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <numeric>
 #include <vector>
 
@@ -78,6 +81,62 @@ class LegacyHourlyPrefixSum {
   }
   std::vector<double> hourly_;
   std::vector<double> prefix_;
+};
+
+// StepSeries' lookups as they were before instants already inside the
+// period skipped std::fmod, kept verbatim (prefix sums built the same
+// way) as the bitwise oracle for that shortcut.
+class AlwaysFmodSeries {
+ public:
+  explicit AlwaysFmodSeries(const StepSeries& s)
+      : values_(s.values()),
+        step_hours_(s.step_hours()),
+        period_hours_(s.period_hours()) {
+    prefix_.resize(values_.size() + 1);
+    prefix_[0] = 0.0;
+    for (std::size_t i = 0; i < values_.size(); ++i) {
+      prefix_[i + 1] = prefix_[i] + values_[i] * step_hours_;
+    }
+  }
+  double total() const { return prefix_.back(); }
+  std::size_t index_at_hours(double hours) const {
+    double h = std::fmod(hours, period_hours_);
+    if (h < 0.0) h += period_hours_;
+    auto i = static_cast<std::size_t>(h / step_hours_);
+    return i < values_.size() ? i : values_.size() - 1;
+  }
+  double at_hours(double hours) const {
+    return values_[index_at_hours(hours)];
+  }
+  double integral(double start_hours, double duration_hours) const {
+    double s = std::fmod(start_hours, period_hours_);
+    if (s < 0.0) s += period_hours_;
+    const double full_periods = std::floor(duration_hours / period_hours_);
+    const double d = duration_hours - full_periods * period_hours_;
+    double acc = full_periods * prefix_.back();
+    const double e = s + d;
+    if (e <= period_hours_) {
+      acc += cumulative(e) - cumulative(s);
+    } else {
+      acc += (prefix_.back() - cumulative(s)) + cumulative(e - period_hours_);
+    }
+    return acc;
+  }
+
+ private:
+  double cumulative(double hours) const {
+    const double pos = hours / step_hours_;
+    auto i = static_cast<std::size_t>(pos);
+    if (i >= values_.size()) return prefix_.back();
+    const double frac = pos - static_cast<double>(i);
+    double c = prefix_[i];
+    if (frac > 0.0) c += values_[i] * frac * step_hours_;
+    return c;
+  }
+  std::vector<double> values_;
+  std::vector<double> prefix_;
+  double step_hours_;
+  double period_hours_;
 };
 
 std::vector<double> random_values(std::size_t n, std::uint64_t seed) {
@@ -171,6 +230,45 @@ TEST(StepSeries, EdgeCasesAgainstSteppingOracle) {
                   1e-9 * std::max(1.0, std::abs(expected)))
           << "step=" << step_s << " start=" << start
           << " duration=" << duration;
+    }
+  }
+}
+
+// In-range instants skip std::fmod, which returns them unchanged; every
+// lookup must keep the always-fmod bits, in range, at its edges, and out
+// of it.
+TEST(StepSeries, InRangeShortcutMatchesAlwaysFmodBitForBit) {
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  for (const double step_s : {3600.0, 900.0, 300.0}) {
+    const auto n = static_cast<std::size_t>(kHoursPerYear * 3600.0 / step_s);
+    const StepSeries s(random_values(n, 29), step_s);
+    const AlwaysFmodSeries oracle(s);
+    ASSERT_EQ(bits(s.total()), bits(oracle.total()));
+    const double period = s.period_hours();
+    const double sh = s.step_hours();
+    const double below_period = std::nextafter(period, 0.0);
+    std::vector<double> instants = {
+        0.0, -0.0, sh / 3.0, 3624.0 + 5.0 / 1024.0, period / 2.0,
+        below_period, period, -std::numeric_limits<double>::denorm_min(),
+        -sh / 2.0, -period, -3.5 * period, 3.0 * period + 0.25,
+        7.0 * period - sh / 7.0, std::nextafter(period, 2.0 * period)};
+    Rng rng(static_cast<std::uint64_t>(step_s) + 5);
+    for (int i = 0; i < 200; ++i) {
+      instants.push_back(rng.uniform(0.0, period));
+      instants.push_back(rng.uniform(-3.0 * period, 4.0 * period));
+    }
+    const double durations[] = {0.0,         sh / 4.0, 1.0,
+                                24.0 + sh,   period,   period - sh,
+                                2.5 * period, below_period};
+    for (const double t : instants) {
+      EXPECT_EQ(s.index_at_hours(t), oracle.index_at_hours(t))
+          << "step=" << step_s << " t=" << t;
+      EXPECT_EQ(bits(s.at_hours(t)), bits(oracle.at_hours(t)))
+          << "step=" << step_s << " t=" << t;
+      for (const double d : durations) {
+        EXPECT_EQ(bits(s.integral(t, d)), bits(oracle.integral(t, d)))
+            << "step=" << step_s << " t=" << t << " d=" << d;
+      }
     }
   }
 }

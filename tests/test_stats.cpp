@@ -3,10 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "core/error.h"
+#include "core/rng.h"
 
 namespace hpcarbon::stats {
 namespace {
@@ -49,6 +54,75 @@ TEST(Stats, QuantileLinearInterpolation) {
   EXPECT_DOUBLE_EQ(median(xs), 2.5);
   EXPECT_THROW(quantile(xs, 1.5), Error);
   EXPECT_THROW(quantile(xs, -0.1), Error);
+}
+
+// stats::quantile as it was before it selected instead of sorting: the
+// copy, the sort, and the interpolation it shared with Summary, kept
+// verbatim as the bitwise oracle for the selection.
+double sorting_quantile(std::span<const double> xs, double p) {
+  std::vector<double> v(xs.begin(), xs.end());
+  std::sort(v.begin(), v.end());
+  const std::span<const double> sorted = v;
+  if (sorted.size() == 1) return sorted.front();
+  const double h = p * static_cast<double>(sorted.size() - 1);
+  const auto lo = static_cast<std::size_t>(std::floor(h));
+  const auto hi = std::min(lo + 1, sorted.size() - 1);
+  const double frac = h - static_cast<double>(lo);
+  return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
+}
+
+// Heavy ties: about one distinct value per eight samples, drawn from a
+// grid around zero that includes both signed zeros, so equal keys (and
+// equal keys with different bits) land on both sides of every rank.
+std::vector<double> tied_sample(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  const auto distinct = static_cast<std::int64_t>(n / 8 + 1);
+  std::vector<double> v(n);
+  for (auto& x : v) {
+    const std::int64_t k = rng.uniform_int(-distinct / 2, distinct / 2);
+    x = k == 0 ? (rng.bernoulli(0.5) ? 0.0 : -0.0)
+               : static_cast<double>(k) * 0.37;
+  }
+  return v;
+}
+
+TEST(Stats, QuantileSelectionMatchesSortBitForBit) {
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  for (std::size_t n = 1; n <= 2049; ++n) {
+    const std::vector<double> xs = tied_sample(n, 0x5EED0000 + n);
+    for (const double p : {0.0, 0.05, 0.5, 0.95, 1.0}) {
+      EXPECT_EQ(bits(quantile(xs, p)), bits(sorting_quantile(xs, p)))
+          << "n=" << n << " p=" << p;
+    }
+  }
+}
+
+TEST(Stats, QuantileErrorsKeepTheirMessages) {
+  const auto message = [](auto&& call) {
+    try {
+      call();
+    } catch (const Error& e) {
+      return std::string(e.what());
+    }
+    return std::string("no error");
+  };
+  const std::vector<double> empty;
+  const std::vector<double> xs = {3.0, 1.0, 2.0};
+  EXPECT_NE(message([&] { quantile(empty, 0.5); })
+                .find("quantile of empty range"),
+            std::string::npos);
+  // An empty input is reported first, whatever p is.
+  EXPECT_NE(message([&] { quantile(empty, 2.0); })
+                .find("quantile of empty range"),
+            std::string::npos);
+  for (const double p : {-0.1, 1.5, std::nan("")}) {
+    EXPECT_NE(message([&] { quantile(xs, p); })
+                  .find("quantile p outside [0,1]"),
+              std::string::npos)
+        << "p=" << p;
+  }
+  // A single sample still checks p.
+  EXPECT_THROW(quantile(std::vector<double>{1.0}, 1.5), Error);
 }
 
 TEST(Stats, QuantileUnsortedInput) {
