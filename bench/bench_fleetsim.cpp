@@ -73,7 +73,8 @@ bool matches(const sched::ScheduleMetrics& m, const ReferenceMetrics& r) {
 }  // namespace
 
 static int tool_main(int argc, char** argv) {
-  const auto args = bench::BenchArgs::parse(argc, argv, "fleetsim");
+  bench::BenchArgs args;
+  if (!args.parse(argc, argv, "fleetsim")) return 0;
   bench::Reporter report("fleetsim", args);
 
   // Paper trio (ERCOT home, ESO + CISO remote), sized to 4096 nodes total

@@ -79,7 +79,8 @@ double legacy_summarize(const std::vector<double>& grams) {
 }  // namespace
 
 static int tool_main(int argc, char** argv) {
-  const auto args = bench::BenchArgs::parse(argc, argv, "mc");
+  bench::BenchArgs args;
+  if (!args.parse(argc, argv, "mc")) return 0;
   bench::Reporter report("mc", args);
   const auto& part = embodied::processor(embodied::PartId::kA100Pcie40);
   const embodied::UncertaintyBands bands;

@@ -33,7 +33,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <iostream>
 #include <string>
 #include <thread>
@@ -56,41 +55,9 @@ constexpr std::uint64_t kArrivalSeed = 23;  // pinned, like the mix seeds
 /// Upper bound of --conns and --depth: far past any fd limit, and small
 /// enough that neither the fd budget (conns + 64) nor the x8 connection
 /// ladder can overflow.
-constexpr long long kMaxCount = 1LL << 20;
+constexpr double kMaxCount = 1 << 20;
 /// Upper bound of --rate: the open phase builds two seconds of requests.
 constexpr double kMaxRate = 1e6;
-
-/// The whole of `v` as an integer in [1, kMaxCount]; hpcarbon::Error
-/// otherwise ("abc", "8x", "-1", "0").
-std::size_t parse_count(const char* flag, const std::string& v) {
-  std::size_t consumed = 0;
-  long long n = 0;
-  try {
-    n = std::stoll(v, &consumed);
-  } catch (const std::exception&) {
-    consumed = 0;
-  }
-  if (consumed != v.size() || n < 1 || n > kMaxCount) {
-    throw Error(std::string(flag) + " expects an integer in [1, " +
-                std::to_string(kMaxCount) + "], got '" + v + "'");
-  }
-  return static_cast<std::size_t>(n);
-}
-
-/// The whole of `v` as a rate in (0, kMaxRate]; hpcarbon::Error otherwise.
-double parse_rate(const std::string& v) {
-  std::size_t consumed = 0;
-  double r = 0;
-  try {
-    r = std::stod(v, &consumed);
-  } catch (const std::exception&) {
-    consumed = 0;
-  }
-  if (consumed != v.size() || !(r > 0) || r > kMaxRate) {
-    throw Error("--rate expects req/s in (0, 1e6], got '" + v + "'");
-  }
-  return r;
-}
 
 /// Raise RLIMIT_NOFILE toward its hard cap so >=1000 client sockets plus
 /// the server side fit; no-op when the soft limit already suffices.
@@ -125,30 +92,19 @@ struct ServerHarness {
 };
 
 int tool_main(int argc, char** argv) {
-  // Peel off netload-specific flags, hand the rest to the shared parser.
   std::size_t top_conns = 1024;
   std::size_t depth = 8;
   double rate = 50000;
-  std::vector<char*> rest;
-  rest.push_back(argv[0]);
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next_value = [&](const char* flag) -> std::string {
-      if (i + 1 >= argc) throw Error(std::string(flag) + " needs a value");
-      return argv[++i];
-    };
-    if (arg == "--conns") {
-      top_conns = parse_count("--conns", next_value("--conns"));
-    } else if (arg == "--depth") {
-      depth = parse_count("--depth", next_value("--depth"));
-    } else if (arg == "--rate") {
-      rate = parse_rate(next_value("--rate"));
-    } else {
-      rest.push_back(argv[i]);
-    }
-  }
-  const auto args = bench::BenchArgs::parse(
-      static_cast<int>(rest.size()), rest.data(), "netload");
+  bench::BenchArgs args;
+  options::Table flags = args.table("netload");
+  flags
+      .integer("--conns", "N", &top_conns, 1, kMaxCount,
+               "top of the connection-count sweep (default 1024)")
+      .integer("--depth", "D", &depth, 1, kMaxCount,
+               "requests pipelined per connection (default 8)")
+      .number("--rate", "R", &rate, {.lo = 0, .hi = kMaxRate, .lo_open = true},
+              "open-loop offered req/s (default 50000)");
+  if (!flags.parse(argc - 1, argv + 1, std::cout)) return 0;
   bench::Reporter report("netload", args);
 
   if (args.smoke) {

@@ -80,7 +80,8 @@ KernelRow time_kernel(const std::string& name, double window_ms,
 }  // namespace
 
 static int tool_main(int argc, char** argv) {
-  const auto args = bench::BenchArgs::parse(argc, argv, "perf");
+  bench::BenchArgs args;
+  if (!args.parse(argc, argv, "perf")) return 0;
   bench::Reporter report("perf", args);
   const double window_ms = args.smoke ? 20.0 : 200.0;
 

@@ -97,7 +97,8 @@ void bench_interval_carbon(const grid::CarbonIntensityTrace& trace,
 }  // namespace
 
 static int tool_main(int argc, char** argv) {
-  const auto args = bench::BenchArgs::parse(argc, argv, "sched-ablation");
+  bench::BenchArgs args;
+  if (!args.parse(argc, argv, "sched-ablation")) return 0;
   bench::Reporter report("sched-ablation", args);
   // Home site is the dirtiest of the Fig. 7 trio (ERCOT); ESO and CISO are
   // the remote options. Moderate load (well under one site's capacity) so

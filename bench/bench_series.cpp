@@ -47,7 +47,8 @@ double ns_per_call(clock_type::time_point t0, clock_type::time_point t1,
 }  // namespace
 
 static int tool_main(int argc, char** argv) {
-  const auto args = bench::BenchArgs::parse(argc, argv, "series");
+  bench::BenchArgs args;
+  if (!args.parse(argc, argv, "series")) return 0;
   bench::Reporter report("series", args);
   const int kQueries = args.smoke ? 20000 : 200000;
   const int kReps = args.smoke ? 5 : 50;

@@ -114,7 +114,8 @@ void add_pass_row(TextTable& t, const std::string& label, const PassResult& r,
 }
 
 int tool_main(int argc, char** argv) {
-  const auto args = bench::BenchArgs::parse(argc, argv, "serve-load");
+  bench::BenchArgs args;
+  if (!args.parse(argc, argv, "serve-load")) return 0;
   bench::Reporter report("serve-load", args);
   const std::size_t requests = args.smoke ? kSmokeRequests : kFullRequests;
 

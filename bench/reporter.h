@@ -35,6 +35,7 @@
 
 #include "core/error.h"
 #include "core/json.h"
+#include "core/options.h"
 
 namespace hpcarbon::bench {
 
@@ -49,25 +50,24 @@ struct BenchArgs {
   std::string label = "run";
   std::string out;
 
-  static BenchArgs parse(int argc, char** argv, const std::string& bench_name) {
-    BenchArgs a;
-    a.out = "BENCH_" + file_slug(bench_name) + ".json";
-    for (int i = 1; i < argc; ++i) {
-      const std::string arg = argv[i];
-      auto next_value = [&](const char* flag) -> std::string {
-        if (i + 1 >= argc) throw Error(std::string(flag) + " needs a value");
-        return argv[++i];
-      };
-      if (arg == "--json") a.json = true;
-      else if (arg == "--smoke") a.smoke = true;
-      else if (arg == "--label") a.label = next_value("--label");
-      else if (arg == "--out") a.out = next_value("--out");
-      else {
-        throw Error("bench: unknown flag '" + arg +
-                    "' (supported: --json --smoke --label TEXT --out PATH)");
-      }
-    }
-    return a;
+  /// The shared flags, bound to this object (and --out's default set
+  /// from `bench_name`); a bench with flags of its own adds them before
+  /// parsing.
+  options::Table table(const std::string& bench_name) {
+    out = "BENCH_" + file_slug(bench_name) + ".json";
+    options::Table t("bench " + bench_name, "[flags]", "");
+    t.flag("--json", &json, "append a row to the trajectory file")
+        .text("--out", "PATH", &out,
+              "trajectory path (default BENCH_<name>.json in cwd)")
+        .text("--label", "TEXT", &label, "row label (default \"run\")")
+        .flag("--smoke", &smoke, "reduced iteration counts for CI smoke jobs");
+    return t;
+  }
+
+  /// Parse a bench's argv (argv[0] is the bench itself). Returns false
+  /// once --help has printed the flags; the bench then exits 0.
+  bool parse(int argc, char** argv, const std::string& bench_name) {
+    return table(bench_name).parse(argc - 1, argv + 1, std::cout);
   }
 
   /// "serve-load" -> "serve_load": the file stem of the trajectory.

@@ -1,6 +1,7 @@
 #include "cli/dispatch.h"
 
 #include <algorithm>
+#include <climits>
 #include <iostream>
 #include <string>
 #include <thread>
@@ -21,99 +22,46 @@
 
 namespace hpcarbon::cli {
 
-int usage(std::ostream& out, int exit_code) {
-  out << "usage: hpcarbon <command> [args...]\n"
-         "\n"
-         "commands:\n"
-         "  list                         all tools, regions, and policies\n"
-         "  policies                     registered scheduling policies and "
-         "their knobs\n"
-         "  run <REGION...>              scenario sweep over the named "
-         "Table 3 regions\n"
-         "  run --all-regions            scenario sweep over all seven "
-         "regions\n"
-         "      [--policies a,b,...]     subset of policies (default: all "
-         "registered)\n"
-         "      [--days N]               workload horizon (default 28)\n"
-         "      [--rate R]               job arrivals per hour (default "
-         "2.5)\n"
-         "      [--uncertainty N]        add savings quantiles over N "
-         "workload seeds\n"
-         "      [--trace-csv REGION=FILE] drive a region with an imported "
-         "grid CSV\n"
-         "      [--csv PATH]             also write the merged report as "
-         "CSV\n"
-         "      [--threads N]            worker threads (default: max(cores, "
-         "2))\n"
-         "  sweep                        Monte-Carlo uncertainty sweep: "
-         "quantile tables\n"
-         "      [--samples N]            MC draws per quantity (default "
-         "4096)\n"
-         "      [--sched-samples N]      workload seeds for the scheduler "
-         "section\n"
-         "      [--section a,b,...]      embodied, lifetime, breakeven, "
-         "fleet, sched\n"
-         "      [--region CODE]          CI-trace region for the lifetime "
-         "section\n"
-         "      [--years Y]              lifetime-section horizon (default "
-         "5)\n"
-         "      [--horizon Y]            break-even payback horizon (default "
-         "15)\n"
-         "      [--seed S] [--smoke] [--csv PATH] [--threads N]\n"
-         "      [--trace-csv REGION=FILE] [--band-fab X] [--band-yield X]\n"
-         "      [--band-epc X] [--band-packaging X] [--band-grid X]\n"
-         "  fleetsim [REGION...]         integer-tick fleet simulator: "
-         "policy ablation\n"
-         "                               at millions of jobs/sec (default "
-         "trio ERCOT ESO CISO)\n"
-         "      [--policies a,b,...]     subset of policies (default: all "
-         "registered)\n"
-         "      [--process P]            arrivals: poisson, diurnal, or "
-         "bursty\n"
-         "      [--days N] [--rate R]    synthetic workload horizon and "
-         "arrivals/hour\n"
-         "      [--capacity N]           nodes per site (default 16)\n"
-         "      [--jobs-csv PATH]        replay a job-trace CSV instead of "
-         "generating\n"
-         "      [--uncertainty N]        savings quantiles over N workload "
-         "seeds\n"
-         "      [--seed S] [--threads N]\n"
-         "  trace <verb> <file>          import/inspect a real grid-trace "
-         "CSV\n"
-         "      stats|resample|export    (see `hpcarbon trace help`)\n"
-         "  batch FILE                   answer a JSONL file of carbon "
-         "queries\n"
-         "      [--out PATH]             write responses to a file instead "
-         "of stdout\n"
-         "      [--cache-mb M] [--shards N] [--threads N]  ('-' reads "
-         "stdin)\n"
-         "  serve                        line-delimited JSON query loop on "
-         "stdin/stdout\n"
-         "      [--cache-mb M] [--shards N] [--threads N]  (see README "
-         "\"Query API\")\n"
-         "      [--listen HOST:PORT] [--unix PATH]  epoll socket daemon "
-         "instead of a pipe\n"
-         "      [--workers N] [--max-conns N] [--max-inflight N] "
-         "[--idle-timeout S]\n"
-         "      [--metrics-unix PATH]    Prometheus scrape socket (see "
-         "README \"Observability\")\n"
-         "      [--stats-interval S]     periodic one-line stats summary "
-         "on stderr\n"
-         "  metrics --unix PATH          scrape a daemon's metrics socket "
-         "(Prometheus text)\n"
-         "      [--local]                print this process's own registry "
-         "instead\n"
-         "  bench <name> [args...]       run one figure/table/ablation "
-         "bench\n"
-         "  example <name> [args...]     run one example\n"
-         "  help                         this message\n";
-  return exit_code;
-}
-
 std::size_t default_worker_threads() {
   const std::size_t env = ThreadPool::env_thread_hint();
   if (env > 0) return env;
   return std::max<std::size_t>(2, std::thread::hardware_concurrency());
+}
+
+void size_pool(std::size_t threads) {
+  ThreadPool::set_global_threads(threads > 0 ? threads
+                                             : default_worker_threads());
+}
+
+void add_threads_flag(options::Table& flags, std::size_t* threads) {
+  // Capped like --shards: far past any useful pool, low enough that
+  // starting every worker cannot exhaust the process.
+  flags.integer("--threads", "N", threads, 0, 4096,
+                "worker threads; 0 (default): HPCARBON_THREADS or "
+                "max(cores, 2)");
+}
+
+void add_policies_flag(options::Table& flags,
+                       std::vector<std::string>* policies) {
+  flags.list(
+      "--policies", "a,b,...",
+      [policies](const std::string& name) {
+        policies->push_back(parse_policy(name));
+      },
+      "policies by short or canonical name (default: all)");
+}
+
+void add_trace_csv_flag(options::Table& flags, TraceOverrides* overrides) {
+  flags.repeated(
+      "--trace-csv", "REGION=FILE",
+      [overrides](const std::string& spec) {
+        overrides->push_back(parse_trace_override(spec));
+      },
+      "drive a region with an imported grid CSV (repeatable)");
+}
+
+void add_csv_flag(options::Table& flags, std::string* path) {
+  flags.text("--csv", "PATH", path, "also write the report as CSV");
 }
 
 namespace {
@@ -179,68 +127,35 @@ int cmd_policies() {
   return 0;
 }
 
-double parse_number(const char* flag, const std::string& value) {
-  try {
-    std::size_t consumed = 0;
-    const double v = std::stod(value, &consumed);
-    if (consumed != value.size()) throw std::invalid_argument(value);
-    return v;
-  } catch (const std::exception&) {
-    throw Error(std::string(flag) + " expects a number, got '" + value + "'");
-  }
-}
-
-int cmd_run(int argc, char** argv, std::ostream& err) {
+int cmd_run(int argc, char** argv, std::ostream& out, std::ostream& err) {
   ScenarioOptions opts;
   std::string csv_path;
   bool all_regions = false;
-  std::size_t threads = 0;  // 0: no --threads flag; use default_worker_threads
-  for (int i = 0; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next_value = [&](const char* flag) -> std::string {
-      if (i + 1 >= argc) throw Error(std::string(flag) + " needs a value");
-      return argv[++i];
-    };
-    if (arg == "--all-regions") {
-      all_regions = true;
-    } else if (arg == "--policies") {
-      std::string list = next_value("--policies");
-      std::size_t pos = 0;
-      while (pos != std::string::npos) {
-        const std::size_t comma = list.find(',', pos);
-        const std::string name =
-            list.substr(pos, comma == std::string::npos ? comma : comma - pos);
-        if (!name.empty()) opts.policies.push_back(parse_policy(name));
-        pos = comma == std::string::npos ? comma : comma + 1;
-      }
-    } else if (arg == "--days") {
-      opts.horizon_days = parse_number("--days", next_value("--days"));
-    } else if (arg == "--rate") {
-      opts.arrival_rate_per_hour = parse_number("--rate", next_value("--rate"));
-    } else if (arg == "--uncertainty") {
-      const double n = parse_number("--uncertainty", next_value("--uncertainty"));
-      if (n < 1 || n != static_cast<int>(n)) {
-        throw Error("--uncertainty expects a positive integer sample count");
-      }
-      opts.uncertainty_samples = static_cast<int>(n);
-    } else if (arg == "--trace-csv") {
-      opts.trace_csv.push_back(
-          parse_trace_override(next_value("--trace-csv")));
-    } else if (arg == "--csv") {
-      csv_path = next_value("--csv");
-    } else if (arg == "--threads") {
-      const double n = parse_number("--threads", next_value("--threads"));
-      if (n < 0 || n != static_cast<std::size_t>(n)) {
-        throw Error("--threads expects a non-negative integer");
-      }
-      threads = static_cast<std::size_t>(n);
-    } else if (!arg.empty() && arg[0] == '-') {
-      throw Error("unknown flag '" + arg + "' (see `hpcarbon help`)");
-    } else if (std::find(opts.regions.begin(), opts.regions.end(), arg) ==
-               opts.regions.end()) {
-      opts.regions.push_back(arg);  // repeated codes would duplicate cells
+  std::size_t threads = 0;
+  options::Table flags(
+      "run", "<REGION...> [flags]",
+      "scenario sweep: the scheduling-policy ablation in each named Table 3 "
+      "region");
+  flags.flag("--all-regions", &all_regions, "sweep all seven regions");
+  add_policies_flag(flags, &opts.policies);
+  flags
+      .number("--days", "N", &opts.horizon_days, {.lo = 0, .lo_open = true},
+              "workload horizon in days (default 28)")
+      .number("--rate", "R", &opts.arrival_rate_per_hour,
+              {.lo = 0, .lo_open = true}, "job arrivals per hour (default 2.5)")
+      .integer("--uncertainty", "N", &opts.uncertainty_samples, 1, INT_MAX,
+               "add savings quantiles over N workload seeds");
+  add_trace_csv_flag(flags, &opts.trace_csv);
+  add_csv_flag(flags, &csv_path);
+  add_threads_flag(flags, &threads);
+  flags.positional([&opts](const std::string& code) {
+    // Repeated codes would duplicate cells.
+    if (std::find(opts.regions.begin(), opts.regions.end(), code) ==
+        opts.regions.end()) {
+      opts.regions.push_back(code);
     }
-  }
+  });
+  if (!flags.parse(argc, argv, out)) return 0;
   if (all_regions) {
     if (!opts.regions.empty()) {
       throw Error("--all-regions cannot be combined with named regions");
@@ -253,8 +168,7 @@ int cmd_run(int argc, char** argv, std::ostream& err) {
     return 2;
   }
 
-  ThreadPool::set_global_threads(threads > 0 ? threads
-                                             : default_worker_threads());
+  size_pool(threads);
   const ScenarioReport report = run_scenarios(opts);
   std::cout << banner("scenario sweep: " + std::to_string(opts.regions.size()) +
                       " regions x policy ablation");
@@ -274,6 +188,38 @@ int cmd_run(int argc, char** argv, std::ostream& err) {
   return 0;
 }
 
+/// The commands that parse their own flags. Each renders its usage for
+/// `hpcarbon <cmd> --help`, and `hpcarbon help` lists them all.
+struct Command {
+  const char* name;
+  int (*run)(int argc, char** argv, std::ostream& out, std::ostream& err);
+};
+
+constexpr Command kCommands[] = {
+    {"run", cmd_run},     {"sweep", cmd_sweep}, {"fleetsim", cmd_fleetsim},
+    {"trace", cmd_trace}, {"batch", cmd_batch}, {"serve", cmd_serve},
+    {"metrics", cmd_metrics},
+};
+
+int usage(std::ostream& out, int exit_code) {
+  out << "usage: hpcarbon <command> [args...]\n"
+         "\n"
+         "  list                      all tools, regions, and policies\n"
+         "  policies                  registered scheduling policies and "
+         "their knobs\n"
+         "  bench <name> [args...]    run one figure/table/ablation bench\n"
+         "  example <name> [args...]  run one example\n"
+         "  help                      this message; `hpcarbon <command> "
+         "--help` shows one command\n";
+  char help_flag[] = "--help";
+  char* help_argv[] = {help_flag};
+  for (const Command& c : kCommands) {
+    out << '\n';
+    c.run(1, help_argv, out, out);
+  }
+  return exit_code;
+}
+
 }  // namespace
 
 int dispatch(int argc, char** argv, std::ostream& out, std::ostream& err) {
@@ -284,13 +230,9 @@ int dispatch(int argc, char** argv, std::ostream& out, std::ostream& err) {
   }
   if (cmd == "list") return cmd_list();
   if (cmd == "policies") return cmd_policies();
-  if (cmd == "run") return cmd_run(argc - 2, argv + 2, err);
-  if (cmd == "fleetsim") return cmd_fleetsim(argc - 2, argv + 2, err);
-  if (cmd == "sweep") return cmd_sweep(argc - 2, argv + 2);
-  if (cmd == "trace") return cmd_trace(argc - 2, argv + 2);
-  if (cmd == "batch") return cmd_batch(argc - 2, argv + 2);
-  if (cmd == "serve") return cmd_serve(argc - 2, argv + 2);
-  if (cmd == "metrics") return cmd_metrics(argc - 2, argv + 2);
+  for (const Command& c : kCommands) {
+    if (cmd == c.name) return c.run(argc - 2, argv + 2, out, err);
+  }
   if (cmd == "bench" || cmd == "example") {
     if (argc < 3) {
       err << "hpcarbon " << cmd << ": missing tool name\n";

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <climits>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -9,6 +10,7 @@
 #include "cli/dispatch.h"
 #include "cli/scenario_runner.h"
 #include "core/error.h"
+#include "core/options.h"
 #include "core/table.h"
 #include "core/thread_pool.h"
 #include "fleetsim/engine.h"
@@ -29,99 +31,14 @@ struct FleetsimOptions {
   std::vector<std::string> regions;   // regions[0] is the home site
   std::vector<std::string> policies;  // canonical names; empty: all
   fleetsim::FleetWorkloadParams workload;
+  std::string process = fleetsim::to_string(workload.process);
+  double days = workload.horizon_hours / 24.0;
   int capacity = 16;
   int uncertainty_samples = 0;
   std::uint64_t uncertainty_seed = 909;
   std::string jobs_csv;  // replay instead of generating when non-empty
   std::size_t threads = 0;
 };
-
-double parse_number(const char* flag, const std::string& value) {
-  try {
-    std::size_t consumed = 0;
-    const double v = std::stod(value, &consumed);
-    if (consumed != value.size()) throw std::invalid_argument(value);
-    return v;
-  } catch (const std::exception&) {
-    throw Error(std::string(flag) + " expects a number, got '" + value + "'");
-  }
-}
-
-int parse_positive_int(const char* flag, const std::string& value) {
-  const double n = parse_number(flag, value);
-  if (n < 1 || n != static_cast<int>(n)) {
-    throw Error(std::string(flag) + " expects a positive integer");
-  }
-  return static_cast<int>(n);
-}
-
-FleetsimOptions parse_args(int argc, char** argv) {
-  FleetsimOptions opts;
-  for (int i = 0; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next_value = [&](const char* flag) -> std::string {
-      if (i + 1 >= argc) throw Error(std::string(flag) + " needs a value");
-      return argv[++i];
-    };
-    if (arg == "--policies") {
-      std::string list = next_value("--policies");
-      std::size_t pos = 0;
-      while (pos != std::string::npos) {
-        const std::size_t comma = list.find(',', pos);
-        const std::string name =
-            list.substr(pos, comma == std::string::npos ? comma : comma - pos);
-        if (!name.empty()) opts.policies.push_back(parse_policy(name));
-        pos = comma == std::string::npos ? comma : comma + 1;
-      }
-    } else if (arg == "--process") {
-      opts.workload.process =
-          fleetsim::arrival_process_from(next_value("--process"));
-    } else if (arg == "--days") {
-      opts.workload.horizon_hours =
-          24.0 * parse_number("--days", next_value("--days"));
-      if (opts.workload.horizon_hours <= 0) {
-        throw Error("--days expects a positive number");
-      }
-    } else if (arg == "--rate") {
-      opts.workload.rate_per_hour =
-          parse_number("--rate", next_value("--rate"));
-      if (opts.workload.rate_per_hour <= 0) {
-        throw Error("--rate expects a positive number");
-      }
-    } else if (arg == "--capacity") {
-      opts.capacity = parse_positive_int("--capacity", next_value("--capacity"));
-    } else if (arg == "--seed") {
-      const double s = parse_number("--seed", next_value("--seed"));
-      if (s < 0 || s != static_cast<std::uint64_t>(s)) {
-        throw Error("--seed expects a non-negative integer");
-      }
-      opts.workload.seed = static_cast<std::uint64_t>(s);
-    } else if (arg == "--uncertainty") {
-      opts.uncertainty_samples =
-          parse_positive_int("--uncertainty", next_value("--uncertainty"));
-    } else if (arg == "--jobs-csv") {
-      opts.jobs_csv = next_value("--jobs-csv");
-    } else if (arg == "--threads") {
-      const double n = parse_number("--threads", next_value("--threads"));
-      if (n < 0 || n != static_cast<std::size_t>(n)) {
-        throw Error("--threads expects a non-negative integer");
-      }
-      opts.threads = static_cast<std::size_t>(n);
-    } else if (!arg.empty() && arg[0] == '-') {
-      throw Error("unknown flag '" + arg + "' (see `hpcarbon help`)");
-    } else if (std::find(opts.regions.begin(), opts.regions.end(), arg) ==
-               opts.regions.end()) {
-      opts.regions.push_back(arg);
-    }
-  }
-  if (opts.regions.empty()) opts.regions = {"ERCOT", "ESO", "CISO"};
-  if (opts.policies.empty()) {
-    for (const auto& desc : sched::registered_policies()) {
-      opts.policies.push_back(desc.name);
-    }
-  }
-  return opts;
-}
 
 /// Home region plus the two cleanest (lowest annual median CI) other
 /// selected regions — the same trio construction `hpcarbon run` and the
@@ -163,11 +80,44 @@ std::vector<sched::Site> build_sites(const std::vector<std::string>& codes,
 
 }  // namespace
 
-int cmd_fleetsim(int argc, char** argv, std::ostream& err) {
-  (void)err;
-  const FleetsimOptions opts = parse_args(argc, argv);
-  ThreadPool::set_global_threads(opts.threads > 0 ? opts.threads
-                                                  : default_worker_threads());
+int cmd_fleetsim(int argc, char** argv, std::ostream& out, std::ostream&) {
+  FleetsimOptions opts;
+  options::Table flags("fleetsim", "[REGION...] [flags]",
+                       "integer-tick fleet simulator: the policy ablation at "
+                       "millions of\njobs/sec (default sites ERCOT ESO CISO)");
+  add_policies_flag(flags, &opts.policies);
+  flags
+      .text("--process", "P", &opts.process,
+            "arrivals: poisson, diurnal, or bursty (default poisson)")
+      .number("--days", "N", &opts.days, {.lo = 0, .lo_open = true},
+              "synthetic workload horizon (default 28)")
+      .number("--rate", "R", &opts.workload.rate_per_hour,
+              {.lo = 0, .lo_open = true}, "arrivals per hour (default 4)")
+      .integer("--capacity", "N", &opts.capacity, 1, INT_MAX,
+               "nodes per site (default 16)")
+      .integer("--seed", "S", &opts.workload.seed, 0, options::kMaxExact,
+               "workload seed (default 2024)")
+      .integer("--uncertainty", "N", &opts.uncertainty_samples, 1, INT_MAX,
+               "savings quantiles over N workload seeds")
+      .text("--jobs-csv", "PATH", &opts.jobs_csv,
+            "replay a job-trace CSV instead of generating")
+      .positional([&opts](const std::string& code) {
+        if (std::find(opts.regions.begin(), opts.regions.end(), code) ==
+            opts.regions.end()) {
+          opts.regions.push_back(code);
+        }
+      });
+  add_threads_flag(flags, &opts.threads);
+  if (!flags.parse(argc, argv, out)) return 0;
+  opts.workload.process = fleetsim::arrival_process_from(opts.process);
+  opts.workload.horizon_hours = 24.0 * opts.days;
+  if (opts.regions.empty()) opts.regions = {"ERCOT", "ESO", "CISO"};
+  if (opts.policies.empty()) {
+    for (const auto& desc : sched::registered_policies()) {
+      opts.policies.push_back(desc.name);
+    }
+  }
+  size_pool(opts.threads);
 
   const std::vector<sched::Site> sites =
       build_sites(opts.regions, opts.capacity);

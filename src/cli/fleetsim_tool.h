@@ -4,12 +4,12 @@
 // optional savings quantiles over workload seeds.
 #pragma once
 
-#include <ostream>
+#include <iosfwd>
 
 namespace hpcarbon::cli {
 
-/// argv starts after the subcommand (like cmd_run). Returns the process
-/// exit code.
-int cmd_fleetsim(int argc, char** argv, std::ostream& err);
+/// argv starts after the subcommand (like cmd_run); --help goes to `out`.
+/// Returns the process exit code.
+int cmd_fleetsim(int argc, char** argv, std::ostream& out, std::ostream& err);
 
 }  // namespace hpcarbon::cli

@@ -1,13 +1,4 @@
-// The unified `hpcarbon` driver.
-//
-//   hpcarbon list                          enumerate tools and scenarios
-//   hpcarbon run <REGION...|--all-regions> batch region x policy sweep
-//   hpcarbon sweep                         Monte-Carlo quantile tables
-//   hpcarbon trace <verb> <file>           real grid-trace import/inspect
-//   hpcarbon batch requests.jsonl          carbon-query service, file mode
-//   hpcarbon serve                         carbon-query service, pipe mode
-//   hpcarbon bench <name> [args...]        run a figure/table/ablation bench
-//   hpcarbon example <name> [args...]      run an example
+// The `hpcarbon` binary; `hpcarbon help` lists its commands.
 //
 // All commands route through cli::dispatch (cli/dispatch.h), which lives
 // in hpcarbon_cli_core so the exit-code contract is unit-tested; this file

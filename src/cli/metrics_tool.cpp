@@ -10,6 +10,7 @@
 #include <string>
 
 #include "core/error.h"
+#include "core/options.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "serve/engine.h"
@@ -57,23 +58,20 @@ std::string scrape_unix(const std::string& path) {
 
 }  // namespace
 
-int cmd_metrics(int argc, char** argv) {
+int cmd_metrics(int argc, char** argv, std::ostream& out, std::ostream& err) {
   std::string unix_path;
   bool local = false;
-  for (int i = 0; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--unix") {
-      if (i + 1 >= argc) throw Error("--unix needs a value");
-      unix_path = argv[++i];
-    } else if (arg == "--local") {
-      local = true;
-    } else {
-      throw Error("unknown metrics flag '" + arg + "' (see `hpcarbon help`)");
-    }
-  }
+  options::Table flags("metrics", "(--unix PATH | --local)",
+                       "print Prometheus text: a daemon's scrape socket, or "
+                       "this process's own registry");
+  flags
+      .text("--unix", "PATH", &unix_path,
+            "scrape the daemon listening on this socket")
+      .flag("--local", &local, "print this process's own registry instead");
+  if (!flags.parse(argc, argv, out)) return 0;
   if (local != unix_path.empty()) {  // neither or both
-    std::cerr << "hpcarbon metrics: pass exactly one of --unix PATH (scrape "
-                 "a daemon) or --local (this process's registry)\n";
+    err << "hpcarbon metrics: pass exactly one of --unix PATH (scrape a "
+           "daemon) or --local (this process's registry)\n";
     return 2;
   }
   if (local) {

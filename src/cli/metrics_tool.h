@@ -12,10 +12,12 @@
 // successful scrape, nonzero on connect/read failure.
 #pragma once
 
+#include <iosfwd>
+
 namespace hpcarbon::cli {
 
 /// `hpcarbon metrics (--unix PATH | --local)` (argv excludes the
-/// subcommand itself).
-int cmd_metrics(int argc, char** argv);
+/// subcommand itself); --help goes to `out`.
+int cmd_metrics(int argc, char** argv, std::ostream& out, std::ostream& err);
 
 }  // namespace hpcarbon::cli

@@ -36,8 +36,21 @@ const ToolEntry* find_tool(const std::string& name);
 }  // namespace hpcarbon::cli
 
 #ifdef HPCARBON_STANDALONE
-#define HPCARBON_TOOL(name_, kind_, desc_) \
-  int main(int argc, char** argv) { return tool_main(argc, argv); }
+#include <iostream>
+
+#include "core/error.h"
+
+// Same exit contract as `hpcarbon`'s main: a bad flag or input is a
+// one-line error and exit 1, never an uncaught-exception abort.
+#define HPCARBON_TOOL(name_, kind_, desc_)                     \
+  int main(int argc, char** argv) {                            \
+    try {                                                      \
+      return tool_main(argc, argv);                            \
+    } catch (const ::hpcarbon::Error& e) {                     \
+      std::cerr << "hpcarbon: " << e.what() << '\n';           \
+      return 1;                                                \
+    }                                                          \
+  }
 #else
 #define HPCARBON_TOOL(name_, kind_, desc_)                         \
   namespace {                                                      \

@@ -12,8 +12,8 @@
 #include "cli/dispatch.h"
 #include "core/csv.h"
 #include "core/error.h"
+#include "core/options.h"
 #include "core/thread_annotations.h"
-#include "core/thread_pool.h"
 #include "net/framing.h"
 #include "net/server.h"
 #include "obs/metrics.h"
@@ -26,135 +26,27 @@ namespace hpcarbon::cli {
 namespace {
 
 struct FrontEndOptions {
-  serve::ServeOptions serve;
+  /// Engine settings (`net.serve`, all front-ends) and socket-daemon
+  /// settings (serve only: socket mode when `tcp` or `unix_path` is set).
+  net::ServerOptions net;
+  std::size_t cache_mb = net.serve.cache_bytes >> 20;
   std::string input_path;  // batch only; "-" reads stdin
   std::string out_path;    // batch only; empty writes stdout
   std::size_t threads = 0;
   // Serve-only observability endpoints (pipe and socket modes).
   std::string metrics_unix;      // --metrics-unix PATH (Prometheus scrape)
   double stats_interval_s = 0;   // --stats-interval SECS (stderr summary)
-  // Socket mode (serve only): active when listen or unix_path is set.
-  std::string listen;     // --listen HOST:PORT
-  std::string unix_path;  // --unix PATH
-  std::size_t workers = net::ServerOptions::default_workers();
-  std::size_t max_conns = net::ServerOptions{}.max_conns;
-  std::size_t max_inflight = net::ServerOptions{}.max_inflight;
-  double idle_timeout_s = net::ServerOptions{}.idle_timeout_s;
 };
 
-std::string next_value(const char* flag, int argc, char** argv, int& i) {
-  if (i + 1 >= argc) throw Error(std::string(flag) + " needs a value");
-  return argv[++i];
-}
-
-std::size_t parse_count(const char* flag, const std::string& v, long min) {
-  std::size_t consumed = 0;
-  long n = 0;
-  try {
-    n = std::stol(v, &consumed);
-  } catch (const std::exception&) {
-    consumed = 0;
-  }
-  if (consumed != v.size() || n < min) {
-    throw Error(std::string(flag) + " expects an integer >= " +
-                std::to_string(min) + ", got '" + v + "'");
-  }
-  return static_cast<std::size_t>(n);
-}
-
-/// Flags shared by both front-ends; returns false for flags the caller
-/// must handle (positional input path for batch, socket flags for serve).
-bool parse_common_flag(const std::string& arg, int argc, char** argv, int& i,
-                       FrontEndOptions& opts) {
-  auto next_count = [&](const char* flag) {
-    return parse_count(flag, next_value(flag, argc, argv, i), 1);
-  };
-  if (arg == "--threads") {
-    opts.threads = next_count("--threads");
-    return true;
-  }
-  if (arg == "--cache-mb") {
-    const std::size_t mb = next_count("--cache-mb");
-    // Bounded so the <<20 below cannot overflow std::size_t into a
-    // budget unrelated to what was asked for.
-    if (mb > (std::size_t{1} << 20)) {  // 1 TiB
-      throw Error("--cache-mb must be at most 1048576 (1 TiB)");
-    }
-    opts.serve.cache_bytes = mb << 20;
-    return true;
-  }
-  if (arg == "--shards") {
-    const std::size_t shards = next_count("--shards");
-    if (shards > 4096) throw Error("--shards must be at most 4096");
-    opts.serve.cache_shards = shards;
-    return true;
-  }
-  return false;
-}
-
-/// Socket-mode serve flags; returns false for anything it doesn't know.
-bool parse_net_flag(const std::string& arg, int argc, char** argv, int& i,
-                    FrontEndOptions& opts) {
-  if (arg == "--listen") {
-    opts.listen = next_value("--listen", argc, argv, i);
-    return true;
-  }
-  if (arg == "--unix") {
-    opts.unix_path = next_value("--unix", argc, argv, i);
-    return true;
-  }
-  if (arg == "--workers") {  // 0 = answer inline on the IO thread
-    opts.workers =
-        parse_count("--workers", next_value("--workers", argc, argv, i), 0);
-    return true;
-  }
-  if (arg == "--max-conns") {
-    opts.max_conns = parse_count(
-        "--max-conns", next_value("--max-conns", argc, argv, i), 1);
-    return true;
-  }
-  if (arg == "--max-inflight") {
-    opts.max_inflight = parse_count(
-        "--max-inflight", next_value("--max-inflight", argc, argv, i), 1);
-    return true;
-  }
-  if (arg == "--idle-timeout") {
-    const std::string v = next_value("--idle-timeout", argc, argv, i);
-    std::size_t consumed = 0;
-    double s = 0;
-    try {
-      s = std::stod(v, &consumed);
-    } catch (const std::exception&) {
-      consumed = 0;
-    }
-    if (consumed != v.size()) {
-      throw Error("--idle-timeout expects seconds (0 disables), got '" + v +
-                  "'");
-    }
-    opts.idle_timeout_s = s;
-    return true;
-  }
-  if (arg == "--metrics-unix") {
-    opts.metrics_unix = next_value("--metrics-unix", argc, argv, i);
-    return true;
-  }
-  if (arg == "--stats-interval") {
-    const std::string v = next_value("--stats-interval", argc, argv, i);
-    std::size_t consumed = 0;
-    double s = 0;
-    try {
-      s = std::stod(v, &consumed);
-    } catch (const std::exception&) {
-      consumed = 0;
-    }
-    if (consumed != v.size() || s < 0) {
-      throw Error("--stats-interval expects seconds (0 disables), got '" + v +
-                  "'");
-    }
-    opts.stats_interval_s = s;
-    return true;
-  }
-  return false;
+/// Flags shared by both front-ends.
+void add_engine_flags(options::Table& flags, FrontEndOptions& opts) {
+  add_threads_flag(flags, &opts.threads);
+  // 1 TiB at most, so the <<20 into bytes cannot overflow std::size_t.
+  flags
+      .integer("--cache-mb", "M", &opts.cache_mb, 1, 1 << 20,
+               "result-cache budget in MiB (default 8)")
+      .integer("--shards", "N", &opts.net.serve.cache_shards, 1, 4096,
+               "result-cache shards (default 8)");
 }
 
 /// One-line operational summary on stderr, assembled from the engine's
@@ -231,11 +123,6 @@ std::unique_ptr<obs::ScrapeServer> start_scrape_server(
   return scrape;
 }
 
-void size_pool(const FrontEndOptions& opts) {
-  ThreadPool::set_global_threads(
-      opts.threads > 0 ? opts.threads : default_worker_threads());
-}
-
 /// Request lines of a JSONL payload: blank and whitespace-only lines are
 /// skipped (trailing newline, CRLF endings), everything else is a request.
 std::vector<std::string> request_lines(const std::string& text) {
@@ -268,7 +155,7 @@ std::string read_all_of_stdin() {
 /// front-end uses, so an oversized line gets the identical ok:false
 /// answer here without ever being buffered whole.
 int serve_pipe(const FrontEndOptions& opts) {
-  serve::Engine engine(opts.serve);
+  serve::Engine engine(opts.net.serve);
   const std::unique_ptr<obs::ScrapeServer> scrape =
       start_scrape_server(opts.metrics_unix, engine);
   PeriodicStats reporter(engine, opts.stats_interval_s);
@@ -305,8 +192,7 @@ int serve_pipe(const FrontEndOptions& opts) {
 /// Socket mode: epoll event loop on the configured TCP and/or UDS
 /// endpoints, graceful drain on SIGTERM/SIGINT (exit 0).
 int serve_sockets(const FrontEndOptions& opts) {
-  net::ServerOptions sopts;
-  sopts.serve = opts.serve;
+  net::ServerOptions sopts = opts.net;
   // Daemon uptime: the stats op's uptime_s field and the
   // hpcarbon_process_uptime_seconds gauge (whole seconds since start).
   const auto started = std::chrono::steady_clock::now();
@@ -315,12 +201,6 @@ int serve_sockets(const FrontEndOptions& opts) {
                                          started)
         .count();
   };
-  sopts.tcp = opts.listen;
-  sopts.unix_path = opts.unix_path;
-  sopts.workers = opts.workers;
-  sopts.max_conns = opts.max_conns;
-  sopts.max_inflight = opts.max_inflight;
-  sopts.idle_timeout_s = opts.idle_timeout_s;
 
   net::Server server(std::move(sopts));
   server.start();
@@ -331,10 +211,12 @@ int serve_sockets(const FrontEndOptions& opts) {
   if (!server.tcp_endpoint().empty()) {
     std::cerr << " tcp " << server.tcp_endpoint();
   }
-  if (!opts.unix_path.empty()) std::cerr << " unix " << opts.unix_path;
-  std::cerr << " (workers=" << opts.workers
-            << ", max-conns=" << opts.max_conns
-            << ", max-inflight=" << opts.max_inflight << ")\n";
+  if (!opts.net.unix_path.empty()) {
+    std::cerr << " unix " << opts.net.unix_path;
+  }
+  std::cerr << " (workers=" << opts.net.workers
+            << ", max-conns=" << opts.net.max_conns
+            << ", max-inflight=" << opts.net.max_inflight << ")\n";
 
   net::install_signal_drain(server);
   server.run();
@@ -350,45 +232,44 @@ int serve_sockets(const FrontEndOptions& opts) {
 
 }  // namespace
 
-int cmd_batch(int argc, char** argv) {
+int cmd_batch(int argc, char** argv, std::ostream& out, std::ostream& err) {
   FrontEndOptions opts;
-  for (int i = 0; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (parse_common_flag(arg, argc, argv, i, opts)) continue;
-    if (arg == "--out") {
-      if (i + 1 >= argc) throw Error("--out needs a value");
-      opts.out_path = argv[++i];
-    } else if (!arg.empty() && arg[0] == '-' && arg != "-") {
-      throw Error("unknown batch flag '" + arg + "' (see `hpcarbon help`)");
-    } else if (opts.input_path.empty()) {
-      opts.input_path = arg;
-    } else {
+  options::Table flags("batch", "FILE [flags]",
+                       "answer a JSONL file of carbon queries ('-' reads "
+                       "stdin; see README \"Query API\")");
+  flags.text("--out", "PATH", &opts.out_path,
+             "write responses to a file instead of stdout");
+  add_engine_flags(flags, opts);
+  flags.positional([&opts](const std::string& arg) {
+    if (!opts.input_path.empty()) {
       throw Error("batch takes one input file, got '" + arg + "' too");
     }
-  }
+    opts.input_path = arg;
+  });
+  if (!flags.parse(argc, argv, out)) return 0;
   if (opts.input_path.empty()) {
-    std::cerr << "hpcarbon batch: name a requests.jsonl file (or '-' for "
-                 "stdin)\n";
+    err << "hpcarbon batch: name a requests.jsonl file (or '-' for stdin)\n";
     return 2;
   }
-  size_pool(opts);
+  opts.net.serve.cache_bytes = opts.cache_mb << 20;
+  size_pool(opts.threads);
 
   const std::string text = opts.input_path == "-" ? read_all_of_stdin()
                                                   : read_file(opts.input_path);
   const std::vector<std::string> lines = request_lines(text);
 
-  serve::Engine engine(opts.serve);
+  serve::Engine engine(opts.net.serve);
   const std::vector<std::string> responses = engine.handle_batch(lines);
 
-  std::string out;
+  std::string jsonl;
   for (const auto& r : responses) {
-    out += r;
-    out.push_back('\n');
+    jsonl += r;
+    jsonl.push_back('\n');
   }
   if (opts.out_path.empty()) {
-    std::cout << out;
+    std::cout << jsonl;
   } else {
-    write_file(opts.out_path, out);
+    write_file(opts.out_path, jsonl);
   }
 
   const serve::CacheStats cs = engine.cache_stats();
@@ -399,16 +280,39 @@ int cmd_batch(int argc, char** argv) {
   return 0;
 }
 
-int cmd_serve(int argc, char** argv) {
+int cmd_serve(int argc, char** argv, std::ostream& out, std::ostream&) {
   FrontEndOptions opts;
-  for (int i = 0; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (parse_common_flag(arg, argc, argv, i, opts)) continue;
-    if (parse_net_flag(arg, argc, argv, i, opts)) continue;
-    throw Error("unknown serve flag '" + arg + "' (see `hpcarbon help`)");
-  }
-  size_pool(opts);
-  if (!opts.listen.empty() || !opts.unix_path.empty()) {
+  options::Table flags("serve", "[flags]",
+                       "line-delimited JSON queries on stdin/stdout, or the "
+                       "epoll socket\ndaemon with --listen/--unix (see "
+                       "README \"Query API\")");
+  add_engine_flags(flags, opts);
+  flags
+      .text("--listen", "HOST:PORT", &opts.net.tcp,
+            "serve TCP instead of the pipe")
+      .text("--unix", "PATH", &opts.net.unix_path,
+            "serve a Unix-domain socket instead of the pipe")
+      .integer("--workers", "N", &opts.net.workers, 0, 4096,
+               "socket workers; 0 answers on the IO thread (default: "
+               "cores - 1)")
+      .integer("--max-conns", "N", &opts.net.max_conns, 1, options::kMaxExact,
+               "connections beyond this are closed (default 10000)")
+      .integer("--max-inflight", "N", &opts.net.max_inflight, 1,
+               options::kMaxExact,
+               "queued requests beyond this are shed (default 4096)")
+      .number("--idle-timeout", "S", &opts.net.idle_timeout_s,
+              {.lo = 0, .hi = 1e6},
+              "close connections idle this long; 0 disables (default 300)")
+      .text("--metrics-unix", "PATH", &opts.metrics_unix,
+            "Prometheus scrape socket (see README \"Observability\")")
+      .number("--stats-interval", "S", &opts.stats_interval_s,
+              {.lo = 0, .hi = 1e6},
+              "stderr stats summary every S seconds; 0 disables "
+              "(default)");
+  if (!flags.parse(argc, argv, out)) return 0;
+  opts.net.serve.cache_bytes = opts.cache_mb << 20;
+  size_pool(opts.threads);
+  if (!opts.net.tcp.empty() || !opts.net.unix_path.empty()) {
     return serve_sockets(opts);
   }
   return serve_pipe(opts);

@@ -28,16 +28,16 @@
 // stderr every interval.
 #pragma once
 
+#include <iosfwd>
+
 namespace hpcarbon::cli {
 
-/// `hpcarbon batch FILE [--out PATH] [--threads N] [--cache-mb M]
-/// [--shards N]` (argv excludes the subcommand itself).
-int cmd_batch(int argc, char** argv);
+/// `hpcarbon batch FILE [flags]` (argv excludes the subcommand itself);
+/// --help goes to `out`.
+int cmd_batch(int argc, char** argv, std::ostream& out, std::ostream& err);
 
-/// `hpcarbon serve [--threads N] [--cache-mb M] [--shards N]
-/// [--listen HOST:PORT] [--unix PATH] [--workers N] [--max-conns N]
-/// [--max-inflight N] [--idle-timeout SECONDS] [--metrics-unix PATH]
-/// [--stats-interval SECS]`.
-int cmd_serve(int argc, char** argv);
+/// `hpcarbon serve [flags]`: the pipe loop, or the socket daemon with
+/// --listen/--unix.
+int cmd_serve(int argc, char** argv, std::ostream& out, std::ostream& err);
 
 }  // namespace hpcarbon::cli

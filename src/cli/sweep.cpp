@@ -1,14 +1,14 @@
 #include "cli/sweep.h"
 
 #include <algorithm>
+#include <climits>
 #include <iostream>
-#include <sstream>
-#include <thread>
+#include <optional>
 
 #include "cli/dispatch.h"
 #include "core/csv.h"
 #include "core/error.h"
-#include "core/thread_pool.h"
+#include "core/options.h"
 #include "embodied/catalog.h"
 #include "fleetsim/engine.h"
 #include "grid/presets.h"
@@ -288,95 +288,57 @@ std::string SweepReport::to_csv() const {
   return out;
 }
 
-int cmd_sweep(int argc, char** argv) {
+int cmd_sweep(int argc, char** argv, std::ostream& out, std::ostream&) {
   SweepOptions opts;
   std::string csv_path;
   std::size_t threads = 0;
   bool smoke = false;
-  int samples_flag = 0, sched_samples_flag = 0;
-  for (int i = 0; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next_value = [&](const char* flag) -> std::string {
-      if (i + 1 >= argc) throw Error(std::string(flag) + " needs a value");
-      return argv[++i];
-    };
-    auto next_number = [&](const char* flag) {
-      const std::string v = next_value(flag);
-      try {
-        std::size_t consumed = 0;
-        const double parsed = std::stod(v, &consumed);
-        if (consumed != v.size()) throw std::invalid_argument(v);
-        return parsed;
-      } catch (const std::exception&) {
-        throw Error(std::string(flag) + " expects a number, got '" + v + "'");
-      }
-    };
-    auto next_count = [&](const char* flag) {
-      const double n = next_number(flag);
-      if (n < 1 || n != static_cast<int>(n)) {
-        throw Error(std::string(flag) +
-                    " expects a positive integer sample count");
-      }
-      return static_cast<int>(n);
-    };
-    if (arg == "--smoke") {
-      smoke = true;
-    } else if (arg == "--samples") {
-      samples_flag = next_count("--samples");
-    } else if (arg == "--sched-samples") {
-      sched_samples_flag = next_count("--sched-samples");
-    } else if (arg == "--seed") {
-      opts.seed = static_cast<std::uint64_t>(next_number("--seed"));
-    } else if (arg == "--section") {
-      std::string list = next_value("--section");
-      std::size_t pos = 0;
-      while (pos != std::string::npos) {
-        const std::size_t comma = list.find(',', pos);
-        const std::string name =
-            list.substr(pos, comma == std::string::npos ? comma : comma - pos);
-        // Repeats would duplicate both the computation and the rows.
-        if (!name.empty() && std::find(opts.sections.begin(),
-                                       opts.sections.end(),
-                                       name) == opts.sections.end()) {
-          opts.sections.push_back(name);
-        }
-        pos = comma == std::string::npos ? comma : comma + 1;
-      }
-    } else if (arg == "--region") {
-      opts.region = next_value("--region");
-    } else if (arg == "--years") {
-      opts.lifetime_years = next_number("--years");
-    } else if (arg == "--horizon") {
-      opts.breakeven_horizon_years = next_number("--horizon");
-    } else if (arg == "--band-fab") {
-      opts.bands.embodied.fab_per_area = next_number("--band-fab");
-    } else if (arg == "--band-yield") {
-      opts.bands.embodied.yield = next_number("--band-yield");
-    } else if (arg == "--band-epc") {
-      opts.bands.embodied.epc = next_number("--band-epc");
-    } else if (arg == "--band-packaging") {
-      opts.bands.embodied.packaging = next_number("--band-packaging");
-    } else if (arg == "--band-grid") {
-      opts.bands.grid_ci = next_number("--band-grid");
-    } else if (arg == "--trace-csv") {
-      opts.trace_csv.push_back(
-          parse_trace_override(next_value("--trace-csv")));
-    } else if (arg == "--csv") {
-      csv_path = next_value("--csv");
-    } else if (arg == "--threads") {
-      threads = static_cast<std::size_t>(next_number("--threads"));
-    } else {
-      throw Error("unknown sweep argument '" + arg +
-                  "' (see `hpcarbon help`)");
-    }
-  }
-  // --smoke shrinks every sample count for CI; explicit flags still win.
-  opts.samples = samples_flag > 0 ? samples_flag : (smoke ? 256 : 4096);
-  opts.sched_samples =
-      sched_samples_flag > 0 ? sched_samples_flag : (smoke ? 4 : 16);
-
-  ThreadPool::set_global_threads(threads > 0 ? threads
-                                             : default_worker_threads());
+  std::optional<int> samples, sched_samples;
+  options::Table flags("sweep", "[flags]",
+                       "Monte-Carlo uncertainty sweep: quantile tables per "
+                       "section");
+  flags
+      .integer("--samples", "N", &samples, 1, INT_MAX,
+               "MC draws per quantity (default 4096)")
+      .integer("--sched-samples", "N", &sched_samples, 1, INT_MAX,
+               "workload seeds for the scheduler section (default 16)")
+      .flag("--smoke", &smoke,
+            "CI sample counts: 256 and 4 unless set by the flags above")
+      .integer("--seed", "S", &opts.seed, 0, options::kMaxExact,
+               "root seed (default 42)")
+      .list(
+          "--section", "a,b,...",
+          [&opts](const std::string& name) {
+            // Repeats would duplicate both the computation and the rows.
+            if (std::find(opts.sections.begin(), opts.sections.end(), name) ==
+                opts.sections.end()) {
+              opts.sections.push_back(name);
+            }
+          },
+          "embodied, lifetime, breakeven, fleet, sched (default: all)")
+      .text("--region", "CODE", &opts.region,
+            "CI-trace region for the lifetime section (default CISO)")
+      .number("--years", "Y", &opts.lifetime_years, {},
+              "lifetime-section horizon (default 5)")
+      .number("--horizon", "Y", &opts.breakeven_horizon_years, {},
+              "break-even payback horizon (default 15)")
+      .number("--band-fab", "X", &opts.bands.embodied.fab_per_area, {},
+              "fab energy/gas/material per-area band (default 0.20)")
+      .number("--band-yield", "X", &opts.bands.embodied.yield, {},
+              "absolute yield band (default 0.05)")
+      .number("--band-epc", "X", &opts.bands.embodied.epc, {},
+              "energy-per-capacity band (default 0.15)")
+      .number("--band-packaging", "X", &opts.bands.embodied.packaging, {},
+              "per-IC packaging band (default 0.25)")
+      .number("--band-grid", "X", &opts.bands.grid_ci, {},
+              "grid carbon-intensity band (default 0.10)");
+  add_trace_csv_flag(flags, &opts.trace_csv);
+  add_csv_flag(flags, &csv_path);
+  add_threads_flag(flags, &threads);
+  if (!flags.parse(argc, argv, out)) return 0;
+  opts.samples = samples.value_or(smoke ? 256 : 4096);
+  opts.sched_samples = sched_samples.value_or(smoke ? 4 : 16);
+  size_pool(threads);
 
   const SweepReport report = run_sweep(opts);
   const auto selected = opts.sections.empty() ? sweep_sections()

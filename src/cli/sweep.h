@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -74,7 +75,8 @@ std::vector<std::string> sweep_sections();
 /// names or region codes.
 SweepReport run_sweep(const SweepOptions& opts);
 
-/// `hpcarbon sweep` entry point (argv excludes the subcommand itself).
-int cmd_sweep(int argc, char** argv);
+/// `hpcarbon sweep` entry point (argv excludes the subcommand itself);
+/// --help goes to `out`.
+int cmd_sweep(int argc, char** argv, std::ostream& out, std::ostream& err);
 
 }  // namespace hpcarbon::cli

@@ -1,102 +1,34 @@
 #include "cli/trace_tool.h"
 
 #include <algorithm>
+#include <climits>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "core/csv.h"
 #include "core/error.h"
+#include "core/options.h"
 #include "core/table.h"
 #include "grid/analysis.h"
+#include "grid/import.h"
 #include "grid/presets.h"
 
 namespace hpcarbon::cli {
 
 namespace {
 
-int trace_usage(std::ostream& out, int exit_code) {
-  out << "usage: hpcarbon trace <stats|resample|export> <file> [flags]\n"
-         "\n"
-         "  stats <file>                 import and print summary statistics\n"
-         "  resample <file> --step S     re-emit at cadence S seconds\n"
-         "  export <file>                re-emit canonical "
-         "hour,intensity CSV\n"
-         "\n"
-         "flags:\n"
-         "  --region CODE      region tag; a Table 3 code also sets the "
-         "zone (default TRACE)\n"
-         "  --tz-offset H      force the local-time zone, whole hours vs "
-         "UTC\n"
-         "  --step-in S        force the input cadence, seconds (default: "
-         "inferred)\n"
-         "  --max-gap N        forward-fill cap per gap, samples (default "
-         "12)\n"
-         "  --no-tile          fail instead of tiling sub-year coverage\n"
-         "  --out PATH         write output CSV here instead of stdout\n";
-  return exit_code;
-}
-
-double parse_number(const char* flag, const std::string& value) {
-  try {
-    std::size_t consumed = 0;
-    const double v = std::stod(value, &consumed);
-    if (consumed != value.size()) throw std::invalid_argument(value);
-    return v;
-  } catch (const std::exception&) {
-    throw Error(std::string(flag) + " expects a number, got '" + value + "'");
-  }
-}
-
 struct TraceArgs {
   std::string verb;
   std::string file;
-  TraceImportFlags flags;
+  std::string region = "TRACE";
+  grid::ImportOptions import;
+  std::optional<int> tz_offset;  // unset: the region preset's zone
+  bool no_tile = false;
   double step_out = 0;  // resample target cadence
   std::string out_path;
 };
-
-TraceArgs parse_args(int argc, char** argv) {
-  TraceArgs args;
-  for (int i = 0; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next_value = [&](const char* flag) -> std::string {
-      if (i + 1 >= argc) throw Error(std::string(flag) + " needs a value");
-      return argv[++i];
-    };
-    if (arg == "--region") {
-      args.flags.region = next_value("--region");
-    } else if (arg == "--tz-offset") {
-      const double off = parse_number("--tz-offset", next_value("--tz-offset"));
-      if (off != static_cast<int>(off) || off < -12 || off > 14) {
-        throw Error("--tz-offset expects a whole-hour UTC offset");
-      }
-      args.flags.options.tz = TimeZone(static_cast<int>(off), "forced");
-      args.flags.tz_forced = true;
-    } else if (arg == "--step-in") {
-      args.flags.options.step_seconds =
-          parse_number("--step-in", next_value("--step-in"));
-    } else if (arg == "--max-gap") {
-      args.flags.options.max_gap_samples = static_cast<int>(
-          parse_number("--max-gap", next_value("--max-gap")));
-    } else if (arg == "--no-tile") {
-      args.flags.options.tile_to_year = false;
-    } else if (arg == "--step") {
-      args.step_out = parse_number("--step", next_value("--step"));
-    } else if (arg == "--out") {
-      args.out_path = next_value("--out");
-    } else if (!arg.empty() && arg[0] == '-') {
-      throw Error("unknown flag '" + arg + "' (see `hpcarbon trace`)");
-    } else if (args.verb.empty()) {
-      args.verb = arg;
-    } else if (args.file.empty()) {
-      args.file = arg;
-    } else {
-      throw Error("unexpected argument '" + arg + "'");
-    }
-  }
-  return args;
-}
 
 void emit(const std::string& content, const std::string& out_path) {
   if (out_path.empty()) {
@@ -139,35 +71,68 @@ int cmd_stats(const grid::CarbonIntensityTrace& trace,
   return 0;
 }
 
-}  // namespace
-
-grid::CarbonIntensityTrace import_with_flags(const std::string& path,
-                                             const TraceImportFlags& flags,
-                                             grid::ImportReport* report) {
-  grid::ImportOptions opts = flags.options;
-  if (!flags.tz_forced) {
-    if (const auto spec = grid::find_region(flags.region)) {
-      opts.tz = spec->tz;
-    } else if (flags.region != "TRACE") {
-      // A typo'd code would otherwise silently tag the trace UTC and shift
-      // every local-hour statistic; only the default tag gets the UTC
-      // fallback.
-      throw Error("unknown region code '" + flags.region +
-                  "'; use a Table 3 code or pass --tz-offset");
-    }
+/// Import honoring the flags: an explicit zone wins, else the preset zone
+/// of the region, else UTC.
+grid::CarbonIntensityTrace import_trace(const TraceArgs& args,
+                                        grid::ImportReport* report) {
+  grid::ImportOptions opts = args.import;
+  opts.tile_to_year = !args.no_tile;
+  if (args.tz_offset) {
+    opts.tz = TimeZone(*args.tz_offset, "forced");
+  } else if (const auto spec = grid::find_region(args.region)) {
+    opts.tz = spec->tz;
+  } else if (args.region != "TRACE") {
+    // A typo'd code would otherwise silently tag the trace UTC and shift
+    // every local-hour statistic; only the default tag gets the UTC
+    // fallback.
+    throw Error("unknown region code '" + args.region +
+                "'; use a Table 3 code or pass --tz-offset");
   }
-  return grid::import_trace_file(path, flags.region, opts, report);
+  return grid::import_trace_file(args.file, args.region, opts, report);
 }
 
-int cmd_trace(int argc, char** argv) {
-  const TraceArgs args = parse_args(argc, argv);
+}  // namespace
+
+int cmd_trace(int argc, char** argv, std::ostream& out, std::ostream& err) {
+  TraceArgs args;
+  options::Table flags(
+      "trace", "<stats|resample|export> <file> [flags]",
+      "import a grid-trace CSV; stats summarizes it, resample re-emits it\n"
+      "at the --step cadence, export as canonical hour,intensity CSV");
+  flags
+      .text("--region", "CODE", &args.region,
+            "region tag; a Table 3 code also sets the zone (default TRACE)")
+      .integer("--tz-offset", "H", &args.tz_offset, -12, 14,
+               "force the local-time zone, whole hours vs UTC")
+      .number("--step-in", "S", &args.import.step_seconds,
+              {.lo = 0}, "force the input cadence, seconds (default 0: "
+              "inferred)")
+      .integer("--max-gap", "N", &args.import.max_gap_samples, 0,
+               INT_MAX, "forward-fill cap per gap, samples (default 12)")
+      .flag("--no-tile", &args.no_tile,
+            "fail instead of tiling sub-year coverage")
+      .number("--step", "S", &args.step_out, {.lo = 0, .lo_open = true},
+              "resample cadence, seconds")
+      .text("--out", "PATH", &args.out_path,
+            "write the output CSV here instead of stdout")
+      .positional([&args](const std::string& arg) {
+        if (args.verb.empty()) {
+          args.verb = arg;
+        } else if (args.file.empty()) {
+          args.file = arg;
+        } else {
+          throw Error("trace takes a verb and one file, got '" + arg +
+                      "' too");
+        }
+      });
+  if (!flags.parse(argc, argv, out)) return 0;
   if (args.verb.empty() || args.file.empty()) {
-    return trace_usage(args.verb == "help" ? std::cout : std::cerr,
-                       args.verb == "help" ? 0 : 2);
+    const bool help = args.verb == "help";
+    flags.usage(help ? out : err);
+    return help ? 0 : 2;
   }
   grid::ImportReport report;
-  const grid::CarbonIntensityTrace trace =
-      import_with_flags(args.file, args.flags, &report);
+  const grid::CarbonIntensityTrace trace = import_trace(args, &report);
 
   if (args.verb == "stats") {
     return cmd_stats(trace, report);
@@ -191,8 +156,9 @@ int cmd_trace(int argc, char** argv) {
     emit(trace.to_csv(), args.out_path);
     return 0;
   }
-  std::cerr << "hpcarbon trace: unknown verb '" << args.verb << "'\n";
-  return trace_usage(std::cerr, 2);
+  err << "hpcarbon trace: unknown verb '" << args.verb << "'\n";
+  flags.usage(err);
+  return 2;
 }
 
 }  // namespace hpcarbon::cli

@@ -4,34 +4,15 @@
 //   hpcarbon trace resample <file> --step S     re-emit at a new cadence
 //   hpcarbon trace export <file>                re-emit canonical CSV
 //
-// Shared import flags: --region CODE (tags the trace and picks the preset
-// zone), --tz-offset H, --step-in S (force the input cadence), --max-gap N,
-// --no-tile. Output goes to stdout or --out PATH.
+// `hpcarbon trace --help` lists the import and output flags.
 #pragma once
 
-#include <string>
-
-#include "grid/import.h"
+#include <iosfwd>
 
 namespace hpcarbon::cli {
 
-/// Flags shared by `hpcarbon trace` and the --trace-csv overrides of
-/// `hpcarbon run` / `hpcarbon sweep`.
-struct TraceImportFlags {
-  std::string region = "TRACE";
-  grid::ImportOptions options;
-  /// True once --tz-offset fixed the zone explicitly (otherwise the region
-  /// preset's zone applies).
-  bool tz_forced = false;
-};
-
-/// Import honoring the flags: explicit zone wins, else the preset zone of
-/// `region`, else UTC.
-grid::CarbonIntensityTrace import_with_flags(const std::string& path,
-                                             const TraceImportFlags& flags,
-                                             grid::ImportReport* report);
-
-/// `hpcarbon trace` entry point (argv excludes the subcommand itself).
-int cmd_trace(int argc, char** argv);
+/// `hpcarbon trace` entry point (argv excludes the subcommand itself);
+/// --help and `hpcarbon trace help` go to `out`.
+int cmd_trace(int argc, char** argv, std::ostream& out, std::ostream& err);
 
 }  // namespace hpcarbon::cli

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <regex>
+#include <set>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -308,6 +310,187 @@ TEST(Sweep, DeterministicForFixedSeed) {
     EXPECT_DOUBLE_EQ(a.rows[i].mean, b.rows[i].mean);
     EXPECT_DOUBLE_EQ(a.rows[i].p95, b.rows[i].p95);
     EXPECT_EQ(a.rows[i].extra, b.rows[i].extra);
+  }
+}
+
+// The flags each command's parser accepted before the option table,
+// value-taking flags first, then switches. `--help` is the only flag the
+// table adds.
+struct CommandFlags {
+  const char* command;
+  std::vector<std::string> valued;
+  std::vector<std::string> switches;
+};
+
+const std::vector<CommandFlags>& parent_flags() {
+  static const std::vector<CommandFlags> flags = {
+      {"run",
+       {"--policies", "--days", "--rate", "--uncertainty", "--trace-csv",
+        "--csv", "--threads"},
+       {"--all-regions"}},
+      {"sweep",
+       {"--samples", "--sched-samples", "--seed", "--section", "--region",
+        "--years", "--horizon", "--band-fab", "--band-yield", "--band-epc",
+        "--band-packaging", "--band-grid", "--trace-csv", "--csv",
+        "--threads"},
+       {"--smoke"}},
+      {"fleetsim",
+       {"--policies", "--process", "--days", "--rate", "--capacity", "--seed",
+        "--uncertainty", "--jobs-csv", "--threads"},
+       {}},
+      {"trace",
+       {"--region", "--tz-offset", "--step-in", "--max-gap", "--step",
+        "--out"},
+       {"--no-tile"}},
+      {"batch", {"--threads", "--cache-mb", "--shards", "--out"}, {}},
+      {"serve",
+       {"--threads", "--cache-mb", "--shards", "--listen", "--unix",
+        "--workers", "--max-conns", "--max-inflight", "--idle-timeout",
+        "--metrics-unix", "--stats-interval"},
+       {}},
+      {"metrics", {"--unix"}, {"--local"}},
+  };
+  return flags;
+}
+
+std::set<std::string> long_flags_in(const std::string& text) {
+  static const std::regex flag("--[a-z][a-z-]*");
+  std::set<std::string> found;
+  for (std::sregex_iterator it(text.begin(), text.end(), flag), end;
+       it != end; ++it) {
+    found.insert(it->str());
+  }
+  return found;
+}
+
+/// The what() of the Error `hpcarbon args...` throws ("" when none).
+std::string dispatch_error(std::vector<std::string> args) {
+  try {
+    run_dispatch(std::move(args));
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Dispatch, EveryCommandHelpListsExactlyItsFlags) {
+  for (const auto& c : parent_flags()) {
+    for (const char* spelling : {"--help", "-h"}) {
+      const DispatchResult r = run_dispatch({c.command, spelling});
+      EXPECT_EQ(r.code, 0) << c.command;
+      EXPECT_EQ(r.out.rfind(std::string("usage: hpcarbon ") + c.command, 0),
+                0u)
+          << r.out;
+      EXPECT_TRUE(r.err.empty()) << c.command;
+      std::set<std::string> expected(c.valued.begin(), c.valued.end());
+      expected.insert(c.switches.begin(), c.switches.end());
+      expected.insert("--help");
+      EXPECT_EQ(long_flags_in(r.out), expected) << c.command;
+    }
+  }
+}
+
+TEST(Dispatch, TopLevelHelpIncludesEveryCommandTable) {
+  const DispatchResult r = run_dispatch({"help"});
+  for (const auto& c : parent_flags()) {
+    EXPECT_NE(r.out.find(std::string("usage: hpcarbon ") + c.command + " "),
+              std::string::npos)
+        << c.command;
+  }
+  // `hpcarbon trace help` keeps printing the trace usage to stdout.
+  const DispatchResult trace = run_dispatch({"trace", "help"});
+  EXPECT_EQ(trace.code, 0);
+  EXPECT_EQ(trace.out.rfind("usage: hpcarbon trace", 0), 0u);
+  EXPECT_TRUE(trace.err.empty());
+}
+
+TEST(Dispatch, EveryValueFlagWithoutAValueNamesTheFlag) {
+  for (const auto& c : parent_flags()) {
+    for (const auto& flag : c.valued) {
+      EXPECT_EQ(dispatch_error({c.command, flag}), flag + " needs a value")
+          << c.command;
+    }
+  }
+}
+
+TEST(Dispatch, UnknownFlagsAndStrayArgumentsPointAtCommandHelp) {
+  for (const auto& c : parent_flags()) {
+    const std::string cmd = c.command;
+    EXPECT_EQ(dispatch_error({cmd, "--bogus"}),
+              "unknown " + cmd + " flag '--bogus' (see `hpcarbon " + cmd +
+                  " --help`)");
+  }
+  EXPECT_EQ(dispatch_error({"serve", "stray"}),
+            "unexpected serve argument 'stray' (see `hpcarbon serve --help`)");
+  EXPECT_EQ(dispatch_error({"batch", "a.jsonl", "b.jsonl"}),
+            "batch takes one input file, got 'b.jsonl' too");
+}
+
+// Values that aborted, wrapped, truncated or misbehaved before the option
+// table now fail at parse time with one line naming the flag.
+TEST(Dispatch, OutOfRangeValuesAreOneLineErrors) {
+  const std::string file = fixture_path();
+  const std::vector<std::pair<std::vector<std::string>, std::string>> cases = {
+      {{"sweep", "--threads", "-1"},
+       "--threads expects an integer in [0, 4096], got '-1'"},
+      {{"sweep", "--threads", "2.5"},
+       "--threads expects an integer in [0, 4096], got '2.5'"},
+      {{"run", "ESO", "--days", "1", "--threads", "100000"},
+       "--threads expects an integer in [0, 4096], got '100000'"},
+      {{"run", "ESO", "--days", "1", "--threads", "1000000000000"},
+       "--threads expects an integer in [0, 4096], got '1000000000000'"},
+      {{"serve", "--workers", "4097"},
+       "--workers expects an integer in [0, 4096], got '4097'"},
+      {{"sweep", "--seed", "-1"},
+       "--seed expects an integer in [0, 9007199254740992], got '-1'"},
+      {{"sweep", "--seed", "1e30"},
+       "--seed expects an integer in [0, 9007199254740992], got '1e30'"},
+      {{"trace", "stats", file, "--max-gap", "1e12"},
+       "--max-gap expects an integer in [0, 2147483647], got '1e12'"},
+      {{"trace", "stats", file, "--max-gap", "2.7"},
+       "--max-gap expects an integer in [0, 2147483647], got '2.7'"},
+      {{"trace", "stats", file, "--step-in", "-5"},
+       "--step-in expects a number in [0, inf), got '-5'"},
+      {{"serve", "--stats-interval", "nan"},
+       "--stats-interval expects a number in [0, 1000000], got 'nan'"},
+      {{"serve", "--idle-timeout", "nan"},
+       "--idle-timeout expects a number in [0, 1000000], got 'nan'"},
+      {{"serve", "--idle-timeout", "-1"},
+       "--idle-timeout expects a number in [0, 1000000], got '-1'"},
+      {{"run", "ESO", "--days", "-1"},
+       "--days expects a number in (0, inf), got '-1'"},
+      {{"trace", "resample", file, "--step", "nan"},
+       "--step expects a number in (0, inf), got 'nan'"},
+      {{"batch", "-", "--cache-mb", "1048577"},
+       "--cache-mb expects an integer in [1, 1048576], got '1048577'"},
+  };
+  for (const auto& [args, message] : cases) {
+    EXPECT_EQ(dispatch_error(args), message) << args[0] << ' ' << args[1];
+  }
+}
+
+// Widened: 0 threads means the default everywhere, and a whole number may
+// be spelled as a decimal. Parsing stops at --help, so nothing runs.
+TEST(Dispatch, WholeDecimalsAndZeroThreadsAreAccepted) {
+  for (const std::vector<std::string>& args :
+       {std::vector<std::string>{"batch", "--threads", "0", "--help"},
+        {"serve", "--threads", "0", "--workers", "4.0", "--max-conns", "8.0",
+         "--help"},
+        {"trace", "--tz-offset", "-5", "--help"}}) {
+    const DispatchResult r = run_dispatch(args);
+    EXPECT_EQ(r.code, 0) << args[0];
+    EXPECT_TRUE(r.err.empty()) << args[0];
+  }
+}
+
+TEST(Dispatch, MissingOperandsStillExitTwo) {
+  for (const std::vector<std::string>& args :
+       {std::vector<std::string>{"run"}, {"batch"}, {"metrics"},
+        {"metrics", "--local", "--unix", "x.sock"}, {"trace"}}) {
+    const DispatchResult r = run_dispatch(args);
+    EXPECT_EQ(r.code, 2) << args[0];
+    EXPECT_FALSE(r.err.empty()) << args[0];
+    EXPECT_TRUE(r.out.empty()) << args[0];
   }
 }
 

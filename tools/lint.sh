@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# hpcarbon lint gate — three checks, one exit code:
+# hpcarbon lint gate — six checks, one exit code:
 #
 #   1. Determinism lint (grep): the batch==serve byte-identity contract
 #      depends on every random draw flowing through src/core/rng
@@ -19,7 +19,11 @@
 #      raw `malloc`/`calloc`/`realloc` and array `new[...]` in src/serve
 #      or src/core/json.* are diffed against tools/alloc_baseline.txt,
 #      so only NEW raw allocations fail (same ratchet as clang-tidy).
-#   5. clang-tidy (see .clang-tidy for the curated check set), diffed
+#   5. Argv-scan lint (grep): every command parses its flags through the
+#      one option table in src/core/options.* — an `argv[++i]` or an
+#      `arg == "--...` comparison anywhere else in src/ or bench/ is a
+#      second, hand-rolled parser, so it is rejected.
+#   6. clang-tidy (see .clang-tidy for the curated check set), diffed
 #      against tools/lint_baseline.txt: only NEW (file, check) pairs
 #      fail, so the gate ratchets without demanding a big-bang cleanup.
 #      Skipped with a notice when clang-tidy is not installed (the
@@ -52,7 +56,7 @@ while [[ $# -gt 0 ]]; do
     --update-baseline) UPDATE_BASELINE=1; MODE=tidy ;;
     --self-test) SELF_TEST=1 ;;
     --build-dir) BUILD_DIR="$2"; shift ;;
-    -h|--help) sed -n '2,30p' "${BASH_SOURCE[0]}"; exit 0 ;;
+    -h|--help) sed -n '2,42p' "${BASH_SOURCE[0]}"; exit 0 ;;
     *) echo "lint.sh: unknown flag '$1' (see --help)" >&2; exit 2 ;;
   esac
   shift
@@ -157,6 +161,22 @@ alloc_lint() {
   rm -f "$current" "$known"
 }
 
+# --- 5. argv-scan lint -------------------------------------------------------
+
+argv_lint() {
+  local matches
+  matches="$(grep -rnE --include='*.h' --include='*.cpp' \
+    'argv\[\+\+i\]|arg == "--' "$ROOT/src" "$ROOT/bench" | \
+    grep -v "^$ROOT/src/core/options\." || true)"
+  if [[ -n "$matches" ]]; then
+    echo "argv-scan lint FAILED — hand-rolled flag parsing outside src/core/options.*:" >&2
+    echo "$matches" >&2
+    echo "(declare the flag in the command's options::Table instead — src/core/options.h — so it parses, errors and renders its usage like every other flag)" >&2
+    return 1
+  fi
+  echo "argv-scan lint OK"
+}
+
 # --- negative self-test -----------------------------------------------------
 
 self_test() {
@@ -170,6 +190,9 @@ self_test() {
 #include <mutex>
 static std::mutex selftest_naked_mutex;
 long selftest_clock() { return static_cast<long>(time(nullptr)); }
+int selftest_flag(int argc, char** argv, int i, const char* arg) {
+  return i + 1 < argc && arg == "--bogus" && argv[++i] != nullptr;
+}
 EOF
   cat > "$seeded_alloc" <<'EOF'
 // Transient file written by tools/lint.sh --self-test; never compiled.
@@ -199,11 +222,15 @@ EOF
     echo "lint self-test FAILED: counter lint accepted a seeded std::atomic<uint64_t> in src/net" >&2
     return 1
   fi
+  if argv_lint >/dev/null 2>&1; then
+    echo "lint self-test FAILED: argv-scan lint accepted a seeded argv[++i] in src/" >&2
+    return 1
+  fi
   rm -f "$seeded" "$seeded_alloc" "$seeded_counter"
   echo "lint self-test OK — the gate rejects seeded violations"
 }
 
-# --- 3. clang-tidy vs baseline ----------------------------------------------
+# --- 6. clang-tidy vs baseline ----------------------------------------------
 
 find_clang_tidy() {
   if [[ -n "${CLANG_TIDY:-}" ]]; then
@@ -300,6 +327,7 @@ if [[ "$MODE" != tidy ]]; then
   mutex_lint || rc=1
   counter_lint || rc=1
   alloc_lint || rc=1
+  argv_lint || rc=1
 fi
 if [[ "$MODE" != scripts ]]; then
   tidy_lint || rc=1
