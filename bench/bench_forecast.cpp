@@ -45,7 +45,8 @@ static int tool_main(int, char**) {
   sched::WorkloadParams wp;
   wp.horizon_hours = 24.0 * 28;
   wp.arrival_rate_per_hour = 2.0;
-  const auto jobs = fleetsim::FleetJobs::from_jobs(sched::generate_jobs(wp));
+  const auto jobs = fleetsim::FleetJobs::from_jobs(
+      sched::generate_jobs(wp), sched::generated_user_names(wp.user_count));
 
   TextTable p({"Home region", "Policy", "Carbon (kg)", "vs run-now",
                "Mean wait (h)"});

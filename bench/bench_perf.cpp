@@ -149,7 +149,8 @@ static int tool_main(int argc, char** argv) {
     const fleetsim::FleetEngine sim(sites, HourOfYear(0));
     sched::WorkloadParams wp;
     wp.horizon_hours = 24.0 * 28;
-    const auto jobs = fleetsim::FleetJobs::from_jobs(sched::generate_jobs(wp));
+    const auto jobs = fleetsim::FleetJobs::from_jobs(
+        sched::generate_jobs(wp), sched::generated_user_names(wp.user_count));
     rows.push_back(time_kernel("scheduler_month", window_ms,
                                static_cast<double>(jobs.size()), [&] {
       const auto policy = sched::make_policy("greedy-lowest-ci");

@@ -4,6 +4,7 @@
 // operational realization of the paper's Sec. 4 implications.
 //
 // Usage: ./examples/carbon_aware_scheduling
+#include <cstdint>
 #include <iostream>
 
 #include "core/table.h"
@@ -32,7 +33,8 @@ static int tool_main(int, char**) {
   wp.arrival_rate_per_hour = 2.0;
   wp.user_count = 6;
   // Generated times snap to the engine's 1/1024 h tick grid.
-  const auto jobs = fleetsim::FleetJobs::from_jobs(sched::generate_jobs(wp));
+  const auto jobs = fleetsim::FleetJobs::from_jobs(
+      sched::generate_jobs(wp), sched::generated_user_names(wp.user_count));
 
   std::cout << banner("Carbon-aware scheduling across ERCOT / ESO / CISO");
   std::cout << jobs.size() << " jobs over 28 days from June 1; home site: "
@@ -60,11 +62,11 @@ static int tool_main(int, char**) {
   sim.run(jobs, *sched::make_policy("budget-aware", cfg), nullptr, &ledger);
   std::cout << "\nPer-user carbon-budget ledger (allocation 250 kg):\n";
   TextTable ut({"User", "spent (kg)", "remaining %", "status"});
-  for (int u = 0; u < wp.user_count; ++u) {
-    const std::string user = "user" + std::to_string(u);
-    ut.add_row({user, TextTable::num(ledger.spent(user).to_kilograms(), 1),
-                TextTable::num(100 * ledger.remaining_fraction(user), 1),
-                ledger.is_overdrawn(user) ? "OVERDRAWN" : "ok"});
+  for (std::uint32_t u = 0; u < jobs.users.size(); ++u) {
+    ut.add_row({jobs.users[u],
+                TextTable::num(ledger.spent(u).to_kilograms(), 1),
+                TextTable::num(100 * ledger.remaining_fraction(u), 1),
+                ledger.is_overdrawn(u) ? "OVERDRAWN" : "ok"});
   }
   std::cout << ut.to_string();
 

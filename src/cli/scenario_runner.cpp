@@ -160,7 +160,8 @@ ScenarioReport run_scenarios(const ScenarioOptions& opts) {
   sched::WorkloadParams wp;
   wp.horizon_hours = 24.0 * opts.horizon_days;
   wp.arrival_rate_per_hour = opts.arrival_rate_per_hour;
-  const auto jobs = fleetsim::FleetJobs::from_jobs(sched::generate_jobs(wp));
+  const auto jobs = fleetsim::FleetJobs::from_jobs(
+      sched::generate_jobs(wp), sched::generated_user_names(wp.user_count));
   const HourOfYear epoch(month_start_hour(opts.start_month));
 
   // Home + the two cleanest other regions, the same trio for every policy
@@ -238,8 +239,9 @@ ScenarioReport run_scenarios(const ScenarioOptions& opts) {
           Rng rng = mc::substream(opts.uncertainty_seed, k);
           sched::WorkloadParams sample_wp = wp;
           sample_wp.seed = rng.next_u64();
-          const auto sample_jobs =
-              fleetsim::FleetJobs::from_jobs(sched::generate_jobs(sample_wp));
+          const auto sample_jobs = fleetsim::FleetJobs::from_jobs(
+              sched::generate_jobs(sample_wp),
+              sched::generated_user_names(sample_wp.user_count));
           const fleetsim::FleetEngine engine(build_sites(r), epoch);
           double base_g = 0;
           for (std::size_t p = 0; p < policies.size(); ++p) {

@@ -180,8 +180,9 @@ void sweep_sched(const SweepOptions& opts, SweepReport& report) {
         wp.horizon_hours = 24.0 * 28;
         wp.arrival_rate_per_hour = 2.5;
         wp.seed = rng.next_u64();
-        const auto jobs =
-            fleetsim::FleetJobs::from_jobs(sched::generate_jobs(wp));
+        const auto jobs = fleetsim::FleetJobs::from_jobs(
+            sched::generate_jobs(wp),
+            sched::generated_user_names(wp.user_count));
         double base_g = 0;
         for (std::size_t p = 0; p < policies.size(); ++p) {
           const auto policy = policies[p].make({});

@@ -90,10 +90,12 @@ sched::ScheduleMetrics FleetEngine::run(const FleetJobs& jobs,
   const std::size_t n = jobs.size();
 
   // Policies take arrivals as sched::Job values (begin_run scans users,
-  // forecasts read traces): one materialization pass, tick times converted
-  // to exact doubles. `arrivals` stays in place until run returns, so each
-  // queued PendingJob points at its arrival instead of copying it, and a
-  // queued job's arrival index is its offset from arrivals.data().
+  // forecasts read traces): one materialization pass of plain 32-byte
+  // copies, tick times converted to exact doubles and users kept as
+  // indexes into jobs.users, so no string is copied. `arrivals` stays in
+  // place until run returns, so each queued PendingJob points at its
+  // arrival instead of copying it, and a queued job's arrival index is its
+  // offset from arrivals.data().
   const std::vector<sched::Job> arrivals = jobs.to_jobs();
 
   sched::CarbonBudgetLedger ledger;

@@ -17,6 +17,10 @@
 //    tick (at most 1.8 s);
 //  * struct-of-arrays job storage in and out (FleetJobs / FleetOutcomes):
 //    no per-job heap Job while jobs wait on disk-format vectors;
+//  * users are indexes into FleetJobs::users for the whole run: a
+//    sched::Job is 32 trivially copyable bytes, and a job start charges
+//    the budget ledger (a flat vector of accounts) by index, with no
+//    string compare or copy;
 //  * queue entries (sched::PendingJob) point at their arrival instead of
 //    copying the job: 16 trivially copyable bytes, so a dispatch takes
 //    its job out of the queue with one memmove (still O(queue) bytes);
@@ -85,6 +89,7 @@ class FleetEngine {
 
   /// Run the event loop under `policy`. Jobs must validate (sorted
   /// submits, positive durations). An empty fleet yields zero metrics.
+  /// `ledger_out` is indexed by user; jobs.users names the indexes.
   /// const: all simulation state is local, so concurrent runs on one
   /// engine (Monte-Carlo seed sweeps) are safe.
   sched::ScheduleMetrics run(const FleetJobs& jobs,

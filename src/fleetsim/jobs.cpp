@@ -4,6 +4,8 @@
 #include <cmath>
 #include <cstdlib>
 #include <numeric>
+#include <unordered_map>
+#include <utility>
 
 #include "core/csv.h"
 #include "core/error.h"
@@ -11,20 +13,12 @@
 namespace hpcarbon::fleetsim {
 
 void FleetJobs::push(std::int32_t job_id, Tick submit_tick, Tick duration_tick,
-                     Power it_power, const std::string& user_name) {
+                     Power it_power, std::uint32_t user_index) {
   id.push_back(job_id);
   submit.push_back(submit_tick);
   duration.push_back(duration_tick);
   power.push_back(it_power);
-  user.push_back(intern_user(user_name));
-}
-
-std::uint32_t FleetJobs::intern_user(const std::string& user_name) {
-  for (std::size_t i = 0; i < users.size(); ++i) {
-    if (users[i] == user_name) return static_cast<std::uint32_t>(i);
-  }
-  users.push_back(user_name);
-  return static_cast<std::uint32_t>(users.size() - 1);
+  user.push_back(user_index);
 }
 
 void FleetJobs::validate() const {
@@ -46,7 +40,8 @@ void FleetJobs::validate() const {
   }
 }
 
-FleetJobs FleetJobs::from_jobs(const std::vector<sched::Job>& jobs) {
+FleetJobs FleetJobs::from_jobs(const std::vector<sched::Job>& jobs,
+                               std::vector<std::string> users) {
   // Stable sort by submit: jobs submitted at the same instant keep their
   // input order, so FCFS tie-breaking (and therefore every policy
   // decision) is a deterministic function of the job list.
@@ -57,6 +52,7 @@ FleetJobs FleetJobs::from_jobs(const std::vector<sched::Job>& jobs) {
                      return jobs[a].submit_hour < jobs[b].submit_hour;
                    });
   FleetJobs out;
+  out.users = std::move(users);
   out.id.reserve(jobs.size());
   out.submit.reserve(jobs.size());
   out.duration.reserve(jobs.size());
@@ -78,11 +74,11 @@ std::vector<sched::Job> FleetJobs::to_jobs() const {
   for (std::size_t i = 0; i < size(); ++i) {
     sched::Job j;
     j.id = id[i];
-    j.user = users[user[i]];
+    j.user = user[i];
     j.submit_hour = hours_of(submit[i]);
     j.duration_hours = hours_of(duration[i]);
     j.it_power = power[i];
-    out.push_back(std::move(j));
+    out.push_back(j);
   }
   return out;
 }
@@ -125,6 +121,8 @@ FleetJobs parse_jobs_csv(const std::string& text, std::size_t site_count,
   std::vector<sched::Job> jobs;
   std::vector<std::pair<std::size_t, std::int32_t>> origins;  // (row, site)
   jobs.reserve(table.rows.size() - 1);
+  std::vector<std::string> users;  // first appearance in the file
+  std::unordered_map<std::string, std::uint32_t> user_index;
   for (std::size_t r = 1; r < table.rows.size(); ++r) {
     const auto& cells = table.rows[r];
     const std::size_t line = table.line_numbers[r];
@@ -149,7 +147,10 @@ FleetJobs parse_jobs_csv(const std::string& text, std::size_t site_count,
     if (cells[3].empty()) {
       throw Error("jobs CSV: empty user (line " + std::to_string(line) + ")");
     }
-    j.user = cells[3];
+    const auto [it, inserted] = user_index.try_emplace(
+        cells[3], static_cast<std::uint32_t>(users.size()));
+    if (inserted) users.push_back(cells[3]);
+    j.user = it->second;
     if (has_site) {
       const double site = parse_num(cells[4], "site", line);
       if (site != std::floor(site) || site < 0 ||
@@ -160,10 +161,10 @@ FleetJobs parse_jobs_csv(const std::string& text, std::size_t site_count,
       }
       origins.emplace_back(jobs.size(), static_cast<std::int32_t>(site));
     }
-    jobs.push_back(std::move(j));
+    jobs.push_back(j);
   }
 
-  FleetJobs out = FleetJobs::from_jobs(jobs);
+  FleetJobs out = FleetJobs::from_jobs(jobs, std::move(users));
   if (origin_site != nullptr) {
     // from_jobs may reorder; map origins through the preserved ids (ids
     // are the pre-sort row order by construction above).

@@ -64,24 +64,23 @@ inline bool tick_aligned(double hours) {
 /// Parallel-vector job storage. Jobs are kept sorted by submit tick
 /// (validate() enforces it); `user` indexes into the `users` name table so
 /// a million jobs over eight users store eight strings, not a million.
+/// Inside a run users are these indexes (sched::Job::user, the budget
+/// ledger); names are turned into indexes only where they enter (the
+/// generators, the jobs CSV) and looked up again only to print.
 struct FleetJobs {
   std::vector<std::int32_t> id;        // stable external id (outcome joins)
   std::vector<Tick> submit;            // sorted ascending
   std::vector<Tick> duration;          // > 0
   std::vector<Power> power;            // average IT draw while running
   std::vector<std::uint32_t> user;     // index into `users`
-  std::vector<std::string> users;      // distinct user names
+  std::vector<std::string> users;      // user names; may name idle users
 
   std::size_t size() const { return submit.size(); }
   bool empty() const { return submit.empty(); }
 
-  /// Append one job; `user_name` is interned into `users`.
+  /// Append one job of user index `user_index`.
   void push(std::int32_t job_id, Tick submit_tick, Tick duration_tick,
-            Power it_power, const std::string& user_name);
-
-  /// Index of `user_name` in `users`, interning it if new. O(users) — the
-  /// user population is small by construction.
-  std::uint32_t intern_user(const std::string& user_name);
+            Power it_power, std::uint32_t user_index);
 
   /// Throws hpcarbon::Error unless submits are sorted, durations are
   /// positive, and every user index is in range.
@@ -89,11 +88,14 @@ struct FleetJobs {
 
   /// Quantize a double-based workload onto the tick grid (nearest tick;
   /// durations clamp up to one tick so no job becomes instantaneous) and
-  /// sort by submit. Ids are preserved.
-  static FleetJobs from_jobs(const std::vector<sched::Job>& jobs);
+  /// sort by submit. Ids and user indexes are kept; `users` names the
+  /// indexes (sched::generated_user_names for sched::generate_jobs).
+  static FleetJobs from_jobs(const std::vector<sched::Job>& jobs,
+                             std::vector<std::string> users);
 
   /// Materialize sched::Job values (exact: tick times convert to the same
-  /// doubles the engine computes with). Used to brief policies'
+  /// doubles the engine computes with), one plain 32-byte copy per job:
+  /// users stay indexes, so no string is copied. Used to brief policies'
   /// begin_run() and by the tests.
   std::vector<sched::Job> to_jobs() const;
 };
@@ -103,6 +105,9 @@ struct FleetJobs {
 ///
 ///   submit_hours,duration_hours,power_kw,user[,site]
 ///
+/// User names are interned as the rows are parsed, through a hash map:
+/// `users` lists them in order of first appearance in the file, and the
+/// cost stays linear in the rows however many distinct users there are.
 /// The optional `site` column carries the job's origin site from the
 /// recording cluster; it is validated against [0, site_count) and reported
 /// via `origin_site` when requested, but placement stays with the policy.

@@ -7,6 +7,7 @@
 #include "core/error.h"
 #include "core/rng.h"
 #include "mc/engine.h"
+#include "sched/workload_gen.h"
 
 namespace hpcarbon::fleetsim {
 
@@ -106,10 +107,7 @@ FleetJobs generate_fleet_jobs(const FleetWorkloadParams& p) {
   jobs.duration.reserve(ticks.size());
   jobs.power.reserve(ticks.size());
   jobs.user.reserve(ticks.size());
-  jobs.users.reserve(static_cast<std::size_t>(p.user_count));
-  for (int u = 0; u < p.user_count; ++u) {
-    jobs.users.push_back("user" + std::to_string(u));
-  }
+  jobs.users = sched::generated_user_names(p.user_count);
   for (std::size_t i = 0; i < ticks.size(); ++i) {
     const auto user = static_cast<std::uint32_t>(
         attr_rng.uniform_int(0, p.user_count - 1));

@@ -49,30 +49,54 @@ DiurnalTemplateForecast::DiurnalTemplateForecast(
               "level blend must be in [0,1]");
 }
 
-DiurnalTemplateForecast::Outlook DiurnalTemplateForecast::outlook(
-    HourOfYear origin) const {
-  std::array<double, kHoursPerDay> sum{};
-  std::array<int, kHoursPerDay> count{};
-  for (int back = 1; back <= window_days_ * kHoursPerDay; ++back) {
-    const HourOfYear h = origin.shifted(-back);
-    sum[static_cast<std::size_t>(h.hour_of_day())] +=
-        trace_->at(h).to_g_per_kwh();
-    ++count[static_cast<std::size_t>(h.hour_of_day())];
+double DiurnalTemplateForecast::slot_mean(HourOfYear origin, int slot) const {
+  // The most recent hour before `origin` in `slot` is `first` hours back;
+  // the slot's other samples lie whole days further back. The year has
+  // whole days, so wrapping keeps every sample in its slot.
+  const int first =
+      (origin.hour_of_day() - slot - 1 + kHoursPerDay) % kHoursPerDay + 1;
+  double sum = 0;
+  for (int day = 0; day < window_days_; ++day) {
+    sum += trace_->at(origin.shifted(-(first + day * kHoursPerDay)))
+               .to_g_per_kwh();
   }
-  Outlook outlook;
-  outlook.origin_ = origin;
-  for (int i = 0; i < kHoursPerDay; ++i) {
-    const auto iu = static_cast<std::size_t>(i);
-    outlook.template_[iu] = count[iu] > 0 ? sum[iu] / count[iu] : 0.0;
-  }
+  return sum / window_days_;
+}
+
+void DiurnalTemplateForecast::set_level(Outlook& outlook) const {
   // Level correction: shift toward the latest observation's deviation from
   // its own template slot (persistence of the weather regime).
-  const HourOfYear last = origin.shifted(-1);
+  const HourOfYear last = outlook.origin_.shifted(-1);
   const double last_dev =
       trace_->at(last).to_g_per_kwh() -
       outlook.template_[static_cast<std::size_t>(last.hour_of_day())];
   outlook.level_ = level_blend_ * last_dev;
+}
+
+DiurnalTemplateForecast::Outlook DiurnalTemplateForecast::outlook(
+    HourOfYear origin) const {
+  Outlook outlook;
+  outlook.origin_ = origin;
+  for (int slot = 0; slot < kHoursPerDay; ++slot) {
+    outlook.template_[static_cast<std::size_t>(slot)] =
+        slot_mean(origin, slot);
+  }
+  set_level(outlook);
   return outlook;
+}
+
+const DiurnalTemplateForecast::Outlook& DiurnalTemplateForecast::outlook_at(
+    HourOfYear origin) {
+  if (kept_.has_value() && kept_->origin_ == origin) return *kept_;
+  if (kept_.has_value() && kept_->origin_.shifted(1) == origin) {
+    const int slot = kept_->origin_.hour_of_day();
+    kept_->origin_ = origin;
+    kept_->template_[static_cast<std::size_t>(slot)] = slot_mean(origin, slot);
+    set_level(*kept_);
+  } else {
+    kept_ = outlook(origin);
+  }
+  return *kept_;
 }
 
 double DiurnalTemplateForecast::Outlook::predict(int horizon_hours) const {

@@ -16,6 +16,7 @@
 
 #include <array>
 #include <memory>
+#include <optional>
 
 #include "grid/trace.h"
 
@@ -58,6 +59,13 @@ class DiurnalTemplateForecast : public Forecast {
   class Outlook {
    public:
     HourOfYear origin() const { return origin_; }
+    /// Mean intensity of each hour of the day over the trailing window.
+    const std::array<double, kHoursPerDay>& hourly_template() const {
+      return template_;
+    }
+    /// Level term added to every slot: level_blend times the last
+    /// observation's deviation from its own slot.
+    double level() const { return level_; }
     /// Intensity predicted at origin + horizon_hours.
     double predict(int horizon_hours) const;
     /// Mean predicted intensity over [origin + start_h, origin + start_h +
@@ -77,12 +85,30 @@ class DiurnalTemplateForecast : public Forecast {
                           int window_days = 14, double level_blend = 0.3);
   /// The forecast made at `origin`; O(window_days * 24).
   Outlook outlook(HourOfYear origin) const;
+  /// The forecast made at `origin`, kept in this forecast until the next
+  /// call: a scheduler asks at one origin many times, then one hour later.
+  /// The same origin returns the kept outlook. The next hour re-reads one
+  /// template slot (`window_days` samples) and the level sample: moving
+  /// the origin from o to o + 1 adds hour o to the trailing window and
+  /// drops hour o - 24 * window_days, and both fall in hour o's slot, so
+  /// the other 23 slots keep the same samples summed in the same order.
+  /// Any other origin rebuilds in full. Answers are bit-identical to
+  /// outlook(origin); the reference is valid until the next call.
+  const Outlook& outlook_at(HourOfYear origin);
   double predict(HourOfYear origin, int horizon_hours) const override;
 
  private:
+  /// Mean of the trailing window's samples in hour-of-day `slot` before
+  /// `origin`, summed most recent first. The full build and the one-hour
+  /// step both fill slots through it, so the two cannot drift apart.
+  double slot_mean(HourOfYear origin, int slot) const;
+  /// Set `outlook.level_` from its template and the last observation.
+  void set_level(Outlook& outlook) const;
+
   const CarbonIntensityTrace* trace_;
   int window_days_;
   double level_blend_;
+  std::optional<Outlook> kept_;  // outlook_at's last answer
 };
 
 /// Forecast accuracy over a year at a fixed horizon.

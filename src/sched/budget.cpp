@@ -4,30 +4,35 @@
 
 namespace hpcarbon::sched {
 
-void CarbonBudgetLedger::set_allocation(const std::string& user, Mass budget) {
+CarbonBudgetLedger::Account& CarbonBudgetLedger::account(std::uint32_t user) {
+  if (user >= accounts_.size()) accounts_.resize(std::size_t{user} + 1);
+  return accounts_[user];
+}
+
+void CarbonBudgetLedger::set_allocation(std::uint32_t user, Mass budget) {
   HPC_REQUIRE(budget.to_grams() >= 0, "budget must be non-negative");
-  accounts_[user].allocation_g = budget.to_grams();
+  account(user).allocation_g = budget.to_grams();
 }
 
-void CarbonBudgetLedger::charge(const std::string& user, Mass amount) {
+void CarbonBudgetLedger::charge(std::uint32_t user, Mass amount) {
   HPC_REQUIRE(amount.to_grams() >= 0, "charge must be non-negative");
-  accounts_[user].spent_g += amount.to_grams();
+  account(user).spent_g += amount.to_grams();
 }
 
-Mass CarbonBudgetLedger::allocation(const std::string& user) const {
-  auto it = accounts_.find(user);
-  return Mass::grams(it == accounts_.end() ? 0.0 : it->second.allocation_g);
+Mass CarbonBudgetLedger::allocation(std::uint32_t user) const {
+  return Mass::grams(user < accounts_.size() ? accounts_[user].allocation_g
+                                             : 0.0);
 }
 
-Mass CarbonBudgetLedger::spent(const std::string& user) const {
-  auto it = accounts_.find(user);
-  return Mass::grams(it == accounts_.end() ? 0.0 : it->second.spent_g);
+Mass CarbonBudgetLedger::spent(std::uint32_t user) const {
+  return Mass::grams(user < accounts_.size() ? accounts_[user].spent_g : 0.0);
 }
 
-double CarbonBudgetLedger::remaining_fraction(const std::string& user) const {
-  auto it = accounts_.find(user);
-  if (it == accounts_.end() || it->second.allocation_g <= 0) return 0.0;
-  return 1.0 - it->second.spent_g / it->second.allocation_g;
+double CarbonBudgetLedger::remaining_fraction(std::uint32_t user) const {
+  if (user >= accounts_.size() || accounts_[user].allocation_g <= 0) {
+    return 0.0;
+  }
+  return 1.0 - accounts_[user].spent_g / accounts_[user].allocation_g;
 }
 
 }  // namespace hpcarbon::sched

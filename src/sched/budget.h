@@ -5,10 +5,14 @@
 // carbon budget as part of their allocation, and they could be prioritized
 // to reduce their queue wait time if the carbon footprint of their jobs has
 // been economical."
+//
+// Users are indexes into the run's user-name table (sched::Job::user,
+// fleetsim::FleetJobs::users); the ledger holds no names. Callers that
+// print or test by name look the index up in that table.
 #pragma once
 
-#include <map>
-#include <string>
+#include <cstdint>
+#include <vector>
 
 #include "core/units.h"
 
@@ -19,25 +23,26 @@ class CarbonBudgetLedger {
   CarbonBudgetLedger() = default;
 
   /// Grant a user an allocation-period budget.
-  void set_allocation(const std::string& user, Mass budget);
+  void set_allocation(std::uint32_t user, Mass budget);
 
   /// Charge emitted carbon against a user's budget.
-  void charge(const std::string& user, Mass amount);
+  void charge(std::uint32_t user, Mass amount);
 
-  Mass allocation(const std::string& user) const;
-  Mass spent(const std::string& user) const;
+  /// An index the ledger has never seen reads 0.
+  Mass allocation(std::uint32_t user) const;
+  Mass spent(std::uint32_t user) const;
 
   /// Fraction of budget remaining, in (-inf, 1]; negative when overdrawn.
   /// Users without an allocation are treated as fully spent (0.0).
-  double remaining_fraction(const std::string& user) const;
+  double remaining_fraction(std::uint32_t user) const;
 
-  bool is_overdrawn(const std::string& user) const {
+  bool is_overdrawn(std::uint32_t user) const {
     return remaining_fraction(user) < 0.0;
   }
 
   /// Priority key: higher = served sooner. Economical users (large
   /// remaining fraction) jump the queue.
-  double priority(const std::string& user) const {
+  double priority(std::uint32_t user) const {
     return remaining_fraction(user);
   }
 
@@ -46,7 +51,10 @@ class CarbonBudgetLedger {
     double allocation_g = 0;
     double spent_g = 0;
   };
-  std::map<std::string, Account> accounts_;
+  /// The user's account, growing the table to reach it.
+  Account& account(std::uint32_t user);
+
+  std::vector<Account> accounts_;  // by user index
 };
 
 }  // namespace hpcarbon::sched

@@ -8,6 +8,7 @@
 // regional HPC sites fed by the grid traces.
 #pragma once
 
+#include <cstdint>
 #include <string>
 
 #include "core/units.h"
@@ -15,9 +16,12 @@
 
 namespace hpcarbon::sched {
 
+/// One job. `user` indexes the run's user-name table
+/// (fleetsim::FleetJobs::users), so a Job holds no string and copies as
+/// 32 plain bytes.
 struct Job {
   int id = 0;
-  std::string user;
+  std::uint32_t user = 0;
   double submit_hour = 0;    // global (UTC) hours since simulation start
   double duration_hours = 0;
   Power it_power;            // average IT draw while running

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <deque>
 #include <limits>
-#include <set>
 #include <utility>
 
 #include "core/error.h"
@@ -45,19 +44,6 @@ long ClusterView::lowest_ci_free_site() const {
 }
 
 namespace {
-
-using Outlook = grid::DiurnalTemplateForecast::Outlook;
-
-/// The outlook `slot` holds, rebuilt only when the origin hour moves: a
-/// policy prices many jobs, sites and offsets within one simulated hour.
-const Outlook& outlook_at(std::optional<Outlook>& slot,
-                          const grid::DiurnalTemplateForecast& forecast,
-                          HourOfYear origin) {
-  if (!slot.has_value() || slot->origin() != origin) {
-    slot = forecast.outlook(origin);
-  }
-  return *slot;
-}
 
 // ---------------------------------------------------------------------------
 // Built-in policies. Each is one small class; the registry entries at the
@@ -127,9 +113,9 @@ class BudgetAwarePolicy : public SchedulingPolicy {
   std::string name() const override { return "budget-aware"; }
   void begin_run(const std::vector<Job>& arrivals, CarbonBudgetLedger& ledger,
                  const ClusterView&) override {
-    std::set<std::string> users;
-    for (const auto& j : arrivals) users.insert(j.user);
-    for (const auto& u : users) ledger.set_allocation(u, user_budget_);
+    // Exactly the users with a job get an allocation; an idle user in the
+    // name table keeps 0.
+    for (const auto& j : arrivals) ledger.set_allocation(j.user, user_budget_);
   }
   std::optional<DispatchDecision> select(const std::vector<PendingJob>& queue,
                                          const ClusterView& view) override {
@@ -138,7 +124,8 @@ class BudgetAwarePolicy : public SchedulingPolicy {
     if (site < 0) return std::nullopt;
     // Serve the waiting job whose user has been most economical; strict
     // '>' keeps the earliest submission ahead on equal priority. One
-    // ledger lookup per job: the best priority so far stays in a local.
+    // ledger read by user index per job: the best priority so far stays
+    // in a local.
     std::size_t best = 0;
     double best_priority = view.ledger().priority(queue.front().job->user);
     for (std::size_t i = 1; i < queue.size(); ++i) {
@@ -168,11 +155,9 @@ class ForecastDelayPolicy : public SchedulingPolicy {
                  const ClusterView& view) override {
     forecast_ = std::make_unique<grid::DiurnalTemplateForecast>(
         view.site(0).trace_utc, window_days_);
-    outlook_.reset();
   }
   double planned_start(const Job& job, const ClusterView& view) override {
-    const Outlook& outlook =
-        outlook_at(outlook_, *forecast_, view.hour_at(job.submit_hour));
+    const auto& outlook = forecast_->outlook_at(view.hour_at(job.submit_hour));
     int best_offset = 0;
     double best_ci = std::numeric_limits<double>::infinity();
     const int max_w = static_cast<int>(max_delay_);
@@ -201,7 +186,6 @@ class ForecastDelayPolicy : public SchedulingPolicy {
   double max_delay_;
   int window_days_;
   std::unique_ptr<grid::DiurnalTemplateForecast> forecast_;
-  std::optional<Outlook> outlook_;
 };
 
 /// Cross-region dispatch only when the current intensity gap times the
@@ -249,7 +233,6 @@ class ForecastNetBenefitPolicy : public SchedulingPolicy {
       forecasts_.push_back(std::make_unique<grid::DiurnalTemplateForecast>(
           view.site(s).trace_utc, window_days_));
     }
-    outlooks_.assign(view.site_count(), std::nullopt);
   }
   std::optional<DispatchDecision> select(const std::vector<PendingJob>& queue,
                                          const ClusterView& view) override {
@@ -263,8 +246,7 @@ class ForecastNetBenefitPolicy : public SchedulingPolicy {
     for (std::size_t s = 0; s < view.site_count(); ++s) {
       if (view.free_slots(s) <= 0) continue;
       const double predicted_ci =
-          outlook_at(outlooks_[s], *forecasts_[s], origin)
-              .predict_window(0, j.duration_hours);
+          forecasts_[s]->outlook_at(origin).predict_window(0, j.duration_hours);
       const double transfer_g =
           s == 0 ? 0.0
                  : view.site(s).transfer_energy.to_kwh() * view.current_ci(s);
@@ -282,7 +264,6 @@ class ForecastNetBenefitPolicy : public SchedulingPolicy {
  private:
   int window_days_;
   std::vector<std::unique_ptr<grid::DiurnalTemplateForecast>> forecasts_;
-  std::vector<std::optional<Outlook>> outlooks_;  // one per site
 };
 
 /// Throttle dispatch while the rolling emission rate exceeds a cap: a

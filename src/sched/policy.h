@@ -66,6 +66,7 @@ struct PendingJob {
   double earliest_start = 0;
 };
 static_assert(std::is_trivially_copyable_v<PendingJob>);
+static_assert(std::is_trivially_copyable_v<Job>);
 
 /// What a policy hands back from select(): start `queue_index` on `site`.
 struct DispatchDecision {
@@ -141,8 +142,9 @@ class SchedulingPolicy {
   virtual std::string name() const = 0;
 
   /// Called once before the event loop with the sorted arrivals. The
-  /// ledger is the engine's mutable budget ledger (BudgetAware seeds
-  /// allocations here); `view` is already bound, with now() == 0.
+  /// ledger is the engine's mutable budget ledger, indexed by Job::user
+  /// (BudgetAware seeds allocations here); `view` is already bound, with
+  /// now() == 0.
   virtual void begin_run(const std::vector<Job>& arrivals,
                          CarbonBudgetLedger& ledger, const ClusterView& view) {
     (void)arrivals;

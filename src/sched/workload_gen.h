@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "sched/job.h"
@@ -24,6 +25,12 @@ struct WorkloadParams {
   std::uint64_t seed = 2024;
 };
 
+/// Jobs in submit order; each job's `user` is an index in
+/// [0, user_count), named by generated_user_names(user_count).
 std::vector<Job> generate_jobs(const WorkloadParams& params);
+
+/// Names of generated users: user k is "user<k>". Both job generators
+/// (this one and fleetsim::generate_fleet_jobs) name their users here.
+std::vector<std::string> generated_user_names(int user_count);
 
 }  // namespace hpcarbon::sched

@@ -219,7 +219,9 @@ json::Value evaluate_sched(const json::Value& params, TraceStore& traces) {
   const fleetsim::FleetEngine engine = query_engine(params, traces);
   json::Value out = json::Value::object();
   policy_vs_baseline(params, engine,
-                     fleetsim::FleetJobs::from_jobs(sched::generate_jobs(wp)),
+                     fleetsim::FleetJobs::from_jobs(
+                         sched::generate_jobs(wp),
+                         sched::generated_user_names(wp.user_count)),
                      out);
   return out;
 }

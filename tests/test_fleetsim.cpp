@@ -64,6 +64,13 @@ std::vector<sched::Job> seeded_quantized_jobs() {
   return quantized(sched::generate_jobs(wp));
 }
 
+/// FleetJobs of a sched::generate_jobs workload, whose users are indexes
+/// named by generated_user_names (WorkloadParams' default eight users).
+FleetJobs fleet_of(const std::vector<sched::Job>& jobs) {
+  return FleetJobs::from_jobs(
+      jobs, sched::generated_user_names(sched::WorkloadParams{}.user_count));
+}
+
 sched::PolicyConfig tuned_config() {
   sched::PolicyConfig cfg;
   cfg.ci_threshold_g_per_kwh = 320;
@@ -121,7 +128,7 @@ void expect_registry_parity(const std::vector<sched::Site>& sites,
                             const std::vector<sched::Job>& jobs,
                             const sched::PolicyConfig& cfg) {
   const HourOfYear epoch(3624);  // June 1, as the scheduler suite uses
-  const FleetJobs fleet_jobs = FleetJobs::from_jobs(jobs);
+  const FleetJobs fleet_jobs = fleet_of(jobs);
   reference::SchedulingEngine oracle(sites, epoch);
   const FleetEngine fleet(sites, epoch);
 
@@ -139,13 +146,12 @@ void expect_registry_parity(const std::vector<sched::Site>& sites,
 
     expect_metrics_bitwise(expected, got, desc.name);
     expect_outcomes_bitwise(sites, outcomes, oracle_outcomes, desc.name);
-    for (const auto& user : fleet_jobs.users) {
-      EXPECT_EQ(ledger.spent(user).to_grams(),
-                oracle_ledger.spent(user).to_grams())
-          << desc.name << " user " << user;
-      EXPECT_EQ(ledger.allocation(user).to_grams(),
-                oracle_ledger.allocation(user).to_grams())
-          << desc.name << " user " << user;
+    for (std::uint32_t u = 0; u < fleet_jobs.users.size(); ++u) {
+      EXPECT_EQ(ledger.spent(u).to_grams(), oracle_ledger.spent(u).to_grams())
+          << desc.name << " user " << fleet_jobs.users[u];
+      EXPECT_EQ(ledger.allocation(u).to_grams(),
+                oracle_ledger.allocation(u).to_grams())
+          << desc.name << " user " << fleet_jobs.users[u];
     }
   }
 }
@@ -173,8 +179,7 @@ TEST(FleetParity, CongestedTrioStaysBitIdentical) {
   // job submitted by then that is not among the first i + 1 is waiting.
   FleetOutcomes fcfs;
   const auto policy = sched::make_policy("fcfs-local");
-  FleetEngine(sites, HourOfYear(3624))
-      .run(FleetJobs::from_jobs(jobs), *policy, &fcfs);
+  FleetEngine(sites, HourOfYear(3624)).run(fleet_of(jobs), *policy, &fcfs);
   std::size_t deepest = 0;
   for (std::size_t i = 0; i < fcfs.size(); ++i) {
     const double start = hours_of(fcfs.start[i]);
@@ -221,7 +226,7 @@ TEST(FleetPins, PolicyAnswersKeepTheirBitPatterns) {
        0x40b048653affadde, 0x3fdb202bdab948e8, 0x4004816666666665,
        0x3fe8684b9df30f27, 467, 346},
   };
-  const FleetJobs jobs = FleetJobs::from_jobs(seeded_quantized_jobs());
+  const FleetJobs jobs = fleet_of(seeded_quantized_jobs());
   const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
   for (const Pinned& p : kPinned) {
     const FleetEngine fleet(fig7_sites(p.slots_per_site), HourOfYear(3624));
@@ -236,6 +241,54 @@ TEST(FleetPins, PolicyAnswersKeepTheirBitPatterns) {
     EXPECT_EQ(bits(m.utilization), p.utilization) << p.policy;
     EXPECT_EQ(m.jobs_completed, p.jobs_completed) << p.policy;
     EXPECT_EQ(m.remote_dispatches, p.remote_dispatches) << p.policy;
+  }
+}
+
+// The parity tests compare two engines that share the ledger and the
+// user indexes, so a mix-up of indexes and names common to both would
+// pass them. These are budget-aware's per-user ledger balances as
+// IEEE-754 bit patterns, recorded when the ledger was keyed by user name,
+// on the congested trio (4 slots per site) of the pinned run above, and
+// looked up here by name. generate_jobs' users first appear as user7,
+// user2, user3, ..., out of name order. user8 is in the name table but
+// submits no job: budget-aware allocates only to users with a job, so it
+// keeps 0, as a name the ledger never saw did.
+TEST(FleetPins, BudgetLedgerKeepsItsBitPatternsByName) {
+  struct Account {
+    const char* user;
+    std::uint64_t spent_g;
+    std::uint64_t allocation_g;
+  };
+  constexpr Account kPinned[] = {
+      {"user0", 0x4104a85c4bba1c6f, 0x41024f8000000000},
+      {"user1", 0x40fa575a5977a8a8, 0x41024f8000000000},
+      {"user2", 0x40fdf23305a39ed8, 0x41024f8000000000},
+      {"user3", 0x40fffdfbc1f6867c, 0x41024f8000000000},
+      {"user4", 0x40f682b0b43e1e88, 0x41024f8000000000},
+      {"user5", 0x40fab25efc55e64e, 0x41024f8000000000},
+      {"user6", 0x40f88a3b3fd202d3, 0x41024f8000000000},
+      {"user7", 0x40f6af4b7b2abd0b, 0x41024f8000000000},
+      {"user8", 0, 0},
+  };
+  const std::vector<sched::Job> generated = seeded_quantized_jobs();
+  const FleetJobs jobs = FleetJobs::from_jobs(
+      generated,
+      sched::generated_user_names(static_cast<int>(std::size(kPinned))));
+  ASSERT_EQ(jobs.users[generated.front().user], "user7");
+
+  const FleetEngine fleet(fig7_sites(/*capacity=*/4), HourOfYear(3624));
+  const auto policy = sched::make_policy("budget-aware", tuned_config());
+  sched::CarbonBudgetLedger ledger;
+  const auto m = fleet.run(jobs, *policy, nullptr, &ledger);
+  ASSERT_EQ(m.remote_dispatches, 346);
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  for (const Account& a : kPinned) {
+    const auto it = std::find(jobs.users.begin(), jobs.users.end(), a.user);
+    ASSERT_NE(it, jobs.users.end()) << a.user;
+    const auto u = static_cast<std::uint32_t>(it - jobs.users.begin());
+    EXPECT_EQ(bits(ledger.spent(u).to_grams()), a.spent_g) << a.user;
+    EXPECT_EQ(bits(ledger.allocation(u).to_grams()), a.allocation_g)
+        << a.user;
   }
 }
 
@@ -273,8 +326,7 @@ TEST(FleetParity, StartsBeforeThePlanAddNoWakeUps) {
   const auto expected = oracle.run(jobs, oracle_policy, &oracle_outcomes);
   EarlyNewestFirstPolicy fleet_policy;
   FleetOutcomes outcomes;
-  const auto got =
-      fleet.run(FleetJobs::from_jobs(jobs), fleet_policy, &outcomes);
+  const auto got = fleet.run(fleet_of(jobs), fleet_policy, &outcomes);
 
   expect_metrics_bitwise(expected, got, "early-newest-first");
   expect_outcomes_bitwise(sites, outcomes, oracle_outcomes,
@@ -332,7 +384,7 @@ TEST(FleetDrift, SnappingMovesSavingsByUnderATenthOfAPoint) {
     wp.arrival_rate_per_hour = 2.5;
     wp.seed = seed;
     const std::vector<sched::Job> raw = sched::generate_jobs(wp);
-    const FleetJobs snapped = FleetJobs::from_jobs(raw);
+    const FleetJobs snapped = fleet_of(raw);
     const auto base_raw = sched::make_policy("fcfs-local");
     const auto base_snapped = sched::make_policy("fcfs-local");
     const double raw_base_g =
@@ -366,18 +418,26 @@ TEST(FleetEngineBasics, EmptyFleetYieldsZeroMetrics) {
 
 TEST(FleetEngineBasics, ValidateRejectsBrokenVectors) {
   FleetJobs jobs;
-  jobs.push(0, 10, 5, Power::kilowatts(1.0), "a");
-  jobs.push(1, 5, 5, Power::kilowatts(1.0), "a");  // out of order
+  jobs.users = {"a"};
+  jobs.push(0, 10, 5, Power::kilowatts(1.0), 0);
+  jobs.push(1, 5, 5, Power::kilowatts(1.0), 0);  // out of order
   EXPECT_THROW(jobs.validate(), Error);
 
   FleetJobs zero_dur;
-  zero_dur.push(0, 0, 0, Power::kilowatts(1.0), "a");
+  zero_dur.users = {"a"};
+  zero_dur.push(0, 0, 0, Power::kilowatts(1.0), 0);
   EXPECT_THROW(zero_dur.validate(), Error);
 
   FleetJobs ragged;
-  ragged.push(0, 0, 1, Power::kilowatts(1.0), "a");
+  ragged.users = {"a"};
+  ragged.push(0, 0, 1, Power::kilowatts(1.0), 0);
   ragged.submit.push_back(7);  // desync the parallel vectors
   EXPECT_THROW(ragged.validate(), Error);
+
+  FleetJobs unnamed;
+  unnamed.users = {"a"};
+  unnamed.push(0, 0, 1, Power::kilowatts(1.0), 1);  // no name for index 1
+  EXPECT_THROW(unnamed.validate(), Error);
 }
 
 TEST(FleetWorkload, GenerationIsDeterministicPerSeedAndProcess) {
@@ -474,7 +534,22 @@ TEST(FleetReplay, SampleFixtureLoadsAndRuns) {
   EXPECT_EQ(hours_of(jobs.submit[0]), 0.0);
   EXPECT_EQ(hours_of(jobs.submit[11]), 24.0);
   EXPECT_EQ(hours_of(jobs.duration[0]), 2.5);
-  EXPECT_EQ(jobs.users[jobs.user[0]], "alice");
+  // Names are interned in order of first appearance, and every row of a
+  // name shares its one index (ids are file rows).
+  EXPECT_EQ(jobs.users,
+            (std::vector<std::string>{"alice", "bob", "carol", "dave"}));
+  const char* const row_user[] = {"alice", "bob",  "alice", "carol",
+                                  "dave",  "bob",  "carol", "alice",
+                                  "dave",  "bob",  "carol", "alice"};
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    EXPECT_EQ(jobs.users[jobs.user[i]], row_user[jobs.id[i]]) << i;
+  }
+  // First appearance is counted in file order, not submit order.
+  const FleetJobs unsorted = parse_jobs_csv(
+      "submit_hours,duration_hours,power_kw,user\n"
+      "5,1,1,zed\n0,1,1,amy\n3,1,1,zed\n1,1,1,bo\n");
+  EXPECT_EQ(unsorted.users, (std::vector<std::string>{"zed", "amy", "bo"}));
+  EXPECT_EQ(unsorted.user, (std::vector<std::uint32_t>{1, 2, 0, 0}));
   EXPECT_EQ(origin[1], 1);  // bob's 0.25h job came from site 1
   EXPECT_EQ(jobs.power[0].to_kilowatts(), Power::kilowatts(1.2).to_kilowatts());
 

@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -235,6 +237,111 @@ TEST(ForecastOracle, OutlookMatchesPerCallOnFiveMinuteTrace) {
       std::string(HPCARBON_TEST_DATA_DIR) + "/sample_5min.csv", "FIX", {});
   ASSERT_EQ(trace.step_seconds(), 300.0);
   expect_outlook_matches_oracle(trace);
+}
+
+using Outlook = DiurnalTemplateForecast::Outlook;
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// Origin, every template slot, and the level agree bit for bit.
+bool same_outlook(const Outlook& a, const Outlook& b) {
+  if (a.origin() != b.origin() || bits(a.level()) != bits(b.level())) {
+    return false;
+  }
+  for (int s = 0; s < kHoursPerDay; ++s) {
+    const auto su = static_cast<std::size_t>(s);
+    if (bits(a.hourly_template()[su]) != bits(b.hourly_template()[su])) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// outlook_at keeps its outlook and, when the origin moves one hour on,
+// re-reads only the slot of the hour that entered the window. Stepping
+// hour by hour through every origin of the year, across the wrap from
+// 8759 to 0, must answer bit for bit what a freshly built outlook does:
+// every template slot, the level, and windows from a quarter hour to four
+// days.
+TEST(ForecastStep, HourlyStepsMatchFreshOutlooksAllYear) {
+  const auto trace = GridSimulator(ciso()).run();
+  constexpr double kDurations[] = {0.25, 1.0, 5.5, 30.0, 96.0};
+  for (const int window_days : {1, 7, 14, 30}) {
+    DiurnalTemplateForecast stepped(trace, window_days);
+    const DiurnalTemplateForecast fresh(trace, window_days);
+    std::size_t mismatches = 0;
+    std::string first;
+    auto note = [&](const char* what, int origin) {
+      if (mismatches++ == 0) {
+        first = std::string(what) + " at origin " + std::to_string(origin);
+      }
+    };
+    // The first call builds in full; the next 8760 each step one hour,
+    // ending back at the first origin.
+    for (int i = 0; i <= kHoursPerYear; ++i) {
+      const HourOfYear origin(kHoursPerYear - 100 + i);
+      const Outlook& got = stepped.outlook_at(origin);
+      const Outlook want = fresh.outlook(origin);
+      if (!same_outlook(got, want)) note("template or level", origin.index());
+      for (const double d : kDurations) {
+        if (bits(got.predict_window(0, d)) != bits(want.predict_window(0, d))) {
+          note("window", origin.index());
+        }
+      }
+    }
+    EXPECT_EQ(mismatches, 0u)
+        << "window_days " << window_days << ", first: " << first;
+  }
+}
+
+// Any move of the origin but one hour forward rebuilds in full. The test
+// swaps the trace the forecast reads between calls to see which samples
+// a call re-read: after a full build every slot comes from the new trace,
+// after a step only the one re-read slot and the level do.
+TEST(ForecastStep, OtherMovesRebuildInFull) {
+  const auto ciso_trace = GridSimulator(ciso()).run();
+  const auto eso_trace = GridSimulator(eso()).run();
+  CarbonIntensityTrace trace = ciso_trace;
+  DiurnalTemplateForecast stepped(trace, 14);
+  const DiurnalTemplateForecast from_ciso(ciso_trace, 14);
+  const DiurnalTemplateForecast from_eso(eso_trace, 14);
+  const HourOfYear o(5000);
+  for (int s = 0; s < kHoursPerDay; ++s) {
+    const auto su = static_cast<std::size_t>(s);
+    ASSERT_NE(from_ciso.outlook(o).hourly_template()[su],
+              from_eso.outlook(o).hourly_template()[su])
+        << "the two traces must differ in every slot";
+  }
+
+  stepped.outlook_at(o);
+  trace = eso_trace;  // jump two hours ahead
+  EXPECT_TRUE(same_outlook(stepped.outlook_at(o.shifted(2)),
+                           from_eso.outlook(o.shifted(2))));
+  trace = ciso_trace;  // step one hour back
+  EXPECT_TRUE(same_outlook(stepped.outlook_at(o.shifted(1)),
+                           from_ciso.outlook(o.shifted(1))));
+  trace = eso_trace;  // the same origin again: the kept outlook
+  EXPECT_TRUE(same_outlook(stepped.outlook_at(o.shifted(1)),
+                           from_ciso.outlook(o.shifted(1))));
+  // A day and an hour ahead.
+  EXPECT_TRUE(same_outlook(stepped.outlook_at(o.shifted(26)),
+                           from_eso.outlook(o.shifted(26))));
+
+  // One hour ahead is a step: only the slot of the hour that entered the
+  // window, and the level, read the swapped-in trace.
+  trace = ciso_trace;
+  const HourOfYear next = o.shifted(27);
+  const Outlook& got = stepped.outlook_at(next);
+  const std::size_t entered =
+      static_cast<std::size_t>(next.shifted(-1).hour_of_day());
+  for (int s = 0; s < kHoursPerDay; ++s) {
+    const auto su = static_cast<std::size_t>(s);
+    const Outlook& source = su == entered ? from_ciso.outlook(next)
+                                          : from_eso.outlook(next);
+    EXPECT_EQ(bits(got.hourly_template()[su]),
+              bits(source.hourly_template()[su]))
+        << "slot " << s;
+  }
 }
 
 TEST(Forecast, Validation) {

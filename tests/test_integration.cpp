@@ -89,8 +89,8 @@ TEST(Integration, SchedulerOverRealTracesConservesWork) {
   sched::WorkloadParams wp;
   wp.horizon_hours = 24 * 7;
   wp.seed = 77;
-  const auto fleet_jobs =
-      fleetsim::FleetJobs::from_jobs(sched::generate_jobs(wp));
+  const auto fleet_jobs = fleetsim::FleetJobs::from_jobs(
+      sched::generate_jobs(wp), sched::generated_user_names(wp.user_count));
   const auto jobs = fleet_jobs.to_jobs();  // the snapped jobs the engine runs
 
   double expected_it_kwh = 0;

@@ -49,15 +49,17 @@ FleetJobs seeded_jobs() {
   wp.horizon_hours = 24 * 10;
   wp.arrival_rate_per_hour = 2.0;
   wp.seed = 31337;
-  return FleetJobs::from_jobs(generate_jobs(wp));
+  return FleetJobs::from_jobs(generate_jobs(wp),
+                              generated_user_names(wp.user_count));
 }
 
 /// One run of `policy` on a double-hour job list (snapped to the engine's
-/// tick grid; every hand-built job below is already on it).
+/// tick grid; every hand-built job below is already on it). The hand-built
+/// jobs all belong to user 0.
 ScheduleMetrics run(const FleetEngine& engine, const std::vector<Job>& jobs,
                     SchedulingPolicy& policy,
                     FleetOutcomes* outcomes = nullptr) {
-  return engine.run(FleetJobs::from_jobs(jobs), policy, outcomes);
+  return engine.run(FleetJobs::from_jobs(jobs, {"u0"}), policy, outcomes);
 }
 
 // The eight built-ins, in registration order.
@@ -183,7 +185,7 @@ TEST(PolicyEngine, RejectsInvalidDispatchDecision) {
   BrokenPolicy broken;
   Job j;
   j.id = 0;
-  j.user = "u";
+  j.user = 0;
   j.duration_hours = 1;
   j.it_power = Power::kilowatts(1);
   EXPECT_THROW(run(engine, {j}, broken), Error);
@@ -203,7 +205,7 @@ TEST(ForecastNetBenefit, RoutesToPredictedCleanerSite) {
   for (int i = 0; i < 4; ++i) {
     Job j;
     j.id = i;
-    j.user = "u0";
+    j.user = 0;
     j.submit_hour = 10.0;  // clean now, but the job spans the dirty half
     j.duration_hours = 12.0;
     j.it_power = Power::kilowatts(1.0);
@@ -231,7 +233,7 @@ TEST(RenewableCap, ThrottlesBurnRateWithinWindow) {
   for (int i = 0; i < 30; ++i) {
     Job j;
     j.id = i;
-    j.user = "u0";
+    j.user = 0;
     j.submit_hour = 0.0;
     j.duration_hours = 1.0;
     j.it_power = Power::kilowatts(10.0);  // 1 kWh*10 => 1000 g per job
@@ -272,7 +274,7 @@ TEST(RenewableCap, FairnessGuardReleasesOverdueJobs) {
   for (int i = 0; i < 10; ++i) {
     Job j;
     j.id = i;
-    j.user = "u0";
+    j.user = 0;
     j.submit_hour = i * 0.1;
     j.duration_hours = 1.0;
     j.it_power = Power::kilowatts(10.0);
@@ -302,7 +304,7 @@ TEST(RenewableCap, ShiftsCarbonOutOfDirtySpikes) {
   for (int i = 0; i < 16; ++i) {
     Job j;
     j.id = i;
-    j.user = "u0";
+    j.user = 0;
     j.submit_hour = 13.0 + 0.25 * i;  // dirty window
     j.duration_hours = 1.0;
     j.it_power = Power::kilowatts(4.0);

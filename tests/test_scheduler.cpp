@@ -3,7 +3,9 @@
 // behave sanely on the real region presets.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 
 #include "core/error.h"
 #include "fleetsim/engine.h"
@@ -19,13 +21,18 @@ using fleetsim::FleetEngine;
 using fleetsim::FleetOutcomes;
 
 /// One run of the named policy on a double-hour job list (snapped to the
-/// engine's tick grid; every job below is already on it).
+/// engine's tick grid; every job below is already on it). Users are named
+/// as generated ones are, up to the highest index the jobs use.
 ScheduleMetrics run(const FleetEngine& engine, const std::vector<Job>& jobs,
                     const std::string& policy, const PolicyConfig& cfg = {},
                     FleetOutcomes* outcomes = nullptr,
                     CarbonBudgetLedger* ledger = nullptr) {
-  return engine.run(fleetsim::FleetJobs::from_jobs(jobs),
-                    *make_policy(policy, cfg), outcomes, ledger);
+  std::uint32_t users = 0;
+  for (const auto& j : jobs) users = std::max(users, j.user + 1);
+  return engine.run(
+      fleetsim::FleetJobs::from_jobs(
+          jobs, generated_user_names(static_cast<int>(users))),
+      *make_policy(policy, cfg), outcomes, ledger);
 }
 
 grid::CarbonIntensityTrace constant_trace(const std::string& code, double v) {
@@ -49,7 +56,7 @@ std::vector<Job> simple_jobs(int n, double power_kw = 1.0,
   for (int i = 0; i < n; ++i) {
     Job j;
     j.id = i;
-    j.user = "u" + std::to_string(i % 3);
+    j.user = static_cast<std::uint32_t>(i % 3);
     j.submit_hour = i * 0.5;
     j.duration_hours = duration;
     j.it_power = Power::kilowatts(power_kw);
@@ -122,7 +129,7 @@ TEST(Scheduler, ThresholdDelayShiftsWorkToCleanHours) {
   for (int i = 0; i < 8; ++i) {
     Job j;
     j.id = i;
-    j.user = "u0";
+    j.user = 0;
     j.submit_hour = 13.0 + i * 0.25;  // dirty window
     j.duration_hours = 1.0;
     j.it_power = Power::kilowatts(1.0);
@@ -157,11 +164,14 @@ TEST(Scheduler, ThresholdDelayRespectsMaxDelay) {
 TEST(Scheduler, BudgetAwarePrioritizesEconomicalUsers) {
   std::vector<Site> sites = {make_site("A", constant_trace("A", 100.0), 1)};
   const FleetEngine sim(sites, HourOfYear(0), op::PueModel(1.0));
-  // u0 submits a huge job first (drains budget), then both users queue.
+  // The hog submits a huge job first (drains budget), then both users
+  // queue.
+  constexpr std::uint32_t kHog = 0;
+  constexpr std::uint32_t kThrifty = 1;
   std::vector<Job> jobs;
   Job big;
   big.id = 0;
-  big.user = "hog";
+  big.user = kHog;
   big.submit_hour = 0;
   big.duration_hours = 10;
   big.it_power = Power::kilowatts(50);
@@ -169,7 +179,7 @@ TEST(Scheduler, BudgetAwarePrioritizesEconomicalUsers) {
   for (int i = 1; i <= 4; ++i) {
     Job j;
     j.id = i;
-    j.user = (i % 2 == 1) ? "hog" : "thrifty";
+    j.user = (i % 2 == 1) ? kHog : kThrifty;
     j.submit_hour = 0.5;
     j.duration_hours = 1.0;
     j.it_power = Power::kilowatts(1.0);
@@ -192,8 +202,8 @@ TEST(Scheduler, BudgetAwarePrioritizesEconomicalUsers) {
     else thrifty_last = std::max(thrifty_last, start);
   }
   EXPECT_LT(thrifty_last, hog_first);
-  EXPECT_TRUE(ledger.is_overdrawn("hog"));
-  EXPECT_FALSE(ledger.is_overdrawn("thrifty"));
+  EXPECT_TRUE(ledger.is_overdrawn(kHog));
+  EXPECT_FALSE(ledger.is_overdrawn(kThrifty));
 }
 
 TEST(Scheduler, TransferPenaltyDiscouragesMarginalMoves) {
@@ -291,7 +301,7 @@ TEST(Scheduler, ForecastDelayShiftsToPredictedCleanHours) {
   for (int i = 0; i < 6; ++i) {
     Job j;
     j.id = i;
-    j.user = "u0";
+    j.user = 0;
     j.submit_hour = 14.0 + i * 0.25;  // dirty window of day 0
     j.duration_hours = 2.0;
     j.it_power = Power::kilowatts(1.0);

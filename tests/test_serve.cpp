@@ -252,8 +252,8 @@ TEST(Evaluate, SchedMatchesFleetEngineDirectly) {
   sched::WorkloadParams wp;
   wp.horizon_hours = 24.0 * 7;
   wp.arrival_rate_per_hour = 1.0;
-  const fleetsim::FleetJobs jobs =
-      fleetsim::FleetJobs::from_jobs(sched::generate_jobs(wp));
+  const fleetsim::FleetJobs jobs = fleetsim::FleetJobs::from_jobs(
+      sched::generate_jobs(wp), sched::generated_user_names(wp.user_count));
   const auto baseline = sched::make_policy("fcfs-local");
   const auto base = engine.run(jobs, *baseline);
   const auto greedy = sched::make_policy("greedy-lowest-ci");

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "core/error.h"
 
@@ -69,9 +72,12 @@ TEST(WorkloadGen, UsersSpreadAcrossPopulation) {
   p.user_count = 4;
   p.horizon_hours = 24 * 30;
   const auto jobs = generate_jobs(p);
-  std::set<std::string> users;
+  std::set<std::uint32_t> users;
   for (const auto& j : jobs) users.insert(j.user);
-  EXPECT_EQ(users.size(), 4u);
+  EXPECT_EQ(users, (std::set<std::uint32_t>{0, 1, 2, 3}));
+  // User k is named "user<k>", as fleetsim::generate_fleet_jobs names its.
+  EXPECT_EQ(generated_user_names(p.user_count),
+            (std::vector<std::string>{"user0", "user1", "user2", "user3"}));
 }
 
 TEST(WorkloadGen, UniqueSequentialIds) {
