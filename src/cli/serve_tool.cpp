@@ -293,13 +293,14 @@ int cmd_serve(int argc, char** argv, std::ostream& out, std::ostream&) {
       .text("--unix", "PATH", &opts.net.unix_path,
             "serve a Unix-domain socket instead of the pipe")
       .integer("--workers", "N", &opts.net.workers, 0, 4096,
-               "socket workers; 0 answers on the IO thread (default: "
-               "cores - 1)")
+               "workers for cache misses, stats and metrics; 0 answers all "
+               "on the IO thread (default: cores - 1)")
       .integer("--max-conns", "N", &opts.net.max_conns, 1, options::kMaxExact,
                "connections beyond this are closed (default 10000)")
       .integer("--max-inflight", "N", &opts.net.max_inflight, 1,
                options::kMaxExact,
-               "queued requests beyond this are shed (default 4096)")
+               "requests waiting for a worker beyond this are shed; hits "
+               "never are (default 4096)")
       .number("--idle-timeout", "S", &opts.net.idle_timeout_s,
               {.lo = 0, .hi = 1e6},
               "close connections idle this long; 0 disables (default 300)")

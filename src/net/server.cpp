@@ -56,11 +56,15 @@ struct Server::Conn {
   int fd = -1;
   std::uint32_t gen = 0;
   LineFramer framer;
-  // Requests awaiting answers, in arrival order. Workers fill
-  // slot.response then flip slot.done; only the IO thread pushes/pops,
-  // and std::deque never relocates other elements, so a worker's Slot*
-  // stays valid until its slot is popped (which requires done == true).
+  // Requests awaiting answers, in arrival order. A worker fills
+  // slot.response and posts the task; the IO thread marks the slot done
+  // when it collects that completion. Only the IO thread pushes/pops, and
+  // std::deque never relocates other elements, so a worker's Slot* stays
+  // valid until its slot is popped (which requires done == true).
   std::deque<Slot> slots;
+  // Response bytes of done slots not yet popped: answers held behind an
+  // unfinished request (see hold()).
+  std::size_t held_bytes = 0;
   // Untransmitted response bytes, as a queue of append-only blocks;
   // front_off is the partial-write offset into the front block.
   std::deque<std::string> outq;
@@ -72,6 +76,9 @@ struct Server::Conn {
   bool got_eof = false;
   bool paused = false;  // read high-watermark backpressure
   bool closed = false;
+
+  /// What the read watermark weighs: answered, untransmitted bytes.
+  std::size_t backlog() const { return out_bytes + held_bytes; }
 };
 
 Server::Server(ServerOptions opts)
@@ -252,21 +259,40 @@ std::string& Server::out_block(Conn& c) {
   return c.outq.back();
 }
 
-void Server::enqueue_line(const std::shared_ptr<Conn>& c,
-                          std::string_view line) {
-  if (opts_.workers == 0) {
-    // Inline mode: answer on the IO thread, straight into the output
-    // block — the same zero-copy handle_line_to path the pipe loop uses.
+void Server::enqueue(const std::shared_ptr<Conn>& c,
+                     const LineFramer::Item& item) {
+  // The first half runs here, so an invalid request or a cache hit is
+  // answered with no thread hop: straight into the output block when
+  // nothing earlier is pending (the zero-copy path the pipe loop uses),
+  // else into a slot behind it.
+  const bool behind = !c->slots.empty();
+  std::string& out = behind ? c->slots.emplace_back().response : out_block(*c);
+  const std::size_t before = out.size();
+  serve::PlannedLine planned;
+  bool answered = true;
+  if (item.kind == LineFramer::Item::Kind::kOversize) {
+    // The framer never buffered the line: answer it without an id.
+    serve::append_error_response(
+        out, {}, serve::oversize_line_error(item.oversize_bytes));
+  } else {
+    answered = engine_.begin_line(item.line, out, planned);
+    if (!answered && opts_.workers == 0) {
+      engine_.finish_line(planned, out);  // inline mode: no worker to wait for
+      answered = true;
+    }
+  }
+  if (answered) {
     fe_stats_.max_inflight.observe_max(1);
-    std::string& block = out_block(*c);
-    const std::size_t before = block.size();
-    engine_.handle_line_to(line, block);
-    block += '\n';
-    c->out_bytes += block.size() - before;
+    out += '\n';
+    if (behind) {
+      hold(*c, c->slots.back());
+    } else {
+      c->out_bytes += out.size() - before;
+    }
     return;
   }
-  Slot& slot = c->slots.emplace_back();
-  slot.line.assign(line);
+  Slot& slot = behind ? c->slots.back() : c->slots.emplace_back();
+  slot.planned = std::move(planned);
   if (!try_submit(c, &slot)) {
     // Shed: answer in-order with an explicit error instead of queueing.
     fe_stats_.requests_shed.inc();
@@ -275,24 +301,15 @@ void Server::enqueue_line(const std::shared_ptr<Conn>& c,
         "server overloaded: in-flight queue full (max " +
             std::to_string(opts_.max_inflight) + "), request shed");
     slot.response += '\n';
-    // Same-thread consumer (drain_ready_slots) — relaxed is enough.
-    slot.done.store(true, std::memory_order_relaxed);
+    hold(*c, slot);
   }
 }
 
-void Server::enqueue_preanswered(const std::shared_ptr<Conn>& c,
-                                 std::string_view response_line) {
-  if (c->slots.empty()) {
-    std::string& block = out_block(*c);
-    block.append(response_line);
-    c->out_bytes += response_line.size();
-    return;
-  }
-  // Earlier requests are still in flight: queue behind them so responses
-  // stay in request order.
-  Slot& slot = c->slots.emplace_back();
-  slot.response.assign(response_line);
-  slot.done.store(true, std::memory_order_relaxed);
+void Server::hold(Conn& c, Slot& slot) {
+  // Answered: its bytes weigh on the read watermark until
+  // drain_ready_slots moves them to the output queue.
+  c.held_bytes += slot.response.size();
+  slot.done = true;
 }
 
 void Server::process_framed(const std::shared_ptr<Conn>& c, bool at_eof) {
@@ -304,15 +321,7 @@ void Server::process_framed(const std::shared_ptr<Conn>& c, bool at_eof) {
       at_eof = false;
       if (item.kind == LineFramer::Item::Kind::kNone) break;
     }
-    if (item.kind == LineFramer::Item::Kind::kOversize) {
-      std::string resp;
-      serve::append_error_response(
-          resp, {}, serve::oversize_line_error(item.oversize_bytes));
-      resp += '\n';
-      enqueue_preanswered(c, resp);
-    } else {
-      enqueue_line(c, item.line);
-    }
+    enqueue(c, item);
   }
 }
 
@@ -327,7 +336,7 @@ void Server::read_ready(const std::shared_ptr<Conn>& c) {
       c->last_activity_ms = now_ms_;
       c->framer.feed(std::string_view(chunk, static_cast<std::size_t>(n)));
       process_framed(c, /*at_eof=*/false);
-      if (c->out_bytes > opts_.read_high_watermark) c->paused = true;
+      if (c->backlog() > opts_.read_high_watermark) c->paused = true;
       if (static_cast<std::size_t>(n) < sizeof(chunk)) break;  // drained
       continue;
     }
@@ -351,8 +360,7 @@ void Server::read_ready(const std::shared_ptr<Conn>& c) {
 }
 
 void Server::drain_ready_slots(const std::shared_ptr<Conn>& c) {
-  while (!c->slots.empty() &&
-         c->slots.front().done.load(std::memory_order_acquire)) {
+  while (!c->slots.empty() && c->slots.front().done) {
     std::string& resp = c->slots.front().response;
     const std::size_t bytes = resp.size();
     if (c->outq.empty() || c->outq.back().size() >= kOutBlockTarget) {
@@ -360,6 +368,7 @@ void Server::drain_ready_slots(const std::shared_ptr<Conn>& c) {
     } else {
       c->outq.back().append(resp);
     }
+    c->held_bytes -= bytes;
     c->out_bytes += bytes;
     c->slots.pop_front();
   }
@@ -404,7 +413,7 @@ void Server::flush(const std::shared_ptr<Conn>& c) {
     }
   }
   if (!c->closed && c->paused &&
-      c->out_bytes < opts_.read_high_watermark / 2) {
+      c->backlog() < opts_.read_high_watermark / 2) {
     c->paused = false;  // update_interest re-arms EPOLLIN
   }
 }
@@ -440,13 +449,15 @@ void Server::sweep_idle() {
 }
 
 void Server::drain_completions() {
-  std::vector<std::shared_ptr<Conn>> done;
+  std::vector<Task> done;
   {
     MutexLock lock(done_mu_);
     done.swap(done_);
   }
-  for (const auto& c : done) {
+  for (const Task& t : done) {
+    const std::shared_ptr<Conn>& c = t.conn;
     if (c->closed) continue;
+    hold(*c, *t.slot);
     drain_ready_slots(c);
     flush(c);
     if (c->closed) continue;
@@ -574,12 +585,12 @@ bool Server::try_submit(std::shared_ptr<Conn> c, Slot* slot) {
   return true;
 }
 
-void Server::post_completion(std::shared_ptr<Conn> c) {
+void Server::post_completion(Task task) {
   bool was_empty = false;
   {
     MutexLock lock(done_mu_);
     was_empty = done_.empty();
-    done_.push_back(std::move(c));
+    done_.push_back(std::move(task));
   }
   if (was_empty) wake();  // coalesce: one eventfd write per burst
 }
@@ -595,16 +606,15 @@ void Server::worker_loop() {
       task_queue_.pop_front();
       ++executing_;
     }
-    engine_.handle_line_to(task.slot->line, task.slot->response);
+    engine_.finish_line(task.slot->planned, task.slot->response);
     task.slot->response += '\n';
-    task.slot->done.store(true, std::memory_order_release);
     {
       MutexLock lock(task_mu_);
       --executing_;
       queue_depth_.set(
           static_cast<std::int64_t>(task_queue_.size() + executing_));
     }
-    post_completion(std::move(task.conn));
+    post_completion(std::move(task));
   }
 }
 

@@ -10,27 +10,34 @@
 //     requests awaiting answers, and an output block queue written with
 //     vectored sendmsg (partial writes and EINTR/EAGAIN handled; blocks
 //     amortize hundreds of small responses per syscall).
-//   * Workers (`workers` threads) pull requests from a bounded global
-//     in-flight queue and answer them via Engine::handle_line_to into
-//     the slot's own response buffer — the PR 7 zero-copy path. When the
-//     queue is full the request is *shed* instead of queued: the client
-//     gets an explicit ok:false "server overloaded" response in-order,
-//     and net_shed counts it. With `workers == 0` requests execute
-//     inline on the IO thread (no queue, no shedding — backpressure is
-//     purely the read watermark + TCP); this is the fastest shape on a
-//     single-core host and mirrors the classic single-threaded
-//     event-loop servers.
+//   * The IO thread also runs the first half of every request,
+//     Engine::begin_line: it parses the line and answers an invalid
+//     request or a cache hit on the spot, with no thread hop. The answer
+//     goes straight into the output block when nothing earlier on the
+//     connection is pending, else into a slot already marked done.
+//   * Workers (`workers` threads) answer the rest — cache misses and the
+//     stats/metrics control requests — with Engine::finish_line into the
+//     slot's own response buffer. They pull these from a bounded global
+//     in-flight queue. When the queue is full the request is *shed*
+//     instead of queued: the client gets an explicit ok:false "server
+//     overloaded" response in-order, and net_shed counts it. Only a
+//     request bound for a worker can be shed; a hit never is. With
+//     `workers == 0` the IO thread finishes every request itself (no
+//     queue, no shedding — backpressure is purely the read watermark +
+//     TCP); this is the fastest shape on a single-core host and mirrors
+//     the classic single-threaded event-loop servers.
 //
 // Pipelining: clients may send any number of requests without waiting;
 // responses always come back in request order per connection (slots
 // complete out of order across workers, but are flushed strictly FIFO).
 //
 // Overload & abuse guards: bounded in-flight queue (shed), per-connection
-// read high-watermark (reads pause while the untransmitted output
-// backlog is large), shared max request-line length (oversized lines are
-// answered with the serve::oversize_line_error document and the
-// connection resyncs at the next newline), max connection count (excess
-// accepts are closed immediately), idle timeout.
+// read high-watermark (reads pause while the connection's answered but
+// untransmitted bytes are large: the output backlog plus the answers held
+// behind a request still in flight), shared max request-line length
+// (oversized lines are answered with the serve::oversize_line_error
+// document and the connection resyncs at the next newline), max
+// connection count (excess accepts are closed immediately), idle timeout.
 //
 // Graceful drain: begin_drain() (or SIGTERM via
 // install_signal_drain/uninstall_signal_drain) stops accepting — the
@@ -56,6 +63,7 @@
 #include <condition_variable>
 
 #include "core/thread_annotations.h"
+#include "net/framing.h"
 #include "obs/metrics.h"
 #include "serve/engine.h"
 #include "serve/limits.h"
@@ -75,21 +83,25 @@ struct ServerOptions {
   /// listener. TCP and UDS listeners can be active simultaneously.
   std::string unix_path;
 
-  /// Worker threads answering requests. 0 = answer inline on the IO
-  /// thread (fastest on one core; an expensive cold query blocks the
-  /// loop, and no shedding occurs). Default: hardware threads - 1.
+  /// Worker threads evaluating cache misses and answering stats/metrics;
+  /// the IO thread answers hits and invalid requests itself. 0 = the IO
+  /// thread answers everything (fastest on one core; an expensive cold
+  /// query blocks the loop, and no shedding occurs). Default: hardware
+  /// threads - 1.
   std::size_t workers = default_workers();
-  /// Bounded global in-flight queue (queued + executing). A request that
-  /// would exceed it is shed with an explicit error response. Ignored
-  /// when workers == 0.
+  /// Bounded global in-flight queue of requests bound for a worker
+  /// (queued + executing). Such a request that would exceed it is shed
+  /// with an explicit error response; hits never queue, so they are never
+  /// shed. Ignored when workers == 0.
   std::size_t max_inflight = 4096;
   /// Connections beyond this are accepted and immediately closed.
   std::size_t max_conns = 10000;
   /// Seconds with no activity and no pending work before a connection is
   /// closed. <= 0 disables the sweep.
   double idle_timeout_s = 300.0;
-  /// Pause reading a connection while its untransmitted output exceeds
-  /// this many bytes; resume below half.
+  /// Pause reading a connection while its answered but untransmitted
+  /// bytes — output backlog plus answers held behind an unfinished
+  /// request — exceed this many; resume below half.
   std::size_t read_high_watermark = std::size_t{4} << 20;
   /// Shared request-line limit (serve/limits.h).
   std::size_t max_line_bytes = serve::kMaxRequestLineBytes;
@@ -134,9 +146,11 @@ class Server {
 
  private:
   struct Slot {
-    std::string line;      // owned request bytes (worker input)
-    std::string response;  // filled by the worker, trailing '\n' included
-    std::atomic<bool> done{false};
+    serve::PlannedLine planned;  // the rest of the request (worker input)
+    std::string response;        // the answer, trailing '\n' included
+    /// IO thread only: answered, so flushable once it reaches the front.
+    /// A worker's answer counts once the IO thread collects it.
+    bool done = false;
   };
 
   struct Conn;
@@ -150,9 +164,8 @@ class Server {
   void conn_event(const std::shared_ptr<Conn>& c, std::uint32_t events);
   void read_ready(const std::shared_ptr<Conn>& c);
   void process_framed(const std::shared_ptr<Conn>& c, bool at_eof);
-  void enqueue_line(const std::shared_ptr<Conn>& c, std::string_view line);
-  void enqueue_preanswered(const std::shared_ptr<Conn>& c,
-                           std::string_view response_line);
+  void enqueue(const std::shared_ptr<Conn>& c, const LineFramer::Item& item);
+  void hold(Conn& c, Slot& slot);
   void drain_ready_slots(const std::shared_ptr<Conn>& c);
   void flush(const std::shared_ptr<Conn>& c);
   void update_interest(const std::shared_ptr<Conn>& c);
@@ -168,7 +181,7 @@ class Server {
   void worker_loop();
   bool try_submit(std::shared_ptr<Conn> c, Slot* slot)
       HPCARBON_EXCLUDES(task_mu_);
-  void post_completion(std::shared_ptr<Conn> c) HPCARBON_EXCLUDES(done_mu_);
+  void post_completion(Task task) HPCARBON_EXCLUDES(done_mu_);
   void wake();
 
   ServerOptions opts_;
@@ -205,7 +218,7 @@ class Server {
   bool workers_stop_ HPCARBON_GUARDED_BY(task_mu_) = false;
 
   AnnotatedMutex done_mu_;
-  std::vector<std::shared_ptr<Conn>> done_ HPCARBON_GUARDED_BY(done_mu_);
+  std::vector<Task> done_ HPCARBON_GUARDED_BY(done_mu_);
 
   std::vector<std::thread> workers_;
 };

@@ -77,12 +77,18 @@ std::optional<std::string> ResultCache::get(std::uint64_t key,
 
 bool ResultCache::get_append(std::uint64_t key, std::string_view canonical,
                              std::string& out) {
+  if (probe_append(key, canonical, out)) return true;
+  metrics_.misses.inc();
+  return false;
+}
+
+bool ResultCache::probe_append(std::uint64_t key, std::string_view canonical,
+                               std::string& out) {
   Shard& s = shard_of(key);
   MutexLock lock(s.mu);
   const auto it = s.index.find(key);
   if (it == s.index.end() || it->second->canonical != canonical) {
-    metrics_.misses.inc();  // absent, or a hash collision: never serve it
-    return false;
+    return false;  // absent, or a hash collision: never serve it
   }
   metrics_.hits.inc();
   s.lru.splice(s.lru.begin(), s.lru, it->second);  // refresh recency

@@ -85,6 +85,14 @@ class ResultCache {
   bool get_append(std::uint64_t key, std::string_view canonical,
                   std::string& out);
 
+  /// get_append for a caller that looks again after a miss: a hit counts
+  /// and refreshes recency exactly as get_append's does, but a miss counts
+  /// nothing — the caller's second lookup counts whatever it finds. The
+  /// socket IO thread answers hits this way and leaves misses to a worker,
+  /// so each request still counts one lookup.
+  bool probe_append(std::uint64_t key, std::string_view canonical,
+                    std::string& out);
+
   /// Insert or refresh (a hash collision replaces the resident entry —
   /// latest canonical wins). Evicts least-recently-used entries of the
   /// shard until it fits its budget. A value whose own cost exceeds the

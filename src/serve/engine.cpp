@@ -323,34 +323,25 @@ std::string salvage_id(const json::Reader& reader, json::Reader::Ref doc) {
   return {};
 }
 
-/// One request line, parsed exactly once and classified. kError carries
-/// its final response; kStats / kMetrics are answered at their sequence
-/// points; kQuery goes through the cache/evaluate path.
-struct Planned {
-  enum class Kind { kError, kStats, kMetrics, kQuery } kind = Kind::kError;
-  Query q;                // kQuery
-  std::string response;   // kError
-  std::string control_id; // kStats / kMetrics
-};
-
-Planned plan_line(std::string_view line) {
+PlannedLine plan_line(std::string_view line) {
   // Reject oversized lines before parsing (and before any id salvage —
   // the streaming front-ends never materialize the oversized bytes, so
   // answering without an id is what keeps every transport byte-identical
   // here). serve/limits.h owns the shared constant and message.
   if (line.size() > kMaxRequestLineBytes) {
-    Planned p;
+    PlannedLine p;
     p.response = error_response({}, oversize_line_error(line.size()));
     return p;
   }
   // One reader per thread: node pool and unescape arena warm up once and
   // every subsequent line parses with zero allocations. plan_line only
-  // runs on the thread that called handle_line/handle_batch (the pool
-  // fan-out evaluates already-planned queries), and nothing below keeps
-  // views into the reader past the next parse — Planned owns its strings.
+  // runs on the thread that called begin_line/handle_batch (finish_line
+  // and the pool fan-out answer already-planned lines), and nothing below
+  // keeps views into the reader past the next parse — PlannedLine owns
+  // its strings.
   thread_local json::Reader reader;
   constexpr json::Reader::Ref kNone = json::Reader::kNone;
-  Planned p;
+  PlannedLine p;
   json::Reader::Ref doc = kNone;
   try {
     doc = reader.parse(line);
@@ -385,13 +376,14 @@ Planned plan_line(std::string_view line) {
         }
         p.control_id = reader.as_string(id);
       }
-      p.kind = is_stats ? Planned::Kind::kStats : Planned::Kind::kMetrics;
+      p.kind =
+          is_stats ? PlannedLine::Kind::kStats : PlannedLine::Kind::kMetrics;
       return p;
     }
   }
   try {
     p.q = parse_query(reader, doc);
-    p.kind = Planned::Kind::kQuery;
+    p.kind = PlannedLine::Kind::kQuery;
   } catch (const Error& e) {
     p.response = error_response(salvage_id(reader, doc), e.what());
   }
@@ -639,7 +631,7 @@ void answer_query_to(ResultCache& cache, TraceStore& traces, const Query& q,
 
 void answer_segment(ResultCache& cache, ThreadPool& pool, TraceStore& traces,
                     const std::array<FamilySlots, Engine::kSlotCount>& slots,
-                    std::vector<Planned>& plan, std::size_t begin,
+                    std::vector<PlannedLine>& plan, std::size_t begin,
                     std::size_t end, std::vector<std::string>& responses) {
   // Plan the segment: errors are final, cache hits answer immediately,
   // and identical in-flight canonical keys dedup to one leader. Request
@@ -650,8 +642,8 @@ void answer_segment(ResultCache& cache, ThreadPool& pool, TraceStore& traces,
   std::vector<std::size_t> leaders;
   std::vector<bool> follower(end - begin, false);
   for (std::size_t i = begin; i < end; ++i) {
-    Planned& p = plan[i];
-    if (p.kind == Planned::Kind::kError) {
+    PlannedLine& p = plan[i];
+    if (p.kind == PlannedLine::Kind::kError) {
       responses[i] = p.response;
       slots[Engine::kErrorSlot].requests->inc();
       continue;
@@ -702,7 +694,7 @@ void answer_segment(ResultCache& cache, ThreadPool& pool, TraceStore& traces,
   // totals timing-dependent — see the handle_batch contract.)
   for (std::size_t i = begin; i < end; ++i) {
     if (!follower[i - begin]) continue;
-    const Planned& p = plan[i];
+    const PlannedLine& p = plan[i];
     answer_query_to(cache, traces, p.q,
                     slots[static_cast<std::size_t>(p.q.family)].eval_us,
                     responses[i]);
@@ -718,31 +710,67 @@ std::string Engine::handle_line(std::string_view line) {
 }
 
 void Engine::handle_line_to(std::string_view line, std::string& out) {
+  PlannedLine planned;
+  if (!begin_line(line, out, planned)) finish_line(planned, out);
+}
+
+bool Engine::begin_line(std::string_view line, std::string& out,
+                        PlannedLine& planned) {
   // The only hot-path instrumentation cost on a warm hit is the two
   // ticks() reads and one histogram record (~tens of ns) — parse latency
   // is sampled by the batch front-end, and eval latency only on misses.
   const std::uint64_t t0 = obs::ticks();
-  Planned p = plan_line(line);
-  switch (p.kind) {
-    case Planned::Kind::kError:
-      out += p.response;
+  planned = plan_line(line);
+  switch (planned.kind) {
+    case PlannedLine::Kind::kError:
+      out += planned.response;
+      slots_[kErrorSlot].requests->inc();
+      return true;
+    case PlannedLine::Kind::kStats:
+    case PlannedLine::Kind::kMetrics:
+      return false;
+    case PlannedLine::Kind::kQuery:
+      break;
+  }
+  const Query& q = planned.q;
+  const FamilySlots& slot = slots_[static_cast<std::size_t>(q.family)];
+  const std::size_t mark = out.size();
+  success_prefix_to(out, q.id, q.op);
+  if (cache_.probe_append(q.key, q.canonical, out)) {
+    out.push_back('}');
+    slot.total_us->record_ns(obs::elapsed_ns(t0, obs::ticks()));
+    slot.requests->inc();
+    return true;
+  }
+  out.resize(mark);  // a miss: finish_line writes the whole line
+  planned.begin_ns = obs::elapsed_ns(t0, obs::ticks());
+  return false;
+}
+
+void Engine::finish_line(const PlannedLine& planned, std::string& out) {
+  const std::uint64_t t0 = obs::ticks();
+  switch (planned.kind) {
+    case PlannedLine::Kind::kError:
+      out += planned.response;
       slots_[kErrorSlot].requests->inc();
       return;
-    case Planned::Kind::kStats:
-      out += stats_response(p.control_id);
+    case PlannedLine::Kind::kStats:
+      out += stats_response(planned.control_id);
       slots_[kStatsSlot].requests->inc();
       return;
-    case Planned::Kind::kMetrics:
+    case PlannedLine::Kind::kMetrics:
       // Counted after the snapshot: a metrics response never includes
       // itself, so the first scrape of an idle engine reads identically
       // on every transport.
-      out += metrics_response(p.control_id);
+      out += metrics_response(planned.control_id);
       slots_[kMetricsSlot].requests->inc();
       return;
-    case Planned::Kind::kQuery: {
-      const FamilySlots& slot = slots_[static_cast<std::size_t>(p.q.family)];
-      answer_query_to(cache_, traces(), p.q, slot.eval_us, out);
-      slot.total_us->record_ns(obs::elapsed_ns(t0, obs::ticks()));
+    case PlannedLine::Kind::kQuery: {
+      const FamilySlots& slot =
+          slots_[static_cast<std::size_t>(planned.q.family)];
+      answer_query_to(cache_, traces(), planned.q, slot.eval_us, out);
+      slot.total_us->record_ns(planned.begin_ns +
+                               obs::elapsed_ns(t0, obs::ticks()));
       slot.requests->inc();
       return;
     }
@@ -756,11 +784,11 @@ std::vector<std::string> Engine::handle_batch(
   // a sequence point — it reports the counters after everything before it
   // and nothing after it, exactly as a sequential handle_line replay
   // would.
-  std::vector<Planned> plan(lines.size());
+  std::vector<PlannedLine> plan(lines.size());
   for (std::size_t i = 0; i < lines.size(); ++i) {
     const std::uint64_t t0 = obs::ticks();
     plan[i] = plan_line(lines[i]);
-    if (plan[i].kind == Planned::Kind::kQuery) {
+    if (plan[i].kind == PlannedLine::Kind::kQuery) {
       slots_[static_cast<std::size_t>(plan[i].q.family)].parse_us->record_ns(
           obs::elapsed_ns(t0, obs::ticks()));
     }
@@ -770,13 +798,13 @@ std::vector<std::string> Engine::handle_batch(
   std::size_t segment_start = 0;
   for (std::size_t i = 0; i <= lines.size(); ++i) {
     const bool control =
-        i < lines.size() && (plan[i].kind == Planned::Kind::kStats ||
-                             plan[i].kind == Planned::Kind::kMetrics);
+        i < lines.size() && (plan[i].kind == PlannedLine::Kind::kStats ||
+                             plan[i].kind == PlannedLine::Kind::kMetrics);
     if (i < lines.size() && !control) continue;
     answer_segment(cache_, pool(), traces(), slots_, plan, segment_start, i,
                    responses);
     if (i < lines.size()) {
-      if (plan[i].kind == Planned::Kind::kStats) {
+      if (plan[i].kind == PlannedLine::Kind::kStats) {
         responses[i] = stats_response(plan[i].control_id);
         slots_[kStatsSlot].requests->inc();
       } else {

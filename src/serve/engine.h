@@ -12,6 +12,13 @@
 // front-end, the stdin/stdout daemon loop, repeated runs, and every
 // thread count all emit bit-identical bytes for the same question.
 //
+// handle_line_to answers one line in two halves. begin_line parses it and
+// answers whatever needs no evaluation: an invalid request, or a query
+// whose result is cached. finish_line answers the rest: a cache miss, and
+// the stats and metrics control requests. The pipe runs both halves in
+// sequence; the socket server runs the first on its IO thread and hands
+// the rest to a worker (src/net/server.h).
+//
 // handle_batch is the planner: it parses every line, answers cache hits
 // immediately, dedups identical in-flight canonical keys down to one
 // leader evaluation, fans the distinct leaders over the pool
@@ -103,7 +110,24 @@ struct FamilySlots {
   obs::Counter* requests = nullptr;
   obs::Histogram* parse_us = nullptr;  // plan_line (batch front-end)
   obs::Histogram* eval_us = nullptr;   // evaluate + dump (cache misses)
-  obs::Histogram* total_us = nullptr;  // handle_line end to end
+  /// Engine time of one line: begin_line, plus finish_line when it
+  /// defers — never the wait between the two halves.
+  obs::Histogram* total_us = nullptr;
+};
+
+/// One request line, parsed exactly once and classified: what
+/// Engine::begin_line hands to Engine::finish_line, and the batch
+/// planner's record of each line. kError carries its final response;
+/// kStats / kMetrics are answered at their sequence points; kQuery goes
+/// through the cache/evaluate path.
+struct PlannedLine {
+  enum class Kind { kError, kStats, kMetrics, kQuery } kind = Kind::kError;
+  Query q;                 // kQuery
+  std::string response;    // kError
+  std::string control_id;  // kStats / kMetrics
+  /// Engine time begin_line spent on a query it left for finish_line,
+  /// which adds its own before recording total_us.
+  std::uint64_t begin_ns = 0;
 };
 
 class Engine {
@@ -132,8 +156,31 @@ class Engine {
   /// handle_line, appended to a caller-owned buffer (identical bytes, no
   /// return-value string). The daemon loop and the load bench reuse one
   /// buffer across lines, so a warm request allocates nothing on this
-  /// side of the cache.
+  /// side of the cache. It is begin_line, then finish_line when
+  /// begin_line leaves the line unanswered.
   void handle_line_to(std::string_view line, std::string& out);
+
+  /// First half of handle_line_to: parse `line` once. An invalid request
+  /// or a query whose result is cached is answered into `out` (same
+  /// bytes, no trailing newline) and true is returned. Otherwise — a
+  /// cache miss, {"op":"stats"} or {"op":"metrics"} — `out` is untouched,
+  /// the parsed request is stored in `planned`, and false is returned.
+  ///
+  /// Each request counts exactly one cache lookup: this half counts a
+  /// hit but not a miss (ResultCache::probe_append), and finish_line
+  /// counts whatever its own lookup finds. So the hits, misses and
+  /// inserts of a sequential stream equal the pipe's whichever thread
+  /// runs each half, and a copy of a key queued behind that key's
+  /// in-flight miss looks again when it is finished: it reuses the
+  /// miss's fill instead of evaluating again.
+  bool begin_line(std::string_view line, std::string& out,
+                  PlannedLine& planned);
+
+  /// Second half of handle_line_to: answer a line begin_line returned
+  /// false for, appending to `out`. A query is looked up again and
+  /// evaluated only on a miss; stats and metrics read the registry as of
+  /// this call. Safe to call from any thread.
+  void finish_line(const PlannedLine& planned, std::string& out);
 
   /// Answer a whole batch; responses to query requests are parallel to
   /// `lines` and byte-identical to feeding the lines through handle_line

@@ -2,12 +2,17 @@
 // trimming, oversize discard accounting), deterministic load generation,
 // and the epoll server end-to-end over real TCP and Unix-domain sockets
 // — byte-identity with the batch front-end, pipelining order, bounded
-// in-flight shedding, max-conns refusal, idle timeout, graceful drain
-// (API call and SIGTERM), and the net_* stats counters.
+// in-flight shedding (of requests bound for a worker only), the read
+// watermark over held answers, cache counts equal to the pipe's,
+// max-conns refusal, idle timeout, graceful drain (API call and
+// SIGTERM), and the net_* stats counters.
 #include <gtest/gtest.h>
 
 #include <csignal>
+#include <fcntl.h>
+#include <poll.h>
 #include <sys/socket.h>
+#include <sys/stat.h>
 #include <sys/time.h>
 #include <unistd.h>
 
@@ -15,11 +20,14 @@
 #include <atomic>
 #include <cstring>
 #include <fstream>
+#include <iterator>
+#include <regex>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/error.h"
+#include "core/json.h"
 #include "net/framing.h"
 #include "net/listener.h"
 #include "net/loadgen.h"
@@ -423,6 +431,233 @@ TEST(NetServer, BoundedInflightShedsInOrderAndRecovers) {
   ASSERT_EQ(after.size(), 1u);
   EXPECT_NE(after[0].find("\"ok\":true"), std::string::npos);
   ::close(fd);
+}
+
+TEST(NetServer, HitsAreNeverShed) {
+  // Hits are answered on the IO thread, so they never wait for the one
+  // in-flight place the cold head holds: none of them is shed.
+  net::ServerOptions opts;
+  opts.workers = 1;
+  opts.max_inflight = 1;
+  TestServer ts(std::move(opts));
+  const int fd = ts.connect();
+  LineReader reader(fd);
+  send_all(fd, R"({"op":"embodied","id":"warm","params":{"part":"epyc-7763"}})"
+               "\n");
+  ASSERT_EQ(reader.read(1).size(), 1u);
+
+  std::string payload =
+      R"({"op":"sched","id":"head","params":{"policy":"net-benefit"}})" "\n";
+  constexpr int kHits = 50;
+  for (int i = 0; i < kHits; ++i) {
+    payload += R"({"op":"embodied","id":"h)" + std::to_string(i) +
+               R"(","params":{"part":"epyc-7763"}})" + "\n";
+  }
+  send_all(fd, payload);
+  const auto got = reader.read(1 + kHits);
+  ::close(fd);
+  ASSERT_EQ(got.size(), 1u + kHits) << "every request must be answered";
+  EXPECT_NE(got[0].find("\"id\":\"head\""), std::string::npos);
+  EXPECT_NE(got[0].find("\"ok\":true"), std::string::npos);
+  for (int i = 0; i < kHits; ++i) {
+    const std::string& r = got[1 + static_cast<std::size_t>(i)];
+    EXPECT_NE(r.find("\"id\":\"h" + std::to_string(i) + "\""),
+              std::string::npos)
+        << "response out of order: " << r;
+    EXPECT_NE(r.find("\"ok\":true"), std::string::npos) << r;
+  }
+  EXPECT_EQ(ts.server.stats().requests_shed.value(), 0u);
+}
+
+/// A trace_csv path that is a FIFO. A request importing it holds its
+/// worker, blocked in open(), until release() writes a day of 5-minute
+/// data into it: a request that stays in flight exactly as long as the
+/// test wants, in any build type. Arm it once such a request is sent; the
+/// destructor releases an armed gate, so a failing test still drains.
+struct FifoGate {
+  std::string path = "/tmp/hpcarbon_test_gate_" +
+                     std::to_string(::getpid()) + ".csv";
+  bool armed = false;
+
+  FifoGate() {
+    ::unlink(path.c_str());
+    EXPECT_EQ(::mkfifo(path.c_str(), 0600), 0) << strerror(errno);
+  }
+  ~FifoGate() {
+    release();
+    ::unlink(path.c_str());
+  }
+  void release() {
+    if (!armed) return;
+    armed = false;
+    std::ifstream in(std::string(HPCARBON_TEST_DATA_DIR) + "/sample_5min.csv");
+    const std::string csv((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+    const int fd = ::open(path.c_str(), O_WRONLY);  // waits for the worker
+    ASSERT_GE(fd, 0) << strerror(errno);
+    EXPECT_EQ(::write(fd, csv.data(), csv.size()),
+              static_cast<ssize_t>(csv.size()));
+    ::close(fd);
+  }
+};
+
+TEST(NetServer, HeldAnswersCountTowardReadWatermark) {
+  // One slow request at the head of a connection holds every answer
+  // behind it. Those answers weigh on the read watermark, so a client
+  // that pipelines hits without reading cannot make the server buffer
+  // without bound: reads pause, and the client's sends block.
+  obs::MetricsRegistry registry;
+  serve::TraceStore traces(&registry);  // the gate's import is never cached
+  net::ServerOptions opts;
+  opts.workers = 1;
+  opts.read_high_watermark = std::size_t{64} << 10;
+  opts.serve.registry = &registry;
+  opts.serve.traces = &traces;
+  TestServer ts(std::move(opts));
+  FifoGate gate;
+  const int fd = ts.connect();
+  LineReader reader(fd);
+  send_all(fd, R"({"op":"embodied","params":{"part":"epyc-7763"}})" "\n");
+  ASSERT_EQ(reader.read(1).size(), 1u);  // the flood below is all hits
+
+  send_all(fd, R"({"op":"trace","id":"head","params":{"region":"ESO",)"
+               R"("trace_csv":")" + gate.path + "\"}}\n");
+  gate.armed = true;
+  constexpr std::size_t kFloodBytes = std::size_t{16} << 20;
+  std::string flood;
+  for (int i = 0; flood.size() < kFloodBytes; ++i) {
+    flood += R"({"op":"embodied","id":"f)" + std::to_string(i) +
+             R"(","params":{"part":"epyc-7763"}})" + "\n";
+  }
+  // Send without reading until all of it is out or a send has been
+  // blocked for 200 ms. A small send buffer keeps what the kernel holds,
+  // and so the read-back, short.
+  const int send_buffer = 64 << 10;
+  ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &send_buffer,
+                         sizeof send_buffer),
+            0);
+  ASSERT_EQ(::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL) | O_NONBLOCK), 0);
+  std::size_t sent = 0;
+  while (sent < flood.size()) {
+    const ssize_t n = ::send(fd, flood.data() + sent, flood.size() - sent,
+                             MSG_NOSIGNAL);
+    if (n > 0) {
+      sent += static_cast<std::size_t>(n);
+      continue;
+    }
+    if (n < 0 && errno == EINTR) continue;
+    ASSERT_TRUE(n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK))
+        << "send failed: " << strerror(errno);
+    pollfd writable{fd, POLLOUT, 0};
+    if (::poll(&writable, 1, 200) == 0) break;
+  }
+  EXPECT_LT(ts.server.stats().bytes_in.value(), std::uint64_t{4} << 20)
+      << "sent " << sent << " bytes without reading";
+
+  // Let the head finish, then read everything back while the last,
+  // partly sent line completes.
+  gate.release();
+  const std::size_t end =
+      sent == 0 || flood[sent - 1] == '\n' ? sent : flood.find('\n', sent) + 1;
+  const auto lines = static_cast<std::size_t>(
+      std::count(flood.begin(), flood.begin() + static_cast<long>(end), '\n'));
+  ASSERT_EQ(::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL) & ~O_NONBLOCK), 0);
+  std::vector<std::string> got;
+  std::thread client_reader([&] { got = reader.read(1 + lines); });
+  send_all(fd, std::string_view(flood).substr(sent, end - sent));
+  client_reader.join();
+  ::close(fd);
+  ASSERT_EQ(got.size(), 1 + lines) << "every request must be answered";
+  EXPECT_NE(got[0].find("\"id\":\"head\""), std::string::npos) << got[0];
+  EXPECT_NE(got[0].find("\"ok\":true"), std::string::npos) << got[0];
+  std::size_t out_of_order = 0;
+  for (std::size_t i = 0; i < lines; ++i) {
+    const std::string& r = got[1 + i];
+    if (r.find("\"id\":\"f" + std::to_string(i) + "\"") == std::string::npos ||
+        r.find("\"ok\":true") == std::string::npos) {
+      ++out_of_order;
+    }
+  }
+  EXPECT_EQ(out_of_order, 0u);
+}
+
+/// The cache and trace-store fields of tests/data/stats_golden.jsonl: the
+/// pipe's stats after the request fixture twice.
+json::Value stats_golden() {
+  std::ifstream in(std::string(HPCARBON_TEST_DATA_DIR) + "/stats_golden.jsonl");
+  std::string line;
+  std::getline(in, line);
+  // The masked latency quantiles are the only non-JSON tokens.
+  line = std::regex_replace(line, std::regex(R"(":X\b)"), "\":0");
+  return *json::Value::parse(line).find("result");
+}
+
+TEST(NetServer, SequentialSocketCountsEqualThePipes) {
+  // The request fixture twice, one line at a time, over a socket with
+  // workers: hits answered on the IO thread and misses on workers count
+  // exactly what the pipe front-end counts for the same stream.
+  obs::MetricsRegistry registry;
+  serve::TraceStore traces(&registry);
+  net::ServerOptions opts;
+  opts.workers = 2;
+  opts.serve.registry = &registry;
+  opts.serve.traces = &traces;
+  TestServer ts(std::move(opts));
+  const int fd = ts.connect();
+  LineReader reader(fd);
+  const auto requests = fixture_requests();
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const auto& line : requests) {
+      send_all(fd, line + "\n");
+      ASSERT_EQ(reader.read(1).size(), 1u) << line;
+    }
+  }
+  send_all(fd, "{\"op\":\"stats\",\"id\":\"s\"}\n");
+  const auto got = reader.read(1);
+  ::close(fd);
+  ASSERT_EQ(got.size(), 1u);
+  const json::Value stats = *json::Value::parse(got[0]).find("result");
+  const json::Value golden = stats_golden();
+  for (const char* field :
+       {"bytes", "entries", "evictions", "hits", "inserts", "misses",
+        "shard_bytes", "shard_entries", "trace_entries", "trace_hits",
+        "trace_misses"}) {
+    ASSERT_NE(stats.find(field), nullptr) << field;
+    EXPECT_EQ(stats.find(field)->dump(), golden.find(field)->dump()) << field;
+  }
+}
+
+TEST(NetServer, PipelinedCopiesOfAMissEvaluateOnce) {
+  // Twenty copies of one uncached query queue behind a slow head. The IO
+  // thread's lookups miss without counting, and the worker looks again:
+  // the first copy misses and evaluates, the other nineteen hit its fill.
+  net::ServerOptions opts;
+  opts.workers = 1;
+  TestServer ts(std::move(opts));
+  const int fd = ts.connect();
+  std::string payload =
+      R"({"op":"sched","id":"head","params":{"policy":"net-benefit"}})" "\n";
+  constexpr int kCopies = 20;
+  for (int i = 0; i < kCopies; ++i) {
+    payload += R"({"op":"embodied","id":"c)" + std::to_string(i) +
+               R"(","params":{"part":"mi250x"}})" + "\n";
+  }
+  send_all(fd, payload);
+  const auto got = read_lines(fd, 1 + kCopies);
+  ::close(fd);
+  ASSERT_EQ(got.size(), 1u + kCopies);
+  for (int i = 0; i < kCopies; ++i) {
+    const std::string& r = got[1 + static_cast<std::size_t>(i)];
+    EXPECT_NE(r.find("\"id\":\"c" + std::to_string(i) + "\""),
+              std::string::npos)
+        << r;
+    EXPECT_NE(r.find("\"ok\":true"), std::string::npos) << r;
+  }
+  // The head adds one miss and one insert of its own.
+  const serve::CacheStats stats = ts.server.engine().cache_stats();
+  EXPECT_EQ(stats.misses, 1u + 1u);
+  EXPECT_EQ(stats.inserts, 1u + 1u);
+  EXPECT_EQ(stats.hits, static_cast<std::uint64_t>(kCopies - 1));
 }
 
 TEST(NetServer, StatsReportsTransportCounters) {

@@ -470,6 +470,52 @@ TEST(Engine, BatchMatchesSequentialByteForByte) {
   EXPECT_EQ(bs.inserts, 6u);
 }
 
+// The socket server runs begin_line on its IO thread and finish_line on a
+// worker; in sequence they are handle_line, bytes and counts alike.
+TEST(Engine, TwoHalvesMatchHandleLine) {
+  std::vector<std::string> lines = family_lines();
+  lines.push_back(R"({"id":"dup","op":"embodied","params":{"part":"a100-pcie-40"}})");
+  lines.push_back(R"({"id":"bad","op":"embodied","params":{"parts":"x"}})");
+  lines.push_back(R"({"op":"stats","id":"s"})");
+  lines.push_back(R"({"op":"metrics","id":"m"})");
+  const std::size_t kDup = 6, kBad = 7;
+
+  Isolated split_iso, whole_iso;
+  Engine split(split_iso.options());
+  Engine whole(whole_iso.options());
+  // Latency figures are the only bytes that depend on timing.
+  static const std::regex kTimings(
+      R"re("(lat_p50_us|lat_p99_us|mean_us|p50_us|p99_us|p999_us|sum_us)":[^,}]*)re");
+  auto masked = [](const std::string& r) {
+    return std::regex_replace(r, kTimings, "\"$1\":X");
+  };
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    const std::string sentinel = "earlier bytes|";
+    std::string out = sentinel;
+    PlannedLine planned;
+    const bool answered = split.begin_line(lines[i], out, planned);
+    EXPECT_EQ(answered, i == kDup || i == kBad) << "line " << i;
+    if (!answered) {
+      EXPECT_EQ(out, sentinel) << "line " << i;
+      split.finish_line(planned, out);
+    }
+    ASSERT_EQ(out.compare(0, sentinel.size(), sentinel), 0);
+    EXPECT_EQ(masked(out.substr(sentinel.size())),
+              masked(whole.handle_line(lines[i])))
+        << "line " << i;
+  }
+  const CacheStats a = split.cache_stats();
+  const CacheStats b = whole.cache_stats();
+  EXPECT_EQ(a.hits, b.hits);
+  EXPECT_EQ(a.misses, b.misses);
+  EXPECT_EQ(a.inserts, b.inserts);
+  EXPECT_EQ(a.evictions, b.evictions);
+  EXPECT_EQ(a.entries, b.entries);
+  EXPECT_EQ(a.bytes, b.bytes);
+  EXPECT_EQ(a.hits, 1u);
+  EXPECT_EQ(a.misses, 6u);
+}
+
 // Acceptance: the batch planner is bit-identical for any worker count.
 TEST(Engine, BatchBitIdenticalAcrossThreadCounts) {
   std::vector<std::string> lines = family_lines();
