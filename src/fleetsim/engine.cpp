@@ -7,6 +7,7 @@
 
 #include "core/error.h"
 #include "core/stats.h"
+#include "fleetsim/completion_heap.h"
 
 namespace hpcarbon::fleetsim {
 
@@ -64,11 +65,6 @@ int FleetEngine::capacity_total() const {
 
 namespace {
 
-/// (completion tick, site), min-heap on tick. Ties pop in arbitrary order
-/// — all due completions free their slots before any decision is
-/// consulted, so tie order is unobservable.
-using Completion = std::pair<Tick, std::uint32_t>;
-
 /// (planned start tick, arrival index), min-heap on tick.
 using PlannedStart = std::pair<Tick, std::size_t>;
 
@@ -104,9 +100,10 @@ sched::ScheduleMetrics FleetEngine::run(const FleetJobs& jobs,
   for (const auto& s : sites_) free_slots.push_back(s.capacity);
 
   std::vector<sched::PendingJob> waiting;
-  std::priority_queue<Completion, std::vector<Completion>,
-                      std::greater<Completion>>
-      completions;
+  // Completions at one tick leave in site order, but all those due free
+  // their slots before any decision is consulted, so tie order is
+  // unobservable.
+  CompletionHeap completions(sites_.size());
   // Plans that were ahead of the clock on arrival. Once stale entries
   // (tick passed, or job started early) are popped, the top is the
   // earliest planned start of a still-queued job ahead of the clock.
@@ -144,8 +141,8 @@ sched::ScheduleMetrics FleetEngine::run(const FleetJobs& jobs,
                        Tick duration_tick) {
     const double now = t_hours;
     --free_slots[site];
-    completions.emplace(now_tick + duration_tick,
-                        static_cast<std::uint32_t>(site));
+    completions.push(now_tick + duration_tick,
+                     static_cast<std::uint32_t>(site));
     const double grams =
         view.job_carbon_g(site, j.it_power, now, j.duration_hours);
     const double kwh =
@@ -202,7 +199,7 @@ sched::ScheduleMetrics FleetEngine::run(const FleetJobs& jobs,
       next_tick = std::min(next_tick, jobs.submit[next_arrival]);
     }
     if (!completions.empty()) {
-      next_tick = std::min(next_tick, completions.top().first);
+      next_tick = std::min(next_tick, completions.top_tick());
     }
     if (!waiting.empty()) {
       // Next whole hour (t >= 0, so integer division floors).
@@ -221,8 +218,8 @@ sched::ScheduleMetrics FleetEngine::run(const FleetJobs& jobs,
     t = std::max(t, next_tick);
     t_hours = hours_of(t);
 
-    while (!completions.empty() && completions.top().first <= t) {
-      ++free_slots[completions.top().second];
+    while (!completions.empty() && completions.top_tick() <= t) {
+      ++free_slots[completions.top_site()];
       completions.pop();
     }
     while (next_arrival < n && jobs.submit[next_arrival] <= t) {

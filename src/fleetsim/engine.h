@@ -24,6 +24,16 @@
 //  * queue entries (sched::PendingJob) point at their arrival instead of
 //    copying the job: 16 trivially copyable bytes, so a dispatch takes
 //    its job out of the queue with one memmove (still O(queue) bytes);
+//  * completions leave through a 4-ary min-heap of packed 8-byte keys,
+//    `tick << site_bits | site` with site_bits = bit_width(sites - 1)
+//    (fleetsim/completion_heap.h): one unsigned compare orders two
+//    completions, a slot's four children are 32 contiguous bytes, and a
+//    pop picks the least child with conditional selects instead of a
+//    data-dependent branch. A push whose tick would not fit beside the
+//    site bits throws; FleetJobs::validate's tick bounds keep every run
+//    far inside that. Completions at one tick leave in site order, but
+//    all those due free their slots before any decision is consulted,
+//    so tie order cannot be observed;
 //  * run() is const — all mutable state is per-call, so Monte-Carlo
 //    uncertainty sweeps fan one engine out across mc::Engine threads.
 //

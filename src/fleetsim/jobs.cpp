@@ -34,6 +34,9 @@ void FleetJobs::validate() const {
                     std::to_string(i));
     HPC_REQUIRE(duration[i] > 0, "fleet jobs: non-positive duration at index " +
                                      std::to_string(i));
+    HPC_REQUIRE(submit[i] <= kMaxJobTicks && duration[i] <= kMaxJobTicks,
+                "fleet jobs: submit or duration above kMaxJobTicks at index " +
+                    std::to_string(i));
     HPC_REQUIRE(user[i] < users.size(),
                 "fleet jobs: user index out of range at index " +
                     std::to_string(i));
@@ -42,6 +45,15 @@ void FleetJobs::validate() const {
 
 FleetJobs FleetJobs::from_jobs(const std::vector<sched::Job>& jobs,
                                std::vector<std::string> users) {
+  // Before the sort and the rounding: a NaN would break the sort's
+  // ordering (the check is false for NaN), and llround's result is
+  // unspecified outside the int64 range.
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    HPC_REQUIRE(std::fabs(jobs[i].submit_hour) <= kMaxJobHours &&
+                    std::fabs(jobs[i].duration_hours) <= kMaxJobHours,
+                "fleet jobs: submit or duration beyond kMaxJobHours at index " +
+                    std::to_string(i));
+  }
   // Stable sort by submit: jobs submitted at the same instant keep their
   // input order, so FCFS tie-breaking (and therefore every policy
   // decision) is a deterministic function of the job list.
@@ -101,6 +113,15 @@ double parse_num(const std::string& cell, const char* column,
   return v;
 }
 
+void require_at_most_max_hours(double hours, const char* column,
+                               std::size_t line) {
+  if (hours > kMaxJobHours) {
+    throw Error("jobs CSV: " + std::string(column) + " above " +
+                std::to_string(static_cast<long long>(kMaxJobHours)) +
+                " hours (line " + std::to_string(line) + ")");
+  }
+}
+
 }  // namespace
 
 FleetJobs parse_jobs_csv(const std::string& text, std::size_t site_count,
@@ -133,11 +154,13 @@ FleetJobs parse_jobs_csv(const std::string& text, std::size_t site_count,
       throw Error("jobs CSV: negative submit_hours (line " +
                   std::to_string(line) + ")");
     }
+    require_at_most_max_hours(j.submit_hour, "submit_hours", line);
     j.duration_hours = parse_num(cells[1], "duration_hours", line);
     if (j.duration_hours <= 0) {
       throw Error("jobs CSV: duration_hours must be positive (line " +
                   std::to_string(line) + ")");
     }
+    require_at_most_max_hours(j.duration_hours, "duration_hours", line);
     const double kw = parse_num(cells[2], "power_kw", line);
     if (kw <= 0) {
       throw Error("jobs CSV: power_kw must be positive (line " +

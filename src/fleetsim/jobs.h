@@ -35,6 +35,13 @@ namespace hpcarbon::fleetsim {
 using Tick = std::int64_t;
 inline constexpr Tick kTicksPerHour = 1024;
 
+/// Largest submit time and duration a job may have, in hours (about 114
+/// years). Every double-hour workload enters through FleetJobs::from_jobs,
+/// which requires it before converting: outside the int64 range llround's
+/// result is unspecified, and a window loop that runs once per job hour
+/// must stay bounded. parse_jobs_csv rejects larger cells by line number.
+inline constexpr double kMaxJobHours = 1e6;
+
 /// Exact: any tick count below 2^53 divides by the power-of-two tick rate
 /// without rounding.
 inline double hours_of(Tick t) {
@@ -47,6 +54,11 @@ inline Tick nearest_tick(double hours) {
   return static_cast<Tick>(
       std::llround(hours * static_cast<double>(kTicksPerHour)));
 }
+
+/// kMaxJobHours on the tick grid: the bound FleetJobs::validate holds
+/// submit and duration ticks to.
+inline constexpr Tick kMaxJobTicks =
+    static_cast<Tick>(kMaxJobHours) * kTicksPerHour;
 
 /// Smallest tick >= the fractional-hour value: policy-planned starts that
 /// are not tick-aligned wake the engine at the next grid point.
@@ -83,13 +95,16 @@ struct FleetJobs {
             Power it_power, std::uint32_t user_index);
 
   /// Throws hpcarbon::Error unless submits are sorted, durations are
-  /// positive, and every user index is in range.
+  /// positive, submits and durations are at most kMaxJobTicks, and every
+  /// user index is in range.
   void validate() const;
 
   /// Quantize a double-based workload onto the tick grid (nearest tick;
   /// durations clamp up to one tick so no job becomes instantaneous) and
   /// sort by submit. Ids and user indexes are kept; `users` names the
   /// indexes (sched::generated_user_names for sched::generate_jobs).
+  /// Throws hpcarbon::Error when a submit time or duration is NaN or
+  /// exceeds kMaxJobHours in magnitude.
   static FleetJobs from_jobs(const std::vector<sched::Job>& jobs,
                              std::vector<std::string> users);
 
@@ -113,8 +128,8 @@ struct FleetJobs {
 /// via `origin_site` when requested, but placement stays with the policy.
 /// Throws hpcarbon::Error with 1-based source line numbers on ragged rows,
 /// malformed or non-finite numbers, non-positive durations or powers,
-/// negative submits, or out-of-range sites — same contract as the
-/// grid-trace importer.
+/// negative submits, submits or durations above kMaxJobHours, or
+/// out-of-range sites — same contract as the grid-trace importer.
 FleetJobs parse_jobs_csv(const std::string& text, std::size_t site_count = 1,
                          std::vector<std::int32_t>* origin_site = nullptr);
 

@@ -1,5 +1,6 @@
 #include "grid/forecast.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "core/error.h"
@@ -8,29 +9,27 @@ namespace hpcarbon::grid {
 
 namespace {
 
-/// Mean of `predict(h)` over [start_h, start_h + duration_h), whole hours
-/// weighted 1 and a trailing partial hour by its fraction.
+/// `acc` plus `predict(h)` over [h, h + remaining), whole hours weighted 1
+/// and a trailing partial hour by its fraction, added in hour order.
 template <typename PredictHour>
-double window_mean(int start_h, double duration_h, PredictHour predict) {
-  HPC_REQUIRE(duration_h > 0, "window duration must be positive");
-  double acc = 0;
-  double remaining = duration_h;
-  int h = start_h;
+double add_window(double acc, int h, double remaining, PredictHour predict) {
   while (remaining > 0) {
     const double w = remaining >= 1.0 ? 1.0 : remaining;
     acc += predict(h) * w;
     remaining -= w;
     ++h;
   }
-  return acc / duration_h;
+  return acc;
 }
 
 }  // namespace
 
 double Forecast::predict_window(HourOfYear origin, int start_h,
                                 double duration_h) const {
-  return window_mean(start_h, duration_h,
-                     [&](int h) { return predict(origin, h); });
+  HPC_REQUIRE(duration_h > 0, "window duration must be positive");
+  return add_window(0.0, start_h, duration_h,
+                    [&](int h) { return predict(origin, h); }) /
+         duration_h;
 }
 
 PersistenceForecast::PersistenceForecast(const CarbonIntensityTrace& trace)
@@ -63,7 +62,7 @@ double DiurnalTemplateForecast::slot_mean(HourOfYear origin, int slot) const {
   return sum / window_days_;
 }
 
-void DiurnalTemplateForecast::set_level(Outlook& outlook) const {
+void DiurnalTemplateForecast::finish(Outlook& outlook) const {
   // Level correction: shift toward the latest observation's deviation from
   // its own template slot (persistence of the weather regime).
   const HourOfYear last = outlook.origin_.shifted(-1);
@@ -71,6 +70,15 @@ void DiurnalTemplateForecast::set_level(Outlook& outlook) const {
       trace_->at(last).to_g_per_kwh() -
       outlook.template_[static_cast<std::size_t>(last.hour_of_day())];
   outlook.level_ = level_blend_ * last_dev;
+  // The running sum reads the template and the level, so it comes last;
+  // each entry is the window loop's accumulator after that many hours.
+  // Hour h ahead falls in slot (origin's slot + h) mod 24, as in predict.
+  int slot = outlook.origin_.hour_of_day();
+  for (std::size_t h = 0; h < Outlook::kSummedHours; ++h) {
+    outlook.window_sum_[h + 1] =
+        outlook.window_sum_[h] + outlook.slot_prediction(slot);
+    slot = slot + 1 == kHoursPerDay ? 0 : slot + 1;
+  }
 }
 
 DiurnalTemplateForecast::Outlook DiurnalTemplateForecast::outlook(
@@ -81,7 +89,7 @@ DiurnalTemplateForecast::Outlook DiurnalTemplateForecast::outlook(
     outlook.template_[static_cast<std::size_t>(slot)] =
         slot_mean(origin, slot);
   }
-  set_level(outlook);
+  finish(outlook);
   return outlook;
 }
 
@@ -92,23 +100,36 @@ const DiurnalTemplateForecast::Outlook& DiurnalTemplateForecast::outlook_at(
     const int slot = kept_->origin_.hour_of_day();
     kept_->origin_ = origin;
     kept_->template_[static_cast<std::size_t>(slot)] = slot_mean(origin, slot);
-    set_level(*kept_);
+    finish(*kept_);
   } else {
     kept_ = outlook(origin);
   }
   return *kept_;
 }
 
+double DiurnalTemplateForecast::Outlook::slot_prediction(int slot) const {
+  return std::max(0.0, template_[static_cast<std::size_t>(slot)] + level_);
+}
+
 double DiurnalTemplateForecast::Outlook::predict(int horizon_hours) const {
-  const HourOfYear target = origin_.shifted(horizon_hours);
-  return std::max(
-      0.0, template_[static_cast<std::size_t>(target.hour_of_day())] + level_);
+  return slot_prediction(origin_.shifted(horizon_hours).hour_of_day());
 }
 
 double DiurnalTemplateForecast::Outlook::predict_window(
     int start_h, double duration_h) const {
-  return window_mean(start_h, duration_h,
-                     [this](int h) { return predict(h); });
+  HPC_REQUIRE(duration_h > 0, "window duration must be positive");
+  // From the origin, the first whole hours come from the running sum: the
+  // loop would add the same terms in the same order, and each of its
+  // `remaining -= 1.0` steps is exact, so it resumes with the same state.
+  // duration_h > 0, so truncation is floor.
+  const int summed = start_h != 0 ? 0
+                     : duration_h >= kSummedHours
+                         ? kSummedHours
+                         : static_cast<int>(duration_h);
+  return add_window(window_sum_[static_cast<std::size_t>(summed)],
+                    start_h + summed, duration_h - summed,
+                    [this](int h) { return predict(h); }) /
+         duration_h;
 }
 
 double DiurnalTemplateForecast::predict(HourOfYear origin,

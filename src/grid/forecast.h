@@ -69,16 +69,30 @@ class DiurnalTemplateForecast : public Forecast {
     /// Intensity predicted at origin + horizon_hours.
     double predict(int horizon_hours) const;
     /// Mean predicted intensity over [origin + start_h, origin + start_h +
-    /// duration_h), hour-granular (as Forecast::predict_window).
+    /// duration_h), hour-granular (as Forecast::predict_window). A window
+    /// from the origin (start_h == 0) takes its first min(floor(duration_h),
+    /// kSummedHours) whole hours from the running sum, so a scheduler
+    /// pricing many jobs at one origin does not re-add them per job.
     double predict_window(int start_h, double duration_h) const;
+
+    /// Hours the running sum covers. Generated jobs run at most 96 h and
+    /// their lognormal puts about 0.4% of them above 48 h.
+    static constexpr int kSummedHours = 48;
 
    private:
     friend class DiurnalTemplateForecast;
     Outlook() = default;
+    /// Intensity predicted for any hour in hour-of-day `slot`.
+    double slot_prediction(int slot) const;
 
     HourOfYear origin_;
     std::array<double, kHoursPerDay> template_{};
     double level_ = 0;  // level_blend * (last observation - its slot)
+    // window_sum_[n] = sum of predict(h) for h < n, added in hour order
+    // from 0: the window loop's accumulator after n whole hours.
+    // Built with the outlook and rebuilt on every one-hour step (the level
+    // moves every hour), so it is never stale and never partly filled.
+    std::array<double, kSummedHours + 1> window_sum_{};
   };
 
   DiurnalTemplateForecast(const CarbonIntensityTrace& trace,
@@ -92,8 +106,10 @@ class DiurnalTemplateForecast : public Forecast {
   /// the origin from o to o + 1 adds hour o to the trailing window and
   /// drops hour o - 24 * window_days, and both fall in hour o's slot, so
   /// the other 23 slots keep the same samples summed in the same order.
-  /// Any other origin rebuilds in full. Answers are bit-identical to
-  /// outlook(origin); the reference is valid until the next call.
+  /// The step then rebuilds the running window sum (kSummedHours
+  /// predictions), because the level moves every hour. Any other origin
+  /// rebuilds in full. Answers are bit-identical to outlook(origin); the
+  /// reference is valid until the next call.
   const Outlook& outlook_at(HourOfYear origin);
   double predict(HourOfYear origin, int horizon_hours) const override;
 
@@ -102,8 +118,10 @@ class DiurnalTemplateForecast : public Forecast {
   /// `origin`, summed most recent first. The full build and the one-hour
   /// step both fill slots through it, so the two cannot drift apart.
   double slot_mean(HourOfYear origin, int slot) const;
-  /// Set `outlook.level_` from its template and the last observation.
-  void set_level(Outlook& outlook) const;
+  /// Set `outlook.level_` from its template and the last observation, then
+  /// the running window sum, which reads both. The full build and the
+  /// one-hour step both end here, so neither leaves a stale sum.
+  void finish(Outlook& outlook) const;
 
   const CarbonIntensityTrace* trace_;
   int window_days_;

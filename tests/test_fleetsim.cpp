@@ -17,12 +17,18 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <functional>
+#include <limits>
 #include <optional>
+#include <queue>
+#include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/error.h"
 #include "core/thread_pool.h"
+#include "fleetsim/completion_heap.h"
 #include "fleetsim/jobs.h"
 #include "fleetsim/uncertainty.h"
 #include "fleetsim/workload.h"
@@ -438,6 +444,96 @@ TEST(FleetEngineBasics, ValidateRejectsBrokenVectors) {
   unnamed.users = {"a"};
   unnamed.push(0, 0, 1, Power::kilowatts(1.0), 1);  // no name for index 1
   EXPECT_THROW(unnamed.validate(), Error);
+
+  // Submits and durations above kMaxJobTicks; the bound itself is valid.
+  FleetJobs at_bound;
+  at_bound.users = {"a"};
+  at_bound.push(0, kMaxJobTicks, kMaxJobTicks, Power::kilowatts(1.0), 0);
+  EXPECT_NO_THROW(at_bound.validate());
+  FleetJobs too_late = at_bound;
+  too_late.submit[0] = kMaxJobTicks + 1;
+  EXPECT_THROW(too_late.validate(), Error);
+  FleetJobs too_long = at_bound;
+  too_long.duration[0] = kMaxJobTicks + 1;
+  EXPECT_THROW(too_long.validate(), Error);
+
+  // from_jobs checks the bound in hours before it rounds to ticks.
+  for (const double hours : {1e30, kMaxJobHours * (1 + 1e-9),
+                             std::numeric_limits<double>::quiet_NaN()}) {
+    sched::Job late;
+    late.submit_hour = hours;
+    late.duration_hours = 1;
+    EXPECT_THROW(FleetJobs::from_jobs({late}, {"a"}), Error) << hours;
+    sched::Job long_job;
+    long_job.duration_hours = hours;
+    EXPECT_THROW(FleetJobs::from_jobs({long_job}, {"a"}), Error) << hours;
+  }
+}
+
+// The engine's completion heap frees the same sites at the same ticks as
+// the std::priority_queue of (tick, site) pairs it replaced. Both order
+// ties by site, so the freed sequences match, not only the sets. Random
+// pushes and "pop everything due by t" steps run over 1, 3 and 1000
+// sites (0, 2 and 10 site bits), from tick 0 with many tied ticks and
+// from just below the guard's limit, where pushes pile up at the limit;
+// a quarter of the completions are long, so the heap grows hundreds deep
+// (five levels and more).
+TEST(FleetCompletionHeap, MatchesPriorityQueue) {
+  using Entry = std::pair<Tick, std::uint32_t>;
+  for (const std::size_t sites : {std::size_t{1}, std::size_t{3},
+                                  std::size_t{1000}}) {
+    const Tick limit = CompletionHeap(sites).max_tick();
+    EXPECT_EQ(limit, std::numeric_limits<Tick>::max() >>
+                         std::bit_width(sites - 1));
+    for (const Tick base : {Tick{0}, limit - 20000}) {
+      CompletionHeap heap(sites);
+      std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>>
+          oracle;
+      std::mt19937_64 rng(sites + static_cast<std::size_t>(base != 0));
+      // t + ahead, held at the limit (computed without overflow).
+      auto later = [&](Tick t, std::uint64_t ahead) {
+        return static_cast<std::uint64_t>(limit - t) < ahead
+                   ? limit
+                   : t + static_cast<Tick>(ahead);
+      };
+      std::size_t deepest = 0;
+      Tick t = base;
+      for (int step = 0; step < 30000; ++step) {
+        if (rng() % 3 != 0) {
+          const std::uint64_t span = rng() % 4 == 0 ? 20000 : 64;
+          const Tick tick = later(t, rng() % span);
+          const auto site = static_cast<std::uint32_t>(rng() % sites);
+          heap.push(tick, site);
+          oracle.emplace(tick, site);
+        } else {
+          t = later(t, rng() % 16);
+          std::vector<std::uint32_t> freed;
+          std::vector<std::uint32_t> want;
+          while (!heap.empty() && heap.top_tick() <= t) {
+            freed.push_back(heap.top_site());
+            heap.pop();
+          }
+          while (!oracle.empty() && oracle.top().first <= t) {
+            want.push_back(oracle.top().second);
+            oracle.pop();
+          }
+          ASSERT_EQ(freed, want) << sites << " sites, step " << step;
+        }
+        ASSERT_EQ(heap.size(), oracle.size());
+        if (!oracle.empty()) {
+          ASSERT_EQ(heap.top_tick(), oracle.top().first);
+        }
+        deepest = std::max(deepest, heap.size());
+      }
+      EXPECT_GT(deepest, 500u);
+    }
+    CompletionHeap heap(sites);
+    EXPECT_THROW(heap.push(-1, 0), Error);
+    if (limit < std::numeric_limits<Tick>::max()) {
+      EXPECT_THROW(heap.push(limit + 1, 0), Error);
+    }
+    EXPECT_TRUE(heap.empty());
+  }
 }
 
 TEST(FleetWorkload, GenerationIsDeterministicPerSeedAndProcess) {
@@ -604,6 +700,17 @@ TEST(FleetReplay, RejectionsCarryLineNumbers) {
                  "non-finite duration_hours 'inf' (line 3)");
   expect_rejects(header + "0,1,inf,alice\n",
                  "non-finite power_kw 'inf' (line 2)");
+  // Times above kMaxJobHours (1e6 h): llround's result for a 1e30 h cell
+  // is unspecified, and a 1e12 h job's forecast window loop never ends.
+  expect_rejects(header + "0,1e30,1,a\n",
+                 "duration_hours above 1000000 hours (line 2)");
+  expect_rejects(header + "1e30,1,1,a\n",
+                 "submit_hours above 1000000 hours (line 2)");
+  expect_rejects(header + "0,1,1,a\n0,1e12,1,a\n",
+                 "duration_hours above 1000000 hours (line 3)");
+  expect_rejects(header + "1000000.001,1,1,a\n",
+                 "submit_hours above 1000000 hours (line 2)");
+  EXPECT_NO_THROW(parse_jobs_csv(header + "1000000,1000000,1,a\n").validate());
   // Out-of-range or fractional site, against site_count=3.
   const std::string h5 = "submit_hours,duration_hours,power_kw,user,site\n";
   expect_rejects(h5 + "0,1,1,alice,3\n", "site must be an integer in [0, 3) (line 2)");

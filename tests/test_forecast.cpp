@@ -151,18 +151,24 @@ double reference_window(const std::vector<double>& ref, int start_h,
 
 // The outlook path must answer bit for bit what the per-call oracle does
 // at every origin of the year (so windows also wrap the year boundary):
-// horizons 0-47, and windows of a quarter hour, 1 h and 5.5 h. The
-// four-day window, and predict's per-call entry points (which rebuild
-// through outlook() on every call), are checked on every fifth origin;
-// five is prime to 24, so those origins still cover every hour of the
-// day.
+// horizons 0-47, and windows from one tick (1/1024 h) to 25 h, around the
+// day boundary. Windows past the outlook's 48 h running sum (one tick
+// past it, four days, 200 h), and predict's per-call entry points (which
+// rebuild through outlook() on every call), are checked on every fifth
+// origin; five is prime to 24, so those origins still cover every hour of
+// the day. Each window list asks a long window before and after shorter
+// ones, and the windows are asked again of an outlook that outlook_at
+// steps one hour per origin, so a running sum that a shorter window or a
+// step left stale or partly filled cannot pass.
 void expect_outlook_matches_oracle(const CarbonIntensityTrace& trace) {
   constexpr int kWindowDays = 14;
   constexpr double kBlend = 0.3;
   constexpr int kHorizons = 48;
-  constexpr int kLongWindow = 96;
+  constexpr int kLongWindow = 200;
   constexpr int kStride = 5;
+  constexpr double kTick = 1.0 / 1024;
   const DiurnalTemplateForecast forecast(trace, kWindowDays, kBlend);
+  DiurnalTemplateForecast stepped(trace, kWindowDays, kBlend);
   std::vector<double> observed(kHoursPerYear);
   for (int h = 0; h < kHoursPerYear; ++h) {
     observed[static_cast<std::size_t>(h)] =
@@ -172,8 +178,14 @@ void expect_outlook_matches_oracle(const CarbonIntensityTrace& trace) {
     int start_h;
     double duration_h;
   };
-  const Window windows[] = {{0, 0.25}, {0, 1.0},  {0, 5.5},
-                            {7, 0.25}, {12, 1.0}, {5, 5.5}};
+  constexpr double kPastSum =
+      DiurnalTemplateForecast::Outlook::kSummedHours + kTick;
+  const Window windows[] = {{0, 25.0}, {0, kTick},       {0, 0.25},
+                            {0, 1.0},  {0, 5.5},         {0, 24.0},
+                            {0, 24 - kTick},             {0, 25.0},
+                            {7, 0.25}, {12, 1.0},        {5, 5.5}};
+  const Window long_windows[] = {
+      {0, kLongWindow}, {0, kPastSum}, {0, 96.0}, {0, kLongWindow}};
   const Window per_call_windows[] = {{0, 0.25}, {0, 1.0}, {5, 5.5}};
   std::size_t checked = 0;
   std::size_t mismatches = 0;
@@ -198,20 +210,25 @@ void expect_outlook_matches_oracle(const CarbonIntensityTrace& trace) {
           reference_predict(observed, kWindowDays, kBlend, origin, h);
     }
     const DiurnalTemplateForecast::Outlook outlook = forecast.outlook(origin);
+    const DiurnalTemplateForecast::Outlook& kept = stepped.outlook_at(origin);
     ASSERT_EQ(outlook.origin(), origin);
+    ASSERT_EQ(kept.origin(), origin);
     for (int h = 0; h < kHorizons; ++h) {
       expect_same(ref[static_cast<std::size_t>(h)], outlook.predict(h),
                   "outlook predict", o, h, 0);
     }
-    for (const Window& w : windows) {
-      expect_same(reference_window(ref, w.start_h, w.duration_h),
-                  outlook.predict_window(w.start_h, w.duration_h),
-                  "outlook window", o, w.start_h, w.duration_h);
-    }
+    auto expect_windows = [&](const auto& list) {
+      for (const Window& w : list) {
+        const double want = reference_window(ref, w.start_h, w.duration_h);
+        expect_same(want, outlook.predict_window(w.start_h, w.duration_h),
+                    "outlook window", o, w.start_h, w.duration_h);
+        expect_same(want, kept.predict_window(w.start_h, w.duration_h),
+                    "stepped window", o, w.start_h, w.duration_h);
+      }
+    };
+    expect_windows(windows);
     if (!strided) continue;
-    expect_same(reference_window(ref, 0, kLongWindow),
-                outlook.predict_window(0, kLongWindow), "outlook window", o, 0,
-                kLongWindow);
+    expect_windows(long_windows);
     for (const int h : {0, 23, 47}) {
       expect_same(ref[static_cast<std::size_t>(h)], forecast.predict(origin, h),
                   "per-call predict", o, h, 0);
@@ -223,8 +240,10 @@ void expect_outlook_matches_oracle(const CarbonIntensityTrace& trace) {
     }
   }
   const std::size_t strided = (kHoursPerYear + kStride - 1) / kStride;
-  EXPECT_EQ(checked, kHoursPerYear * (kHorizons + std::size(windows)) +
-                         strided * (1 + 3 + std::size(per_call_windows)));
+  EXPECT_EQ(checked,
+            kHoursPerYear * (kHorizons + 2 * std::size(windows)) +
+                strided * (2 * std::size(long_windows) + 3 +
+                           std::size(per_call_windows)));
   EXPECT_EQ(mismatches, 0u) << "first: " << first;
 }
 
@@ -261,11 +280,16 @@ bool same_outlook(const Outlook& a, const Outlook& b) {
 // re-reads only the slot of the hour that entered the window. Stepping
 // hour by hour through every origin of the year, across the wrap from
 // 8759 to 0, must answer bit for bit what a freshly built outlook does:
-// every template slot, the level, and windows from a quarter hour to four
-// days.
+// every template slot, the level, and windows from one tick to 200 h,
+// on both sides of the day and of the 48 h running sum. The long window
+// comes before and after the short ones.
 TEST(ForecastStep, HourlyStepsMatchFreshOutlooksAllYear) {
   const auto trace = GridSimulator(ciso()).run();
-  constexpr double kDurations[] = {0.25, 1.0, 5.5, 30.0, 96.0};
+  constexpr double kTick = 1.0 / 1024;
+  constexpr double kDurations[] = {200.0, kTick, 0.25, 1.0, 5.5, 24.0,
+                                   24 - kTick, 25.0, 30.0,
+                                   Outlook::kSummedHours + kTick, 96.0,
+                                   200.0};
   for (const int window_days : {1, 7, 14, 30}) {
     DiurnalTemplateForecast stepped(trace, window_days);
     const DiurnalTemplateForecast fresh(trace, window_days);
