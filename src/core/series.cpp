@@ -1,10 +1,20 @@
 #include "core/series.h"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "core/error.h"
 
 namespace hpcarbon {
+
+namespace {
+
+/// Tick magnitudes below this convert to exact hours, and so does every
+/// sum of two of them that integral_ticks forms.
+constexpr Tick kExactTicks = Tick{1} << 52;
+
+}  // namespace
 
 StepSeries::StepSeries(std::vector<double> values, double step_seconds)
     : values_(std::move(values)), step_seconds_(step_seconds) {
@@ -28,6 +38,23 @@ StepSeries::StepSeries(std::vector<double> values, double step_seconds)
   prefix_[0] = 0.0;
   for (std::size_t i = 0; i < values_.size(); ++i) {
     prefix_[i + 1] = prefix_[i] + values_[i] * step_hours_;
+  }
+  // The tick path needs a sample of exactly 2^k ticks (so step_hours_ is
+  // the exact power of two the shift stands for) and a period of exactly
+  // size() samples that stays below kExactTicks.
+  const double step_ticks = step_hours_ * static_cast<double>(kTicksPerHour);
+  const double period_ticks =
+      period_hours_ * static_cast<double>(kTicksPerHour);
+  if (step_ticks >= 1.0 && period_ticks < static_cast<double>(kExactTicks) &&
+      period_hours_ == static_cast<double>(values_.size()) * step_hours_) {
+    const auto ticks = static_cast<std::uint64_t>(step_ticks);
+    if (static_cast<double>(ticks) == step_ticks &&
+        std::has_single_bit(ticks)) {
+      tick_shift_ = std::countr_zero(ticks);
+      tick_mask_ = static_cast<Tick>(ticks) - 1;
+      tick_scale_ = 1.0 / step_ticks;
+      period_ticks_ = static_cast<Tick>(period_ticks);
+    }
   }
 }
 
@@ -78,6 +105,49 @@ double StepSeries::integral(double start_hours, double duration_hours) const {
     acc += cumulative(e) - cumulative(s);
   } else {
     acc += (prefix_.back() - cumulative(s)) + cumulative(e - period_hours_);
+  }
+  return acc;
+}
+
+double StepSeries::cumulative_ticks(Tick tick) const {
+  // cumulative(): pos = tick / 2^k exactly, so its whole part is the
+  // shift and its fraction (pos - i, exact) is the mask times 2^-k.
+  const auto i = static_cast<std::size_t>(tick >> tick_shift_);
+  if (i >= values_.size()) return prefix_.back();
+  const double frac = static_cast<double>(tick & tick_mask_) * tick_scale_;
+  double c = prefix_[i];
+  if (frac > 0.0) c += values_[i] * frac * step_hours_;
+  return c;
+}
+
+double StepSeries::integral_ticks(Tick start, Tick duration) const {
+  HPC_REQUIRE(duration >= 0, "interval must have a non-negative duration");
+  if (tick_shift_ < 0 || duration >= kExactTicks || start >= kExactTicks ||
+      start <= -kExactTicks) {
+    return integral(hours_of(start), hours_of(duration));
+  }
+  // integral()'s steps on exact operands: wrapped() is the remainder
+  // (fmod is exact), floor(d / period) is the integer quotient (the
+  // double quotient cannot round up to the next whole number below
+  // 2^53), and e = s + d needs no rounding.
+  Tick s = start;
+  if (s < 0 || s >= period_ticks_) {
+    s %= period_ticks_;
+    if (s < 0) s += period_ticks_;
+  }
+  Tick full_periods = 0;
+  Tick d = duration;
+  if (d >= period_ticks_) {
+    full_periods = d / period_ticks_;
+    d -= full_periods * period_ticks_;
+  }
+  double acc = static_cast<double>(full_periods) * prefix_.back();
+  const Tick e = s + d;
+  if (e <= period_ticks_) {
+    acc += cumulative_ticks(e) - cumulative_ticks(s);
+  } else {
+    acc += (prefix_.back() - cumulative_ticks(s)) +
+           cumulative_ticks(e - period_ticks_);
   }
   return acc;
 }

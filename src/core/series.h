@@ -21,10 +21,25 @@
 //    the old hourly prefix sum: step_hours() is exactly 1.0, so the
 //    index arithmetic (x / 1.0) and weights (w * 1.0) are unchanged
 //    floating-point operations. Golden-parity tests assert this.
+//  * integral_ticks(start, duration) takes the interval on the tick clock
+//    of core/time.h (1/1024 h) and equals integral(start / 1024.0,
+//    duration / 1024.0) bit for bit, for every series. When one sample
+//    spans a power-of-two number of ticks (1024 hourly, 512 for 30-minute,
+//    256 for 15-minute samples, 2048 for 2-hour ones), the constructor
+//    picks a shift-and-mask path: the sample index is `tick >> shift`,
+//    the in-sample fraction is `tick & mask` scaled by an exact power of
+//    two, and the wrap and whole periods are integer arithmetic. Every
+//    operand integral() forms from the same interval is then the same
+//    exact double, and the float expressions run in the same order, so
+//    the bits match. Any other step (a 5-minute sample is 85 1/3 ticks)
+//    delegates to integral(), and so do ticks of 2^52 or more in
+//    magnitude (about 500 million years), where hours_of rounds.
 #pragma once
 
 #include <cstddef>
 #include <vector>
+
+#include "core/time.h"
 
 namespace hpcarbon {
 
@@ -62,6 +77,12 @@ class StepSeries {
   /// `start_hours` may be any finite value (wrapped into the period) and
   /// the duration may span period boundaries or exceed whole periods. O(1).
   double integral(double start_hours, double duration_hours) const;
+  /// integral(hours_of(start), hours_of(duration)), bit for bit: the
+  /// integral over an interval on the tick clock (1/1024 h), value·hours.
+  /// Negative starts wrap backwards; the duration must be non-negative.
+  /// O(1), and about twice as fast as integral() when one sample spans a
+  /// power-of-two number of ticks (see the file comment).
+  double integral_ticks(Tick start, Tick duration) const;
   /// integral / duration; duration must be positive.
   double mean(double start_hours, double duration_hours) const;
 
@@ -81,12 +102,21 @@ class StepSeries {
   double wrapped(double hours) const;
   /// Cumulative integral from 0 to `hours` in [0, period_hours], value·hours.
   double cumulative(double hours) const;
+  /// cumulative(hours_of(tick)) for `tick` in [0, period_ticks_], on the
+  /// shift-and-mask path.
+  double cumulative_ticks(Tick tick) const;
 
   std::vector<double> values_;
   std::vector<double> prefix_;  // size()+1; prefix_[i] = integral of first i
   double step_seconds_ = 0.0;
   double step_hours_ = 0.0;
   double period_hours_ = 0.0;
+  // The shift-and-mask path, set by the constructor when one sample spans
+  // 2^tick_shift_ ticks; tick_shift_ < 0 sends integral_ticks to integral.
+  int tick_shift_ = -1;
+  Tick tick_mask_ = 0;        // 2^tick_shift_ - 1
+  double tick_scale_ = 0.0;   // 2^-tick_shift_, exact
+  Tick period_ticks_ = 0;     // size() << tick_shift_
 };
 
 }  // namespace hpcarbon

@@ -19,6 +19,20 @@ inline constexpr int kHoursPerDay = 24;
 inline constexpr int kDaysPerYear = 365;
 inline constexpr int kHoursPerYear = kHoursPerDay * kDaysPerYear;  // 8760
 
+/// The tick clock: simulated time in ticks of 1/1024 hour (under 4 s).
+/// The rate is a power of two, so any tick count below 2^53 converts to
+/// an exact double number of hours, and sums and differences of tick
+/// times are exact floating-point arithmetic. fleetsim runs its event
+/// loop on ticks; StepSeries::integral_ticks prices intervals from them.
+using Tick = std::int64_t;
+inline constexpr Tick kTicksPerHour = 1024;
+
+/// Exact: any tick count below 2^53 divides by the power-of-two tick rate
+/// without rounding.
+inline double hours_of(Tick t) {
+  return static_cast<double>(t) / static_cast<double>(kTicksPerHour);
+}
+
 /// Fixed UTC offset, in whole hours (the operators studied span UTC+9 to
 /// UTC-8; none uses fractional offsets). DST is deliberately not modeled:
 /// grid data feeds publish in standard local time or UTC.

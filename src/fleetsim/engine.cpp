@@ -1,6 +1,7 @@
 #include "fleetsim/engine.h"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <queue>
 #include <utility>
@@ -70,6 +71,30 @@ using PlannedStart = std::pair<Tick, std::size_t>;
 
 constexpr Tick kNoEvent = std::numeric_limits<Tick>::max();
 
+/// A trace covers one year (CarbonIntensityTrace requires it).
+constexpr Tick kYearTicks = Tick{kHoursPerYear} * kTicksPerHour;
+
+/// Reads into `ci` the intensity ClusterView::current_ci stands for at
+/// engine tick `t` (the sample index_at_hours(epoch + t) names) and
+/// returns the first tick at which that lookup may name another sample:
+/// the sample's end rounded down to a tick, and at least t + 1. The end
+/// is exact for steps of whole seconds and within far less than a tick
+/// for any other, so rounding down never passes the tick at which the
+/// lookup moves on. A read before that tick (a 5-minute sample ends
+/// between two ticks) finds the same sample and is retried one tick
+/// later, as is a read on an exact boundary, where the double division
+/// can still name the old sample.
+Tick read_intensity(const StepSeries& series, Tick epoch_tick, Tick t,
+                    double& ci) {
+  const Tick local = epoch_tick + t;
+  const std::size_t i = series.index_at_hours(hours_of(local));
+  ci = series.values()[i];
+  const auto end = static_cast<Tick>(
+      std::floor(static_cast<double>(i + 1) * series.step_seconds() *
+                 static_cast<double>(kTicksPerHour) / kSecondsPerHour));
+  return t + std::max<Tick>(1, end - local % kYearTicks);
+}
+
 }  // namespace
 
 sched::ScheduleMetrics FleetEngine::run(const FleetJobs& jobs,
@@ -128,9 +153,25 @@ sched::ScheduleMetrics FleetEngine::run(const FleetJobs& jobs,
   std::size_t next_arrival = 0;
   Tick t = 0;
   double t_hours = 0;  // always hours_of(t); the view's double clock
+  const Tick epoch_tick = Tick{epoch_.index()} * kTicksPerHour;
 
-  const sched::ClusterView view(sites_, free_slots, integrators_, ledger,
-                                pue_, t_hours, epoch_);
+  // Each site's intensity at t, for ClusterView::current_ci. Re-read for
+  // every site when t reaches the earliest tick at which a site's sample
+  // may have ended (about once per sample), not on every event.
+  std::vector<double> current_ci(sites_.size());
+  Tick ci_refresh = 0;
+  auto refresh_ci = [&] {
+    ci_refresh = kNoEvent;
+    for (std::size_t s = 0; s < sites_.size(); ++s) {
+      ci_refresh = std::min(
+          ci_refresh, read_intensity(sites_[s].trace_utc.series(), epoch_tick,
+                                     t, current_ci[s]));
+    }
+  };
+  refresh_ci();
+
+  const sched::ClusterView view(sites_, free_slots, integrators_, current_ci,
+                                ledger, pue_, t_hours, epoch_);
 
   policy.begin_run(arrivals, ledger, view);
 
@@ -143,8 +184,11 @@ sched::ScheduleMetrics FleetEngine::run(const FleetJobs& jobs,
     --free_slots[site];
     completions.push(now_tick + duration_tick,
                      static_cast<std::uint32_t>(site));
+    // ClusterView::job_carbon_g's product, priced from the ticks.
     const double grams =
-        view.job_carbon_g(site, j.it_power, now, j.duration_hours);
+        j.it_power.to_kilowatts() *
+        integrators_[site].weighted_sum_ticks(epoch_tick + now_tick,
+                                              duration_tick);
     const double kwh =
         j.it_power.to_kilowatts() * j.duration_hours * pue_.base();
     double tgrams = 0;
@@ -217,6 +261,7 @@ sched::ScheduleMetrics FleetEngine::run(const FleetJobs& jobs,
     HPC_REQUIRE(next_tick != kNoEvent, "fleet simulator deadlock");
     t = std::max(t, next_tick);
     t_hours = hours_of(t);
+    if (t >= ci_refresh) refresh_ci();
 
     while (!completions.empty() && completions.top_tick() <= t) {
       ++free_slots[completions.top_site()];

@@ -34,6 +34,22 @@
 //    far inside that. Completions at one tick leave in site order, but
 //    all those due free their slots before any decision is consulted,
 //    so tie order cannot be observed;
+//  * a job start prices its carbon from the ticks it already holds:
+//    kW times CarbonIntegrator::weighted_sum_ticks(epoch + now, duration),
+//    which is StepSeries::integral_ticks. On traces whose samples span a
+//    power-of-two number of ticks (hourly, 30- and 15-minute) that is a
+//    shift and a mask per endpoint, and on any trace it is bit-identical
+//    to the double-hour ClusterView::job_carbon_g, which stays for
+//    policies;
+//  * each site's current intensity lives in a per-run vector that
+//    ClusterView::current_ci reads inline. The engine re-reads every site
+//    (the same index_at_hours(epoch + t) lookup) only when t reaches the
+//    earliest tick at which some site's sample may have ended: that
+//    sample's end rounded down to a tick, and at least one tick after the
+//    read. So an hourly trio is read about once per simulated hour, not on
+//    every event. A read that still finds the old sample (5-minute
+//    samples end between ticks, and on an exact boundary the double
+//    division can lag by one tick) is retried one tick later;
 //  * run() is const — all mutable state is per-call, so Monte-Carlo
 //    uncertainty sweeps fan one engine out across mc::Engine threads.
 //
@@ -48,9 +64,11 @@
 // no scan of the queue.
 //
 // tests/reference_engine.h keeps the double-clock loop this engine
-// replaced; tests/test_fleetsim.cpp pins bit-identical metrics, outcomes,
-// and ledgers against it on tick-aligned workloads for every registered
-// policy.
+// replaced, pricing in hours and reading every site's intensity whenever
+// its clock moves; tests/test_fleetsim.cpp pins bit-identical metrics,
+// outcomes, and ledgers against it on tick-aligned workloads for every
+// registered policy, on hourly, 15- and 5-minute sites and across the
+// year boundary.
 #pragma once
 
 #include <cstdint>

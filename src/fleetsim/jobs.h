@@ -25,15 +25,18 @@
 #include <string>
 #include <vector>
 
+#include "core/time.h"
 #include "core/units.h"
 #include "sched/job.h"
 
 namespace hpcarbon::fleetsim {
 
-/// Simulation time in ticks since the epoch. 1024 ticks per hour keeps
-/// sub-4-second resolution; int64 never wraps for any realistic horizon.
-using Tick = std::int64_t;
-inline constexpr Tick kTicksPerHour = 1024;
+/// Simulation time in ticks since the epoch, on the tick clock of
+/// core/time.h: 1024 ticks per hour keeps sub-4-second resolution, and
+/// int64 never wraps for any realistic horizon.
+using hpcarbon::hours_of;
+using hpcarbon::kTicksPerHour;
+using hpcarbon::Tick;
 
 /// Largest submit time and duration a job may have, in hours (about 114
 /// years). Every double-hour workload enters through FleetJobs::from_jobs,
@@ -41,12 +44,6 @@ inline constexpr Tick kTicksPerHour = 1024;
 /// result is unspecified, and a window loop that runs once per job hour
 /// must stay bounded. parse_jobs_csv rejects larger cells by line number.
 inline constexpr double kMaxJobHours = 1e6;
-
-/// Exact: any tick count below 2^53 divides by the power-of-two tick rate
-/// without rounding.
-inline double hours_of(Tick t) {
-  return static_cast<double>(t) / static_cast<double>(kTicksPerHour);
-}
 
 /// Nearest tick to a fractional-hour value (snapping error <= 1/2048 h,
 /// about 1.8 s). Bridges double-based workloads into the tick grid.

@@ -48,6 +48,11 @@ class CarbonIntegrator {
   /// Integral of intensity * PUE over [start_hour, start_hour + duration)
   /// fractional hours in the trace's local time; units (g/kWh)·h. O(1).
   double weighted_sum(double start_hour, double duration_hours) const;
+  /// weighted_sum(hours_of(start), hours_of(duration)) bit for bit, for an
+  /// interval on the tick clock (core/time.h): StepSeries::integral_ticks.
+  double weighted_sum_ticks(Tick start, Tick duration) const {
+    return weighted_.integral_ticks(start, duration);
+  }
 
   /// Grams of CO2 for a constant IT power over the interval. O(1).
   double carbon_g(double it_kw, double start_hour,

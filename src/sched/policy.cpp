@@ -11,16 +11,6 @@
 
 namespace hpcarbon::sched {
 
-double ClusterView::current_ci(std::size_t i) const {
-  // Native-resolution lookup: hourly traces resolve to the same sample the
-  // old at(hour_at(now())) read; 5-/15-minute imports expose the live
-  // sub-hourly sample instead of the start-of-hour one.
-  return (*sites_)[i]
-      .trace_utc
-      .at_hours(static_cast<double>(epoch_.index()) + now())
-      .to_g_per_kwh();
-}
-
 double ClusterView::job_carbon_g(std::size_t i, Power it_power, double start,
                                  double duration) const {
   return (*integrators_)[i].carbon_g(it_power.to_kilowatts(),
@@ -56,7 +46,7 @@ class FcfsLocalPolicy : public SchedulingPolicy {
  public:
   explicit FcfsLocalPolicy(const PolicyConfig&) {}
   std::string name() const override { return "fcfs-local"; }
-  std::optional<DispatchDecision> select(const std::vector<PendingJob>& queue,
+  std::optional<DispatchDecision> select(const PendingQueue& queue,
                                          const ClusterView& view) override {
     if (queue.empty() || view.free_slots(0) <= 0) return std::nullopt;
     return DispatchDecision{0, 0};
@@ -70,7 +60,7 @@ class GreedyLowestCiPolicy : public SchedulingPolicy {
  public:
   explicit GreedyLowestCiPolicy(const PolicyConfig&) {}
   std::string name() const override { return "greedy-lowest-ci"; }
-  std::optional<DispatchDecision> select(const std::vector<PendingJob>& queue,
+  std::optional<DispatchDecision> select(const PendingQueue& queue,
                                          const ClusterView& view) override {
     if (queue.empty()) return std::nullopt;
     const long site = view.lowest_ci_free_site();
@@ -87,7 +77,7 @@ class ThresholdDelayPolicy : public SchedulingPolicy {
       : threshold_(cfg.ci_threshold_g_per_kwh),
         max_delay_(cfg.max_delay_hours) {}
   std::string name() const override { return "threshold-delay"; }
-  std::optional<DispatchDecision> select(const std::vector<PendingJob>& queue,
+  std::optional<DispatchDecision> select(const PendingQueue& queue,
                                          const ClusterView& view) override {
     if (queue.empty() || view.free_slots(0) <= 0) return std::nullopt;
     // The front job has waited longest (select's queue contract), so it
@@ -117,7 +107,7 @@ class BudgetAwarePolicy : public SchedulingPolicy {
     // name table keeps 0.
     for (const auto& j : arrivals) ledger.set_allocation(j.user, user_budget_);
   }
-  std::optional<DispatchDecision> select(const std::vector<PendingJob>& queue,
+  std::optional<DispatchDecision> select(const PendingQueue& queue,
                                          const ClusterView& view) override {
     if (queue.empty()) return std::nullopt;
     const long site = view.lowest_ci_free_site();
@@ -170,7 +160,7 @@ class ForecastDelayPolicy : public SchedulingPolicy {
     }
     return job.submit_hour + best_offset;
   }
-  std::optional<DispatchDecision> select(const std::vector<PendingJob>& queue,
+  std::optional<DispatchDecision> select(const PendingQueue& queue,
                                          const ClusterView& view) override {
     if (view.free_slots(0) <= 0) return std::nullopt;
     for (std::size_t i = 0; i < queue.size(); ++i) {
@@ -195,7 +185,7 @@ class NetBenefitPolicy : public SchedulingPolicy {
  public:
   explicit NetBenefitPolicy(const PolicyConfig&) {}
   std::string name() const override { return "net-benefit"; }
-  std::optional<DispatchDecision> select(const std::vector<PendingJob>& queue,
+  std::optional<DispatchDecision> select(const PendingQueue& queue,
                                          const ClusterView& view) override {
     if (queue.empty()) return std::nullopt;
     const long best = view.lowest_ci_free_site();
@@ -234,7 +224,7 @@ class ForecastNetBenefitPolicy : public SchedulingPolicy {
           view.site(s).trace_utc, window_days_));
     }
   }
-  std::optional<DispatchDecision> select(const std::vector<PendingJob>& queue,
+  std::optional<DispatchDecision> select(const PendingQueue& queue,
                                          const ClusterView& view) override {
     if (queue.empty()) return std::nullopt;
     const Job& j = *queue.front().job;
@@ -289,7 +279,7 @@ class RenewableCapPolicy : public SchedulingPolicy {
                       const ClusterView& view) override {
     recent_.emplace_back(view.now(), carbon_g);
   }
-  std::optional<DispatchDecision> select(const std::vector<PendingJob>& queue,
+  std::optional<DispatchDecision> select(const PendingQueue& queue,
                                          const ClusterView& view) override {
     if (view.free_slots(0) <= 0) return std::nullopt;
     while (!recent_.empty() &&

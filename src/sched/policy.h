@@ -6,7 +6,8 @@
 // are additions, not edits to a monolithic switch. The pieces:
 //
 //  * ClusterView        — the read-only window a policy gets on the cluster:
-//                         free slots, O(1) carbon pricing, current CI, the
+//                         free slots, O(1) carbon pricing, each site's
+//                         current CI as the engine last read it, the
 //                         budget ledger, and the simulation clock.
 //  * SchedulingPolicy   — the strategy interface: plan a start on arrival,
 //                         pick (job, site) pairs at dispatch time, observe
@@ -68,6 +69,10 @@ struct PendingJob {
 static_assert(std::is_trivially_copyable_v<PendingJob>);
 static_assert(std::is_trivially_copyable_v<Job>);
 
+/// The waiting queue select() reads, in arrival order. A name of its own
+/// so the container can change without touching every policy.
+using PendingQueue = std::vector<PendingJob>;
+
 /// What a policy hands back from select(): start `queue_index` on `site`.
 struct DispatchDecision {
   std::size_t queue_index = 0;
@@ -75,20 +80,25 @@ struct DispatchDecision {
 };
 
 /// Read-only window on the engine's cluster state, bound for the duration
-/// of one run. All carbon queries are O(1) via per-site prefix sums.
+/// of one run. Every query is O(1): carbon prices come from per-site
+/// prefix sums, and current intensities from a vector the engine keeps.
 class ClusterView {
  public:
   /// Bind a view over an engine's per-run state. The view keeps
   /// references, so every argument must outlive the run; `now` is the
-  /// engine's clock in hours since `epoch`, read on every now() call.
+  /// engine's clock in hours since `epoch`, read on every now() call, and
+  /// `current_ci` holds each site's intensity (g/kWh) at now(), which the
+  /// engine keeps current whenever a policy callback can read it.
   ClusterView(const std::vector<Site>& sites,
               const std::vector<int>& free_slots,
               const std::vector<op::CarbonIntegrator>& integrators,
+              const std::vector<double>& current_ci,
               const CarbonBudgetLedger& ledger, const op::PueModel& pue,
               const double& now, HourOfYear epoch)
       : sites_(&sites),
         free_slots_(&free_slots),
         integrators_(&integrators),
+        current_ci_(&current_ci),
         ledger_(&ledger),
         pue_(&pue),
         now_(&now),
@@ -106,8 +116,11 @@ class ClusterView {
   const Site& site(std::size_t i) const { return (*sites_)[i]; }
   int free_slots(std::size_t i) const { return (*free_slots_)[i]; }
 
-  /// Carbon intensity (g/kWh) at site i at time `now()`.
-  double current_ci(std::size_t i) const;
+  /// Carbon intensity (g/kWh) at site i at time now(): the native sample
+  /// site(i).trace_utc.at_hours(epoch().index() + now()) names, so 5- and
+  /// 15-minute imports expose the live sub-hourly sample. The engine
+  /// supplies it; the view only reads.
+  double current_ci(std::size_t i) const { return (*current_ci_)[i]; }
   /// PUE-weighted grams of CO2 if `it_power` ran at site i over
   /// [start, start + duration) simulation hours. O(1).
   double job_carbon_g(std::size_t i, Power it_power, double start,
@@ -126,6 +139,7 @@ class ClusterView {
   const std::vector<Site>* sites_;
   const std::vector<int>* free_slots_;
   const std::vector<op::CarbonIntegrator>* integrators_;
+  const std::vector<double>* current_ci_;
   const CarbonBudgetLedger* ledger_;
   const op::PueModel* pue_;
   const double* now_;
@@ -168,8 +182,8 @@ class SchedulingPolicy {
   /// same instant keep their input order (id order for generated
   /// workloads and the jobs CSV). The front job has waited longest. Each
   /// entry's `job` points at its arrival (see PendingJob).
-  virtual std::optional<DispatchDecision> select(
-      const std::vector<PendingJob>& queue, const ClusterView& view) = 0;
+  virtual std::optional<DispatchDecision> select(const PendingQueue& queue,
+                                                 const ClusterView& view) = 0;
 
   /// Observer: `job` just started on `site` emitting `carbon_g` grams
   /// (compute + transfer). RenewableCap tracks its burn rate here.

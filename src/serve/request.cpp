@@ -310,10 +310,21 @@ void normalize_trio(ParamReader& r) {
   r.rewrite("policy", desc->name);
 }
 
+/// Cross-field guard both trio families share: the engine simulates
+/// millions of jobs per second, but a serve answer should still be
+/// interactive, so bound the expected job count, not each factor alone.
+void check_expected_jobs(ParamReader& r, double rate, double days) {
+  if (rate * 24.0 * days > 4.0e6) {
+    r.fail("rate", "implies more than 4000000 expected jobs (rate * days * "
+                   "24); lower rate or days");
+  }
+}
+
 void normalize_sched(ParamReader& r) {
   normalize_trio(r);
-  r.number("days", 28.0, 0.5, 366.0);
-  r.number("rate", 2.5, 0.01, 1000.0);
+  const double days = r.number("days", 28.0, 0.5, 366.0);
+  const double rate = r.number("rate", 2.5, 0.01, 1000.0);
+  check_expected_jobs(r, rate, days);
   r.integer("capacity", 16, 1, 4096);
   r.integer("start_month", 5, 0, 11);
   r.integer("seed", 2024, 0, static_cast<long>(kMaxExactInt));
@@ -327,13 +338,7 @@ void normalize_fleetsim(ParamReader& r) {
   }
   const double days = r.number("days", 28.0, 0.5, 366.0);
   const double rate = r.number("rate", 4.0, 0.01, 10000.0);
-  // Cross-field guard: the engine simulates millions of jobs per second,
-  // but a serve answer should still be interactive — bound the expected
-  // job count, not each factor alone.
-  if (rate * 24.0 * days > 4.0e6) {
-    r.fail("rate", "implies more than 4000000 expected jobs (rate * days * "
-                   "24); lower rate or days");
-  }
+  check_expected_jobs(r, rate, days);
   r.integer("capacity", 16, 1, 4096);
   r.integer("start_month", 5, 0, 11);
   // samples > 0 adds savings quantiles over workload seeds (bounded: each

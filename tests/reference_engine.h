@@ -94,8 +94,20 @@ class SchedulingEngine {
     std::size_t next_arrival = 0;
     double t = 0;
 
-    const sched::ClusterView view(sites_, free_slots, integrators_, ledger,
-                                  pue_, t, epoch_);
+    // Each site's intensity at t, read afresh whenever the clock moves,
+    // with the lookup ClusterView::current_ci stands for.
+    std::vector<double> current_ci(sites_.size());
+    auto read_ci = [&] {
+      for (std::size_t s = 0; s < sites_.size(); ++s) {
+        current_ci[s] = sites_[s]
+                            .trace_utc.at_hours(epoch_.index() + t)
+                            .to_g_per_kwh();
+      }
+    };
+    read_ci();
+
+    const sched::ClusterView view(sites_, free_slots, integrators_,
+                                  current_ci, ledger, pue_, t, epoch_);
 
     policy.begin_run(arrivals, ledger, view);
 
@@ -165,6 +177,7 @@ class SchedulingEngine {
       }
       HPC_REQUIRE(std::isfinite(next_time), "scheduler deadlock");
       t = std::max(t, next_time);
+      read_ci();
 
       while (!completions.empty() && completions.top().time <= t) {
         ++free_slots[completions.top().site];

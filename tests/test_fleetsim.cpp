@@ -27,6 +27,8 @@
 #include <vector>
 
 #include "core/error.h"
+#include "core/rng.h"
+#include "core/series.h"
 #include "core/thread_pool.h"
 #include "fleetsim/completion_heap.h"
 #include "fleetsim/jobs.h"
@@ -128,12 +130,13 @@ TEST(FleetTicks, ConversionsAreExact) {
   EXPECT_EQ(ceil_tick(hours_of(5) + 1e-9), Tick{6});
 }
 
-/// Run every registered policy through both engines on `sites` (June 1
-/// epoch) and pin metrics, outcomes, and ledger balances bitwise.
+/// Run every registered policy through both engines on `sites` and pin
+/// metrics, outcomes, and ledger balances bitwise. The default epoch is
+/// June 1, as the scheduler suite uses.
 void expect_registry_parity(const std::vector<sched::Site>& sites,
                             const std::vector<sched::Job>& jobs,
-                            const sched::PolicyConfig& cfg) {
-  const HourOfYear epoch(3624);  // June 1, as the scheduler suite uses
+                            const sched::PolicyConfig& cfg,
+                            HourOfYear epoch = HourOfYear(3624)) {
   const FleetJobs fleet_jobs = fleet_of(jobs);
   reference::SchedulingEngine oracle(sites, epoch);
   const FleetEngine fleet(sites, epoch);
@@ -150,14 +153,16 @@ void expect_registry_parity(const std::vector<sched::Site>& sites,
     const auto fleet_policy = desc.make(cfg);
     const auto got = fleet.run(fleet_jobs, *fleet_policy, &outcomes, &ledger);
 
-    expect_metrics_bitwise(expected, got, desc.name);
-    expect_outcomes_bitwise(sites, outcomes, oracle_outcomes, desc.name);
+    const std::string label =
+        desc.name + " epoch " + std::to_string(epoch.index());
+    expect_metrics_bitwise(expected, got, label);
+    expect_outcomes_bitwise(sites, outcomes, oracle_outcomes, label);
     for (std::uint32_t u = 0; u < fleet_jobs.users.size(); ++u) {
       EXPECT_EQ(ledger.spent(u).to_grams(), oracle_ledger.spent(u).to_grams())
-          << desc.name << " user " << fleet_jobs.users[u];
+          << label << " user " << fleet_jobs.users[u];
       EXPECT_EQ(ledger.allocation(u).to_grams(),
                 oracle_ledger.allocation(u).to_grams())
-          << desc.name << " user " << fleet_jobs.users[u];
+          << label << " user " << fleet_jobs.users[u];
     }
   }
 }
@@ -195,6 +200,52 @@ TEST(FleetParity, CongestedTrioStaysBitIdentical) {
     deepest = std::max(deepest, submitted - (i + 1));
   }
   EXPECT_GT(deepest, 200u);
+}
+
+/// `trace` at `step_seconds`, each hourly sample split into samples that
+/// differ within the hour (seeded factors in [0.6, 1.4]).
+grid::CarbonIntensityTrace sub_hourly(const grid::CarbonIntensityTrace& trace,
+                                      double step_seconds) {
+  const auto per_hour =
+      static_cast<std::size_t>(kSecondsPerHour / step_seconds);
+  Rng rng(static_cast<std::uint64_t>(step_seconds));
+  std::vector<double> values;
+  values.reserve(trace.size() * per_hour);
+  for (const double v : trace.values()) {
+    for (std::size_t k = 0; k < per_hour; ++k) {
+      values.push_back(v * rng.uniform(0.6, 1.4));
+    }
+  }
+  return grid::CarbonIntensityTrace(trace.region_code(), trace.time_zone(),
+                                    std::move(values), step_seconds);
+}
+
+/// The paper trio with ESO at 15-minute samples (the tick path of
+/// StepSeries::integral_ticks, 256 ticks a sample) and CISO hourly or at
+/// 5-minute samples (85 1/3 ticks, the fallback to integral()). Each
+/// site's intensity is re-read once per sample, so the sites' sample ends
+/// interleave.
+std::vector<sched::Site> sub_hourly_sites(double ciso_step_seconds) {
+  const auto traces = grid::generate_traces(grid::fig7_regions());
+  return {sched::make_site("ERCOT", traces[2], 8),
+          sched::make_site("ESO", sub_hourly(traces[0], 900.0), 8),
+          sched::make_site("CISO", sub_hourly(traces[1], ciso_step_seconds),
+                           8)};
+}
+
+// Parity away from the hourly grid and across the year boundary: sites
+// whose samples end at 15 minutes, at 5 minutes (between ticks), and on
+// the hour, from epochs whose 10-day run crosses hour 8760 (8700, 8759)
+// or does not (June 1).
+TEST(FleetParity, SubHourlySitesAcrossTheYearStayBitIdentical) {
+  const auto jobs = seeded_quantized_jobs();
+  for (const double ciso_step : {3600.0, 300.0}) {
+    SCOPED_TRACE("CISO step " + std::to_string(ciso_step) + " s");
+    const auto sites = sub_hourly_sites(ciso_step);
+    for (const int epoch : {3624, 8700, 8759}) {
+      expect_registry_parity(sites, jobs, tuned_config(), HourOfYear(epoch));
+    }
+  }
 }
 
 // FleetParity runs one policy class through both engines, so it cannot
@@ -311,7 +362,7 @@ class EarlyNewestFirstPolicy : public sched::SchedulingPolicy {
     return job.submit_hour + 3.0;
   }
   std::optional<sched::DispatchDecision> select(
-      const std::vector<sched::PendingJob>& queue,
+      const sched::PendingQueue& queue,
       const sched::ClusterView& view) override {
     ++select_calls;
     if (queue.empty() || view.free_slots(0) <= 0) return std::nullopt;

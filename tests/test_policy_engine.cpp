@@ -175,7 +175,7 @@ TEST(PolicyEngine, RejectsInvalidDispatchDecision) {
   class BrokenPolicy : public SchedulingPolicy {
    public:
     std::string name() const override { return "broken"; }
-    std::optional<DispatchDecision> select(const std::vector<PendingJob>&,
+    std::optional<DispatchDecision> select(const PendingQueue&,
                                            const ClusterView&) override {
       return DispatchDecision{99, 99};
     }

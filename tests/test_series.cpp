@@ -7,11 +7,13 @@
 #include <cstdint>
 #include <limits>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "core/error.h"
 #include "core/rng.h"
 #include "core/time.h"
+#include "fleetsim/jobs.h"
 
 namespace hpcarbon {
 namespace {
@@ -280,6 +282,81 @@ TEST(StepSeries, IntegralValidation) {
                Error);
   EXPECT_THROW(s.integral(0.0, std::numeric_limits<double>::infinity()),
                Error);
+}
+
+// The tick path must give integral()'s bits on every interval the
+// fleet engine can price: starts around a sample edge, a day edge and the
+// year end (negative and wrapped starts included), durations around one
+// sample, one period and whole periods up to fleetsim::kMaxJobTicks, and
+// random pairs. Values are signed so that a -0.0 or a cancellation would
+// show.
+TEST(StepSeries, TickIntegralMatchesIntegralBitForBit) {
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  // 2-hour, hourly, 30-minute and 15-minute samples take the tick path;
+  // 3-hour (3072 ticks) and 5-minute samples (85 1/3 ticks) delegate to
+  // integral().
+  for (const double step_s :
+       {7200.0, 3600.0, 1800.0, 900.0, 10800.0, 300.0}) {
+    const auto n = static_cast<std::size_t>(kHoursPerYear * 3600.0 / step_s);
+    Rng values_rng(static_cast<std::uint64_t>(step_s) + 11);
+    std::vector<double> v(n);
+    for (auto& x : v) x = values_rng.uniform(-400.0, 900.0);
+    const StepSeries s(std::move(v), step_s);
+    const Tick period = Tick{kHoursPerYear} * kTicksPerHour;
+    const auto sample =
+        static_cast<Tick>(step_s * kTicksPerHour / kSecondsPerHour);
+
+    std::size_t checks = 0;
+    std::size_t mismatches = 0;
+    const auto check = [&](Tick start, Tick duration) {
+      ++checks;
+      const double want = s.integral(hours_of(start), hours_of(duration));
+      const double got = s.integral_ticks(start, duration);
+      if (bits(want) != bits(got) && ++mismatches <= 5) {
+        ADD_FAILURE() << "step=" << step_s << " start=" << start
+                      << " duration=" << duration << ": " << got
+                      << " != integral's " << want;
+      }
+    };
+
+    const Tick whole = fleetsim::kMaxJobTicks / period * period;
+    const Tick durations[] = {0,          1,          255,
+                              256,        1023,       1024,
+                              1025,       sample - 1, sample,
+                              sample + 1, period - 1, period,
+                              period + 1, 2 * period, 7 * period + 513,
+                              whole,      whole - 1,  fleetsim::kMaxJobTicks};
+    const Tick day = 24 * kTicksPerHour;
+    for (const Tick edge :
+         {Tick{1000} * sample, 200 * day, period, Tick{0}, 3 * period}) {
+      for (Tick start = edge - 1100; start <= edge + 1100; ++start) {
+        for (const Tick d : durations) check(start, d);
+      }
+    }
+    Rng rng(static_cast<std::uint64_t>(step_s) + 17);
+    for (int i = 0; i < 100000; ++i) {
+      const Tick start = rng.uniform_int(-3 * period, 3 * period);
+      check(start, rng.uniform_int(0, 4 * sample));
+      check(start, rng.uniform_int(0, fleetsim::kMaxJobTicks));
+    }
+    EXPECT_EQ(mismatches, 0u) << "step=" << step_s << " over " << checks;
+  }
+}
+
+TEST(StepSeries, TickIntegralRejectsNegativeDurations) {
+  for (const double step_s : {3600.0, 300.0}) {
+    const StepSeries s(std::vector<double>(24 * 3600 / 300, 1.0), step_s);
+    try {
+      s.integral_ticks(0, -1);
+      ADD_FAILURE() << "step=" << step_s << ": a negative duration passed";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    "interval must have a non-negative duration"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_THROW(StepSeries{}.integral_ticks(0, 1), Error);
 }
 
 TEST(StepSeries, PointLookup) {

@@ -348,11 +348,22 @@ TEST(Request, FleetsimValidatesStrictly) {
       parse(R"({"op":"fleetsim","params":{"policy":"greedy","samples":65}})"),
       Error);
   // The cross-field job-count guard: each factor is in range, the product
-  // is not.
-  EXPECT_THROW(
-      parse(
-          R"({"op":"fleetsim","params":{"policy":"greedy","rate":1000,"days":300}})"),
-      Error);
+  // is not. sched shares it, wording included: 1000 jobs/h over 200 days
+  // is 4.8M expected jobs.
+  for (const char* line :
+       {R"({"op":"fleetsim","params":{"policy":"greedy","rate":1000,"days":300}})",
+        R"({"op":"sched","params":{"policy":"greedy","rate":1000,"days":200}})"}) {
+    std::string error;
+    try {
+      parse(line);
+    } catch (const Error& e) {
+      error = e.what();
+    }
+    EXPECT_NE(error.find("parameter 'rate' implies more than 4000000 "
+                         "expected jobs (rate * days * 24)"),
+              std::string::npos)
+        << line << ": " << error;
+  }
 }
 
 TEST(Evaluate, TraceStatsMatchSummaryAndPrefixSums) {
