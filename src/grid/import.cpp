@@ -4,6 +4,7 @@
 #include <cctype>
 #include <cmath>
 #include <cstdlib>
+#include <fstream>
 #include <limits>
 #include <sstream>
 #include <vector>
@@ -200,6 +201,11 @@ CarbonIntensityTrace import_trace(const std::string& csv_text,
     step = min_delta;
   }
   HPC_REQUIRE(std::isfinite(step) && step > 0.0, "cadence must be positive");
+  if (step < kMinImportStepSeconds) {
+    throw Error("trace CSV cadence must be at least " +
+                std::to_string(static_cast<int>(kMinImportStepSeconds)) +
+                " s (got " + std::to_string(step) + " s)");
+  }
   {
     const double n = kSecondsPerYear / step;
     HPC_REQUIRE(std::abs(n - std::round(n)) < 1e-9,
@@ -306,7 +312,22 @@ CarbonIntensityTrace import_trace_file(const std::string& path,
                                        const std::string& region_code,
                                        const ImportOptions& opts,
                                        ImportReport* report) {
-  return import_trace(read_file(path), region_code, opts, report);
+  std::ifstream in(path, std::ios::binary);
+  if (!in) throw Error("cannot open file: " + path);
+  std::string text;
+  text.reserve(kMaxImportBytes + 1);  // no regrowth copies up to the cap
+  char chunk[1 << 16];
+  while (in && text.size() <= kMaxImportBytes) {
+    const std::size_t want =
+        std::min(sizeof(chunk), kMaxImportBytes + 1 - text.size());
+    in.read(chunk, static_cast<std::streamsize>(want));
+    text.append(chunk, static_cast<std::size_t>(in.gcount()));
+  }
+  if (text.size() > kMaxImportBytes) {
+    throw Error("trace CSV '" + path + "' is larger than " +
+                std::to_string(kMaxImportBytes) + " bytes");
+  }
+  return import_trace(text, region_code, opts, report);
 }
 
 }  // namespace hpcarbon::grid

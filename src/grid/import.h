@@ -18,7 +18,8 @@
 //    ImportOptions::tz, matching how grid operators publish.
 //  * Cadence: inferred as the smallest gap between consecutive timestamps
 //    (or forced via ImportOptions::step_seconds); every row must land on
-//    the implied sample grid.
+//    the implied sample grid. A cadence finer than kMinImportStepSeconds
+//    is refused before the year grid is allocated.
 //  * Gap repair: missing rows and rows with an empty/non-numeric intensity
 //    cell are forward-filled from the previous sample (wrapping the
 //    period, so a missing first row fills from the last). Each gap run is
@@ -32,12 +33,23 @@
 //    rejected: tiling it would drift the diurnal cycle out of phase.
 #pragma once
 
+#include <cstddef>
 #include <string>
 
 #include "core/time.h"
 #include "grid/trace.h"
 
 namespace hpcarbon::grid {
+
+/// Finest cadence the importer accepts. The year grid is sized from the
+/// cadence, so without a floor two rows a millisecond apart would ask for
+/// tens of gigabytes; at 60 s the grid is 525,600 samples (4.2 MB).
+constexpr double kMinImportStepSeconds = 60;
+
+/// Largest file import_trace_file reads (16 MiB). A year at the 60 s
+/// floor with ISO timestamps is about 14.7 MB; a stream that does not end
+/// (/dev/zero, a FIFO that keeps writing) stops one byte past the cap.
+constexpr std::size_t kMaxImportBytes = std::size_t{16} << 20;
 
 struct ImportOptions {
   /// Zone the file's timestamps are local to (tags the produced trace).
@@ -71,14 +83,16 @@ struct ImportReport {
 };
 
 /// Import CSV text. Throws hpcarbon::Error on malformed timestamps,
-/// off-grid rows, duplicate timestamps, over-cap gaps, or coverage that is
-/// neither a full year nor tileable.
+/// off-grid rows, duplicate timestamps, a cadence below
+/// kMinImportStepSeconds, over-cap gaps, or coverage that is neither a
+/// full year nor tileable.
 CarbonIntensityTrace import_trace(const std::string& csv_text,
                                   const std::string& region_code,
                                   const ImportOptions& opts = {},
                                   ImportReport* report = nullptr);
 
-/// Convenience: read_file + import_trace.
+/// Read the file + import_trace. Throws hpcarbon::Error for a file larger
+/// than kMaxImportBytes, after reading at most one byte past the cap.
 CarbonIntensityTrace import_trace_file(const std::string& path,
                                        const std::string& region_code,
                                        const ImportOptions& opts = {},

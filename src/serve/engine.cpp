@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <unordered_map>
 #include <utility>
+#include <variant>
 
 #include "core/error.h"
 #include "core/thread_pool.h"
@@ -30,48 +31,19 @@ namespace hpcarbon::serve {
 
 namespace {
 
-double num(const json::Value& params, const char* key) {
-  const json::Value* f = params.find(key);
-  HPC_REQUIRE(f != nullptr, std::string("normalized params miss '") + key + "'");
-  return f->as_number();
-}
-
-const std::string& str(const json::Value& params, const char* key) {
-  const json::Value* f = params.find(key);
-  HPC_REQUIRE(f != nullptr, std::string("normalized params miss '") + key + "'");
-  return f->as_string();
-}
-
-hw::NodeConfig node_from_slug(const std::string& slug) {
-  if (slug == "p100") return hw::p100_node();
-  if (slug == "v100") return hw::v100_node();
-  if (slug == "a100") return hw::a100_node();
-  throw Error("unknown node slug '" + slug + "'");
-}
-
-workload::Suite suite_from_slug(const std::string& slug) {
-  if (slug == "nlp") return workload::Suite::kNlp;
-  if (slug == "vision") return workload::Suite::kVision;
-  if (slug == "candle") return workload::Suite::kCandle;
-  throw Error("unknown suite slug '" + slug + "'");
-}
-
-/// The query's trace: the imported file when trace_csv is present, the
+/// The query's trace: the imported file when trace_csv is given, the
 /// generated preset otherwise. Both come pre-built from the store.
-TraceStore::TracePtr query_trace(const json::Value& params, TraceStore& traces,
-                                 std::string* note) {
-  const std::string& region = str(params, "region");
-  if (const json::Value* path = params.find("trace_csv")) {
-    return traces.imported(region, path->as_string(), note);
-  }
+TraceStore::TracePtr query_trace(const std::string& region,
+                                 const std::string& trace_csv,
+                                 TraceStore& traces, std::string* note) {
+  if (!trace_csv.empty()) return traces.imported(region, trace_csv, note);
   return traces.preset(region);
 }
 
-json::Value evaluate_embodied(const json::Value& params) {
-  const embodied::PartId id = part_from_slug(str(params, "part"));
-  const embodied::EmbodiedBreakdown b = embodied::embodied_of(id);
+json::Value evaluate_family(const EmbodiedQuery& q, TraceStore&) {
+  const embodied::EmbodiedBreakdown b = embodied::embodied_of(q.part);
   json::Value out = json::Value::object();
-  out.set("display_name", json::Value::string(embodied::display_name(id)));
+  out.set("display_name", json::Value::string(embodied::display_name(q.part)));
   out.set("manufacturing_g", json::Value::number(b.manufacturing.to_grams()));
   out.set("packaging_g", json::Value::number(b.packaging.to_grams()));
   out.set("packaging_share", json::Value::number(b.packaging_share()));
@@ -79,19 +51,15 @@ json::Value evaluate_embodied(const json::Value& params) {
   return out;
 }
 
-json::Value evaluate_lifetime(const json::Value& params, TraceStore& traces) {
-  const hw::NodeConfig node = node_from_slug(str(params, "node"));
-  const workload::Suite suite = suite_from_slug(str(params, "suite"));
-  const double years = num(params, "years");
-  const double usage = num(params, "gpu_usage");
-  const op::PueModel pue(num(params, "pue"));
-  const HourOfYear start(
-      month_start_hour(static_cast<int>(num(params, "start_month"))));
+json::Value evaluate_family(const LifetimeQuery& q, TraceStore& traces) {
+  const hw::NodeConfig node = q.node();
+  const op::PueModel pue(q.pue);
+  const HourOfYear start(month_start_hour(q.start_month));
   std::string note;
-  const TraceStore::TracePtr trace = query_trace(params, traces, &note);
+  const auto trace = query_trace(q.region, q.trace_csv, traces, &note);
 
   const lifecycle::TotalFootprint fp = lifecycle::node_lifetime_footprint(
-      node, suite, usage, years, *trace, start, pue);
+      node, q.suite, q.gpu_usage, q.years, *trace, start, pue);
   json::Value out = json::Value::object();
   out.set("embodied_g", json::Value::number(fp.embodied.to_grams()));
   out.set("embodied_share", json::Value::number(fp.embodied_share()));
@@ -99,16 +67,15 @@ json::Value evaluate_lifetime(const json::Value& params, TraceStore& traces) {
   out.set("total_g", json::Value::number(fp.total().to_grams()));
   if (!note.empty()) out.set("import", json::Value::string(note));
 
-  const int samples = static_cast<int>(num(params, "samples"));
-  if (samples > 0) {
+  if (q.samples > 0) {
     lifecycle::LifecycleBands bands;  // default embodied bands
-    bands.grid_ci = num(params, "grid_band");
-    const mc::SamplePlan plan{
-        samples, static_cast<std::uint64_t>(num(params, "seed")), nullptr};
+    bands.grid_ci = q.grid_band;
+    const mc::SamplePlan plan{q.samples, q.seed, nullptr};
     const lifecycle::FootprintDistribution d =
         lifecycle::node_lifetime_footprint_distribution(
-            node, suite, usage, years, *trace, start, pue, bands, plan);
-    out.set("samples", json::Value::number(samples));
+            node, q.suite, q.gpu_usage, q.years, *trace, start, pue, bands,
+            plan);
+    out.set("samples", json::Value::number(q.samples));
     out.set("total_p05_g", json::Value::number(d.total.p05()));
     out.set("total_p50_g", json::Value::number(d.total.p50()));
     out.set("total_p95_g", json::Value::number(d.total.p95()));
@@ -116,20 +83,17 @@ json::Value evaluate_lifetime(const json::Value& params, TraceStore& traces) {
   return out;
 }
 
-json::Value evaluate_breakeven(const json::Value& params) {
+json::Value evaluate_family(const BreakevenQuery& q, TraceStore&) {
   lifecycle::UpgradeScenario s;
-  s.old_node = node_from_slug(str(params, "old_node"));
-  s.new_node = node_from_slug(str(params, "new_node"));
-  s.suite = suite_from_slug(str(params, "suite"));
-  s.intensity =
-      CarbonIntensity::grams_per_kwh(num(params, "intensity_g_per_kwh"));
-  s.usage = lifecycle::UsageProfile{num(params, "gpu_usage")};
-  s.pue = op::PueModel(num(params, "pue"));
-  const lifecycle::GridTrajectory traj(s.intensity,
-                                       num(params, "annual_decline"));
-  const double horizon = num(params, "horizon_years");
+  s.old_node = q.old_node();
+  s.new_node = q.new_node();
+  s.suite = q.suite;
+  s.intensity = CarbonIntensity::grams_per_kwh(q.intensity_g_per_kwh);
+  s.usage = lifecycle::UsageProfile{q.gpu_usage};
+  s.pue = op::PueModel(q.pue);
+  const lifecycle::GridTrajectory traj(s.intensity, q.annual_decline);
 
-  const auto be = lifecycle::breakeven_years(s, traj, horizon);
+  const auto be = lifecycle::breakeven_years(s, traj, q.horizon_years);
   json::Value out = json::Value::object();
   out.set("asymptotic_savings_pct",
           json::Value::number(lifecycle::asymptotic_savings_percent(s)));
@@ -137,7 +101,8 @@ json::Value evaluate_breakeven(const json::Value& params) {
           be ? json::Value::number(*be) : json::Value::null());
   out.set("pays_back", json::Value::boolean(be.has_value()));
   out.set("savings_pct_at_horizon",
-          json::Value::number(lifecycle::savings_percent(s, traj, horizon)));
+          json::Value::number(
+              lifecycle::savings_percent(s, traj, q.horizon_years)));
   return out;
 }
 
@@ -145,55 +110,47 @@ json::Value evaluate_breakeven(const json::Value& params) {
 /// run_scenarios: the home region (regions[0]) plus the two cleanest
 /// (lowest annual median CI) other selected regions as remote options —
 /// same construction, same numbers.
-std::vector<sched::Site> query_sites(const json::Value& params,
-                                     TraceStore& traces) {
-  std::vector<std::string> codes;
-  for (const auto& item : params.find("regions")->items()) {
-    codes.push_back(item.as_string());
-  }
+std::vector<sched::Site> query_sites(const SchedQuery& q, TraceStore& traces) {
   std::vector<TraceStore::TracePtr> region_traces;
   std::vector<grid::RegionSummary> summaries;
-  for (const auto& code : codes) {
+  for (const auto& code : q.regions) {
     region_traces.push_back(traces.preset(code));
     summaries.push_back(grid::summarize(*region_traces.back()));
   }
 
-  std::vector<std::size_t> by_median(codes.size());
+  std::vector<std::size_t> by_median(q.regions.size());
   for (std::size_t i = 0; i < by_median.size(); ++i) by_median[i] = i;
   std::sort(by_median.begin(), by_median.end(),
             [&](std::size_t a, std::size_t b) {
               return summaries[a].box.median < summaries[b].box.median;
             });
-  const int capacity = static_cast<int>(num(params, "capacity"));
   std::vector<sched::Site> sites = {
-      sched::make_site(codes[0], *region_traces[0], capacity)};
+      sched::make_site(q.regions[0], *region_traces[0], q.capacity)};
   for (const std::size_t idx : by_median) {
     if (idx == 0 || sites.size() >= 3) continue;
     sites.push_back(
-        sched::make_site(codes[idx], *region_traces[idx], capacity));
+        sched::make_site(q.regions[idx], *region_traces[idx], q.capacity));
   }
   return sites;
 }
 
 /// The trio engine, with tick 0 at the query's start month.
-fleetsim::FleetEngine query_engine(const json::Value& params,
-                                   TraceStore& traces) {
-  const HourOfYear epoch(
-      month_start_hour(static_cast<int>(num(params, "start_month"))));
-  return fleetsim::FleetEngine(query_sites(params, traces), epoch);
+fleetsim::FleetEngine query_engine(const SchedQuery& q, TraceStore& traces) {
+  const HourOfYear epoch(month_start_hour(q.start_month));
+  return fleetsim::FleetEngine(query_sites(q, traces), epoch);
 }
 
 /// The policy-vs-baseline answer both trio families share: fcfs-local and
 /// the query's policy run the same jobs through one engine. Writes the
 /// policy's metrics and its savings on the baseline into `out` and
 /// returns the policy's metrics for family-specific fields.
-sched::ScheduleMetrics policy_vs_baseline(const json::Value& params,
+sched::ScheduleMetrics policy_vs_baseline(const SchedQuery& q,
                                           const fleetsim::FleetEngine& engine,
                                           const fleetsim::FleetJobs& jobs,
                                           json::Value& out) {
   const auto baseline_policy = sched::make_policy("fcfs-local");
   const auto base = engine.run(jobs, *baseline_policy);
-  const auto policy = sched::make_policy(str(params, "policy"));
+  const auto policy = sched::make_policy(q.policy);
   const auto metrics = engine.run(jobs, *policy);
 
   const double base_g = base.total_carbon.to_grams();
@@ -211,14 +168,14 @@ sched::ScheduleMetrics policy_vs_baseline(const json::Value& params,
   return metrics;
 }
 
-json::Value evaluate_sched(const json::Value& params, TraceStore& traces) {
+json::Value evaluate_family(const SchedQuery& q, TraceStore& traces) {
   sched::WorkloadParams wp;
-  wp.horizon_hours = 24.0 * num(params, "days");
-  wp.arrival_rate_per_hour = num(params, "rate");
-  wp.seed = static_cast<std::uint64_t>(num(params, "seed"));
-  const fleetsim::FleetEngine engine = query_engine(params, traces);
+  wp.horizon_hours = 24.0 * q.days;
+  wp.arrival_rate_per_hour = q.rate;
+  wp.seed = q.seed;
+  const fleetsim::FleetEngine engine = query_engine(q, traces);
   json::Value out = json::Value::object();
-  policy_vs_baseline(params, engine,
+  policy_vs_baseline(q, engine,
                      fleetsim::FleetJobs::from_jobs(
                          sched::generate_jobs(wp),
                          sched::generated_user_names(wp.user_count)),
@@ -226,29 +183,27 @@ json::Value evaluate_sched(const json::Value& params, TraceStore& traces) {
   return out;
 }
 
-json::Value evaluate_fleetsim(const json::Value& params, TraceStore& traces) {
+json::Value evaluate_family(const FleetsimQuery& q, TraceStore& traces) {
   fleetsim::FleetWorkloadParams wp;
-  wp.process = fleetsim::arrival_process_from(str(params, "process"));
-  wp.horizon_hours = 24.0 * num(params, "days");
-  wp.rate_per_hour = num(params, "rate");
-  wp.seed = static_cast<std::uint64_t>(num(params, "seed"));
-  const fleetsim::FleetEngine engine = query_engine(params, traces);
+  wp.process = q.process;
+  wp.horizon_hours = 24.0 * q.days;
+  wp.rate_per_hour = q.rate;
+  wp.seed = q.seed;
+  const fleetsim::FleetEngine engine = query_engine(q, traces);
   json::Value out = json::Value::object();
-  const sched::ScheduleMetrics metrics = policy_vs_baseline(
-      params, engine, fleetsim::generate_fleet_jobs(wp), out);
+  const sched::ScheduleMetrics metrics =
+      policy_vs_baseline(q, engine, fleetsim::generate_fleet_jobs(wp), out);
   out.set("process", json::Value::string(fleetsim::to_string(wp.process)));
   out.set("utilization", json::Value::number(metrics.utilization));
 
-  const int samples = static_cast<int>(num(params, "samples"));
-  if (samples > 0) {
+  if (q.samples > 0) {
     // Savings quantiles over workload seeds; pool nullptr keeps serve
     // evaluation single-threaded per request (batch fan-out already runs
     // requests in parallel) — the result is bit-identical either way.
-    const mc::SamplePlan plan{
-        samples, static_cast<std::uint64_t>(num(params, "seed")), nullptr};
-    const mc::Distribution d = fleetsim::fleet_savings_distribution(
-        engine, wp, str(params, "policy"), plan);
-    out.set("samples", json::Value::number(samples));
+    const mc::SamplePlan plan{q.samples, q.seed, nullptr};
+    const mc::Distribution d =
+        fleetsim::fleet_savings_distribution(engine, wp, q.policy, plan);
+    out.set("samples", json::Value::number(q.samples));
     out.set("savings_p05", json::Value::number(d.p05()));
     out.set("savings_p50", json::Value::number(d.p50()));
     out.set("savings_p95", json::Value::number(d.p95()));
@@ -256,9 +211,9 @@ json::Value evaluate_fleetsim(const json::Value& params, TraceStore& traces) {
   return out;
 }
 
-json::Value evaluate_trace(const json::Value& params, TraceStore& traces) {
+json::Value evaluate_family(const TraceQuery& q, TraceStore& traces) {
   std::string note;
-  const TraceStore::TracePtr trace = query_trace(params, traces, &note);
+  const auto trace = query_trace(q.region, q.trace_csv, traces, &note);
   const grid::RegionSummary summary = grid::summarize(*trace);
 
   json::Value out = json::Value::object();
@@ -272,12 +227,10 @@ json::Value evaluate_trace(const json::Value& params, TraceStore& traces) {
   out.set("samples", json::Value::number(static_cast<double>(trace->size())));
   out.set("step_seconds", json::Value::number(trace->step_seconds()));
   if (!note.empty()) out.set("import", json::Value::string(note));
-  if (const json::Value* start = params.find("window_start_hour")) {
-    const double hours = num(params, "window_hours");
+  if (const auto& w = q.window) {
     // O(1) through the prefix sums the trace was built with.
-    out.set("window_mean",
-            json::Value::number(
-                trace->interval_sum(start->as_number(), hours) / hours));
+    const double sum = trace->interval_sum(w->start_hour, w->hours);
+    out.set("window_mean", json::Value::number(sum / w->hours));
   }
   return out;
 }
@@ -409,16 +362,9 @@ std::string oversize_line_error(std::size_t line_bytes) {
 }
 
 json::Value evaluate(const Query& q, TraceStore& traces) {
-  // Materialized lazily from the canonical text: only cache misses (and
-  // direct evaluate callers) pay for a params document.
-  const json::Value params = q.params();
-  if (q.op == "embodied") return evaluate_embodied(params);
-  if (q.op == "lifetime") return evaluate_lifetime(params, traces);
-  if (q.op == "breakeven") return evaluate_breakeven(params);
-  if (q.op == "sched") return evaluate_sched(params, traces);
-  if (q.op == "trace") return evaluate_trace(params, traces);
-  if (q.op == "fleetsim") return evaluate_fleetsim(params, traces);
-  throw Error("unknown op '" + q.op + "'");
+  return std::visit(
+      [&traces](const auto& params) { return evaluate_family(params, traces); },
+      q.params);
 }
 
 FrontEndStats::FrontEndStats(obs::MetricsRegistry& registry)

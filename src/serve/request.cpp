@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <set>
+#include <functional>
 
 #include "core/error.h"
 #include "core/time.h"
@@ -14,25 +14,74 @@ namespace hpcarbon::serve {
 namespace {
 
 /// Largest integer parameter the canonical form can carry exactly: the
-/// normalized document stores numbers as doubles, so anything above 2^53
+/// canonical text stores numbers as doubles, so anything above 2^53
 /// would canonicalize lossily.
 constexpr double kMaxExactInt = 9007199254740992.0;  // 2^53
 
+/// One spelling an enum-like field accepts, and what it resolves to.
+template <class T>
+struct Named {
+  std::string_view name;
+  T value;
+};
+
+constexpr Named<embodied::PartId> kParts[] = {
+    {"mi250x", embodied::PartId::kMi250x},
+    {"a100-pcie-40", embodied::PartId::kA100Pcie40},
+    {"v100-sxm2-32", embodied::PartId::kV100Sxm2_32},
+    {"epyc-7763", embodied::PartId::kEpyc7763},
+    {"epyc-7742", embodied::PartId::kEpyc7742},
+    {"xeon-gold-6240r", embodied::PartId::kXeonGold6240R},
+    {"dram-64gb-ddr4", embodied::PartId::kDram64GbDdr4},
+    {"ssd-nytro-3530", embodied::PartId::kSsdNytro3530_3_2Tb},
+    {"hdd-exos-x16", embodied::PartId::kHddExosX16_16Tb},
+    {"p100-pcie-16", embodied::PartId::kP100Pcie16},
+    {"a100-sxm4-40", embodied::PartId::kA100Sxm4_40},
+    {"xeon-e5-2680", embodied::PartId::kXeonE5_2680},
+    {"epyc-7542", embodied::PartId::kEpyc7542},
+};
+
+constexpr Named<NodeFactory> kNodes[] = {
+    {"p100", &hw::p100_node}, {"v100", &hw::v100_node},
+    {"a100", &hw::a100_node}};
+
+constexpr Named<workload::Suite> kSuites[] = {
+    {"nlp", workload::Suite::kNlp},
+    {"vision", workload::Suite::kVision},
+    {"candle", workload::Suite::kCandle},
+};
+
+constexpr Named<fleetsim::ArrivalProcess> kProcesses[] = {
+    {"poisson", fleetsim::ArrivalProcess::kPoisson},
+    {"diurnal", fleetsim::ArrivalProcess::kDiurnal},
+    {"bursty", fleetsim::ArrivalProcess::kBursty},
+};
+
+/// "a, b, c": the known names an error message lists.
+template <class Range, class Proj = std::identity>
+std::string joined(const Range& items, Proj name = {}) {
+  std::string out;
+  for (const auto& item : items) {
+    if (!out.empty()) out += ", ";
+    out += std::invoke(name, item);
+  }
+  return out;
+}
+
 /// Strict, consuming view over a request's params object (a json::Reader
 /// ref). Every getter validates its field, records it as consumed, and
-/// emits the normalized value (default filled, name canonicalized) as a
-/// pre-dumped canonical fragment; finish() rejects any field no getter
-/// claimed. canonical_params() assembles the sorted {"k":v,...} object
-/// text directly — the fragments byte-match what Value::dump(sort_keys)
-/// of the equivalent document would produce, so canonical keys (and every
-/// cached entry) are unchanged by the zero-copy rework.
+/// appends "key":value (default filled, name resolved) to the canonical
+/// text; called in ascending key order, they write the sorted-key dump of
+/// the normalized params. finish() rejects any field no getter claimed.
 class ParamReader {
  public:
   using Ref = json::Reader::Ref;
   static constexpr Ref kNone = json::Reader::kNone;
 
-  ParamReader(const json::Reader& reader, Ref params, std::string_view op)
-      : reader_(reader), params_(params), op_(op) {}
+  /// Members are appended to `canonical`, which ends in the object's '{'.
+  ParamReader(const json::Reader& reader, Ref params, std::string_view op,
+              std::string& canonical)
+      : reader_(reader), params_(params), op_(op), out_(canonical) {}
 
   bool has(const char* key) const {
     return params_ != kNone && reader_.find(params_, key) != kNone;
@@ -48,7 +97,8 @@ class ParamReader {
       fail(key, "must be in [" + json::dump_number(lo) + ", " +
                     json::dump_number(hi) + "]");
     }
-    emit_number(key, v);
+    emit_key(key);
+    json::dump_number_to(out_, v);
     return v;
   }
 
@@ -66,31 +116,43 @@ class ParamReader {
       fail(key, "must be in [" + std::to_string(lo) + ", " +
                     std::to_string(hi) + "]");
     }
-    emit_number(key, static_cast<double>(n));
+    emit_key(key);
+    json::dump_number_to(out_, static_cast<double>(n));
     return n;
   }
 
-  std::string str(const char* key, const char* def) {
-    std::string_view v = def;
-    if (const Ref f = claim(key); f != kNone) {
-      if (!reader_.is_string(f)) fail(key, "must be a string");
-      v = reader_.as_string(f);
-    }
-    emit_string(key, v);
-    return std::string(v);
-  }
-
-  std::string required_str(const char* key) {
+  /// A string field, read raw: the caller checks or resolves it and emits
+  /// its canonical spelling. A null `def` makes the field required.
+  std::string_view string(const char* key, const char* def) {
     const Ref f = claim(key);
-    if (f == kNone) fail(key, "is required");
+    if (f == kNone) {
+      if (def == nullptr) fail(key, "is required");
+      return def;
+    }
     if (!reader_.is_string(f)) fail(key, "must be a string");
-    const std::string_view v = reader_.as_string(f);
-    emit_string(key, v);
-    return std::string(v);
+    return reader_.as_string(f);
   }
 
-  /// Optional string; absent fields stay absent in the normalized params
-  /// (no default exists — e.g. trace_csv paths).
+  /// A name from `table`, resolved to its value and emitted. A null `def`
+  /// makes the field required. An unknown name fails as "must be one of
+  /// ...", or, given a noun, as "names no <noun> (known: ...)".
+  template <class T, std::size_t N>
+  T choice(const char* key, const char* def, const Named<T> (&table)[N],
+           const char* noun = nullptr) {
+    const std::string_view name = string(key, def);
+    for (const Named<T>& entry : table) {
+      if (entry.name == name) {
+        emit_string(key, name);
+        return entry.value;
+      }
+    }
+    const std::string known = joined(table, &Named<T>::name);
+    if (noun == nullptr) fail(key, "must be one of " + known);
+    fail(key, std::string("names no ") + noun + " (known: " + known + ")");
+  }
+
+  /// Optional string with no default: an absent field stays absent from
+  /// the canonical text (e.g. trace_csv paths).
   std::string optional_str(const char* key) {
     const Ref f = claim(key);
     if (f == kNone) return {};
@@ -100,17 +162,6 @@ class ParamReader {
     const std::string_view v = reader_.as_string(f);
     emit_string(key, v);
     return std::string(v);
-  }
-
-  /// Replace the normalized value of an already-claimed field (name
-  /// canonicalization: short policy names, etc.).
-  void rewrite(const char* key, std::string canonical_value) {
-    for (auto& [k, frag] : fields_) {
-      if (k == key) {
-        frag = json::quote(canonical_value);
-        return;
-      }
-    }
   }
 
   std::vector<std::string> string_array(const char* key,
@@ -131,14 +182,19 @@ class ParamReader {
       fail(key, "must have between " + std::to_string(min_len) + " and " +
                     std::to_string(max_len) + " entries");
     }
-    std::string frag = "[";
+    emit_key(key);
+    out_.push_back('[');
     for (std::size_t i = 0; i < v.size(); ++i) {
-      if (i != 0) frag.push_back(',');
-      json::quote_to(frag, v[i]);
+      if (i != 0) out_.push_back(',');
+      json::quote_to(out_, v[i]);
     }
-    frag.push_back(']');
-    fields_.emplace_back(key, std::move(frag));
+    out_.push_back(']');
     return v;
+  }
+
+  void emit_string(const char* key, std::string_view v) {
+    emit_key(key);
+    json::quote_to(out_, v);
   }
 
   [[noreturn]] void fail(const char* key, const std::string& what) const {
@@ -159,155 +215,73 @@ class ParamReader {
     }
   }
 
-  /// The sorted-canonical params object text ({"a":1,"b":"x"}), appended.
-  void canonical_params_to(std::string& out) {
-    std::sort(fields_.begin(), fields_.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    out.push_back('{');
-    for (std::size_t i = 0; i < fields_.size(); ++i) {
-      if (i != 0) out.push_back(',');
-      json::quote_to(out, fields_[i].first);
-      out.push_back(':');
-      out += fields_[i].second;
-    }
-    out.push_back('}');
-  }
-
  private:
   Ref claim(const char* key) {
     consumed_.push_back(key);
     return params_ == kNone ? kNone : reader_.find(params_, key);
   }
 
-  void emit_number(const char* key, double v) {
-    std::string frag;
-    json::dump_number_to(frag, v);
-    fields_.emplace_back(key, std::move(frag));
-  }
-
-  void emit_string(const char* key, std::string_view v) {
-    fields_.emplace_back(key, json::quote(v));
+  void emit_key(const char* key) {
+    if (out_.back() != '{') out_.push_back(',');
+    json::quote_to(out_, key);
+    out_.push_back(':');
   }
 
   const json::Reader& reader_;
   Ref params_;
   std::string_view op_;
+  std::string& out_;
   /// Getter keys are string literals with static storage, so views are
   /// safe to hold.
   std::vector<std::string_view> consumed_;
-  /// (key, dumped fragment) in claim order; sorted once at assembly.
-  std::vector<std::pair<std::string_view, std::string>> fields_;
 };
 
-const std::vector<std::pair<const char*, embodied::PartId>>& slug_table() {
-  using embodied::PartId;
-  static const std::vector<std::pair<const char*, PartId>> table = {
-      {"mi250x", PartId::kMi250x},
-      {"a100-pcie-40", PartId::kA100Pcie40},
-      {"v100-sxm2-32", PartId::kV100Sxm2_32},
-      {"epyc-7763", PartId::kEpyc7763},
-      {"epyc-7742", PartId::kEpyc7742},
-      {"xeon-gold-6240r", PartId::kXeonGold6240R},
-      {"dram-64gb-ddr4", PartId::kDram64GbDdr4},
-      {"ssd-nytro-3530", PartId::kSsdNytro3530_3_2Tb},
-      {"hdd-exos-x16", PartId::kHddExosX16_16Tb},
-      {"p100-pcie-16", PartId::kP100Pcie16},
-      {"a100-sxm4-40", PartId::kA100Sxm4_40},
-      {"xeon-e5-2680", PartId::kXeonE5_2680},
-      {"epyc-7542", PartId::kEpyc7542},
-  };
-  return table;
+/// The seven Table 3 codes, built once.
+const std::vector<std::string>& region_codes() {
+  static const std::vector<std::string> codes =
+      grid::codes_of(grid::all_regions());
+  return codes;
 }
 
-void check_region(ParamReader& r, const char* key, const std::string& code) {
-  if (!grid::find_region(code)) {
-    std::string known;
-    for (const auto& c : grid::codes_of(grid::all_regions())) {
-      known += (known.empty() ? "" : ", ") + c;
-    }
-    r.fail(key, "names no Table 3 region (known: " + known + ")");
+void check_region(ParamReader& r, const char* key, std::string_view code) {
+  const auto& codes = region_codes();
+  if (std::find(codes.begin(), codes.end(), code) == codes.end()) {
+    r.fail(key, "names no Table 3 region (known: " + joined(codes) + ")");
   }
 }
 
-void check_node(ParamReader& r, const char* key, const std::string& node) {
-  if (node != "p100" && node != "v100" && node != "a100") {
-    r.fail(key, "must be one of p100, v100, a100");
-  }
+std::string region(ParamReader& r, const char* key, const char* def) {
+  const std::string_view code = r.string(key, def);
+  check_region(r, key, code);
+  r.emit_string(key, code);
+  return std::string(code);
 }
 
-void check_suite(ParamReader& r, const char* key, const std::string& suite) {
-  if (suite != "nlp" && suite != "vision" && suite != "candle") {
-    r.fail(key, "must be one of nlp, vision, candle");
-  }
-}
-
-void normalize_embodied(ParamReader& r) {
-  const std::string part = r.required_str("part");
-  const auto& table = slug_table();
-  const bool known = std::any_of(table.begin(), table.end(), [&](auto& e) {
-    return part == e.first;
-  });
-  if (!known) {
-    std::string slugs;
-    for (const auto& s : part_slugs()) slugs += (slugs.empty() ? "" : ", ") + s;
-    r.fail("part", "names no catalog part (known: " + slugs + ")");
-  }
-}
-
-void normalize_lifetime(ParamReader& r) {
-  check_node(r, "node", r.required_str("node"));
-  check_suite(r, "suite", r.str("suite", "nlp"));
-  r.number("years", 5.0, 0.1, 100.0);
-  r.number("gpu_usage", 0.40, 0.01, 1.0);
-  check_region(r, "region", r.str("region", "CISO"));
-  r.optional_str("trace_csv");
-  r.integer("start_month", 5, 0, 11);
-  r.number("pue", 1.2, 1.0, 3.0);
-  // samples > 0 switches on the Monte-Carlo quantile columns; the draws
-  // ride mc::substream(seed, i) so the answer is bit-identical whatever
-  // pool executes it.
-  r.integer("samples", 0, 0, 1000000);
-  r.integer("seed", 42, 0, static_cast<long>(kMaxExactInt));
-  r.number("grid_band", 0.10, 0.0, 0.99);
-}
-
-void normalize_breakeven(ParamReader& r) {
-  check_node(r, "old_node", r.str("old_node", "v100"));
-  check_node(r, "new_node", r.str("new_node", "a100"));
-  check_suite(r, "suite", r.str("suite", "nlp"));
-  r.number("intensity_g_per_kwh", 200.0, 1.0, 10000.0);
-  r.number("annual_decline", 0.03, 0.0, 0.999);
-  r.number("horizon_years", 15.0, 0.1, 200.0);
-  r.number("gpu_usage", 0.40, 0.01, 1.0);
-  r.number("pue", 1.2, 1.0, 3.0);
-}
-
-/// The trio contract the sched and fleetsim families share: regions[0] is
-/// the home site and the engine adds the two cleanest others as remote
-/// options, mirroring `hpcarbon run`; the policy must be registered.
-void normalize_trio(ParamReader& r) {
-  const auto regions = r.string_array(
-      "regions", {"ERCOT", "ESO", "CISO"}, 1, grid::all_regions().size());
-  std::set<std::string> seen;
-  for (const auto& code : regions) {
-    check_region(r, "regions", code);
-    if (!seen.insert(code).second) {
-      r.fail("regions", "lists region '" + code + "' twice");
+std::vector<std::string> regions(ParamReader& r) {
+  std::vector<std::string> codes = r.string_array(
+      "regions", {"ERCOT", "ESO", "CISO"}, 1, region_codes().size());
+  for (auto it = codes.begin(); it != codes.end(); ++it) {
+    check_region(r, "regions", *it);
+    if (std::find(codes.begin(), it, *it) != it) {
+      r.fail("regions", "lists region '" + *it + "' twice");
     }
   }
-  const std::string policy = r.required_str("policy");
-  const auto desc = sched::find_policy(policy);
+  return codes;
+}
+
+/// A registered policy, emitted as its canonical name so that
+/// {"policy":"greedy"} and {"policy":"greedy-lowest-ci"} share a key.
+std::string policy(ParamReader& r) {
+  const std::string name(r.string("policy", nullptr));
+  const auto desc = sched::find_policy(name);
   if (!desc) {
-    std::string known;
-    for (const auto& d : sched::registered_policies()) {
-      known += (known.empty() ? "" : ", ") + d.short_name;
-    }
-    r.fail("policy", "names no registered policy (known: " + known + ")");
+    r.fail("policy", "names no registered policy (known: " +
+                         joined(sched::registered_policies(),
+                                &sched::PolicyDescriptor::short_name) +
+                         ")");
   }
-  // Short names resolve to the canonical name before hashing, so
-  // {"policy":"greedy"} and {"policy":"greedy-lowest-ci"} share a cache
-  // entry.
-  r.rewrite("policy", desc->name);
+  r.emit_string("policy", desc->name);
+  return desc->name;
 }
 
 /// Cross-field guard both trio families share: the engine simulates
@@ -320,48 +294,84 @@ void check_expected_jobs(ParamReader& r, double rate, double days) {
   }
 }
 
-void normalize_sched(ParamReader& r) {
-  normalize_trio(r);
-  const double days = r.number("days", 28.0, 0.5, 366.0);
-  const double rate = r.number("rate", 2.5, 0.01, 1000.0);
-  check_expected_jobs(r, rate, days);
-  r.integer("capacity", 16, 1, 4096);
-  r.integer("start_month", 5, 0, 11);
-  r.integer("seed", 2024, 0, static_cast<long>(kMaxExactInt));
+// Each normalizer reads its family's fields in ascending key order: that
+// order writes the canonical text, and it decides which fault a request
+// with several is answered with.
+
+void normalize(ParamReader& r, EmbodiedQuery& q) {
+  q.part = r.choice("part", nullptr, kParts, "catalog part");
 }
 
-void normalize_fleetsim(ParamReader& r) {
-  normalize_trio(r);
-  const std::string process = r.str("process", "poisson");
-  if (process != "poisson" && process != "diurnal" && process != "bursty") {
-    r.fail("process", "must be one of poisson, diurnal, bursty");
+void normalize(ParamReader& r, LifetimeQuery& q) {
+  q.gpu_usage = r.number("gpu_usage", 0.40, 0.01, 1.0);
+  q.grid_band = r.number("grid_band", 0.10, 0.0, 0.99);
+  q.node = r.choice("node", nullptr, kNodes);
+  q.pue = r.number("pue", 1.2, 1.0, 3.0);
+  q.region = region(r, "region", "CISO");
+  // Monte-Carlo draws ride mc::substream(seed, i), so the answer is
+  // bit-identical whatever pool executes it.
+  q.samples = r.integer("samples", 0, 0, 1000000);
+  q.seed = r.integer("seed", 42, 0, static_cast<long>(kMaxExactInt));
+  q.start_month = r.integer("start_month", 5, 0, 11);
+  q.suite = r.choice("suite", "nlp", kSuites);
+  q.trace_csv = r.optional_str("trace_csv");
+  q.years = r.number("years", 5.0, 0.1, 100.0);
+}
+
+void normalize(ParamReader& r, BreakevenQuery& q) {
+  q.annual_decline = r.number("annual_decline", 0.03, 0.0, 0.999);
+  q.gpu_usage = r.number("gpu_usage", 0.40, 0.01, 1.0);
+  q.horizon_years = r.number("horizon_years", 15.0, 0.1, 200.0);
+  q.intensity_g_per_kwh =
+      r.number("intensity_g_per_kwh", 200.0, 1.0, 10000.0);
+  q.new_node = r.choice("new_node", "a100", kNodes);
+  q.old_node = r.choice("old_node", "v100", kNodes);
+  q.pue = r.number("pue", 1.2, 1.0, 3.0);
+  q.suite = r.choice("suite", "nlp", kSuites);
+}
+
+void normalize(ParamReader& r, SchedQuery& q) {
+  q.capacity = r.integer("capacity", 16, 1, 4096);
+  q.days = r.number("days", 28.0, 0.5, 366.0);
+  q.policy = policy(r);
+  q.rate = r.number("rate", 2.5, 0.01, 1000.0);
+  check_expected_jobs(r, q.rate, q.days);
+  q.regions = regions(r);
+  q.seed = r.integer("seed", 2024, 0, static_cast<long>(kMaxExactInt));
+  q.start_month = r.integer("start_month", 5, 0, 11);
+}
+
+void normalize(ParamReader& r, TraceQuery& q) {
+  q.region = region(r, "region", nullptr);
+  q.trace_csv = r.optional_str("trace_csv");
+  // A window needs both halves. Without one the canonical form carries
+  // neither, so every spelling of "whole year" shares a cache entry.
+  const bool has_hours = r.has("window_hours");
+  const bool has_start = r.has("window_start_hour");
+  if (has_hours || has_start) {
+    constexpr const char* kBoth =
+        "window queries need both window_start_hour and window_hours";
+    if (!has_hours) r.fail("window_hours", kBoth);
+    const double hours = r.number("window_hours", 24.0, 1e-6, kHoursPerYear);
+    if (!has_start) r.fail("window_start_hour", kBoth);
+    q.window = TraceQuery::Window{
+        r.number("window_start_hour", 0.0, 0.0, kHoursPerYear), hours};
   }
-  const double days = r.number("days", 28.0, 0.5, 366.0);
-  const double rate = r.number("rate", 4.0, 0.01, 10000.0);
-  check_expected_jobs(r, rate, days);
-  r.integer("capacity", 16, 1, 4096);
-  r.integer("start_month", 5, 0, 11);
+}
+
+void normalize(ParamReader& r, FleetsimQuery& q) {
+  q.capacity = r.integer("capacity", 16, 1, 4096);
+  q.days = r.number("days", 28.0, 0.5, 366.0);
+  q.policy = policy(r);
+  q.process = r.choice("process", "poisson", kProcesses);
+  q.rate = r.number("rate", 4.0, 0.01, 10000.0);
+  check_expected_jobs(r, q.rate, q.days);
+  q.regions = regions(r);
   // samples > 0 adds savings quantiles over workload seeds (bounded: each
   // sample is two full fleet runs).
-  r.integer("samples", 0, 0, 64);
-  r.integer("seed", 2024, 0, static_cast<long>(kMaxExactInt));
-}
-
-void normalize_trace(ParamReader& r) {
-  check_region(r, "region", r.required_str("region"));
-  r.optional_str("trace_csv");
-  const bool has_start = r.has("window_start_hour");
-  const bool has_len = r.has("window_hours");
-  if (has_start != has_len) {
-    r.fail(has_start ? "window_hours" : "window_start_hour",
-           "window queries need both window_start_hour and window_hours");
-  }
-  if (has_start) {
-    r.number("window_start_hour", 0.0, 0.0, kHoursPerYear);
-    r.number("window_hours", 24.0, 1e-6, kHoursPerYear);
-  }
-  // A windowless query carries no window fields in its canonical form, so
-  // it shares a cache entry with any other spelling of "whole year".
+  q.samples = r.integer("samples", 0, 0, 64);
+  q.seed = r.integer("seed", 2024, 0, static_cast<long>(kMaxExactInt));
+  q.start_month = r.integer("start_month", 5, 0, 11);
 }
 
 }  // namespace
@@ -372,21 +382,8 @@ std::vector<std::string> query_families() {
 
 std::vector<std::string> part_slugs() {
   std::vector<std::string> out;
-  for (const auto& [slug, id] : slug_table()) out.push_back(slug);
+  for (const auto& part : kParts) out.emplace_back(part.name);
   return out;
-}
-
-embodied::PartId part_from_slug(const std::string& slug) {
-  for (const auto& [s, id] : slug_table()) {
-    if (slug == s) return id;
-  }
-  throw Error("unknown catalog part slug '" + slug + "'");
-}
-
-json::Value Query::params() const {
-  json::Reader reader;
-  const json::Reader::Ref root = reader.parse(canonical);
-  return reader.materialize(reader.find(root, "params"));
 }
 
 Query parse_query(const json::Reader& reader, json::Reader::Ref doc) {
@@ -418,33 +415,28 @@ Query parse_query(const json::Reader& reader, json::Reader::Ref doc) {
     throw Error("request 'params' must be an object");
   }
 
-  // Family indices match query_families() order.
-  ParamReader r(reader, params, q.op);
-  if (q.op == "embodied") { q.family = 0; normalize_embodied(r); }
-  else if (q.op == "lifetime") { q.family = 1; normalize_lifetime(r); }
-  else if (q.op == "breakeven") { q.family = 2; normalize_breakeven(r); }
-  else if (q.op == "sched") { q.family = 3; normalize_sched(r); }
-  else if (q.op == "trace") { q.family = 4; normalize_trace(r); }
-  else if (q.op == "fleetsim") { q.family = 5; normalize_fleetsim(r); }
-  else {
-    std::string known;
-    for (const auto& f : query_families()) {
-      known += (known.empty() ? "" : ", ") + f;
-    }
-    throw Error("unknown op '" + q.op + "' (known: " + known + ")");
-  }
-  r.finish();
-
-  // The canonical text is assembled directly: "op" sorts before "params",
-  // and the params fragments are already dump-identical, so these are the
-  // exact bytes Value::dump(sort_keys=true) of the normalized document
-  // produced before the zero-copy rework (pinned by the golden tests).
-  q.canonical.reserve(32 + q.op.size());
+  // "op" sorts before "params", and the reader appends the params members
+  // in sorted-key form, so these are the bytes Value::dump(sort_keys) of
+  // the normalized document gives (pinned by the golden tests).
+  q.canonical.reserve(256);
   q.canonical += "{\"op\":";
   json::quote_to(q.canonical, q.op);
-  q.canonical += ",\"params\":";
-  r.canonical_params_to(q.canonical);
-  q.canonical.push_back('}');
+  q.canonical += ",\"params\":{";
+  ParamReader r(reader, params, q.op, q.canonical);
+  QueryParams& p = q.params;
+  if (q.op == "embodied") normalize(r, p.emplace<EmbodiedQuery>());
+  else if (q.op == "lifetime") normalize(r, p.emplace<LifetimeQuery>());
+  else if (q.op == "breakeven") normalize(r, p.emplace<BreakevenQuery>());
+  else if (q.op == "sched") normalize(r, p.emplace<SchedQuery>());
+  else if (q.op == "trace") normalize(r, p.emplace<TraceQuery>());
+  else if (q.op == "fleetsim") normalize(r, p.emplace<FleetsimQuery>());
+  else {
+    throw Error("unknown op '" + q.op + "' (known: " +
+                joined(query_families()) + ")");
+  }
+  r.finish();
+  q.canonical += "}}";
+  q.family = static_cast<int>(q.params.index());
   q.key = json::fnv1a64(q.canonical);
   return q;
 }

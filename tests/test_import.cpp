@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cmath>
+#include <filesystem>
+#include <fstream>
 #include <sstream>
 #include <string>
 
@@ -211,6 +215,65 @@ TEST(Import, TilingRejectsPartialDays) {
              << h % 24 << ":00:00Z," << 100.0 + h << "\n";
   }
   EXPECT_NO_THROW(import_trace(two_days.str(), "X"));
+}
+
+// The year grid is sized from the cadence, so the floor is checked before
+// anything is allocated: rows 2^-10 s apart would ask for 32.3G samples
+// (258 GB), and half a second apart for 504 MB.
+TEST(Import, RefusesCadenceBelowTheFloor) {
+  for (const char* second : {"00:00:00.0009765625Z", "00:00:00.5Z",
+                             "00:00:30Z"}) {
+    const std::string csv = std::string("datetime,carbon_intensity\n") +
+                            "2021-01-01T00:00:00Z,100\n" + "2021-01-01T" +
+                            second + ",120\n";
+    std::string error;
+    try {
+      import_trace(csv, "X");
+    } catch (const Error& e) {
+      error = e.what();
+    }
+    EXPECT_NE(error.find("trace CSV cadence must be at least 60 s"),
+              std::string::npos)
+        << second << ": " << error;
+  }
+  // A forced cadence meets the same floor; the floor itself is accepted.
+  ImportOptions forced;
+  forced.step_seconds = 30;
+  EXPECT_THROW(import_trace(hourly_day_csv(), "X", forced), Error);
+  std::ostringstream minutes;
+  minutes << "datetime,carbon_intensity\n";
+  for (int m = 0; m < 24 * 60; ++m) {
+    minutes << "2021-01-01T" << (m / 60 < 10 ? "0" : "") << m / 60 << ":"
+            << (m % 60 < 10 ? "0" : "") << m % 60 << ":00Z," << 100 + m % 7
+            << "\n";
+  }
+  EXPECT_EQ(import_trace(minutes.str(), "X").step_seconds(),
+            kMinImportStepSeconds);
+}
+
+// A file path reaches the importer from clients (serve's trace_csv), so the
+// read is bounded: it stops one byte past kMaxImportBytes, whether the file
+// is merely large or never ends.
+TEST(Import, FileReadStopsPastTheByteCap) {
+  const std::string big =
+      (std::filesystem::temp_directory_path() /
+       ("hpcarbon_test_import_" + std::to_string(::getpid()) + ".csv"))
+          .string();
+  {
+    std::ofstream out(big, std::ios::binary);
+    out << std::string(kMaxImportBytes + 1, '0');
+  }
+  for (const std::string& path : {big, std::string("/dev/zero")}) {
+    std::string error;
+    try {
+      import_trace_file(path, "X");
+    } catch (const Error& e) {
+      error = e.what();
+    }
+    EXPECT_NE(error.find("is larger than 16777216 bytes"), std::string::npos)
+        << path << ": " << error;
+  }
+  std::filesystem::remove(big);
 }
 
 }  // namespace

@@ -133,20 +133,37 @@ TEST(JsonGolden, DumpToMatchesDump) {
 }
 
 TEST(JsonGolden, CanonicalKeysDoNotRotate) {
-  // Canonical form + FNV key per parseable fixture request. A rotated key
-  // or reshaped canonical string silently severs every deployed cache.
+  // Canonical form + FNV key per parseable fixture request, or the exact
+  // error text. A rotated key or reshaped canonical string silently severs
+  // every deployed cache. canonical_requests.jsonl is parse-only: every
+  // field of every family at a non-default value, every enum name, and one
+  // line per single-fault error.
+  std::vector<std::string> lines = read_lines(data_path("requests.jsonl"));
+  for (auto& line : read_lines(data_path("canonical_requests.jsonl"))) {
+    lines.push_back(std::move(line));
+  }
   std::vector<std::string> produced;
-  for (const auto& line : read_lines(data_path("requests.jsonl"))) {
+  for (const auto& line : lines) {
+    serve::Query q;
     try {
-      const serve::Query q = serve::parse_query_line(line);
-      char key_hex[32];
-      std::snprintf(key_hex, sizeof(key_hex), "%016llx",
-                    static_cast<unsigned long long>(q.key));
-      produced.push_back(std::string(key_hex) + "\t" + q.canonical);
-      EXPECT_EQ(q.key, json::fnv1a64(q.canonical));
+      q = serve::parse_query_line(line);
     } catch (const Error& e) {
       produced.push_back(std::string("error\t") + e.what());
+      continue;
     }
+    char key_hex[32];
+    std::snprintf(key_hex, sizeof(key_hex), "%016llx",
+                  static_cast<unsigned long long>(q.key));
+    produced.push_back(std::string(key_hex) + "\t" + q.canonical);
+    EXPECT_EQ(q.key, json::fnv1a64(q.canonical));
+    // Round-trip oracle: a canonical key is itself a request that
+    // normalizes to itself, and it is already in sorted-key dump form.
+    const serve::Query again = serve::parse_query_line(q.canonical);
+    EXPECT_EQ(again.canonical, q.canonical) << "input: " << line;
+    EXPECT_EQ(again.key, q.key) << "input: " << line;
+    EXPECT_EQ(json::Value::parse(q.canonical).dump(/*sort_keys=*/true),
+              q.canonical)
+        << "input: " << line;
   }
   expect_matches_golden(produced, "canonical_golden.tsv");
 }

@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <filesystem>
 #include <fstream>
 #include <regex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cli/scenario_runner.h"
@@ -41,9 +45,14 @@ TEST(Request, FamiliesAndPartSlugs) {
   // One slug per catalog part, each resolving back to a PartId.
   const auto slugs = part_slugs();
   EXPECT_EQ(slugs.size(), 13u);
-  for (const auto& s : slugs) EXPECT_NO_THROW(part_from_slug(s));
-  EXPECT_EQ(part_from_slug("v100-sxm2-32"), embodied::PartId::kV100Sxm2_32);
-  EXPECT_THROW(part_from_slug("rtx-5090"), Error);
+  auto part_of = [](const std::string& slug) {
+    const Query q =
+        parse(R"({"op":"embodied","params":{"part":")" + slug + R"("}})");
+    return std::get<EmbodiedQuery>(q.params).part;
+  };
+  for (const auto& s : slugs) EXPECT_NO_THROW(part_of(s));
+  EXPECT_EQ(part_of("v100-sxm2-32"), embodied::PartId::kV100Sxm2_32);
+  EXPECT_THROW(part_of("rtx-5090"), Error);
 }
 
 TEST(Request, CanonicalKeyIsFieldOrderInsensitive) {
@@ -121,6 +130,37 @@ TEST(Request, StrictValidation) {
   EXPECT_THROW(parse(R"([1,2,3])"), Error);
   EXPECT_THROW(parse(R"({"op":"embodied","id":7,"params":{"part":"mi250x"}})"),
                Error);
+}
+
+TEST(Request, SeveralFaultsNameTheFirstFieldInKeyOrder) {
+  // Fields validate in ascending key order, so a request with several
+  // faulty fields is answered with the first of them in that order.
+  // Unknown parameters are reported only after every known field passed,
+  // so "aaa" loses to the bad "years" even though it sorts first.
+  const std::pair<const char*, const char*> cases[] = {
+      {R"({"op":"lifetime","params":{"node":"v100","years":-1,"gpu_usage":5}})",
+       "gpu_usage"},
+      {R"({"op":"sched","params":{"policy":"warp","regions":["ATLANTIS"]}})",
+       "policy"},
+      {R"({"op":"sched","params":{"policy":"greedy","regions":["ATLANTIS"],)"
+       R"("capacity":0}})",
+       "capacity"},
+      {R"({"op":"breakeven","params":{"old_node":"x","new_node":"y"}})",
+       "new_node"},
+      {R"({"op":"lifetime","params":{"aaa":1,"node":"v100","years":-1}})",
+       "years"},
+  };
+  for (const auto& [line, field] : cases) {
+    std::string error;
+    try {
+      parse(line);
+    } catch (const Error& e) {
+      error = e.what();
+    }
+    EXPECT_NE(error.find("parameter '" + std::string(field) + "'"),
+              std::string::npos)
+        << line << ": " << error;
+  }
 }
 
 // --- Service answers vs direct library calls --------------------------------
@@ -423,6 +463,34 @@ TEST(Engine, AnswersAllSixFamilies) {
     EXPECT_NE(response.find("\"result\":{"), std::string::npos) << response;
   }
   EXPECT_EQ(engine.cache_stats().inserts, 6u);
+}
+
+TEST(Engine, TraceImportBelowTheCadenceFloorAnswersAnError) {
+  // Rows 2^-10 s apart would size a 258 GB year grid, and the
+  // std::bad_alloc would pass every handler and abort the daemon. The
+  // importer refuses the cadence first, so this is an ordinary ok:false
+  // answer and the next line is answered as usual.
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("hpcarbon_test_tiny_cadence_" + std::to_string(::getpid()) + ".csv"))
+          .string();
+  {
+    std::ofstream out(path);
+    out << "datetime,carbon_intensity\n2021-01-01T00:00:00Z,100\n"
+           "2021-01-01T00:00:00.0009765625Z,120\n";
+  }
+  Isolated iso;
+  Engine engine(iso.options());
+  const std::string bad = engine.handle_line(
+      R"({"op":"trace","params":{"region":"ESO","trace_csv":")" + path +
+      R"("}})");
+  EXPECT_NE(bad.find("\"ok\":false"), std::string::npos) << bad;
+  EXPECT_NE(bad.find("cadence must be at least 60 s"), std::string::npos)
+      << bad;
+  const std::string next =
+      engine.handle_line(R"({"op":"trace","params":{"region":"ESO"}})");
+  EXPECT_NE(next.find("\"ok\":true"), std::string::npos) << next;
+  std::filesystem::remove(path);
 }
 
 TEST(Engine, ErrorResponsesEchoTheIdAndAreNotCached) {
