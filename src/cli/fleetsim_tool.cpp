@@ -1,7 +1,6 @@
 #include "cli/fleetsim_tool.h"
 
 #include <algorithm>
-#include <chrono>
 #include <climits>
 #include <iostream>
 #include <string>
@@ -12,12 +11,10 @@
 #include "core/error.h"
 #include "core/options.h"
 #include "core/table.h"
-#include "core/thread_pool.h"
+#include "fleetsim/ablation.h"
 #include "fleetsim/engine.h"
 #include "fleetsim/jobs.h"
-#include "fleetsim/uncertainty.h"
 #include "fleetsim/workload.h"
-#include "grid/analysis.h"
 #include "grid/presets.h"
 #include "grid/region.h"
 #include "mc/engine.h"
@@ -39,44 +36,6 @@ struct FleetsimOptions {
   std::string jobs_csv;  // replay instead of generating when non-empty
   std::size_t threads = 0;
 };
-
-/// Home region plus the two cleanest (lowest annual median CI) other
-/// selected regions — the same trio construction `hpcarbon run` and the
-/// serve `sched`/`fleetsim` families use.
-std::vector<sched::Site> build_sites(const std::vector<std::string>& codes,
-                                     int capacity) {
-  std::vector<grid::RegionSpec> specs;
-  for (const auto& code : codes) {
-    if (const auto spec = grid::find_region(code)) {
-      specs.push_back(*spec);
-    } else {
-      std::string known;
-      for (const auto& c : region_codes()) {
-        known += (known.empty() ? "" : ", ") + c;
-      }
-      throw Error("unknown region code '" + code + "' (known: " + known + ")");
-    }
-  }
-  const auto traces = traces_for(specs, {});
-  std::vector<std::size_t> by_median(codes.size());
-  for (std::size_t i = 0; i < by_median.size(); ++i) by_median[i] = i;
-  std::vector<double> medians;
-  medians.reserve(traces.size());
-  for (const auto& trace : traces) {
-    medians.push_back(grid::summarize(trace).box.median);
-  }
-  std::sort(by_median.begin(), by_median.end(),
-            [&](std::size_t a, std::size_t b) {
-              return medians[a] < medians[b];
-            });
-  std::vector<sched::Site> sites = {
-      sched::make_site(codes[0], traces[0], capacity)};
-  for (const std::size_t idx : by_median) {
-    if (idx == 0 || sites.size() >= 3) continue;
-    sites.push_back(sched::make_site(codes[idx], traces[idx], capacity));
-  }
-  return sites;
-}
 
 }  // namespace
 
@@ -119,10 +78,15 @@ int cmd_fleetsim(int argc, char** argv, std::ostream& out, std::ostream&) {
   }
   size_pool(opts.threads);
 
-  const std::vector<sched::Site> sites =
-      build_sites(opts.regions, opts.capacity);
-  const fleetsim::FleetEngine engine(sites,
-                                     HourOfYear(month_start_hour(5)));
+  std::vector<grid::RegionSpec> specs;
+  for (const auto& code : opts.regions) {
+    specs.push_back(grid::require_region(code));
+  }
+  const auto traces = traces_for(specs, {});
+  std::vector<const grid::CarbonIntensityTrace*> regions;
+  for (const auto& trace : traces) regions.push_back(&trace);
+  const fleetsim::FleetEngine engine = fleetsim::trio_engine(
+      regions, opts.capacity, HourOfYear(month_start_hour(5)));
 
   fleetsim::FleetJobs jobs;
   if (!opts.jobs_csv.empty()) {
@@ -130,7 +94,7 @@ int cmd_fleetsim(int argc, char** argv, std::ostream& out, std::ostream&) {
       throw Error("--uncertainty resamples the synthetic workload and "
                   "cannot be combined with --jobs-csv");
     }
-    jobs = fleetsim::load_jobs_csv(opts.jobs_csv, sites.size());
+    jobs = fleetsim::load_jobs_csv(opts.jobs_csv, engine.sites().size());
   } else {
     jobs = fleetsim::generate_fleet_jobs(opts.workload);
   }
@@ -139,7 +103,7 @@ int cmd_fleetsim(int argc, char** argv, std::ostream& out, std::ostream&) {
                       " jobs on " + std::to_string(engine.capacity_total()) +
                       " nodes");
   std::cout << "sites:";
-  for (const auto& s : sites) std::cout << ' ' << s.code;
+  for (const auto& s : engine.sites()) std::cout << ' ' << s.code;
   if (opts.jobs_csv.empty()) {
     std::cout << "; arrivals: " << fleetsim::to_string(opts.workload.process)
               << " @ " << opts.workload.rate_per_hour << "/h over "
@@ -150,53 +114,52 @@ int cmd_fleetsim(int argc, char** argv, std::ostream& out, std::ostream&) {
   }
   std::cout << "\n\n";
 
-  // fcfs-local is the savings baseline, always run first.
-  const auto baseline_policy = sched::make_policy("fcfs-local");
-  const auto baseline = engine.run(jobs, *baseline_policy);
-  const double base_g = baseline.total_carbon.to_grams();
+  const fleetsim::Ablation ablation =
+      fleetsim::run_ablation(engine, jobs, opts.policies);
+  const bool quantiles = opts.uncertainty_samples > 0;
+  std::vector<mc::Distribution> savings;
+  if (quantiles) {
+    savings = fleetsim::savings_distributions(
+        engine, opts.policies,
+        {opts.uncertainty_samples, opts.uncertainty_seed},
+        [&opts](std::uint64_t seed) {
+          fleetsim::FleetWorkloadParams sample = opts.workload;
+          sample.seed = seed;
+          return fleetsim::generate_fleet_jobs(sample);
+        });
+  }
 
   std::vector<std::string> headers = {"Policy",     "Carbon kg", "Savings %",
                                       "Mean wait h", "p95 wait h", "Remote",
                                       "Mjobs/s"};
-  const bool quantiles = opts.uncertainty_samples > 0;
   if (quantiles) {
     headers.insert(headers.end(), {"p05 %", "p50 %", "p95 %"});
   }
   TextTable table(headers);
-  for (const auto& name : opts.policies) {
-    const auto policy = sched::make_policy(name);
-    const auto start = std::chrono::steady_clock::now();
-    const auto metrics = engine.run(jobs, *policy);
-    const double seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-            .count();
-    const double g = metrics.total_carbon.to_grams();
+  for (std::size_t p = 0; p < opts.policies.size(); ++p) {
+    const fleetsim::PolicyScore& score = ablation.policies[p];
     std::vector<std::string> row = {
-        name,
-        TextTable::num(metrics.total_carbon.to_kilograms(), 1),
-        TextTable::num(base_g > 0 ? 100.0 * (base_g - g) / base_g : 0.0, 2),
-        TextTable::num(metrics.mean_wait_hours, 2),
-        TextTable::num(metrics.p95_wait_hours, 2),
-        std::to_string(metrics.remote_dispatches),
-        TextTable::num(seconds > 0
-                           ? static_cast<double>(jobs.size()) / seconds / 1e6
+        opts.policies[p],
+        TextTable::num(score.metrics.total_carbon.to_kilograms(), 1),
+        TextTable::num(score.savings_pct, 2),
+        TextTable::num(score.metrics.mean_wait_hours, 2),
+        TextTable::num(score.metrics.p95_wait_hours, 2),
+        std::to_string(score.metrics.remote_dispatches),
+        TextTable::num(score.run_seconds > 0
+                           ? static_cast<double>(jobs.size()) /
+                                 score.run_seconds / 1e6
                            : 0.0,
                        2)};
     if (quantiles) {
-      const mc::SamplePlan plan{opts.uncertainty_samples,
-                                opts.uncertainty_seed,
-                                &ThreadPool::global()};
-      const mc::Distribution d = fleetsim::fleet_savings_distribution(
-          engine, opts.workload, name, plan);
-      row.push_back(TextTable::num(d.p05(), 2));
-      row.push_back(TextTable::num(d.p50(), 2));
-      row.push_back(TextTable::num(d.p95(), 2));
+      row.push_back(TextTable::num(savings[p].p05(), 2));
+      row.push_back(TextTable::num(savings[p].p50(), 2));
+      row.push_back(TextTable::num(savings[p].p95(), 2));
     }
     table.add_row(row);
   }
   std::cout << table.to_string();
   std::cout << "\nsavings vs fcfs-local baseline ("
-            << TextTable::num(baseline.total_carbon.to_kilograms(), 1)
+            << TextTable::num(ablation.baseline.total_carbon.to_kilograms(), 1)
             << " kg); Mjobs/s is simulated jobs per wall-clock second\n";
   if (quantiles) {
     std::cout << "quantiles over " << opts.uncertainty_samples

@@ -7,31 +7,18 @@
 
 #include "core/csv.h"
 #include "core/error.h"
-#include "core/stats.h"
 #include "core/thread_annotations.h"
 #include "core/thread_pool.h"
-#include "fleetsim/engine.h"
+#include "fleetsim/ablation.h"
 #include "grid/analysis.h"
 #include "grid/import.h"
 #include "grid/presets.h"
 #include "grid/simulator.h"
-#include "mc/engine.h"
 #include "sched/policy.h"
 #include "sched/workload_gen.h"
 #include "serve/cache.h"
 
 namespace hpcarbon::cli {
-
-namespace {
-
-grid::RegionSpec spec_for_code(const std::string& code) {
-  if (const auto spec = grid::find_region(code)) return *spec;
-  std::string known;
-  for (const auto& c : region_codes()) known += (known.empty() ? "" : ", ") + c;
-  throw Error("unknown region code '" + code + "' (known: " + known + ")");
-}
-
-}  // namespace
 
 std::pair<std::string, std::string> parse_trace_override(
     const std::string& spec) {
@@ -104,8 +91,8 @@ std::vector<std::string> policy_names() {
 }
 
 std::string parse_policy(const std::string& name) {
-  if (const auto desc = sched::find_policy(name)) {
-    return desc->name;
+  if (auto canonical = sched::canonical_policy_name(name)) {
+    return std::move(*canonical);
   }
   std::string known;
   for (const auto& desc : sched::registered_policies()) {
@@ -120,13 +107,15 @@ ScenarioReport run_scenarios(const ScenarioOptions& opts) {
   if (opts.regions.empty()) {
     specs = grid::all_regions();
   } else {
-    for (const auto& code : opts.regions) specs.push_back(spec_for_code(code));
+    for (const auto& code : opts.regions) {
+      specs.push_back(grid::require_region(code));
+    }
   }
 
-  // "fcfs-local" always runs first: it is the savings denominator. The
-  // policy set comes from the string-keyed registry, so newly registered
-  // policies appear in the matrix with no edits here.
-  std::vector<std::string> policies = {"fcfs-local"};
+  // The baseline row comes first in each region's block. The policy set
+  // comes from the string-keyed registry, so newly registered policies
+  // appear in the matrix with no edits here.
+  std::vector<std::string> policies = {fleetsim::kBaselinePolicy};
   std::vector<std::string> requested = opts.policies;
   if (requested.empty()) {
     for (const auto& desc : sched::registered_policies()) {
@@ -148,119 +137,73 @@ ScenarioReport run_scenarios(const ScenarioOptions& opts) {
   const auto traces = traces_for(specs, opts.trace_csv, &trace_notes);
   const auto summaries = grid::summarize(traces);
 
-  // Cleanest-first region order (by annual median CI) decides which sites
-  // serve as remote-dispatch options for each home region.
-  std::vector<std::size_t> by_median(specs.size());
-  for (std::size_t i = 0; i < by_median.size(); ++i) by_median[i] = i;
-  std::sort(by_median.begin(), by_median.end(),
-            [&](std::size_t a, std::size_t b) {
-              return summaries[a].box.median < summaries[b].box.median;
-            });
-
   sched::WorkloadParams wp;
   wp.horizon_hours = 24.0 * opts.horizon_days;
   wp.arrival_rate_per_hour = opts.arrival_rate_per_hour;
-  const auto jobs = fleetsim::FleetJobs::from_jobs(
-      sched::generate_jobs(wp), sched::generated_user_names(wp.user_count));
+  const auto jobs_for_seed = [&wp](std::uint64_t seed) {
+    sched::WorkloadParams sample = wp;
+    sample.seed = seed;
+    return fleetsim::FleetJobs::from_jobs(
+        sched::generate_jobs(sample),
+        sched::generated_user_names(sample.user_count));
+  };
+  const fleetsim::FleetJobs jobs = jobs_for_seed(wp.seed);
   const HourOfYear epoch(month_start_hour(opts.start_month));
 
-  // Home + the two cleanest other regions, the same trio for every policy
-  // cell and every uncertainty sample of a region.
-  auto build_sites = [&](std::size_t r) {
-    std::vector<sched::Site> sites = {
-        sched::make_site(specs[r].code, traces[r], opts.site_capacity)};
-    for (std::size_t idx : by_median) {
-      if (idx == r || sites.size() >= 3) continue;
-      sites.push_back(sched::make_site(specs[idx].code, traces[idx],
-                                       opts.site_capacity));
-    }
-    return sites;
-  };
-
-  // Stage 2 — the (region x policy) ablation matrix on the global pool.
   ScenarioReport report;
   report.trace_notes = std::move(trace_notes);
   report.jobs = jobs.size();
+  report.uncertainty_samples = opts.uncertainty_samples;
   report.rows.resize(specs.size() * policies.size());
 
   AnnotatedMutex mu;
   std::set<std::thread::id> worker_ids;  // guarded by mu (function-local)
 
-  ThreadPool::global().parallel_for(
-      0, report.rows.size(), [&](std::size_t cell) {
-        const std::size_t r = cell / policies.size();
-        const std::string& policy_name = policies[cell % policies.size()];
-
-        const fleetsim::FleetEngine engine(build_sites(r), epoch);
-        const auto policy = sched::make_policy(policy_name);
-        const auto metrics = engine.run(jobs, *policy);
-
-        ScenarioRow& row = report.rows[cell];
-        row.region = specs[r].code;
-        row.policy = policy_name;
-        row.median_ci_g_per_kwh = summaries[r].box.median;
-        row.cov_percent = summaries[r].cov_percent;
-        row.carbon_kg = metrics.total_carbon.to_kilograms();
-        row.mean_wait_hours = metrics.mean_wait_hours;
-        row.p95_wait_hours = metrics.p95_wait_hours;
-        row.remote_dispatches = metrics.remote_dispatches;
-        row.jobs_completed = metrics.jobs_completed;
-
-        MutexLock lock(mu);
-        worker_ids.insert(std::this_thread::get_id());
-      });
-
-  report.worker_threads_used = worker_ids.size();
-
-  // Savings relative to the same region's FcfsLocal cell (index 0 of each
-  // region's policy block, by construction).
-  for (std::size_t r = 0; r < specs.size(); ++r) {
-    const double base = report.rows[r * policies.size()].carbon_kg;
+  // Stage 2 — one trio engine per region on the global pool, every policy
+  // of the region scored on it. With --uncertainty, the region's savings
+  // quantiles come from the same engine: sample k draws the same workload
+  // for every region, so the quantiles isolate the policy effect, not
+  // workload luck.
+  ThreadPool::global().parallel_for(0, specs.size(), [&](std::size_t r) {
+    // The home region first, the others in list order for the ranking.
+    std::vector<const grid::CarbonIntensityTrace*> regions = {&traces[r]};
+    for (std::size_t i = 0; i < traces.size(); ++i) {
+      if (i != r) regions.push_back(&traces[i]);
+    }
+    const fleetsim::FleetEngine engine =
+        fleetsim::trio_engine(regions, opts.site_capacity, epoch);
+    const fleetsim::Ablation ablation =
+        fleetsim::run_ablation(engine, jobs, policies);
+    std::vector<mc::Distribution> savings;
+    if (opts.uncertainty_samples > 0) {
+      savings = fleetsim::savings_distributions(
+          engine, policies,
+          {opts.uncertainty_samples, opts.uncertainty_seed},
+          jobs_for_seed);
+    }
     for (std::size_t p = 0; p < policies.size(); ++p) {
+      const sched::ScheduleMetrics& metrics = ablation.policies[p].metrics;
       ScenarioRow& row = report.rows[r * policies.size() + p];
-      row.savings_vs_fcfs_pct = base > 0 ? 100.0 * (base - row.carbon_kg) / base
-                                         : 0.0;
+      row.region = specs[r].code;
+      row.policy = policies[p];
+      row.median_ci_g_per_kwh = summaries[r].box.median;
+      row.cov_percent = summaries[r].cov_percent;
+      row.carbon_kg = metrics.total_carbon.to_kilograms();
+      row.savings_vs_fcfs_pct = ablation.policies[p].savings_pct;
+      row.mean_wait_hours = metrics.mean_wait_hours;
+      row.p95_wait_hours = metrics.p95_wait_hours;
+      row.remote_dispatches = metrics.remote_dispatches;
+      row.jobs_completed = metrics.jobs_completed;
+      if (!savings.empty()) {
+        row.savings_p05 = savings[p].p05();
+        row.savings_p50 = savings[p].p50();
+        row.savings_p95 = savings[p].p95();
+      }
     }
-  }
-
-  // Stage 3 (optional) — savings% quantiles over workload-generator seeds.
-  // Sample k draws the same workload for every region (paired comparison),
-  // and all policies of one (region, sample) cell share one engine so the
-  // quantiles isolate the policy effect, not workload luck.
-  if (opts.uncertainty_samples > 0) {
-    report.uncertainty_samples = opts.uncertainty_samples;
-    const auto n_samples = static_cast<std::size_t>(opts.uncertainty_samples);
-    std::vector<double> savings(specs.size() * policies.size() * n_samples,
-                                0.0);
-    ThreadPool::global().parallel_for(
-        0, specs.size() * n_samples, [&](std::size_t cell) {
-          const std::size_t r = cell / n_samples;
-          const std::size_t k = cell % n_samples;
-          Rng rng = mc::substream(opts.uncertainty_seed, k);
-          sched::WorkloadParams sample_wp = wp;
-          sample_wp.seed = rng.next_u64();
-          const auto sample_jobs = fleetsim::FleetJobs::from_jobs(
-              sched::generate_jobs(sample_wp),
-              sched::generated_user_names(sample_wp.user_count));
-          const fleetsim::FleetEngine engine(build_sites(r), epoch);
-          double base_g = 0;
-          for (std::size_t p = 0; p < policies.size(); ++p) {
-            const auto policy = sched::make_policy(policies[p]);
-            const double g =
-                engine.run(sample_jobs, *policy).total_carbon.to_grams();
-            if (p == 0) base_g = g;  // fcfs-local, by construction
-            savings[(r * policies.size() + p) * n_samples + k] =
-                base_g > 0 ? 100.0 * (base_g - g) / base_g : 0.0;
-          }
-        });
-    for (std::size_t i = 0; i < report.rows.size(); ++i) {
-      const stats::Summary s(
-          std::span<const double>(&savings[i * n_samples], n_samples));
-      report.rows[i].savings_p05 = s.quantile(0.05);
-      report.rows[i].savings_p50 = s.quantile(0.50);
-      report.rows[i].savings_p95 = s.quantile(0.95);
-    }
-  }
+    MutexLock lock(mu);
+    worker_ids.insert(std::this_thread::get_id());
+  });
+  report.worker_threads_used = worker_ids.size();
   return report;
 }
 

@@ -4,9 +4,10 @@
 // A scenario is one home region running one scheduling policy against a
 // common synthetic job stream, with the two cleanest other selected regions
 // available as remote sites (cross-region policies need somewhere to
-// dispatch to). Region trace generation and the policy ablation matrix both
-// fan out over ThreadPool::global(); the results merge into a single
-// table/CSV report, one row per (region, policy) cell.
+// dispatch to): the trio of fleetsim/ablation.h. Region trace generation
+// and the per-region ablations both fan out over ThreadPool::global(); the
+// results merge into a single table/CSV report, one row per (region,
+// policy) cell.
 #pragma once
 
 #include <cstddef>
@@ -83,7 +84,7 @@ struct ScenarioReport {
   std::size_t jobs = 0;
   /// Workload seeds behind the savings% quantile columns (0: disabled).
   int uncertainty_samples = 0;
-  /// Distinct pool worker threads that executed scenario cells.
+  /// Distinct pool worker threads that scored regions.
   std::size_t worker_threads_used = 0;
   /// One line per --trace-csv override ("ESO <- grid.csv: ...").
   std::vector<std::string> trace_notes;

@@ -10,7 +10,7 @@
 #include "core/error.h"
 #include "core/options.h"
 #include "embodied/catalog.h"
-#include "fleetsim/engine.h"
+#include "fleetsim/ablation.h"
 #include "grid/presets.h"
 #include "grid/simulator.h"
 #include "hw/node.h"
@@ -40,11 +40,6 @@ SweepRow make_row(std::string section, std::string quantity, std::string unit,
     r.p95 = d.quantile(0.95) * scale;
   }
   return r;
-}
-
-grid::RegionSpec region_spec(const std::string& code) {
-  if (const auto spec = grid::find_region(code)) return *spec;
-  throw Error("unknown region code '" + code + "' (see `hpcarbon list`)");
 }
 
 /// The subset of --trace-csv overrides naming one of `codes` (sections use
@@ -88,7 +83,7 @@ void sweep_embodied(const SweepOptions& opts, SweepReport& report) {
 
 void sweep_lifetime(const SweepOptions& opts, SweepReport& report) {
   const mc::SamplePlan plan{opts.samples, opts.seed, nullptr};
-  const auto traces = traces_for({region_spec(opts.region)},
+  const auto traces = traces_for({grid::require_region(opts.region)},
                                  overrides_matching(opts, {opts.region}));
   const HourOfYear start(month_start_hour(5));  // June 1, as in `run`
   for (const auto& node : {hw::v100_node(), hw::a100_node()}) {
@@ -152,49 +147,37 @@ void sweep_fleet(const SweepOptions& opts, SweepReport& report) {
 void sweep_sched(const SweepOptions& opts, SweepReport& report) {
   // The bench_sched_ablation setting: dirtiest Fig. 7 region (ERCOT) is
   // home, ESO and CISO are the remote options, four June weeks of jobs.
+  // The sites are fixed rather than ranked: an imported trace could
+  // otherwise re-rank them.
   const auto traces = traces_for(
       grid::fig7_regions(),
       overrides_matching(opts, grid::codes_of(grid::fig7_regions())));
-  // run() is const, so every Monte-Carlo thread shares one engine.
   const fleetsim::FleetEngine fleet({sched::make_site("ERCOT", traces[2], 16),
                                      sched::make_site("ESO", traces[0], 16),
                                      sched::make_site("CISO", traces[1], 16)},
                                     HourOfYear(month_start_hour(5)));
-  // Pin the savings denominator explicitly rather than trusting static
-  // registration order across translation units (scenario_runner does the
-  // same): policies[0] must be the fcfs-local baseline.
-  const auto fcfs = sched::find_policy("fcfs-local");
-  HPC_REQUIRE(fcfs.has_value(), "fcfs-local baseline policy not registered");
-  std::vector<sched::PolicyDescriptor> policies = {*fcfs};
+  std::vector<std::string> policies = {fleetsim::kBaselinePolicy};
   for (const auto& desc : sched::registered_policies()) {
-    if (desc.name != fcfs->name) policies.push_back(desc);
+    if (desc.name != fleetsim::kBaselinePolicy) policies.push_back(desc.name);
   }
 
   // One joint draw per workload seed: every policy scores the same jobs,
   // so the per-policy savings distributions isolate policy choice from
   // workload luck.
-  const mc::Engine engine({opts.sched_samples, opts.seed, nullptr});
-  const auto dists = engine.run_multi(
-      policies.size(), [&](std::size_t, Rng& rng, std::span<double> out) {
+  const auto dists = fleetsim::savings_distributions(
+      fleet, policies, {opts.sched_samples, opts.seed},
+      [](std::uint64_t seed) {
         sched::WorkloadParams wp;
         wp.horizon_hours = 24.0 * 28;
         wp.arrival_rate_per_hour = 2.5;
-        wp.seed = rng.next_u64();
-        const auto jobs = fleetsim::FleetJobs::from_jobs(
+        wp.seed = seed;
+        return fleetsim::FleetJobs::from_jobs(
             sched::generate_jobs(wp),
             sched::generated_user_names(wp.user_count));
-        double base_g = 0;
-        for (std::size_t p = 0; p < policies.size(); ++p) {
-          const auto policy = policies[p].make({});
-          const double g = fleet.run(jobs, *policy).total_carbon.to_grams();
-          if (p == 0) base_g = g;  // fcfs-local, pinned above
-          out[p] = base_g > 0 ? 100.0 * (base_g - g) / base_g : 0.0;
-        }
       });
   for (std::size_t p = 0; p < policies.size(); ++p) {
-    report.rows.push_back(make_row("sched",
-                                   policies[p].name + " savings vs fcfs", "%",
-                                   dists[p], 1.0,
+    report.rows.push_back(make_row("sched", policies[p] + " savings vs fcfs",
+                                   "%", dists[p], 1.0,
                                    p == 0 ? "baseline" : ""));
   }
 }

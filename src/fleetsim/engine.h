@@ -1,12 +1,14 @@
 // Event-heap discrete-event fleet engine: the one scheduling event loop.
 //
-// Every scheduler run goes through FleetEngine::run: `hpcarbon run` and
-// `sweep`, the serve sched and fleetsim families, `hpcarbon fleetsim`,
-// the benches, and the examples. The mechanism is sorted arrivals, a
-// completion min-heap, hourly re-evaluation ticks while jobs queue, a
-// planned-start min-heap, per-site free slots, and O(1) prefix-sum
-// carbon. Every decision is delegated to a sched::SchedulingPolicy. The
-// engine is sized for thousands of nodes and millions of jobs:
+// Every scheduler run goes through FleetEngine::run: the benches, the
+// examples, and the trio ablation of fleetsim/ablation.h, through which
+// `hpcarbon run`, `sweep`, `hpcarbon fleetsim` and the serve sched and
+// fleetsim families build their engines and score their policies. The
+// mechanism is sorted arrivals, a completion min-heap, hourly
+// re-evaluation ticks while jobs queue, a planned-start min-heap, per-site
+// free slots, and O(1) prefix-sum carbon. Every decision is delegated to
+// a sched::SchedulingPolicy. The engine is sized for thousands of nodes
+// and millions of jobs:
 //
 //  * integer event ticks (fleetsim/jobs.h, 1024/hour): event matching is
 //    an integer compare, not a `<= t + 1e-12` epsilon, and because the

@@ -1,5 +1,7 @@
 #include "grid/presets.h"
 
+#include "core/error.h"
+
 namespace hpcarbon::grid {
 
 // Source list order is dispatch order: must-run nuclear and must-take
@@ -196,6 +198,15 @@ std::optional<RegionSpec> find_region(const std::string& code) {
     if (spec.code == code) return spec;
   }
   return std::nullopt;
+}
+
+RegionSpec require_region(const std::string& code) {
+  if (auto spec = find_region(code)) return *spec;
+  std::string known;
+  for (const auto& spec : all_regions()) {
+    known += (known.empty() ? "" : ", ") + spec.code;
+  }
+  throw Error("unknown region code '" + code + "' (known: " + known + ")");
 }
 
 std::vector<std::string> codes_of(const std::vector<RegionSpec>& specs) {

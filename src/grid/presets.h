@@ -41,6 +41,11 @@ std::vector<RegionSpec> fig7_regions();  // ESO, CISO, ERCOT
 /// and the sweep sections all resolve codes through here.
 std::optional<RegionSpec> find_region(const std::string& code);
 
+/// find_region for callers that need the preset: throws hpcarbon::Error
+/// "unknown region code 'X' (known: KN, TK, ...)" for unknown codes, the
+/// one wording `run`, `fleetsim`, `sweep` and the TraceStore share.
+RegionSpec require_region(const std::string& code);
+
 /// The codes of a spec list, in order (e.g. fig7_regions() -> {"ESO",
 /// "CISO", "ERCOT"}).
 std::vector<std::string> codes_of(const std::vector<RegionSpec>& specs);

@@ -356,6 +356,18 @@ std::optional<PolicyDescriptor> find_policy(const std::string& name_or_short) {
   return std::nullopt;
 }
 
+std::optional<std::string> canonical_policy_name(
+    const std::string& name_or_short) {
+  Registry& r = registry();
+  MutexLock lock(r.mu);
+  for (const auto& e : r.entries) {
+    if (e.name == name_or_short || e.short_name == name_or_short) {
+      return e.name;
+    }
+  }
+  return std::nullopt;
+}
+
 std::unique_ptr<SchedulingPolicy> make_policy(const std::string& name,
                                               const PolicyConfig& cfg) {
   const std::optional<PolicyDescriptor> desc = find_policy(name);

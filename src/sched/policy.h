@@ -224,6 +224,12 @@ std::vector<PolicyDescriptor> registered_policies();
 /// concurrent register_policy calls.
 std::optional<PolicyDescriptor> find_policy(const std::string& name_or_short);
 
+/// The canonical name of a policy given by canonical or short name;
+/// nullopt when unknown. Copies only the name under the registry lock,
+/// for callers that resolve names without building a policy.
+std::optional<std::string> canonical_policy_name(
+    const std::string& name_or_short);
+
 /// Factory. Throws hpcarbon::Error for unknown names.
 std::unique_ptr<SchedulingPolicy> make_policy(const std::string& name,
                                               const PolicyConfig& cfg = {});

@@ -185,14 +185,13 @@ TraceStore::TracePtr TraceStore::preset(const std::string& code) {
     MutexLock lock(mu_);
     if (TracePtr hit = find_locked(key, nullptr)) return hit;
   }
-  const auto spec = grid::find_region(code);
-  if (!spec) throw Error("TraceStore: unknown region code '" + code + "'");
+  const grid::RegionSpec spec = grid::require_region(code);
   // Generate outside the lock: a year-long synthetic trace is the
   // expensive part, and concurrent first-touch generation of *different*
   // regions should overlap. Two racing generations of the same code
   // produce identical traces (the simulator is deterministic per spec).
   auto trace = std::make_shared<const grid::CarbonIntensityTrace>(
-      grid::GridSimulator(*spec).run());
+      grid::GridSimulator(spec).run());
   MutexLock lock(mu_);
   return insert_locked(key, Entry{std::move(trace), {}, false, 0}, nullptr);
 }
@@ -205,10 +204,8 @@ TraceStore::TracePtr TraceStore::imported(const std::string& code,
     MutexLock lock(mu_);
     if (TracePtr hit = find_locked(key, note)) return hit;
   }
-  const auto spec = grid::find_region(code);
-  if (!spec) throw Error("TraceStore: unknown region code '" + code + "'");
   grid::ImportOptions io;
-  io.tz = spec->tz;  // file rows are the region's local time
+  io.tz = grid::require_region(code).tz;  // rows are the region's local time
   grid::ImportReport report;
   auto trace = std::make_shared<const grid::CarbonIntensityTrace>(
       grid::import_trace_file(path, code, io, &report));

@@ -1,6 +1,5 @@
 #include "serve/engine.h"
 
-#include <algorithm>
 #include <unordered_map>
 #include <utility>
 #include <variant>
@@ -19,11 +18,10 @@
 #include "lifecycle/scenario.h"
 #include "lifecycle/uncertainty.h"
 #include "lifecycle/upgrade.h"
+#include "fleetsim/ablation.h"
 #include "fleetsim/engine.h"
-#include "fleetsim/uncertainty.h"
 #include "fleetsim/workload.h"
 #include "op/pue.h"
-#include "sched/policy.h"
 #include "sched/workload_gen.h"
 #include "workload/suite.h"
 
@@ -106,65 +104,40 @@ json::Value evaluate_family(const BreakevenQuery& q, TraceStore&) {
   return out;
 }
 
-/// Site trio shared by the sched and fleetsim families, mirroring
-/// run_scenarios: the home region (regions[0]) plus the two cleanest
-/// (lowest annual median CI) other selected regions as remote options —
-/// same construction, same numbers.
-std::vector<sched::Site> query_sites(const SchedQuery& q, TraceStore& traces) {
-  std::vector<TraceStore::TracePtr> region_traces;
-  std::vector<grid::RegionSummary> summaries;
-  for (const auto& code : q.regions) {
-    region_traces.push_back(traces.preset(code));
-    summaries.push_back(grid::summarize(*region_traces.back()));
-  }
-
-  std::vector<std::size_t> by_median(q.regions.size());
-  for (std::size_t i = 0; i < by_median.size(); ++i) by_median[i] = i;
-  std::sort(by_median.begin(), by_median.end(),
-            [&](std::size_t a, std::size_t b) {
-              return summaries[a].box.median < summaries[b].box.median;
-            });
-  std::vector<sched::Site> sites = {
-      sched::make_site(q.regions[0], *region_traces[0], q.capacity)};
-  for (const std::size_t idx : by_median) {
-    if (idx == 0 || sites.size() >= 3) continue;
-    sites.push_back(
-        sched::make_site(q.regions[idx], *region_traces[idx], q.capacity));
-  }
-  return sites;
-}
-
-/// The trio engine, with tick 0 at the query's start month.
+/// The trio engine of a sched or fleetsim query (fleetsim/ablation.h) on
+/// the regions' preset traces, with tick 0 at the query's start month.
 fleetsim::FleetEngine query_engine(const SchedQuery& q, TraceStore& traces) {
-  const HourOfYear epoch(month_start_hour(q.start_month));
-  return fleetsim::FleetEngine(query_sites(q, traces), epoch);
+  std::vector<TraceStore::TracePtr> held;
+  std::vector<const grid::CarbonIntensityTrace*> regions;
+  for (const auto& code : q.regions) {
+    held.push_back(traces.preset(code));
+    regions.push_back(held.back().get());
+  }
+  return fleetsim::trio_engine(regions, q.capacity,
+                               HourOfYear(month_start_hour(q.start_month)));
 }
 
-/// The policy-vs-baseline answer both trio families share: fcfs-local and
-/// the query's policy run the same jobs through one engine. Writes the
-/// policy's metrics and its savings on the baseline into `out` and
-/// returns the policy's metrics for family-specific fields.
+/// The policy-vs-baseline answer both trio families share: the query's
+/// policy scored against fcfs-local on `jobs`. Writes the policy's metrics
+/// and its savings into `out` and returns the metrics for
+/// family-specific fields.
 sched::ScheduleMetrics policy_vs_baseline(const SchedQuery& q,
                                           const fleetsim::FleetEngine& engine,
                                           const fleetsim::FleetJobs& jobs,
                                           json::Value& out) {
-  const auto baseline_policy = sched::make_policy("fcfs-local");
-  const auto base = engine.run(jobs, *baseline_policy);
-  const auto policy = sched::make_policy(q.policy);
-  const auto metrics = engine.run(jobs, *policy);
-
-  const double base_g = base.total_carbon.to_grams();
-  const double g = metrics.total_carbon.to_grams();
+  const fleetsim::Ablation ablation =
+      fleetsim::run_ablation(engine, jobs, {q.policy});
+  const fleetsim::PolicyScore& score = ablation.policies[0];
+  const sched::ScheduleMetrics& metrics = score.metrics;
   out.set("baseline_carbon_kg",
-          json::Value::number(base.total_carbon.to_kilograms()));
+          json::Value::number(ablation.baseline.total_carbon.to_kilograms()));
   out.set("carbon_kg", json::Value::number(metrics.total_carbon.to_kilograms()));
   out.set("jobs", json::Value::number(static_cast<double>(jobs.size())));
   out.set("jobs_completed", json::Value::number(metrics.jobs_completed));
   out.set("mean_wait_hours", json::Value::number(metrics.mean_wait_hours));
   out.set("p95_wait_hours", json::Value::number(metrics.p95_wait_hours));
   out.set("remote_dispatches", json::Value::number(metrics.remote_dispatches));
-  out.set("savings_pct", json::Value::number(
-                             base_g > 0 ? 100.0 * (base_g - g) / base_g : 0.0));
+  out.set("savings_pct", json::Value::number(score.savings_pct));
   return metrics;
 }
 
@@ -197,12 +170,18 @@ json::Value evaluate_family(const FleetsimQuery& q, TraceStore& traces) {
   out.set("utilization", json::Value::number(metrics.utilization));
 
   if (q.samples > 0) {
-    // Savings quantiles over workload seeds; pool nullptr keeps serve
-    // evaluation single-threaded per request (batch fan-out already runs
-    // requests in parallel) — the result is bit-identical either way.
+    // Savings quantiles over workload seeds. The null pool selects the
+    // global pool, yet the request still runs on this thread: validation
+    // caps samples at 64, and mc::Engine hands the pool blocks of 256
+    // samples, so every request is one block, run inline.
     const mc::SamplePlan plan{q.samples, q.seed, nullptr};
     const mc::Distribution d =
-        fleetsim::fleet_savings_distribution(engine, wp, q.policy, plan);
+        fleetsim::savings_distributions(
+            engine, {q.policy}, plan, [&wp](std::uint64_t seed) {
+              fleetsim::FleetWorkloadParams sample = wp;
+              sample.seed = seed;
+              return fleetsim::generate_fleet_jobs(sample);
+            })[0];
     out.set("samples", json::Value::number(q.samples));
     out.set("savings_p05", json::Value::number(d.p05()));
     out.set("savings_p50", json::Value::number(d.p50()));

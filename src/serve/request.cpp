@@ -273,15 +273,15 @@ std::vector<std::string> regions(ParamReader& r) {
 /// {"policy":"greedy"} and {"policy":"greedy-lowest-ci"} share a key.
 std::string policy(ParamReader& r) {
   const std::string name(r.string("policy", nullptr));
-  const auto desc = sched::find_policy(name);
-  if (!desc) {
+  std::optional<std::string> canonical = sched::canonical_policy_name(name);
+  if (!canonical) {
     r.fail("policy", "names no registered policy (known: " +
                          joined(sched::registered_policies(),
                                 &sched::PolicyDescriptor::short_name) +
                          ")");
   }
-  r.emit_string("policy", desc->name);
-  return desc->name;
+  r.emit_string("policy", *canonical);
+  return std::move(*canonical);
 }
 
 /// Cross-field guard both trio families share: the engine simulates

@@ -74,7 +74,9 @@ struct BreakevenQuery {
 };
 
 /// The policy-vs-FCFS trio: regions[0] is the home site, and the two
-/// cleanest other regions are its remote options.
+/// cleanest other regions are its remote options. The engine and the
+/// scoring are fleetsim/ablation.h's, the one trio implementation that
+/// `hpcarbon run`, `fleetsim` and `sweep` share.
 struct SchedQuery {
   std::vector<std::string> regions;
   std::string policy;  // canonical registry name

@@ -426,6 +426,19 @@ TEST(Dispatch, UnknownFlagsAndStrayArgumentsPointAtCommandHelp) {
             "batch takes one input file, got 'b.jsonl' too");
 }
 
+// One lookup (grid::require_region) words every unknown region, so the
+// commands that take region codes fail with the same line.
+TEST(Dispatch, UnknownRegionCodesShareOneError) {
+  const std::string expected =
+      "unknown region code 'ATLANTIS' (known: KN, TK, ESO, CISO, PJM, MISO, "
+      "ERCOT)";
+  EXPECT_EQ(dispatch_error({"run", "ATLANTIS"}), expected);
+  EXPECT_EQ(dispatch_error({"fleetsim", "ESO", "ATLANTIS"}), expected);
+  EXPECT_EQ(dispatch_error({"sweep", "--section", "lifetime", "--region",
+                            "ATLANTIS"}),
+            expected);
+}
+
 // Values that aborted, wrapped, truncated or misbehaved before the option
 // table now fail at parse time with one line naming the flag.
 TEST(Dispatch, OutOfRangeValuesAreOneLineErrors) {

@@ -30,9 +30,9 @@
 #include "core/rng.h"
 #include "core/series.h"
 #include "core/thread_pool.h"
+#include "fleetsim/ablation.h"
 #include "fleetsim/completion_heap.h"
 #include "fleetsim/jobs.h"
-#include "fleetsim/uncertainty.h"
 #include "fleetsim/workload.h"
 #include "grid/presets.h"
 #include "grid/simulator.h"
@@ -771,21 +771,105 @@ TEST(FleetReplay, RejectionsCarryLineNumbers) {
   expect_rejects("a,b,c,d\n0,1,1,alice\n", "header must be");
 }
 
-TEST(FleetUncertainty, SavingsDistributionIsThreadCountBitIdentical) {
+/// A flat year-long trace: its annual median is `level`.
+grid::CarbonIntensityTrace flat_trace(const std::string& code, double level) {
+  return grid::CarbonIntensityTrace(
+      code, kUtc, std::vector<double>(static_cast<std::size_t>(kHoursPerYear),
+                                      level));
+}
+
+std::vector<std::string> site_codes(const FleetEngine& engine) {
+  std::vector<std::string> codes;
+  for (const auto& site : engine.sites()) codes.push_back(site.code);
+  return codes;
+}
+
+TEST(TrioAblation, HomeThenTwoCleanestOthersTiesInListOrder) {
+  const auto home = flat_trace("HOME", 50);  // cleanest, but fixed as home
+  const auto dirty = flat_trace("DIRTY", 900);
+  const auto tie_a = flat_trace("TIE_A", 300);
+  const auto tie_b = flat_trace("TIE_B", 300);
+  const auto clean = flat_trace("CLEAN", 100);
+  const HourOfYear epoch(0);
+  EXPECT_EQ(site_codes(trio_engine({&home}, 4, epoch)),
+            (std::vector<std::string>{"HOME"}));
+  EXPECT_EQ(site_codes(trio_engine({&home, &dirty}, 4, epoch)),
+            (std::vector<std::string>{"HOME", "DIRTY"}));
+  EXPECT_EQ(site_codes(trio_engine({&home, &dirty, &tie_b, &clean, &tie_a},
+                                   4, epoch)),
+            (std::vector<std::string>{"HOME", "CLEAN", "TIE_B"}));
+  EXPECT_EQ(site_codes(trio_engine({&home, &dirty, &tie_a, &tie_b}, 4, epoch)),
+            (std::vector<std::string>{"HOME", "TIE_A", "TIE_B"}));
+  const FleetEngine pair = trio_engine({&home, &dirty}, 7, epoch);
+  for (const auto& site : pair.sites()) EXPECT_EQ(site.capacity, 7);
+}
+
+TEST(TrioAblation, PoliciesScoreAgainstOneBaselineRun) {
+  const FleetEngine fleet(fig7_sites(/*capacity=*/4), HourOfYear(3624));
+  FleetWorkloadParams wp;
+  wp.horizon_hours = 24 * 3;
+  wp.rate_per_hour = 3.0;
+  const FleetJobs jobs = generate_fleet_jobs(wp);
+  const Ablation ablation =
+      run_ablation(fleet, jobs, {"greedy-lowest-ci", kBaselinePolicy});
+  ASSERT_EQ(ablation.policies.size(), 2u);
+
+  const auto fcfs = sched::make_policy(kBaselinePolicy);
+  const auto base = fleet.run(jobs, *fcfs);
+  const auto greedy = sched::make_policy("greedy-lowest-ci");
+  const auto metrics = fleet.run(jobs, *greedy);
+  const double base_g = base.total_carbon.to_grams();
+  const double g = metrics.total_carbon.to_grams();
+  EXPECT_EQ(ablation.baseline.total_carbon.to_grams(), base_g);
+  EXPECT_EQ(ablation.policies[0].metrics.total_carbon.to_grams(), g);
+  EXPECT_EQ(ablation.policies[0].metrics.remote_dispatches,
+            metrics.remote_dispatches);
+  EXPECT_EQ(ablation.policies[0].savings_pct, 100.0 * (base_g - g) / base_g);
+  // A named baseline is the baseline run, scored at exactly zero.
+  EXPECT_EQ(ablation.policies[1].metrics.total_carbon.to_grams(), base_g);
+  EXPECT_EQ(ablation.policies[1].savings_pct, 0.0);
+}
+
+TEST(TrioAblation, SavingsDistributionsPairEachSampleAndIgnoreThreadCount) {
   const FleetEngine fleet(fig7_sites(), HourOfYear(3624));
   FleetWorkloadParams wp;
   wp.horizon_hours = 24 * 3;
   wp.rate_per_hour = 2.0;
+  const auto jobs_for_seed = [&wp](std::uint64_t seed) {
+    FleetWorkloadParams sample = wp;
+    sample.seed = seed;
+    return generate_fleet_jobs(sample);
+  };
+  const std::vector<std::string> policies = {kBaselinePolicy,
+                                             "greedy-lowest-ci"};
   ThreadPool one(1);
   ThreadPool four(4);
-  const auto d1 = fleet_savings_distribution(fleet, wp, "greedy-lowest-ci",
-                                             {16, 99, &one});
-  const auto d4 = fleet_savings_distribution(fleet, wp, "greedy-lowest-ci",
-                                             {16, 99, &four});
-  EXPECT_EQ(d1.samples(), d4.samples());
-  EXPECT_EQ(d1.p50(), d4.p50());
-  EXPECT_EQ(d1.p05(), d4.p05());
-  EXPECT_EQ(d1.p95(), d4.p95());
+  const auto d1 = savings_distributions(fleet, policies, {16, 99, &one},
+                                        jobs_for_seed);
+  const auto d4 = savings_distributions(fleet, policies, {16, 99, &four},
+                                        jobs_for_seed);
+  ASSERT_EQ(d1.size(), 2u);
+  ASSERT_EQ(d4.size(), 2u);
+  EXPECT_EQ(d1[0].p95(), 0.0);
+  EXPECT_EQ(d1[1].samples(), d4[1].samples());
+  EXPECT_EQ(d1[1].p50(), d4[1].p50());
+  EXPECT_EQ(d1[1].p05(), d4[1].p05());
+  EXPECT_EQ(d1[1].p95(), d4[1].p95());
+
+  // Sample i is run_ablation on the jobs of substream(seed, i)'s first
+  // draw.
+  std::vector<double> expected;
+  for (std::uint64_t i = 0; i < 16; ++i) {
+    Rng rng = mc::substream(99, i);
+    expected.push_back(run_ablation(fleet, jobs_for_seed(rng.next_u64()),
+                                    {"greedy-lowest-ci"})
+                           .policies[0]
+                           .savings_pct);
+  }
+  const mc::Distribution manual(std::move(expected));
+  EXPECT_EQ(d1[1].p05(), manual.p05());
+  EXPECT_EQ(d1[1].p50(), manual.p50());
+  EXPECT_EQ(d1[1].p95(), manual.p95());
 }
 
 }  // namespace

@@ -19,6 +19,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/error.h"
@@ -171,22 +172,31 @@ TEST(JsonGolden, CanonicalKeysDoNotRotate) {
 TEST(JsonGolden, ServeResponsesBitIdentical) {
   // The full front door: every fixture request line through a fresh
   // engine, responses byte-compared against the committed golden (success
-  // and error lines alike).
-  const auto lines = read_lines(data_path("requests.jsonl"));
-  serve::Engine engine;
-  std::vector<std::string> produced;
-  produced.reserve(lines.size());
-  for (const auto& line : lines) produced.push_back(engine.handle_line(line));
-  expect_matches_golden(produced, "requests_golden.jsonl");
+  // and error lines alike). The trio fixture asks sched and fleetsim over
+  // 1 to 7 regions, homes from the cleanest to the dirtiest, at capacity
+  // 2 and 16: it pins the trio ranking of fleetsim/ablation.h, and its
+  // golden was recorded by the build before that module existed.
+  for (const auto& [fixture, golden] :
+       {std::pair<std::string, std::string>{"requests.jsonl",
+                                            "requests_golden.jsonl"},
+        {"trio_requests.jsonl", "trio_golden.jsonl"}}) {
+    SCOPED_TRACE(fixture);
+    const auto lines = read_lines(data_path(fixture));
+    serve::Engine engine;
+    std::vector<std::string> produced;
+    produced.reserve(lines.size());
+    for (const auto& line : lines) produced.push_back(engine.handle_line(line));
+    expect_matches_golden(produced, golden);
 
-  // And the batch planner must agree with the line-at-a-time loop on a
-  // second fresh engine, byte for byte.
-  serve::Engine batch_engine;
-  const auto batch = batch_engine.handle_batch(lines);
-  ASSERT_EQ(batch.size(), produced.size());
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    EXPECT_EQ(batch[i], produced[i]) << "batch/serve divergence on line "
-                                     << i + 1;
+    // And the batch planner must agree with the line-at-a-time loop on a
+    // second fresh engine, byte for byte.
+    serve::Engine batch_engine;
+    const auto batch = batch_engine.handle_batch(lines);
+    ASSERT_EQ(batch.size(), produced.size());
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      EXPECT_EQ(batch[i], produced[i]) << "batch/serve divergence on line "
+                                       << i + 1;
+    }
   }
 }
 

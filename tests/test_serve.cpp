@@ -16,13 +16,13 @@
 #include "core/time.h"
 #include "embodied/catalog.h"
 #include "fleetsim/engine.h"
-#include "fleetsim/uncertainty.h"
 #include "fleetsim/workload.h"
 #include "grid/analysis.h"
 #include "hw/node.h"
 #include "lifecycle/footprint.h"
 #include "lifecycle/scenario.h"
 #include "lifecycle/upgrade.h"
+#include "mc/engine.h"
 #include "obs/metrics.h"
 #include "op/pue.h"
 #include "serve/engine.h"
@@ -241,35 +241,56 @@ TEST(Evaluate, BreakevenMatchesScenarioLayer) {
 }
 
 // Acceptance: the sched family reproduces `hpcarbon run`'s numbers for the
-// same scenario (same site trio, workload seed, and baseline).
+// same scenario (same site trio, workload seed, and baseline), over region
+// lists from tests/data/trio_requests.jsonl whose home is the dirtiest,
+// in between, and the cleanest of the list.
 TEST(Evaluate, SchedMatchesRunScenarios) {
-  TraceStore store;
-  const Query q = parse(
-      R"({"op":"sched","params":{"regions":["ERCOT","ESO","CISO"],)"
-      R"("policy":"greedy","days":7,"rate":1}})");
-  const json::Value r = evaluate(q, store);
+  struct Case {
+    std::vector<std::string> regions;
+    std::string policy;
+  };
+  const std::vector<Case> cases = {
+      {{"TK", "ESO"}, "greedy-lowest-ci"},
+      {{"PJM", "TK", "MISO", "ERCOT", "KN"}, "net-benefit"},
+      {{"ESO", "KN", "TK", "CISO", "PJM", "MISO", "ERCOT"},
+       "greedy-lowest-ci"}};
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.regions.front() + " home of " +
+                 std::to_string(c.regions.size()));
+    std::string regions_json;
+    for (const auto& code : c.regions) {
+      regions_json += (regions_json.empty() ? "\"" : ",\"") + code + "\"";
+    }
+    TraceStore store;
+    const Query q = parse(R"({"op":"sched","params":{"regions":[)" +
+                          regions_json + R"(],"policy":")" + c.policy +
+                          R"(","days":2,"rate":3}})");
+    const json::Value r = evaluate(q, store);
 
-  cli::ScenarioOptions opts;
-  opts.regions = {"ERCOT", "ESO", "CISO"};
-  opts.policies = {"greedy"};
-  opts.horizon_days = 7;
-  opts.arrival_rate_per_hour = 1.0;
-  const cli::ScenarioReport report = cli::run_scenarios(opts);
-  // Rows are region-major with the fcfs-local baseline first: ERCOT's
-  // cells are rows 0 (baseline) and 1 (greedy).
-  ASSERT_GE(report.rows.size(), 2u);
-  ASSERT_EQ(report.rows[0].region, "ERCOT");
-  ASSERT_EQ(report.rows[0].policy, "fcfs-local");
-  ASSERT_EQ(report.rows[1].policy, "greedy-lowest-ci");
-  EXPECT_DOUBLE_EQ(r.find("baseline_carbon_kg")->as_number(),
-                   report.rows[0].carbon_kg);
-  EXPECT_DOUBLE_EQ(r.find("carbon_kg")->as_number(), report.rows[1].carbon_kg);
-  EXPECT_DOUBLE_EQ(r.find("savings_pct")->as_number(),
-                   report.rows[1].savings_vs_fcfs_pct);
-  EXPECT_EQ(static_cast<int>(r.find("jobs_completed")->as_number()),
-            report.rows[1].jobs_completed);
-  EXPECT_EQ(static_cast<int>(r.find("remote_dispatches")->as_number()),
-            report.rows[1].remote_dispatches);
+    cli::ScenarioOptions opts;
+    opts.regions = c.regions;
+    opts.policies = {c.policy};
+    opts.horizon_days = 2;
+    opts.arrival_rate_per_hour = 3.0;
+    const cli::ScenarioReport report = cli::run_scenarios(opts);
+    // Rows are region-major with the fcfs-local baseline first: the home
+    // region's cells are rows 0 (baseline) and 1 (the policy).
+    ASSERT_EQ(report.rows.size(), 2 * c.regions.size());
+    ASSERT_EQ(report.rows[0].region, c.regions.front());
+    ASSERT_EQ(report.rows[0].policy, "fcfs-local");
+    ASSERT_EQ(report.rows[1].policy, c.policy);
+    EXPECT_EQ(r.find("baseline_carbon_kg")->as_number(),
+              report.rows[0].carbon_kg);
+    EXPECT_EQ(r.find("carbon_kg")->as_number(), report.rows[1].carbon_kg);
+    EXPECT_EQ(r.find("savings_pct")->as_number(),
+              report.rows[1].savings_vs_fcfs_pct);
+    EXPECT_EQ(r.find("mean_wait_hours")->as_number(),
+              report.rows[1].mean_wait_hours);
+    EXPECT_EQ(static_cast<int>(r.find("jobs_completed")->as_number()),
+              report.rows[1].jobs_completed);
+    EXPECT_EQ(static_cast<int>(r.find("remote_dispatches")->as_number()),
+              report.rows[1].remote_dispatches);
+  }
 }
 
 // The sched family is a FleetEngine run too: its generated jobs snap onto
@@ -352,10 +373,23 @@ TEST(Evaluate, FleetsimMatchesFleetEngineDirectly) {
   EXPECT_EQ(r.find("utilization")->as_number(), metrics.utilization);
   EXPECT_EQ(r.find("process")->as_string(), "poisson");
 
-  const mc::SamplePlan plan{4, 2024, nullptr};
-  const mc::Distribution d =
-      fleetsim::fleet_savings_distribution(engine, wp, "greedy-lowest-ci",
-                                           plan);
+  // Sample i replays the workload seeded by substream(2024, i)'s first
+  // draw and pairs greedy with its own fcfs-local run.
+  std::vector<double> savings;
+  for (std::uint64_t i = 0; i < 4; ++i) {
+    Rng rng = mc::substream(2024, i);
+    fleetsim::FleetWorkloadParams sample = wp;
+    sample.seed = rng.next_u64();
+    const auto sample_jobs = fleetsim::generate_fleet_jobs(sample);
+    const auto sample_base = sched::make_policy("fcfs-local");
+    const double base_g =
+        engine.run(sample_jobs, *sample_base).total_carbon.to_grams();
+    const auto sample_greedy = sched::make_policy("greedy-lowest-ci");
+    const double g =
+        engine.run(sample_jobs, *sample_greedy).total_carbon.to_grams();
+    savings.push_back(100.0 * (base_g - g) / base_g);
+  }
+  const mc::Distribution d(std::move(savings));
   EXPECT_EQ(r.find("savings_p50")->as_number(), d.p50());
   EXPECT_EQ(r.find("savings_p05")->as_number(), d.p05());
   EXPECT_EQ(r.find("savings_p95")->as_number(), d.p95());
@@ -490,6 +524,30 @@ TEST(Engine, TraceImportBelowTheCadenceFloorAnswersAnError) {
   const std::string next =
       engine.handle_line(R"({"op":"trace","params":{"region":"ESO"}})");
   EXPECT_NE(next.find("\"ok\":true"), std::string::npos) << next;
+  std::filesystem::remove(path);
+}
+
+TEST(Engine, RequirementErrorsNameSourcesFromTheRepositoryRoot) {
+  // HPC_REQUIRE writes __FILE__ into its message and the answer carries
+  // it to the client. The build maps the source directory away, so an
+  // off-grid row names src/grid/import.cpp, not the tree that built it.
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("hpcarbon_test_off_grid_" + std::to_string(::getpid()) + ".csv"))
+          .string();
+  {
+    std::ofstream out(path);
+    out << "datetime,carbon_intensity\n2021-01-01T00:00:00Z,100\n"
+           "2021-01-01T01:00:00Z,110\n2021-01-01T02:30:00Z,120\n";
+  }
+  Isolated iso;
+  Engine engine(iso.options());
+  const json::Value answer = json::Value::parse(engine.handle_line(
+      R"({"op":"trace","params":{"region":"ESO","trace_csv":")" + path +
+      R"("}})"));
+  const std::string error = answer.find("error")->as_string();
+  EXPECT_EQ(error.rfind("src/grid/import.cpp:", 0), 0u) << error;
+  EXPECT_NE(error.find("off the 3600"), std::string::npos) << error;
   std::filesystem::remove(path);
 }
 
