@@ -109,14 +109,16 @@ sched::ScheduleMetrics FleetEngine::run(const FleetJobs& jobs,
   }
   jobs.validate();
   const std::size_t n = jobs.size();
+  // A queue entry holds its arrival index in 32 bits.
+  HPC_REQUIRE(n <= std::numeric_limits<std::uint32_t>::max(),
+              "a fleet run takes at most 2^32 - 1 jobs");
 
   // Policies take arrivals as sched::Job values (begin_run scans users,
   // forecasts read traces): one materialization pass of plain 32-byte
   // copies, tick times converted to exact doubles and users kept as
   // indexes into jobs.users, so no string is copied. `arrivals` stays in
-  // place until run returns, so each queued PendingJob points at its
-  // arrival instead of copying it, and a queued job's arrival index is its
-  // offset from arrivals.data().
+  // place until run returns, so a queued sched::PendingJob holds only its
+  // arrival index, and policies read the job through the view.
   const std::vector<sched::Job> arrivals = jobs.to_jobs();
 
   sched::CarbonBudgetLedger ledger;
@@ -170,8 +172,8 @@ sched::ScheduleMetrics FleetEngine::run(const FleetJobs& jobs,
   };
   refresh_ci();
 
-  const sched::ClusterView view(sites_, free_slots, integrators_, current_ci,
-                                ledger, pue_, t_hours, epoch_);
+  const sched::ClusterView view(sites_, arrivals, free_slots, integrators_,
+                                current_ci, ledger, pue_, t_hours, epoch_);
 
   policy.begin_run(arrivals, ledger, view);
 
@@ -224,13 +226,13 @@ sched::ScheduleMetrics FleetEngine::run(const FleetJobs& jobs,
                       decision->site < sites_.size() &&
                       free_slots[decision->site] > 0,
                   "policy returned an invalid dispatch decision");
-      const sched::Job& j = *waiting[decision->queue_index].job;
-      const auto a = static_cast<std::size_t>(&j - arrivals.data());
-      // Entries are trivially copyable: the erase is one memmove.
+      const std::uint32_t a = waiting[decision->queue_index].arrival;
+      // Entries are four trivially copyable bytes: the erase is one
+      // memmove.
       waiting.erase(waiting.begin() +
                     static_cast<std::ptrdiff_t>(decision->queue_index));
       started[a] = 1;
-      start_job(j, decision->site, t, jobs.duration[a]);
+      start_job(arrivals[a], decision->site, t, jobs.duration[a]);
     }
   };
 
@@ -268,11 +270,15 @@ sched::ScheduleMetrics FleetEngine::run(const FleetJobs& jobs,
       completions.pop();
     }
     while (next_arrival < n && jobs.submit[next_arrival] <= t) {
-      const sched::Job& j = arrivals[next_arrival];
-      const double planned = policy.planned_start(j, view);
-      waiting.push_back(sched::PendingJob{&j, planned});
-      const Tick planned_tick = ceil_tick(planned);
-      if (planned_tick > t) planned_starts.emplace(planned_tick, next_arrival);
+      const double planned = policy.planned_start(arrivals[next_arrival], view);
+      waiting.push_back(
+          sched::PendingJob{static_cast<std::uint32_t>(next_arrival)});
+      // t_hours is t / 1024 exactly and planned * 1024 is exact, so this
+      // holds exactly when ceil_tick(planned) > t; a NaN plan fails it
+      // instead of reaching the double-to-tick cast.
+      if (planned > t_hours) {
+        planned_starts.emplace(ceil_tick(planned), next_arrival);
+      }
       ++next_arrival;
     }
     dispatch();

@@ -23,9 +23,11 @@
 //    sched::Job is 32 trivially copyable bytes, and a job start charges
 //    the budget ledger (a flat vector of accounts) by index, with no
 //    string compare or copy;
-//  * queue entries (sched::PendingJob) point at their arrival instead of
-//    copying the job: 16 trivially copyable bytes, so a dispatch takes
-//    its job out of the queue with one memmove (still O(queue) bytes);
+//  * a queue entry (sched::PendingJob) is its job's 32-bit arrival index,
+//    and policies read the job through ClusterView::job: 4 trivially
+//    copyable bytes, so a dispatch takes its job out of the queue with
+//    one memmove of 4 bytes per entry behind it (still O(queue) bytes).
+//    run() refuses a fleet of 2^32 jobs or more;
 //  * completions leave through a 4-ary min-heap of packed 8-byte keys,
 //    `tick << site_bits | site` with site_bits = bit_width(sites - 1)
 //    (fleetsim/completion_heap.h): one unsigned compare orders two
@@ -63,7 +65,9 @@
 // planned-start heap as (tick, arrival index) and wakes the engine at
 // that tick; an entry whose tick has passed or whose job already started
 // is dropped when it reaches the top, so finding the next wake-up costs
-// no scan of the queue.
+// no scan of the queue. Queue entries hold no plan: a policy that reads
+// its plans in select() keeps them by arrival index, as forecast-delay
+// does.
 //
 // tests/reference_engine.h keeps the double-clock loop this engine
 // replaced, pricing in hours and reading every site's intensity whenever

@@ -70,13 +70,14 @@ void DiurnalTemplateForecast::finish(Outlook& outlook) const {
       trace_->at(last).to_g_per_kwh() -
       outlook.template_[static_cast<std::size_t>(last.hour_of_day())];
   outlook.level_ = level_blend_ * last_dev;
-  // The running sum reads the template and the level, so it comes last;
-  // each entry is the window loop's accumulator after that many hours.
-  // Hour h ahead falls in slot (origin's slot + h) mod 24, as in predict.
+  // The hourly predictions and their running sum read the template and
+  // the level, so they come last; each sum is the window loop's
+  // accumulator after that many hours. Hour h ahead falls in slot
+  // (origin's slot + h) mod 24, as in predict.
   int slot = outlook.origin_.hour_of_day();
   for (std::size_t h = 0; h < Outlook::kSummedHours; ++h) {
-    outlook.window_sum_[h + 1] =
-        outlook.window_sum_[h] + outlook.slot_prediction(slot);
+    outlook.hour_pred_[h] = outlook.slot_prediction(slot);
+    outlook.window_sum_[h + 1] = outlook.window_sum_[h] + outlook.hour_pred_[h];
     slot = slot + 1 == kHoursPerDay ? 0 : slot + 1;
   }
 }
@@ -121,11 +122,17 @@ double DiurnalTemplateForecast::Outlook::predict_window(
   // From the origin, the first whole hours come from the running sum: the
   // loop would add the same terms in the same order, and each of its
   // `remaining -= 1.0` steps is exact, so it resumes with the same state.
-  // duration_h > 0, so truncation is floor.
-  const int summed = start_h != 0 ? 0
-                     : duration_h >= kSummedHours
-                         ? kSummedHours
-                         : static_cast<int>(duration_h);
+  // Short of the sum's end, what remains is under an hour, which the loop
+  // adds as one partial term, weighted by duration_h - k (exact), and
+  // only when it is positive. duration_h > 0, so truncation is floor.
+  if (start_h == 0 && duration_h < kSummedHours) {
+    const auto k = static_cast<std::size_t>(duration_h);
+    const double part = duration_h - static_cast<double>(k);
+    double acc = window_sum_[k];
+    if (part > 0) acc += hour_pred_[k] * part;
+    return acc / duration_h;
+  }
+  const int summed = start_h != 0 ? 0 : kSummedHours;
   return add_window(window_sum_[static_cast<std::size_t>(summed)],
                     start_h + summed, duration_h - summed,
                     [this](int h) { return predict(h); }) /

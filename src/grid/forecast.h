@@ -72,7 +72,8 @@ class DiurnalTemplateForecast : public Forecast {
     /// duration_h), hour-granular (as Forecast::predict_window). A window
     /// from the origin (start_h == 0) takes its first min(floor(duration_h),
     /// kSummedHours) whole hours from the running sum, so a scheduler
-    /// pricing many jobs at one origin does not re-add them per job.
+    /// pricing many jobs at one origin does not re-add them per job; one
+    /// shorter than kSummedHours costs one multiply-add and one divide.
     double predict_window(int start_h, double duration_h) const;
 
     /// Hours the running sum covers. Generated jobs run at most 96 h and
@@ -88,10 +89,12 @@ class DiurnalTemplateForecast : public Forecast {
     HourOfYear origin_;
     std::array<double, kHoursPerDay> template_{};
     double level_ = 0;  // level_blend * (last observation - its slot)
-    // window_sum_[n] = sum of predict(h) for h < n, added in hour order
-    // from 0: the window loop's accumulator after n whole hours.
-    // Built with the outlook and rebuilt on every one-hour step (the level
-    // moves every hour), so it is never stale and never partly filled.
+    // hour_pred_[h] = predict(h), and window_sum_[n] = sum of predict(h)
+    // for h < n, added in hour order from 0: the window loop's accumulator
+    // after n whole hours. Both are built with the outlook and rebuilt on
+    // every one-hour step (the level moves every hour), so they are never
+    // stale and never partly filled.
+    std::array<double, kSummedHours> hour_pred_{};
     std::array<double, kSummedHours + 1> window_sum_{};
   };
 

@@ -83,7 +83,7 @@ class ThresholdDelayPolicy : public SchedulingPolicy {
     // The front job has waited longest (select's queue contract), so it
     // is overdue whenever any queued job is.
     if (view.current_ci(0) <= threshold_ ||
-        view.now() - queue.front().job->submit_hour >= max_delay_) {
+        view.now() - view.job(queue.front()).submit_hour >= max_delay_) {
       return DispatchDecision{0, 0};
     }
     return std::nullopt;
@@ -117,9 +117,10 @@ class BudgetAwarePolicy : public SchedulingPolicy {
     // ledger read by user index per job: the best priority so far stays
     // in a local.
     std::size_t best = 0;
-    double best_priority = view.ledger().priority(queue.front().job->user);
+    double best_priority =
+        view.ledger().priority(view.job(queue.front()).user);
     for (std::size_t i = 1; i < queue.size(); ++i) {
-      const double priority = view.ledger().priority(queue[i].job->user);
+      const double priority = view.ledger().priority(view.job(queue[i]).user);
       if (priority > best_priority) {
         best = i;
         best_priority = priority;
@@ -141,10 +142,12 @@ class ForecastDelayPolicy : public SchedulingPolicy {
       : max_delay_(cfg.max_delay_hours),
         window_days_(cfg.forecast_window_days) {}
   std::string name() const override { return "forecast-delay"; }
-  void begin_run(const std::vector<Job>&, CarbonBudgetLedger&,
+  void begin_run(const std::vector<Job>& arrivals, CarbonBudgetLedger&,
                  const ClusterView& view) override {
     forecast_ = std::make_unique<grid::DiurnalTemplateForecast>(
         view.site(0).trace_utc, window_days_);
+    arrivals_ = arrivals.data();
+    planned_.assign(arrivals.size(), 0.0);
   }
   double planned_start(const Job& job, const ClusterView& view) override {
     const auto& outlook = forecast_->outlook_at(view.hour_at(job.submit_hour));
@@ -158,14 +161,18 @@ class ForecastDelayPolicy : public SchedulingPolicy {
         best_offset = w;
       }
     }
-    return job.submit_hour + best_offset;
+    // `job` is an element of begin_run's arrivals (planned_start's
+    // contract), so the offset is its arrival index.
+    const double plan = job.submit_hour + best_offset;
+    planned_[static_cast<std::size_t>(&job - arrivals_)] = plan;
+    return plan;
   }
   std::optional<DispatchDecision> select(const PendingQueue& queue,
                                          const ClusterView& view) override {
     if (view.free_slots(0) <= 0) return std::nullopt;
     for (std::size_t i = 0; i < queue.size(); ++i) {
       // Exact: on the tick clock both sides are multiples of 1/1024 h.
-      if (view.now() >= queue[i].earliest_start) {
+      if (view.now() >= planned_[queue[i].arrival]) {
         return DispatchDecision{i, 0};
       }
     }
@@ -176,6 +183,8 @@ class ForecastDelayPolicy : public SchedulingPolicy {
   double max_delay_;
   int window_days_;
   std::unique_ptr<grid::DiurnalTemplateForecast> forecast_;
+  const Job* arrivals_ = nullptr;  // begin_run's arrivals
+  std::vector<double> planned_;    // planned start, by arrival index
 };
 
 /// Cross-region dispatch only when the current intensity gap times the
@@ -192,7 +201,7 @@ class NetBenefitPolicy : public SchedulingPolicy {
     if (best < 0) return std::nullopt;
     std::size_t site = static_cast<std::size_t>(best);
     if (view.free_slots(0) > 0 && site != 0) {
-      const Job& j = *queue.front().job;
+      const Job& j = view.job(queue.front());
       const double ci_home = view.current_ci(0);
       const double ci_away = view.current_ci(site);
       const double job_kwh =
@@ -227,7 +236,7 @@ class ForecastNetBenefitPolicy : public SchedulingPolicy {
   std::optional<DispatchDecision> select(const PendingQueue& queue,
                                          const ClusterView& view) override {
     if (queue.empty()) return std::nullopt;
-    const Job& j = *queue.front().job;
+    const Job& j = view.job(queue.front());
     const double job_kwh =
         j.it_power.to_kilowatts() * j.duration_hours * view.pue_base();
     const HourOfYear origin = view.hour_at(view.now());
@@ -295,7 +304,7 @@ class RenewableCapPolicy : public SchedulingPolicy {
     if (queue.empty()) return std::nullopt;
     // As in ThresholdDelay, the front job is overdue whenever any is.
     if (!over_cap ||
-        view.now() - queue.front().job->submit_hour >= max_delay_) {
+        view.now() - view.job(queue.front()).submit_hour >= max_delay_) {
       return DispatchDecision{0, 0};
     }
     return std::nullopt;

@@ -6,9 +6,10 @@
 // are additions, not edits to a monolithic switch. The pieces:
 //
 //  * ClusterView        — the read-only window a policy gets on the cluster:
-//                         free slots, O(1) carbon pricing, each site's
-//                         current CI as the engine last read it, the
-//                         budget ledger, and the simulation clock.
+//                         free slots, the queued jobs, O(1) carbon
+//                         pricing, each site's current CI as the engine
+//                         last read it, the budget ledger, and the
+//                         simulation clock.
 //  * SchedulingPolicy   — the strategy interface: plan a start on arrival,
 //                         pick (job, site) pairs at dispatch time, observe
 //                         started jobs.
@@ -22,6 +23,7 @@
 #pragma once
 
 #include <cmath>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -56,17 +58,18 @@ struct PolicyConfig {
   double burn_window_hours = 24.0;
 };
 
-/// A queued job plus the policy-planned earliest start (ForecastDelay).
-/// `job` points into the arrivals vector begin_run received, which stays
-/// in place until the engine's run returns: a policy may read it in any
-/// callback of that run but must not keep it across runs. Sixteen
-/// trivially copyable bytes, so taking an entry out of the queue is one
-/// memmove of the entries behind it.
+/// A queued job: its index into the arrivals vector begin_run received.
+/// A policy reads the job through ClusterView::job(entry) and keys any
+/// per-arrival state by `arrival`. A struct, not a bare integer, so an
+/// arrival index cannot pass for a queue index. Four trivially copyable
+/// bytes, so taking an entry out of the queue is one memmove of four
+/// bytes per entry behind it.
 struct PendingJob {
-  const Job* job = nullptr;
-  double earliest_start = 0;
+  std::uint32_t arrival = 0;
 };
+static_assert(sizeof(PendingJob) == 4);
 static_assert(std::is_trivially_copyable_v<PendingJob>);
+static_assert(sizeof(Job) == 32);
 static_assert(std::is_trivially_copyable_v<Job>);
 
 /// The waiting queue select() reads, in arrival order. A name of its own
@@ -85,17 +88,19 @@ struct DispatchDecision {
 class ClusterView {
  public:
   /// Bind a view over an engine's per-run state. The view keeps
-  /// references, so every argument must outlive the run; `now` is the
-  /// engine's clock in hours since `epoch`, read on every now() call, and
-  /// `current_ci` holds each site's intensity (g/kWh) at now(), which the
-  /// engine keeps current whenever a policy callback can read it.
-  ClusterView(const std::vector<Site>& sites,
+  /// references, so every argument must outlive the run; `arrivals` is the
+  /// vector begin_run receives, `now` is the engine's clock in hours since
+  /// `epoch`, read on every now() call, and `current_ci` holds each site's
+  /// intensity (g/kWh) at now(), which the engine keeps current whenever a
+  /// policy callback can read it.
+  ClusterView(const std::vector<Site>& sites, const std::vector<Job>& arrivals,
               const std::vector<int>& free_slots,
               const std::vector<op::CarbonIntegrator>& integrators,
               const std::vector<double>& current_ci,
               const CarbonBudgetLedger& ledger, const op::PueModel& pue,
               const double& now, HourOfYear epoch)
       : sites_(&sites),
+        arrivals_(&arrivals),
         free_slots_(&free_slots),
         integrators_(&integrators),
         current_ci_(&current_ci),
@@ -115,6 +120,12 @@ class ClusterView {
   std::size_t site_count() const { return sites_->size(); }
   const Site& site(std::size_t i) const { return (*sites_)[i]; }
   int free_slots(std::size_t i) const { return (*free_slots_)[i]; }
+
+  /// The queued job `entry` names, read from the run's arrivals. The
+  /// reference is valid until the run returns.
+  const Job& job(PendingJob entry) const {
+    return (*arrivals_)[entry.arrival];
+  }
 
   /// Carbon intensity (g/kWh) at site i at time now(): the native sample
   /// site(i).trace_utc.at_hours(epoch().index() + now()) names, so 5- and
@@ -137,6 +148,7 @@ class ClusterView {
 
  private:
   const std::vector<Site>* sites_;
+  const std::vector<Job>* arrivals_;
   const std::vector<int>* free_slots_;
   const std::vector<op::CarbonIntegrator>* integrators_;
   const std::vector<double>* current_ci_;
@@ -167,7 +179,9 @@ class SchedulingPolicy {
   }
 
   /// Called on arrival: the earliest time the job may start (>= submit).
-  /// Default: start as soon as possible.
+  /// `job` is an element of the arrivals begin_run received, so a policy
+  /// that keeps a plan per arrival finds its index as `&job` minus that
+  /// vector's data(). Default: start as soon as possible.
   virtual double planned_start(const Job& job, const ClusterView& view) {
     (void)view;
     return job.submit_hour;
@@ -181,7 +195,7 @@ class SchedulingPolicy {
   /// submit_hour is non-decreasing along it, and jobs submitted at the
   /// same instant keep their input order (id order for generated
   /// workloads and the jobs CSV). The front job has waited longest. Each
-  /// entry's `job` points at its arrival (see PendingJob).
+  /// entry holds its arrival index; view.job(entry) is the job.
   virtual std::optional<DispatchDecision> select(const PendingQueue& queue,
                                                  const ClusterView& view) = 0;
 

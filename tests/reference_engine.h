@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <functional>
 #include <limits>
 #include <queue>
@@ -80,6 +81,8 @@ class SchedulingEngine {
     for (const auto& s : sites_) free_slots.push_back(s.capacity);
 
     std::vector<sched::PendingJob> waiting;
+    // Each arrival's planned start, by arrival index.
+    std::vector<double> planned(arrivals.size());
     std::priority_queue<Completion, std::vector<Completion>, std::greater<>>
         completions;
 
@@ -106,7 +109,7 @@ class SchedulingEngine {
     };
     read_ci();
 
-    const sched::ClusterView view(sites_, free_slots, integrators_,
+    const sched::ClusterView view(sites_, arrivals, free_slots, integrators_,
                                   current_ci, ledger, pue_, t, epoch_);
 
     policy.begin_run(arrivals, ledger, view);
@@ -148,7 +151,7 @@ class SchedulingEngine {
                         decision->site < sites_.size() &&
                         free_slots[decision->site] > 0,
                     "policy returned an invalid dispatch decision");
-        const sched::Job& j = *waiting[decision->queue_index].job;
+        const sched::Job& j = view.job(waiting[decision->queue_index]);
         waiting.erase(waiting.begin() +
                       static_cast<std::ptrdiff_t>(decision->queue_index));
         start_job(j, decision->site, t);
@@ -170,8 +173,8 @@ class SchedulingEngine {
       if (!waiting.empty()) {
         next_time = std::min(next_time, std::floor(t) + 1.0);  // next tick
         for (const auto& p : waiting) {
-          if (p.earliest_start > t) {
-            next_time = std::min(next_time, p.earliest_start);
+          if (planned[p.arrival] > t) {
+            next_time = std::min(next_time, planned[p.arrival]);
           }
         }
       }
@@ -185,8 +188,10 @@ class SchedulingEngine {
       }
       while (next_arrival < arrivals.size() &&
              arrivals[next_arrival].submit_hour <= t) {
-        const sched::Job& j = arrivals[next_arrival];
-        waiting.push_back(sched::PendingJob{&j, policy.planned_start(j, view)});
+        planned[next_arrival] =
+            policy.planned_start(arrivals[next_arrival], view);
+        waiting.push_back(
+            sched::PendingJob{static_cast<std::uint32_t>(next_arrival)});
         ++next_arrival;
       }
       dispatch();

@@ -318,6 +318,35 @@ TEST(ForecastStep, HourlyStepsMatchFreshOutlooksAllYear) {
   }
 }
 
+// A window from the origin shorter than the running sum is one stored
+// sum plus one stored hourly prediction times the part hour, divided by
+// the duration. The base-class Forecast::predict_window loop, which
+// rebuilds the forecast for every hour it adds, must agree bit for bit at
+// every origin slot of the day, from fresh outlooks and from one that
+// outlook_at steps one hour at a time (across the year's end), at
+// durations on both sides of whole hours and of the 48 h sum.
+TEST(ForecastOracle, OriginWindowsMatchTheBaseClassLoop) {
+  const auto trace = GridSimulator(ciso()).run();
+  const DiurnalTemplateForecast fresh(trace, 14);
+  DiurnalTemplateForecast stepped(trace, 14);
+  constexpr double kDurations[] = {0.25, 0.999,  1.0,  1.5,  23.75,
+                                   47.0, 47.999, 48.0, 48.5, 96.3};
+  const HourOfYear first(kHoursPerYear - 12);
+  for (int i = 0; i < kHoursPerDay; ++i) {
+    const HourOfYear origin = first.shifted(i);
+    const Outlook built = fresh.outlook(origin);
+    const Outlook& kept = stepped.outlook_at(origin);
+    for (const double d : kDurations) {
+      const double want = fresh.predict_window(origin, 0, d);
+      EXPECT_EQ(bits(built.predict_window(0, d)), bits(want))
+          << "fresh outlook, origin " << origin.index() << ", duration " << d;
+      EXPECT_EQ(bits(kept.predict_window(0, d)), bits(want))
+          << "stepped outlook, origin " << origin.index() << ", duration "
+          << d;
+    }
+  }
+}
+
 // Any move of the origin but one hour forward rebuilds in full. The test
 // swaps the trace the forecast reads between calls to see which samples
 // a call re-read: after a full build every slot comes from the new trace,
