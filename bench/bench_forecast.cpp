@@ -9,7 +9,7 @@
 
 #include "bench_common.h"
 #include "core/stats.h"
-#include "fleetsim/engine.h"
+#include "fleetsim/ablation.h"
 #include "grid/forecast.h"
 #include "grid/presets.h"
 #include "grid/simulator.h"
@@ -50,37 +50,28 @@ static int tool_main(int, char**) {
 
   TextTable p({"Home region", "Policy", "Carbon (kg)", "vs run-now",
                "Mean wait (h)"});
-  for (std::size_t r = 0; r < traces.size(); ++r) {
-    const fleetsim::FleetEngine sim(
-        {sched::make_site(traces[r].region_code(), traces[r], 24)},
-        HourOfYear(month_start_hour(5)));
-    auto run = [&](const char* policy, const sched::PolicyConfig& cfg) {
-      return sim.run(jobs, *sched::make_policy(policy, cfg));
-    };
-    const auto base = run("fcfs-local", {});
-
-    auto report = [&](const char* label, const char* policy,
-                      const sched::PolicyConfig& cfg) {
-      const auto m = run(policy, cfg);
-      const double delta = 100.0 *
-                           (base.total_carbon.to_grams() -
-                            m.total_carbon.to_grams()) /
-                           base.total_carbon.to_grams();
-      p.add_row({traces[r].region_code(), label,
-                 TextTable::num(m.total_carbon.to_kilograms(), 1),
-                 TextTable::pct(delta, 1),
-                 TextTable::num(m.mean_wait_hours, 2)});
-    };
-
-    report("run-now", "fcfs-local", {});
-    sched::PolicyConfig thr;
-    thr.ci_threshold_g_per_kwh =
-        stats::quantile(traces[r].values(), 0.35);
-    thr.max_delay_hours = 12;
-    report("threshold-delay (p35)", "threshold-delay", thr);
-    sched::PolicyConfig fc;
-    fc.max_delay_hours = 12;
-    report("forecast-delay (12 h)", "forecast-delay", fc);
+  const std::vector<std::string> policies = {"fcfs-local", "threshold-delay",
+                                             "forecast-delay"};
+  const char* const labels[] = {"run-now", "threshold-delay (p35)",
+                                "forecast-delay (12 h)"};
+  for (const auto& trace : traces) {
+    // A trio of one region is the home site alone.
+    const fleetsim::FleetEngine sim =
+        fleetsim::trio_engine({&trace}, 24, HourOfYear(month_start_hour(5)));
+    // One knob bag: threshold-delay reads the threshold and the delay cap,
+    // forecast-delay only the delay cap.
+    sched::PolicyConfig cfg;
+    cfg.ci_threshold_g_per_kwh = stats::quantile(trace.values(), 0.35);
+    cfg.max_delay_hours = 12;
+    const fleetsim::Ablation ablation =
+        fleetsim::run_ablation(sim, jobs, policies, cfg);
+    for (std::size_t i = 0; i < policies.size(); ++i) {
+      const fleetsim::PolicyScore& score = ablation.policies[i];
+      p.add_row({trace.region_code(), labels[i],
+                 TextTable::num(score.metrics.total_carbon.to_kilograms(), 1),
+                 TextTable::pct(score.savings_pct, 1),
+                 TextTable::num(score.metrics.mean_wait_hours, 2)});
+    }
   }
   bench::print_table(p);
 

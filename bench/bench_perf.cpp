@@ -18,7 +18,7 @@
 #include "bench_common.h"
 #include "embodied/catalog.h"
 #include "embodied/uncertainty.h"
-#include "fleetsim/engine.h"
+#include "fleetsim/ablation.h"
 #include "grid/analysis.h"
 #include "grid/presets.h"
 #include "grid/simulator.h"
@@ -143,10 +143,8 @@ static int tool_main(int argc, char** argv) {
 
   {
     const auto traces = grid::generate_traces(grid::fig7_regions());
-    std::vector<sched::Site> sites = {sched::make_site("ESO", traces[0], 12),
-                                      sched::make_site("CISO", traces[1], 12),
-                                      sched::make_site("ERCOT", traces[2], 12)};
-    const fleetsim::FleetEngine sim(sites, HourOfYear(0));
+    const fleetsim::FleetEngine sim = fleetsim::trio_engine(
+        {&traces[0], &traces[1], &traces[2]}, 12, HourOfYear(0));
     sched::WorkloadParams wp;
     wp.horizon_hours = 24.0 * 28;
     const auto jobs = fleetsim::FleetJobs::from_jobs(

@@ -1,6 +1,6 @@
 // Ablation A1: the carbon-intensity-aware scheduler the paper's Sec. 4
 // implications call for, evaluated against a carbon-unaware baseline over
-// the three greenest Table 3 regions (ESO home, CISO and ERCOT remote).
+// the Fig. 7 trio (ERCOT home, median 367 g/kWh; ESO and CISO remote).
 //
 // The policy column enumerates the string-keyed registry (sched/policy.h),
 // so a newly registered policy appears here with no edits. Reported: total
@@ -13,7 +13,7 @@
 
 #include "bench_common.h"
 #include "core/rng.h"
-#include "fleetsim/engine.h"
+#include "fleetsim/ablation.h"
 #include "grid/presets.h"
 #include "grid/simulator.h"
 #include "reporter.h"
@@ -108,12 +108,9 @@ static int tool_main(int argc, char** argv) {
   // the horizon to one week; savings percentages shift slightly, which is
   // why fingerprint.mode is part of every trajectory row.
   const auto traces = grid::generate_traces(grid::fig7_regions());
-  std::vector<sched::Site> sites = {
-      sched::make_site("ERCOT", traces[2], 16),
-      sched::make_site("ESO", traces[0], 16),
-      sched::make_site("CISO", traces[1], 16),
-  };
-  const fleetsim::FleetEngine engine(sites, HourOfYear(month_start_hour(5)));
+  const fleetsim::FleetEngine engine =
+      fleetsim::trio_engine({&traces[2], &traces[0], &traces[1]}, 16,
+                            HourOfYear(month_start_hour(5)));
 
   sched::WorkloadParams wp;
   wp.horizon_hours = 24.0 * (args.smoke ? 7 : 28);
@@ -128,33 +125,36 @@ static int tool_main(int argc, char** argv) {
   cfg.max_delay_hours = 12.0;
   cfg.user_budget = Mass::kilograms(300);
 
+  std::vector<std::string> policies;
+  for (const auto& desc : sched::registered_policies()) {
+    policies.push_back(desc.name);
+  }
+
   bench::print_banner("Ablation A1: carbon-aware scheduling policies");
   std::cout << jobs.size() << " jobs over " << wp.horizon_hours / 24
             << " days starting June 1; 3 regional sites (home: ERCOT); "
-            << sched::registered_policies().size()
-            << " registered policies\n\n";
+            << policies.size() << " registered policies\n\n";
 
   using clock = std::chrono::steady_clock;
   const auto sweep_start = clock::now();
-  double baseline_g = 0;
-  double best_savings = 0;
-  TextTable t({"Policy", "Carbon (kg)", "Savings vs baseline", "Mean wait (h)",
-               "p95 wait (h)", "Remote jobs"});
-  for (const auto& desc : sched::registered_policies()) {
-    const auto policy = desc.make(cfg);
-    const auto m = engine.run(jobs, *policy);
-    if (baseline_g == 0) baseline_g = m.total_carbon.to_grams();
-    const double savings =
-        100.0 * (baseline_g - m.total_carbon.to_grams()) / baseline_g;
-    best_savings = std::max(best_savings, savings);
-    t.add_row({desc.name, TextTable::num(m.total_carbon.to_kilograms(), 1),
-               TextTable::pct(savings, 1), TextTable::num(m.mean_wait_hours, 2),
-               TextTable::num(m.p95_wait_hours, 2),
-               std::to_string(m.remote_dispatches)});
-  }
+  const fleetsim::Ablation ablation =
+      fleetsim::run_ablation(engine, jobs, policies, cfg);
   const double sweep_ms =
       std::chrono::duration<double, std::milli>(clock::now() - sweep_start)
           .count();
+  double best_savings = 0;
+  TextTable t({"Policy", "Carbon (kg)", "Savings vs baseline", "Mean wait (h)",
+               "p95 wait (h)", "Remote jobs"});
+  for (std::size_t p = 0; p < policies.size(); ++p) {
+    const fleetsim::PolicyScore& score = ablation.policies[p];
+    const sched::ScheduleMetrics& m = score.metrics;
+    best_savings = std::max(best_savings, score.savings_pct);
+    t.add_row({policies[p], TextTable::num(m.total_carbon.to_kilograms(), 1),
+               TextTable::pct(score.savings_pct, 1),
+               TextTable::num(m.mean_wait_hours, 2),
+               TextTable::num(m.p95_wait_hours, 2),
+               std::to_string(m.remote_dispatches)});
+  }
   bench::print_table(t);
   std::cout << "policy sweep wall time " << TextTable::num(sweep_ms, 0)
             << " ms\n";
@@ -192,8 +192,7 @@ static int tool_main(int argc, char** argv) {
                 /*pinned=*/true);
   report.metric("jobs_per_s",
                 1000.0 * static_cast<double>(jobs.size()) *
-                    static_cast<double>(sched::registered_policies().size()) /
-                    sweep_ms,
+                    static_cast<double>(policies.size()) / sweep_ms,
                 "jobs/s", Direction::kHigherIsBetter);
   report.metric("best_savings_pct", best_savings, "%",
                 Direction::kHigherIsBetter);

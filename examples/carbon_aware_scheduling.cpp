@@ -3,12 +3,12 @@
 // carbon-vs-wait tradeoff plus per-user carbon-budget accounting — the
 // operational realization of the paper's Sec. 4 implications.
 //
-// Usage: ./examples/carbon_aware_scheduling
+// Usage: hpcarbon example carbon-aware-scheduling
 #include <cstdint>
 #include <iostream>
 
 #include "core/table.h"
-#include "fleetsim/engine.h"
+#include "fleetsim/ablation.h"
 #include "grid/presets.h"
 #include "grid/simulator.h"
 #include "sched/policy.h"
@@ -21,12 +21,9 @@ using namespace hpcarbon;
 static int tool_main(int, char**) {
   // Home site: ERCOT (dirtiest of the trio); four summer weeks.
   const auto traces = grid::generate_traces(grid::fig7_regions());
-  std::vector<sched::Site> sites = {
-      sched::make_site("ERCOT", traces[2], 12),
-      sched::make_site("ESO", traces[0], 12),
-      sched::make_site("CISO", traces[1], 12),
-  };
-  const fleetsim::FleetEngine sim(sites, HourOfYear(month_start_hour(5)));
+  const fleetsim::FleetEngine sim =
+      fleetsim::trio_engine({&traces[2], &traces[0], &traces[1]}, 12,
+                            HourOfYear(month_start_hour(5)));
 
   sched::WorkloadParams wp;
   wp.horizon_hours = 24.0 * 28;

@@ -8,7 +8,7 @@
 // adds regional intensity and amortized embodied carbon. The ordering
 // changes: location and embodied carbon matter.
 //
-// Usage: ./examples/green500_reranker
+// Usage: hpcarbon example green500-reranker
 #include <algorithm>
 #include <iostream>
 #include <vector>

@@ -5,7 +5,7 @@
 //   3. Track a training job with the carbontracker-style Tracker (Eq. 6).
 //   4. Combine both into the node's lifetime footprint (Eq. 1).
 //
-// Build & run:  ./examples/quickstart
+// Usage: hpcarbon example quickstart
 #include <iostream>
 
 #include "core/stats.h"

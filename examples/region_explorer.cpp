@@ -1,7 +1,7 @@
 // Region explorer: inspect any Table 3 grid region — annual statistics,
 // energy mix, diurnal profile, and the best/worst hours for running jobs.
 //
-// Usage: ./examples/region_explorer [CODE]
+// Usage: hpcarbon example region-explorer [CODE]
 //   CODE in {KN, TK, ESO, CISO, PJM, MISO, ERCOT}; default ESO.
 #include <iostream>
 #include <string>
@@ -17,21 +17,8 @@
 using namespace hpcarbon;
 
 static int tool_main(int argc, char** argv) {
-  const std::string code = argc > 1 ? argv[1] : "ESO";
-  grid::RegionSpec spec;
-  bool found = false;
-  for (const auto& r : grid::all_regions()) {
-    if (r.code == code) {
-      spec = r;
-      found = true;
-      break;
-    }
-  }
-  if (!found) {
-    std::cerr << "unknown region '" << code
-              << "' (expected KN, TK, ESO, CISO, PJM, MISO, ERCOT)\n";
-    return 1;
-  }
+  const grid::RegionSpec spec =
+      grid::require_region(argc > 1 ? argv[1] : "ESO");
 
   std::cout << banner("Region " + spec.code + " — " + spec.name);
   std::cout << spec.country << ", " << spec.area << " (UTC"

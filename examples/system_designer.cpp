@@ -6,7 +6,7 @@
 //   Design A "FLOPS-first": MI250X-dense nodes, HDD capacity tier.
 //   Design B "balanced":    A100 nodes, more DRAM, all-flash storage.
 //
-// Usage: ./examples/system_designer
+// Usage: hpcarbon example system-designer
 #include <iostream>
 
 #include "core/table.h"

@@ -34,9 +34,8 @@ void size_pool(std::size_t threads) {
 }
 
 void add_threads_flag(options::Table& flags, std::size_t* threads) {
-  // Capped like --shards: far past any useful pool, low enough that
-  // starting every worker cannot exhaust the process.
-  flags.integer("--threads", "N", threads, 0, 4096,
+  flags.integer("--threads", "N", threads, 0,
+                static_cast<double>(ThreadPool::kMaxThreads),
                 "worker threads; 0 (default): HPCARBON_THREADS or "
                 "max(cores, 2)");
 }
@@ -82,8 +81,8 @@ int run_tool(ToolKind kind, const std::string& name, int argc, char** argv,
     return 2;
   }
   // The tool sees itself as argv[0], with any trailing driver arguments
-  // forwarded, so argv-consuming tools (region_explorer, upgrade_advisor)
-  // behave identically under the driver and standalone.
+  // forwarded, so argv-consuming tools (region-explorer, upgrade-advisor)
+  // read their own arguments from argv[1] on.
   return tool->fn(argc, argv);
 }
 

@@ -1,11 +1,9 @@
 // Tool registry behind the unified `hpcarbon` driver.
 //
 // Every example and figure/table bench file defines a file-local
-// `tool_main(int, char**)` and closes with HPCARBON_TOOL(name, kind, desc).
-// Compiled standalone (-DHPCARBON_STANDALONE) the macro emits a forwarding
-// main(), so `./bench/bench_fig1` keeps working; compiled into the driver it
-// registers the entry point here instead, so `hpcarbon bench fig1` routes
-// to the same code with no duplicated logic.
+// `tool_main(int, char**)` and closes with HPCARBON_TOOL(name, kind, desc),
+// which registers the entry point here, so `hpcarbon bench fig1` routes to
+// it. Each file is compiled once, into the driver.
 #pragma once
 
 #include <string>
@@ -35,23 +33,6 @@ const ToolEntry* find_tool(const std::string& name);
 
 }  // namespace hpcarbon::cli
 
-#ifdef HPCARBON_STANDALONE
-#include <iostream>
-
-#include "core/error.h"
-
-// Same exit contract as `hpcarbon`'s main: a bad flag or input is a
-// one-line error and exit 1, never an uncaught-exception abort.
-#define HPCARBON_TOOL(name_, kind_, desc_)                     \
-  int main(int argc, char** argv) {                            \
-    try {                                                      \
-      return tool_main(argc, argv);                            \
-    } catch (const ::hpcarbon::Error& e) {                     \
-      std::cerr << "hpcarbon: " << e.what() << '\n';           \
-      return 1;                                                \
-    }                                                          \
-  }
-#else
 #define HPCARBON_TOOL(name_, kind_, desc_)                         \
   namespace {                                                      \
   [[maybe_unused]] const bool hpcarbon_tool_registered = [] {      \
@@ -60,4 +41,3 @@ const ToolEntry* find_tool(const std::string& name);
     return true;                                                   \
   }();                                                             \
   }
-#endif

@@ -147,15 +147,14 @@ void sweep_fleet(const SweepOptions& opts, SweepReport& report) {
 void sweep_sched(const SweepOptions& opts, SweepReport& report) {
   // The bench_sched_ablation setting: dirtiest Fig. 7 region (ERCOT) is
   // home, ESO and CISO are the remote options, four June weeks of jobs.
-  // The sites are fixed rather than ranked: an imported trace could
-  // otherwise re-rank them.
+  // The remote sites are ranked by median like every trio's, so an
+  // imported trace can reorder them.
   const auto traces = traces_for(
       grid::fig7_regions(),
       overrides_matching(opts, grid::codes_of(grid::fig7_regions())));
-  const fleetsim::FleetEngine fleet({sched::make_site("ERCOT", traces[2], 16),
-                                     sched::make_site("ESO", traces[0], 16),
-                                     sched::make_site("CISO", traces[1], 16)},
-                                    HourOfYear(month_start_hour(5)));
+  const fleetsim::FleetEngine fleet =
+      fleetsim::trio_engine({&traces[2], &traces[0], &traces[1]}, 16,
+                            HourOfYear(month_start_hour(5)));
   std::vector<std::string> policies = {fleetsim::kBaselinePolicy};
   for (const auto& desc : sched::registered_policies()) {
     if (desc.name != fleetsim::kBaselinePolicy) policies.push_back(desc.name);

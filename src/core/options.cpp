@@ -38,6 +38,17 @@ std::string interval(double lo, double hi, bool lo_open) {
 
 }  // namespace
 
+double parse_number(const std::string& name, const std::string& value,
+                    Range range) {
+  const std::optional<double> v = to_double(value);
+  if (!v || !std::isfinite(*v) || *v > range.hi ||
+      (range.lo_open ? *v <= range.lo : *v < range.lo)) {
+    reject(name, "a number", interval(range.lo, range.hi, range.lo_open),
+           value);
+  }
+  return *v;
+}
+
 Table::Table(std::string command, std::string synopsis, std::string summary)
     : command_(std::move(command)),
       synopsis_(std::move(synopsis)),
@@ -59,13 +70,7 @@ Table& Table::text(std::string name, std::string meta, std::string* field,
 Table& Table::number(std::string name, std::string meta, double* field,
                      Range range, std::string help) {
   Each apply = [flag = name, field, range](const std::string& value) {
-    const std::optional<double> v = to_double(value);
-    if (!v || !std::isfinite(*v) || *v > range.hi ||
-        (range.lo_open ? *v <= range.lo : *v < range.lo)) {
-      reject(flag, "a number", interval(range.lo, range.hi, range.lo_open),
-             value);
-    }
-    *field = *v;
+    *field = parse_number(flag, value, range);
   };
   return repeated(std::move(name), std::move(meta), std::move(apply),
                   std::move(help));

@@ -48,6 +48,13 @@ struct Range {
   bool lo_open = false;
 };
 
+/// `value` as a finite number inside `range`, the rule every number flag
+/// follows. Otherwise throws "<name> expects a number in <range>, got
+/// '<value>'", so a command reading a positional number words its error
+/// like a flag's.
+double parse_number(const std::string& name, const std::string& value,
+                    Range range);
+
 class Table {
  public:
   using Each = std::function<void(const std::string&)>;

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <cstdlib>
+#include <cstring>
 #include <exception>
 
 namespace hpcarbon {
@@ -50,11 +52,15 @@ std::size_t global_thread_count() {
 }  // namespace
 
 std::size_t ThreadPool::env_thread_hint() {
-  if (const char* env = std::getenv("HPCARBON_THREADS")) {
-    const long n = std::atol(env);
-    if (n > 0) return static_cast<std::size_t>(n);
-  }
-  return 0;
+  const char* env = std::getenv("HPCARBON_THREADS");
+  if (env == nullptr) return 0;
+  const char* end = env + std::strlen(env);
+  std::size_t n = 0;
+  // Unsigned from_chars takes no sign, space or suffix: "4x", "-1" and an
+  // overflow all read as unset.
+  const auto [stop, ec] = std::from_chars(env, end, n);
+  if (ec != std::errc() || stop != end || n < 1 || n > kMaxThreads) return 0;
+  return n;
 }
 
 ThreadPool::ThreadPool(std::size_t n_threads) {

@@ -67,8 +67,14 @@ class ThreadPool {
   /// running). n == 0 restores the default resolution order.
   static void set_global_threads(std::size_t n);
 
+  /// The most workers --threads or HPCARBON_THREADS may ask for: far past
+  /// any useful pool, low enough that starting every worker cannot
+  /// exhaust the process.
+  static constexpr std::size_t kMaxThreads = 4096;
+
   /// The HPCARBON_THREADS environment variable as a worker count, or 0 if
-  /// unset/invalid. Shared by global() and the CLI so both resolve the
+  /// unset or invalid: only a whole number in [1, kMaxThreads], written in
+  /// digits, is valid. Shared by global() and the CLI so both resolve the
   /// variable identically.
   static std::size_t env_thread_hint();
 

@@ -7,7 +7,6 @@
 #include "core/error.h"
 #include "core/rng.h"
 #include "core/stats.h"
-#include "sched/policy.h"
 
 namespace hpcarbon::fleetsim {
 
@@ -35,10 +34,11 @@ FleetEngine trio_engine(
 }
 
 Ablation run_ablation(const FleetEngine& engine, const FleetJobs& jobs,
-                      const std::vector<std::string>& policies) {
+                      const std::vector<std::string>& policies,
+                      const sched::PolicyConfig& cfg) {
   // A fresh policy per run: policies keep per-run state.
   const auto timed_run = [&](const std::string& name) {
-    const auto policy = sched::make_policy(name);
+    const auto policy = sched::make_policy(name, cfg);
     const auto start = std::chrono::steady_clock::now();
     PolicyScore score{engine.run(jobs, *policy)};
     score.run_seconds = std::chrono::duration<double>(

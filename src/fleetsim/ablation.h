@@ -4,8 +4,10 @@
 // lowest annual median intensity as remote sites (Fig. 7's
 // complementarity), scored against fcfs-local on the same jobs, and over
 // workload seeds for savings quantiles. `hpcarbon run`, `fleetsim`,
-// `sweep`'s sched section and the serve sched and fleetsim families all
-// call these functions; tests/data/trio_golden.jsonl pins the ranking.
+// `sweep`'s sched section, the serve sched and fleetsim families, `bench
+// sched-ablation`, `bench forecast`, `bench perf` and `example
+// carbon-aware-scheduling` all call these functions; only `bench fleetsim`
+// sizes its own sites. tests/data/trio_golden.jsonl pins the ranking.
 #pragma once
 
 #include <cstdint>
@@ -20,6 +22,7 @@
 #include "mc/distribution.h"
 #include "mc/engine.h"
 #include "sched/metrics.h"
+#include "sched/policy.h"
 
 namespace hpcarbon::fleetsim {
 
@@ -46,9 +49,11 @@ struct Ablation {
 };
 
 /// Runs kBaselinePolicy once, then each named policy (canonical names) on
-/// the same jobs; a named kBaselinePolicy reuses the baseline run.
+/// the same jobs; a named kBaselinePolicy reuses the baseline run. Every
+/// policy, the baseline included, is made from `cfg`.
 Ablation run_ablation(const FleetEngine& engine, const FleetJobs& jobs,
-                      const std::vector<std::string>& policies);
+                      const std::vector<std::string>& policies,
+                      const sched::PolicyConfig& cfg = {});
 
 /// run_ablation over workload seeds: sample i generates its jobs from the
 /// first draw of mc::substream(plan.seed, i), and each named policy gets

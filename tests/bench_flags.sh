@@ -1,39 +1,75 @@
 #!/usr/bin/env bash
-# Standalone bench binaries keep `hpcarbon`'s flag contract: --help prints
-# the flags to stdout and exits 0, and a bad flag is one `hpcarbon: ...`
-# line on stderr with exit 1, never an uncaught-exception abort (134).
+# The driver's flag contract for the tools that read their own arguments:
+# --help prints the flags to stdout and exits 0, and a bad flag or
+# argument is one `hpcarbon: ...` line on stderr with exit 1 and nothing on
+# stdout, never an uncaught-exception abort (134) or a half-printed
+# report. An invalid HPCARBON_THREADS reads as unset.
 #
-# Usage: tests/bench_flags.sh path/to/bench_netload path/to/bench_fleetsim
+# Usage: tests/bench_flags.sh path/to/hpcarbon
 set -uo pipefail
-netload="$1"
-fleetsim="$2"
+hpcarbon="$1"
 
 fail() {
   echo "bench_flags: $*" >&2
   exit 1
 }
 
-# expect_error "<stderr>" cmd args...
+# expect_error "<stderr>" args...: `hpcarbon args...` exits 1 with exactly
+# that stderr and an empty stdout.
 expect_error() {
-  local want="$1" err rc=0
+  local want="$1" out err rc=0
   shift
-  err="$("$@" 2>&1 >/dev/null)" || rc=$?
+  err="$(mktemp)"
+  out="$("$hpcarbon" "$@" 2>"$err")" || rc=$?
+  local got
+  got="$(cat "$err")"
+  rm -f "$err"
   [[ $rc -eq 1 ]] || fail "$* exited $rc, want 1"
-  [[ "$err" == "$want" ]] || fail "$*: stderr '$err', want '$want'"
+  [[ "$got" == "$want" ]] || fail "$*: stderr '$got', want '$want'"
+  [[ -z "$out" ]] || fail "$*: printed '$out' to stdout, want nothing"
 }
 
 expect_error "hpcarbon: --conns expects an integer in [1, 1048576], got 'abc'" \
-  "$netload" --conns abc
+  bench netload --conns abc
 expect_error "hpcarbon: --conns expects an integer in [1, 1048576], got '-1'" \
-  "$netload" --conns -1
+  bench netload --conns -1
 expect_error "hpcarbon: --rate expects a number in (0, 1000000], got 'nan'" \
-  "$netload" --rate nan
+  bench netload --rate nan
 expect_error "hpcarbon: unknown bench fleetsim flag '--bogus' (see \`hpcarbon bench fleetsim --help\`)" \
-  "$fleetsim" --bogus
-expect_error "hpcarbon: --label needs a value" "$fleetsim" --label
+  bench fleetsim --bogus
+expect_error "hpcarbon: --label needs a value" bench fleetsim --label
 
-help="$("$netload" --help)" || fail "bench_netload --help exited $?"
+help="$("$hpcarbon" bench netload --help)" || fail "bench netload --help exited $?"
 for flag in --json --out --label --smoke --conns --depth --rate --help; do
-  grep -q -- "$flag " <<<"$help" || fail "bench_netload --help lacks $flag"
+  grep -q -- "$flag " <<<"$help" || fail "bench netload --help lacks $flag"
+done
+
+# The examples that read arguments fail through the same error path.
+expect_error "hpcarbon: unknown region code 'NOPE' (known: KN, TK, ESO, CISO, PJM, MISO, ERCOT)" \
+  example region-explorer NOPE
+expect_error "hpcarbon: ci_g_per_kwh expects a number in (0, inf), got 'abc'" \
+  example upgrade-advisor V100 A100 abc
+expect_error "hpcarbon: usage expects a number in (0, 1], got 'nan'" \
+  example upgrade-advisor V100 A100 200 nan
+expect_error "hpcarbon: years expects a number in (0, inf), got '-3'" \
+  example upgrade-advisor V100 A100 200 0.4 -3
+expect_error "hpcarbon: unknown node generation: H100 (expected P100, V100, or A100)" \
+  example upgrade-advisor V100 H100
+
+# HPCARBON_THREADS takes --threads' bound; anything else reads as unset.
+# `list` reports the count without starting a pool.
+workers() {
+  HPCARBON_THREADS="$1" "$hpcarbon" list | sed -n 's/^worker threads: //p'
+}
+unset_count="$(env -u HPCARBON_THREADS "$hpcarbon" list |
+  sed -n 's/^worker threads: //p')"
+[[ -n "$unset_count" ]] || fail "list printed no worker thread count"
+[[ "$(workers 4096)" == 4096 ]] || fail "HPCARBON_THREADS=4096 not honoured"
+# 3x and 5x: no machine's default equals both of the counts a prefix read
+# would give.
+for bad in 3x 5x 4097 99999999999 0 -1 "" " 4" 2.5; do
+  got="$(workers "$bad")"
+  [[ "$got" == "$unset_count" ]] ||
+    fail "HPCARBON_THREADS='$bad' gave $got worker threads, want $unset_count (unset)"
 done
 echo "bench_flags OK"

@@ -802,6 +802,20 @@ TEST(TrioAblation, HomeThenTwoCleanestOthersTiesInListOrder) {
             (std::vector<std::string>{"HOME", "TIE_A", "TIE_B"}));
   const FleetEngine pair = trio_engine({&home, &dirty}, 7, epoch);
   for (const auto& site : pair.sites()) EXPECT_EQ(site.capacity, 7);
+
+  // The presets, in fig7_regions order ESO, CISO, ERCOT (medians 189, 263
+  // and 367 g/kWh): the orders the sched-ablation bench, sweep, the
+  // carbon-aware-scheduling example and bench perf used to write by hand.
+  const auto presets = grid::generate_traces(grid::fig7_regions());
+  const auto& eso = presets[0];
+  const auto& ciso = presets[1];
+  const auto& ercot = presets[2];
+  EXPECT_EQ(site_codes(trio_engine({&ercot, &eso, &ciso}, 4, epoch)),
+            (std::vector<std::string>{"ERCOT", "ESO", "CISO"}));
+  EXPECT_EQ(site_codes(trio_engine({&ercot, &ciso, &eso}, 4, epoch)),
+            (std::vector<std::string>{"ERCOT", "ESO", "CISO"}));
+  EXPECT_EQ(site_codes(trio_engine({&eso, &ciso, &ercot}, 4, epoch)),
+            (std::vector<std::string>{"ESO", "CISO", "ERCOT"}));
 }
 
 TEST(TrioAblation, PoliciesScoreAgainstOneBaselineRun) {
@@ -828,6 +842,25 @@ TEST(TrioAblation, PoliciesScoreAgainstOneBaselineRun) {
   // A named baseline is the baseline run, scored at exactly zero.
   EXPECT_EQ(ablation.policies[1].metrics.total_carbon.to_grams(), base_g);
   EXPECT_EQ(ablation.policies[1].savings_pct, 0.0);
+
+  // A non-default config reaches the policies run_ablation makes.
+  sched::PolicyConfig cfg;
+  cfg.ci_threshold_g_per_kwh = 320.0;
+  cfg.max_delay_hours = 3.0;
+  const Ablation tuned = run_ablation(fleet, jobs, {"threshold-delay"}, cfg);
+  const auto threshold = sched::make_policy("threshold-delay", cfg);
+  const auto direct = fleet.run(jobs, *threshold);
+  const double tuned_g = direct.total_carbon.to_grams();
+  ASSERT_EQ(tuned.policies.size(), 1u);
+  EXPECT_EQ(tuned.baseline.total_carbon.to_grams(), base_g);
+  EXPECT_EQ(tuned.policies[0].metrics.total_carbon.to_grams(), tuned_g);
+  EXPECT_EQ(tuned.policies[0].metrics.mean_wait_hours, direct.mean_wait_hours);
+  EXPECT_EQ(tuned.policies[0].savings_pct,
+            100.0 * (base_g - tuned_g) / base_g);
+  EXPECT_NE(run_ablation(fleet, jobs, {"threshold-delay"})
+                .policies[0]
+                .metrics.total_carbon.to_grams(),
+            tuned_g);
 }
 
 TEST(TrioAblation, SavingsDistributionsPairEachSampleAndIgnoreThreadCount) {

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace hpcarbon {
@@ -102,6 +104,26 @@ TEST(ThreadPool, ManyMoreTasksThanThreads) {
     sum += static_cast<long>(i);
   });
   EXPECT_EQ(sum.load(), 10000L * 9999 / 2);
+}
+
+// Reads the variable only: no pool is started with any of these values.
+TEST(ThreadPool, EnvThreadHintTakesWholeCountsUpToTheCap) {
+  const char* saved = std::getenv("HPCARBON_THREADS");
+  const std::string restore = saved != nullptr ? saved : "";
+  const auto hint = [](const char* value) {
+    setenv("HPCARBON_THREADS", value, 1);
+    return ThreadPool::env_thread_hint();
+  };
+  EXPECT_EQ(hint("1"), 1u);
+  EXPECT_EQ(hint("8"), 8u);
+  EXPECT_EQ(hint("4096"), ThreadPool::kMaxThreads);
+  for (const char* bad : {"0", "4097", "99999999999", "99999999999999999999999",
+                          "4x", "-1", "+4", " 4", "2.5", ""}) {
+    EXPECT_EQ(hint(bad), 0u) << "HPCARBON_THREADS='" << bad << "'";
+  }
+  unsetenv("HPCARBON_THREADS");
+  EXPECT_EQ(ThreadPool::env_thread_hint(), 0u);
+  if (saved != nullptr) setenv("HPCARBON_THREADS", restore.c_str(), 1);
 }
 
 }  // namespace

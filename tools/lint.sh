@@ -21,8 +21,9 @@
 #      so only NEW raw allocations fail (same ratchet as clang-tidy).
 #   5. Argv-scan lint (grep): every command parses its flags through the
 #      one option table in src/core/options.* — an `argv[++i]` or an
-#      `arg == "--...` comparison anywhere else in src/ or bench/ is a
-#      second, hand-rolled parser, so it is rejected.
+#      `arg == "--...` comparison anywhere else in src/, bench/ or
+#      examples/ is a second, hand-rolled parser, so it is rejected, and
+#      so is std::atof/atoi/atol, which reads `abc` as 0.
 #   6. clang-tidy (see .clang-tidy for the curated check set), diffed
 #      against tools/lint_baseline.txt: only NEW (file, check) pairs
 #      fail, so the gate ratchets without demanding a big-bang cleanup.
@@ -166,12 +167,13 @@ alloc_lint() {
 argv_lint() {
   local matches
   matches="$(grep -rnE --include='*.h' --include='*.cpp' \
-    'argv\[\+\+i\]|arg == "--' "$ROOT/src" "$ROOT/bench" | \
+    'argv\[\+\+i\]|arg == "--|std::ato(f|i|ll?)[[:space:]]*\(' \
+    "$ROOT/src" "$ROOT/bench" "$ROOT/examples" | \
     grep -v "^$ROOT/src/core/options\." || true)"
   if [[ -n "$matches" ]]; then
-    echo "argv-scan lint FAILED — hand-rolled flag parsing outside src/core/options.*:" >&2
+    echo "argv-scan lint FAILED — hand-rolled flag or number parsing outside src/core/options.*:" >&2
     echo "$matches" >&2
-    echo "(declare the flag in the command's options::Table instead — src/core/options.h — so it parses, errors and renders its usage like every other flag)" >&2
+    echo "(declare the flag in the command's options::Table instead — src/core/options.h — so it parses, errors and renders its usage like every other flag; read a positional number with options::parse_number)" >&2
     return 1
   fi
   echo "argv-scan lint OK"
@@ -183,7 +185,9 @@ self_test() {
   local seeded="$ROOT/src/lint_selftest_seeded_violation.cpp"
   local seeded_alloc="$ROOT/src/serve/lint_selftest_seeded_violation.cpp"
   local seeded_counter="$ROOT/src/net/lint_selftest_seeded_violation.cpp"
-  trap 'rm -f "$seeded" "$seeded_alloc" "$seeded_counter"' RETURN
+  # A header, so the examples/*.cpp glob of the driver build never sees it.
+  local seeded_atof="$ROOT/examples/lint_selftest_seeded_violation.h"
+  trap 'rm -f "$seeded" "$seeded_alloc" "$seeded_counter" "$seeded_atof"' RETURN
   cat > "$seeded" <<'EOF'
 // Transient file written by tools/lint.sh --self-test; never compiled.
 #include <ctime>
@@ -226,7 +230,18 @@ EOF
     echo "lint self-test FAILED: argv-scan lint accepted a seeded argv[++i] in src/" >&2
     return 1
   fi
+  # The number rule on its own, in examples/: nothing else is seeded.
   rm -f "$seeded" "$seeded_alloc" "$seeded_counter"
+  cat > "$seeded_atof" <<'EOF'
+// Transient file written by tools/lint.sh --self-test; never compiled.
+#include <cstdlib>
+inline double selftest_ci(char** argv) { return std::atof(argv[3]); }
+EOF
+  if argv_lint >/dev/null 2>&1; then
+    echo "lint self-test FAILED: argv-scan lint accepted a seeded std::atof in examples/" >&2
+    return 1
+  fi
+  rm -f "$seeded_atof"
   echo "lint self-test OK — the gate rejects seeded violations"
 }
 
