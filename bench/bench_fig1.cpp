@@ -12,7 +12,7 @@
 
 using namespace hpcarbon;
 
-static int tool_main(int, char**) {
+static int tool_main() {
   bench::print_banner("Figure 1 (a): Embodied carbon of GPU/CPU devices");
   TextTable a({"Device", "Class", "Embodied (kgCO2)", ""});
   double max_kg = 0;

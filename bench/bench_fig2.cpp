@@ -12,7 +12,7 @@
 
 using namespace hpcarbon;
 
-static int tool_main(int, char**) {
+static int tool_main() {
   bench::print_banner("Figure 2 (a): Embodied carbon of DRAM/SSD/HDD");
   TextTable a({"Device", "Capacity (GB)", "EPC (g/GB)", "Embodied (kgCO2)",
                ""});

@@ -13,7 +13,7 @@
 
 using namespace hpcarbon;
 
-static int tool_main(int, char**) {
+static int tool_main() {
   bench::print_banner(
       "Figure 3: Manufacturing vs packaging share of embodied carbon");
 

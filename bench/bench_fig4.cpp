@@ -28,7 +28,7 @@ double suite_perf(workload::Suite s, int k) {
 
 }  // namespace
 
-static int tool_main(int, char**) {
+static int tool_main() {
   bench::print_banner(
       "Figure 4: Embodied carbon and performance vs number of GPUs");
 

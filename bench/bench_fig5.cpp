@@ -14,7 +14,7 @@
 
 using namespace hpcarbon;
 
-static int tool_main(int, char**) {
+static int tool_main() {
   bench::print_banner(
       "Figure 5: Embodied carbon breakdown of leadership systems");
 

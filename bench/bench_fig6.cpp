@@ -16,7 +16,7 @@
 
 using namespace hpcarbon;
 
-static int tool_main(int, char**) {
+static int tool_main() {
   const auto traces = grid::generate_traces(grid::all_regions());
   const auto summaries = grid::summarize(traces);
 

@@ -16,7 +16,7 @@
 
 using namespace hpcarbon;
 
-static int tool_main(int, char**) {
+static int tool_main() {
   const auto traces = grid::generate_traces(grid::fig7_regions());
   const auto winners = grid::hourly_lowest_ci(traces, kJst);
 

@@ -14,7 +14,7 @@
 
 using namespace hpcarbon;
 
-static int tool_main(int, char**) {
+static int tool_main() {
   bench::print_banner("Figure 8: Carbon savings after upgrade (usage 40%)");
 
   const std::vector<double> years = {0.1, 0.25, 0.5, 1, 2, 3, 4, 5};

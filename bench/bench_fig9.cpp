@@ -15,7 +15,7 @@
 
 using namespace hpcarbon;
 
-static int tool_main(int, char**) {
+static int tool_main() {
   bench::print_banner(
       "Figure 9: Carbon savings after upgrade by usage pattern (200 g/kWh)");
 

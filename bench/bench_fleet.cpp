@@ -14,7 +14,7 @@
 
 using namespace hpcarbon;
 
-static int tool_main(int, char**) {
+static int tool_main() {
   lifecycle::UpgradeScenario node;
   node.old_node = hw::v100_node();
   node.new_node = hw::a100_node();

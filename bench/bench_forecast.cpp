@@ -20,7 +20,7 @@
 
 using namespace hpcarbon;
 
-static int tool_main(int, char**) {
+static int tool_main() {
   const auto specs = grid::fig7_regions();
   const auto traces = grid::generate_traces(specs);
 
@@ -45,8 +45,8 @@ static int tool_main(int, char**) {
   sched::WorkloadParams wp;
   wp.horizon_hours = 24.0 * 28;
   wp.arrival_rate_per_hour = 2.0;
-  const auto jobs = fleetsim::FleetJobs::from_jobs(
-      sched::generate_jobs(wp), sched::generated_user_names(wp.user_count));
+  const fleetsim::FleetJobs jobs(sched::generate_jobs(wp),
+                                 sched::generated_user_names(wp.user_count));
 
   TextTable p({"Home region", "Policy", "Carbon (kg)", "vs run-now",
                "Mean wait (h)"});

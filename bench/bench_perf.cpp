@@ -147,8 +147,8 @@ static int tool_main(int argc, char** argv) {
         {&traces[0], &traces[1], &traces[2]}, 12, HourOfYear(0));
     sched::WorkloadParams wp;
     wp.horizon_hours = 24.0 * 28;
-    const auto jobs = fleetsim::FleetJobs::from_jobs(
-        sched::generate_jobs(wp), sched::generated_user_names(wp.user_count));
+    const fleetsim::FleetJobs jobs(sched::generate_jobs(wp),
+                                   sched::generated_user_names(wp.user_count));
     rows.push_back(time_kernel("scheduler_month", window_ms,
                                static_cast<double>(jobs.size()), [&] {
       const auto policy = sched::make_policy("greedy-lowest-ci");

@@ -115,8 +115,8 @@ static int tool_main(int argc, char** argv) {
   sched::WorkloadParams wp;
   wp.horizon_hours = 24.0 * (args.smoke ? 7 : 28);
   wp.arrival_rate_per_hour = 2.5;
-  const auto jobs = fleetsim::FleetJobs::from_jobs(
-      sched::generate_jobs(wp), sched::generated_user_names(wp.user_count));
+  const fleetsim::FleetJobs jobs(sched::generate_jobs(wp),
+                                 sched::generated_user_names(wp.user_count));
 
   // One knob bag serves every registered policy: each reads only its own
   // fields (threshold tuned below ERCOT's June median).

@@ -130,7 +130,7 @@ void monte_carlo() {
 
 }  // namespace
 
-static int tool_main(int, char**) {
+static int tool_main() {
   yield_sweep();
   iod_inclusion();
   epc_sweep();

@@ -15,7 +15,7 @@
 
 using namespace hpcarbon;
 
-static int tool_main(int, char**) {
+static int tool_main() {
   bench::print_banner("Table 6: Performance improvement from node upgrades");
 
   const double paper[3][4] = {{44.4, 41.2, 45.5, 43.4},

@@ -80,7 +80,7 @@ void table5() {
 
 }  // namespace
 
-static int tool_main(int, char**) {
+static int tool_main() {
   table1();
   table2();
   table3();

@@ -64,8 +64,8 @@ struct BenchArgs {
     return t;
   }
 
-  /// Parse a bench's argv (argv[0] is the bench itself). Returns false
-  /// once --help has printed the flags; the bench then exits 0.
+  /// Parse a bench's argv, whose first entry is the bench itself. Returns
+  /// false once --help has printed the flags; the bench then exits 0.
   bool parse(int argc, char** argv, const std::string& bench_name) {
     return table(bench_name).parse(argc - 1, argv + 1, std::cout);
   }

@@ -18,7 +18,7 @@
 
 using namespace hpcarbon;
 
-static int tool_main(int, char**) {
+static int tool_main() {
   // Home site: ERCOT (dirtiest of the trio); four summer weeks.
   const auto traces = grid::generate_traces(grid::fig7_regions());
   const fleetsim::FleetEngine sim =
@@ -30,8 +30,8 @@ static int tool_main(int, char**) {
   wp.arrival_rate_per_hour = 2.0;
   wp.user_count = 6;
   // Generated times snap to the engine's 1/1024 h tick grid.
-  const auto jobs = fleetsim::FleetJobs::from_jobs(
-      sched::generate_jobs(wp), sched::generated_user_names(wp.user_count));
+  const fleetsim::FleetJobs jobs(sched::generate_jobs(wp),
+                                 sched::generated_user_names(wp.user_count));
 
   std::cout << banner("Carbon-aware scheduling across ERCOT / ESO / CISO");
   std::cout << jobs.size() << " jobs over 28 days from June 1; home site: "
@@ -59,8 +59,8 @@ static int tool_main(int, char**) {
   sim.run(jobs, *sched::make_policy("budget-aware", cfg), nullptr, &ledger);
   std::cout << "\nPer-user carbon-budget ledger (allocation 250 kg):\n";
   TextTable ut({"User", "spent (kg)", "remaining %", "status"});
-  for (std::uint32_t u = 0; u < jobs.users.size(); ++u) {
-    ut.add_row({jobs.users[u],
+  for (std::uint32_t u = 0; u < jobs.users().size(); ++u) {
+    ut.add_row({jobs.users()[u],
                 TextTable::num(ledger.spent(u).to_kilograms(), 1),
                 TextTable::num(100 * ledger.remaining_fraction(u), 1),
                 ledger.is_overdrawn(u) ? "OVERDRAWN" : "ok"});

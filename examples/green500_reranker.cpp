@@ -37,7 +37,7 @@ struct Entry {
 
 }  // namespace
 
-static int tool_main(int, char**) {
+static int tool_main() {
   // Regional grids: Frontier in the US Southeast (PJM-like mix is the
   // closest Table 3 proxy), LUMI on Finnish hydro (use the paper's 20 g/kWh
   // hydro figure), Perlmutter on the California grid.

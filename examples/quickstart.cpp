@@ -22,7 +22,7 @@
 
 using namespace hpcarbon;
 
-static int tool_main(int, char**) {
+static int tool_main() {
   // 1. Embodied carbon of a Table 5 A100 node (4x A100 PCIe + 4x EPYC 7542
   //    + 512 GB DDR4 + local SSD).
   const hw::NodeConfig node = hw::a100_node();

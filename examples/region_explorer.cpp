@@ -5,7 +5,10 @@
 //   CODE in {KN, TK, ESO, CISO, PJM, MISO, ERCOT}; default ESO.
 #include <iostream>
 #include <string>
+#include <vector>
 
+#include "core/error.h"
+#include "core/options.h"
 #include "core/stats.h"
 #include "core/table.h"
 #include "grid/analysis.h"
@@ -17,8 +20,18 @@
 using namespace hpcarbon;
 
 static int tool_main(int argc, char** argv) {
+  std::vector<std::string> args;
+  options::Table flags("example region-explorer", "[CODE]",
+                       "CODE in {KN, TK, ESO, CISO, PJM, MISO, ERCOT}; "
+                       "default ESO.");
+  flags.positional([&args](const std::string& arg) { args.push_back(arg); });
+  if (!flags.parse(argc - 1, argv + 1, std::cout)) return 0;
+  if (args.size() > 1) {
+    throw Error("unexpected example region-explorer argument '" + args[1] +
+                "' (see `hpcarbon example region-explorer --help`)");
+  }
   const grid::RegionSpec spec =
-      grid::require_region(argc > 1 ? argv[1] : "ESO");
+      grid::require_region(args.empty() ? "ESO" : args[0]);
 
   std::cout << banner("Region " + spec.code + " — " + spec.name);
   std::cout << spec.country << ", " << spec.area << " (UTC"

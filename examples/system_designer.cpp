@@ -60,7 +60,7 @@ double peak_fp64_pflops(const lifecycle::SystemInventory& s) {
 
 }  // namespace
 
-static int tool_main(int, char**) {
+static int tool_main() {
   std::cout << banner("RFP embodied-carbon comparison");
   TextTable t({"Metric", "Design A (FLOPS-first)", "Design B (balanced)"});
 

@@ -12,6 +12,7 @@
 #include <iostream>
 #include <limits>
 #include <string>
+#include <vector>
 
 #include "core/options.h"
 #include "core/table.h"
@@ -36,18 +37,31 @@ hw::NodeConfig node_by_name(const std::string& name) {
 static int tool_main(int argc, char** argv) {
   // Every argument is read before anything prints: a bad one is the
   // driver's one-line error, not a half-printed table.
-  const std::string from = argc > 1 ? argv[1] : "V100";
-  const std::string to = argc > 2 ? argv[2] : "A100";
+  std::vector<std::string> args;
+  options::Table flags("example upgrade-advisor",
+                       "[from] [to] [ci_g_per_kwh] [usage] [years]",
+                       "Defaults: V100 A100 200 0.4 4. Nodes are P100, V100 "
+                       "or A100; ci_g_per_kwh and years must be positive, "
+                       "usage in (0, 1].");
+  flags.positional([&args](const std::string& arg) { args.push_back(arg); });
+  if (!flags.parse(argc - 1, argv + 1, std::cout)) return 0;
+  if (args.size() > 5) {
+    throw Error("unexpected example upgrade-advisor argument '" + args[5] +
+                "' (see `hpcarbon example upgrade-advisor --help`)");
+  }
+  const std::string from = !args.empty() ? args[0] : "V100";
+  const std::string to = args.size() > 1 ? args[1] : "A100";
   const hw::NodeConfig old_node = node_by_name(from);
   const hw::NodeConfig new_node = node_by_name(to);
   constexpr double kInf = std::numeric_limits<double>::infinity();
-  const auto number = [&](int i, const char* name, options::Range range,
-                          double fallback) {
-    return argc > i ? options::parse_number(name, argv[i], range) : fallback;
+  const auto number = [&](std::size_t i, const char* name,
+                          options::Range range, double fallback) {
+    return i < args.size() ? options::parse_number(name, args[i], range)
+                           : fallback;
   };
-  const double ci = number(3, "ci_g_per_kwh", {0, kInf, true}, 200.0);
-  const double usage = number(4, "usage", {0, 1, true}, 0.4);
-  const double horizon = number(5, "years", {0, kInf, true}, 4.0);
+  const double ci = number(2, "ci_g_per_kwh", {0, kInf, true}, 200.0);
+  const double usage = number(3, "usage", {0, 1, true}, 0.4);
+  const double horizon = number(4, "years", {0, kInf, true}, 4.0);
 
   std::cout << banner("Carbon-aware upgrade advisor: " + from + " -> " + to);
   std::cout << "carbon intensity " << ci << " g/kWh, GPU usage "

@@ -81,8 +81,7 @@ int run_tool(ToolKind kind, const std::string& name, int argc, char** argv,
     return 2;
   }
   // The tool sees itself as argv[0], with any trailing driver arguments
-  // forwarded, so argv-consuming tools (region-explorer, upgrade-advisor)
-  // read their own arguments from argv[1] on.
+  // forwarded, and reads them from argv[1] on through its option table.
   return tool->fn(argc, argv);
 }
 

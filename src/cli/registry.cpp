@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <deque>
+#include <iostream>
 #include <tuple>
+#include <utility>
 
+#include "core/options.h"
 #include "core/thread_annotations.h"
 
 namespace hpcarbon::cli {
@@ -37,6 +40,21 @@ const char* to_string(ToolKind kind) {
       return "example";
   }
   return "unknown";
+}
+
+ToolEntry tool_entry(std::string name, ToolKind kind, std::string description,
+                     int (*main)(int, char**)) {
+  return {std::move(name), kind, std::move(description), main};
+}
+
+ToolEntry tool_entry(std::string name, ToolKind kind, std::string description,
+                     int (*main)()) {
+  const options::Table flags(std::string(to_string(kind)) + " " + name, "",
+                             description);
+  return {std::move(name), kind, std::move(description),
+          [flags, main](int argc, char** argv) {
+            return flags.parse(argc - 1, argv + 1, std::cout) ? main() : 0;
+          }};
 }
 
 void register_tool(ToolEntry entry) {

@@ -143,7 +143,7 @@ ScenarioReport run_scenarios(const ScenarioOptions& opts) {
   const auto jobs_for_seed = [&wp](std::uint64_t seed) {
     sched::WorkloadParams sample = wp;
     sample.seed = seed;
-    return fleetsim::FleetJobs::from_jobs(
+    return fleetsim::FleetJobs(
         sched::generate_jobs(sample),
         sched::generated_user_names(sample.user_count));
   };

@@ -170,7 +170,7 @@ void sweep_sched(const SweepOptions& opts, SweepReport& report) {
         wp.horizon_hours = 24.0 * 28;
         wp.arrival_rate_per_hour = 2.5;
         wp.seed = seed;
-        return fleetsim::FleetJobs::from_jobs(
+        return fleetsim::FleetJobs(
             sched::generate_jobs(wp),
             sched::generated_user_names(wp.user_count));
       });

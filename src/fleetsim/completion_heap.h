@@ -15,8 +15,8 @@
 //
 // A key must stay below the empty marker, so ticks are capped at
 // max_tick() = INT64_MAX >> site_bits: the key's top bit stays clear. A
-// push past the cap throws hpcarbon::Error; FleetJobs::validate bounds
-// submit and duration ticks far below it.
+// push past the cap throws hpcarbon::Error; the FleetJobs constructor
+// bounds submit and duration ticks (kMaxJobTicks) far below it.
 #pragma once
 
 #include <bit>

@@ -107,19 +107,13 @@ sched::ScheduleMetrics FleetEngine::run(const FleetJobs& jobs,
     if (outcomes != nullptr) outcomes->clear();
     return sched::ScheduleMetrics{};
   }
-  jobs.validate();
   const std::size_t n = jobs.size();
-  // A queue entry holds its arrival index in 32 bits.
-  HPC_REQUIRE(n <= std::numeric_limits<std::uint32_t>::max(),
-              "a fleet run takes at most 2^32 - 1 jobs");
-
-  // Policies take arrivals as sched::Job values (begin_run scans users,
-  // forecasts read traces): one materialization pass of plain 32-byte
-  // copies, tick times converted to exact doubles and users kept as
-  // indexes into jobs.users, so no string is copied. `arrivals` stays in
-  // place until run returns, so a queued sched::PendingJob holds only its
-  // arrival index, and policies read the job through the view.
-  const std::vector<sched::Job> arrivals = jobs.to_jobs();
+  // Policies and the view read the fleet's own arrivals: the constructor
+  // already checked and sorted them and put their times on the tick grid,
+  // so a run neither re-checks nor copies a job. They outlive the run, so
+  // a queued sched::PendingJob holds only its arrival index, and policies
+  // read the job through the view.
+  const std::vector<sched::Job>& arrivals = jobs.arrivals();
 
   sched::CarbonBudgetLedger ledger;
   std::vector<int> free_slots;
@@ -232,7 +226,7 @@ sched::ScheduleMetrics FleetEngine::run(const FleetJobs& jobs,
       waiting.erase(waiting.begin() +
                     static_cast<std::ptrdiff_t>(decision->queue_index));
       started[a] = 1;
-      start_job(arrivals[a], decision->site, t, jobs.duration[a]);
+      start_job(arrivals[a], decision->site, t, jobs.duration_tick(a));
     }
   };
 
@@ -242,7 +236,7 @@ sched::ScheduleMetrics FleetEngine::run(const FleetJobs& jobs,
   while (next_arrival < n || !completions.empty() || !waiting.empty()) {
     Tick next_tick = kNoEvent;
     if (next_arrival < n) {
-      next_tick = std::min(next_tick, jobs.submit[next_arrival]);
+      next_tick = std::min(next_tick, jobs.submit_tick(next_arrival));
     }
     if (!completions.empty()) {
       next_tick = std::min(next_tick, completions.top_tick());
@@ -269,7 +263,7 @@ sched::ScheduleMetrics FleetEngine::run(const FleetJobs& jobs,
       ++free_slots[completions.top_site()];
       completions.pop();
     }
-    while (next_arrival < n && jobs.submit[next_arrival] <= t) {
+    while (next_arrival < n && jobs.submit_tick(next_arrival) <= t) {
       const double planned = policy.planned_start(arrivals[next_arrival], view);
       waiting.push_back(
           sched::PendingJob{static_cast<std::uint32_t>(next_arrival)});

@@ -15,11 +15,13 @@
 //    tick rate is a power of two every tick converts to an *exact*
 //    double, so the carbon/energy/wait arithmetic reads exact times.
 //    Double-hour workloads (sched::generate_jobs, the jobs CSV) enter
-//    through FleetJobs::from_jobs, which snaps each time to the nearest
-//    tick (at most 1.8 s);
-//  * struct-of-arrays job storage in and out (FleetJobs / FleetOutcomes):
-//    no per-job heap Job while jobs wait on disk-format vectors;
-//  * users are indexes into FleetJobs::users for the whole run: a
+//    through the FleetJobs constructor, which snaps each time to the
+//    nearest tick (at most 1.8 s);
+//  * each job is held once: a FleetJobs is validated when it is built,
+//    and every run hands its arrivals to the policy and the view in
+//    place, reading a job's ticks back with a multiply. Outcomes leave
+//    as flat vectors (FleetOutcomes), not one record per job;
+//  * users are indexes into FleetJobs::users() for the whole run: a
 //    sched::Job is 32 trivially copyable bytes, and a job start charges
 //    the budget ledger (a flat vector of accounts) by index, with no
 //    string compare or copy;
@@ -27,17 +29,19 @@
 //    and policies read the job through ClusterView::job: 4 trivially
 //    copyable bytes, so a dispatch takes its job out of the queue with
 //    one memmove of 4 bytes per entry behind it (still O(queue) bytes).
-//    run() refuses a fleet of 2^32 jobs or more;
+//    A fleet holds fewer than 2^32 jobs (the FleetJobs constructor
+//    refuses more);
 //  * completions leave through a 4-ary min-heap of packed 8-byte keys,
 //    `tick << site_bits | site` with site_bits = bit_width(sites - 1)
 //    (fleetsim/completion_heap.h): one unsigned compare orders two
 //    completions, a slot's four children are 32 contiguous bytes, and a
 //    pop picks the least child with conditional selects instead of a
 //    data-dependent branch. A push whose tick would not fit beside the
-//    site bits throws; FleetJobs::validate's tick bounds keep every run
-//    far inside that. Completions at one tick leave in site order, but
-//    all those due free their slots before any decision is consulted,
-//    so tie order cannot be observed;
+//    site bits throws; a fleet's ticks stay within kMaxJobTicks
+//    (fleetsim/jobs.h), which keeps every run far inside that.
+//    Completions at one tick leave in site order, but all those due free
+//    their slots before any decision is consulted, so tie order cannot be
+//    observed;
 //  * a job start prices its carbon from the ticks it already holds:
 //    kW times CarbonIntegrator::weighted_sum_ticks(epoch + now, duration),
 //    which is StepSeries::integral_ticks. On traces whose samples span a
@@ -121,9 +125,10 @@ class FleetEngine {
   FleetEngine(std::vector<sched::Site> sites, HourOfYear epoch,
               op::PueModel pue = op::PueModel());
 
-  /// Run the event loop under `policy`. Jobs must validate (sorted
-  /// submits, positive durations). An empty fleet yields zero metrics.
-  /// `ledger_out` is indexed by user; jobs.users names the indexes.
+  /// Run the event loop under `policy` on the fleet's arrivals, which
+  /// begin_run receives as jobs.arrivals() itself. An empty fleet yields
+  /// zero metrics. `ledger_out` is indexed by user; jobs.users() names
+  /// the indexes.
   /// const: all simulation state is local, so concurrent runs on one
   /// engine (Monte-Carlo seed sweeps) are safe.
   sched::ScheduleMetrics run(const FleetJobs& jobs,

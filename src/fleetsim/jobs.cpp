@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
-#include <numeric>
+#include <limits>
 #include <unordered_map>
 #include <utility>
 
@@ -12,90 +12,17 @@
 
 namespace hpcarbon::fleetsim {
 
-void FleetJobs::push(std::int32_t job_id, Tick submit_tick, Tick duration_tick,
-                     Power it_power, std::uint32_t user_index) {
-  id.push_back(job_id);
-  submit.push_back(submit_tick);
-  duration.push_back(duration_tick);
-  power.push_back(it_power);
-  user.push_back(user_index);
-}
-
-void FleetJobs::validate() const {
-  const std::size_t n = size();
-  HPC_REQUIRE(id.size() == n && duration.size() == n && power.size() == n &&
-                  user.size() == n,
-              "fleet jobs: parallel vectors disagree on length");
-  for (std::size_t i = 0; i < n; ++i) {
-    HPC_REQUIRE(submit[i] >= 0, "fleet jobs: negative submit tick at index " +
-                                    std::to_string(i));
-    HPC_REQUIRE(i == 0 || submit[i - 1] <= submit[i],
-                "fleet jobs: submits not sorted at index " +
-                    std::to_string(i));
-    HPC_REQUIRE(duration[i] > 0, "fleet jobs: non-positive duration at index " +
-                                     std::to_string(i));
-    HPC_REQUIRE(submit[i] <= kMaxJobTicks && duration[i] <= kMaxJobTicks,
-                "fleet jobs: submit or duration above kMaxJobTicks at index " +
-                    std::to_string(i));
-    HPC_REQUIRE(user[i] < users.size(),
-                "fleet jobs: user index out of range at index " +
-                    std::to_string(i));
-  }
-}
-
-FleetJobs FleetJobs::from_jobs(const std::vector<sched::Job>& jobs,
-                               std::vector<std::string> users) {
-  // Before the sort and the rounding: a NaN would break the sort's
-  // ordering (the check is false for NaN), and llround's result is
-  // unspecified outside the int64 range.
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    HPC_REQUIRE(std::fabs(jobs[i].submit_hour) <= kMaxJobHours &&
-                    std::fabs(jobs[i].duration_hours) <= kMaxJobHours,
-                "fleet jobs: submit or duration beyond kMaxJobHours at index " +
-                    std::to_string(i));
-  }
-  // Stable sort by submit: jobs submitted at the same instant keep their
-  // input order, so FCFS tie-breaking (and therefore every policy
-  // decision) is a deterministic function of the job list.
-  std::vector<std::size_t> order(jobs.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return jobs[a].submit_hour < jobs[b].submit_hour;
-                   });
-  FleetJobs out;
-  out.users = std::move(users);
-  out.id.reserve(jobs.size());
-  out.submit.reserve(jobs.size());
-  out.duration.reserve(jobs.size());
-  out.power.reserve(jobs.size());
-  out.user.reserve(jobs.size());
-  for (const std::size_t i : order) {
-    const sched::Job& j = jobs[i];
-    const Tick dur = std::max<Tick>(1, nearest_tick(j.duration_hours));
-    out.push(static_cast<std::int32_t>(j.id),
-             std::max<Tick>(0, nearest_tick(j.submit_hour)), dur, j.it_power,
-             j.user);
-  }
-  return out;
-}
-
-std::vector<sched::Job> FleetJobs::to_jobs() const {
-  std::vector<sched::Job> out;
-  out.reserve(size());
-  for (std::size_t i = 0; i < size(); ++i) {
-    sched::Job j;
-    j.id = id[i];
-    j.user = user[i];
-    j.submit_hour = hours_of(submit[i]);
-    j.duration_hours = hours_of(duration[i]);
-    j.it_power = power[i];
-    out.push_back(j);
-  }
-  return out;
-}
-
 namespace {
+
+/// `hours` on the tick grid: a time already on it converts exactly, and
+/// only an off-grid one pays for llround. |hours| <= kMaxJobHours, so the
+/// cast is defined.
+Tick snap(double hours) {
+  const double x = hours * static_cast<double>(kTicksPerHour);
+  const auto tick = static_cast<Tick>(x);
+  return static_cast<double>(tick) == x ? tick
+                                        : static_cast<Tick>(std::llround(x));
+}
 
 double parse_num(const std::string& cell, const char* column,
                  std::size_t line) {
@@ -124,8 +51,45 @@ void require_at_most_max_hours(double hours, const char* column,
 
 }  // namespace
 
-FleetJobs parse_jobs_csv(const std::string& text, std::size_t site_count,
-                         std::vector<std::int32_t>* origin_site) {
+FleetJobs::FleetJobs(std::vector<sched::Job> jobs,
+                     std::vector<std::string> users)
+    : arrivals_(std::move(jobs)), users_(std::move(users)) {
+  HPC_REQUIRE(arrivals_.size() <= std::numeric_limits<std::uint32_t>::max(),
+              "a fleet holds at most 2^32 - 1 jobs");
+  // Before the sort and the snapping: a NaN would break the sort's
+  // ordering (the check is false for NaN), and llround's result is
+  // unspecified outside the int64 range.
+  bool sorted = true;
+  for (std::size_t i = 0; i < arrivals_.size(); ++i) {
+    const sched::Job& j = arrivals_[i];
+    HPC_REQUIRE(std::fabs(j.submit_hour) <= kMaxJobHours &&
+                    std::fabs(j.duration_hours) <= kMaxJobHours,
+                "fleet jobs: submit or duration beyond kMaxJobHours at index " +
+                    std::to_string(i));
+    HPC_REQUIRE(j.user < users_.size(),
+                "fleet jobs: user index without a name at index " +
+                    std::to_string(i));
+    sorted = sorted &&
+             (i == 0 || arrivals_[i - 1].submit_hour <= j.submit_hour);
+  }
+  // Stable sort by the raw submit times: jobs submitted at the same
+  // instant keep their input order, so FCFS tie-breaking (and therefore
+  // every policy decision) is a deterministic function of the job list,
+  // and two submits under half a tick apart keep their time order, which
+  // sorting the snapped ticks would not.
+  if (!sorted) {
+    std::stable_sort(arrivals_.begin(), arrivals_.end(),
+                     [](const sched::Job& a, const sched::Job& b) {
+                       return a.submit_hour < b.submit_hour;
+                     });
+  }
+  for (sched::Job& j : arrivals_) {
+    j.submit_hour = hours_of(std::max<Tick>(0, snap(j.submit_hour)));
+    j.duration_hours = hours_of(std::max<Tick>(1, snap(j.duration_hours)));
+  }
+}
+
+FleetJobs parse_jobs_csv(const std::string& text, std::size_t site_count) {
   const CsvTable table = parse_csv_table(text);
   HPC_REQUIRE(!table.rows.empty(), "jobs CSV: empty file");
   const auto& header = table.rows[0];
@@ -140,7 +104,6 @@ FleetJobs parse_jobs_csv(const std::string& text, std::size_t site_count,
   }
 
   std::vector<sched::Job> jobs;
-  std::vector<std::pair<std::size_t, std::int32_t>> origins;  // (row, site)
   jobs.reserve(table.rows.size() - 1);
   std::vector<std::string> users;  // first appearance in the file
   std::unordered_map<std::string, std::uint32_t> user_index;
@@ -182,28 +145,15 @@ FleetJobs parse_jobs_csv(const std::string& text, std::size_t site_count,
                     std::to_string(site_count) + ") (line " +
                     std::to_string(line) + ")");
       }
-      origins.emplace_back(jobs.size(), static_cast<std::int32_t>(site));
     }
     jobs.push_back(j);
   }
 
-  FleetJobs out = FleetJobs::from_jobs(jobs, std::move(users));
-  if (origin_site != nullptr) {
-    // from_jobs may reorder; map origins through the preserved ids (ids
-    // are the pre-sort row order by construction above).
-    std::vector<std::int32_t> by_row(jobs.size(), -1);
-    for (const auto& [row, site] : origins) by_row[row] = site;
-    origin_site->assign(out.size(), -1);
-    for (std::size_t i = 0; i < out.size(); ++i) {
-      (*origin_site)[i] = by_row[static_cast<std::size_t>(out.id[i])];
-    }
-  }
-  return out;
+  return FleetJobs(std::move(jobs), std::move(users));
 }
 
-FleetJobs load_jobs_csv(const std::string& path, std::size_t site_count,
-                        std::vector<std::int32_t>* origin_site) {
-  return parse_jobs_csv(read_file(path), site_count, origin_site);
+FleetJobs load_jobs_csv(const std::string& path, std::size_t site_count) {
+  return parse_jobs_csv(read_file(path), site_count);
 }
 
 }  // namespace hpcarbon::fleetsim

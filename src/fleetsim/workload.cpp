@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 #include <vector>
 
 #include "core/error.h"
@@ -101,29 +102,25 @@ FleetJobs generate_fleet_jobs(const FleetWorkloadParams& p) {
   Rng attr_rng = mc::substream(p.seed, 1);
 
   const std::vector<Tick> ticks = arrival_ticks(p, arrival_rng);
-  FleetJobs jobs;
-  jobs.id.reserve(ticks.size());
-  jobs.submit.reserve(ticks.size());
-  jobs.duration.reserve(ticks.size());
-  jobs.power.reserve(ticks.size());
-  jobs.user.reserve(ticks.size());
-  jobs.users = sched::generated_user_names(p.user_count);
+  std::vector<sched::Job> jobs(ticks.size());
   for (std::size_t i = 0; i < ticks.size(); ++i) {
-    const auto user = static_cast<std::uint32_t>(
+    sched::Job& j = jobs[i];
+    j.id = static_cast<int>(i);
+    j.user = static_cast<std::uint32_t>(
         attr_rng.uniform_int(0, p.user_count - 1));
     const double duration_hours =
         std::min(p.max_duration_hours,
                  attr_rng.lognormal(p.duration_log_mean, p.duration_log_sigma));
-    const Tick duration = std::max<Tick>(1, nearest_tick(duration_hours));
-    const Power power =
+    j.submit_hour = hours_of(ticks[i]);
+    j.duration_hours =
+        hours_of(std::max<Tick>(1, nearest_tick(duration_hours)));
+    j.it_power =
         Power::kilowatts(attr_rng.uniform(p.min_power_kw, p.max_power_kw));
-    jobs.id.push_back(static_cast<std::int32_t>(i));
-    jobs.submit.push_back(ticks[i]);
-    jobs.duration.push_back(duration);
-    jobs.power.push_back(power);
-    jobs.user.push_back(user);
   }
-  return jobs;
+  // Every time is on the grid and the ticks ascend, so the constructor
+  // only checks them.
+  return FleetJobs(std::move(jobs),
+                   sched::generated_user_names(p.user_count));
 }
 
 }  // namespace hpcarbon::fleetsim

@@ -7,7 +7,7 @@
 // been economical."
 //
 // Users are indexes into the run's user-name table (sched::Job::user,
-// fleetsim::FleetJobs::users); the ledger holds no names. Callers that
+// fleetsim::FleetJobs::users()); the ledger holds no names. Callers that
 // print or test by name look the index up in that table.
 #pragma once
 

@@ -17,7 +17,7 @@
 namespace hpcarbon::sched {
 
 /// One job. `user` indexes the run's user-name table
-/// (fleetsim::FleetJobs::users), so a Job holds no string and copies as
+/// (fleetsim::FleetJobs::users()), so a Job holds no string and copies as
 /// 32 plain bytes.
 struct Job {
   int id = 0;

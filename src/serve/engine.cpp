@@ -149,7 +149,7 @@ json::Value evaluate_family(const SchedQuery& q, TraceStore& traces) {
   const fleetsim::FleetEngine engine = query_engine(q, traces);
   json::Value out = json::Value::object();
   policy_vs_baseline(q, engine,
-                     fleetsim::FleetJobs::from_jobs(
+                     fleetsim::FleetJobs(
                          sched::generate_jobs(wp),
                          sched::generated_user_names(wp.user_count)),
                      out);

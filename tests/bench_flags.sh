@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
-# The driver's flag contract for the tools that read their own arguments:
-# --help prints the flags to stdout and exits 0, and a bad flag or
-# argument is one `hpcarbon: ...` line on stderr with exit 1 and nothing on
-# stdout, never an uncaught-exception abort (134) or a half-printed
-# report. An invalid HPCARBON_THREADS reads as unset.
+# The driver's flag contract for every bench and example: --help prints
+# the usage to stdout and exits 0, and a bad flag or argument is one
+# `hpcarbon: ...` line on stderr with exit 1 and nothing on stdout, never
+# an uncaught-exception abort (134), a half-printed report or a run that
+# ignores it. An invalid HPCARBON_THREADS reads as unset.
 #
 # Usage: tests/bench_flags.sh path/to/hpcarbon
 set -uo pipefail
@@ -51,10 +51,34 @@ expect_error "hpcarbon: ci_g_per_kwh expects a number in (0, inf), got 'abc'" \
   example upgrade-advisor V100 A100 abc
 expect_error "hpcarbon: usage expects a number in (0, 1], got 'nan'" \
   example upgrade-advisor V100 A100 200 nan
-expect_error "hpcarbon: years expects a number in (0, inf), got '-3'" \
+expect_error "hpcarbon: years expects a number in (0, inf), got '0'" \
+  example upgrade-advisor V100 A100 200 0.4 0
+# Positionals go through the option table, where a leading '-' makes a
+# flag, so a negative number is an unknown flag, and --help is the help.
+expect_error "hpcarbon: unknown example upgrade-advisor flag '-3' (see \`hpcarbon example upgrade-advisor --help\`)" \
   example upgrade-advisor V100 A100 200 0.4 -3
+expect_error "hpcarbon: unexpected example region-explorer argument 'CISO' (see \`hpcarbon example region-explorer --help\`)" \
+  example region-explorer ESO CISO
 expect_error "hpcarbon: unknown node generation: H100 (expected P100, V100, or A100)" \
   example upgrade-advisor V100 H100
+
+# Every tool `hpcarbon list` prints reads its arguments through an option
+# table, so a stray flag fails and --help prints a usage line.
+mapfile -t tools < <("$hpcarbon" list |
+  sed -nE 's/^\| (bench|example) +\| ([^ |]+) +\|.*$/\1 \2/p')
+printf '%s\n' "${tools[@]}" | grep -q '^bench fig1$' ||
+  fail "hpcarbon list printed no bench fig1 row"
+printf '%s\n' "${tools[@]}" | grep -q '^example quickstart$' ||
+  fail "hpcarbon list printed no example quickstart row"
+for tool in "${tools[@]}"; do
+  read -r kind name <<<"$tool"
+  expect_error "hpcarbon: unknown $kind $name flag '--bogus' (see \`hpcarbon $kind $name --help\`)" \
+    "$kind" "$name" --bogus
+  usage="$("$hpcarbon" "$kind" "$name" --help </dev/null)" ||
+    fail "$kind $name --help exited $?"
+  grep -q "^usage: hpcarbon $kind $name" <<<"$usage" ||
+    fail "$kind $name --help printed no usage line"
+done
 
 # HPCARBON_THREADS takes --threads' bound; anything else reads as unset.
 # `list` reports the count without starting a pool.

@@ -75,8 +75,31 @@ std::vector<sched::Job> seeded_quantized_jobs() {
 /// FleetJobs of a sched::generate_jobs workload, whose users are indexes
 /// named by generated_user_names (WorkloadParams' default eight users).
 FleetJobs fleet_of(const std::vector<sched::Job>& jobs) {
-  return FleetJobs::from_jobs(
+  return FleetJobs(
       jobs, sched::generated_user_names(sched::WorkloadParams{}.user_count));
+}
+
+/// Each arrival's submit tick, duration tick and user index, in order.
+std::vector<Tick> submit_ticks(const FleetJobs& jobs) {
+  std::vector<Tick> ticks;
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    ticks.push_back(jobs.submit_tick(i));
+  }
+  return ticks;
+}
+
+std::vector<Tick> duration_ticks(const FleetJobs& jobs) {
+  std::vector<Tick> ticks;
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    ticks.push_back(jobs.duration_tick(i));
+  }
+  return ticks;
+}
+
+std::vector<std::uint32_t> user_indexes(const FleetJobs& jobs) {
+  std::vector<std::uint32_t> users;
+  for (const sched::Job& j : jobs.arrivals()) users.push_back(j.user);
+  return users;
 }
 
 sched::PolicyConfig tuned_config() {
@@ -157,12 +180,12 @@ void expect_registry_parity(const std::vector<sched::Site>& sites,
         desc.name + " epoch " + std::to_string(epoch.index());
     expect_metrics_bitwise(expected, got, label);
     expect_outcomes_bitwise(sites, outcomes, oracle_outcomes, label);
-    for (std::uint32_t u = 0; u < fleet_jobs.users.size(); ++u) {
+    for (std::uint32_t u = 0; u < fleet_jobs.users().size(); ++u) {
       EXPECT_EQ(ledger.spent(u).to_grams(), oracle_ledger.spent(u).to_grams())
-          << label << " user " << fleet_jobs.users[u];
+          << label << " user " << fleet_jobs.users()[u];
       EXPECT_EQ(ledger.allocation(u).to_grams(),
                 oracle_ledger.allocation(u).to_grams())
-          << label << " user " << fleet_jobs.users[u];
+          << label << " user " << fleet_jobs.users()[u];
     }
   }
 }
@@ -328,10 +351,10 @@ TEST(FleetPins, BudgetLedgerKeepsItsBitPatternsByName) {
       {"user8", 0, 0},
   };
   const std::vector<sched::Job> generated = seeded_quantized_jobs();
-  const FleetJobs jobs = FleetJobs::from_jobs(
+  const FleetJobs jobs(
       generated,
       sched::generated_user_names(static_cast<int>(std::size(kPinned))));
-  ASSERT_EQ(jobs.users[generated.front().user], "user7");
+  ASSERT_EQ(jobs.users()[generated.front().user], "user7");
 
   const FleetEngine fleet(fig7_sites(/*capacity=*/4), HourOfYear(3624));
   const auto policy = sched::make_policy("budget-aware", tuned_config());
@@ -340,9 +363,10 @@ TEST(FleetPins, BudgetLedgerKeepsItsBitPatternsByName) {
   ASSERT_EQ(m.remote_dispatches, 346);
   const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
   for (const Account& a : kPinned) {
-    const auto it = std::find(jobs.users.begin(), jobs.users.end(), a.user);
-    ASSERT_NE(it, jobs.users.end()) << a.user;
-    const auto u = static_cast<std::uint32_t>(it - jobs.users.begin());
+    const std::vector<std::string>& users = jobs.users();
+    const auto it = std::find(users.begin(), users.end(), a.user);
+    ASSERT_NE(it, users.end()) << a.user;
+    const auto u = static_cast<std::uint32_t>(it - users.begin());
     EXPECT_EQ(bits(ledger.spent(u).to_grams()), a.spent_g) << a.user;
     EXPECT_EQ(bits(ledger.allocation(u).to_grams()), a.allocation_g)
         << a.user;
@@ -419,13 +443,13 @@ TEST(FleetParity, SameTickSubmissionsStayBitIdentical) {
   for (const char* name : {"fcfs-local", "greedy-lowest-ci"}) {
     const auto p1 = sched::make_policy(name);
     const auto p2 = sched::make_policy(name);
-    expect_metrics_bitwise(oracle.run(fleet_jobs.to_jobs(), *p1),
+    expect_metrics_bitwise(oracle.run(fleet_jobs.arrivals(), *p1),
                            fleet.run(fleet_jobs, *p2), name);
   }
 }
 
 // Quantization drift: production runs snap generated workloads onto the
-// tick grid (FleetJobs::from_jobs, at most 1.8 s per time) instead of
+// tick grid (the FleetJobs constructor, at most 1.8 s per time) instead of
 // running them on raw doubles. At `hpcarbon run`'s shape (paper trio,
 // capacity 16, 2.5 jobs/h, June start) over 7 days, that moves every
 // registered policy's savings against fcfs-local by under 0.1 percentage
@@ -473,52 +497,100 @@ TEST(FleetEngineBasics, EmptyFleetYieldsZeroMetrics) {
   EXPECT_EQ(outcomes.size(), 0u);
 }
 
-TEST(FleetEngineBasics, ValidateRejectsBrokenVectors) {
-  FleetJobs jobs;
-  jobs.users = {"a"};
-  jobs.push(0, 10, 5, Power::kilowatts(1.0), 0);
-  jobs.push(1, 5, 5, Power::kilowatts(1.0), 0);  // out of order
-  EXPECT_THROW(jobs.validate(), Error);
+sched::Job job_at(int id, double submit_hour, double duration_hours) {
+  sched::Job j;
+  j.id = id;
+  j.submit_hour = submit_hour;
+  j.duration_hours = duration_hours;
+  j.it_power = Power::kilowatts(1.0);
+  return j;
+}
 
-  FleetJobs zero_dur;
-  zero_dur.users = {"a"};
-  zero_dur.push(0, 0, 0, Power::kilowatts(1.0), 0);
-  EXPECT_THROW(zero_dur.validate(), Error);
+std::vector<int> arrival_ids(const FleetJobs& jobs) {
+  std::vector<int> ids;
+  for (const sched::Job& j : jobs.arrivals()) ids.push_back(j.id);
+  return ids;
+}
 
-  FleetJobs ragged;
-  ragged.users = {"a"};
-  ragged.push(0, 0, 1, Power::kilowatts(1.0), 0);
-  ragged.submit.push_back(7);  // desync the parallel vectors
-  EXPECT_THROW(ragged.validate(), Error);
+// The constructor is the only way to build a fleet, so it holds the whole
+// contract a run relies on: sorted arrivals on the tick grid, and every
+// user index named.
+TEST(FleetEngineBasics, ConstructorSortsSnapsAndRejects) {
+  // Unsorted input comes out stable-sorted by the raw submit times: ids 3
+  // and 4 tie and keep their input order, and ids 1 and 2, a quarter tick
+  // apart and given in reverse order, both snap to hour 2 in time order,
+  // which sorting the snapped ticks would leave reversed.
+  const double quarter_tick = hours_of(1) / 4;
+  const FleetJobs sorted(
+      {job_at(0, 5.0, 1.0), job_at(1, 2.0 + quarter_tick, 1.0),
+       job_at(2, 2.0, 1.0), job_at(3, 1.0, 1.0), job_at(4, 1.0, 1.0)},
+      {"a"});
+  EXPECT_EQ(arrival_ids(sorted), (std::vector<int>{3, 4, 2, 1, 0}));
+  EXPECT_EQ(submit_ticks(sorted),
+            (std::vector<Tick>{kTicksPerHour, kTicksPerHour, 2 * kTicksPerHour,
+                               2 * kTicksPerHour, 5 * kTicksPerHour}));
+  EXPECT_EQ(sorted.arrivals()[3].submit_hour, 2.0);
 
-  FleetJobs unnamed;
-  unnamed.users = {"a"};
-  unnamed.push(0, 0, 1, Power::kilowatts(1.0), 1);  // no name for index 1
-  EXPECT_THROW(unnamed.validate(), Error);
+  // Off-grid times snap to the nearest tick; negative submits clamp to 0
+  // and sub-tick durations to one tick.
+  const FleetJobs clamped({job_at(0, -0.5, 0.0), job_at(1, 0.0, quarter_tick),
+                           job_at(2, 0.1, 0.1)},
+                          {"a"});
+  EXPECT_EQ(submit_ticks(clamped), (std::vector<Tick>{0, 0, 102}));
+  EXPECT_EQ(duration_ticks(clamped), (std::vector<Tick>{1, 1, 102}));
+  EXPECT_EQ(clamped.arrivals()[0].submit_hour, 0.0);
+  EXPECT_EQ(clamped.arrivals()[1].duration_hours, hours_of(1));
+  EXPECT_EQ(clamped.arrivals()[2].submit_hour, hours_of(102));
 
-  // Submits and durations above kMaxJobTicks; the bound itself is valid.
-  FleetJobs at_bound;
-  at_bound.users = {"a"};
-  at_bound.push(0, kMaxJobTicks, kMaxJobTicks, Power::kilowatts(1.0), 0);
-  EXPECT_NO_THROW(at_bound.validate());
-  FleetJobs too_late = at_bound;
-  too_late.submit[0] = kMaxJobTicks + 1;
-  EXPECT_THROW(too_late.validate(), Error);
-  FleetJobs too_long = at_bound;
-  too_long.duration[0] = kMaxJobTicks + 1;
-  EXPECT_THROW(too_long.validate(), Error);
+  // A user index with no name.
+  sched::Job unnamed = job_at(0, 0.0, 1.0);
+  unnamed.user = 1;
+  EXPECT_THROW(FleetJobs({unnamed}, {"a"}), Error);
 
-  // from_jobs checks the bound in hours before it rounds to ticks.
+  // Submits and durations at kMaxJobHours are valid; beyond it, and NaN,
+  // are rejected in hours before anything rounds to ticks.
+  const FleetJobs at_bound({job_at(0, kMaxJobHours, kMaxJobHours)}, {"a"});
+  EXPECT_EQ(at_bound.submit_tick(0), kMaxJobTicks);
+  EXPECT_EQ(at_bound.duration_tick(0), kMaxJobTicks);
   for (const double hours : {1e30, kMaxJobHours * (1 + 1e-9),
                              std::numeric_limits<double>::quiet_NaN()}) {
-    sched::Job late;
-    late.submit_hour = hours;
-    late.duration_hours = 1;
-    EXPECT_THROW(FleetJobs::from_jobs({late}, {"a"}), Error) << hours;
-    sched::Job long_job;
-    long_job.duration_hours = hours;
-    EXPECT_THROW(FleetJobs::from_jobs({long_job}, {"a"}), Error) << hours;
+    EXPECT_THROW(FleetJobs({job_at(0, hours, 1.0)}, {"a"}), Error) << hours;
+    EXPECT_THROW(FleetJobs({job_at(0, 0.0, hours)}, {"a"}), Error) << hours;
   }
+}
+
+/// Records the arrivals each run hands begin_run, and starts the front
+/// job at home whenever a slot is free.
+class RecordingPolicy : public sched::SchedulingPolicy {
+ public:
+  std::string name() const override { return "recording"; }
+  void begin_run(const std::vector<sched::Job>& arrivals,
+                 sched::CarbonBudgetLedger&,
+                 const sched::ClusterView&) override {
+    seen.push_back(&arrivals);
+  }
+  std::optional<sched::DispatchDecision> select(
+      const sched::PendingQueue& queue,
+      const sched::ClusterView& view) override {
+    if (queue.empty() || view.free_slots(0) <= 0) return std::nullopt;
+    return sched::DispatchDecision{0, 0};
+  }
+  std::vector<const std::vector<sched::Job>*> seen;
+};
+
+// A run reads the fleet's own arrivals: no run copies them, so two runs of
+// one fleet hand begin_run the same vector, and answer the same.
+TEST(FleetEngineBasics, RunsReadTheFleetsArrivalsInPlace) {
+  const FleetJobs fleet = fleet_of(seeded_quantized_jobs());
+  const FleetEngine engine(fig7_sites(/*capacity=*/4), HourOfYear(3624));
+  RecordingPolicy policy;
+  const auto first = engine.run(fleet, policy);
+  const auto second = engine.run(fleet, policy);
+  ASSERT_EQ(policy.seen.size(), 2u);
+  EXPECT_EQ(policy.seen[0], &fleet.arrivals());
+  EXPECT_EQ(policy.seen[1], &fleet.arrivals());
+  EXPECT_EQ(first.jobs_completed, static_cast<int>(fleet.size()));
+  expect_metrics_bitwise(first, second, "recording");
 }
 
 // The engine's completion heap frees the same sites at the same ticks as
@@ -597,10 +669,12 @@ TEST(FleetWorkload, GenerationIsDeterministicPerSeedAndProcess) {
     const FleetJobs a = generate_fleet_jobs(p);
     const FleetJobs b = generate_fleet_jobs(p);
     ASSERT_GT(a.size(), 100u) << to_string(process);
-    EXPECT_EQ(a.submit, b.submit) << to_string(process);
-    EXPECT_EQ(a.duration, b.duration) << to_string(process);
-    EXPECT_EQ(a.user, b.user) << to_string(process);
-    a.validate();
+    EXPECT_EQ(submit_ticks(a), submit_ticks(b)) << to_string(process);
+    EXPECT_EQ(duration_ticks(a), duration_ticks(b)) << to_string(process);
+    EXPECT_EQ(user_indexes(a), user_indexes(b)) << to_string(process);
+    const std::vector<Tick> submits = submit_ticks(a);
+    EXPECT_TRUE(std::is_sorted(submits.begin(), submits.end()))
+        << to_string(process);
     // The long-run rate is preserved within sampling noise (20%).
     const double expected = p.rate_per_hour * p.horizon_hours;
     EXPECT_NEAR(static_cast<double>(a.size()), expected, 0.2 * expected)
@@ -611,7 +685,7 @@ TEST(FleetWorkload, GenerationIsDeterministicPerSeedAndProcess) {
   const FleetJobs other_seed = generate_fleet_jobs(p);
   p.seed = 2024;
   const FleetJobs base = generate_fleet_jobs(p);
-  EXPECT_NE(base.submit, other_seed.submit);
+  EXPECT_NE(submit_ticks(base), submit_ticks(other_seed));
 }
 
 TEST(FleetWorkload, AttributeStreamIsSharedAcrossProcesses) {
@@ -627,8 +701,8 @@ TEST(FleetWorkload, AttributeStreamIsSharedAcrossProcesses) {
   const std::size_t n = std::min(poisson.size(), diurnal.size());
   ASSERT_GT(n, 100u);
   for (std::size_t i = 0; i < n; ++i) {
-    ASSERT_EQ(poisson.duration[i], diurnal.duration[i]) << i;
-    ASSERT_EQ(poisson.user[i], diurnal.user[i]) << i;
+    ASSERT_EQ(poisson.duration_tick(i), diurnal.duration_tick(i)) << i;
+    ASSERT_EQ(poisson.arrivals()[i].user, diurnal.arrivals()[i].user) << i;
   }
 }
 
@@ -641,7 +715,7 @@ TEST(FleetWorkload, DiurnalConcentratesArrivalsAroundPeak) {
   const FleetJobs jobs = generate_fleet_jobs(p);
   std::size_t near_peak = 0;
   std::size_t near_trough = 0;
-  for (const Tick t : jobs.submit) {
+  for (const Tick t : submit_ticks(jobs)) {
     const double hour_of_day = std::fmod(hours_of(t), 24.0);
     if (std::abs(hour_of_day - p.diurnal_peak_hour) <= 3) ++near_peak;
     const double trough = std::fmod(p.diurnal_peak_hour + 12.0, 24.0);
@@ -659,7 +733,7 @@ TEST(FleetWorkload, BurstyBatchesShareSubmitTicks) {
   const FleetJobs jobs = generate_fleet_jobs(p);
   ASSERT_GT(jobs.size(), 200u);
   // Far fewer distinct submit ticks than jobs: batches land together.
-  std::vector<Tick> distinct(jobs.submit);
+  std::vector<Tick> distinct = submit_ticks(jobs);
   distinct.erase(std::unique(distinct.begin(), distinct.end()),
                  distinct.end());
   EXPECT_LT(distinct.size() * 3, jobs.size());
@@ -670,35 +744,35 @@ std::string data_path(const std::string& name) {
 }
 
 TEST(FleetReplay, SampleFixtureLoadsAndRuns) {
-  std::vector<std::int32_t> origin;
   const FleetJobs jobs =
-      load_jobs_csv(data_path("jobs_sample.csv"), /*site_count=*/3, &origin);
+      load_jobs_csv(data_path("jobs_sample.csv"), /*site_count=*/3);
   ASSERT_EQ(jobs.size(), 12u);
-  jobs.validate();
-  ASSERT_EQ(origin.size(), 12u);
   // Sorted by submit; ids preserve the file's row order.
-  EXPECT_EQ(jobs.id[0], 0);
-  EXPECT_EQ(hours_of(jobs.submit[0]), 0.0);
-  EXPECT_EQ(hours_of(jobs.submit[11]), 24.0);
-  EXPECT_EQ(hours_of(jobs.duration[0]), 2.5);
+  const std::vector<Tick> submits = submit_ticks(jobs);
+  EXPECT_TRUE(std::is_sorted(submits.begin(), submits.end()));
+  EXPECT_EQ(jobs.arrivals()[0].id, 0);
+  EXPECT_EQ(hours_of(jobs.submit_tick(0)), 0.0);
+  EXPECT_EQ(hours_of(jobs.submit_tick(11)), 24.0);
+  EXPECT_EQ(hours_of(jobs.duration_tick(0)), 2.5);
   // Names are interned in order of first appearance, and every row of a
   // name shares its one index (ids are file rows).
-  EXPECT_EQ(jobs.users,
+  EXPECT_EQ(jobs.users(),
             (std::vector<std::string>{"alice", "bob", "carol", "dave"}));
   const char* const row_user[] = {"alice", "bob",  "alice", "carol",
                                   "dave",  "bob",  "carol", "alice",
                                   "dave",  "bob",  "carol", "alice"};
   for (std::size_t i = 0; i < jobs.size(); ++i) {
-    EXPECT_EQ(jobs.users[jobs.user[i]], row_user[jobs.id[i]]) << i;
+    const sched::Job& j = jobs.arrivals()[i];
+    EXPECT_EQ(jobs.users()[j.user], row_user[j.id]) << i;
   }
   // First appearance is counted in file order, not submit order.
   const FleetJobs unsorted = parse_jobs_csv(
       "submit_hours,duration_hours,power_kw,user\n"
       "5,1,1,zed\n0,1,1,amy\n3,1,1,zed\n1,1,1,bo\n");
-  EXPECT_EQ(unsorted.users, (std::vector<std::string>{"zed", "amy", "bo"}));
-  EXPECT_EQ(unsorted.user, (std::vector<std::uint32_t>{1, 2, 0, 0}));
-  EXPECT_EQ(origin[1], 1);  // bob's 0.25h job came from site 1
-  EXPECT_EQ(jobs.power[0].to_kilowatts(), Power::kilowatts(1.2).to_kilowatts());
+  EXPECT_EQ(unsorted.users(), (std::vector<std::string>{"zed", "amy", "bo"}));
+  EXPECT_EQ(user_indexes(unsorted), (std::vector<std::uint32_t>{1, 2, 0, 0}));
+  EXPECT_EQ(jobs.arrivals()[0].it_power.to_kilowatts(),
+            Power::kilowatts(1.2).to_kilowatts());
 
   const FleetEngine fleet(fig7_sites(), HourOfYear(3624));
   const auto policy = sched::make_policy("greedy-lowest-ci");
@@ -717,7 +791,7 @@ TEST(FleetReplay, ReplayedFixtureMatchesReferenceEngine) {
   const FleetEngine fleet(sites, HourOfYear(3624));
   const auto p1 = sched::make_policy("net-benefit");
   const auto p2 = sched::make_policy("net-benefit");
-  expect_metrics_bitwise(oracle.run(jobs.to_jobs(), *p1),
+  expect_metrics_bitwise(oracle.run(jobs.arrivals(), *p1),
                          fleet.run(jobs, *p2), "replay");
 }
 
@@ -761,7 +835,7 @@ TEST(FleetReplay, RejectionsCarryLineNumbers) {
                  "duration_hours above 1000000 hours (line 3)");
   expect_rejects(header + "1000000.001,1,1,a\n",
                  "submit_hours above 1000000 hours (line 2)");
-  EXPECT_NO_THROW(parse_jobs_csv(header + "1000000,1000000,1,a\n").validate());
+  EXPECT_NO_THROW(parse_jobs_csv(header + "1000000,1000000,1,a\n"));
   // Out-of-range or fractional site, against site_count=3.
   const std::string h5 = "submit_hours,duration_hours,power_kw,user,site\n";
   expect_rejects(h5 + "0,1,1,alice,3\n", "site must be an integer in [0, 3) (line 2)");

@@ -89,9 +89,10 @@ TEST(Integration, SchedulerOverRealTracesConservesWork) {
   sched::WorkloadParams wp;
   wp.horizon_hours = 24 * 7;
   wp.seed = 77;
-  const auto fleet_jobs = fleetsim::FleetJobs::from_jobs(
+  const fleetsim::FleetJobs fleet_jobs(
       sched::generate_jobs(wp), sched::generated_user_names(wp.user_count));
-  const auto jobs = fleet_jobs.to_jobs();  // the snapped jobs the engine runs
+  // The snapped jobs the engine runs.
+  const std::vector<sched::Job>& jobs = fleet_jobs.arrivals();
 
   double expected_it_kwh = 0;
   for (const auto& j : jobs) {

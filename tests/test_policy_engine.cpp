@@ -49,8 +49,7 @@ FleetJobs seeded_jobs() {
   wp.horizon_hours = 24 * 10;
   wp.arrival_rate_per_hour = 2.0;
   wp.seed = 31337;
-  return FleetJobs::from_jobs(generate_jobs(wp),
-                              generated_user_names(wp.user_count));
+  return FleetJobs(generate_jobs(wp), generated_user_names(wp.user_count));
 }
 
 /// One run of `policy` on a double-hour job list (snapped to the engine's
@@ -59,7 +58,7 @@ FleetJobs seeded_jobs() {
 ScheduleMetrics run(const FleetEngine& engine, const std::vector<Job>& jobs,
                     SchedulingPolicy& policy,
                     FleetOutcomes* outcomes = nullptr) {
-  return engine.run(FleetJobs::from_jobs(jobs, {"u0"}), policy, outcomes);
+  return engine.run(FleetJobs(jobs, {"u0"}), policy, outcomes);
 }
 
 // The eight built-ins, in registration order.
@@ -112,7 +111,7 @@ TEST(PolicyRegistry, ReRegisteringReplaces) {
 TEST(PolicyEngine, PrefixSumCarbonMatchesHourSteppingPerJob) {
   const auto sites = fig7_sites();
   const FleetJobs fleet_jobs = seeded_jobs();
-  const std::vector<Job> jobs = fleet_jobs.to_jobs();
+  const std::vector<Job>& jobs = fleet_jobs.arrivals();
   const HourOfYear epoch(month_start_hour(5));
   std::map<int, const Job*> by_id;
   for (const auto& j : jobs) by_id[j.id] = &j;

@@ -36,10 +36,10 @@ class PolicySweep : public ::testing::TestWithParam<std::string> {
     // so the delay-budget property below is exact.
     wp.arrival_rate_per_hour = 1.5;
     wp.seed = 4242;
-    fleet_jobs_ = new FleetJobs(FleetJobs::from_jobs(
-        generate_jobs(wp), generated_user_names(wp.user_count)));
+    fleet_jobs_ = new FleetJobs(generate_jobs(wp),
+                                generated_user_names(wp.user_count));
     // The snapped jobs, as the engine runs them.
-    jobs_ = new std::vector<Job>(fleet_jobs_->to_jobs());
+    jobs_ = new std::vector<Job>(fleet_jobs_->arrivals());
   }
   static void TearDownTestSuite() {
     delete sites_;

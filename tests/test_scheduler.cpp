@@ -30,8 +30,7 @@ ScheduleMetrics run(const FleetEngine& engine, const std::vector<Job>& jobs,
   std::uint32_t users = 0;
   for (const auto& j : jobs) users = std::max(users, j.user + 1);
   return engine.run(
-      fleetsim::FleetJobs::from_jobs(
-          jobs, generated_user_names(static_cast<int>(users))),
+      fleetsim::FleetJobs(jobs, generated_user_names(static_cast<int>(users))),
       *make_policy(policy, cfg), outcomes, ledger);
 }
 

@@ -294,7 +294,7 @@ TEST(Evaluate, SchedMatchesRunScenarios) {
 }
 
 // The sched family is a FleetEngine run too: its generated jobs snap onto
-// the tick grid through FleetJobs::from_jobs, and every field is the
+// the tick grid through the FleetJobs constructor, and every field is the
 // direct engine answer, bit for bit.
 TEST(Evaluate, SchedMatchesFleetEngineDirectly) {
   TraceStore store;
@@ -313,8 +313,8 @@ TEST(Evaluate, SchedMatchesFleetEngineDirectly) {
   sched::WorkloadParams wp;
   wp.horizon_hours = 24.0 * 7;
   wp.arrival_rate_per_hour = 1.0;
-  const fleetsim::FleetJobs jobs = fleetsim::FleetJobs::from_jobs(
-      sched::generate_jobs(wp), sched::generated_user_names(wp.user_count));
+  const fleetsim::FleetJobs jobs(sched::generate_jobs(wp),
+                                 sched::generated_user_names(wp.user_count));
   const auto baseline = sched::make_policy("fcfs-local");
   const auto base = engine.run(jobs, *baseline);
   const auto greedy = sched::make_policy("greedy-lowest-ci");

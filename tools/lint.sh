@@ -23,7 +23,9 @@
 #      one option table in src/core/options.* — an `argv[++i]` or an
 #      `arg == "--...` comparison anywhere else in src/, bench/ or
 #      examples/ is a second, hand-rolled parser, so it is rejected, and
-#      so is std::atof/atoi/atol, which reads `abc` as 0.
+#      so is std::atof/atoi/atol, which reads `abc` as 0. In bench/ and
+#      examples/ any `argv[` read is rejected: a tool hands its argv to
+#      its options::Table (positionals included) or takes no arguments.
 #   6. clang-tidy (see .clang-tidy for the curated check set), diffed
 #      against tools/lint_baseline.txt: only NEW (file, check) pairs
 #      fail, so the gate ratchets without demanding a big-bang cleanup.
@@ -166,14 +168,16 @@ alloc_lint() {
 
 argv_lint() {
   local matches
-  matches="$(grep -rnE --include='*.h' --include='*.cpp' \
+  matches="$({ grep -rnE --include='*.h' --include='*.cpp' \
     'argv\[\+\+i\]|arg == "--|std::ato(f|i|ll?)[[:space:]]*\(' \
     "$ROOT/src" "$ROOT/bench" "$ROOT/examples" | \
-    grep -v "^$ROOT/src/core/options\." || true)"
+    grep -v "^$ROOT/src/core/options\."
+    grep -rnE --include='*.h' --include='*.cpp' 'argv\[' \
+    "$ROOT/bench" "$ROOT/examples"; } || true)"
   if [[ -n "$matches" ]]; then
     echo "argv-scan lint FAILED — hand-rolled flag or number parsing outside src/core/options.*:" >&2
     echo "$matches" >&2
-    echo "(declare the flag in the command's options::Table instead — src/core/options.h — so it parses, errors and renders its usage like every other flag; read a positional number with options::parse_number)" >&2
+    echo "(declare the flag in the command's options::Table instead — src/core/options.h — so it parses, errors and renders its usage like every other flag; take positionals through Table::positional and read a positional number with options::parse_number)" >&2
     return 1
   fi
   echo "argv-scan lint OK"
@@ -185,9 +189,10 @@ self_test() {
   local seeded="$ROOT/src/lint_selftest_seeded_violation.cpp"
   local seeded_alloc="$ROOT/src/serve/lint_selftest_seeded_violation.cpp"
   local seeded_counter="$ROOT/src/net/lint_selftest_seeded_violation.cpp"
-  # A header, so the examples/*.cpp glob of the driver build never sees it.
+  # Headers, so the bench/examples globs of the driver build never see them.
   local seeded_atof="$ROOT/examples/lint_selftest_seeded_violation.h"
-  trap 'rm -f "$seeded" "$seeded_alloc" "$seeded_counter" "$seeded_atof"' RETURN
+  local seeded_argv="$ROOT/bench/lint_selftest_seeded_violation.h"
+  trap 'rm -f "$seeded" "$seeded_alloc" "$seeded_counter" "$seeded_atof" "$seeded_argv"' RETURN
   cat > "$seeded" <<'EOF'
 // Transient file written by tools/lint.sh --self-test; never compiled.
 #include <ctime>
@@ -235,13 +240,25 @@ EOF
   cat > "$seeded_atof" <<'EOF'
 // Transient file written by tools/lint.sh --self-test; never compiled.
 #include <cstdlib>
-inline double selftest_ci(char** argv) { return std::atof(argv[3]); }
+inline double selftest_ci(const char* arg) { return std::atof(arg); }
 EOF
   if argv_lint >/dev/null 2>&1; then
     echo "lint self-test FAILED: argv-scan lint accepted a seeded std::atof in examples/" >&2
     return 1
   fi
+  # A direct argv read on its own, in bench/.
   rm -f "$seeded_atof"
+  cat > "$seeded_argv" <<'EOF'
+// Transient file written by tools/lint.sh --self-test; never compiled.
+inline const char* selftest_region(int argc, char** argv) {
+  return argc > 1 ? argv[1] : "ESO";
+}
+EOF
+  if argv_lint >/dev/null 2>&1; then
+    echo "lint self-test FAILED: argv-scan lint accepted a seeded argv[1] read in bench/" >&2
+    return 1
+  fi
+  rm -f "$seeded_argv"
   echo "lint self-test OK — the gate rejects seeded violations"
 }
 
