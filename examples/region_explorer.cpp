@@ -5,9 +5,7 @@
 //   CODE in {KN, TK, ESO, CISO, PJM, MISO, ERCOT}; default ESO.
 #include <iostream>
 #include <string>
-#include <vector>
 
-#include "core/error.h"
 #include "core/options.h"
 #include "core/stats.h"
 #include "core/table.h"
@@ -20,18 +18,13 @@
 using namespace hpcarbon;
 
 static int tool_main(int argc, char** argv) {
-  std::vector<std::string> args;
+  std::string code = "ESO";
   options::Table flags("example region-explorer", "[CODE]",
                        "CODE in {KN, TK, ESO, CISO, PJM, MISO, ERCOT}; "
                        "default ESO.");
-  flags.positional([&args](const std::string& arg) { args.push_back(arg); });
+  flags.positional([&code](const std::string& arg) { code = arg; }, 1);
   if (!flags.parse(argc - 1, argv + 1, std::cout)) return 0;
-  if (args.size() > 1) {
-    throw Error("unexpected example region-explorer argument '" + args[1] +
-                "' (see `hpcarbon example region-explorer --help`)");
-  }
-  const grid::RegionSpec spec =
-      grid::require_region(args.empty() ? "ESO" : args[0]);
+  const grid::RegionSpec spec = grid::require_region(code);
 
   std::cout << banner("Region " + spec.code + " — " + spec.name);
   std::cout << spec.country << ", " << spec.area << " (UTC"

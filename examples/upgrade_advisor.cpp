@@ -43,12 +43,9 @@ static int tool_main(int argc, char** argv) {
                        "Defaults: V100 A100 200 0.4 4. Nodes are P100, V100 "
                        "or A100; ci_g_per_kwh and years must be positive, "
                        "usage in (0, 1].");
-  flags.positional([&args](const std::string& arg) { args.push_back(arg); });
+  flags.positional([&args](const std::string& arg) { args.push_back(arg); },
+                   5);
   if (!flags.parse(argc - 1, argv + 1, std::cout)) return 0;
-  if (args.size() > 5) {
-    throw Error("unexpected example upgrade-advisor argument '" + args[5] +
-                "' (see `hpcarbon example upgrade-advisor --help`)");
-  }
   const std::string from = !args.empty() ? args[0] : "V100";
   const std::string to = args.size() > 1 ? args[1] : "A100";
   const hw::NodeConfig old_node = node_by_name(from);

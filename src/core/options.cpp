@@ -97,8 +97,9 @@ Table& Table::repeated(std::string name, std::string meta, Each each,
   return *this;
 }
 
-Table& Table::positional(Each each) {
+Table& Table::positional(Each each, std::size_t max) {
   positional_ = std::move(each);
+  max_positionals_ = max;
   return *this;
 }
 
@@ -114,14 +115,17 @@ double Table::whole(const std::string& flag, const std::string& value,
 
 bool Table::parse(int argc, char* const* argv, std::ostream& help_out) const {
   const std::string see = " (see `hpcarbon " + command_ + " --help`)";
+  std::size_t positionals = 0;
   for (int i = 0; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "-h" || arg == "--help") {
       usage(help_out);
       return false;
     }
-    if (arg.size() < 2 || arg[0] != '-') {
-      if (!positional_) {
+    if (arg.size() < 2 || arg[0] != '-' ||
+        (positional_ && to_double(arg))) {
+      // max_positionals_ is 0 without a callback.
+      if (positionals++ == max_positionals_) {
         throw Error("unexpected " + command_ + " argument '" + arg + "'" +
                     see);
       }

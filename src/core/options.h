@@ -13,7 +13,8 @@
 //  * A scalar flag given twice keeps its last value; lists and repeatable
 //    flags accumulate.
 //  * An argument that does not start with '-', or is a bare "-", is
-//    positional.
+//    positional, and so is a number (`-3`) when the command takes
+//    positionals: no flag is named like one.
 //  * -h / --help renders the usage and stops parsing; it sets nothing.
 //  * Every error is an hpcarbon::Error, worded one way:
 //      --x needs a value
@@ -23,6 +24,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cstddef>
 #include <functional>
 #include <iosfwd>
 #include <limits>
@@ -87,9 +89,11 @@ class Table {
   /// wins); an empty `meta` makes a switch that takes no value.
   Table& repeated(std::string name, std::string meta, Each each,
                   std::string help);
-  /// Arguments that are not flags, in order. Without this, any positional
-  /// argument is an error.
-  Table& positional(Each each);
+  /// Arguments that are not flags, in order, at most `max` of them.
+  /// Without this, any positional argument is an error, and so is one
+  /// past `max`.
+  Table& positional(Each each,
+                    std::size_t max = std::numeric_limits<std::size_t>::max());
 
   /// Parse the arguments that follow the command name. Returns false when
   /// -h or --help was reached: the usage went to `help_out` and the caller
@@ -126,6 +130,7 @@ class Table {
   std::string summary_;
   std::vector<Flag> flags_;
   Each positional_;
+  std::size_t max_positionals_ = 0;
 };
 
 template <typename Int>

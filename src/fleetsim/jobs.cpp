@@ -14,16 +14,6 @@ namespace hpcarbon::fleetsim {
 
 namespace {
 
-/// `hours` on the tick grid: a time already on it converts exactly, and
-/// only an off-grid one pays for llround. |hours| <= kMaxJobHours, so the
-/// cast is defined.
-Tick snap(double hours) {
-  const double x = hours * static_cast<double>(kTicksPerHour);
-  const auto tick = static_cast<Tick>(x);
-  return static_cast<double>(tick) == x ? tick
-                                        : static_cast<Tick>(std::llround(x));
-}
-
 double parse_num(const std::string& cell, const char* column,
                  std::size_t line) {
   char* end = nullptr;
@@ -57,8 +47,8 @@ FleetJobs::FleetJobs(std::vector<sched::Job> jobs,
   HPC_REQUIRE(arrivals_.size() <= std::numeric_limits<std::uint32_t>::max(),
               "a fleet holds at most 2^32 - 1 jobs");
   // Before the sort and the snapping: a NaN would break the sort's
-  // ordering (the check is false for NaN), and llround's result is
-  // unspecified outside the int64 range.
+  // ordering (the check is false for NaN), and nearest_tick is defined
+  // only for ticks inside the int64 range.
   bool sorted = true;
   for (std::size_t i = 0; i < arrivals_.size(); ++i) {
     const sched::Job& j = arrivals_[i];
@@ -84,8 +74,9 @@ FleetJobs::FleetJobs(std::vector<sched::Job> jobs,
                      });
   }
   for (sched::Job& j : arrivals_) {
-    j.submit_hour = hours_of(std::max<Tick>(0, snap(j.submit_hour)));
-    j.duration_hours = hours_of(std::max<Tick>(1, snap(j.duration_hours)));
+    j.submit_hour = hours_of(std::max<Tick>(0, nearest_tick(j.submit_hour)));
+    j.duration_hours =
+        hours_of(std::max<Tick>(1, nearest_tick(j.duration_hours)));
   }
 }
 

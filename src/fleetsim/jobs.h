@@ -15,7 +15,7 @@
 // The constructor is the only way to build a fleet. It checks every job
 // once and snaps each submit time and duration to the nearest tick: at
 // most 1/2048 h (about 1.8 s) per time, and nothing for times already on
-// the grid (generate_fleet_jobs, tick-aligned CSVs). A run neither
+// the grid (generated submit times, tick-aligned CSVs). A run neither
 // re-checks nor copies a job: FleetEngine hands arrivals() to the policy
 // and the view in place and reads each tick back with a multiply. On the
 // `hpcarbon run` trio the snapping moves a policy's savings_pct by a few
@@ -47,10 +47,15 @@ using hpcarbon::Tick;
 inline constexpr double kMaxJobHours = 1e6;
 
 /// Nearest tick to a fractional-hour value (snapping error <= 1/2048 h,
-/// about 1.8 s). Bridges double-based workloads into the tick grid.
+/// about 1.8 s). Bridges double-based workloads into the tick grid. A
+/// time already on the grid converts exactly, and only an off-grid one
+/// pays for llround. `hours` must be finite and bounded (kMaxJobHours
+/// for job times), so the tick fits an int64 and the cast is defined.
 inline Tick nearest_tick(double hours) {
-  return static_cast<Tick>(
-      std::llround(hours * static_cast<double>(kTicksPerHour)));
+  const double x = hours * static_cast<double>(kTicksPerHour);
+  const auto tick = static_cast<Tick>(x);
+  return static_cast<double>(tick) == x ? tick
+                                        : static_cast<Tick>(std::llround(x));
 }
 
 /// kMaxJobHours on the tick grid: no submit or duration tick of a fleet

@@ -108,17 +108,15 @@ FleetJobs generate_fleet_jobs(const FleetWorkloadParams& p) {
     j.id = static_cast<int>(i);
     j.user = static_cast<std::uint32_t>(
         attr_rng.uniform_int(0, p.user_count - 1));
-    const double duration_hours =
-        std::min(p.max_duration_hours,
-                 attr_rng.lognormal(p.duration_log_mean, p.duration_log_sigma));
     j.submit_hour = hours_of(ticks[i]);
     j.duration_hours =
-        hours_of(std::max<Tick>(1, nearest_tick(duration_hours)));
+        std::min(p.max_duration_hours,
+                 attr_rng.lognormal(p.duration_log_mean, p.duration_log_sigma));
     j.it_power =
         Power::kilowatts(attr_rng.uniform(p.min_power_kw, p.max_power_kw));
   }
-  // Every time is on the grid and the ticks ascend, so the constructor
-  // only checks them.
+  // The submit ticks ascend, so the constructor does not sort; it snaps
+  // each duration to the grid.
   return FleetJobs(std::move(jobs),
                    sched::generated_user_names(p.user_count));
 }

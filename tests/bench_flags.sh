@@ -53,12 +53,14 @@ expect_error "hpcarbon: usage expects a number in (0, 1], got 'nan'" \
   example upgrade-advisor V100 A100 200 nan
 expect_error "hpcarbon: years expects a number in (0, inf), got '0'" \
   example upgrade-advisor V100 A100 200 0.4 0
-# Positionals go through the option table, where a leading '-' makes a
-# flag, so a negative number is an unknown flag, and --help is the help.
-expect_error "hpcarbon: unknown example upgrade-advisor flag '-3' (see \`hpcarbon example upgrade-advisor --help\`)" \
+expect_error "hpcarbon: years expects a number in (0, inf), got '-3'" \
   example upgrade-advisor V100 A100 200 0.4 -3
+# Positionals go through the option table: --help is the help, and one
+# past the last is an error.
 expect_error "hpcarbon: unexpected example region-explorer argument 'CISO' (see \`hpcarbon example region-explorer --help\`)" \
   example region-explorer ESO CISO
+expect_error "hpcarbon: unexpected example upgrade-advisor argument '1' (see \`hpcarbon example upgrade-advisor --help\`)" \
+  example upgrade-advisor V100 A100 200 0.4 4 1
 expect_error "hpcarbon: unknown node generation: H100 (expected P100, V100, or A100)" \
   example upgrade-advisor V100 H100
 

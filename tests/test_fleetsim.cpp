@@ -672,9 +672,11 @@ TEST(FleetWorkload, GenerationIsDeterministicPerSeedAndProcess) {
     EXPECT_EQ(submit_ticks(a), submit_ticks(b)) << to_string(process);
     EXPECT_EQ(duration_ticks(a), duration_ticks(b)) << to_string(process);
     EXPECT_EQ(user_indexes(a), user_indexes(b)) << to_string(process);
-    const std::vector<Tick> submits = submit_ticks(a);
-    EXPECT_TRUE(std::is_sorted(submits.begin(), submits.end()))
-        << to_string(process);
+    // The generator emits ascending submits, so the constructor keeps its
+    // order: ids come out 0..n-1 (a sort would have moved some).
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      ASSERT_EQ(a.arrivals()[i].id, static_cast<int>(i)) << to_string(process);
+    }
     // The long-run rate is preserved within sampling noise (20%).
     const double expected = p.rate_per_hour * p.horizon_hours;
     EXPECT_NEAR(static_cast<double>(a.size()), expected, 0.2 * expected)
@@ -747,10 +749,11 @@ TEST(FleetReplay, SampleFixtureLoadsAndRuns) {
   const FleetJobs jobs =
       load_jobs_csv(data_path("jobs_sample.csv"), /*site_count=*/3);
   ASSERT_EQ(jobs.size(), 12u);
-  // Sorted by submit; ids preserve the file's row order.
-  const std::vector<Tick> submits = submit_ticks(jobs);
-  EXPECT_TRUE(std::is_sorted(submits.begin(), submits.end()));
-  EXPECT_EQ(jobs.arrivals()[0].id, 0);
+  // The fixture's rows ascend by submit, two of them tied at 2.0 h, so
+  // arrivals keep the file's row order: ids are the rows, from 0.
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    EXPECT_EQ(jobs.arrivals()[i].id, static_cast<int>(i));
+  }
   EXPECT_EQ(hours_of(jobs.submit_tick(0)), 0.0);
   EXPECT_EQ(hours_of(jobs.submit_tick(11)), 24.0);
   EXPECT_EQ(hours_of(jobs.duration_tick(0)), 2.5);

@@ -132,19 +132,47 @@ TEST(Options, BareDashAndEmptyArgumentsArePositional) {
   EXPECT_TRUE(f.verbose);
 }
 
-TEST(Options, PositionalWithoutACallbackIsAnError) {
-  Table t("bare", "", "");
-  char arg[] = "stray";
-  char* argv[] = {arg};
+TEST(Options, NegativeNumbersArePositionalWhereTheCommandTakesThem) {
+  Fields f;
+  EXPECT_TRUE(parse(f, {"-5", "-0.5", "-inf", "--offset", "-1e0"}));
+  EXPECT_EQ(f.positionals, (std::vector<std::string>{"-5", "-0.5", "-inf"}));
+  EXPECT_EQ(f.offset, -1);  // a flag's value still goes to the flag
+  EXPECT_EQ(error_of({"-5x"}),
+            "unknown demo flag '-5x' (see `hpcarbon demo --help`)");
+}
+
+/// The what() of the Error `t` throws parsing `args` ("" when none).
+std::string error_of(const Table& t, std::vector<std::string> args) {
+  std::vector<char*> argv;
+  for (auto& a : args) argv.push_back(a.data());
   std::ostringstream sink;
   try {
-    t.parse(1, argv, sink);
-    FAIL() << "a stray positional was accepted";
+    t.parse(static_cast<int>(argv.size()), argv.data(), sink);
   } catch (const Error& e) {
-    EXPECT_STREQ(e.what(),
-                 "unexpected bare argument 'stray' (see `hpcarbon bare "
-                 "--help`)");
+    return e.what();
   }
+  return "";
+}
+
+TEST(Options, PositionalWithoutACallbackIsAnError) {
+  const Table t("bare", "", "");
+  EXPECT_EQ(error_of(t, {"stray"}),
+            "unexpected bare argument 'stray' (see `hpcarbon bare --help`)");
+  // Without positionals a negative number is read as a flag.
+  EXPECT_EQ(error_of(t, {"-5"}),
+            "unknown bare flag '-5' (see `hpcarbon bare --help`)");
+}
+
+TEST(Options, PositionalsPastTheirMaximumAreAnError) {
+  std::vector<std::string> seen;
+  Table t("two", "[A] [B]", "");
+  t.positional([&seen](const std::string& arg) { seen.push_back(arg); }, 2);
+  EXPECT_EQ(error_of(t, {"a", "-2"}), "");
+  EXPECT_EQ(seen, (std::vector<std::string>{"a", "-2"}));
+  seen.clear();
+  EXPECT_EQ(error_of(t, {"a", "b", "c"}),
+            "unexpected two argument 'c' (see `hpcarbon two --help`)");
+  EXPECT_EQ(seen, (std::vector<std::string>{"a", "b"}));
 }
 
 TEST(Options, MissingValueAndUnknownFlagAreWordedOneWay) {
@@ -157,8 +185,8 @@ TEST(Options, MissingValueAndUnknownFlagAreWordedOneWay) {
             "unknown demo flag '--count=3' (see `hpcarbon demo --help`)");
   EXPECT_EQ(error_of({"--coun", "3"}),
             "unknown demo flag '--coun' (see `hpcarbon demo --help`)");
-  EXPECT_EQ(error_of({"-5"}),
-            "unknown demo flag '-5' (see `hpcarbon demo --help`)");
+  EXPECT_EQ(error_of({"-x"}),
+            "unknown demo flag '-x' (see `hpcarbon demo --help`)");
 }
 
 // Integer fields are range-checked on the parsed double before any cast:
