@@ -2,8 +2,8 @@
 // implications call for, evaluated against a carbon-unaware baseline over
 // the Fig. 7 trio (ERCOT home, median 367 g/kWh; ESO and CISO remote).
 //
-// The policy column enumerates the string-keyed registry (sched/policy.h),
-// so a newly registered policy appears here with no edits. Reported: total
+// The policy column enumerates the policy table (sched/policy.h), so a
+// row added there appears here with no edits. Reported: total
 // carbon, savings vs baseline, wait times, and remote dispatch counts —
 // plus a timing section showing the O(1) prefix-sum interval-carbon queries
 // against the hour-stepping loop they replaced.

@@ -91,8 +91,8 @@ std::vector<std::string> policy_names() {
 }
 
 std::string parse_policy(const std::string& name) {
-  if (auto canonical = sched::canonical_policy_name(name)) {
-    return std::move(*canonical);
+  if (const sched::PolicyDescriptor* desc = sched::find_policy(name)) {
+    return desc->name;
   }
   std::string known;
   for (const auto& desc : sched::registered_policies()) {
@@ -113,8 +113,8 @@ ScenarioReport run_scenarios(const ScenarioOptions& opts) {
   }
 
   // The baseline row comes first in each region's block. The policy set
-  // comes from the string-keyed registry, so newly registered policies
-  // appear in the matrix with no edits here.
+  // comes from the policy table, so a row added there appears in the
+  // matrix with no edits here.
   std::vector<std::string> policies = {fleetsim::kBaselinePolicy};
   std::vector<std::string> requested = opts.policies;
   if (requested.empty()) {

@@ -2,9 +2,9 @@
 
 #include <chrono>
 #include <condition_variable>
+#include <fstream>
 #include <iostream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -123,46 +123,35 @@ std::unique_ptr<obs::ScrapeServer> start_scrape_server(
   return scrape;
 }
 
-/// Request lines of a JSONL payload: blank and whitespace-only lines are
-/// skipped (trailing newline, CRLF endings), everything else is a request.
-std::vector<std::string> request_lines(const std::string& text) {
-  std::vector<std::string> lines;
-  std::size_t pos = 0;
-  while (pos <= text.size()) {
-    std::size_t end = text.find('\n', pos);
-    if (end == std::string::npos) end = text.size();
-    std::string line = text.substr(pos, end - pos);
-    while (!line.empty() &&
-           (line.back() == '\r' || line.back() == ' ' || line.back() == '\t')) {
-      line.pop_back();
+/// Frames `in` in 64 KiB reads through a LineFramer, the socket server's
+/// framing, and hands every line and oversize report to `each` in order.
+template <class Each>
+void frame_input(std::istream& in, Each&& each) {
+  net::LineFramer framer;
+  char chunk[65536];
+  while (in.read(chunk, sizeof(chunk)) || in.gcount() > 0) {
+    framer.feed(
+        std::string_view(chunk, static_cast<std::size_t>(in.gcount())));
+    for (auto item = framer.next();
+         item.kind != net::LineFramer::Item::Kind::kNone;
+         item = framer.next()) {
+      each(item);
     }
-    if (!line.empty()) lines.push_back(std::move(line));
-    if (end == text.size()) break;
-    pos = end + 1;
   }
-  return lines;
-}
-
-std::string read_all_of_stdin() {
-  std::ostringstream buf;
-  buf << std::cin.rdbuf();
-  return buf.str();
+  const auto last = framer.finish();  // input without a trailing newline
+  if (last.kind != net::LineFramer::Item::Kind::kNone) each(last);
 }
 
 /// Pipe mode: request/response loop on stdin/stdout, one flushed response
-/// per line. Framing (trimming, blank-line skipping, the shared
-/// max-line-length guard) goes through the same LineFramer the socket
-/// front-end uses, so an oversized line gets the identical ok:false
-/// answer here without ever being buffered whole.
+/// per line. An oversized line gets the ok:false answer without ever
+/// being buffered whole.
 int serve_pipe(const FrontEndOptions& opts) {
   serve::Engine engine(opts.net.serve);
   const std::unique_ptr<obs::ScrapeServer> scrape =
       start_scrape_server(opts.metrics_unix, engine);
   PeriodicStats reporter(engine, opts.stats_interval_s);
-  net::LineFramer framer;
   std::string response;  // reused across lines (handle_line_to appends)
-  char chunk[65536];
-  auto answer = [&](const net::LineFramer::Item& item) {
+  frame_input(std::cin, [&](const net::LineFramer::Item& item) {
     response.clear();
     if (item.kind == net::LineFramer::Item::Kind::kOversize) {
       serve::append_error_response(
@@ -174,18 +163,7 @@ int serve_pipe(const FrontEndOptions& opts) {
     // One response per request, flushed immediately: the reader on the
     // other end of the pipe must not wait on a buffer.
     std::cout << response << std::flush;
-  };
-  while (std::cin.read(chunk, sizeof(chunk)) || std::cin.gcount() > 0) {
-    framer.feed(
-        std::string_view(chunk, static_cast<std::size_t>(std::cin.gcount())));
-    for (auto item = framer.next();
-         item.kind != net::LineFramer::Item::Kind::kNone;
-         item = framer.next()) {
-      answer(item);
-    }
-  }
-  const auto last = framer.finish();  // input without a trailing newline
-  if (last.kind != net::LineFramer::Item::Kind::kNone) answer(last);
+  });
   return 0;
 }
 
@@ -254,16 +232,34 @@ int cmd_batch(int argc, char** argv, std::ostream& out, std::ostream& err) {
   opts.net.serve.cache_bytes = opts.cache_mb << 20;
   size_pool(opts.threads);
 
-  const std::string text = opts.input_path == "-" ? read_all_of_stdin()
-                                                  : read_file(opts.input_path);
-  const std::vector<std::string> lines = request_lines(text);
-
+  std::ifstream file;
+  if (opts.input_path != "-") {
+    file.open(opts.input_path, std::ios::binary);
+    if (!file) throw Error("cannot open file: " + opts.input_path);
+  }
+  // One answer per item, in input order. An oversized line never reaches
+  // the engine: it gets the pipe's answer here, and the engine's
+  // responses fill the empty slots (no answer document is empty) in order.
+  std::vector<std::string> lines;
+  std::vector<std::string> answers;
+  frame_input(opts.input_path == "-" ? std::cin : file,
+              [&](const net::LineFramer::Item& item) {
+                answers.emplace_back();
+                if (item.kind == net::LineFramer::Item::Kind::kOversize) {
+                  serve::append_error_response(
+                      answers.back(), {},
+                      serve::oversize_line_error(item.oversize_bytes));
+                } else {
+                  lines.emplace_back(item.line);
+                }
+              });
   serve::Engine engine(opts.net.serve);
   const std::vector<std::string> responses = engine.handle_batch(lines);
 
   std::string jsonl;
-  for (const auto& r : responses) {
-    jsonl += r;
+  std::size_t next_response = 0;
+  for (const std::string& answer : answers) {
+    jsonl += answer.empty() ? responses[next_response++] : answer;
     jsonl.push_back('\n');
   }
   if (opts.out_path.empty()) {
@@ -273,7 +269,7 @@ int cmd_batch(int argc, char** argv, std::ostream& out, std::ostream& err) {
   }
 
   const serve::CacheStats cs = engine.cache_stats();
-  std::cerr << "hpcarbon batch: " << lines.size() << " requests; cache: "
+  std::cerr << "hpcarbon batch: " << answers.size() << " requests; cache: "
             << cs.hits << " hits, " << cs.misses << " misses, "
             << cs.evictions << " evictions, " << cs.entries << " entries, "
             << cs.bytes << " bytes\n";

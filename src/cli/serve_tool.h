@@ -17,9 +17,10 @@
 // thread counts); `batch` additionally prints a one-line cache summary to
 // stderr, and the `{"op":"stats"}` control request reports engine
 // counters plus net_* transport counters in-band (zeros in pipe/batch
-// mode, where there is no transport). All front-ends share the
-// serve::kMaxRequestLineBytes line limit: an oversized request line is
-// answered with an ok:false response reporting its byte count.
+// mode, where there is no transport). All front-ends frame lines through
+// net::LineFramer and share the serve::kMaxRequestLineBytes line limit:
+// an oversized request line (trailing whitespace counts) is answered with
+// an ok:false response reporting its byte count.
 //
 // Observability (README "Observability"): `{"op":"metrics"}` returns the
 // full obs registry as JSON; `--metrics-unix PATH` exposes a Prometheus

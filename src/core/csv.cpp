@@ -1,6 +1,5 @@
 #include "core/csv.h"
 
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
@@ -51,15 +50,6 @@ std::vector<std::string> split_line(const std::string& line,
   return cells;
 }
 
-bool parse_double(const std::string& s, double* out) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  const double v = std::strtod(s.c_str(), &end);
-  if (end != s.c_str() + s.size()) return false;
-  *out = v;
-  return true;
-}
-
 }  // namespace
 
 CsvTable parse_csv_table(const std::string& text) {
@@ -85,42 +75,9 @@ CsvTable parse_csv_table(const std::string& text) {
   return table;
 }
 
-CsvData parse_csv(const std::string& text) {
-  const CsvTable table = parse_csv_table(text);
-  CsvData data;
-  bool first = true;
-  for (std::size_t r = 0; r < table.rows.size(); ++r) {
-    const auto& cells = table.rows[r];
-    if (first) {
-      first = false;
-      bool all_numeric = true;
-      double tmp;
-      for (const auto& c : cells) {
-        if (!parse_double(c, &tmp)) {
-          all_numeric = false;
-          break;
-        }
-      }
-      if (!all_numeric) {
-        data.header = cells;
-        continue;
-      }
-    }
-    std::vector<double> row;
-    row.reserve(cells.size());
-    for (const auto& c : cells) {
-      double v;
-      HPC_REQUIRE(parse_double(c, &v), "non-numeric CSV cell: " + c);
-      row.push_back(v);
-    }
-    data.rows.push_back(std::move(row));
-  }
-  return data;
-}
-
 std::string read_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
-  HPC_REQUIRE(in.good(), "cannot open file: " + path);
+  if (!in) throw Error("cannot open file: " + path);
   std::ostringstream ss;
   ss << in.rdbuf();
   return ss.str();
@@ -128,7 +85,7 @@ std::string read_file(const std::string& path) {
 
 void write_file(const std::string& path, const std::string& content) {
   std::ofstream out(path, std::ios::binary);
-  HPC_REQUIRE(out.good(), "cannot open file for writing: " + path);
+  if (!out) throw Error("cannot open file for writing: " + path);
   out << content;
 }
 

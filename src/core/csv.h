@@ -6,10 +6,8 @@
 // RFC 4180-style double quotes around cells that contain commas ("" escapes
 // a literal quote), and an optional newline on the final row.
 //
-// Two parse layers:
-//  * parse_csv_table — raw string cells (timestamped grid exports need the
-//    datetime column verbatim; grid/import.h builds on this).
-//  * parse_csv       — the numeric payload view used by bench round-trips.
+// parse_csv_table reads raw string cells (timestamped grid exports need the
+// datetime column verbatim); grid/import.h and fleetsim/jobs.h build on it.
 //
 // Emission goes through csv_escape / csv_row so that every CSV the tools
 // write parses back through this module (RFC 4180 round-trip), even when a
@@ -23,11 +21,6 @@
 
 namespace hpcarbon {
 
-struct CsvData {
-  std::vector<std::string> header;           // empty if no header detected
-  std::vector<std::vector<double>> rows;     // numeric payload
-};
-
 /// Raw rectangular view: every cell as text, no header detection.
 struct CsvTable {
   std::vector<std::vector<std::string>> rows;
@@ -39,11 +32,6 @@ struct CsvTable {
 /// Parse CSV text into string cells. Throws hpcarbon::Error on ragged rows
 /// (all rows must match the first row's width) or malformed quoting.
 CsvTable parse_csv_table(const std::string& text);
-
-/// Parse CSV text. If the first row contains any non-numeric cell, it is
-/// treated as the header. Throws hpcarbon::Error on malformed numeric cells
-/// or ragged rows.
-CsvData parse_csv(const std::string& text);
 
 /// Read a whole file; throws hpcarbon::Error if it cannot be opened.
 std::string read_file(const std::string& path);

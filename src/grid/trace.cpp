@@ -4,7 +4,6 @@
 #include <iomanip>
 #include <sstream>
 
-#include "core/csv.h"
 #include "core/error.h"
 
 namespace hpcarbon::grid {
@@ -123,20 +122,6 @@ std::string CarbonIntensityTrace::to_csv() const {
     out << static_cast<double>(i) * step_hours() << ',' << v[i] << '\n';
   }
   return out.str();
-}
-
-CarbonIntensityTrace CarbonIntensityTrace::from_csv(
-    const std::string& region_code, TimeZone tz, const std::string& csv,
-    double step_seconds) {
-  const CsvData data = parse_csv(csv);
-  std::vector<double> values;
-  values.reserve(data.rows.size());
-  for (const auto& row : data.rows) {
-    HPC_REQUIRE(row.size() == 2, "trace CSV must have two columns");
-    values.push_back(row[1]);
-  }
-  return CarbonIntensityTrace(region_code, tz, std::move(values),
-                              step_seconds);
 }
 
 }  // namespace hpcarbon::grid

@@ -81,13 +81,8 @@ class CarbonIntensityTrace {
   std::vector<double> hour_of_day_slice(int hour_of_day) const;
 
   /// CSV with "hour,intensity_g_per_kwh" rows (fractional hours when the
-  /// trace is sub-hourly).
+  /// trace is sub-hourly); grid::import_trace reads it back bit for bit.
   std::string to_csv() const;
-  /// Parse a trace back from to_csv() output (two columns; the second is
-  /// the intensity). The cadence is taken from `step_seconds`.
-  static CarbonIntensityTrace from_csv(const std::string& region_code,
-                                       TimeZone tz, const std::string& csv,
-                                       double step_seconds = kSecondsPerHour);
 
  private:
   std::string region_code_;

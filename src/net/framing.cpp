@@ -30,18 +30,19 @@ void LineFramer::feed(std::string_view bytes) {
 }
 
 LineFramer::Item LineFramer::emit(std::size_t begin, std::size_t end) {
-  // Trim trailing '\r', ' ', '\t' — the batch front-end's rules.
-  while (end > begin && (buf_[end - 1] == '\r' || buf_[end - 1] == ' ' ||
-                         buf_[end - 1] == '\t')) {
-    --end;
-  }
   Item item;
-  if (end == begin) return item;  // blank line: kNone, caller loops
+  // The limit covers the untrimmed line, as discard mode counts it.
   if (end - begin > max_line_) {
     item.kind = Item::Kind::kOversize;
     item.oversize_bytes = end - begin;
     return item;
   }
+  // Trim trailing '\r', ' ', '\t' (CRLF clients, trailing whitespace).
+  while (end > begin && (buf_[end - 1] == '\r' || buf_[end - 1] == ' ' ||
+                         buf_[end - 1] == '\t')) {
+    --end;
+  }
+  if (end == begin) return item;  // blank line: kNone, caller loops
   item.kind = Item::Kind::kLine;
   item.line = std::string_view(buf_).substr(begin, end - begin);
   return item;

@@ -1,22 +1,25 @@
-// Incremental newline framing for the streaming front-ends.
+// Incremental newline framing for every serve front-end.
 //
 // A LineFramer turns an arbitrary sequence of byte chunks (socket reads,
-// pipe reads) into the request lines the serve engine answers, with the
-// same trimming rules the batch front-end applies to whole files:
-// trailing '\r', ' ' and '\t' are stripped (CRLF clients, trailing
-// whitespace) and lines that are empty after trimming are skipped.
+// pipe reads, batch file reads) into the request lines the serve engine
+// answers: trailing '\r', ' ' and '\t' are stripped (CRLF clients,
+// trailing whitespace) and lines that are empty after trimming are
+// skipped.
 //
 // The framer enforces serve::kMaxRequestLineBytes *while buffering*: once
 // an unterminated line grows past the limit the buffered prefix is
 // dropped and the framer switches to discard mode, counting (not
 // storing) bytes until the terminating newline, then reports the line as
 // oversized with its true byte count. A hostile or broken client can
-// therefore never make a connection buffer more than the limit, and the
-// oversize answer still carries the same count the batch path (which has
-// the whole line in hand) would report — so every front-end rejects with
-// identical bytes (serve::oversize_line_error).
+// therefore never make a connection buffer more than the limit. The
+// limit and the reported count cover every byte before the newline,
+// trailing whitespace included, whether the newline arrived with the
+// line or after the framer began discarding, so the answer does not
+// depend on how reads split a line, and every front-end (batch, pipe and
+// socket all frame through this class) rejects with identical bytes
+// (serve::oversize_line_error).
 //
-// Single-owner object: one framer per connection (or per pipe), driven
+// Single-owner object: one framer per connection (or per input), driven
 // from one thread. Views returned by next() point into the internal
 // buffer and are valid until the next feed()/next()/finish() call.
 #pragma once
@@ -39,7 +42,7 @@ class LineFramer {
       kNone,      // no complete line buffered; feed more bytes
       kLine,      // `line` is a complete, trimmed, non-empty request line
       kOversize,  // a line exceeded the limit; `oversize_bytes` is its
-                  // length (excluding the newline)
+                  // untrimmed length (excluding the newline)
     };
     Kind kind = Kind::kNone;
     std::string_view line;

@@ -1,14 +1,14 @@
 #include "obs/scrape.h"
 
+#include <fcntl.h>
 #include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstring>
 #include <utility>
 
 #include "core/error.h"
+#include "net/listener.h"
 #include "obs/export.h"
 
 namespace hpcarbon::obs {
@@ -23,39 +23,28 @@ ScrapeServer::~ScrapeServer() { stop(); }
 
 void ScrapeServer::start() {
   HPC_REQUIRE(listen_fd_ == -1, "ScrapeServer already started");
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  HPC_REQUIRE(path_.size() < sizeof(addr.sun_path),
-              "--metrics-unix path too long: " + path_);
-  std::memcpy(addr.sun_path, path_.c_str(), path_.size() + 1);
-
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  HPC_REQUIRE(fd >= 0, std::string("metrics socket: ") + std::strerror(errno));
-  ::unlink(path_.c_str());  // stale socket from a previous run
-  if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0 ||
-      ::listen(fd, 16) != 0) {
-    const std::string what = std::strerror(errno);
-    ::close(fd);
-    throw Error("metrics socket bind/listen on '" + path_ + "': " + what);
-  }
+  // The data plane's bind: it replaces a stale socket and refuses to
+  // replace anything else. The accept loop below blocks.
+  const int fd = net::listen_unix(path_, 16);
+  ::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL) & ~O_NONBLOCK);
   listen_fd_ = fd;
-  thread_ = std::thread([this] { accept_loop(); });
+  thread_ = std::thread([this, fd] { accept_loop(fd); });
 }
 
 void ScrapeServer::stop() {
-  if (listen_fd_ >= 0) {
-    // shutdown() unblocks a blocked accept() on Linux; close() finishes it.
-    ::shutdown(listen_fd_, SHUT_RDWR);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
-  if (thread_.joinable()) thread_.join();
-  if (!path_.empty()) ::unlink(path_.c_str());
+  if (listen_fd_ < 0) return;  // never bound: the path is not ours
+  // shutdown() fails every accept() on Linux, a blocked one included, so
+  // the thread exits before the fd is closed and its number reused.
+  ::shutdown(listen_fd_, SHUT_RDWR);
+  thread_.join();
+  ::close(listen_fd_);
+  listen_fd_ = -1;
+  ::unlink(path_.c_str());
 }
 
-void ScrapeServer::accept_loop() {
+void ScrapeServer::accept_loop(int listen_fd) {
   for (;;) {
-    const int client = ::accept(listen_fd_, nullptr, nullptr);
+    const int client = ::accept(listen_fd, nullptr, nullptr);
     if (client < 0) {
       if (errno == EINTR) continue;
       return;  // listener closed by stop(): drain and exit

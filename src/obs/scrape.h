@@ -11,8 +11,8 @@
 // protocol; the CI loopback smoke validates the format with
 // tools/check_prometheus.py.
 //
-// One blocking accept-loop thread; stop() closes the listener, which
-// unblocks accept and joins the thread. No epoll, no pipelining — a
+// One blocking accept-loop thread; stop() shuts the listener down, which
+// unblocks accept, and joins the thread. No epoll, no pipelining — a
 // scrape every few seconds is not a data plane.
 #pragma once
 
@@ -31,21 +31,23 @@ class ScrapeServer {
   explicit ScrapeServer(std::string unix_path,
                         MetricsRegistry* registry = nullptr,
                         std::function<void()> pre_scrape = {});
-  ~ScrapeServer();  // stop() + join + unlink
+  ~ScrapeServer();  // stop()
 
   ScrapeServer(const ScrapeServer&) = delete;
   ScrapeServer& operator=(const ScrapeServer&) = delete;
 
-  /// Bind + listen + spawn the accept thread. Throws hpcarbon::Error on
-  /// any socket failure (stale socket files are unlinked first).
+  /// Bind + listen (net::listen_unix: a stale socket file is replaced,
+  /// any other file at the path is an error and is left alone) and spawn
+  /// the accept thread. Throws hpcarbon::Error on any socket failure.
   void start();
-  /// Close the listener and join the accept thread; idempotent.
+  /// Close the listener, join the accept thread and unlink the socket it
+  /// bound; idempotent, and a no-op when start() did not bind.
   void stop();
 
   const std::string& path() const { return path_; }
 
  private:
-  void accept_loop();
+  void accept_loop(int listen_fd);
 
   std::string path_;
   MetricsRegistry* registry_;

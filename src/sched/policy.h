@@ -13,21 +13,21 @@
 //  * SchedulingPolicy   — the strategy interface: plan a start on arrival,
 //                         pick (job, site) pairs at dispatch time, observe
 //                         started jobs.
-//  * Policy registry    — string-keyed factory; the CLI and benches
-//                         enumerate it instead of hard-coding an enum, so a
-//                         policy registered here appears in `hpcarbon run`,
-//                         `hpcarbon policies`, and the ablation bench with
-//                         no further wiring.
+//  * Policy table       — the built-ins as one constant table, looked up by
+//                         name; the CLI and benches enumerate it instead of
+//                         hard-coding an enum, so a row added there appears
+//                         in `hpcarbon run`, `hpcarbon policies`, and the
+//                         ablation bench with no further wiring.
 //
 // The engine that drives these is fleetsim::FleetEngine (fleetsim/engine.h).
 #pragma once
 
 #include <cmath>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <type_traits>
 #include <vector>
 
@@ -40,7 +40,7 @@
 namespace hpcarbon::sched {
 
 /// Knob bag shared by every built-in policy; each class reads only the
-/// fields it documents. Registry `make` functions receive one of these.
+/// fields it documents. Each table row's `make` receives one of these.
 struct PolicyConfig {
   /// ThresholdDelay: run when local CI <= threshold…
   double ci_threshold_g_per_kwh = 150.0;
@@ -164,7 +164,7 @@ class SchedulingPolicy {
  public:
   virtual ~SchedulingPolicy() = default;
 
-  /// Canonical registry name ("greedy-lowest-ci").
+  /// Canonical table name ("greedy-lowest-ci").
   virtual std::string name() const = 0;
 
   /// Called once before the event loop with the sorted arrivals. The
@@ -217,49 +217,26 @@ struct PolicyKnob {
   double default_value = 0;
 };
 
-/// Registry entry: names, documentation, and the factory.
+/// One row of the policy table: names, documentation, and the factory.
 struct PolicyDescriptor {
   std::string name;        // canonical, e.g. "greedy-lowest-ci"
   std::string short_name;  // CLI shorthand, e.g. "greedy"
   std::string description;
   std::vector<PolicyKnob> knobs;
-  std::function<std::unique_ptr<SchedulingPolicy>(const PolicyConfig&)> make;
+  std::unique_ptr<SchedulingPolicy> (*make)(const PolicyConfig&);
 };
 
-/// Register a policy; idempotent per canonical name (re-registering
-/// replaces). Built-ins self-register via HPCARBON_REGISTER_POLICY.
-void register_policy(PolicyDescriptor descriptor);
+/// The policy table: every built-in, in the order `hpcarbon policies`,
+/// policy_names() and the ablation matrix report, fcfs-local (the
+/// baseline) first. Constant, built on first use.
+const std::vector<PolicyDescriptor>& registered_policies();
 
-/// All registered policies, in registration order (built-ins first).
-std::vector<PolicyDescriptor> registered_policies();
-
-/// Lookup by canonical or short name; nullopt when unknown. Returns a
-/// copy (taken under the registry lock) so callers are safe against
-/// concurrent register_policy calls.
-std::optional<PolicyDescriptor> find_policy(const std::string& name_or_short);
-
-/// The canonical name of a policy given by canonical or short name;
-/// nullopt when unknown. Copies only the name under the registry lock,
-/// for callers that resolve names without building a policy.
-std::optional<std::string> canonical_policy_name(
-    const std::string& name_or_short);
+/// The table row named `name_or_short` (canonical or short name), or
+/// nullptr when no row has that name.
+const PolicyDescriptor* find_policy(std::string_view name_or_short);
 
 /// Factory. Throws hpcarbon::Error for unknown names.
 std::unique_ptr<SchedulingPolicy> make_policy(const std::string& name,
                                               const PolicyConfig& cfg = {});
 
 }  // namespace hpcarbon::sched
-
-/// Registers `maker` (a callable returning std::unique_ptr<SchedulingPolicy>
-/// from a const PolicyConfig&) under the given names at static-init time.
-/// Knobs is a braced list of PolicyKnob.
-#define HPCARBON_REGISTER_POLICY(ident, name_, short_name_, desc_, knobs_, \
-                                 maker_)                                   \
-  namespace {                                                              \
-  [[maybe_unused]] const bool hpcarbon_policy_##ident##_registered = [] {  \
-    ::hpcarbon::sched::register_policy(                                    \
-        {name_, short_name_, desc_,                                        \
-         std::vector<::hpcarbon::sched::PolicyKnob> knobs_, maker_});      \
-    return true;                                                           \
-  }();                                                                     \
-  }

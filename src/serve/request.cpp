@@ -272,16 +272,16 @@ std::vector<std::string> regions(ParamReader& r) {
 /// A registered policy, emitted as its canonical name so that
 /// {"policy":"greedy"} and {"policy":"greedy-lowest-ci"} share a key.
 std::string policy(ParamReader& r) {
-  const std::string name(r.string("policy", nullptr));
-  std::optional<std::string> canonical = sched::canonical_policy_name(name);
-  if (!canonical) {
+  const sched::PolicyDescriptor* desc =
+      sched::find_policy(r.string("policy", nullptr));
+  if (desc == nullptr) {
     r.fail("policy", "names no registered policy (known: " +
                          joined(sched::registered_policies(),
                                 &sched::PolicyDescriptor::short_name) +
                          ")");
   }
-  r.emit_string("policy", *canonical);
-  return std::move(*canonical);
+  r.emit_string("policy", desc->name);
+  return desc->name;
 }
 
 /// Cross-field guard both trio families share: the engine simulates

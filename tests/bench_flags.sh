@@ -3,7 +3,8 @@
 # the usage to stdout and exits 0, and a bad flag or argument is one
 # `hpcarbon: ...` line on stderr with exit 1 and nothing on stdout, never
 # an uncaught-exception abort (134), a half-printed report or a run that
-# ignores it. An invalid HPCARBON_THREADS reads as unset.
+# ignores it. A missing input file fails the same way. An invalid
+# HPCARBON_THREADS reads as unset.
 #
 # Usage: tests/bench_flags.sh path/to/hpcarbon
 set -uo pipefail
@@ -38,6 +39,15 @@ expect_error "hpcarbon: --rate expects a number in (0, 1000000], got 'nan'" \
 expect_error "hpcarbon: unknown bench fleetsim flag '--bogus' (see \`hpcarbon bench fleetsim --help\`)" \
   bench fleetsim --bogus
 expect_error "hpcarbon: --label needs a value" bench fleetsim --label
+
+# A missing input file, or an output file that cannot be created, is the
+# same one-line error.
+expect_error "hpcarbon: cannot open file: /nonexistent.jsonl" \
+  batch /nonexistent.jsonl
+expect_error "hpcarbon: cannot open file: /nonexistent.csv" \
+  fleetsim --jobs-csv /nonexistent.csv
+expect_error "hpcarbon: cannot open file for writing: /nonexistent/out.jsonl" \
+  batch /dev/null --out /nonexistent/out.jsonl
 
 help="$("$hpcarbon" bench netload --help)" || fail "bench netload --help exited $?"
 for flag in --json --out --label --smoke --conns --depth --rate --help; do

@@ -66,7 +66,7 @@ TEST(ScenarioRunner, KnownRegionsAndPolicies) {
   const auto codes = region_codes();
   ASSERT_EQ(codes.size(), 7u);
   EXPECT_NE(std::find(codes.begin(), codes.end(), "ESO"), codes.end());
-  // Eight built-ins come from the policy registry (six refactored + the
+  // Eight built-ins come from the policy table (six refactored + the
   // two registry-era additions).
   EXPECT_EQ(policy_names().size(), 8u);
   EXPECT_EQ(parse_policy("greedy"), "greedy-lowest-ci");

@@ -7,6 +7,7 @@
 #include "embodied/uncertainty.h"
 #include "fleetsim/engine.h"
 #include "grid/analysis.h"
+#include "grid/import.h"
 #include "grid/presets.h"
 #include "grid/simulator.h"
 #include "hw/perf.h"
@@ -136,8 +137,10 @@ TEST(Integration, EnergyEfficiencyAloneDoesNotDetermineCarbon) {
 
 TEST(Integration, TraceCsvSurvivesAnalysisRoundTrip) {
   const auto trace = grid::GridSimulator(grid::ciso()).run();
-  const auto back = grid::CarbonIntensityTrace::from_csv(
-      trace.region_code(), trace.time_zone(), trace.to_csv());
+  grid::ImportOptions opts;
+  opts.tz = trace.time_zone();
+  const auto back =
+      grid::import_trace(trace.to_csv(), trace.region_code(), opts);
   const auto a = grid::summarize(trace);
   const auto b = grid::summarize(back);
   EXPECT_DOUBLE_EQ(a.box.median, b.box.median);

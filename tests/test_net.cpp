@@ -83,6 +83,39 @@ TEST(Framer, OversizeLineCountedNotBuffered) {
   EXPECT_EQ(lines, (std::vector<std::string>{"ok-1", "ok-2"}));
 }
 
+TEST(Framer, LimitCoversTrailingWhitespaceForEveryChunking) {
+  // The limit and the count cover every byte before the '\n', so a line
+  // over it only by trailing whitespace, or whose trailing whitespace is
+  // counted after discard mode began, gets one answer however reads
+  // split it.
+  const std::string input = std::string(24, 'x') + "   \r\n" + "ok-1\n" +
+                            std::string(10, 'x') + std::string(12, ' ') +
+                            "\n" + std::string(20, ' ') + "\nok-2";
+  const std::vector<std::string> want = {"oversize 28", "line ok-1",
+                                         "oversize 22", "oversize 20",
+                                         "line ok-2"};
+  for (const std::size_t chunk : {input.size(), std::size_t{1},
+                                  std::size_t{7}, std::size_t{65536}}) {
+    net::LineFramer f(/*max_line_bytes=*/16);
+    std::vector<std::string> got;
+    auto take = [&got](const net::LineFramer::Item& it) {
+      got.push_back(it.kind == net::LineFramer::Item::Kind::kOversize
+                        ? "oversize " + std::to_string(it.oversize_bytes)
+                        : "line " + std::string(it.line));
+    };
+    for (std::size_t i = 0; i < input.size(); i += chunk) {
+      f.feed(std::string_view(input).substr(i, chunk));
+      for (auto it = f.next(); it.kind != net::LineFramer::Item::Kind::kNone;
+           it = f.next()) {
+        take(it);
+      }
+    }
+    const auto last = f.finish();
+    if (last.kind != net::LineFramer::Item::Kind::kNone) take(last);
+    EXPECT_EQ(got, want) << chunk << "-byte chunks";
+  }
+}
+
 TEST(Framer, OversizeAtEofStillReported) {
   net::LineFramer f(8);
   f.feed("0123456789abcdef");  // unterminated and over the limit

@@ -8,8 +8,11 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cstdint>
 #include <cstring>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -319,11 +322,32 @@ TEST(ObsScrape, ServesOneExpositionPerConnection) {
   EXPECT_EQ(pre_scrapes, 3);
 }
 
+TEST(ObsScrape, LeavesARegularFileAtThePathAlone) {
+  // Only a stale socket is replaced: a regular file at the path makes
+  // start() throw, and it keeps its bytes after the server is destroyed.
+  const std::string path =
+      "/tmp/hpcarbon_test_obs_file_" + std::to_string(::getpid());
+  std::ofstream(path) << "keep me\n";
+  {
+    MetricsRegistry reg;
+    ScrapeServer server(path, &reg);
+    EXPECT_THROW(server.start(), Error);
+  }
+  std::ifstream in(path);
+  const std::string kept((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  EXPECT_EQ(kept, "keep me\n");
+  ::unlink(path.c_str());
+}
+
 TEST(ObsRaceStress, ConcurrentRecordVsScrapeReconcilesExactly) {
   // Writers hammer a counter and a histogram while a reader snapshots
   // continuously. Per-reader snapshot counts must be monotone
   // (stripes only grow and one reader re-reads each stripe in order),
-  // and the final quiesced snapshot must reconcile exactly.
+  // and the final quiesced snapshot must reconcile exactly. The overlap
+  // holds by construction: the writers start after the reader's first
+  // snapshot, and each writes its second half only after the reader has
+  // taken another one since its first half.
   constexpr unsigned kWriters = 4;
   constexpr std::uint64_t kPerWriter = 20000;
   MetricsRegistry reg;
@@ -331,8 +355,16 @@ TEST(ObsRaceStress, ConcurrentRecordVsScrapeReconcilesExactly) {
   Histogram& lat = reg.histogram("race_lat_us", "", "Latency.");
 
   std::atomic<bool> stop{false};
+  std::atomic<bool> reader_done{false};
   std::atomic<std::uint64_t> snapshots_taken{0};
-  std::thread reader([&] {
+  // Spins until the reader has taken more than `n` snapshots (or has
+  // stopped on a failed assertion, so a failure cannot hang the test).
+  auto await_snapshot_after = [&](std::uint64_t n) {
+    while (snapshots_taken.load() <= n && !reader_done.load()) {
+      std::this_thread::yield();
+    }
+  };
+  auto read_until_stopped = [&] {
     std::uint64_t last_count = 0;
     std::uint64_t last_events = 0;
     while (!stop.load(std::memory_order_relaxed)) {
@@ -345,14 +377,20 @@ TEST(ObsRaceStress, ConcurrentRecordVsScrapeReconcilesExactly) {
       EXPECT_LE(ev, kWriters * kPerWriter);
       last_events = ev;
       last_count = snap.count;
-      snapshots_taken.fetch_add(1, std::memory_order_relaxed);
+      snapshots_taken.fetch_add(1);
     }
+  };
+  std::thread reader([&] {
+    read_until_stopped();
+    reader_done.store(true);
   });
 
+  await_snapshot_after(0);
   std::vector<std::thread> writers;
   for (unsigned w = 0; w < kWriters; ++w) {
-    writers.emplace_back([&events, &lat] {
+    writers.emplace_back([&] {
       for (std::uint64_t i = 0; i < kPerWriter; ++i) {
+        if (i == kPerWriter / 2) await_snapshot_after(snapshots_taken.load());
         events.inc();
         lat.record_ns(500 + (i % 10) * 300);
       }
@@ -361,7 +399,7 @@ TEST(ObsRaceStress, ConcurrentRecordVsScrapeReconcilesExactly) {
   for (auto& t : writers) t.join();
   stop.store(true, std::memory_order_relaxed);
   reader.join();
-  EXPECT_GT(snapshots_taken.load(), 0u);
+  EXPECT_GE(snapshots_taken.load(), 2u);
 
   // Quiesced: every write is visible and the totals are exact.
   constexpr std::uint64_t kTotal = kWriters * kPerWriter;

@@ -1,10 +1,11 @@
-// Engine/policy/registry layer tests: the string-keyed registry, the
+// Engine/policy/table layer tests: the string-keyed policy table, the
 // engine's guards, and the policies' behaviour on hand-built grids. The
 // engine's O(1) prefix-sum carbon must match an hour-stepping
 // re-computation of every job's carbon within 1e-9.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <iterator>
 #include <map>
 
 #include "core/error.h"
@@ -61,23 +62,23 @@ ScheduleMetrics run(const FleetEngine& engine, const std::vector<Job>& jobs,
   return engine.run(FleetJobs(jobs, {"u0"}), policy, outcomes);
 }
 
-// The eight built-ins, in registration order.
+// The eight built-ins, in table order.
 constexpr const char* kBuiltins[] = {
     "fcfs-local",     "greedy-lowest-ci", "threshold-delay",
     "budget-aware",   "forecast-delay",   "net-benefit",
     "forecast-net-benefit", "renewable-cap"};
 
 TEST(PolicyRegistry, AllBuiltinsRegistered) {
-  // >=: other tests in this binary may register probe policies; the
-  // assertions here must hold in any execution order.
-  const auto all = registered_policies();
-  ASSERT_GE(all.size(), 8u);
-  // Built-ins register first, fcfs-local leading (the baseline position
-  // the scenario runner relies on).
+  // The table holds exactly the built-ins, fcfs-local leading (the
+  // baseline position the scenario runner relies on).
+  const auto& all = registered_policies();
+  ASSERT_EQ(all.size(), std::size(kBuiltins));
   EXPECT_EQ(all[0].name, "fcfs-local");
-  for (const char* name : kBuiltins) {
-    const auto desc = find_policy(name);
-    ASSERT_TRUE(desc.has_value()) << name;
+  for (std::size_t i = 0; i < all.size(); ++i) {
+    const char* name = kBuiltins[i];
+    const PolicyDescriptor* desc = find_policy(name);
+    ASSERT_NE(desc, nullptr) << name;
+    EXPECT_EQ(desc, &all[i]) << name;  // a row of the table, not a copy
     EXPECT_EQ(desc->name, name);
     const auto policy = desc->make(PolicyConfig{});
     ASSERT_NE(policy, nullptr);
@@ -88,21 +89,8 @@ TEST(PolicyRegistry, AllBuiltinsRegistered) {
 TEST(PolicyRegistry, ShortNamesResolveAndUnknownThrows) {
   EXPECT_EQ(find_policy("greedy")->name, "greedy-lowest-ci");
   EXPECT_EQ(find_policy("cap")->name, "renewable-cap");
-  EXPECT_FALSE(find_policy("no-such-policy").has_value());
+  EXPECT_EQ(find_policy("no-such-policy"), nullptr);
   EXPECT_THROW(make_policy("no-such-policy"), Error);
-}
-
-TEST(PolicyRegistry, ReRegisteringReplaces) {
-  register_policy({"zz-parity-probe", "zzp", "first", {}, [](const PolicyConfig& cfg) {
-                     return make_policy("fcfs-local", cfg);
-                   }});
-  register_policy({"zz-parity-probe", "zzp", "second", {}, [](const PolicyConfig& cfg) {
-                     return make_policy("fcfs-local", cfg);
-                   }});
-  int count = 0;
-  for (const auto& d : registered_policies()) count += d.name == "zz-parity-probe";
-  EXPECT_EQ(count, 1);
-  EXPECT_EQ(find_policy("zz-parity-probe")->description, "second");
 }
 
 // The engine's O(1) prefix-sum carbon must agree with an hour-stepping

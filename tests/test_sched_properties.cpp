@@ -1,8 +1,8 @@
 // Property sweeps over every registered scheduler policy (TEST_P):
 // regardless of policy, the engine must conserve work, account energy
 // consistently, stay deterministic, and never beat a clairvoyant lower
-// bound. The sweep enumerates the string-keyed policy registry, so a newly
-// registered policy is property-tested with no edits here.
+// bound. The sweep enumerates the policy table, so a row added there is
+// property-tested with no edits here.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -56,7 +56,7 @@ class PolicySweep : public ::testing::TestWithParam<std::string> {
     cfg.user_budget = Mass::kilograms(100);
     return cfg;
   }
-  /// Engine + registry-made policy for the parametrized name.
+  /// Engine + table-made policy for the parametrized name.
   static ScheduleMetrics run_param(const FleetEngine& engine,
                                    FleetOutcomes* outcomes = nullptr) {
     const auto policy = make_policy(GetParam(), config());

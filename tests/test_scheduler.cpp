@@ -239,7 +239,7 @@ TEST(Scheduler, Validation) {
 }
 
 TEST(Scheduler, EmptyWorkloadYieldsZeroMetrics) {
-  // Regression: registry-driven sweeps over generated workloads may produce
+  // Regression: table-driven sweeps over generated workloads may produce
   // zero jobs on a quiet horizon; that must report all-zero metrics, not
   // abort.
   std::vector<Site> ok = {make_site("A", constant_trace("A", 100.0), 2)};

@@ -9,6 +9,7 @@
 #include "core/error.h"
 #include "core/rng.h"
 #include "core/series.h"
+#include "grid/import.h"
 #include "grid/presets.h"
 
 namespace hpcarbon::grid {
@@ -174,7 +175,7 @@ TEST(Trace, HourOfDaySlice) {
 
 TEST(Trace, CsvRoundTrip) {
   const CarbonIntensityTrace t("X", kUtc, ramp_values());
-  const auto back = CarbonIntensityTrace::from_csv("X", kUtc, t.to_csv());
+  const auto back = import_trace(t.to_csv(), "X");
   EXPECT_EQ(back.values(), t.values());
 }
 
