@@ -142,9 +142,9 @@ static int tool_main(int argc, char** argv) {
   }
 
   {
-    const auto traces = grid::generate_traces(grid::fig7_regions());
     const fleetsim::FleetEngine sim = fleetsim::trio_engine(
-        {&traces[0], &traces[1], &traces[2]}, 12, HourOfYear(0));
+        sched::prepare_regions(grid::generate_traces(grid::fig7_regions())),
+        12, HourOfYear(0));
     sched::WorkloadParams wp;
     wp.horizon_hours = 24.0 * 28;
     const fleetsim::FleetJobs jobs(sched::generate_jobs(wp),

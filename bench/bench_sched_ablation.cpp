@@ -108,8 +108,9 @@ static int tool_main(int argc, char** argv) {
   // the horizon to one week; savings percentages shift slightly, which is
   // why fingerprint.mode is part of every trajectory row.
   const auto traces = grid::generate_traces(grid::fig7_regions());
+  const auto regions = sched::prepare_regions(traces);
   const fleetsim::FleetEngine engine =
-      fleetsim::trio_engine({&traces[2], &traces[0], &traces[1]}, 16,
+      fleetsim::trio_engine({regions[2], regions[0], regions[1]}, 16,
                             HourOfYear(month_start_hour(5)));
 
   sched::WorkloadParams wp;

@@ -20,9 +20,10 @@ using namespace hpcarbon;
 
 static int tool_main() {
   // Home site: ERCOT (dirtiest of the trio); four summer weeks.
-  const auto traces = grid::generate_traces(grid::fig7_regions());
+  const auto regions =
+      sched::prepare_regions(grid::generate_traces(grid::fig7_regions()));
   const fleetsim::FleetEngine sim =
-      fleetsim::trio_engine({&traces[2], &traces[0], &traces[1]}, 12,
+      fleetsim::trio_engine({regions[2], regions[0], regions[1]}, 12,
                             HourOfYear(month_start_hour(5)));
 
   sched::WorkloadParams wp;

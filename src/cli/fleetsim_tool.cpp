@@ -82,11 +82,9 @@ int cmd_fleetsim(int argc, char** argv, std::ostream& out, std::ostream&) {
   for (const auto& code : opts.regions) {
     specs.push_back(grid::require_region(code));
   }
-  const auto traces = traces_for(specs, {});
-  std::vector<const grid::CarbonIntensityTrace*> regions;
-  for (const auto& trace : traces) regions.push_back(&trace);
   const fleetsim::FleetEngine engine = fleetsim::trio_engine(
-      regions, opts.capacity, HourOfYear(month_start_hour(5)));
+      sched::prepare_regions(traces_for(specs, {})), opts.capacity,
+      HourOfYear(month_start_hour(5)));
 
   fleetsim::FleetJobs jobs;
   if (!opts.jobs_csv.empty()) {
@@ -103,7 +101,7 @@ int cmd_fleetsim(int argc, char** argv, std::ostream& out, std::ostream&) {
                       " jobs on " + std::to_string(engine.capacity_total()) +
                       " nodes");
   std::cout << "sites:";
-  for (const auto& s : engine.sites()) std::cout << ' ' << s.code;
+  for (const auto& s : engine.sites()) std::cout << ' ' << s.region->code;
   if (opts.jobs_csv.empty()) {
     std::cout << "; arrivals: " << fleetsim::to_string(opts.workload.process)
               << " @ " << opts.workload.rate_per_hour << "/h over "

@@ -67,9 +67,11 @@ std::vector<grid::CarbonIntensityTrace> traces_for(
     auto& store = serve::TraceStore::global();
     if (override_of[i] < overrides.size()) {
       const auto& [code, path] = overrides[override_of[i]];
-      traces[i] = *store.imported(code, path, &import_notes[override_of[i]]);
+      const auto stored = store.imported(code, path);
+      traces[i] = stored->trace;
+      import_notes[override_of[i]] = stored->note;
     } else {
-      traces[i] = *store.preset(specs[i].code);
+      traces[i] = store.preset(specs[i].code)->trace;
     }
   });
   if (notes != nullptr) {
@@ -136,6 +138,7 @@ ScenarioReport run_scenarios(const ScenarioOptions& opts) {
   std::vector<std::string> trace_notes;
   const auto traces = traces_for(specs, opts.trace_csv, &trace_notes);
   const auto summaries = grid::summarize(traces);
+  const auto prepared = sched::prepare_regions(traces);
 
   sched::WorkloadParams wp;
   wp.horizon_hours = 24.0 * opts.horizon_days;
@@ -166,9 +169,9 @@ ScenarioReport run_scenarios(const ScenarioOptions& opts) {
   // workload luck.
   ThreadPool::global().parallel_for(0, specs.size(), [&](std::size_t r) {
     // The home region first, the others in list order for the ranking.
-    std::vector<const grid::CarbonIntensityTrace*> regions = {&traces[r]};
-    for (std::size_t i = 0; i < traces.size(); ++i) {
-      if (i != r) regions.push_back(&traces[i]);
+    std::vector<sched::RegionPtr> regions = {prepared[r]};
+    for (std::size_t i = 0; i < prepared.size(); ++i) {
+      if (i != r) regions.push_back(prepared[i]);
     }
     const fleetsim::FleetEngine engine =
         fleetsim::trio_engine(regions, opts.site_capacity, epoch);

@@ -237,22 +237,24 @@ int cmd_batch(int argc, char** argv, std::ostream& out, std::ostream& err) {
     file.open(opts.input_path, std::ios::binary);
     if (!file) throw Error("cannot open file: " + opts.input_path);
   }
+  std::istream& input = opts.input_path == "-" ? std::cin : file;
   // One answer per item, in input order. An oversized line never reaches
   // the engine: it gets the pipe's answer here, and the engine's
   // responses fill the empty slots (no answer document is empty) in order.
   std::vector<std::string> lines;
   std::vector<std::string> answers;
-  frame_input(opts.input_path == "-" ? std::cin : file,
-              [&](const net::LineFramer::Item& item) {
-                answers.emplace_back();
-                if (item.kind == net::LineFramer::Item::Kind::kOversize) {
-                  serve::append_error_response(
-                      answers.back(), {},
-                      serve::oversize_line_error(item.oversize_bytes));
-                } else {
-                  lines.emplace_back(item.line);
-                }
-              });
+  frame_input(input, [&](const net::LineFramer::Item& item) {
+    answers.emplace_back();
+    if (item.kind == net::LineFramer::Item::Kind::kOversize) {
+      serve::append_error_response(
+          answers.back(), {}, serve::oversize_line_error(item.oversize_bytes));
+    } else {
+      lines.emplace_back(item.line);
+    }
+  });
+  // A directory opens, and its first read fails (EISDIR): an error, not
+  // an empty batch.
+  if (input.bad()) throw Error("cannot read file: " + opts.input_path);
   serve::Engine engine(opts.net.serve);
   const std::vector<std::string> responses = engine.handle_batch(lines);
 

@@ -152,8 +152,9 @@ void sweep_sched(const SweepOptions& opts, SweepReport& report) {
   const auto traces = traces_for(
       grid::fig7_regions(),
       overrides_matching(opts, grid::codes_of(grid::fig7_regions())));
+  const auto regions = sched::prepare_regions(traces);
   const fleetsim::FleetEngine fleet =
-      fleetsim::trio_engine({&traces[2], &traces[0], &traces[1]}, 16,
+      fleetsim::trio_engine({regions[2], regions[0], regions[1]}, 16,
                             HourOfYear(month_start_hour(5)));
   std::vector<std::string> policies = {fleetsim::kBaselinePolicy};
   for (const auto& desc : sched::registered_policies()) {

@@ -44,8 +44,9 @@ std::vector<std::string> split_line(const std::string& line,
       cur.push_back(ch);
     }
   }
-  HPC_REQUIRE(!quoted,
-              "unterminated quote in CSV row " + std::to_string(line_no));
+  if (quoted) {
+    throw Error("unterminated quote in CSV row " + std::to_string(line_no));
+  }
   cells.push_back(cur);
   return cells;
 }
@@ -65,10 +66,11 @@ CsvTable parse_csv_table(const std::string& text) {
     if (table.rows.empty()) {
       expected_cols = cells.size();
     }
-    HPC_REQUIRE(cells.size() == expected_cols,
-                "ragged CSV row " + std::to_string(line_no) + ": got " +
-                    std::to_string(cells.size()) + " cells, expected " +
-                    std::to_string(expected_cols));
+    if (cells.size() != expected_cols) {
+      throw Error("ragged CSV row " + std::to_string(line_no) + ": got " +
+                  std::to_string(cells.size()) + " cells, expected " +
+                  std::to_string(expected_cols));
+    }
     table.rows.push_back(std::move(cells));
     table.line_numbers.push_back(line_no);
   }
@@ -78,9 +80,15 @@ CsvTable parse_csv_table(const std::string& text) {
 std::string read_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) throw Error("cannot open file: " + path);
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
+  std::string text;
+  char chunk[1 << 16];
+  while (in.read(chunk, sizeof(chunk)) || in.gcount() > 0) {
+    text.append(chunk, static_cast<std::size_t>(in.gcount()));
+  }
+  // A directory opens, and its first read fails (EISDIR): an error, not
+  // an empty file.
+  if (in.bad()) throw Error("cannot read file: " + path);
+  return text;
 }
 
 void write_file(const std::string& path, const std::string& content) {

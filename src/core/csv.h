@@ -30,10 +30,13 @@ struct CsvTable {
 };
 
 /// Parse CSV text into string cells. Throws hpcarbon::Error on ragged rows
-/// (all rows must match the first row's width) or malformed quoting.
+/// (all rows must match the first row's width) or malformed quoting, with
+/// a message that names the row and nothing of this source: the text comes
+/// from outside the program, so the message is the whole answer.
 CsvTable parse_csv_table(const std::string& text);
 
-/// Read a whole file; throws hpcarbon::Error if it cannot be opened.
+/// Read a whole file; throws hpcarbon::Error if it cannot be opened or
+/// read ("cannot read file: <path>" for a directory).
 std::string read_file(const std::string& path);
 void write_file(const std::string& path, const std::string& content);
 

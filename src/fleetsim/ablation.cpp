@@ -6,29 +6,21 @@
 
 #include "core/error.h"
 #include "core/rng.h"
-#include "core/stats.h"
 
 namespace hpcarbon::fleetsim {
 
-FleetEngine trio_engine(
-    const std::vector<const grid::CarbonIntensityTrace*>& regions,
-    int capacity, HourOfYear epoch) {
+FleetEngine trio_engine(const std::vector<sched::RegionPtr>& regions,
+                        int capacity, HourOfYear epoch) {
   HPC_REQUIRE(!regions.empty(), "a trio needs a home region");
   // Only the remote candidates are ranked: the home's median is not read.
-  std::vector<std::pair<double, const grid::CarbonIntensityTrace*>> ranked;
-  for (std::size_t i = 1; i < regions.size(); ++i) {
-    ranked.emplace_back(stats::median(regions[i]->values()), regions[i]);
-  }
+  std::vector<sched::RegionPtr> ranked(regions.begin() + 1, regions.end());
   std::stable_sort(ranked.begin(), ranked.end(),
-                   [](const auto& a, const auto& b) {
-                     return a.first < b.first;
+                   [](const sched::RegionPtr& a, const sched::RegionPtr& b) {
+                     return a->median_g_per_kwh < b->median_g_per_kwh;
                    });
-  const auto site = [capacity](const grid::CarbonIntensityTrace& trace) {
-    return sched::make_site(trace.region_code(), trace, capacity);
-  };
-  std::vector<sched::Site> sites = {site(*regions[0])};
+  std::vector<sched::Site> sites = {sched::Site{regions[0], capacity}};
   for (std::size_t k = 0; k < std::min<std::size_t>(ranked.size(), 2); ++k) {
-    sites.push_back(site(*ranked[k].second));
+    sites.push_back(sched::Site{ranked[k], capacity});
   }
   return FleetEngine(std::move(sites), epoch);
 }

@@ -8,6 +8,12 @@
 // sched-ablation`, `bench forecast`, `bench perf` and `example
 // carbon-aware-scheduling` all call these functions; only `bench fleetsim`
 // sizes its own sites. tests/data/trio_golden.jsonl pins the ranking.
+//
+// A trio is assembled from prepared regions (sched/job.h), never from raw
+// traces: the CLI callers prepare each trace once per run
+// (sched::prepare_regions), and the serve families take each preset's
+// prepared region from serve::TraceStore, so a sched or fleetsim miss
+// ranks two stored medians and copies three pointers.
 #pragma once
 
 #include <cstdint>
@@ -18,9 +24,9 @@
 #include "core/time.h"
 #include "fleetsim/engine.h"
 #include "fleetsim/jobs.h"
-#include "grid/trace.h"
 #include "mc/distribution.h"
 #include "mc/engine.h"
+#include "sched/job.h"
 #include "sched/metrics.h"
 #include "sched/policy.h"
 
@@ -30,12 +36,12 @@ namespace hpcarbon::fleetsim {
 inline constexpr const char* kBaselinePolicy = "fcfs-local";
 
 /// The trio engine of a region list: regions[0] is home, then the two
-/// other regions of lowest annual median intensity (stats::median),
-/// cleanest first, ties in list order. Sites are named by their traces'
-/// region codes, each with `capacity` slots; tick 0 is `epoch`.
-FleetEngine trio_engine(
-    const std::vector<const grid::CarbonIntensityTrace*>& regions,
-    int capacity, HourOfYear epoch);
+/// other regions of lowest annual median intensity
+/// (PreparedRegion::median_g_per_kwh), cleanest first, ties in list
+/// order. Each site shares its prepared region and has `capacity` slots;
+/// tick 0 is `epoch`.
+FleetEngine trio_engine(const std::vector<sched::RegionPtr>& regions,
+                        int capacity, HourOfYear epoch);
 
 struct PolicyScore {
   sched::ScheduleMetrics metrics;

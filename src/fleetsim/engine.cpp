@@ -47,14 +47,12 @@ void FleetOutcomes::reserve(std::size_t n) {
   carbon_g.reserve(n);
 }
 
-FleetEngine::FleetEngine(std::vector<sched::Site> sites, HourOfYear epoch,
-                         op::PueModel pue)
-    : sites_(std::move(sites)), epoch_(epoch), pue_(pue) {
+FleetEngine::FleetEngine(std::vector<sched::Site> sites, HourOfYear epoch)
+    : sites_(std::move(sites)), epoch_(epoch) {
   HPC_REQUIRE(!sites_.empty(), "need at least one site");
-  integrators_.reserve(sites_.size());
   for (const auto& s : sites_) {
+    HPC_REQUIRE(s.region != nullptr, "site needs a prepared region");
     HPC_REQUIRE(s.capacity > 0, "site capacity must be positive");
-    integrators_.emplace_back(s.trace_utc, pue_);
   }
 }
 
@@ -160,14 +158,14 @@ sched::ScheduleMetrics FleetEngine::run(const FleetJobs& jobs,
     ci_refresh = kNoEvent;
     for (std::size_t s = 0; s < sites_.size(); ++s) {
       ci_refresh = std::min(
-          ci_refresh, read_intensity(sites_[s].trace_utc.series(), epoch_tick,
-                                     t, current_ci[s]));
+          ci_refresh, read_intensity(sites_[s].region->trace_utc.series(),
+                                     epoch_tick, t, current_ci[s]));
     }
   };
   refresh_ci();
 
-  const sched::ClusterView view(sites_, arrivals, free_slots, integrators_,
-                                current_ci, ledger, pue_, t_hours, epoch_);
+  const sched::ClusterView view(sites_, arrivals, free_slots, current_ci,
+                                ledger, pue_, t_hours, epoch_);
 
   policy.begin_run(arrivals, ledger, view);
 
@@ -183,8 +181,8 @@ sched::ScheduleMetrics FleetEngine::run(const FleetJobs& jobs,
     // ClusterView::job_carbon_g's product, priced from the ticks.
     const double grams =
         j.it_power.to_kilowatts() *
-        integrators_[site].weighted_sum_ticks(epoch_tick + now_tick,
-                                              duration_tick);
+        sites_[site].region->integrator.weighted_sum_ticks(
+            epoch_tick + now_tick, duration_tick);
     const double kwh =
         j.it_power.to_kilowatts() * j.duration_hours * pue_.base();
     double tgrams = 0;

@@ -42,13 +42,19 @@
 //    Completions at one tick leave in site order, but all those due free
 //    their slots before any decision is consulted, so tie order cannot be
 //    observed;
+//  * an engine builds nothing per site: each sched::Site points at its
+//    region's sched::PreparedRegion (the UTC year, its PUE-weighted
+//    CarbonIntegrator and its median), built once and shared by every
+//    engine on that region, so assembling an engine from prepared regions
+//    copies a few pointers (fleetsim::trio_engine; serve::TraceStore keeps
+//    one prepared region per preset);
 //  * a job start prices its carbon from the ticks it already holds:
-//    kW times CarbonIntegrator::weighted_sum_ticks(epoch + now, duration),
-//    which is StepSeries::integral_ticks. On traces whose samples span a
-//    power-of-two number of ticks (hourly, 30- and 15-minute) that is a
-//    shift and a mask per endpoint, and on any trace it is bit-identical
-//    to the double-hour ClusterView::job_carbon_g, which stays for
-//    policies;
+//    kW times the site's CarbonIntegrator::weighted_sum_ticks(epoch + now,
+//    duration), which is StepSeries::integral_ticks. On traces whose
+//    samples span a power-of-two number of ticks (hourly, 30- and
+//    15-minute) that is a shift and a mask per endpoint, and on any trace
+//    it is bit-identical to the double-hour ClusterView::job_carbon_g,
+//    which stays for policies;
 //  * each site's current intensity lives in a per-run vector that
 //    ClusterView::current_ci reads inline. The engine re-reads every site
 //    (the same index_at_hours(epoch + t) lookup) only when t reaches the
@@ -87,7 +93,6 @@
 #include "core/time.h"
 #include "fleetsim/jobs.h"
 #include "obs/metrics.h"
-#include "op/operational.h"
 #include "op/pue.h"
 #include "sched/budget.h"
 #include "sched/job.h"
@@ -121,9 +126,10 @@ struct FleetOutcomes {
 class FleetEngine {
  public:
   /// sites[0] is the home site; `epoch` anchors tick 0 on the traces'
-  /// calendar (UTC). Builds one CarbonIntegrator per site.
-  FleetEngine(std::vector<sched::Site> sites, HourOfYear epoch,
-              op::PueModel pue = op::PueModel());
+  /// calendar (UTC). Every site needs a prepared region and a positive
+  /// capacity. Jobs are priced with each region's integrator, which
+  /// weights its trace by the default op::PueModel.
+  FleetEngine(std::vector<sched::Site> sites, HourOfYear epoch);
 
   /// Run the event loop under `policy` on the fleet's arrivals, which
   /// begin_run receives as jobs.arrivals() itself. An empty fleet yields
@@ -139,15 +145,13 @@ class FleetEngine {
 
   const std::vector<sched::Site>& sites() const { return sites_; }
   HourOfYear epoch() const { return epoch_; }
-  const op::PueModel& pue() const { return pue_; }
   /// Total node slots across every site ("4k nodes" in the bench).
   int capacity_total() const;
 
  private:
   std::vector<sched::Site> sites_;
   HourOfYear epoch_;
-  op::PueModel pue_;
-  std::vector<op::CarbonIntegrator> integrators_;  // one per site
+  op::PueModel pue_;  // the default, as sched::PreparedRegion weights with
 };
 
 }  // namespace hpcarbon::fleetsim

@@ -82,7 +82,7 @@ FleetJobs::FleetJobs(std::vector<sched::Job> jobs,
 
 FleetJobs parse_jobs_csv(const std::string& text, std::size_t site_count) {
   const CsvTable table = parse_csv_table(text);
-  HPC_REQUIRE(!table.rows.empty(), "jobs CSV: empty file");
+  if (table.rows.empty()) throw Error("jobs CSV: empty file");
   const auto& header = table.rows[0];
   const bool has_site = header.size() == 5;
   if (header.size() < 4 || header.size() > 5 || header[0] != "submit_hours" ||

@@ -72,14 +72,16 @@ double parse_iso_seconds(const std::string& cell) {
       cell[pos] != '-') {
     return -1.0;
   }
-  HPC_REQUIRE(month >= 1 && month <= 12, "timestamp month out of range: " +
-                                             cell);
-  HPC_REQUIRE(day >= 1 && day <= kDaysInMonth[static_cast<std::size_t>(
-                              month - 1)],
-              "timestamp day out of range for the modeled non-leap year: " +
-                  cell);
-  HPC_REQUIRE(hour < 24 && minute < 60 && second >= 0 && second < 61,
-              "timestamp time-of-day out of range: " + cell);
+  if (month < 1 || month > 12) {
+    throw Error("timestamp month out of range: " + cell);
+  }
+  if (day < 1 || day > kDaysInMonth[static_cast<std::size_t>(month - 1)]) {
+    throw Error("timestamp day out of range for the modeled non-leap year: " +
+                cell);
+  }
+  if (!(hour < 24 && minute < 60 && second >= 0 && second < 61)) {
+    throw Error("timestamp time-of-day out of range: " + cell);
+  }
   const double day_of_year =
       month_start_hour(month - 1) / static_cast<double>(kHoursPerDay) +
       (day - 1);
@@ -99,11 +101,13 @@ double parse_timestamp_seconds(const std::string& cell) {
   const double iso = parse_iso_seconds(cell);
   if (iso >= 0.0) return iso;
   double hours = 0;
-  HPC_REQUIRE(parse_double_cell(cell, &hours),
-              "unparseable timestamp cell: '" + cell + "'");
-  HPC_REQUIRE(std::isfinite(hours) && hours >= 0.0 && hours < kHoursPerYear,
-              "numeric timestamp must be an hour-of-year in [0, 8760): '" +
-                  cell + "'");
+  if (!parse_double_cell(cell, &hours)) {
+    throw Error("unparseable timestamp cell: '" + cell + "'");
+  }
+  if (!(std::isfinite(hours) && hours >= 0.0 && hours < kHoursPerYear)) {
+    throw Error("numeric timestamp must be an hour-of-year in [0, 8760): '" +
+                cell + "'");
+  }
   return hours * kSecondsPerHour;
 }
 
@@ -127,9 +131,10 @@ CarbonIntensityTrace import_trace(const std::string& csv_text,
                                   const ImportOptions& opts,
                                   ImportReport* report) {
   const CsvTable table = parse_csv_table(csv_text);
-  HPC_REQUIRE(!table.rows.empty(), "trace CSV has no rows");
-  HPC_REQUIRE(table.rows[0].size() >= 2,
-              "trace CSV needs a timestamp and an intensity column");
+  if (table.rows.empty()) throw Error("trace CSV has no rows");
+  if (table.rows[0].size() < 2) {
+    throw Error("trace CSV needs a timestamp and an intensity column");
+  }
 
   // Column discovery. A header exists when the first row's would-be
   // timestamp cell parses as neither a number nor a calendar timestamp.
@@ -158,8 +163,10 @@ CarbonIntensityTrace import_trace(const std::string& csv_text,
           break;
         }
       }
-      HPC_REQUIRE(ci_col != ts_col, "cannot tell the intensity column from "
-                                    "the timestamp column");
+      if (ci_col == ts_col) {
+        throw Error("cannot tell the intensity column from the timestamp "
+                    "column");
+      }
     }
   }
 
@@ -174,14 +181,15 @@ CarbonIntensityTrace import_trace(const std::string& csv_text,
     s.line = table.line_numbers[r];
     double v = 0;
     if (parse_double_cell(row[ci_col], &v)) {
-      HPC_REQUIRE(std::isfinite(v) && v >= 0.0,
-                  "carbon intensity must be finite and non-negative (CSV "
-                  "line " + std::to_string(s.line) + ")");
+      if (!(std::isfinite(v) && v >= 0.0)) {
+        throw Error("carbon intensity must be finite and non-negative (CSV "
+                    "line " + std::to_string(s.line) + ")");
+      }
       s.value = v;
     }
     samples.push_back(s);
   }
-  HPC_REQUIRE(!samples.empty(), "trace CSV has no data rows");
+  if (samples.empty()) throw Error("trace CSV has no data rows");
   std::stable_sort(samples.begin(), samples.end(),
                    [](const Sample& a, const Sample& b) {
                      return a.seconds < b.seconds;
@@ -195,12 +203,15 @@ CarbonIntensityTrace import_trace(const std::string& csv_text,
       const double d = samples[i].seconds - samples[i - 1].seconds;
       if (d > 0.0) min_delta = std::min(min_delta, d);
     }
-    HPC_REQUIRE(std::isfinite(min_delta),
-                "cannot infer the cadence from a single distinct timestamp; "
-                "pass step_seconds");
+    if (!std::isfinite(min_delta)) {
+      throw Error("cannot infer the cadence from a single distinct "
+                  "timestamp; pass step_seconds");
+    }
     step = min_delta;
   }
-  HPC_REQUIRE(std::isfinite(step) && step > 0.0, "cadence must be positive");
+  if (!(std::isfinite(step) && step > 0.0)) {
+    throw Error("cadence must be positive");
+  }
   if (step < kMinImportStepSeconds) {
     throw Error("trace CSV cadence must be at least " +
                 std::to_string(static_cast<int>(kMinImportStepSeconds)) +
@@ -208,9 +219,10 @@ CarbonIntensityTrace import_trace(const std::string& csv_text,
   }
   {
     const double n = kSecondsPerYear / step;
-    HPC_REQUIRE(std::abs(n - std::round(n)) < 1e-9,
-                "cadence must divide the year evenly (got " +
-                    std::to_string(step) + " s)");
+    if (!(std::abs(n - std::round(n)) < 1e-9)) {
+      throw Error("cadence must divide the year evenly (got " +
+                  std::to_string(step) + " s)");
+    }
   }
   const auto year_samples =
       static_cast<std::size_t>(std::llround(kSecondsPerYear / step));
@@ -223,16 +235,18 @@ CarbonIntensityTrace import_trace(const std::string& csv_text,
   for (const auto& s : samples) {
     const double pos = s.seconds / step;
     const auto slot = static_cast<std::size_t>(std::llround(pos));
-    HPC_REQUIRE(std::abs(pos - static_cast<double>(slot)) < 1e-6,
-                "timestamp off the " + std::to_string(step) +
-                    " s sample grid (CSV line " + std::to_string(s.line) +
-                    ")");
-    HPC_REQUIRE(slot < year_samples, "timestamp beyond the modeled year "
-                                     "(CSV line " + std::to_string(s.line) +
-                                     ")");
-    HPC_REQUIRE(static_cast<long>(slot) != last_slot,
-                "duplicate timestamp (CSV line " + std::to_string(s.line) +
-                    ")");
+    if (!(std::abs(pos - static_cast<double>(slot)) < 1e-6)) {
+      throw Error("timestamp off the " + std::to_string(step) +
+                  " s sample grid (CSV line " + std::to_string(s.line) + ")");
+    }
+    if (slot >= year_samples) {
+      throw Error("timestamp beyond the modeled year (CSV line " +
+                  std::to_string(s.line) + ")");
+    }
+    if (static_cast<long>(slot) == last_slot) {
+      throw Error("duplicate timestamp (CSV line " + std::to_string(s.line) +
+                  ")");
+    }
     last_slot = static_cast<long>(slot);
     grid[slot] = s.value;
     max_slot = std::max(max_slot, slot);
@@ -242,10 +256,11 @@ CarbonIntensityTrace import_trace(const std::string& csv_text,
   // tile; anything else must be the full year.
   std::size_t span = max_slot + 1;
   if (span != year_samples) {
-    HPC_REQUIRE(opts.tile_to_year,
-                "trace covers " + std::to_string(span) + " of " +
-                    std::to_string(year_samples) +
-                    " samples and tiling is disabled");
+    if (!opts.tile_to_year) {
+      throw Error("trace covers " + std::to_string(span) + " of " +
+                  std::to_string(year_samples) +
+                  " samples and tiling is disabled");
+    }
     // Tiling replicates the diurnal cycle, so the covered span must be a
     // whole number of days — a download truncated mid-day would otherwise
     // tile out of phase (its midnight landing at a different local hour
@@ -253,11 +268,12 @@ CarbonIntensityTrace import_trace(const std::string& csv_text,
     // never trip the max-gap guard.
     const double covered_days =
         static_cast<double>(span) * step / (kHoursPerDay * kSecondsPerHour);
-    HPC_REQUIRE(std::abs(covered_days - std::round(covered_days)) < 1e-9 &&
-                    covered_days > 0.5,
-                "tiling needs whole days of coverage, got " +
-                    std::to_string(covered_days) +
-                    " days — is the export truncated mid-day?");
+    if (!(std::abs(covered_days - std::round(covered_days)) < 1e-9 &&
+          covered_days > 0.5)) {
+      throw Error("tiling needs whole days of coverage, got " +
+                  std::to_string(covered_days) +
+                  " days — is the export truncated mid-day?");
+    }
   }
 
   // Forward-fill gaps inside the covered span, treating it as periodic (a
@@ -272,7 +288,9 @@ CarbonIntensityTrace import_trace(const std::string& csv_text,
       break;
     }
   }
-  HPC_REQUIRE(first_known < span, "trace CSV has no usable intensity values");
+  if (first_known >= span) {
+    throw Error("trace CSV has no usable intensity values");
+  }
   double prev = grid[first_known];
   std::size_t run = 0;
   for (std::size_t k = 1; k <= span; ++k) {
@@ -281,12 +299,12 @@ CarbonIntensityTrace import_trace(const std::string& csv_text,
       grid[i] = prev;
       ++run;
       ++rep.gaps_filled;
-      HPC_REQUIRE(run <= static_cast<std::size_t>(
-                             std::max(0, opts.max_gap_samples)),
-                  "gap of more than " +
-                      std::to_string(opts.max_gap_samples) +
-                      " samples around sample " + std::to_string(i) +
-                      "; refusing to forward-fill that much");
+      if (run > static_cast<std::size_t>(std::max(0, opts.max_gap_samples))) {
+        throw Error("gap of more than " +
+                    std::to_string(opts.max_gap_samples) +
+                    " samples around sample " + std::to_string(i) +
+                    "; refusing to forward-fill that much");
+      }
     } else {
       if (run > 0) {
         ++rep.gap_events;
@@ -323,6 +341,9 @@ CarbonIntensityTrace import_trace_file(const std::string& path,
     in.read(chunk, static_cast<std::streamsize>(want));
     text.append(chunk, static_cast<std::size_t>(in.gcount()));
   }
+  // A directory opens, and its first read fails (EISDIR), as read_file
+  // reports it.
+  if (in.bad()) throw Error("cannot read file: " + path);
   if (text.size() > kMaxImportBytes) {
     throw Error("trace CSV '" + path + "' is larger than " +
                 std::to_string(kMaxImportBytes) + " bytes");

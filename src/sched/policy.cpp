@@ -12,8 +12,8 @@ namespace hpcarbon::sched {
 
 double ClusterView::job_carbon_g(std::size_t i, Power it_power, double start,
                                  double duration) const {
-  return (*integrators_)[i].carbon_g(it_power.to_kilowatts(),
-                                     epoch_.index() + start, duration);
+  return (*sites_)[i].region->integrator.carbon_g(
+      it_power.to_kilowatts(), epoch_.index() + start, duration);
 }
 
 long ClusterView::lowest_ci_free_site() const {
@@ -144,7 +144,7 @@ class ForecastDelayPolicy : public SchedulingPolicy {
   void begin_run(const std::vector<Job>& arrivals, CarbonBudgetLedger&,
                  const ClusterView& view) override {
     forecast_ = std::make_unique<grid::DiurnalTemplateForecast>(
-        view.site(0).trace_utc, window_days_);
+        view.site(0).region->trace_utc, window_days_);
     arrivals_ = arrivals.data();
     planned_.assign(arrivals.size(), 0.0);
   }
@@ -229,7 +229,7 @@ class ForecastNetBenefitPolicy : public SchedulingPolicy {
     forecasts_.clear();
     for (std::size_t s = 0; s < view.site_count(); ++s) {
       forecasts_.push_back(std::make_unique<grid::DiurnalTemplateForecast>(
-          view.site(s).trace_utc, window_days_));
+          view.site(s).region->trace_utc, window_days_));
     }
   }
   std::optional<DispatchDecision> select(const PendingQueue& queue,

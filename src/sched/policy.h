@@ -92,17 +92,16 @@ class ClusterView {
   /// vector begin_run receives, `now` is the engine's clock in hours since
   /// `epoch`, read on every now() call, and `current_ci` holds each site's
   /// intensity (g/kWh) at now(), which the engine keeps current whenever a
-  /// policy callback can read it.
+  /// policy callback can read it. Carbon prices come from each site's
+  /// prepared region.
   ClusterView(const std::vector<Site>& sites, const std::vector<Job>& arrivals,
               const std::vector<int>& free_slots,
-              const std::vector<op::CarbonIntegrator>& integrators,
               const std::vector<double>& current_ci,
               const CarbonBudgetLedger& ledger, const op::PueModel& pue,
               const double& now, HourOfYear epoch)
       : sites_(&sites),
         arrivals_(&arrivals),
         free_slots_(&free_slots),
-        integrators_(&integrators),
         current_ci_(&current_ci),
         ledger_(&ledger),
         pue_(&pue),
@@ -128,9 +127,9 @@ class ClusterView {
   }
 
   /// Carbon intensity (g/kWh) at site i at time now(): the native sample
-  /// site(i).trace_utc.at_hours(epoch().index() + now()) names, so 5- and
-  /// 15-minute imports expose the live sub-hourly sample. The engine
-  /// supplies it; the view only reads.
+  /// site(i).region->trace_utc.at_hours(epoch().index() + now()) names,
+  /// so 5- and 15-minute imports expose the live sub-hourly sample. The
+  /// engine supplies it; the view only reads.
   double current_ci(std::size_t i) const { return (*current_ci_)[i]; }
   /// PUE-weighted grams of CO2 if `it_power` ran at site i over
   /// [start, start + duration) simulation hours. O(1).
@@ -150,7 +149,6 @@ class ClusterView {
   const std::vector<Site>* sites_;
   const std::vector<Job>* arrivals_;
   const std::vector<int>* free_slots_;
-  const std::vector<op::CarbonIntegrator>* integrators_;
   const std::vector<double>* current_ci_;
   const CarbonBudgetLedger* ledger_;
   const op::PueModel* pue_;

@@ -156,70 +156,81 @@ TraceStore& TraceStore::global() {
   return store;
 }
 
-TraceStore::TracePtr TraceStore::find_locked(const std::string& key,
-                                             std::string* note) {
+TraceStore::StoredPtr TraceStore::find_locked(const std::string& key) {
   const auto it = entries_.find(key);
   if (it == entries_.end()) return nullptr;
   metrics_.hits.inc();
   it->second.last_use = ++use_clock_;
-  if (note != nullptr) *note = it->second.note;
-  return it->second.trace;
+  return it->second.stored;
 }
 
-TraceStore::TracePtr TraceStore::insert_locked(const std::string& key,
-                                               Entry entry,
-                                               std::string* note) {
-  // Two racing first touches build identical traces; the first insert
+TraceStore::StoredPtr TraceStore::insert_locked(const std::string& key,
+                                                Entry entry) {
+  // Two racing first touches build identical entries; the first insert
   // wins and the second counts as a hit on it.
-  if (TracePtr resident = find_locked(key, note)) return resident;
+  if (StoredPtr resident = find_locked(key)) return resident;
   metrics_.misses.inc();
   metrics_.entries.add(1);
   entry.last_use = ++use_clock_;
-  if (note != nullptr) *note = entry.note;
-  return entries_.emplace(key, std::move(entry)).first->second.trace;
+  return entries_.emplace(key, std::move(entry)).first->second.stored;
 }
 
-TraceStore::TracePtr TraceStore::preset(const std::string& code) {
+namespace {
+
+/// A stored entry around `trace`: its summary always, its prepared region
+/// for a preset.
+TraceStore::StoredPtr stored_of(grid::CarbonIntensityTrace trace,
+                                bool preset, std::string note) {
+  grid::RegionSummary summary = grid::summarize(trace);
+  sched::RegionPtr prepared = preset ? sched::prepare_region(trace) : nullptr;
+  return std::make_shared<const StoredTrace>(
+      StoredTrace{std::move(trace), std::move(summary), std::move(prepared),
+                  std::move(note)});
+}
+
+}  // namespace
+
+TraceStore::StoredPtr TraceStore::preset(const std::string& code) {
   const std::string key = "preset:" + code;
   {
     MutexLock lock(mu_);
-    if (TracePtr hit = find_locked(key, nullptr)) return hit;
+    if (StoredPtr hit = find_locked(key)) return hit;
   }
   const grid::RegionSpec spec = grid::require_region(code);
-  // Generate outside the lock: a year-long synthetic trace is the
-  // expensive part, and concurrent first-touch generation of *different*
-  // regions should overlap. Two racing generations of the same code
-  // produce identical traces (the simulator is deterministic per spec).
-  auto trace = std::make_shared<const grid::CarbonIntensityTrace>(
-      grid::GridSimulator(spec).run());
+  // Build outside the lock: a year-long synthetic trace and what is
+  // derived from it are the expensive part, and concurrent first touches
+  // of *different* regions should overlap. Two racing builds of the same
+  // code are identical (the simulator is deterministic per spec).
+  StoredPtr stored = stored_of(grid::GridSimulator(spec).run(), true, {});
   MutexLock lock(mu_);
-  return insert_locked(key, Entry{std::move(trace), {}, false, 0}, nullptr);
+  return insert_locked(key, Entry{std::move(stored), false, 0});
 }
 
-TraceStore::TracePtr TraceStore::imported(const std::string& code,
-                                          const std::string& path,
-                                          std::string* note) {
+TraceStore::StoredPtr TraceStore::imported(const std::string& code,
+                                           const std::string& path) {
   const std::string key = "import:" + code + "=" + path;
   {
     MutexLock lock(mu_);
-    if (TracePtr hit = find_locked(key, note)) return hit;
+    if (StoredPtr hit = find_locked(key)) return hit;
   }
   grid::ImportOptions io;
   io.tz = grid::require_region(code).tz;  // rows are the region's local time
   grid::ImportReport report;
-  auto trace = std::make_shared<const grid::CarbonIntensityTrace>(
-      grid::import_trace_file(path, code, io, &report));
-  Entry entry{std::move(trace),
-              code + " <- " + path + ": " + report.to_string(), true, 0};
+  // The note reads the report, so the import runs first.
+  grid::CarbonIntensityTrace trace =
+      grid::import_trace_file(path, code, io, &report);
+  StoredPtr stored =
+      stored_of(std::move(trace), false,
+                code + " <- " + path + ": " + report.to_string());
   MutexLock lock(mu_);
-  TracePtr result = insert_locked(key, std::move(entry), note);
+  StoredPtr result = insert_locked(key, Entry{std::move(stored), true, 0});
   evict_imports_locked();
   return result;
 }
 
 void TraceStore::evict_imports_locked() {
   // Presets never evict (seven at most, shared by every consumer); the
-  // least-recently-used imports go first. Holders of an evicted trace's
+  // least-recently-used imports go first. Holders of an evicted entry's
   // shared_ptr keep a valid object.
   while (true) {
     std::size_t imports = 0;

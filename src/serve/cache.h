@@ -8,13 +8,21 @@
 //    serializing on one lock; the byte budget is split evenly across
 //    shards and enforced by LRU eviction per shard.
 //
-//  * TraceStore — a process-wide store of immutable, fully-built
-//    CarbonIntensityTraces behind shared_ptr. Generating a preset region's
-//    synthetic year and parsing a --trace-csv file both cost orders of
-//    magnitude more than any single query; the store does each exactly
-//    once per process and hands out shared, already-prefix-summed traces.
-//    The CLI's traces_for (scenario_runner) and every serve query pull
-//    traces through it, so multi-section sweeps and repeated queries stop
+//  * TraceStore — a process-wide store of immutable, fully-built regions
+//    behind shared_ptr. Generating a preset region's synthetic year and
+//    parsing a --trace-csv file both cost orders of magnitude more than
+//    any single query, and so do the values every query of a region
+//    derives from its trace alone. The store builds each entry exactly
+//    once, outside its lock, and hands out one shared StoredTrace: the
+//    already-prefix-summed trace, its grid::RegionSummary (which the
+//    trace family answers from), and, for a preset, its
+//    sched::PreparedRegion (the UTC year, its PUE-weighted integrator and
+//    its annual median, which every sched and fleetsim trio shares).
+//    Nothing is copied per query. A preset holds three year-long step
+//    series (local, UTC, weighted), about 420 KB hourly, so the seven
+//    presets are about 3 MB; an import holds its trace and summary. The
+//    CLI's traces_for (scenario_runner) and every serve query pull traces
+//    through it, so multi-section sweeps and repeated queries stop
 //    re-parsing identical inputs.
 //
 // Both count hits, misses, inserts, evictions and occupancy as each event
@@ -36,8 +44,10 @@
 #include <vector>
 
 #include "core/thread_annotations.h"
+#include "grid/analysis.h"
 #include "grid/trace.h"
 #include "obs/metrics.h"
+#include "sched/job.h"
 
 namespace hpcarbon::serve {
 
@@ -150,9 +160,18 @@ class ResultCache {
   std::size_t budget_per_shard_;
 };
 
+/// One stored region, immutable once built: everything a query reads
+/// that depends on the trace alone.
+struct StoredTrace {
+  grid::CarbonIntensityTrace trace;  // local time, as generated or imported
+  grid::RegionSummary summary;       // grid::summarize(trace)
+  sched::RegionPtr prepared;         // presets only; null for imports
+  std::string note;                  // imports only: "ESO <- f.csv: ..."
+};
+
 class TraceStore {
  public:
-  using TracePtr = std::shared_ptr<const grid::CarbonIntensityTrace>;
+  using StoredPtr = std::shared_ptr<const StoredTrace>;
 
   /// Counts go to `registry`, which must outlive the store; nullptr
   /// gives the store a registry of its own.
@@ -172,19 +191,18 @@ class TraceStore {
   };
   static Metrics register_metrics(obs::MetricsRegistry& registry);
 
-  /// The generated synthetic trace of a Table 3 region code, built once
-  /// (bit-identical to grid::generate_traces — the simulator is
-  /// deterministic per RegionSpec). Throws hpcarbon::Error for unknown
-  /// codes.
-  TracePtr preset(const std::string& code);
+  /// The preset of a Table 3 region code, built once: its generated
+  /// synthetic trace (bit-identical to grid::generate_traces — the
+  /// simulator is deterministic per RegionSpec), its summary and its
+  /// prepared region. Throws hpcarbon::Error for unknown codes.
+  StoredPtr preset(const std::string& code);
 
-  /// The imported trace of (region code, CSV path): read + parsed once,
-  /// rows taken as the region's local time, native cadence. `note`
-  /// receives the human-readable import summary ("ESO <- f.csv: ...")
-  /// recorded when the file was first parsed. Throws on unknown codes and
-  /// on any import error.
-  TracePtr imported(const std::string& code, const std::string& path,
-                    std::string* note = nullptr);
+  /// The import of (region code, CSV path), built once: the trace read and
+  /// parsed with rows taken as the region's local time at native cadence,
+  /// its summary, and as `note` the human-readable import summary ("ESO <-
+  /// f.csv: ..."). No prepared region: trios run on presets. Throws on
+  /// unknown codes and on any import error.
+  StoredPtr imported(const std::string& code, const std::string& path);
 
   /// Traces currently held.
   std::size_t size() const;
@@ -204,18 +222,16 @@ class TraceStore {
 
  private:
   struct Entry {
-    TracePtr trace;
-    std::string note;
+    StoredPtr stored;
     bool is_import = false;
     std::uint64_t last_use = 0;  // recency stamp for import eviction
   };
 
-  /// The resident trace under `key`, counted as a hit; nullptr if absent.
-  TracePtr find_locked(const std::string& key, std::string* note)
-      HPCARBON_REQUIRES(mu_);
+  /// The resident entry under `key`, counted as a hit; nullptr if absent.
+  StoredPtr find_locked(const std::string& key) HPCARBON_REQUIRES(mu_);
   /// Insert `entry` under `key` (a miss) unless a racing first touch did.
-  TracePtr insert_locked(const std::string& key, Entry entry,
-                         std::string* note) HPCARBON_REQUIRES(mu_);
+  StoredPtr insert_locked(const std::string& key, Entry entry)
+      HPCARBON_REQUIRES(mu_);
   void evict_imports_locked() HPCARBON_REQUIRES(mu_);
 
   std::unique_ptr<obs::MetricsRegistry> own_registry_;  // built without one

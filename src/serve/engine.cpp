@@ -29,12 +29,12 @@ namespace hpcarbon::serve {
 
 namespace {
 
-/// The query's trace: the imported file when trace_csv is given, the
-/// generated preset otherwise. Both come pre-built from the store.
-TraceStore::TracePtr query_trace(const std::string& region,
-                                 const std::string& trace_csv,
-                                 TraceStore& traces, std::string* note) {
-  if (!trace_csv.empty()) return traces.imported(region, trace_csv, note);
+/// The query's stored region: the imported file when trace_csv is given,
+/// the generated preset otherwise. Both come pre-built from the store.
+TraceStore::StoredPtr query_trace(const std::string& region,
+                                  const std::string& trace_csv,
+                                  TraceStore& traces) {
+  if (!trace_csv.empty()) return traces.imported(region, trace_csv);
   return traces.preset(region);
 }
 
@@ -53,17 +53,19 @@ json::Value evaluate_family(const LifetimeQuery& q, TraceStore& traces) {
   const hw::NodeConfig node = q.node();
   const op::PueModel pue(q.pue);
   const HourOfYear start(month_start_hour(q.start_month));
-  std::string note;
-  const auto trace = query_trace(q.region, q.trace_csv, traces, &note);
+  const auto stored = query_trace(q.region, q.trace_csv, traces);
+  const grid::CarbonIntensityTrace& trace = stored->trace;
 
   const lifecycle::TotalFootprint fp = lifecycle::node_lifetime_footprint(
-      node, q.suite, q.gpu_usage, q.years, *trace, start, pue);
+      node, q.suite, q.gpu_usage, q.years, trace, start, pue);
   json::Value out = json::Value::object();
   out.set("embodied_g", json::Value::number(fp.embodied.to_grams()));
   out.set("embodied_share", json::Value::number(fp.embodied_share()));
   out.set("operational_g", json::Value::number(fp.operational.to_grams()));
   out.set("total_g", json::Value::number(fp.total().to_grams()));
-  if (!note.empty()) out.set("import", json::Value::string(note));
+  if (!stored->note.empty()) {
+    out.set("import", json::Value::string(stored->note));
+  }
 
   if (q.samples > 0) {
     lifecycle::LifecycleBands bands;  // default embodied bands
@@ -71,7 +73,7 @@ json::Value evaluate_family(const LifetimeQuery& q, TraceStore& traces) {
     const mc::SamplePlan plan{q.samples, q.seed, nullptr};
     const lifecycle::FootprintDistribution d =
         lifecycle::node_lifetime_footprint_distribution(
-            node, q.suite, q.gpu_usage, q.years, *trace, start, pue, bands,
+            node, q.suite, q.gpu_usage, q.years, trace, start, pue, bands,
             plan);
     out.set("samples", json::Value::number(q.samples));
     out.set("total_p05_g", json::Value::number(d.total.p05()));
@@ -102,19 +104,6 @@ json::Value evaluate_family(const BreakevenQuery& q, TraceStore&) {
           json::Value::number(
               lifecycle::savings_percent(s, traj, q.horizon_years)));
   return out;
-}
-
-/// The trio engine of a sched or fleetsim query (fleetsim/ablation.h) on
-/// the regions' preset traces, with tick 0 at the query's start month.
-fleetsim::FleetEngine query_engine(const SchedQuery& q, TraceStore& traces) {
-  std::vector<TraceStore::TracePtr> held;
-  std::vector<const grid::CarbonIntensityTrace*> regions;
-  for (const auto& code : q.regions) {
-    held.push_back(traces.preset(code));
-    regions.push_back(held.back().get());
-  }
-  return fleetsim::trio_engine(regions, q.capacity,
-                               HourOfYear(month_start_hour(q.start_month)));
 }
 
 /// The policy-vs-baseline answer both trio families share: the query's
@@ -191,9 +180,9 @@ json::Value evaluate_family(const FleetsimQuery& q, TraceStore& traces) {
 }
 
 json::Value evaluate_family(const TraceQuery& q, TraceStore& traces) {
-  std::string note;
-  const auto trace = query_trace(q.region, q.trace_csv, traces, &note);
-  const grid::RegionSummary summary = grid::summarize(*trace);
+  const auto stored = query_trace(q.region, q.trace_csv, traces);
+  const grid::CarbonIntensityTrace& trace = stored->trace;
+  const grid::RegionSummary& summary = stored->summary;
 
   json::Value out = json::Value::object();
   out.set("cov_pct", json::Value::number(summary.cov_percent));
@@ -203,12 +192,14 @@ json::Value evaluate_family(const TraceQuery& q, TraceStore& traces) {
   out.set("min", json::Value::number(summary.box.min));
   out.set("p25", json::Value::number(summary.box.q1));
   out.set("p75", json::Value::number(summary.box.q3));
-  out.set("samples", json::Value::number(static_cast<double>(trace->size())));
-  out.set("step_seconds", json::Value::number(trace->step_seconds()));
-  if (!note.empty()) out.set("import", json::Value::string(note));
+  out.set("samples", json::Value::number(static_cast<double>(trace.size())));
+  out.set("step_seconds", json::Value::number(trace.step_seconds()));
+  if (!stored->note.empty()) {
+    out.set("import", json::Value::string(stored->note));
+  }
   if (const auto& w = q.window) {
     // O(1) through the prefix sums the trace was built with.
-    const double sum = trace->interval_sum(w->start_hour, w->hours);
+    const double sum = trace.interval_sum(w->start_hour, w->hours);
     out.set("window_mean", json::Value::number(sum / w->hours));
   }
   return out;
@@ -338,6 +329,16 @@ void append_error_response(std::string& out, std::string_view id,
 std::string oversize_line_error(std::size_t line_bytes) {
   return "request line exceeds " + std::to_string(kMaxRequestLineBytes) +
          " bytes (got " + std::to_string(line_bytes) + ")";
+}
+
+fleetsim::FleetEngine query_engine(const SchedQuery& q, TraceStore& traces) {
+  std::vector<sched::RegionPtr> regions;
+  regions.reserve(q.regions.size());
+  for (const auto& code : q.regions) {
+    regions.push_back(traces.preset(code)->prepared);
+  }
+  return fleetsim::trio_engine(regions, q.capacity,
+                               HourOfYear(month_start_hour(q.start_month)));
 }
 
 json::Value evaluate(const Query& q, TraceStore& traces) {

@@ -37,6 +37,7 @@
 #include <string_view>
 #include <vector>
 
+#include "fleetsim/engine.h"
 #include "obs/metrics.h"
 #include "serve/cache.h"
 #include "serve/request.h"
@@ -101,6 +102,13 @@ void append_error_response(std::string& out, std::string_view id,
 /// unreadable trace_csv path). Exposed for tests that compare service
 /// answers against direct library calls.
 json::Value evaluate(const Query& q, TraceStore& traces);
+
+/// The trio engine a sched or fleetsim query runs on
+/// (fleetsim::trio_engine): one counted preset lookup per listed region,
+/// each site sharing its preset's prepared region from `traces`, with
+/// tick 0 at the query's start month. Copies no trace. Exposed so tests
+/// can check what a miss builds.
+fleetsim::FleetEngine query_engine(const SchedQuery& q, TraceStore& traces);
 
 /// Per-family instrument slot: resolved once at Engine construction so
 /// the hot path records without touching the registry. The six query

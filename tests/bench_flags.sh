@@ -3,8 +3,8 @@
 # the usage to stdout and exits 0, and a bad flag or argument is one
 # `hpcarbon: ...` line on stderr with exit 1 and nothing on stdout, never
 # an uncaught-exception abort (134), a half-printed report or a run that
-# ignores it. A missing input file fails the same way. An invalid
-# HPCARBON_THREADS reads as unset.
+# ignores it. A missing or unreadable input file (a directory) fails the
+# same way. An invalid HPCARBON_THREADS reads as unset.
 #
 # Usage: tests/bench_flags.sh path/to/hpcarbon
 set -uo pipefail
@@ -48,6 +48,13 @@ expect_error "hpcarbon: cannot open file: /nonexistent.csv" \
   fleetsim --jobs-csv /nonexistent.csv
 expect_error "hpcarbon: cannot open file for writing: /nonexistent/out.jsonl" \
   batch /dev/null --out /nonexistent/out.jsonl
+# A directory opens like a file and fails on its first read: the same
+# one-line error, not an empty input.
+input_dir="$(mktemp -d)"
+trap 'rmdir "$input_dir"' EXIT
+expect_error "hpcarbon: cannot read file: $input_dir" batch "$input_dir"
+expect_error "hpcarbon: cannot read file: $input_dir" \
+  fleetsim --jobs-csv "$input_dir"
 
 help="$("$hpcarbon" bench netload --help)" || fail "bench netload --help exited $?"
 for flag in --json --out --label --smoke --conns --depth --rate --help; do

@@ -25,7 +25,6 @@
 #include "core/stats.h"
 #include "core/time.h"
 #include "core/units.h"
-#include "op/operational.h"
 #include "op/pue.h"
 #include "sched/budget.h"
 #include "sched/job.h"
@@ -46,15 +45,13 @@ struct JobOutcome {
 class SchedulingEngine {
  public:
   /// sites[0] is the home site. `epoch` anchors hour 0 of the simulation on
-  /// the traces' calendar (UTC). Builds one CarbonIntegrator per site.
-  SchedulingEngine(std::vector<sched::Site> sites, HourOfYear epoch,
-                   op::PueModel pue = op::PueModel())
-      : sites_(std::move(sites)), epoch_(epoch), pue_(pue) {
+  /// the traces' calendar (UTC). Jobs are priced through
+  /// ClusterView::job_carbon_g, on each site's prepared integrator.
+  SchedulingEngine(std::vector<sched::Site> sites, HourOfYear epoch)
+      : sites_(std::move(sites)), epoch_(epoch) {
     HPC_REQUIRE(!sites_.empty(), "need at least one site");
-    integrators_.reserve(sites_.size());
     for (const auto& s : sites_) {
       HPC_REQUIRE(s.capacity > 0, "site capacity must be positive");
-      integrators_.emplace_back(s.trace_utc, pue_);
     }
   }
 
@@ -103,14 +100,14 @@ class SchedulingEngine {
     auto read_ci = [&] {
       for (std::size_t s = 0; s < sites_.size(); ++s) {
         current_ci[s] = sites_[s]
-                            .trace_utc.at_hours(epoch_.index() + t)
+                            .region->trace_utc.at_hours(epoch_.index() + t)
                             .to_g_per_kwh();
       }
     };
     read_ci();
 
-    const sched::ClusterView view(sites_, arrivals, free_slots, integrators_,
-                                  current_ci, ledger, pue_, t, epoch_);
+    const sched::ClusterView view(sites_, arrivals, free_slots, current_ci,
+                                  ledger, pue_, t, epoch_);
 
     policy.begin_run(arrivals, ledger, view);
 
@@ -136,8 +133,8 @@ class SchedulingEngine {
       waits.push_back(wait);
       ledger.charge(j.user, Mass::grams(grams + tgrams));
       if (outcomes != nullptr) {
-        outcomes->push_back(JobOutcome{j.id, sites_[site].code, now, wait,
-                                       Mass::grams(grams + tgrams)});
+        outcomes->push_back(JobOutcome{j.id, sites_[site].region->code, now,
+                                       wait, Mass::grams(grams + tgrams)});
       }
       ++metrics.jobs_completed;
       policy.on_job_started(j, site, grams + tgrams, view);
@@ -219,8 +216,7 @@ class SchedulingEngine {
 
   std::vector<sched::Site> sites_;
   HourOfYear epoch_;
-  op::PueModel pue_;
-  std::vector<op::CarbonIntegrator> integrators_;  // one per site
+  op::PueModel pue_;  // the default, as sched::PreparedRegion weights with
 };
 
 }  // namespace hpcarbon::reference

@@ -132,7 +132,7 @@ void expect_outcomes_bitwise(
   ASSERT_EQ(got.size(), expected.size()) << label;
   for (std::size_t i = 0; i < got.size(); ++i) {
     EXPECT_EQ(got.job_id[i], expected[i].job_id) << label;
-    EXPECT_EQ(sites[got.site[i]].code, expected[i].site) << label;
+    EXPECT_EQ(sites[got.site[i]].region->code, expected[i].site) << label;
     EXPECT_EQ(hours_of(got.start[i]), expected[i].start_hour) << label;
     EXPECT_EQ(got.wait_hours[i], expected[i].wait_hours) << label;
     EXPECT_EQ(got.carbon_g[i], expected[i].carbon.to_grams()) << label;
@@ -857,41 +857,46 @@ grid::CarbonIntensityTrace flat_trace(const std::string& code, double level) {
 
 std::vector<std::string> site_codes(const FleetEngine& engine) {
   std::vector<std::string> codes;
-  for (const auto& site : engine.sites()) codes.push_back(site.code);
+  for (const auto& site : engine.sites()) codes.push_back(site.region->code);
   return codes;
 }
 
 TEST(TrioAblation, HomeThenTwoCleanestOthersTiesInListOrder) {
-  const auto home = flat_trace("HOME", 50);  // cleanest, but fixed as home
-  const auto dirty = flat_trace("DIRTY", 900);
-  const auto tie_a = flat_trace("TIE_A", 300);
-  const auto tie_b = flat_trace("TIE_B", 300);
-  const auto clean = flat_trace("CLEAN", 100);
+  using sched::prepare_region;
+  const auto home = prepare_region(flat_trace("HOME", 50));  // cleanest
+  const auto dirty = prepare_region(flat_trace("DIRTY", 900));
+  const auto tie_a = prepare_region(flat_trace("TIE_A", 300));
+  const auto tie_b = prepare_region(flat_trace("TIE_B", 300));
+  const auto clean = prepare_region(flat_trace("CLEAN", 100));
   const HourOfYear epoch(0);
-  EXPECT_EQ(site_codes(trio_engine({&home}, 4, epoch)),
+  EXPECT_EQ(site_codes(trio_engine({home}, 4, epoch)),
             (std::vector<std::string>{"HOME"}));
-  EXPECT_EQ(site_codes(trio_engine({&home, &dirty}, 4, epoch)),
+  EXPECT_EQ(site_codes(trio_engine({home, dirty}, 4, epoch)),
             (std::vector<std::string>{"HOME", "DIRTY"}));
-  EXPECT_EQ(site_codes(trio_engine({&home, &dirty, &tie_b, &clean, &tie_a},
-                                   4, epoch)),
+  EXPECT_EQ(site_codes(trio_engine({home, dirty, tie_b, clean, tie_a}, 4,
+                                   epoch)),
             (std::vector<std::string>{"HOME", "CLEAN", "TIE_B"}));
-  EXPECT_EQ(site_codes(trio_engine({&home, &dirty, &tie_a, &tie_b}, 4, epoch)),
+  EXPECT_EQ(site_codes(trio_engine({home, dirty, tie_a, tie_b}, 4, epoch)),
             (std::vector<std::string>{"HOME", "TIE_A", "TIE_B"}));
-  const FleetEngine pair = trio_engine({&home, &dirty}, 7, epoch);
+  const FleetEngine pair = trio_engine({home, dirty}, 7, epoch);
   for (const auto& site : pair.sites()) EXPECT_EQ(site.capacity, 7);
+  // The sites share the prepared regions they were given.
+  EXPECT_EQ(pair.sites()[0].region, home);
+  EXPECT_EQ(pair.sites()[1].region, dirty);
 
   // The presets, in fig7_regions order ESO, CISO, ERCOT (medians 189, 263
   // and 367 g/kWh): the orders the sched-ablation bench, sweep, the
   // carbon-aware-scheduling example and bench perf used to write by hand.
-  const auto presets = grid::generate_traces(grid::fig7_regions());
+  const auto presets =
+      sched::prepare_regions(grid::generate_traces(grid::fig7_regions()));
   const auto& eso = presets[0];
   const auto& ciso = presets[1];
   const auto& ercot = presets[2];
-  EXPECT_EQ(site_codes(trio_engine({&ercot, &eso, &ciso}, 4, epoch)),
+  EXPECT_EQ(site_codes(trio_engine({ercot, eso, ciso}, 4, epoch)),
             (std::vector<std::string>{"ERCOT", "ESO", "CISO"}));
-  EXPECT_EQ(site_codes(trio_engine({&ercot, &ciso, &eso}, 4, epoch)),
+  EXPECT_EQ(site_codes(trio_engine({ercot, ciso, eso}, 4, epoch)),
             (std::vector<std::string>{"ERCOT", "ESO", "CISO"}));
-  EXPECT_EQ(site_codes(trio_engine({&eso, &ciso, &ercot}, 4, epoch)),
+  EXPECT_EQ(site_codes(trio_engine({eso, ciso, ercot}, 4, epoch)),
             (std::vector<std::string>{"ESO", "CISO", "ERCOT"}));
 }
 

@@ -104,10 +104,10 @@ TEST(PolicyEngine, PrefixSumCarbonMatchesHourSteppingPerJob) {
   std::map<int, const Job*> by_id;
   for (const auto& j : jobs) by_id[j.id] = &j;
 
-  const op::PueModel pue;  // constant 1.2
+  const op::PueModel pue;  // constant 1.2, the engine's default
   for (const char* name : {"fcfs-local", "greedy-lowest-ci", "net-benefit",
                            "forecast-net-benefit"}) {
-    const FleetEngine engine(sites, epoch, pue);
+    const FleetEngine engine(sites, epoch);
     const auto policy = make_policy(name, PolicyConfig{});
     FleetOutcomes outcomes;
     engine.run(fleet_jobs, *policy, &outcomes);
@@ -126,7 +126,7 @@ TEST(PolicyEngine, PrefixSumCarbonMatchesHourSteppingPerJob) {
         const double step = std::min(remaining, hour_end - cursor);
         const HourOfYear h =
             epoch.shifted(static_cast<int>(std::floor(cursor)));
-        grams += sites[s].trace_utc.at(h).to_g_per_kwh() * kw * step *
+        grams += sites[s].region->trace_utc.at(h).to_g_per_kwh() * kw * step *
                  pue.at(h);
         cursor += step;
         remaining -= step;
@@ -135,7 +135,7 @@ TEST(PolicyEngine, PrefixSumCarbonMatchesHourSteppingPerJob) {
         const HourOfYear h =
             epoch.shifted(static_cast<int>(std::floor(start_hour)));
         grams += sites[s].transfer_energy.to_kwh() *
-                 sites[s].trace_utc.at(h).to_g_per_kwh();
+                 sites[s].region->trace_utc.at(h).to_g_per_kwh();
       }
       EXPECT_NEAR(outcomes.carbon_g[i], grams, 1e-9 * std::max(1.0, grams))
           << name << " job " << outcomes.job_id[i];
@@ -187,7 +187,7 @@ TEST(ForecastNetBenefit, RoutesToPredictedCleanerSite) {
       make_site("SQ", square_trace("SQ", 50, 500), 16),
       make_site("FLAT", constant_trace("FLAT", 150.0), 16,
                 Energy::kilowatt_hours(0.1))};
-  const FleetEngine engine(sites, HourOfYear(60 * 24), op::PueModel(1.0));
+  const FleetEngine engine(sites, HourOfYear(60 * 24));
   std::vector<Job> jobs;
   for (int i = 0; i < 4; ++i) {
     Job j;
@@ -215,7 +215,7 @@ TEST(RenewableCap, ThrottlesBurnRateWithinWindow) {
   // budgeted burn rate (until the fairness guard kicks in, which this
   // workload doesn't reach).
   std::vector<Site> sites = {make_site("A", constant_trace("A", 100.0), 64)};
-  const FleetEngine engine(sites, HourOfYear(0), op::PueModel(1.0));
+  const FleetEngine engine(sites, HourOfYear(0));
   std::vector<Job> jobs;
   for (int i = 0; i < 30; ++i) {
     Job j;
@@ -223,7 +223,7 @@ TEST(RenewableCap, ThrottlesBurnRateWithinWindow) {
     j.user = 0;
     j.submit_hour = 0.0;
     j.duration_hours = 1.0;
-    j.it_power = Power::kilowatts(10.0);  // 1 kWh*10 => 1000 g per job
+    j.it_power = Power::kilowatts(10.0);  // 10 kWh x PUE 1.2 => 1200 g a job
     jobs.push_back(j);
   }
   PolicyConfig cfg;
@@ -236,8 +236,9 @@ TEST(RenewableCap, ThrottlesBurnRateWithinWindow) {
   EXPECT_EQ(m.jobs_completed, 30);
   EXPECT_GT(m.mean_wait_hours, 1.0);  // visibly throttled
   // Verify the invariant directly: carbon started within any rolling
-  // window never exceeds cap * window (one job of slack at the boundary:
-  // the policy admits while the observed rate is still at or below cap).
+  // window never exceeds cap * window (one 1200 g job of slack at the
+  // boundary: the policy admits while the observed rate is still at or
+  // below cap).
   for (std::size_t a = 0; a < outcomes.size(); ++a) {
     const double a_start = hours_of(outcomes.start[a]);
     double window_g = 0;
@@ -247,7 +248,7 @@ TEST(RenewableCap, ThrottlesBurnRateWithinWindow) {
         window_g += outcomes.carbon_g[b];
       }
     }
-    EXPECT_LE(window_g, 500.0 * 10.0 + 1000.0 + 1e-6)
+    EXPECT_LE(window_g, 500.0 * 10.0 + 1200.0 + 1e-6)
         << "window ending at " << a_start;
   }
 }
@@ -256,7 +257,7 @@ TEST(RenewableCap, FairnessGuardReleasesOverdueJobs) {
   // Cap so tight it would starve forever; the max-delay guard must still
   // push every job through.
   std::vector<Site> sites = {make_site("A", constant_trace("A", 100.0), 64)};
-  const FleetEngine engine(sites, HourOfYear(0), op::PueModel(1.0));
+  const FleetEngine engine(sites, HourOfYear(0));
   std::vector<Job> jobs;
   for (int i = 0; i < 10; ++i) {
     Job j;
@@ -286,7 +287,7 @@ TEST(RenewableCap, ShiftsCarbonOutOfDirtySpikes) {
   // throttles there and releases in the clean half — lower carbon than
   // FCFS at the cost of queue wait.
   std::vector<Site> sites = {make_site("SQ", square_trace("SQ", 50, 500), 32)};
-  const FleetEngine engine(sites, HourOfYear(0), op::PueModel(1.0));
+  const FleetEngine engine(sites, HourOfYear(0));
   std::vector<Job> jobs;
   for (int i = 0; i < 16; ++i) {
     Job j;

@@ -93,13 +93,14 @@ TEST(RaceStress, SingleCacheShardOverlappingEvictions) {
   EXPECT_EQ(resident_bytes, s.bytes);
 }
 
-// Eight threads request the same un-built preset at once: generation runs
-// outside the store lock, so several may build the year trace, but exactly
-// one insert wins and everyone must receive that winner.
+// Eight threads request the same un-built preset at once: building runs
+// outside the store lock, so several may build the year trace and its
+// prepared region, but exactly one insert wins and everyone must receive
+// that winner.
 TEST(RaceStress, TraceStoreConcurrentFirstTouchPreset) {
   constexpr int kThreads = 8;
   TraceStore store;
-  std::vector<TraceStore::TracePtr> got(kThreads);
+  std::vector<TraceStore::StoredPtr> got(kThreads);
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
@@ -110,6 +111,7 @@ TEST(RaceStress, TraceStoreConcurrentFirstTouchPreset) {
   for (int t = 0; t < kThreads; ++t) {
     ASSERT_NE(got[t], nullptr);
     EXPECT_EQ(got[t], got[0]) << "thread " << t << " got a different object";
+    EXPECT_EQ(got[t]->prepared, got[0]->prepared);
   }
   // One winning insert; every other call (racing or later) is a hit.
   EXPECT_EQ(store.misses(), 1u);
@@ -132,9 +134,9 @@ TEST(RaceStress, TraceStoreImportVsLookupChurn) {
   for (int t = 0; t < kLookupThreads; ++t) {
     threads.emplace_back([&, t] {
       for (int i = 0; i < kIters; ++i) {
-        const auto trace = store.preset(preset_codes[(t + i) % 2]);
-        ASSERT_NE(trace, nullptr);
-        EXPECT_GT(trace->size(), 0u);
+        const auto stored = store.preset(preset_codes[(t + i) % 2]);
+        ASSERT_NE(stored, nullptr);
+        EXPECT_GT(stored->trace.size(), 0u);
         lookups.fetch_add(1, std::memory_order_relaxed);
       }
     });
@@ -143,12 +145,11 @@ TEST(RaceStress, TraceStoreImportVsLookupChurn) {
   for (int t = 0; t < kImportThreads; ++t) {
     threads.emplace_back([&, t] {
       for (int i = 0; i < kIters; ++i) {
-        std::string note;
-        const auto trace =
-            store.imported(import_codes[(t + i) % 2], kSampleCsv, &note);
-        ASSERT_NE(trace, nullptr);
-        EXPECT_GT(trace->size(), 0u);
-        EXPECT_FALSE(note.empty());  // the first parse's report, cached
+        const auto stored =
+            store.imported(import_codes[(t + i) % 2], kSampleCsv);
+        ASSERT_NE(stored, nullptr);
+        EXPECT_GT(stored->trace.size(), 0u);
+        EXPECT_FALSE(stored->note.empty());  // the parse's report, cached
         lookups.fetch_add(1, std::memory_order_relaxed);
       }
     });

@@ -137,7 +137,8 @@ TEST_P(PolicySweep, NeverBeatsClairvoyantLowerBound) {
   const auto m = run_param(sim);
   double min_ci = 1e18;
   for (const auto& s : *sites_) {
-    min_ci = std::min(min_ci, hpcarbon::stats::min(s.trace_utc.values()));
+    min_ci = std::min(min_ci,
+                      hpcarbon::stats::min(s.region->trace_utc.values()));
   }
   double bound_g = 0;
   for (const auto& j : *jobs_) {

@@ -66,11 +66,11 @@ std::vector<Job> simple_jobs(int n, double power_kw = 1.0,
 
 TEST(Scheduler, FcfsCarbonMatchesHandComputation) {
   std::vector<Site> sites = {make_site("A", constant_trace("A", 100.0), 4)};
-  const FleetEngine sim(sites, HourOfYear(0), op::PueModel(1.0));
+  const FleetEngine sim(sites, HourOfYear(0));
   const auto jobs = simple_jobs(4);  // all fit concurrently
   const auto m = run(sim, jobs, "fcfs-local");
-  // 4 jobs x 1 kW x 2 h x 100 g/kWh = 800 g.
-  EXPECT_NEAR(m.total_carbon.to_grams(), 800.0, 1e-6);
+  // 4 jobs x 1 kW x 2 h x 100 g/kWh x PUE 1.2 (the default) = 960 g.
+  EXPECT_NEAR(m.total_carbon.to_grams(), 960.0, 1e-6);
   EXPECT_EQ(m.jobs_completed, 4);
   EXPECT_EQ(m.remote_dispatches, 0);
   EXPECT_NEAR(m.mean_wait_hours, 0.0, 1e-9);
@@ -91,11 +91,11 @@ TEST(Scheduler, GreedyRoutesToCleanSite) {
       make_site("DIRTY", constant_trace("DIRTY", 500.0), 8),
       make_site("CLEAN", constant_trace("CLEAN", 50.0), 8,
                 Energy::kilowatt_hours(0))};
-  const FleetEngine sim(sites, HourOfYear(0), op::PueModel(1.0));
+  const FleetEngine sim(sites, HourOfYear(0));
   const auto jobs = simple_jobs(6);
   const auto m = run(sim, jobs, "greedy-lowest-ci");
-  // Everything lands on CLEAN: 6 x 2 kWh x 50 g.
-  EXPECT_NEAR(m.total_carbon.to_grams(), 600.0, 1e-6);
+  // Everything lands on CLEAN: 6 x 2 kWh x 50 g x PUE 1.2.
+  EXPECT_NEAR(m.total_carbon.to_grams(), 720.0, 1e-6);
   EXPECT_EQ(m.remote_dispatches, 6);
 }
 
@@ -122,7 +122,7 @@ TEST(Scheduler, GreedyBeatsFcfsOnRealRegions) {
 
 TEST(Scheduler, ThresholdDelayShiftsWorkToCleanHours) {
   std::vector<Site> sites = {make_site("SQ", square_trace("SQ", 50, 500), 16)};
-  const FleetEngine sim(sites, HourOfYear(0), op::PueModel(1.0));
+  const FleetEngine sim(sites, HourOfYear(0));
   // Jobs submitted during the dirty half of day 0.
   std::vector<Job> jobs;
   for (int i = 0; i < 8; ++i) {
@@ -139,9 +139,9 @@ TEST(Scheduler, ThresholdDelayShiftsWorkToCleanHours) {
   delay.max_delay_hours = 24.0;
   const auto mn = run(sim, jobs, "fcfs-local");
   const auto md = run(sim, jobs, "threshold-delay", delay);
-  // Delayed jobs run in the 50 g window: 10x cleaner.
-  EXPECT_NEAR(mn.total_carbon.to_grams(), 8 * 500.0, 1e-6);
-  EXPECT_NEAR(md.total_carbon.to_grams(), 8 * 50.0, 1e-6);
+  // Delayed jobs run in the 50 g window: 10x cleaner (both at PUE 1.2).
+  EXPECT_NEAR(mn.total_carbon.to_grams(), 8 * 500.0 * 1.2, 1e-6);
+  EXPECT_NEAR(md.total_carbon.to_grams(), 8 * 50.0 * 1.2, 1e-6);
   EXPECT_GT(md.mean_wait_hours, mn.mean_wait_hours);
 }
 
@@ -162,7 +162,7 @@ TEST(Scheduler, ThresholdDelayRespectsMaxDelay) {
 
 TEST(Scheduler, BudgetAwarePrioritizesEconomicalUsers) {
   std::vector<Site> sites = {make_site("A", constant_trace("A", 100.0), 1)};
-  const FleetEngine sim(sites, HourOfYear(0), op::PueModel(1.0));
+  const FleetEngine sim(sites, HourOfYear(0));
   // The hog submits a huge job first (drains budget), then both users
   // queue.
   constexpr std::uint32_t kHog = 0;
@@ -213,7 +213,7 @@ TEST(Scheduler, TransferPenaltyDiscouragesMarginalMoves) {
       make_site("HOME", constant_trace("HOME", 100.0), 8),
       make_site("AWAY", constant_trace("AWAY", 90.0), 8,
                 Energy::kilowatt_hours(5.0))};
-  const FleetEngine sim(sites, HourOfYear(0), op::PueModel(1.0));
+  const FleetEngine sim(sites, HourOfYear(0));
   const auto m = run(sim, simple_jobs(4), "greedy-lowest-ci");
   EXPECT_EQ(m.remote_dispatches, 4);
   EXPECT_NEAR(m.transfer_carbon.to_grams(), 4 * 5.0 * 90.0, 1e-6);
@@ -224,10 +224,10 @@ TEST(Scheduler, TransferPenaltyDiscouragesMarginalMoves) {
 
 TEST(Scheduler, UtilizationAndEnergyAccounting) {
   std::vector<Site> sites = {make_site("A", constant_trace("A", 100.0), 2)};
-  const FleetEngine sim(sites, HourOfYear(0), op::PueModel(1.5));
+  const FleetEngine sim(sites, HourOfYear(0));
   const auto jobs = simple_jobs(2, 2.0, 3.0);  // 2 jobs, 2 kW, 3 h
   const auto m = run(sim, jobs, "fcfs-local");
-  EXPECT_NEAR(m.total_energy.to_kwh(), 2 * 2.0 * 3.0 * 1.5, 1e-6);
+  EXPECT_NEAR(m.total_energy.to_kwh(), 2 * 2.0 * 3.0 * 1.2, 1e-6);  // PUE
   EXPECT_GT(m.utilization, 0.5);
   EXPECT_LE(m.utilization, 1.0);
 }
@@ -268,7 +268,7 @@ TEST(Scheduler, LowestCiTieBreaksToLowestSiteIndex) {
   std::vector<Site> sites = {make_site("A", constant_trace("A", 100.0), 4),
                              make_site("B", constant_trace("B", 100.0), 4),
                              make_site("C", constant_trace("C", 100.0), 4)};
-  const FleetEngine sim(sites, HourOfYear(0), op::PueModel(1.0));
+  const FleetEngine sim(sites, HourOfYear(0));
   for (const char* p : {"greedy-lowest-ci", "budget-aware", "net-benefit",
                         "forecast-net-benefit"}) {
     FleetOutcomes outcomes;
@@ -276,7 +276,7 @@ TEST(Scheduler, LowestCiTieBreaksToLowestSiteIndex) {
     EXPECT_EQ(m.remote_dispatches, 0) << p;
     EXPECT_DOUBLE_EQ(m.transfer_carbon.to_grams(), 0.0) << p;
     for (std::size_t i = 0; i < outcomes.size(); ++i) {
-      EXPECT_EQ(sim.sites()[outcomes.site[i]].code, "A")
+      EXPECT_EQ(sim.sites()[outcomes.site[i]].region->code, "A")
           << p << " job " << outcomes.job_id[i];
     }
   }
@@ -295,7 +295,7 @@ TEST(Scheduler, ForecastDelayShiftsToPredictedCleanHours) {
   // needing a hand-tuned threshold.
   std::vector<Site> sites = {make_site("SQ", square_trace("SQ", 50, 500), 16)};
   // Epoch far enough into the year for a full 14-day training window.
-  const FleetEngine sim(sites, HourOfYear(60 * 24), op::PueModel(1.0));
+  const FleetEngine sim(sites, HourOfYear(60 * 24));
   std::vector<Job> jobs;
   for (int i = 0; i < 6; ++i) {
     Job j;
@@ -310,20 +310,20 @@ TEST(Scheduler, ForecastDelayShiftsToPredictedCleanHours) {
   fc.max_delay_hours = 14.0;
   const auto mn = run(sim, jobs, "fcfs-local");
   const auto mf = run(sim, jobs, "forecast-delay", fc);
-  EXPECT_NEAR(mn.total_carbon.to_grams(), 6 * 2 * 500.0, 1e-6);
-  EXPECT_NEAR(mf.total_carbon.to_grams(), 6 * 2 * 50.0, 1e-6);
+  EXPECT_NEAR(mn.total_carbon.to_grams(), 6 * 2 * 500.0 * 1.2, 1e-6);
+  EXPECT_NEAR(mf.total_carbon.to_grams(), 6 * 2 * 50.0 * 1.2, 1e-6);
   EXPECT_GT(mf.mean_wait_hours, 5.0);
 }
 
 TEST(Scheduler, ForecastDelayRunsImmediatelyInCleanHours) {
   std::vector<Site> sites = {make_site("SQ", square_trace("SQ", 50, 500), 16)};
-  const FleetEngine sim(sites, HourOfYear(60 * 24), op::PueModel(1.0));
+  const FleetEngine sim(sites, HourOfYear(60 * 24));
   std::vector<Job> jobs = simple_jobs(3);  // submitted in the clean window
   PolicyConfig fc;
   fc.max_delay_hours = 12.0;
   const auto m = run(sim, jobs, "forecast-delay", fc);
   EXPECT_LT(m.mean_wait_hours, 1.0);
-  EXPECT_NEAR(m.total_carbon.to_grams(), 3 * 2 * 50.0, 1e-6);
+  EXPECT_NEAR(m.total_carbon.to_grams(), 3 * 2 * 50.0 * 1.2, 1e-6);
 }
 
 TEST(Scheduler, NetBenefitSkipsMarginalMoves) {
@@ -333,10 +333,10 @@ TEST(Scheduler, NetBenefitSkipsMarginalMoves) {
       make_site("HOME", constant_trace("HOME", 100.0), 8),
       make_site("AWAY", constant_trace("AWAY", 90.0), 8,
                 Energy::kilowatt_hours(5.0))};
-  const FleetEngine sim(sites, HourOfYear(0), op::PueModel(1.0));
+  const FleetEngine sim(sites, HourOfYear(0));
   const auto m = run(sim, simple_jobs(4), "net-benefit");
   EXPECT_EQ(m.remote_dispatches, 0);
-  EXPECT_NEAR(m.total_carbon.to_grams(), 4 * 2 * 100.0, 1e-6);
+  EXPECT_NEAR(m.total_carbon.to_grams(), 4 * 2 * 100.0 * 1.2, 1e-6);
 }
 
 TEST(Scheduler, NetBenefitTakesClearlyProfitableMoves) {
@@ -344,7 +344,7 @@ TEST(Scheduler, NetBenefitTakesClearlyProfitableMoves) {
       make_site("HOME", constant_trace("HOME", 500.0), 8),
       make_site("AWAY", constant_trace("AWAY", 50.0), 8,
                 Energy::kilowatt_hours(0.5))};
-  const FleetEngine sim(sites, HourOfYear(0), op::PueModel(1.0));
+  const FleetEngine sim(sites, HourOfYear(0));
   const auto m = run(sim, simple_jobs(4), "net-benefit");
   EXPECT_EQ(m.remote_dispatches, 4);
   const auto mg = run(sim, simple_jobs(4), "greedy-lowest-ci");
@@ -359,7 +359,7 @@ TEST(Scheduler, NetBenefitNeverWorseThanFcfsOnConstantGrids) {
         make_site("HOME", constant_trace("HOME", 100.0), 4),
         make_site("AWAY", constant_trace("AWAY", away_ci), 4,
                   Energy::kilowatt_hours(1.0))};
-    const FleetEngine sim(sites, HourOfYear(0), op::PueModel(1.0));
+    const FleetEngine sim(sites, HourOfYear(0));
     const auto jobs = simple_jobs(4);
     EXPECT_LE(run(sim, jobs, "net-benefit").total_carbon.to_grams(),
               run(sim, jobs, "fcfs-local").total_carbon.to_grams() + 1e-6)

@@ -3,6 +3,8 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <regex>
@@ -18,6 +20,9 @@
 #include "fleetsim/engine.h"
 #include "fleetsim/workload.h"
 #include "grid/analysis.h"
+#include "grid/import.h"
+#include "grid/presets.h"
+#include "grid/simulator.h"
 #include "hw/node.h"
 #include "lifecycle/footprint.h"
 #include "lifecycle/scenario.h"
@@ -186,9 +191,9 @@ TEST(Evaluate, LifetimeMatchesFootprint) {
       R"({"op":"lifetime","params":{"node":"a100","suite":"vision",)"
       R"("years":4,"region":"ESO"}})");
   const json::Value r = evaluate(q, store);
-  const auto trace = store.preset("ESO");
+  const auto stored = store.preset("ESO");
   const auto expected = lifecycle::node_lifetime_footprint(
-      hw::a100_node(), workload::Suite::kVision, 0.40, 4.0, *trace,
+      hw::a100_node(), workload::Suite::kVision, 0.40, 4.0, stored->trace,
       HourOfYear(month_start_hour(5)), op::PueModel(1.2));
   EXPECT_DOUBLE_EQ(r.find("embodied_g")->as_number(),
                    expected.embodied.to_grams());
@@ -305,9 +310,9 @@ TEST(Evaluate, SchedMatchesFleetEngineDirectly) {
 
   const int capacity = 16;
   std::vector<sched::Site> sites = {
-      sched::make_site("ERCOT", *store.preset("ERCOT"), capacity),
-      sched::make_site("ESO", *store.preset("ESO"), capacity),
-      sched::make_site("CISO", *store.preset("CISO"), capacity)};
+      sched::make_site("ERCOT", store.preset("ERCOT")->trace, capacity),
+      sched::make_site("ESO", store.preset("ESO")->trace, capacity),
+      sched::make_site("CISO", store.preset("CISO")->trace, capacity)};
   const fleetsim::FleetEngine engine(sites,
                                      HourOfYear(month_start_hour(5)));
   sched::WorkloadParams wp;
@@ -350,9 +355,9 @@ TEST(Evaluate, FleetsimMatchesFleetEngineDirectly) {
 
   const int capacity = 16;
   std::vector<sched::Site> sites = {
-      sched::make_site("ERCOT", *store.preset("ERCOT"), capacity),
-      sched::make_site("ESO", *store.preset("ESO"), capacity),
-      sched::make_site("CISO", *store.preset("CISO"), capacity)};
+      sched::make_site("ERCOT", store.preset("ERCOT")->trace, capacity),
+      sched::make_site("ESO", store.preset("ESO")->trace, capacity),
+      sched::make_site("CISO", store.preset("CISO")->trace, capacity)};
   const fleetsim::FleetEngine engine(sites,
                                      HourOfYear(month_start_hour(5)));
   fleetsim::FleetWorkloadParams wp;
@@ -446,17 +451,96 @@ TEST(Evaluate, TraceStatsMatchSummaryAndPrefixSums) {
       R"({"op":"trace","params":{"region":"CISO",)"
       R"("window_start_hour":1000,"window_hours":48}})");
   const json::Value r = evaluate(q, store);
-  const auto trace = store.preset("CISO");
-  const grid::RegionSummary s = grid::summarize(*trace);
+  const grid::CarbonIntensityTrace& trace = store.preset("CISO")->trace;
+  const grid::RegionSummary s = grid::summarize(trace);
   EXPECT_DOUBLE_EQ(r.find("median")->as_number(), s.box.median);
   EXPECT_DOUBLE_EQ(r.find("mean")->as_number(), s.box.mean);
   EXPECT_DOUBLE_EQ(r.find("cov_pct")->as_number(), s.cov_percent);
   EXPECT_DOUBLE_EQ(r.find("p25")->as_number(), s.box.q1);
   EXPECT_DOUBLE_EQ(r.find("p75")->as_number(), s.box.q3);
   EXPECT_EQ(static_cast<std::size_t>(r.find("samples")->as_number()),
-            trace->size());
+            trace.size());
   EXPECT_DOUBLE_EQ(r.find("window_mean")->as_number(),
-                   trace->interval_sum(1000, 48) / 48.0);
+                   trace.interval_sum(1000, 48) / 48.0);
+}
+
+/// Bit-for-bit equality: EXPECT_EQ on doubles lets -0.0 pass for 0.0.
+void expect_bits(double got, double want, const std::string& what) {
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
+            std::bit_cast<std::uint64_t>(want))
+      << what << ": " << got << " vs " << want;
+}
+
+// The trace family answers from the summary the store built with the
+// trace, not from a summary of its own. The answer must still be
+// grid::summarize's, bit for bit, on a trace built apart from the store:
+// for a preset and for the 5-minute import, with and without a window.
+TEST(Evaluate, TraceAnswersAreSummarizeBitForBit) {
+  const std::string csv =
+      std::string(HPCARBON_TEST_DATA_DIR) + "/sample_5min.csv";
+  grid::ImportOptions io;
+  io.tz = grid::require_region("ESO").tz;
+  const std::vector<std::pair<std::string, grid::CarbonIntensityTrace>>
+      sources = {
+          {R"("region":"CISO")", grid::generate_traces({grid::ciso()})[0]},
+          {R"("region":"ESO","trace_csv":")" + csv + R"(")",
+           grid::import_trace_file(csv, "ESO", io)}};
+  TraceStore store;
+  for (const auto& [source, trace] : sources) {
+    const grid::RegionSummary s = grid::summarize(trace);
+    for (const std::string window :
+         {"", R"(,"window_start_hour":1000.5,"window_hours":48)"}) {
+      const std::string line =
+          R"({"op":"trace","params":{)" + source + window + "}}";
+      // Twice: the first lookup builds the entry, the second reads it.
+      for (int pass = 0; pass < 2; ++pass) {
+        const json::Value r = evaluate(parse(line), store);
+        expect_bits(r.find("cov_pct")->as_number(), s.cov_percent, line);
+        expect_bits(r.find("max")->as_number(), s.box.max, line);
+        expect_bits(r.find("mean")->as_number(), s.box.mean, line);
+        expect_bits(r.find("median")->as_number(), s.box.median, line);
+        expect_bits(r.find("min")->as_number(), s.box.min, line);
+        expect_bits(r.find("p25")->as_number(), s.box.q1, line);
+        expect_bits(r.find("p75")->as_number(), s.box.q3, line);
+        expect_bits(r.find("samples")->as_number(),
+                    static_cast<double>(trace.size()), line);
+        expect_bits(r.find("step_seconds")->as_number(),
+                    trace.step_seconds(), line);
+        if (window.empty()) {
+          EXPECT_EQ(r.find("window_mean"), nullptr) << line;
+        } else {
+          expect_bits(r.find("window_mean")->as_number(),
+                      trace.interval_sum(1000.5, 48) / 48, line);
+        }
+      }
+    }
+  }
+  EXPECT_EQ(store.misses(), 2u);
+}
+
+// A sched or fleetsim miss assembles its engine from the store's prepared
+// regions: each site points at its preset's one PreparedRegion, so a miss
+// copies no year trace and builds no integrator.
+TEST(Evaluate, TrioEnginesShareTheStoresPreparedRegions) {
+  TraceStore store;
+  for (const char* line :
+       {R"({"op":"sched","params":{"policy":"greedy","days":1,"rate":0.1,"capacity":1}})",
+        R"({"op":"fleetsim","params":{"regions":["KN","TK","ESO","CISO","PJM","MISO","ERCOT"],"policy":"greedy","days":1,"rate":0.1}})"}) {
+    const Query q = parse(line);
+    const SchedQuery& sq = std::holds_alternative<SchedQuery>(q.params)
+                               ? std::get<SchedQuery>(q.params)
+                               : std::get<FleetsimQuery>(q.params);
+    for (int pass = 0; pass < 2; ++pass) {
+      const fleetsim::FleetEngine engine = query_engine(sq, store);
+      ASSERT_EQ(engine.sites().size(), 3u) << line;
+      for (const sched::Site& site : engine.sites()) {
+        const auto stored = store.preset(site.region->code);
+        EXPECT_EQ(site.region, stored->prepared)
+            << line << " " << site.region->code;
+        EXPECT_EQ(site.capacity, sq.capacity) << line;
+      }
+    }
+  }
 }
 
 // --- Engine: front-line behaviour -------------------------------------------
@@ -527,28 +611,60 @@ TEST(Engine, TraceImportBelowTheCadenceFloorAnswersAnError) {
   std::filesystem::remove(path);
 }
 
-TEST(Engine, RequirementErrorsNameSourcesFromTheRepositoryRoot) {
-  // HPC_REQUIRE writes __FILE__ into its message and the answer carries
-  // it to the client. The build maps the source directory away, so an
-  // off-grid row names src/grid/import.cpp, not the tree that built it.
-  const std::string path =
-      (std::filesystem::temp_directory_path() /
-       ("hpcarbon_test_off_grid_" + std::to_string(::getpid()) + ".csv"))
-          .string();
-  {
-    std::ofstream out(path);
-    out << "datetime,carbon_intensity\n2021-01-01T00:00:00Z,100\n"
-           "2021-01-01T01:00:00Z,110\n2021-01-01T02:30:00Z,120\n";
+// A trace_csv file comes from outside the program, so a fault in it is
+// the client's and its answer is the message alone: no source path, line
+// or failed expression. The bytes are pinned.
+TEST(Engine, InputErrorsAnswerTheirMessageAlone) {
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("hpcarbon_test_input_errors_" + std::to_string(::getpid()));
+  std::filesystem::create_directory(dir);
+  const std::pair<const char*, const char*> files[] = {
+      {"ragged.csv",
+       "datetime,carbon_intensity\n2021-01-01T00:00:00Z,100\n"
+       "2021-01-01T01:00:00Z\n"},
+      {"quote.csv", "datetime,carbon_intensity\n\"2021-01-01,100\n"},
+      {"off_grid.csv",
+       "datetime,carbon_intensity\n2021-01-01T00:00:00Z,100\n"
+       "2021-01-01T01:00:00Z,110\n2021-01-01T02:30:00Z,120\n"},
+  };
+  for (const auto& [name, text] : files) {
+    std::ofstream(dir / name) << text;
   }
+  const std::pair<std::string, std::string> cases[] = {
+      {(dir / "ragged.csv").string(),
+       R"({"error":"ragged CSV row 3: got 1 cells, expected 2","ok":false})"},
+      {(dir / "quote.csv").string(),
+       R"({"error":"unterminated quote in CSV row 2","ok":false})"},
+      {(dir / "off_grid.csv").string(),
+       R"x({"error":"timestamp off the 3600.000000 s sample grid (CSV line 4)","ok":false})x"},
+      // A directory opens like a file; its first read fails.
+      {dir.string(),
+       R"({"error":"cannot read file: )" + dir.string() + R"(","ok":false})"},
+  };
   Isolated iso;
   Engine engine(iso.options());
-  const json::Value answer = json::Value::parse(engine.handle_line(
-      R"({"op":"trace","params":{"region":"ESO","trace_csv":")" + path +
-      R"("}})"));
-  const std::string error = answer.find("error")->as_string();
-  EXPECT_EQ(error.rfind("src/grid/import.cpp:", 0), 0u) << error;
-  EXPECT_NE(error.find("off the 3600"), std::string::npos) << error;
-  std::filesystem::remove(path);
+  for (const auto& [path, want] : cases) {
+    EXPECT_EQ(engine.handle_line(
+                  R"({"op":"trace","params":{"region":"ESO","trace_csv":")" +
+                  path + R"("}})"),
+              want);
+  }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(Requirement, NamesSourcesFromTheRepositoryRoot) {
+  // HPC_REQUIRE, kept for the program's own invariants, writes __FILE__
+  // into its message. The build maps the source directory away, so it
+  // names src/fleetsim/engine.cpp, not the tree that built it.
+  std::string error;
+  try {
+    const fleetsim::FleetEngine engine({}, HourOfYear(0));
+  } catch (const Error& e) {
+    error = e.what();
+  }
+  EXPECT_EQ(error.rfind("src/fleetsim/engine.cpp:", 0), 0u) << error;
+  EXPECT_NE(error.find("need at least one site"), std::string::npos) << error;
 }
 
 TEST(Engine, ErrorResponsesEchoTheIdAndAreNotCached) {

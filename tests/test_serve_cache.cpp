@@ -1,12 +1,17 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
+#include <cstdint>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/error.h"
 #include "core/rng.h"
+#include "core/stats.h"
+#include "grid/analysis.h"
 #include "grid/presets.h"
 #include "grid/simulator.h"
 #include "obs/metrics.h"
@@ -222,13 +227,34 @@ TEST(ResultCache, CachesSharingARegistryAddUp) {
   EXPECT_EQ(reg.counter("hpcarbon_cache_hits_total", "", "").value(), 1u);
 }
 
+/// Bit-for-bit equality of two summaries: == would let -0.0 pass for 0.0.
+void expect_same_summary(const grid::RegionSummary& got,
+                         const grid::RegionSummary& want) {
+  EXPECT_EQ(got.code, want.code);
+  const double got_fields[] = {got.box.whisker_low, got.box.q1,
+                               got.box.median,      got.box.q3,
+                               got.box.whisker_high, got.box.mean,
+                               got.box.min,         got.box.max,
+                               got.cov_percent};
+  const double want_fields[] = {want.box.whisker_low, want.box.q1,
+                                want.box.median,      want.box.q3,
+                                want.box.whisker_high, want.box.mean,
+                                want.box.min,         want.box.max,
+                                want.cov_percent};
+  for (std::size_t i = 0; i < std::size(got_fields); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got_fields[i]),
+              std::bit_cast<std::uint64_t>(want_fields[i]))
+        << "field " << i;
+  }
+}
+
 TEST(TraceStore, PresetMatchesBatchGeneratorBitForBit) {
   TraceStore store;
   const auto eso = store.preset("ESO");
   const auto batch = grid::generate_traces({grid::eso()});
-  ASSERT_EQ(eso->size(), batch[0].size());
-  EXPECT_EQ(eso->values(), batch[0].values());
-  EXPECT_EQ(eso->time_zone().utc_offset_hours(),
+  ASSERT_EQ(eso->trace.size(), batch[0].size());
+  EXPECT_EQ(eso->trace.values(), batch[0].values());
+  EXPECT_EQ(eso->trace.time_zone().utc_offset_hours(),
             batch[0].time_zone().utc_offset_hours());
 
   // Second lookup: same immutable object, counted as a hit.
@@ -239,18 +265,47 @@ TEST(TraceStore, PresetMatchesBatchGeneratorBitForBit) {
   EXPECT_EQ(store.size(), 1u);
 }
 
+// A preset's per-region constants are built once, with its trace: every
+// later lookup hands out the same summary and the same prepared region
+// (the UTC year, its integrator, its median), never a rebuild or a copy.
+TEST(TraceStore, RepeatedPresetLookupsShareOnePreparedRegion) {
+  TraceStore store;
+  for (const std::string code : {"ESO", "CISO", "ERCOT"}) {
+    const auto first = store.preset(code);
+    ASSERT_NE(first->prepared, nullptr);
+    const sched::PreparedRegion& region = *first->prepared;
+    EXPECT_EQ(region.code, code);
+    EXPECT_EQ(region.trace_utc.values(),
+              first->trace.to_time_zone(kUtc).values());
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(region.median_g_per_kwh),
+              std::bit_cast<std::uint64_t>(
+                  stats::median(first->trace.values())));
+    expect_same_summary(first->summary, grid::summarize(first->trace));
+    for (int i = 0; i < 3; ++i) {
+      const auto again = store.preset(code);
+      EXPECT_EQ(again, first);
+      EXPECT_EQ(again->prepared, first->prepared);
+    }
+  }
+  // One counted lookup per call.
+  EXPECT_EQ(store.misses(), 3u);
+  EXPECT_EQ(store.hits(), 9u);
+  EXPECT_EQ(store.size(), 3u);
+}
+
 TEST(TraceStore, ImportedParsesOnceAndCachesTheNote) {
   TraceStore store;
-  std::string note1, note2;
-  const auto a = store.imported("ESO", fixture_path(), &note1);
-  const auto b = store.imported("ESO", fixture_path(), &note2);
+  const auto a = store.imported("ESO", fixture_path());
+  const auto b = store.imported("ESO", fixture_path());
   EXPECT_EQ(a.get(), b.get());
   EXPECT_EQ(store.misses(), 1u);
   EXPECT_EQ(store.hits(), 1u);
-  EXPECT_EQ(note1, note2);
-  EXPECT_NE(note1.find("ESO <- "), std::string::npos);
-  EXPECT_NE(note1.find("105120 samples"), std::string::npos) << note1;
-  EXPECT_EQ(a->step_seconds(), 300.0);
+  EXPECT_NE(a->note.find("ESO <- "), std::string::npos);
+  EXPECT_NE(a->note.find("105120 samples"), std::string::npos) << a->note;
+  EXPECT_EQ(a->trace.step_seconds(), 300.0);
+  // An import gets its summary only: trios run on presets.
+  expect_same_summary(a->summary, grid::summarize(a->trace));
+  EXPECT_EQ(a->prepared, nullptr);
 
   // Same path under a different region code is a distinct trace (zone
   // tagging differs).
@@ -274,11 +329,11 @@ TEST(TraceStore, ImportCapEvictsLeastRecentlyUsedImportOnly) {
   EXPECT_EQ(store.size(), 3u);  // preset + 2 imports, CISO dropped
 
   // The evicted trace's holders are unaffected; re-requesting re-parses.
-  EXPECT_EQ(b->region_code(), "CISO");
+  EXPECT_EQ(b->trace.region_code(), "CISO");
   const std::uint64_t misses_before = store.misses();
   const auto b2 = store.imported("CISO", fixture_path());
   EXPECT_EQ(store.misses(), misses_before + 1);
-  EXPECT_EQ(b2->values(), b->values());
+  EXPECT_EQ(b2->trace.values(), b->trace.values());
   // Presets survive any import churn.
   EXPECT_EQ(store.preset("ESO").get(), preset.get());
 }

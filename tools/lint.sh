@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# hpcarbon lint gate — six checks, one exit code:
+# hpcarbon lint gate — seven checks, one exit code:
 #
 #   1. Determinism lint (grep): the batch==serve byte-identity contract
 #      depends on every random draw flowing through src/core/rng
@@ -26,7 +26,13 @@
 #      so is std::atof/atoi/atol, which reads `abc` as 0. In bench/ and
 #      examples/ any `argv[` read is rejected: a tool hands its argv to
 #      its options::Table (positionals included) or takes no arguments.
-#   6. clang-tidy (see .clang-tidy for the curated check set), diffed
+#   6. Input-error lint (grep): src/core/csv.cpp and src/grid/import.cpp
+#      read only outside input (CSV text, trace files), so every check
+#      there throws a plain hpcarbon::Error whose message is the whole
+#      answer. HPC_REQUIRE would prefix the source path, line and failed
+#      expression, and a serve client would read them, so it is rejected
+#      in those files.
+#   7. clang-tidy (see .clang-tidy for the curated check set), diffed
 #      against tools/lint_baseline.txt: only NEW (file, check) pairs
 #      fail, so the gate ratchets without demanding a big-bang cleanup.
 #      Skipped with a notice when clang-tidy is not installed (the
@@ -59,7 +65,7 @@ while [[ $# -gt 0 ]]; do
     --update-baseline) UPDATE_BASELINE=1; MODE=tidy ;;
     --self-test) SELF_TEST=1 ;;
     --build-dir) BUILD_DIR="$2"; shift ;;
-    -h|--help) sed -n '2,42p' "${BASH_SOURCE[0]}"; exit 0 ;;
+    -h|--help) sed -n '2,51p' "${BASH_SOURCE[0]}"; exit 0 ;;
     *) echo "lint.sh: unknown flag '$1' (see --help)" >&2; exit 2 ;;
   esac
   shift
@@ -183,6 +189,25 @@ argv_lint() {
   echo "argv-scan lint OK"
 }
 
+# --- 6. input-error lint ----------------------------------------------------
+
+# The sources that read only outside input, relative to the repo root.
+INPUT_READERS=(src/core/csv.cpp src/grid/import.cpp)
+
+# input_error_lint [ROOT]: the rule on ROOT's copies of INPUT_READERS
+# (default: this repo).
+input_error_lint() {
+  local root="${1:-$ROOT}" matches
+  matches="$(cd "$root" && grep -nH 'HPC_REQUIRE' "${INPUT_READERS[@]}" || true)"
+  if [[ -n "$matches" ]]; then
+    echo "input-error lint FAILED — HPC_REQUIRE in a file that reads only outside input:" >&2
+    echo "$matches" >&2
+    echo "(throw hpcarbon::Error with the message alone: HPC_REQUIRE prefixes the source path, line and expression, which a serve client would read)" >&2
+    return 1
+  fi
+  echo "input-error lint OK"
+}
+
 # --- negative self-test -----------------------------------------------------
 
 self_test() {
@@ -259,10 +284,31 @@ EOF
     return 1
   fi
   rm -f "$seeded_argv"
+  # An HPC_REQUIRE in a copy of the input readers, outside the tree.
+  local seeded_root
+  seeded_root="$(mktemp -d)"
+  local f
+  for f in "${INPUT_READERS[@]}"; do
+    mkdir -p "$seeded_root/$(dirname "$f")"
+    cp "$ROOT/$f" "$seeded_root/$f"
+  done
+  if ! input_error_lint "$seeded_root" >/dev/null 2>&1; then
+    rm -rf "$seeded_root"
+    echo "lint self-test FAILED: input-error lint rejected the unseeded input readers" >&2
+    return 1
+  fi
+  printf '%s\n' 'void selftest_row(bool ok) { HPC_REQUIRE(ok, "seeded"); }' \
+    >>"$seeded_root/src/grid/import.cpp"
+  if input_error_lint "$seeded_root" >/dev/null 2>&1; then
+    rm -rf "$seeded_root"
+    echo "lint self-test FAILED: input-error lint accepted a seeded HPC_REQUIRE in src/grid/import.cpp" >&2
+    return 1
+  fi
+  rm -rf "$seeded_root"
   echo "lint self-test OK — the gate rejects seeded violations"
 }
 
-# --- 6. clang-tidy vs baseline ----------------------------------------------
+# --- 7. clang-tidy vs baseline ----------------------------------------------
 
 find_clang_tidy() {
   if [[ -n "${CLANG_TIDY:-}" ]]; then
@@ -360,6 +406,7 @@ if [[ "$MODE" != tidy ]]; then
   counter_lint || rc=1
   alloc_lint || rc=1
   argv_lint || rc=1
+  input_error_lint || rc=1
 fi
 if [[ "$MODE" != scripts ]]; then
   tidy_lint || rc=1
