@@ -1,6 +1,7 @@
 #include "serve/engine.h"
 
 #include <unordered_map>
+#include <unordered_set>
 #include <utility>
 #include <variant>
 
@@ -228,12 +229,6 @@ void success_prefix_to(std::string& out, const std::string& id,
   out += ",\"result\":";
 }
 
-std::string error_response(const std::string& id, const std::string& what) {
-  std::string out;
-  append_error_response(out, id, what);
-  return out;
-}
-
 /// The id of a parsed request document, for error correlation on
 /// documents that fail validation; empty when there is no string id.
 std::string salvage_id(const json::Reader& reader, json::Reader::Ref doc) {
@@ -246,31 +241,32 @@ std::string salvage_id(const json::Reader& reader, json::Reader::Ref doc) {
   return {};
 }
 
-PlannedLine plan_line(std::string_view line) {
+/// Parse `line` into `p` and return true, or answer it: an invalid line
+/// appends its error response to `out` and returns false.
+bool plan_line(std::string_view line, std::string& out, PlannedLine& p) {
+  auto fail = [&out](std::string_view id, std::string_view what) {
+    append_error_response(out, id, what);
+    return false;
+  };
   // Reject oversized lines before parsing (and before any id salvage —
   // the streaming front-ends never materialize the oversized bytes, so
   // answering without an id is what keeps every transport byte-identical
   // here). serve/limits.h owns the shared constant and message.
   if (line.size() > kMaxRequestLineBytes) {
-    PlannedLine p;
-    p.response = error_response({}, oversize_line_error(line.size()));
-    return p;
+    return fail({}, oversize_line_error(line.size()));
   }
   // One reader per thread: node pool and unescape arena warm up once and
   // every subsequent line parses with zero allocations. plan_line only
-  // runs on the thread that called begin_line/handle_batch (finish_line
-  // and the pool fan-out answer already-planned lines), and nothing below
-  // keeps views into the reader past the next parse — PlannedLine owns
-  // its strings.
+  // runs inside begin_line, on the calling thread (finish_line answers
+  // already-planned lines), and nothing below keeps views into the reader
+  // past the next parse — PlannedLine owns its strings.
   thread_local json::Reader reader;
   constexpr json::Reader::Ref kNone = json::Reader::kNone;
-  PlannedLine p;
   json::Reader::Ref doc = kNone;
   try {
     doc = reader.parse(line);
   } catch (const Error& e) {
-    p.response = error_response({}, e.what());
-    return p;
+    return fail({}, e.what());
   }
   if (reader.is_object(doc)) {
     if (const json::Reader::Ref op = reader.find(doc, "op");
@@ -284,33 +280,32 @@ PlannedLine plan_line(std::string_view line) {
            f = reader.next(f)) {
         const std::string_view k = reader.key(f);
         if (k != "op" && k != "id") {
-          p.response = error_response(
-              salvage_id(reader, doc),
-              "request has unknown top-level field '" + std::string(k) +
-                  "' (" + (is_stats ? "stats" : "metrics") +
-                  " takes only op and id)");
-          return p;
+          return fail(salvage_id(reader, doc),
+                      "request has unknown top-level field '" +
+                          std::string(k) + "' (" +
+                          (is_stats ? "stats" : "metrics") +
+                          " takes only op and id)");
         }
       }
+      p.control_id.clear();
       if (const json::Reader::Ref id = reader.find(doc, "id"); id != kNone) {
         if (!reader.is_string(id)) {
-          p.response = error_response({}, "request 'id' must be a string");
-          return p;
+          return fail({}, "request 'id' must be a string");
         }
         p.control_id = reader.as_string(id);
       }
       p.kind =
           is_stats ? PlannedLine::Kind::kStats : PlannedLine::Kind::kMetrics;
-      return p;
+      return true;
     }
   }
   try {
     p.q = parse_query(reader, doc);
-    p.kind = PlannedLine::Kind::kQuery;
   } catch (const Error& e) {
-    p.response = error_response(salvage_id(reader, doc), e.what());
+    return fail(salvage_id(reader, doc), e.what());
   }
-  return p;
+  p.kind = PlannedLine::Kind::kQuery;
+  return true;
 }
 
 }  // namespace
@@ -385,15 +380,13 @@ std::array<FamilySlots, Engine::kSlotCount> register_family_slots(
     const std::string l = label(families[i]);
     s.requests = &reg.counter("hpcarbon_serve_requests_total", l,
                               "Requests answered, by family.");
-    s.parse_us =
-        &reg.histogram("hpcarbon_serve_parse_latency_us", l,
-                       "Request parse+plan latency (batch front-end).");
+    s.parse_us = &reg.histogram("hpcarbon_serve_parse_latency_us", l,
+                                "Request parse+validate latency.");
     s.eval_us = &reg.histogram("hpcarbon_serve_eval_latency_us", l,
                                "Cache-miss evaluate+serialize latency.");
     s.total_us =
         &reg.histogram("hpcarbon_serve_total_latency_us", l,
-                       "End-to-end request latency, line in to line out "
-                       "(pipe/socket front-ends).");
+                       "End-to-end request latency, line in to line out.");
   }
   for (const auto& [slot, name] : {std::pair{Engine::kStatsSlot, "stats"},
                                    {Engine::kMetricsSlot, "metrics"},
@@ -490,8 +483,8 @@ std::string Engine::stats_response(const std::string& id) const {
   std::unordered_map<std::string, double> value_of;  // by series id
   // End-to-end line latency over all query families (the total_us
   // histograms merged — associative, so the merge order is irrelevant).
-  // The batch front-end answers whole segments, not lines, so it records
-  // no total_us and reports lat_count 0, like an idle daemon.
+  // Every front-end records one total_us per query line, so lat_count
+  // reads the same on each.
   obs::Histogram::Snapshot lat;
   for (const obs::MetricSample& s : snapshot()) {
     if (s.name == "hpcarbon_serve_total_latency_us") lat.merge(s.hist);
@@ -532,103 +525,6 @@ std::string Engine::stats_response(const std::string& id) const {
   return response;
 }
 
-namespace {
-
-void answer_query_to(ResultCache& cache, TraceStore& traces, const Query& q,
-                     obs::Histogram* eval_us, std::string& out) {
-  const std::size_t mark = out.size();
-  success_prefix_to(out, q.id, q.op);
-  if (cache.get_append(q.key, q.canonical, out)) {
-    out.push_back('}');
-    return;
-  }
-  try {
-    const std::uint64_t t0 = obs::ticks();
-    const std::string result = evaluate(q, traces).dump(/*sort_keys=*/true);
-    eval_us->record_ns(obs::elapsed_ns(t0, obs::ticks()));
-    cache.put(q.key, q.canonical, result);
-    out += result;
-    out.push_back('}');
-  } catch (const Error& e) {
-    out.resize(mark);  // drop the success prefix
-    append_error_response(out, q.id, e.what());  // runtime failures not cached
-  }
-}
-
-void answer_segment(ResultCache& cache, ThreadPool& pool, TraceStore& traces,
-                    const std::array<FamilySlots, Engine::kSlotCount>& slots,
-                    std::vector<PlannedLine>& plan, std::size_t begin,
-                    std::size_t end, std::vector<std::string>& responses) {
-  // Plan the segment: errors are final, cache hits answer immediately,
-  // and identical in-flight canonical keys dedup to one leader. Request
-  // counters tick here — inside the segment, before the next sequence
-  // point — so a stats/metrics line still reports exactly the requests
-  // ahead of it, as a sequential replay would.
-  std::unordered_map<std::uint64_t, std::size_t> first_of;
-  std::vector<std::size_t> leaders;
-  std::vector<bool> follower(end - begin, false);
-  for (std::size_t i = begin; i < end; ++i) {
-    PlannedLine& p = plan[i];
-    if (p.kind == PlannedLine::Kind::kError) {
-      responses[i] = p.response;
-      slots[Engine::kErrorSlot].requests->inc();
-      continue;
-    }
-    slots[static_cast<std::size_t>(p.q.family)].requests->inc();
-    if (first_of.count(p.q.key) != 0) {
-      follower[i - begin] = true;  // answered from the leader's fill below
-      continue;
-    }
-    success_prefix_to(responses[i], p.q.id, p.q.op);
-    if (cache.get_append(p.q.key, p.q.canonical, responses[i])) {
-      responses[i].push_back('}');
-      continue;
-    }
-    responses[i].clear();  // miss: the leader fan-out rebuilds the line
-    first_of[p.q.key] = i;
-    leaders.push_back(i);
-  }
-
-  // Distinct uncached queries fan out over the pool. Each leader writes
-  // only its own response slot, so the fan-out is race-free and the
-  // output is bit-identical for any worker count (evaluation is
-  // deterministic per canonical query).
-  pool.parallel_for(0, leaders.size(), [&](std::size_t k) {
-    const Query& q = plan[leaders[k]].q;
-    std::string& out = responses[leaders[k]];
-    try {
-      const std::uint64_t t0 = obs::ticks();
-      const std::string result = evaluate(q, traces).dump(/*sort_keys=*/true);
-      slots[static_cast<std::size_t>(q.family)].eval_us->record_ns(
-          obs::elapsed_ns(t0, obs::ticks()));
-      cache.put(q.key, q.canonical, result);
-      success_prefix_to(out, q.id, q.op);
-      out += result;
-      out.push_back('}');
-    } catch (const Error& e) {
-      append_error_response(out, q.id, e.what());
-    }
-  });
-
-  // Followers read their leader's freshly-cached result (a real counted
-  // hit, matching what a sequential replay would record). If the entry
-  // was already evicted — tiny budgets — or the leader failed, the
-  // follower takes the same miss -> evaluate -> put path a sequential
-  // replay would: deterministic evaluation reproduces the same bytes.
-  // (Counters match sequential replay too, except under intra-segment
-  // eviction churn, where racing leader puts make hit/miss/eviction
-  // totals timing-dependent — see the handle_batch contract.)
-  for (std::size_t i = begin; i < end; ++i) {
-    if (!follower[i - begin]) continue;
-    const PlannedLine& p = plan[i];
-    answer_query_to(cache, traces, p.q,
-                    slots[static_cast<std::size_t>(p.q.family)].eval_us,
-                    responses[i]);
-  }
-}
-
-}  // namespace
-
 std::string Engine::handle_line(std::string_view line) {
   std::string out;
   handle_line_to(line, out);
@@ -642,24 +538,18 @@ void Engine::handle_line_to(std::string_view line, std::string& out) {
 
 bool Engine::begin_line(std::string_view line, std::string& out,
                         PlannedLine& planned) {
-  // The only hot-path instrumentation cost on a warm hit is the two
-  // ticks() reads and one histogram record (~tens of ns) — parse latency
-  // is sampled by the batch front-end, and eval latency only on misses.
+  // The hot-path instrumentation cost on a warm hit is three ticks()
+  // reads and two histogram records (~tens of ns): parse and total
+  // latency. Eval latency is recorded only on misses.
   const std::uint64_t t0 = obs::ticks();
-  planned = plan_line(line);
-  switch (planned.kind) {
-    case PlannedLine::Kind::kError:
-      out += planned.response;
-      slots_[kErrorSlot].requests->inc();
-      return true;
-    case PlannedLine::Kind::kStats:
-    case PlannedLine::Kind::kMetrics:
-      return false;
-    case PlannedLine::Kind::kQuery:
-      break;
+  if (!plan_line(line, out, planned)) {
+    slots_[kErrorSlot].requests->inc();
+    return true;
   }
+  if (planned.kind != PlannedLine::Kind::kQuery) return false;
   const Query& q = planned.q;
   const FamilySlots& slot = slots_[static_cast<std::size_t>(q.family)];
+  slot.parse_us->record_ns(obs::elapsed_ns(t0, obs::ticks()));
   const std::size_t mark = out.size();
   success_prefix_to(out, q.id, q.op);
   if (cache_.probe_append(q.key, q.canonical, out)) {
@@ -674,12 +564,7 @@ bool Engine::begin_line(std::string_view line, std::string& out,
 }
 
 void Engine::finish_line(const PlannedLine& planned, std::string& out) {
-  const std::uint64_t t0 = obs::ticks();
   switch (planned.kind) {
-    case PlannedLine::Kind::kError:
-      out += planned.response;
-      slots_[kErrorSlot].requests->inc();
-      return;
     case PlannedLine::Kind::kStats:
       out += stats_response(planned.control_id);
       slots_[kStatsSlot].requests->inc();
@@ -691,55 +576,70 @@ void Engine::finish_line(const PlannedLine& planned, std::string& out) {
       out += metrics_response(planned.control_id);
       slots_[kMetricsSlot].requests->inc();
       return;
-    case PlannedLine::Kind::kQuery: {
-      const FamilySlots& slot =
-          slots_[static_cast<std::size_t>(planned.q.family)];
-      answer_query_to(cache_, traces(), planned.q, slot.eval_us, out);
-      slot.total_us->record_ns(planned.begin_ns +
-                               obs::elapsed_ns(t0, obs::ticks()));
-      slot.requests->inc();
-      return;
+    case PlannedLine::Kind::kQuery:
+      break;
+  }
+  const std::uint64_t t0 = obs::ticks();
+  const Query& q = planned.q;
+  const FamilySlots& slot = slots_[static_cast<std::size_t>(q.family)];
+  const std::size_t mark = out.size();
+  success_prefix_to(out, q.id, q.op);
+  if (cache_.get_append(q.key, q.canonical, out)) {
+    out.push_back('}');
+  } else {
+    try {
+      const std::uint64_t t_eval = obs::ticks();
+      const std::string result =
+          evaluate(q, traces()).dump(/*sort_keys=*/true);
+      slot.eval_us->record_ns(obs::elapsed_ns(t_eval, obs::ticks()));
+      cache_.put(q.key, q.canonical, result);
+      out += result;
+      out.push_back('}');
+    } catch (const Error& e) {
+      // Runtime failures are not cached.
+      out.resize(mark);  // drop the success prefix
+      append_error_response(out, q.id, e.what());
     }
   }
+  slot.total_us->record_ns(planned.begin_ns +
+                           obs::elapsed_ns(t0, obs::ticks()));
+  slot.requests->inc();
 }
 
 std::vector<std::string> Engine::handle_batch(
     const std::vector<std::string>& lines) {
-  // Parse every line exactly once, then answer in segments delimited by
-  // {"op":"stats"} / {"op":"metrics"} control requests: a control line is
-  // a sequence point — it reports the counters after everything before it
-  // and nothing after it, exactly as a sequential handle_line replay
-  // would.
-  std::vector<PlannedLine> plan(lines.size());
-  for (std::size_t i = 0; i < lines.size(); ++i) {
-    const std::uint64_t t0 = obs::ticks();
-    plan[i] = plan_line(lines[i]);
-    if (plan[i].kind == PlannedLine::Kind::kQuery) {
-      slots_[static_cast<std::size_t>(plan[i].q.family)].parse_us->record_ns(
-          obs::elapsed_ns(t0, obs::ticks()));
-    }
-  }
-
+  // A stats or metrics line ends a segment: it reports the counters after
+  // everything before it and nothing after it, as a sequential handle_line
+  // replay would. Each leader writes only its own response, so the
+  // fan-out is race-free and the output is bit-identical for any worker
+  // count (evaluation is deterministic per canonical query). A repeat
+  // reads its leader's fill (a counted hit, as in a sequential replay);
+  // if the leader failed or its entry was already evicted — tiny budgets
+  // — the repeat takes the same miss -> evaluate path a sequential replay
+  // would, and deterministic evaluation reproduces the same bytes.
   std::vector<std::string> responses(lines.size());
-  std::size_t segment_start = 0;
-  for (std::size_t i = 0; i <= lines.size(); ++i) {
-    const bool control =
-        i < lines.size() && (plan[i].kind == PlannedLine::Kind::kStats ||
-                             plan[i].kind == PlannedLine::Kind::kMetrics);
-    if (i < lines.size() && !control) continue;
-    answer_segment(cache_, pool(), traces(), slots_, plan, segment_start, i,
-                   responses);
-    if (i < lines.size()) {
-      if (plan[i].kind == PlannedLine::Kind::kStats) {
-        responses[i] = stats_response(plan[i].control_id);
-        slots_[kStatsSlot].requests->inc();
-      } else {
-        responses[i] = metrics_response(plan[i].control_id);
-        slots_[kMetricsSlot].requests->inc();
-      }
+  std::vector<PlannedLine> planned(lines.size());
+  std::unordered_set<std::uint64_t> led;  // canonical keys with a leader
+  std::vector<std::size_t> leaders, repeats;
+  auto finish_segment = [&] {
+    pool().parallel_for(0, leaders.size(), [&](std::size_t k) {
+      finish_line(planned[leaders[k]], responses[leaders[k]]);
+    });
+    for (const std::size_t i : repeats) finish_line(planned[i], responses[i]);
+    led.clear();
+    leaders.clear();
+    repeats.clear();
+  };
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    if (begin_line(lines[i], responses[i], planned[i])) continue;
+    if (planned[i].kind == PlannedLine::Kind::kQuery) {
+      (led.insert(planned[i].q.key).second ? leaders : repeats).push_back(i);
+      continue;
     }
-    segment_start = i + 1;
+    finish_segment();
+    finish_line(planned[i], responses[i]);  // the stats or metrics line
   }
+  finish_segment();
   return responses;
 }
 

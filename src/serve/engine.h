@@ -15,18 +15,17 @@
 // handle_line_to answers one line in two halves. begin_line parses it and
 // answers whatever needs no evaluation: an invalid request, or a query
 // whose result is cached. finish_line answers the rest: a cache miss, and
-// the stats and metrics control requests. The pipe runs both halves in
-// sequence; the socket server runs the first on its IO thread and hands
-// the rest to a worker (src/net/server.h).
-//
-// handle_batch is the planner: it parses every line, answers cache hits
-// immediately, dedups identical in-flight canonical keys down to one
-// leader evaluation, fans the distinct leaders over the pool
-// (ThreadPool::global() by default), and assembles responses in input
-// order. Evaluation itself calls the same library seams as `hpcarbon
-// run`/`sweep`/`trace` (deterministic, mc::substream-seeded where
-// sampling is requested), so service answers agree with the offline
-// tools.
+// the stats and metrics control requests. Every front-end answers through
+// these two halves, so each records parse, eval and total latency the
+// same way. The pipe runs both in sequence; the socket server runs the
+// first on its IO thread and hands the rest to a worker (src/net/server.h).
+// handle_batch runs begin_line over a segment of lines in input order,
+// then finish_line once per distinct uncached canonical key over the pool
+// (ThreadPool::global() by default), and each repeat of a key after it,
+// so identical in-flight queries evaluate once. Evaluation itself calls
+// the same library seams as `hpcarbon run`/`sweep`/`trace`
+// (deterministic, mc::substream-seeded where sampling is requested), so
+// service answers agree with the offline tools.
 #pragma once
 
 #include <array>
@@ -72,7 +71,7 @@ struct ServeOptions {
   /// ResultCache geometry.
   std::size_t cache_shards = 8;
   std::size_t cache_bytes = 8u << 20;
-  /// Pool the batch planner fans leaders over; nullptr selects
+  /// Pool handle_batch fans a segment's misses over; nullptr selects
   /// ThreadPool::global(). Responses are bit-identical either way.
   ThreadPool* pool = nullptr;
   /// Trace source; nullptr selects TraceStore::global(). Its lookups
@@ -116,22 +115,20 @@ fleetsim::FleetEngine query_engine(const SchedQuery& q, TraceStore& traces);
 /// (slots 6..8) count requests only.
 struct FamilySlots {
   obs::Counter* requests = nullptr;
-  obs::Histogram* parse_us = nullptr;  // plan_line (batch front-end)
+  obs::Histogram* parse_us = nullptr;  // begin_line's parse of a query
   obs::Histogram* eval_us = nullptr;   // evaluate + dump (cache misses)
   /// Engine time of one line: begin_line, plus finish_line when it
   /// defers — never the wait between the two halves.
   obs::Histogram* total_us = nullptr;
 };
 
-/// One request line, parsed exactly once and classified: what
-/// Engine::begin_line hands to Engine::finish_line, and the batch
-/// planner's record of each line. kError carries its final response;
+/// One valid request line, parsed exactly once: what Engine::begin_line
+/// hands to Engine::finish_line when it cannot answer the line itself.
 /// kStats / kMetrics are answered at their sequence points; kQuery goes
 /// through the cache/evaluate path.
 struct PlannedLine {
-  enum class Kind { kError, kStats, kMetrics, kQuery } kind = Kind::kError;
+  enum class Kind { kStats, kMetrics, kQuery } kind = Kind::kQuery;
   Query q;                 // kQuery
-  std::string response;    // kError
   std::string control_id;  // kStats / kMetrics
   /// Engine time begin_line spent on a query it left for finish_line,
   /// which adds its own before recording total_us.
@@ -190,12 +187,14 @@ class Engine {
   /// this call. Safe to call from any thread.
   void finish_line(const PlannedLine& planned, std::string& out);
 
-  /// Answer a whole batch; responses to query requests are parallel to
-  /// `lines` and byte-identical to feeding the lines through handle_line
-  /// one at a time on an equally-warm engine. Distinct uncached queries
-  /// evaluate concurrently; duplicates within the batch evaluate once; a
-  /// stats line is a sequence point (it reports counters as of
-  /// everything before it in the batch, like a sequential replay would).
+  /// Answer a whole batch; responses are parallel to `lines` and
+  /// byte-identical to feeding the lines through handle_line one at a
+  /// time on an equally-warm engine (but for a stats line's two latency
+  /// quantiles). A segment runs up to the next stats or metrics line, a
+  /// sequence point: begin_line runs over the segment in input order on
+  /// this thread, then the first miss of each canonical key runs
+  /// finish_line over the pool, its repeats run finish_line after it in
+  /// input order (a hit on its fill), and last the control line.
   /// Caveat: when the cache is so small that entries evict each other
   /// *within one segment*, leader puts race and the hit/miss/eviction
   /// counts a stats line reports can differ from sequential replay —

@@ -46,6 +46,14 @@ check sweep_sched_golden.txt \
 check carbon_aware_scheduling_golden.txt \
   "$hpcarbon" example carbon-aware-scheduling
 check sched_ablation_smoke_golden.txt sched_ablation
+# The paper's figures and tables, one bench each. sensitivity draws its
+# Monte-Carlo samples on the pool, so it must also read the same on one
+# thread.
+for bench in fig1 fig2 fig3 fig4 fig5 fig6 fig7 fig8 fig9 tables table6 \
+  sensitivity fleet forecast; do
+  check "paper/$bench.txt" "$hpcarbon" bench "$bench"
+done
+check paper/sensitivity.txt env HPCARBON_THREADS=1 "$hpcarbon" bench sensitivity
 
 [[ $status -eq 0 ]] && echo "cli_goldens OK"
 exit $status

@@ -700,6 +700,16 @@ TEST(Engine, BatchMatchesSequentialByteForByte) {
   std::vector<std::string> lines = family_lines();
   lines.push_back(R"({"id":"dup","op":"embodied","params":{"part":"a100-pcie-40"}})");
   lines.push_back(R"({"id":"bad","op":"embodied","params":{"parts":"x"}})");
+  // One failing query twice: its repeat takes the same miss path as its
+  // leader, answers the same error and caches nothing.
+  const std::string missing =
+      (std::filesystem::temp_directory_path() /
+       ("hpcarbon_missing_" + std::to_string(::getpid()) + ".csv"))
+          .string();
+  for (const std::string id : {"a", "b"}) {
+    lines.push_back(R"({"id":")" + id + R"(","op":"trace","params":{)" +
+                    R"("region":"ESO","trace_csv":")" + missing + R"("}})");
+  }
 
   Isolated batch_iso, seq_iso;
   Engine batch_engine(batch_iso.options());
@@ -713,12 +723,15 @@ TEST(Engine, BatchMatchesSequentialByteForByte) {
   for (std::size_t i = 0; i < seq.size(); ++i) {
     EXPECT_EQ(batch[i], seq[i]) << "line " << i;
   }
-  // Both front-ends record the duplicate as a cache hit and nothing for
-  // the invalid line.
+  EXPECT_EQ(seq.back(), R"({"error":"cannot open file: )" + missing +
+                            R"(","id":"b","ok":false})");
+  // Both front-ends record the duplicate as a cache hit, nothing for the
+  // invalid line, and a miss for each failing line.
   const auto bs = batch_engine.cache_stats();
   const auto ss = seq_engine.cache_stats();
   EXPECT_EQ(bs.hits, 1u);
   EXPECT_EQ(ss.hits, 1u);
+  EXPECT_EQ(bs.misses, 8u);
   EXPECT_EQ(bs.misses, ss.misses);
   EXPECT_EQ(bs.inserts, 6u);
 }
@@ -838,12 +851,12 @@ TEST(Engine, StatsControlRequestIsValidatedStrictly) {
 
 // A stats line inside a batch is a sequence point: the whole payload,
 // stats included, answers byte-identically to a sequential replay.
-/// Blank out the `lat_*` stats fields: they summarize wall-clock latency
-/// histograms, so their values are inherently timing-dependent and the
-/// batch/sequential byte-identity contract excludes them (batch also
-/// records parse latency during planning, ahead of the control line).
+/// Blank out the two latency quantiles: they summarize wall-clock
+/// latency, so their values are timing-dependent. lat_count is not
+/// masked: batch records one total latency per query line, as the pipe
+/// does.
 std::string mask_latency_fields(std::string s) {
-  static const std::regex kLat(R"re("lat_(count|p50_us|p99_us)":[^,}]*)re");
+  static const std::regex kLat(R"re("lat_(p50_us|p99_us)":[^,}]*)re");
   return std::regex_replace(s, kLat, "\"lat_$1\":X");
 }
 
@@ -952,6 +965,27 @@ TEST(Engine, StatsReportsBuildUptimeAndLatencySummary) {
   engine.handle_line(family_lines()[0]);
   const std::string after = engine.handle_line(R"({"op":"stats"})");
   EXPECT_NE(after.find("\"lat_count\":1"), std::string::npos) << after;
+}
+
+// begin_line records parse latency, so the pipe and the socket count a
+// query's parse as batch does, on a miss and on a hit alike.
+TEST(Engine, PipeRecordsParseLatency) {
+  Isolated iso;
+  Engine engine(iso.options());
+  auto parse_count = [&engine](const std::string& family) {
+    const json::Value metrics =
+        *json::Value::parse(engine.handle_line(R"({"op":"metrics"})"))
+             .find("result");
+    const json::Value* h = metrics.find(
+        "hpcarbon_serve_parse_latency_us{family=\"" + family + "\"}");
+    EXPECT_NE(h, nullptr) << family;
+    return h != nullptr ? h->find("count")->as_number() : -1.0;
+  };
+  engine.handle_line(family_lines()[0]);  // embodied, a miss
+  EXPECT_EQ(parse_count("embodied"), 1.0);
+  EXPECT_EQ(parse_count("trace"), 0.0);
+  engine.handle_line(family_lines()[0]);  // a hit
+  EXPECT_EQ(parse_count("embodied"), 2.0);
 }
 
 TEST(Engine, MetricsIdleSnapshotIsByteIdenticalAcrossFrontEnds) {
