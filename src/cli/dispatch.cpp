@@ -120,8 +120,8 @@ int cmd_policies() {
   }
   std::cout << t.to_string();
   std::cout << "\nselect with `hpcarbon run --policies name,name,...` "
-               "(canonical or short names);\nsee README \"Adding a "
-               "scheduling policy\" to register your own.\n";
+               "(canonical or short names);\nto add one, add a row to the "
+               "policy table (README \"Adding a scheduling policy\").\n";
   return 0;
 }
 

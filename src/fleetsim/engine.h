@@ -44,10 +44,10 @@
 //    observed;
 //  * an engine builds nothing per site: each sched::Site points at its
 //    region's sched::PreparedRegion (the UTC year, its PUE-weighted
-//    CarbonIntegrator and its median), built once and shared by every
-//    engine on that region, so assembling an engine from prepared regions
-//    copies a few pointers (fleetsim::trio_engine; serve::TraceStore keeps
-//    one prepared region per preset);
+//    CarbonIntegrator, its median and its forecast), built once and
+//    shared by every engine on that region, so assembling an engine from
+//    prepared regions copies a few pointers (fleetsim::trio_engine;
+//    serve::TraceStore keeps one prepared region per preset);
 //  * a job start prices its carbon from the ticks it already holds:
 //    kW times the site's CarbonIntegrator::weighted_sum_ticks(epoch + now,
 //    duration), which is StepSeries::integral_ticks. On traces whose

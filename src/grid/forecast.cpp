@@ -42,70 +42,62 @@ double PersistenceForecast::predict(HourOfYear origin,
 
 DiurnalTemplateForecast::DiurnalTemplateForecast(
     const CarbonIntensityTrace& trace, int window_days, double level_blend)
-    : trace_(&trace), window_days_(window_days), level_blend_(level_blend) {
-  HPC_REQUIRE(window_days_ >= 1, "window must cover at least one day");
+    : level_blend_(level_blend),
+      observed_(kHoursPerYear),
+      trailing_mean_(kHoursPerYear, 0.0) {
+  HPC_REQUIRE(window_days >= 1, "window must cover at least one day");
   HPC_REQUIRE(level_blend_ >= 0.0 && level_blend_ <= 1.0,
               "level blend must be in [0,1]");
-}
-
-double DiurnalTemplateForecast::slot_mean(HourOfYear origin, int slot) const {
-  // The most recent hour before `origin` in `slot` is `first` hours back;
-  // the slot's other samples lie whole days further back. The year has
-  // whole days, so wrapping keeps every sample in its slot.
-  const int first =
-      (origin.hour_of_day() - slot - 1 + kHoursPerDay) % kHoursPerDay + 1;
-  double sum = 0;
-  for (int day = 0; day < window_days_; ++day) {
-    sum += trace_->at(origin.shifted(-(first + day * kHoursPerDay)))
-               .to_g_per_kwh();
+  for (int h = 0; h < kHoursPerYear; ++h) {
+    observed_[static_cast<std::size_t>(h)] =
+        trace.at(HourOfYear(h)).to_g_per_kwh();
   }
-  return sum / window_days_;
-}
-
-void DiurnalTemplateForecast::finish(Outlook& outlook) const {
-  // Level correction: shift toward the latest observation's deviation from
-  // its own template slot (persistence of the weather regime).
-  const HourOfYear last = outlook.origin_.shifted(-1);
-  const double last_dev =
-      trace_->at(last).to_g_per_kwh() -
-      outlook.template_[static_cast<std::size_t>(last.hour_of_day())];
-  outlook.level_ = level_blend_ * last_dev;
-  // The hourly predictions and their running sum read the template and
-  // the level, so they come last; each sum is the window loop's
-  // accumulator after that many hours. Hour h ahead falls in slot
-  // (origin's slot + h) mod 24, as in predict.
-  int slot = outlook.origin_.hour_of_day();
-  for (std::size_t h = 0; h < Outlook::kSummedHours; ++h) {
-    outlook.hour_pred_[h] = outlook.slot_prediction(slot);
-    outlook.window_sum_[h + 1] = outlook.window_sum_[h] + outlook.hour_pred_[h];
-    slot = slot + 1 == kHoursPerDay ? 0 : slot + 1;
+  // Pass `day` adds to every hour h the sample `day` days before it, so
+  // each hour's sum takes its samples most recent first. The year has
+  // whole days, so wrapping keeps every sample in its hour-of-day.
+  const auto year = static_cast<std::size_t>(kHoursPerYear);
+  const auto day_hours = static_cast<std::size_t>(kHoursPerDay);
+  for (int day = 0; day < window_days; ++day) {
+    const std::size_t back = static_cast<std::size_t>(day) * day_hours % year;
+    for (std::size_t h = 0; h < back; ++h) {
+      trailing_mean_[h] += observed_[h + year - back];
+    }
+    for (std::size_t h = back; h < year; ++h) {
+      trailing_mean_[h] += observed_[h - back];
+    }
   }
+  for (double& sum : trailing_mean_) sum /= window_days;
 }
 
 DiurnalTemplateForecast::Outlook DiurnalTemplateForecast::outlook(
     HourOfYear origin) const {
   Outlook outlook;
   outlook.origin_ = origin;
-  for (int slot = 0; slot < kHoursPerDay; ++slot) {
-    outlook.template_[static_cast<std::size_t>(slot)] =
-        slot_mean(origin, slot);
+  // The 24 hours before the origin hold one hour of each slot, each the
+  // most recent of its slot: its trailing mean is that slot's template.
+  for (int back = 1; back <= kHoursPerDay; ++back) {
+    const HourOfYear h = origin.shifted(-back);
+    outlook.template_[static_cast<std::size_t>(h.hour_of_day())] =
+        trailing_mean_[static_cast<std::size_t>(h.index())];
   }
-  finish(outlook);
+  // Level correction: shift toward the latest observation's deviation from
+  // its own template slot (persistence of the weather regime).
+  const HourOfYear last = origin.shifted(-1);
+  const double last_dev =
+      observed_[static_cast<std::size_t>(last.index())] -
+      outlook.template_[static_cast<std::size_t>(last.hour_of_day())];
+  outlook.level_ = level_blend_ * last_dev;
+  // The hourly predictions and their running sum read the template and
+  // the level, so they come last; each sum is the window loop's
+  // accumulator after that many hours. Hour h ahead falls in slot
+  // (origin's slot + h) mod 24, as in predict.
+  int slot = origin.hour_of_day();
+  for (std::size_t h = 0; h < Outlook::kSummedHours; ++h) {
+    outlook.hour_pred_[h] = outlook.slot_prediction(slot);
+    outlook.window_sum_[h + 1] = outlook.window_sum_[h] + outlook.hour_pred_[h];
+    slot = slot + 1 == kHoursPerDay ? 0 : slot + 1;
+  }
   return outlook;
-}
-
-const DiurnalTemplateForecast::Outlook& DiurnalTemplateForecast::outlook_at(
-    HourOfYear origin) {
-  if (kept_.has_value() && kept_->origin_ == origin) return *kept_;
-  if (kept_.has_value() && kept_->origin_.shifted(1) == origin) {
-    const int slot = kept_->origin_.hour_of_day();
-    kept_->origin_ = origin;
-    kept_->template_[static_cast<std::size_t>(slot)] = slot_mean(origin, slot);
-    finish(*kept_);
-  } else {
-    kept_ = outlook(origin);
-  }
-  return *kept_;
 }
 
 double DiurnalTemplateForecast::Outlook::slot_prediction(int slot) const {

@@ -8,15 +8,17 @@
 //
 //  * PersistenceForecast  — CI(t+h) = CI(t); the strawman.
 //  * DiurnalTemplateForecast — hour-of-day template from the trailing
-//    window, the structure the paper's Fig. 7 analysis exploits.
+//    window, the structure the paper's Fig. 7 analysis exploits. It
+//    depends on the trace alone, so it is built once per region
+//    (sched::PreparedRegion holds one), tabulated at construction, and
+//    read by every run on that region.
 //
 // Both see only history (hours strictly before the query origin), so
 // policies built on them are causally valid.
 #pragma once
 
 #include <array>
-#include <memory>
-#include <optional>
+#include <vector>
 
 #include "grid/trace.h"
 
@@ -47,25 +49,23 @@ class PersistenceForecast : public Forecast {
 };
 
 /// Hour-of-day mean over the trailing `window_days`, blended with the last
-/// observation for level (bias) correction.
+/// observation for level (bias) correction. The constructor tabulates the
+/// trace once: each hour's intensity, and each hour's trailing mean (that
+/// hour and the same hour on the previous window_days - 1 days). A
+/// forecast is then an immutable value that owns its two tables (about
+/// 140 KB), reads no trace afterwards, and can be shared by threads;
+/// sched::PreparedRegion holds one per region.
 class DiurnalTemplateForecast : public Forecast {
  public:
   /// The forecast made at one origin hour: the 24-slot template and the
-  /// level term, built once from `window_days * 24` trace samples. Every
-  /// prediction from one origin reads this small value, so a caller that
-  /// asks many questions of one origin (a scheduler pricing sites or start
-  /// offsets within a simulated hour) builds it once and reuses it.
-  /// Answers are bit-identical to predict(origin, h) / predict_window.
+  /// level term, read from the tables. Every prediction from one origin
+  /// reads this small value, so a caller that asks many questions of one
+  /// origin (a scheduler pricing sites or start offsets within a
+  /// simulated hour) builds it once and reuses it. Answers are
+  /// bit-identical to predict(origin, h) / predict_window.
   class Outlook {
    public:
     HourOfYear origin() const { return origin_; }
-    /// Mean intensity of each hour of the day over the trailing window.
-    const std::array<double, kHoursPerDay>& hourly_template() const {
-      return template_;
-    }
-    /// Level term added to every slot: level_blend times the last
-    /// observation's deviation from its own slot.
-    double level() const { return level_; }
     /// Intensity predicted at origin + horizon_hours.
     double predict(int horizon_hours) const;
     /// Mean predicted intensity over [origin + start_h, origin + start_h +
@@ -91,45 +91,27 @@ class DiurnalTemplateForecast : public Forecast {
     double level_ = 0;  // level_blend * (last observation - its slot)
     // hour_pred_[h] = predict(h), and window_sum_[n] = sum of predict(h)
     // for h < n, added in hour order from 0: the window loop's accumulator
-    // after n whole hours. Both are built with the outlook and rebuilt on
-    // every one-hour step (the level moves every hour), so they are never
-    // stale and never partly filled.
+    // after n whole hours. Both are built with the outlook.
     std::array<double, kSummedHours> hour_pred_{};
     std::array<double, kSummedHours + 1> window_sum_{};
   };
 
+  /// Tabulates `trace`; O(window_days * 8760) adds, one day's samples to
+  /// every hour per pass.
   DiurnalTemplateForecast(const CarbonIntensityTrace& trace,
                           int window_days = 14, double level_blend = 0.3);
-  /// The forecast made at `origin`; O(window_days * 24).
+  /// The forecast made at `origin`: 24 table reads, the level term and the
+  /// running window sum.
   Outlook outlook(HourOfYear origin) const;
-  /// The forecast made at `origin`, kept in this forecast until the next
-  /// call: a scheduler asks at one origin many times, then one hour later.
-  /// The same origin returns the kept outlook. The next hour re-reads one
-  /// template slot (`window_days` samples) and the level sample: moving
-  /// the origin from o to o + 1 adds hour o to the trailing window and
-  /// drops hour o - 24 * window_days, and both fall in hour o's slot, so
-  /// the other 23 slots keep the same samples summed in the same order.
-  /// The step then rebuilds the running window sum (kSummedHours
-  /// predictions), because the level moves every hour. Any other origin
-  /// rebuilds in full. Answers are bit-identical to outlook(origin); the
-  /// reference is valid until the next call.
-  const Outlook& outlook_at(HourOfYear origin);
   double predict(HourOfYear origin, int horizon_hours) const override;
 
  private:
-  /// Mean of the trailing window's samples in hour-of-day `slot` before
-  /// `origin`, summed most recent first. The full build and the one-hour
-  /// step both fill slots through it, so the two cannot drift apart.
-  double slot_mean(HourOfYear origin, int slot) const;
-  /// Set `outlook.level_` from its template and the last observation, then
-  /// the running window sum, which reads both. The full build and the
-  /// one-hour step both end here, so neither leaves a stale sum.
-  void finish(Outlook& outlook) const;
-
-  const CarbonIntensityTrace* trace_;
-  int window_days_;
   double level_blend_;
-  std::optional<Outlook> kept_;  // outlook_at's last answer
+  // observed_[h] = trace.at(HourOfYear(h)) in g/kWh, and trailing_mean_[h]
+  // = the mean of observed_ at h, h - 24, ..., h - 24 * (window_days - 1),
+  // wrapping the year, summed most recent first.
+  std::vector<double> observed_;
+  std::vector<double> trailing_mean_;
 };
 
 /// Forecast accuracy over a year at a fixed horizon.

@@ -12,7 +12,8 @@ PreparedRegion::PreparedRegion(std::string code_in,
     : code(std::move(code_in)),
       trace_utc(local.to_time_zone(kUtc)),
       integrator(trace_utc, op::PueModel()),
-      median_g_per_kwh(stats::median(local.values())) {}
+      median_g_per_kwh(stats::median(local.values())),
+      forecast(trace_utc) {}
 
 RegionPtr prepare_region(const grid::CarbonIntensityTrace& local) {
   return std::make_shared<const PreparedRegion>(local.region_code(), local);

@@ -9,9 +9,10 @@
 //
 // A site is two parts. What it reads from its region's grid (the year in
 // UTC, the PUE-weighted integrator the engine prices jobs with, the annual
-// median the trio ranking reads) depends on the trace alone, so it is a
-// PreparedRegion: built once, immutable, and shared by every Site and
-// every engine on that region (serve::TraceStore keeps one per preset).
+// median the trio ranking reads, the diurnal forecast the forecast
+// policies read) depends on the trace alone, so it is a PreparedRegion:
+// built once, immutable, and shared by every Site, every engine and every
+// thread on that region (serve::TraceStore keeps one per preset).
 // What differs per engine (slots and transfer energy) sits in the Site.
 // Copying a Site copies a pointer, not a year.
 #pragma once
@@ -22,6 +23,7 @@
 #include <vector>
 
 #include "core/units.h"
+#include "grid/forecast.h"
 #include "grid/trace.h"
 #include "op/operational.h"
 
@@ -41,14 +43,16 @@ struct Job {
 /// A region's grid as every site on it reads it. Traces are stored in UTC
 /// so that all sites share the simulator's global clock.
 struct PreparedRegion {
-  /// Shifts `local` to UTC, weights it by the default op::PueModel and
-  /// takes its annual median.
+  /// Shifts `local` to UTC, weights it by the default op::PueModel, takes
+  /// its annual median and tabulates its diurnal forecast.
   PreparedRegion(std::string code, const grid::CarbonIntensityTrace& local);
 
   std::string code;                   // "ESO"
   grid::CarbonIntensityTrace trace_utc;
   op::CarbonIntegrator integrator;    // trace_utc weighted by the default PUE
   double median_g_per_kwh = 0;        // stats::median of the year's samples
+  /// trace_utc's forecast: the default 14-day window and 0.3 level blend.
+  grid::DiurnalTemplateForecast forecast;
 };
 
 using RegionPtr = std::shared_ptr<const PreparedRegion>;

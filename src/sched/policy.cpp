@@ -34,6 +34,19 @@ long ClusterView::lowest_ci_free_site() const {
 
 namespace {
 
+using Outlook = grid::DiurnalTemplateForecast::Outlook;
+
+/// The outlook `forecast` makes at `origin`, kept in `kept` and rebuilt
+/// only when the origin moves: a forecast policy prices every job, site
+/// and start offset within one simulated hour from one outlook.
+const Outlook& kept_outlook(const grid::DiurnalTemplateForecast& forecast,
+                            HourOfYear origin, std::optional<Outlook>& kept) {
+  if (!kept.has_value() || kept->origin() != origin) {
+    kept = forecast.outlook(origin);
+  }
+  return *kept;
+}
+
 // ---------------------------------------------------------------------------
 // Built-in policies. Each is one small class; its row in the table at the
 // bottom of this file is the only other place a policy appears.
@@ -138,18 +151,18 @@ class BudgetAwarePolicy : public SchedulingPolicy {
 class ForecastDelayPolicy : public SchedulingPolicy {
  public:
   explicit ForecastDelayPolicy(const PolicyConfig& cfg)
-      : max_delay_(cfg.max_delay_hours),
-        window_days_(cfg.forecast_window_days) {}
+      : max_delay_(cfg.max_delay_hours) {}
   std::string name() const override { return "forecast-delay"; }
   void begin_run(const std::vector<Job>& arrivals, CarbonBudgetLedger&,
-                 const ClusterView& view) override {
-    forecast_ = std::make_unique<grid::DiurnalTemplateForecast>(
-        view.site(0).region->trace_utc, window_days_);
+                 const ClusterView&) override {
+    outlook_.reset();
     arrivals_ = arrivals.data();
     planned_.assign(arrivals.size(), 0.0);
   }
   double planned_start(const Job& job, const ClusterView& view) override {
-    const auto& outlook = forecast_->outlook_at(view.hour_at(job.submit_hour));
+    const Outlook& outlook =
+        kept_outlook(view.site(0).region->forecast,
+                     view.hour_at(job.submit_hour), outlook_);
     int best_offset = 0;
     double best_ci = std::numeric_limits<double>::infinity();
     const int max_w = static_cast<int>(max_delay_);
@@ -180,10 +193,9 @@ class ForecastDelayPolicy : public SchedulingPolicy {
 
  private:
   double max_delay_;
-  int window_days_;
-  std::unique_ptr<grid::DiurnalTemplateForecast> forecast_;
-  const Job* arrivals_ = nullptr;  // begin_run's arrivals
-  std::vector<double> planned_;    // planned start, by arrival index
+  std::optional<Outlook> outlook_;  // the home site's, at the last origin
+  const Job* arrivals_ = nullptr;   // begin_run's arrivals
+  std::vector<double> planned_;     // planned start, by arrival index
 };
 
 /// Cross-region dispatch only when the current intensity gap times the
@@ -221,16 +233,11 @@ class NetBenefitPolicy : public SchedulingPolicy {
 /// forecasts — the capability the engine/policy split adds.
 class ForecastNetBenefitPolicy : public SchedulingPolicy {
  public:
-  explicit ForecastNetBenefitPolicy(const PolicyConfig& cfg)
-      : window_days_(cfg.forecast_window_days) {}
+  explicit ForecastNetBenefitPolicy(const PolicyConfig&) {}
   std::string name() const override { return "forecast-net-benefit"; }
   void begin_run(const std::vector<Job>&, CarbonBudgetLedger&,
                  const ClusterView& view) override {
-    forecasts_.clear();
-    for (std::size_t s = 0; s < view.site_count(); ++s) {
-      forecasts_.push_back(std::make_unique<grid::DiurnalTemplateForecast>(
-          view.site(s).region->trace_utc, window_days_));
-    }
+    outlooks_.assign(view.site_count(), std::nullopt);
   }
   std::optional<DispatchDecision> select(const PendingQueue& queue,
                                          const ClusterView& view) override {
@@ -244,7 +251,8 @@ class ForecastNetBenefitPolicy : public SchedulingPolicy {
     for (std::size_t s = 0; s < view.site_count(); ++s) {
       if (view.free_slots(s) <= 0) continue;
       const double predicted_ci =
-          forecasts_[s]->outlook_at(origin).predict_window(0, j.duration_hours);
+          kept_outlook(view.site(s).region->forecast, origin, outlooks_[s])
+              .predict_window(0, j.duration_hours);
       const double transfer_g =
           s == 0 ? 0.0
                  : view.site(s).transfer_energy.to_kwh() * view.current_ci(s);
@@ -260,8 +268,7 @@ class ForecastNetBenefitPolicy : public SchedulingPolicy {
   }
 
  private:
-  int window_days_;
-  std::vector<std::unique_ptr<grid::DiurnalTemplateForecast>> forecasts_;
+  std::vector<std::optional<Outlook>> outlooks_;  // by site, at the last origin
 };
 
 /// Throttle dispatch while the rolling emission rate exceeds a cap: a
@@ -352,9 +359,7 @@ const std::vector<PolicyDescriptor>& registered_policies() {
        "Plan each start at the offset a causal diurnal forecast predicts "
        "cleanest",
        {{"max_delay_hours", "start-offset search window",
-         PolicyConfig{}.max_delay_hours},
-        {"forecast_window_days", "trailing days feeding the diurnal template",
-         static_cast<double>(PolicyConfig{}.forecast_window_days)}},
+         PolicyConfig{}.max_delay_hours}},
        make<ForecastDelayPolicy>},
       {"net-benefit", "net-benefit",
        "Go remote only when the CI gap times job energy beats the transfer "
@@ -364,8 +369,7 @@ const std::vector<PolicyDescriptor>& registered_policies() {
       {"forecast-net-benefit", "forecast-nb",
        "Net-benefit dispatch priced on per-site forecasts over the job's "
        "runtime",
-       {{"forecast_window_days", "trailing days feeding the diurnal template",
-         static_cast<double>(PolicyConfig{}.forecast_window_days)}},
+       {},
        make<ForecastNetBenefitPolicy>},
       {"renewable-cap", "cap",
        "Throttle dispatch while the rolling emission rate exceeds a burn cap",

@@ -49,9 +49,6 @@ struct PolicyConfig {
   double max_delay_hours = 12.0;
   /// BudgetAware: per-user allocation for the simulated horizon.
   Mass user_budget = Mass::kilograms(200);
-  /// ForecastDelay / ForecastNetBenefit: trailing window of the diurnal
-  /// template, days.
-  int forecast_window_days = 14;
   /// RenewableCap: throttle dispatch while the rolling emission rate over
   /// `burn_window_hours` exceeds this cap.
   double burn_cap_g_per_hour = 8000.0;
@@ -157,7 +154,9 @@ class ClusterView {
 };
 
 /// Strategy interface. One instance drives one engine run; policies may
-/// keep per-run state (forecasts, rolling windows) between callbacks.
+/// keep per-run state (forecast outlooks, planned starts, rolling windows)
+/// between callbacks. What depends on a region's trace alone, its diurnal
+/// forecast included, is read from view.site(s).region, built once.
 class SchedulingPolicy {
  public:
   virtual ~SchedulingPolicy() = default;

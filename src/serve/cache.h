@@ -16,14 +16,15 @@
 //    once, outside its lock, and hands out one shared StoredTrace: the
 //    already-prefix-summed trace, its grid::RegionSummary (which the
 //    trace family answers from), and, for a preset, its
-//    sched::PreparedRegion (the UTC year, its PUE-weighted integrator and
-//    its annual median, which every sched and fleetsim trio shares).
-//    Nothing is copied per query. A preset holds three year-long step
-//    series (local, UTC, weighted), about 420 KB hourly, so the seven
-//    presets are about 3 MB; an import holds its trace and summary. The
-//    CLI's traces_for (scenario_runner) and every serve query pull traces
-//    through it, so multi-section sweeps and repeated queries stop
-//    re-parsing identical inputs.
+//    sched::PreparedRegion (the UTC year, its PUE-weighted integrator,
+//    its annual median and its diurnal forecast, which every sched and
+//    fleetsim trio shares). Nothing is copied per query. A preset holds
+//    three year-long step series (local, UTC, weighted), about 420 KB
+//    hourly, and the forecast's two hourly tables, about 140 KB, so the
+//    seven presets are about 3.9 MB; an import holds its trace and
+//    summary. The CLI's traces_for (scenario_runner) and every serve
+//    query pull traces through it, so multi-section sweeps and repeated
+//    queries stop re-parsing identical inputs.
 //
 // Both count hits, misses, inserts, evictions and occupancy as each event
 // happens, into the registry they were built on (the hpcarbon_cache_* and

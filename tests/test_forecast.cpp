@@ -6,6 +6,7 @@
 #include <array>
 #include <bit>
 #include <cstdint>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -13,6 +14,7 @@
 #include "grid/import.h"
 #include "grid/presets.h"
 #include "grid/simulator.h"
+#include "sched/job.h"
 
 namespace hpcarbon::grid {
 namespace {
@@ -149,26 +151,30 @@ double reference_window(const std::vector<double>& ref, int start_h,
   return acc / duration_h;
 }
 
+using Outlook = DiurnalTemplateForecast::Outlook;
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
 // The outlook path must answer bit for bit what the per-call oracle does
-// at every origin of the year (so windows also wrap the year boundary):
-// horizons 0-47, and windows from one tick (1/1024 h) to 25 h, around the
-// day boundary. Windows past the outlook's 48 h running sum (one tick
-// past it, four days, 200 h), and predict's per-call entry points (which
-// rebuild through outlook() on every call), are checked on every fifth
-// origin; five is prime to 24, so those origins still cover every hour of
+// at every `stride`-th origin of the year from hour 0, so trailing windows
+// wrap from hour 0 back into the year's last days and forecast windows
+// from its last hours forward into January: horizons 0-47, and windows
+// from one tick (1/1024 h) to 25 h, around the day boundary. Windows past
+// the outlook's 48 h running sum (one tick past it, four days, 200 h), and
+// predict's per-call entry points (which build an outlook on every call),
+// are checked on the origins that are multiples of five; five is prime to
+// 24 and to every stride used, so those origins still cover every hour of
 // the day. Each window list asks a long window before and after shorter
-// ones, and the windows are asked again of an outlook that outlook_at
-// steps one hour per origin, so a running sum that a shorter window or a
-// step left stale or partly filled cannot pass.
-void expect_outlook_matches_oracle(const CarbonIntensityTrace& trace) {
-  constexpr int kWindowDays = 14;
-  constexpr double kBlend = 0.3;
+// ones, so a running sum that a shorter window left stale or partly
+// filled cannot pass.
+void expect_outlook_matches_oracle(const CarbonIntensityTrace& trace,
+                                   int window_days, double blend,
+                                   int stride) {
   constexpr int kHorizons = 48;
   constexpr int kLongWindow = 200;
-  constexpr int kStride = 5;
+  constexpr int kLongStride = 5;
   constexpr double kTick = 1.0 / 1024;
-  const DiurnalTemplateForecast forecast(trace, kWindowDays, kBlend);
-  DiurnalTemplateForecast stepped(trace, kWindowDays, kBlend);
+  const DiurnalTemplateForecast forecast(trace, window_days, blend);
   std::vector<double> observed(kHoursPerYear);
   for (int h = 0; h < kHoursPerYear; ++h) {
     observed[static_cast<std::size_t>(h)] =
@@ -178,8 +184,7 @@ void expect_outlook_matches_oracle(const CarbonIntensityTrace& trace) {
     int start_h;
     double duration_h;
   };
-  constexpr double kPastSum =
-      DiurnalTemplateForecast::Outlook::kSummedHours + kTick;
+  constexpr double kPastSum = Outlook::kSummedHours + kTick;
   const Window windows[] = {{0, 25.0}, {0, kTick},       {0, 0.25},
                             {0, 1.0},  {0, 5.5},         {0, 24.0},
                             {0, 24 - kTick},             {0, 25.0},
@@ -187,6 +192,8 @@ void expect_outlook_matches_oracle(const CarbonIntensityTrace& trace) {
   const Window long_windows[] = {
       {0, kLongWindow}, {0, kPastSum}, {0, 96.0}, {0, kLongWindow}};
   const Window per_call_windows[] = {{0, 0.25}, {0, 1.0}, {5, 5.5}};
+  const std::string config = "window " + std::to_string(window_days) +
+                             " d, blend " + std::to_string(blend) + ", ";
   std::size_t checked = 0;
   std::size_t mismatches = 0;
   std::string first;
@@ -195,39 +202,35 @@ void expect_outlook_matches_oracle(const CarbonIntensityTrace& trace) {
     ++checked;
     if (expected == got) return;
     if (mismatches++ == 0) {
-      first = std::string(path) + " origin " + std::to_string(origin) +
+      first = config + path + " origin " + std::to_string(origin) +
               " start " + std::to_string(start_h) + " duration " +
               std::to_string(duration_h) + ": " + std::to_string(expected) +
               " vs " + std::to_string(got);
     }
   };
   std::vector<double> ref(kLongWindow);
-  for (int o = 0; o < kHoursPerYear; ++o) {
+  for (int o = 0; o < kHoursPerYear; o += stride) {
     const HourOfYear origin(o);
-    const bool strided = o % kStride == 0;
-    for (int h = 0; h < (strided ? kLongWindow : kHorizons); ++h) {
+    const bool long_checked = o % kLongStride == 0;
+    for (int h = 0; h < (long_checked ? kLongWindow : kHorizons); ++h) {
       ref[static_cast<std::size_t>(h)] =
-          reference_predict(observed, kWindowDays, kBlend, origin, h);
+          reference_predict(observed, window_days, blend, origin, h);
     }
-    const DiurnalTemplateForecast::Outlook outlook = forecast.outlook(origin);
-    const DiurnalTemplateForecast::Outlook& kept = stepped.outlook_at(origin);
+    const Outlook outlook = forecast.outlook(origin);
     ASSERT_EQ(outlook.origin(), origin);
-    ASSERT_EQ(kept.origin(), origin);
     for (int h = 0; h < kHorizons; ++h) {
       expect_same(ref[static_cast<std::size_t>(h)], outlook.predict(h),
                   "outlook predict", o, h, 0);
     }
     auto expect_windows = [&](const auto& list) {
       for (const Window& w : list) {
-        const double want = reference_window(ref, w.start_h, w.duration_h);
-        expect_same(want, outlook.predict_window(w.start_h, w.duration_h),
+        expect_same(reference_window(ref, w.start_h, w.duration_h),
+                    outlook.predict_window(w.start_h, w.duration_h),
                     "outlook window", o, w.start_h, w.duration_h);
-        expect_same(want, kept.predict_window(w.start_h, w.duration_h),
-                    "stepped window", o, w.start_h, w.duration_h);
       }
     };
     expect_windows(windows);
-    if (!strided) continue;
+    if (!long_checked) continue;
     expect_windows(long_windows);
     for (const int h : {0, 23, 47}) {
       expect_same(ref[static_cast<std::size_t>(h)], forecast.predict(origin, h),
@@ -239,162 +242,103 @@ void expect_outlook_matches_oracle(const CarbonIntensityTrace& trace) {
                   "per-call window", o, w.start_h, w.duration_h);
     }
   }
-  const std::size_t strided = (kHoursPerYear + kStride - 1) / kStride;
+  const int long_stride = std::lcm(stride, kLongStride);
+  const std::size_t origins = (kHoursPerYear + stride - 1) / stride;
+  const std::size_t long_origins =
+      (kHoursPerYear + long_stride - 1) / long_stride;
   EXPECT_EQ(checked,
-            kHoursPerYear * (kHorizons + 2 * std::size(windows)) +
-                strided * (2 * std::size(long_windows) + 3 +
-                           std::size(per_call_windows)));
+            origins * (kHorizons + std::size(windows)) +
+                long_origins * (std::size(long_windows) + 3 +
+                                std::size(per_call_windows)))
+      << config;
   EXPECT_EQ(mismatches, 0u) << "first: " << first;
 }
 
+CarbonIntensityTrace five_minute_trace() {
+  auto trace = import_trace_file(
+      std::string(HPCARBON_TEST_DATA_DIR) + "/sample_5min.csv", "FIX", {});
+  EXPECT_EQ(trace.step_seconds(), 300.0);
+  return trace;
+}
+
+// The default window and blend at every origin of the year.
 TEST(ForecastOracle, OutlookMatchesPerCallOnHourlyPreset) {
-  expect_outlook_matches_oracle(GridSimulator(ciso()).run());
+  expect_outlook_matches_oracle(GridSimulator(ciso()).run(), 14, 0.3, 1);
 }
 
 TEST(ForecastOracle, OutlookMatchesPerCallOnFiveMinuteTrace) {
-  const auto trace = import_trace_file(
-      std::string(HPCARBON_TEST_DATA_DIR) + "/sample_5min.csv", "FIX", {});
-  ASSERT_EQ(trace.step_seconds(), 300.0);
-  expect_outlook_matches_oracle(trace);
+  expect_outlook_matches_oracle(five_minute_trace(), 14, 0.3, 1);
 }
 
-using Outlook = DiurnalTemplateForecast::Outlook;
-
-std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
-
-/// Origin, every template slot, and the level agree bit for bit.
-bool same_outlook(const Outlook& a, const Outlook& b) {
-  if (a.origin() != b.origin() || bits(a.level()) != bits(b.level())) {
-    return false;
-  }
-  for (int s = 0; s < kHoursPerDay; ++s) {
-    const auto su = static_cast<std::size_t>(s);
-    if (bits(a.hourly_template()[su]) != bits(b.hourly_template()[su])) {
-      return false;
-    }
-  }
-  return true;
-}
-
-// outlook_at keeps its outlook and, when the origin moves one hour on,
-// re-reads only the slot of the hour that entered the window. Stepping
-// hour by hour through every origin of the year, across the wrap from
-// 8759 to 0, must answer bit for bit what a freshly built outlook does:
-// every template slot, the level, and windows from one tick to 200 h,
-// on both sides of the day and of the 48 h running sum. The long window
-// comes before and after the short ones.
-TEST(ForecastStep, HourlyStepsMatchFreshOutlooksAllYear) {
-  const auto trace = GridSimulator(ciso()).run();
-  constexpr double kTick = 1.0 / 1024;
-  constexpr double kDurations[] = {200.0, kTick, 0.25, 1.0, 5.5, 24.0,
-                                   24 - kTick, 25.0, 30.0,
-                                   Outlook::kSummedHours + kTick, 96.0,
-                                   200.0};
-  for (const int window_days : {1, 7, 14, 30}) {
-    DiurnalTemplateForecast stepped(trace, window_days);
-    const DiurnalTemplateForecast fresh(trace, window_days);
-    std::size_t mismatches = 0;
-    std::string first;
-    auto note = [&](const char* what, int origin) {
-      if (mismatches++ == 0) {
-        first = std::string(what) + " at origin " + std::to_string(origin);
-      }
-    };
-    // The first call builds in full; the next 8760 each step one hour,
-    // ending back at the first origin.
-    for (int i = 0; i <= kHoursPerYear; ++i) {
-      const HourOfYear origin(kHoursPerYear - 100 + i);
-      const Outlook& got = stepped.outlook_at(origin);
-      const Outlook want = fresh.outlook(origin);
-      if (!same_outlook(got, want)) note("template or level", origin.index());
-      for (const double d : kDurations) {
-        if (bits(got.predict_window(0, d)) != bits(want.predict_window(0, d))) {
-          note("window", origin.index());
-        }
+// Other windows and blends on every 29th origin: a one-day window (each
+// trailing mean is one sample), a week, and 30 days, whose trailing means
+// reach back across the year's start for the whole of January.
+TEST(ForecastOracle, OtherWindowsAndBlendsMatchPerCall) {
+  const CarbonIntensityTrace traces[] = {GridSimulator(ciso()).run(),
+                                         five_minute_trace()};
+  for (const CarbonIntensityTrace& trace : traces) {
+    for (const int window_days : {1, 7, 30}) {
+      for (const double blend : {0.0, 0.5}) {
+        expect_outlook_matches_oracle(trace, window_days, blend, 29);
       }
     }
-    EXPECT_EQ(mismatches, 0u)
-        << "window_days " << window_days << ", first: " << first;
   }
 }
 
 // A window from the origin shorter than the running sum is one stored
 // sum plus one stored hourly prediction times the part hour, divided by
 // the duration. The base-class Forecast::predict_window loop, which
-// rebuilds the forecast for every hour it adds, must agree bit for bit at
-// every origin slot of the day, from fresh outlooks and from one that
-// outlook_at steps one hour at a time (across the year's end), at
-// durations on both sides of whole hours and of the 48 h sum.
+// builds an outlook for every hour it adds, must agree bit for bit at
+// every origin slot of the day, across the year's end, at durations on
+// both sides of whole hours and of the 48 h sum.
 TEST(ForecastOracle, OriginWindowsMatchTheBaseClassLoop) {
   const auto trace = GridSimulator(ciso()).run();
-  const DiurnalTemplateForecast fresh(trace, 14);
-  DiurnalTemplateForecast stepped(trace, 14);
+  const DiurnalTemplateForecast forecast(trace, 14);
   constexpr double kDurations[] = {0.25, 0.999,  1.0,  1.5,  23.75,
                                    47.0, 47.999, 48.0, 48.5, 96.3};
   const HourOfYear first(kHoursPerYear - 12);
   for (int i = 0; i < kHoursPerDay; ++i) {
     const HourOfYear origin = first.shifted(i);
-    const Outlook built = fresh.outlook(origin);
-    const Outlook& kept = stepped.outlook_at(origin);
+    const Outlook built = forecast.outlook(origin);
     for (const double d : kDurations) {
-      const double want = fresh.predict_window(origin, 0, d);
-      EXPECT_EQ(bits(built.predict_window(0, d)), bits(want))
-          << "fresh outlook, origin " << origin.index() << ", duration " << d;
-      EXPECT_EQ(bits(kept.predict_window(0, d)), bits(want))
-          << "stepped outlook, origin " << origin.index() << ", duration "
-          << d;
+      EXPECT_EQ(bits(built.predict_window(0, d)),
+                bits(forecast.predict_window(origin, 0, d)))
+          << "origin " << origin.index() << ", duration " << d;
     }
   }
 }
 
-// Any move of the origin but one hour forward rebuilds in full. The test
-// swaps the trace the forecast reads between calls to see which samples
-// a call re-read: after a full build every slot comes from the new trace,
-// after a step only the one re-read slot and the level do.
-TEST(ForecastStep, OtherMovesRebuildInFull) {
-  const auto ciso_trace = GridSimulator(ciso()).run();
-  const auto eso_trace = GridSimulator(eso()).run();
-  CarbonIntensityTrace trace = ciso_trace;
-  DiurnalTemplateForecast stepped(trace, 14);
-  const DiurnalTemplateForecast from_ciso(ciso_trace, 14);
-  const DiurnalTemplateForecast from_eso(eso_trace, 14);
-  const HourOfYear o(5000);
-  for (int s = 0; s < kHoursPerDay; ++s) {
-    const auto su = static_cast<std::size_t>(s);
-    ASSERT_NE(from_ciso.outlook(o).hourly_template()[su],
-              from_eso.outlook(o).hourly_template()[su])
-        << "the two traces must differ in every slot";
+// A prepared region holds the forecast of its UTC year at the defaults
+// (14 days, blend 0.3): at every origin its outlook answers bit for bit
+// what a DiurnalTemplateForecast built on its own from trace_utc does.
+// CISO's local year is eight hours off UTC, so a forecast of the local
+// trace would not pass.
+TEST(ForecastOracle, PreparedRegionHoldsItsUtcYearsForecast) {
+  const auto local = GridSimulator(ciso()).run();
+  const sched::RegionPtr region = sched::prepare_region(local);
+  const DiurnalTemplateForecast own(region->trace_utc);
+  const DiurnalTemplateForecast of_local(local);
+  constexpr double kDurations[] = {0.25, 1.0, 5.5, 24.0, 96.3};
+  std::size_t mismatches = 0;
+  std::size_t local_differs = 0;
+  for (int o = 0; o < kHoursPerYear; ++o) {
+    const HourOfYear origin(o);
+    const Outlook got = region->forecast.outlook(origin);
+    const Outlook want = own.outlook(origin);
+    for (int h = 0; h < Outlook::kSummedHours; ++h) {
+      if (bits(got.predict(h)) != bits(want.predict(h))) ++mismatches;
+    }
+    for (const double d : kDurations) {
+      if (bits(got.predict_window(0, d)) != bits(want.predict_window(0, d))) {
+        ++mismatches;
+      }
+    }
+    if (of_local.outlook(origin).predict(0) != want.predict(0)) {
+      ++local_differs;
+    }
   }
-
-  stepped.outlook_at(o);
-  trace = eso_trace;  // jump two hours ahead
-  EXPECT_TRUE(same_outlook(stepped.outlook_at(o.shifted(2)),
-                           from_eso.outlook(o.shifted(2))));
-  trace = ciso_trace;  // step one hour back
-  EXPECT_TRUE(same_outlook(stepped.outlook_at(o.shifted(1)),
-                           from_ciso.outlook(o.shifted(1))));
-  trace = eso_trace;  // the same origin again: the kept outlook
-  EXPECT_TRUE(same_outlook(stepped.outlook_at(o.shifted(1)),
-                           from_ciso.outlook(o.shifted(1))));
-  // A day and an hour ahead.
-  EXPECT_TRUE(same_outlook(stepped.outlook_at(o.shifted(26)),
-                           from_eso.outlook(o.shifted(26))));
-
-  // One hour ahead is a step: only the slot of the hour that entered the
-  // window, and the level, read the swapped-in trace.
-  trace = ciso_trace;
-  const HourOfYear next = o.shifted(27);
-  const Outlook& got = stepped.outlook_at(next);
-  const std::size_t entered =
-      static_cast<std::size_t>(next.shifted(-1).hour_of_day());
-  for (int s = 0; s < kHoursPerDay; ++s) {
-    const auto su = static_cast<std::size_t>(s);
-    const Outlook& source = su == entered ? from_ciso.outlook(next)
-                                          : from_eso.outlook(next);
-    EXPECT_EQ(bits(got.hourly_template()[su]),
-              bits(source.hourly_template()[su]))
-        << "slot " << s;
-  }
+  EXPECT_EQ(mismatches, 0u);
+  EXPECT_GT(local_differs, 0u);
 }
 
 TEST(Forecast, Validation) {

@@ -3,13 +3,15 @@
 // the `race_stress` ctest label). Each test hammers one shared structure
 // with adversarial schedules — overlapping evictions on a single cache
 // shard, import-vs-lookup churn on a TraceStore with a cap of one,
-// duplicate keys racing their batch leader, nested parallel_for
-// re-entrancy — and then asserts *exact* ledger invariants, not just
+// duplicate keys racing their batch leader, forecast policies reading
+// their regions' shared forecasts, nested parallel_for re-entrancy — and
+// then asserts *exact* ledger invariants or answers, not just
 // sanitizer silence: a counter that drifts under contention is a wrong
 // gCO2 answer waiting to be served.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <iterator>
 #include <string>
@@ -18,7 +20,13 @@
 
 #include "core/rng.h"
 #include "core/thread_pool.h"
+#include "fleetsim/ablation.h"
+#include "fleetsim/jobs.h"
+#include "grid/presets.h"
+#include "grid/simulator.h"
 #include "obs/metrics.h"
+#include "sched/policy.h"
+#include "sched/workload_gen.h"
 #include "serve/cache.h"
 #include "serve/engine.h"
 
@@ -212,6 +220,99 @@ TEST(RaceStress, BatchDuplicateKeysRacingTheLeader) {
   const CacheStats s = batch_engine.cache_stats();
   EXPECT_EQ(s.entries, s.inserts - s.evictions);
   EXPECT_LE(s.bytes, batch_engine.options().cache_bytes);
+}
+
+// Eight threads run forecast-delay and forecast-net-benefit at once on one
+// trio engine, whose sites share their prepared regions and so each
+// region's one forecast. The epoch is January 3, so the trailing 14-day
+// windows of the first two weeks wrap back into December. Every run must
+// answer bit for bit what the same run on one thread does: metrics,
+// outcomes and ledger.
+TEST(RaceStress, ForecastPoliciesShareTheirRegionsForecasts) {
+  constexpr int kThreads = 8;
+  const fleetsim::FleetEngine engine = fleetsim::trio_engine(
+      sched::prepare_regions(grid::generate_traces(grid::fig7_regions())), 8,
+      HourOfYear(2 * kHoursPerDay));
+  sched::WorkloadParams wp;
+  wp.horizon_hours = 24 * 10;
+  wp.arrival_rate_per_hour = 4.0;
+  wp.seed = 2023;
+  const fleetsim::FleetJobs jobs(sched::generate_jobs(wp),
+                                 sched::generated_user_names(wp.user_count));
+  struct Run {
+    sched::ScheduleMetrics metrics;
+    fleetsim::FleetOutcomes outcomes;
+    sched::CarbonBudgetLedger ledger;
+  };
+  auto run = [&](const std::string& name) {
+    Run r;
+    const auto policy = sched::make_policy(name);
+    r.metrics = engine.run(jobs, *policy, &r.outcomes, &r.ledger);
+    return r;
+  };
+  const std::string policies[] = {"forecast-delay", "forecast-net-benefit"};
+  const Run expected[] = {run(policies[0]), run(policies[1])};
+  ASSERT_GT(expected[1].metrics.remote_dispatches, 0);
+
+  // Thread t runs both policies, starting with policies[t % 2], once all
+  // threads have started, so the two read the shared forecasts at once.
+  std::vector<std::vector<Run>> got(kThreads);
+  std::atomic<int> waiting{kThreads};
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      waiting.fetch_sub(1);
+      while (waiting.load() > 0) std::this_thread::yield();
+      const auto first = static_cast<std::size_t>(t % 2);
+      got[static_cast<std::size_t>(t)].resize(2);
+      for (std::size_t i = 0; i < 2; ++i) {
+        const std::size_t p = (first + i) % 2;
+        got[static_cast<std::size_t>(t)][p] = run(policies[p]);
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  for (int t = 0; t < kThreads; ++t) {
+    for (std::size_t p = 0; p < 2; ++p) {
+      const Run& want = expected[p];
+      const Run& run_got = got[static_cast<std::size_t>(t)][p];
+      const std::string label = policies[p] + ", thread " + std::to_string(t);
+      const sched::ScheduleMetrics& a = want.metrics;
+      const sched::ScheduleMetrics& b = run_got.metrics;
+      EXPECT_EQ(bits(a.total_carbon.to_grams()),
+                bits(b.total_carbon.to_grams())) << label;
+      EXPECT_EQ(bits(a.transfer_carbon.to_grams()),
+                bits(b.transfer_carbon.to_grams())) << label;
+      EXPECT_EQ(bits(a.total_energy.to_kwh()), bits(b.total_energy.to_kwh()))
+          << label;
+      EXPECT_EQ(bits(a.mean_wait_hours), bits(b.mean_wait_hours)) << label;
+      EXPECT_EQ(bits(a.p95_wait_hours), bits(b.p95_wait_hours)) << label;
+      EXPECT_EQ(bits(a.utilization), bits(b.utilization)) << label;
+      EXPECT_EQ(a.jobs_completed, b.jobs_completed) << label;
+      EXPECT_EQ(a.remote_dispatches, b.remote_dispatches) << label;
+      const fleetsim::FleetOutcomes& x = want.outcomes;
+      const fleetsim::FleetOutcomes& y = run_got.outcomes;
+      ASSERT_EQ(x.size(), y.size()) << label;
+      EXPECT_EQ(x.job_id, y.job_id) << label;
+      EXPECT_EQ(x.site, y.site) << label;
+      EXPECT_EQ(x.start, y.start) << label;
+      for (std::size_t i = 0; i < x.size(); ++i) {
+        EXPECT_EQ(bits(x.wait_hours[i]), bits(y.wait_hours[i])) << label;
+        EXPECT_EQ(bits(x.carbon_g[i]), bits(y.carbon_g[i])) << label;
+      }
+      for (std::uint32_t u = 0; u < jobs.users().size(); ++u) {
+        EXPECT_EQ(bits(want.ledger.spent(u).to_grams()),
+                  bits(run_got.ledger.spent(u).to_grams()))
+            << label << ", user " << u;
+        EXPECT_EQ(bits(want.ledger.allocation(u).to_grams()),
+                  bits(run_got.ledger.allocation(u).to_grams()))
+            << label << ", user " << u;
+      }
+    }
+  }
 }
 
 // Re-entrancy stress: external threads share one pool, each mixing
