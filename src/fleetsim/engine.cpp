@@ -228,21 +228,24 @@ sched::ScheduleMetrics FleetEngine::run(const FleetJobs& jobs,
     }
   };
 
-  // Event loop: arrivals, completions, hourly ticks (so delay/throttle
-  // policies re-evaluate as the grid's intensity moves), and planned
-  // starts, all on the integer tick clock.
-  while (next_arrival < n || !completions.empty() || !waiting.empty()) {
-    Tick next_tick = kNoEvent;
-    if (next_arrival < n) {
-      next_tick = std::min(next_tick, jobs.submit_tick(next_arrival));
-    }
-    if (!completions.empty()) {
-      next_tick = std::min(next_tick, completions.top_tick());
-    }
+  // Event loop on the integer tick clock. While a job waits, the engine
+  // wakes at arrivals, completions, hourly ticks (so delay/throttle
+  // policies re-evaluate as the grid's intensity moves) and planned
+  // starts. With the queue empty no callback can run before the next
+  // arrival, so that is the next event; the completions due by then free
+  // their slots before it is planned. The run ends once the last arrival
+  // has started: every metric, outcome and ledger charge is taken at
+  // start, so the completions left change no answer.
+  Tick next_submit = jobs.submit_tick(0);  // kNoEvent once all arrived
+  while (next_arrival < n || !waiting.empty()) {
+    Tick next_tick = next_submit;
     if (!waiting.empty()) {
       // Next whole hour (t >= 0, so integer division floors).
       next_tick =
           std::min(next_tick, (t / kTicksPerHour + 1) * kTicksPerHour);
+      if (!completions.empty()) {
+        next_tick = std::min(next_tick, completions.top_tick());
+      }
       while (!planned_starts.empty() &&
              (planned_starts.top().first <= t ||
               started[planned_starts.top().second] != 0)) {
@@ -252,7 +255,6 @@ sched::ScheduleMetrics FleetEngine::run(const FleetJobs& jobs,
         next_tick = std::min(next_tick, planned_starts.top().first);
       }
     }
-    HPC_REQUIRE(next_tick != kNoEvent, "fleet simulator deadlock");
     t = std::max(t, next_tick);
     t_hours = hours_of(t);
     if (t >= ci_refresh) refresh_ci();
@@ -261,7 +263,7 @@ sched::ScheduleMetrics FleetEngine::run(const FleetJobs& jobs,
       ++free_slots[completions.top_site()];
       completions.pop();
     }
-    while (next_arrival < n && jobs.submit_tick(next_arrival) <= t) {
+    while (next_submit <= t) {
       const double planned = policy.planned_start(arrivals[next_arrival], view);
       waiting.push_back(
           sched::PendingJob{static_cast<std::uint32_t>(next_arrival)});
@@ -272,6 +274,8 @@ sched::ScheduleMetrics FleetEngine::run(const FleetJobs& jobs,
         planned_starts.emplace(ceil_tick(planned), next_arrival);
       }
       ++next_arrival;
+      next_submit = next_arrival < n ? jobs.submit_tick(next_arrival)
+                                     : kNoEvent;
     }
     dispatch();
   }

@@ -42,6 +42,15 @@
 //    Completions at one tick leave in site order, but all those due free
 //    their slots before any decision is consulted, so tie order cannot be
 //    observed;
+//  * a completion wakes the engine only while a job waits. With the queue
+//    empty no callback can run before the next arrival, so that arrival is
+//    the next event, and every completion due by then frees its slot
+//    before the arrival is planned. A run ends once the last arrival has
+//    started: metrics, outcomes and ledger charges are all taken at
+//    start, so the completions still pending change no answer. On a
+//    7.7k-job fleet-policies fleet (256 slots per site) that takes
+//    greedy-lowest-ci's loop from 14.6k iterations to 7.5k and
+//    fcfs-local's from 14.8k to 12.8k;
 //  * an engine builds nothing per site: each sched::Site points at its
 //    region's sched::PreparedRegion (the UTC year, its PUE-weighted
 //    CarbonIntegrator, its median and its forecast), built once and
@@ -80,11 +89,13 @@
 // does.
 //
 // tests/reference_engine.h keeps the double-clock loop this engine
-// replaced, pricing in hours and reading every site's intensity whenever
-// its clock moves; tests/test_fleetsim.cpp pins bit-identical metrics,
-// outcomes, and ledgers against it on tick-aligned workloads for every
-// registered policy, on hourly, 15- and 5-minute sites and across the
-// year boundary.
+// replaced, pricing in hours, waking at every completion and reading every
+// site's intensity whenever its clock moves; tests/test_fleetsim.cpp pins
+// bit-identical metrics, outcomes, and ledgers against it on tick-aligned
+// workloads for every registered policy, on hourly, 15- and 5-minute
+// sites and across the year boundary, and the same sequence of policy
+// callbacks, each seeing the same clock, free slots, intensities and
+// queue.
 #pragma once
 
 #include <cstdint>

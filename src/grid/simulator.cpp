@@ -1,6 +1,7 @@
 #include "grid/simulator.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "core/error.h"
@@ -23,25 +24,117 @@ double seasonal(int day_of_year, int peak_day) {
   return std::cos(kTwoPi * (day_of_year - peak_day) / kDaysPerYear);
 }
 
-// Daylight availability: zero at night, cosine-shaped around solar noon.
-// Half-width of the daylight window varies with season (longer summer days
-// in the mid-latitudes all seven regions occupy).
-double solar_shape(int hour_of_day, int day_of_year) {
-  const double halfwidth =
-      6.0 + 1.8 * std::sin(kTwoPi * (day_of_year - 81) / kDaysPerYear);
-  const double x = (hour_of_day - 12.0) / halfwidth;
-  if (std::fabs(x) >= 1.0) return 0.0;
-  const double c = std::cos(x * kTwoPi / 4.0);  // cos(pi/2 * x)
-  // Seasonal irradiance scale: summer peak (day 172).
-  const double season =
-      1.0 + 0.45 * std::cos(kTwoPi * (day_of_year - 172) / kDaysPerYear);
-  return std::pow(c, 1.3) * season * 0.5;
+// The terms of the solar shape that depend on the day alone. Half-width
+// of the daylight window varies with season (longer summer days in the
+// mid-latitudes all seven regions occupy).
+struct SolarDay {
+  double halfwidth;
+  double season;  // irradiance scale: summer peak (day 172)
+};
+
+SolarDay solar_day(int day_of_year) {
+  return {6.0 + 1.8 * std::sin(kTwoPi * (day_of_year - 81) / kDaysPerYear),
+          1.0 + 0.45 * std::cos(kTwoPi * (day_of_year - 172) / kDaysPerYear)};
 }
 
-struct WeatherState {
-  Ar1 process;
-  double volatility;
-};
+// Daylight availability: zero at night, cosine-shaped around solar noon.
+double solar_shape(int hour_of_day, const SolarDay& day) {
+  const double x = (hour_of_day - 12.0) / day.halfwidth;
+  if (std::fabs(x) >= 1.0) return 0.0;
+  const double c = std::cos(x * kTwoPi / 4.0);  // cos(pi/2 * x)
+  return std::pow(c, 1.3) * day.season * 0.5;
+}
+
+using DayShape = std::array<double, kHoursPerDay>;
+
+/// The year in one pass: calls visit(demand, generation, imports, ci) for
+/// each local hour in order. `generation` (parallel to spec.sources) is
+/// one buffer rewritten every hour, so the pass allocates nothing per
+/// hour. Diurnal shapes are tabled per hour of day and the seasonal and
+/// solar-day terms computed once per day; each is the value the hourly
+/// expression gives, so tabling moves no bit.
+template <typename Visit>
+void simulate(const RegionSpec& spec, Visit&& visit) {
+  Rng rng(spec.seed);
+  Ar1 demand_noise(spec.demand_noise_rho, rng);
+
+  // One weather process per source, drawn in source order (wind gets the
+  // persistence of multi-day weather systems; solar's process models cloud
+  // cover), and each source's wind factor 1 + amp * diurnal by hour of day.
+  const std::size_t n = spec.sources.size();
+  std::vector<Ar1> weather;
+  weather.reserve(n);
+  std::vector<DayShape> wind_diurnal(n);
+  DayShape demand_diurnal;
+  for (int hod = 0; hod < kHoursPerDay; ++hod) {
+    demand_diurnal[hod] = diurnal(hod, spec.demand_peak_hour);
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto& s = spec.sources[i];
+    weather.emplace_back(s.weather_rho, rng);
+    for (int hod = 0; hod < kHoursPerDay; ++hod) {
+      wind_diurnal[i][hod] =
+          1.0 + s.diurnal_amp * diurnal(hod, s.diurnal_peak_hour);
+    }
+  }
+  std::vector<double> generation(n);
+
+  for (int doy = 0; doy < kDaysPerYear; ++doy) {
+    const double demand_seasonal = seasonal(doy, spec.demand_peak_day);
+    const SolarDay sun = solar_day(doy);
+    for (int hod = 0; hod < kHoursPerDay; ++hod) {
+      double demand = 1.0 + spec.demand_diurnal_amp * demand_diurnal[hod] +
+                      spec.demand_seasonal_amp * demand_seasonal +
+                      spec.demand_noise * demand_noise.step();
+      demand = std::max(0.2, demand);
+
+      double remaining = demand;
+      double weighted_ci = 0;
+      std::fill(generation.begin(), generation.end(), 0.0);
+
+      for (std::size_t i = 0; i < n; ++i) {
+        const auto& s = spec.sources[i];
+        double w = weather[i].step();  // advance every hour regardless
+        double available;
+        switch (s.type) {
+          case SourceType::kWind: {
+            // Lognormal weather state keeps availability positive and
+            // skewed; optional diurnal shape (e.g. nocturnal Texas wind).
+            double cf = s.capacity_factor *
+                        std::exp(s.volatility * w -
+                                 0.5 * s.volatility * s.volatility);
+            cf *= wind_diurnal[i][hod];
+            available = s.capacity * std::clamp(cf, 0.0, 0.97);
+            break;
+          }
+          case SourceType::kSolar: {
+            const double clouds = std::clamp(
+                1.0 - 0.5 * std::max(0.0, w * s.volatility), 0.25, 1.0);
+            available = s.capacity * s.capacity_factor *
+                        solar_shape(hod, sun) * clouds * 2.0;
+            break;
+          }
+          default:
+            available = s.capacity * s.capacity_factor;
+            break;
+        }
+        const double gen = std::min(available, remaining);
+        generation[i] = gen;
+        remaining -= gen;
+        weighted_ci += gen * lifecycle_ci(s.type);
+        if (remaining <= 0) {
+          remaining = 0;
+          // Keep advancing the remaining weather processes for continuity.
+          for (std::size_t j = i + 1; j < n; ++j) weather[j].step();
+          break;
+        }
+      }
+
+      weighted_ci += remaining * lifecycle_ci(SourceType::kImports);
+      visit(demand, generation, remaining, weighted_ci / demand);
+    }
+  }
+}
 
 }  // namespace
 
@@ -58,104 +151,34 @@ GridSimulator::GridSimulator(RegionSpec spec) : spec_(std::move(spec)) {
 }
 
 std::vector<DispatchHour> GridSimulator::run_detailed() const {
-  Rng rng(spec_.seed);
-  Ar1 demand_noise(spec_.demand_noise_rho, rng);
-
-  // One weather process per intermittent source (wind gets the persistence
-  // of multi-day weather systems; solar's process models cloud cover).
-  std::vector<WeatherState> weather;
-  weather.reserve(spec_.sources.size());
-  for (const auto& s : spec_.sources) {
-    weather.push_back(WeatherState{Ar1(s.weather_rho, rng), s.volatility});
-  }
-
   std::vector<DispatchHour> hours;
   hours.reserve(kHoursPerYear);
-
-  for (int h = 0; h < kHoursPerYear; ++h) {
-    const HourOfYear hour(h);
-    const int hod = hour.hour_of_day();
-    const int doy = hour.day_of_year();
-
-    DispatchHour snap;
-    snap.generation.assign(spec_.sources.size(), 0.0);
-
-    double demand =
-        1.0 + spec_.demand_diurnal_amp * diurnal(hod, spec_.demand_peak_hour) +
-        spec_.demand_seasonal_amp * seasonal(doy, spec_.demand_peak_day) +
-        spec_.demand_noise * demand_noise.step();
-    demand = std::max(0.2, demand);
-    snap.demand = demand;
-
-    double remaining = demand;
-    double weighted_ci = 0;
-
-    for (std::size_t i = 0; i < spec_.sources.size(); ++i) {
-      const auto& s = spec_.sources[i];
-      double w = weather[i].process.step();  // advance every hour regardless
-      double available;
-      switch (s.type) {
-        case SourceType::kWind: {
-          // Lognormal weather state keeps availability positive and skewed;
-          // optional diurnal shape (e.g. nocturnal Texas wind).
-          double cf = s.capacity_factor *
-                      std::exp(s.volatility * w - 0.5 * s.volatility * s.volatility);
-          cf *= 1.0 + s.diurnal_amp * diurnal(hod, s.diurnal_peak_hour);
-          available = s.capacity * std::clamp(cf, 0.0, 0.97);
-          break;
-        }
-        case SourceType::kSolar: {
-          const double clouds =
-              std::clamp(1.0 - 0.5 * std::max(0.0, w * s.volatility), 0.25, 1.0);
-          available =
-              s.capacity * s.capacity_factor * solar_shape(hod, doy) * clouds * 2.0;
-          break;
-        }
-        default:
-          available = s.capacity * s.capacity_factor;
-          break;
-      }
-      const double gen = std::min(available, remaining);
-      snap.generation[i] = gen;
-      remaining -= gen;
-      weighted_ci += gen * lifecycle_ci(s.type);
-      if (remaining <= 0) {
-        remaining = 0;
-        // Keep advancing the remaining weather processes for continuity.
-        for (std::size_t j = i + 1; j < spec_.sources.size(); ++j) {
-          weather[j].process.step();
-        }
-        break;
-      }
-    }
-
-    snap.imports = remaining;
-    weighted_ci += remaining * lifecycle_ci(SourceType::kImports);
-    snap.ci_g_per_kwh = weighted_ci / demand;
-    hours.push_back(std::move(snap));
-  }
+  simulate(spec_, [&](double demand, const std::vector<double>& generation,
+                      double imports, double ci) {
+    hours.push_back(DispatchHour{demand, imports, generation, ci});
+  });
   return hours;
 }
 
 CarbonIntensityTrace GridSimulator::run() const {
-  const auto detail = run_detailed();
   std::vector<double> values;
-  values.reserve(detail.size());
-  for (const auto& h : detail) values.push_back(h.ci_g_per_kwh);
+  values.reserve(kHoursPerYear);
+  simulate(spec_, [&](double, const std::vector<double>&, double,
+                      double ci) { values.push_back(ci); });
   return CarbonIntensityTrace(spec_.code, spec_.tz, std::move(values));
 }
 
 std::vector<double> GridSimulator::annual_mix() const {
-  const auto detail = run_detailed();
   std::vector<double> energy(spec_.sources.size() + 1, 0.0);
   double total = 0;
-  for (const auto& h : detail) {
-    for (std::size_t i = 0; i < h.generation.size(); ++i) {
-      energy[i] += h.generation[i];
+  simulate(spec_, [&](double demand, const std::vector<double>& generation,
+                      double imports, double) {
+    for (std::size_t i = 0; i < generation.size(); ++i) {
+      energy[i] += generation[i];
     }
-    energy.back() += h.imports;
-    total += h.demand;
-  }
+    energy.back() += imports;
+    total += demand;
+  });
   for (auto& e : energy) e /= total;
   return energy;
 }

@@ -10,7 +10,14 @@
 //      beyond demand is curtailed), topping up with imports,
 //   4. emits CI = sum(gen_i * ci_i) / sum(gen_i).
 //
-// The generator is deterministic for a fixed RegionSpec::seed.
+// The generator is deterministic for a fixed RegionSpec::seed. run(),
+// run_detailed() and annual_mix() are three views of one pass over the
+// year, which allocates nothing per hour: the demand and wind diurnal
+// shapes are tabled once per hour of day, and the seasonal and solar-day
+// terms computed once per day, each the value the hourly expression
+// gives, with the weather drawn in the same order. run() keeps only the
+// CI column and annual_mix() only the running sums, so neither builds a
+// DispatchHour; run_detailed() copies each hour out.
 #pragma once
 
 #include <vector>
@@ -20,7 +27,7 @@
 
 namespace hpcarbon::grid {
 
-/// Per-hour generation snapshot (for tests and the mix report).
+/// Per-hour generation snapshot (run_detailed, for tests).
 struct DispatchHour {
   double demand = 0;
   double imports = 0;
@@ -37,12 +44,14 @@ class GridSimulator {
   /// Generate the year-long carbon-intensity trace.
   CarbonIntensityTrace run() const;
 
-  /// Generate the trace along with full dispatch detail (slower; testing
-  /// and the energy-mix report).
+  /// The same pass with full dispatch detail, one DispatchHour per hour
+  /// (testing). Its CI column is run()'s trace, bit for bit.
   std::vector<DispatchHour> run_detailed() const;
 
   /// Annual energy share of each source (fractions summing to 1 with
-  /// imports included). Computed from run_detailed().
+  /// imports included): each source's generation, and the imports,
+  /// summed in hour order over the pass and divided by the summed demand,
+  /// bit for bit what summing run_detailed() gives.
   std::vector<double> annual_mix() const;
 
  private:

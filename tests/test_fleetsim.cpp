@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <memory>
 #include <optional>
 #include <queue>
 #include <random>
@@ -248,12 +249,13 @@ grid::CarbonIntensityTrace sub_hourly(const grid::CarbonIntensityTrace& trace,
 /// 5-minute samples (85 1/3 ticks, the fallback to integral()). Each
 /// site's intensity is re-read once per sample, so the sites' sample ends
 /// interleave.
-std::vector<sched::Site> sub_hourly_sites(double ciso_step_seconds) {
+std::vector<sched::Site> sub_hourly_sites(double ciso_step_seconds,
+                                          int capacity = 8) {
   const auto traces = grid::generate_traces(grid::fig7_regions());
-  return {sched::make_site("ERCOT", traces[2], 8),
-          sched::make_site("ESO", sub_hourly(traces[0], 900.0), 8),
+  return {sched::make_site("ERCOT", traces[2], capacity),
+          sched::make_site("ESO", sub_hourly(traces[0], 900.0), capacity),
           sched::make_site("CISO", sub_hourly(traces[1], ciso_step_seconds),
-                           8)};
+                           capacity)};
 }
 
 // Parity away from the hourly grid and across the year boundary: sites
@@ -267,6 +269,177 @@ TEST(FleetParity, SubHourlySitesAcrossTheYearStayBitIdentical) {
     const auto sites = sub_hourly_sites(ciso_step);
     for (const int epoch : {3624, 8700, 8759}) {
       expect_registry_parity(sites, jobs, tuned_config(), HourOfYear(epoch));
+    }
+  }
+}
+
+/// One policy callback as the policy saw it: the view's clock, free slots
+/// and current intensities, the queue select() read, and what the policy
+/// answered or was told.
+struct Callback {
+  enum Kind : char {
+    kBeginRun = 'b',
+    kPlannedStart = 'p',
+    kSelect = 's',
+    kJobStarted = 'o'
+  };
+  Kind kind = kBeginRun;
+  double now = 0;
+  std::vector<int> free_slots;
+  std::vector<double> current_ci;
+  std::vector<std::uint32_t> queue;  // select: the entries' arrivals
+  int job = -1;                      // planned_start, on_job_started
+  double plan = 0;                   // planned_start's answer
+  long queue_index = -1;             // select's decision; -1 waits
+  long site = -1;                    // select's decision, or the start's
+  double carbon_g = 0;               // on_job_started
+
+  bool operator==(const Callback& o) const {
+    const auto same = [](double a, double b) {
+      return std::bit_cast<std::uint64_t>(a) ==
+             std::bit_cast<std::uint64_t>(b);
+    };
+    return kind == o.kind && same(now, o.now) &&
+           free_slots == o.free_slots &&
+           std::equal(current_ci.begin(), current_ci.end(),
+                      o.current_ci.begin(), o.current_ci.end(), same) &&
+           queue == o.queue && job == o.job && same(plan, o.plan) &&
+           queue_index == o.queue_index && site == o.site &&
+           same(carbon_g, o.carbon_g);
+  }
+};
+
+std::string describe(const Callback& c) {
+  std::string out = std::string(1, static_cast<char>(c.kind)) +
+                    " now=" + std::to_string(c.now) + " free=";
+  for (const int f : c.free_slots) out += std::to_string(f) + ",";
+  out += " ci=";
+  for (const double ci : c.current_ci) out += std::to_string(ci) + ",";
+  out += " queue=" + std::to_string(c.queue.size()) + " entries";
+  if (!c.queue.empty()) out += " front " + std::to_string(c.queue.front());
+  out += " job=" + std::to_string(c.job) + " plan=" + std::to_string(c.plan) +
+         " decision=" + std::to_string(c.queue_index) + "@" +
+         std::to_string(c.site) + " carbon_g=" + std::to_string(c.carbon_g);
+  return out;
+}
+
+/// Forwards every callback to a table policy and records it, with the
+/// view as the policy saw it, before answering.
+class TracingPolicy : public sched::SchedulingPolicy {
+ public:
+  explicit TracingPolicy(std::unique_ptr<sched::SchedulingPolicy> inner)
+      : inner_(std::move(inner)) {}
+
+  std::string name() const override { return inner_->name(); }
+  void begin_run(const std::vector<sched::Job>& arrivals,
+                 sched::CarbonBudgetLedger& ledger,
+                 const sched::ClusterView& view) override {
+    trace.push_back(snapshot(Callback::kBeginRun, view));
+    inner_->begin_run(arrivals, ledger, view);
+  }
+  double planned_start(const sched::Job& job,
+                       const sched::ClusterView& view) override {
+    Callback c = snapshot(Callback::kPlannedStart, view);
+    c.job = job.id;
+    c.plan = inner_->planned_start(job, view);
+    trace.push_back(std::move(c));
+    return trace.back().plan;
+  }
+  std::optional<sched::DispatchDecision> select(
+      const sched::PendingQueue& queue,
+      const sched::ClusterView& view) override {
+    Callback c = snapshot(Callback::kSelect, view);
+    for (const sched::PendingJob& entry : queue) {
+      c.queue.push_back(entry.arrival);
+    }
+    const auto decision = inner_->select(queue, view);
+    if (decision.has_value()) {
+      c.queue_index = static_cast<long>(decision->queue_index);
+      c.site = static_cast<long>(decision->site);
+    }
+    trace.push_back(std::move(c));
+    return decision;
+  }
+  void on_job_started(const sched::Job& job, std::size_t site,
+                      double carbon_g,
+                      const sched::ClusterView& view) override {
+    Callback c = snapshot(Callback::kJobStarted, view);
+    c.job = job.id;
+    c.site = static_cast<long>(site);
+    c.carbon_g = carbon_g;
+    trace.push_back(std::move(c));
+    inner_->on_job_started(job, site, carbon_g, view);
+  }
+
+  std::vector<Callback> trace;
+
+ private:
+  static Callback snapshot(Callback::Kind kind,
+                           const sched::ClusterView& view) {
+    Callback c;
+    c.kind = kind;
+    c.now = view.now();
+    for (std::size_t s = 0; s < view.site_count(); ++s) {
+      c.free_slots.push_back(view.free_slots(s));
+      c.current_ci.push_back(view.current_ci(s));
+    }
+    return c;
+  }
+
+  std::unique_ptr<sched::SchedulingPolicy> inner_;
+};
+
+/// The first callback at which two traces differ, printed, or nothing.
+::testing::AssertionResult same_callbacks(const std::vector<Callback>& want,
+                                          const std::vector<Callback>& got) {
+  const std::size_t n = std::min(want.size(), got.size());
+  for (std::size_t i = 0; i < n; ++i) {
+    if (!(want[i] == got[i])) {
+      return ::testing::AssertionFailure()
+             << "callback " << i << " of " << want.size() << " differs:\n"
+             << "  reference: " << describe(want[i]) << "\n"
+             << "  fleet:     " << describe(got[i]);
+    }
+  }
+  if (want.size() != got.size()) {
+    return ::testing::AssertionFailure()
+           << "reference made " << want.size() << " callbacks, fleet "
+           << got.size() << "; the first " << n << " match";
+  }
+  return ::testing::AssertionSuccess();
+}
+
+// The engines agree not only on what a run answers but on every
+// observation a policy makes on the way: the same callbacks in the same
+// order, each with the same clock, free slots, intensities and queue, and
+// each answered alike. The reference wakes on every completion and
+// FleetEngine only while a job waits, so this pins that the wake-ups it
+// skips are ones no callback could see. It covers every table policy from
+// idle (256 slots per site) to deep queues (2), from June and from hour
+// 8700, where the 10-day run crosses the year, on the hourly trio and on
+// one with a 15- and a 5-minute site.
+TEST(FleetParity, PoliciesSeeTheSameCallbacksInBothEngines) {
+  const auto jobs = seeded_quantized_jobs();
+  const FleetJobs fleet_jobs = fleet_of(jobs);
+  for (const int capacity : {256, 16, 2}) {
+    for (const bool five_minute : {false, true}) {
+      const auto sites = five_minute ? sub_hourly_sites(300.0, capacity)
+                                     : fig7_sites(capacity);
+      for (const int epoch : {3624, 8700}) {
+        reference::SchedulingEngine oracle(sites, HourOfYear(epoch));
+        const FleetEngine fleet(sites, HourOfYear(epoch));
+        for (const auto& desc : sched::registered_policies()) {
+          SCOPED_TRACE(desc.name + ", " + std::to_string(capacity) +
+                       " slots per site, epoch " + std::to_string(epoch) +
+                       (five_minute ? ", 15-min ESO, 5-min CISO" : ", hourly"));
+          TracingPolicy want(desc.make(tuned_config()));
+          TracingPolicy got(desc.make(tuned_config()));
+          oracle.run(jobs, want);
+          fleet.run(fleet_jobs, got);
+          EXPECT_GT(want.trace.size(), 2 * jobs.size());
+          EXPECT_TRUE(same_callbacks(want.trace, got.trace));
+        }
+      }
     }
   }
 }

@@ -104,13 +104,20 @@ TEST(Forecast, LevelBlendTracksRegimeShift) {
 }
 
 // DiurnalTemplateForecast::predict as it stood before Outlook existed,
-// kept as the oracle: it rebuilds the template on every call. The code is
-// verbatim except that trace reads come from `observed`, a table of the
-// same trace.at(h).to_g_per_kwh() values, which keeps a year of per-call
-// oracle answers cheap under the sanitizer builds.
-double reference_predict(const std::vector<double>& observed, int window_days,
-                         double level_blend, HourOfYear origin,
-                         int horizon_hours) {
+// kept as the oracle, split in two: reference_template builds an origin's
+// template and last deviation, and reference_predict reads one horizon
+// from them, so the oracle builds the template once per origin rather
+// than once per horizon. The code is verbatim except for that split and
+// that trace reads come from `observed`, a table of the same
+// trace.at(h).to_g_per_kwh() values, which keeps a year of oracle answers
+// cheap under the sanitizer builds.
+struct ReferenceTemplate {
+  std::array<double, kHoursPerDay> tmpl{};
+  double last_dev = 0;
+};
+
+ReferenceTemplate reference_template(const std::vector<double>& observed,
+                                     int window_days, HourOfYear origin) {
   auto at = [&](HourOfYear h) {
     return observed[static_cast<std::size_t>(h.index())];
   };
@@ -121,18 +128,23 @@ double reference_predict(const std::vector<double>& observed, int window_days,
     sum[static_cast<std::size_t>(h.hour_of_day())] += at(h);
     ++count[static_cast<std::size_t>(h.hour_of_day())];
   }
-  std::array<double, kHoursPerDay> tmpl{};
+  ReferenceTemplate ref;
+  std::array<double, kHoursPerDay>& tmpl = ref.tmpl;
   for (int i = 0; i < kHoursPerDay; ++i) {
     const auto iu = static_cast<std::size_t>(i);
     tmpl[iu] = count[iu] > 0 ? sum[iu] / count[iu] : 0.0;
   }
+  const HourOfYear last = origin.shifted(-1);
+  ref.last_dev = at(last) - tmpl[static_cast<std::size_t>(last.hour_of_day())];
+  return ref;
+}
+
+double reference_predict(const ReferenceTemplate& ref, double level_blend,
+                         HourOfYear origin, int horizon_hours) {
   const HourOfYear target = origin.shifted(horizon_hours);
   const double template_value =
-      tmpl[static_cast<std::size_t>(target.hour_of_day())];
-  const HourOfYear last = origin.shifted(-1);
-  const double last_dev =
-      at(last) - tmpl[static_cast<std::size_t>(last.hour_of_day())];
-  return std::max(0.0, template_value + level_blend * last_dev);
+      ref.tmpl[static_cast<std::size_t>(target.hour_of_day())];
+  return std::max(0.0, template_value + level_blend * ref.last_dev);
 }
 
 // Forecast::predict_window's loop as it stood, over precomputed
@@ -212,9 +224,11 @@ void expect_outlook_matches_oracle(const CarbonIntensityTrace& trace,
   for (int o = 0; o < kHoursPerYear; o += stride) {
     const HourOfYear origin(o);
     const bool long_checked = o % kLongStride == 0;
+    const ReferenceTemplate tmpl =
+        reference_template(observed, window_days, origin);
     for (int h = 0; h < (long_checked ? kLongWindow : kHorizons); ++h) {
       ref[static_cast<std::size_t>(h)] =
-          reference_predict(observed, window_days, blend, origin, h);
+          reference_predict(tmpl, blend, origin, h);
     }
     const Outlook outlook = forecast.outlook(origin);
     ASSERT_EQ(outlook.origin(), origin);

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <ios>
+
 #include "core/error.h"
 #include "core/stats.h"
 #include "grid/presets.h"
@@ -122,6 +126,77 @@ TEST(GridSimulator, ParallelGenerationMatchesSerial) {
   for (std::size_t i = 0; i < specs.size(); ++i) {
     const auto serial = GridSimulator(specs[i]).run();
     EXPECT_EQ(parallel[i].values(), serial.values()) << specs[i].code;
+  }
+}
+
+/// Word-wise FNV-1a over the values' IEEE-754 bit patterns: one ulp
+/// anywhere in a trace changes it, which rounded goldens can hide.
+std::uint64_t bit_digest(const std::vector<double>& values) {
+  std::uint64_t h = 0xcbf29ce484222325;
+  for (const double v : values) {
+    h ^= std::bit_cast<std::uint64_t>(v);
+    h *= 0x100000001b3;
+  }
+  return h;
+}
+
+// Every preset's year, bit for bit, as the hour-by-hour simulator that
+// built a DispatchHour per hour and recomputed each cosine every hour
+// produced it.
+TEST(GridSimulator, PresetTracesKeepTheirBitPatterns) {
+  struct Pinned {
+    const char* code;
+    std::uint64_t digest;
+  };
+  constexpr Pinned kPinned[] = {
+      {"KN", 0x7aec5973f6d30d9a},   {"TK", 0xa78c4e58de5dc0d8},
+      {"ESO", 0xcda2d3f86fcb9f1e},  {"CISO", 0x6c5d00cf760db7af},
+      {"PJM", 0x92c90a87a0696fad},  {"MISO", 0xe34799de7ab4b9dd},
+      {"ERCOT", 0x331ccc70cd552d63},
+  };
+  const auto specs = all_regions();
+  ASSERT_EQ(specs.size(), std::size(kPinned));
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    const auto trace = GridSimulator(specs[i]).run();
+    ASSERT_EQ(trace.region_code(), kPinned[i].code);
+    ASSERT_EQ(trace.size(), static_cast<std::size_t>(kHoursPerYear));
+    EXPECT_EQ(bit_digest(trace.values()), kPinned[i].digest)
+        << specs[i].code << " digest 0x" << std::hex
+        << bit_digest(trace.values());
+  }
+}
+
+// run(), run_detailed() and annual_mix() are three views of one pass: the
+// trace is the detail's CI column, and the mix is the detail's energy
+// summed in hour order and divided by the summed demand, bit for bit.
+TEST(GridSimulator, TraceAndMixAreTheDetailsColumns) {
+  for (const auto& spec : all_regions()) {
+    const GridSimulator sim(spec);
+    const auto detail = sim.run_detailed();
+    const auto trace = sim.run();
+    ASSERT_EQ(trace.size(), detail.size()) << spec.code;
+    for (std::size_t h = 0; h < detail.size(); ++h) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(trace.values()[h]),
+                std::bit_cast<std::uint64_t>(detail[h].ci_g_per_kwh))
+          << spec.code << " hour " << h;
+    }
+    std::vector<double> energy(spec.sources.size() + 1, 0.0);
+    double total = 0;
+    for (const auto& hour : detail) {
+      ASSERT_EQ(hour.generation.size(), spec.sources.size());
+      for (std::size_t i = 0; i < hour.generation.size(); ++i) {
+        energy[i] += hour.generation[i];
+      }
+      energy.back() += hour.imports;
+      total += hour.demand;
+    }
+    const auto mix = sim.annual_mix();
+    ASSERT_EQ(mix.size(), energy.size()) << spec.code;
+    for (std::size_t i = 0; i < mix.size(); ++i) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(mix[i]),
+                std::bit_cast<std::uint64_t>(energy[i] / total))
+          << spec.code << " source " << i;
+    }
   }
 }
 
