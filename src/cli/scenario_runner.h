@@ -38,6 +38,10 @@ std::vector<grid::CarbonIntensityTrace> traces_for(
     const std::vector<grid::RegionSpec>& specs, const TraceOverrides& overrides,
     std::vector<std::string>* notes = nullptr);
 
+/// Root seed of the per-sample workload seeds (mc::substream-derived) of
+/// `hpcarbon run --uncertainty N` and `hpcarbon fleetsim --uncertainty N`.
+inline constexpr std::uint64_t kUncertaintySeed = 909;
+
 struct ScenarioOptions {
   /// Table 3 region codes (KN, TK, ESO, CISO, PJM, MISO, ERCOT).
   /// Empty selects all seven.
@@ -48,15 +52,11 @@ struct ScenarioOptions {
   std::vector<std::string> policies;
   double horizon_days = 28;
   double arrival_rate_per_hour = 2.5;
-  int start_month = 5;  // 0-based: June 1, where Fig. 7 complementarity peaks
-  int site_capacity = 16;
   /// When > 0 (`hpcarbon run --uncertainty N`), each (region, policy) cell
   /// is additionally re-run over N workload-generator seeds and the rows
   /// gain savings% quantiles: the point estimate alone cannot say whether
   /// a policy's edge survives a different job mix.
   int uncertainty_samples = 0;
-  /// Root seed of the per-sample workload seeds (mc::substream-derived).
-  std::uint64_t uncertainty_seed = 909;
   /// Real grid-data overrides; every entry must name a selected region.
   TraceOverrides trace_csv;
 };

@@ -1,7 +1,7 @@
 // Deterministic random number generation.
 //
-// Every stochastic element of the framework (grid weather, meter noise,
-// scheduler arrivals, Monte-Carlo uncertainty) draws from a seeded
+// Every stochastic element of the framework (grid weather, scheduler
+// arrivals and job attributes, Monte-Carlo uncertainty) draws from a seeded
 // xoshiro256** stream so that benches print identical tables on every run.
 // std::mt19937 is avoided because its distributions are not reproducible
 // across standard libraries.

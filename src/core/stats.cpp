@@ -173,17 +173,4 @@ double pearson(std::span<const double> xs, std::span<const double> ys) {
   return sxy / std::sqrt(sxx * syy);
 }
 
-void Welford::add(double x) {
-  ++n_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-}
-
-double Welford::variance() const {
-  return n_ < 2 ? 0.0 : m2_ / static_cast<double>(n_ - 1);
-}
-
-double Welford::stddev() const { return std::sqrt(variance()); }
-
 }  // namespace hpcarbon::stats

@@ -90,20 +90,4 @@ std::vector<std::size_t> histogram(std::span<const double> xs, double lo,
 /// Pearson correlation coefficient; 0 if either side is constant.
 double pearson(std::span<const double> xs, std::span<const double> ys);
 
-/// Streaming mean/variance (Welford). Used by the energy meter, which
-/// cannot buffer a full year of samples.
-class Welford {
- public:
-  void add(double x);
-  std::size_t count() const { return n_; }
-  double mean() const { return mean_; }
-  double variance() const;  // sample variance
-  double stddev() const;
-
- private:
-  std::size_t n_ = 0;
-  double mean_ = 0;
-  double m2_ = 0;
-};
-
 }  // namespace hpcarbon::stats

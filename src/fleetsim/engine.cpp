@@ -56,8 +56,8 @@ FleetEngine::FleetEngine(std::vector<sched::Site> sites, HourOfYear epoch)
   }
 }
 
-int FleetEngine::capacity_total() const {
-  int total = 0;
+std::int64_t FleetEngine::capacity_total() const {
+  std::int64_t total = 0;
   for (const auto& s : sites_) total += s.capacity;
   return total;
 }

@@ -156,8 +156,9 @@ class FleetEngine {
 
   const std::vector<sched::Site>& sites() const { return sites_; }
   HourOfYear epoch() const { return epoch_; }
-  /// Total node slots across every site ("4k nodes" in the bench).
-  int capacity_total() const;
+  /// Total node slots across every site ("4k nodes" in the bench); 64
+  /// bits, so sites of up to INT_MAX slots each cannot overflow it.
+  std::int64_t capacity_total() const;
 
  private:
   std::vector<sched::Site> sites_;

@@ -91,10 +91,6 @@ FleetJobs generate_fleet_jobs(const FleetWorkloadParams& p) {
               "fleet workload: diurnal amplitude must be in [0, 1)");
   HPC_REQUIRE(p.burst_mean_size >= 1,
               "fleet workload: burst mean size must be >= 1");
-  HPC_REQUIRE(p.min_power_kw > 0 && p.min_power_kw <= p.max_power_kw,
-              "fleet workload: power range invalid");
-  HPC_REQUIRE(p.duration_log_sigma >= 0 && p.max_duration_hours > 0,
-              "fleet workload: duration parameters invalid");
 
   // Substream 0 drives the arrival process, substream 1 the per-job
   // attributes: the attribute sequence is process-independent for a seed.
@@ -106,14 +102,8 @@ FleetJobs generate_fleet_jobs(const FleetWorkloadParams& p) {
   for (std::size_t i = 0; i < ticks.size(); ++i) {
     sched::Job& j = jobs[i];
     j.id = static_cast<int>(i);
-    j.user = static_cast<std::uint32_t>(
-        attr_rng.uniform_int(0, p.user_count - 1));
     j.submit_hour = hours_of(ticks[i]);
-    j.duration_hours =
-        std::min(p.max_duration_hours,
-                 attr_rng.lognormal(p.duration_log_mean, p.duration_log_sigma));
-    j.it_power =
-        Power::kilowatts(attr_rng.uniform(p.min_power_kw, p.max_power_kw));
+    sched::draw_job_attributes(j, p.user_count, attr_rng);
   }
   // The submit ticks ascend, so the constructor does not sort; it snaps
   // each duration to the grid.

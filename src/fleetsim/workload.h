@@ -14,9 +14,11 @@
 // Draws come from two mc::substream-derived generators — one for the
 // arrival process, one for job attributes — so two processes with the
 // same seed share their duration/power/user sequence and differ only in
-// *when* jobs land. Everything is a pure function of the params (seeded
-// xoshiro256**, no wall clock), so generated fleets are bit-identical
-// across machines and thread counts.
+// *when* jobs land. The attributes are drawn by
+// sched::draw_job_attributes, as sched::generate_jobs draws its own.
+// Everything is a pure function of the params (seeded xoshiro256**, no
+// wall clock), so generated fleets are bit-identical across machines and
+// thread counts.
 #pragma once
 
 #include <cstdint>
@@ -45,13 +47,6 @@ struct FleetWorkloadParams {
   /// exponential-sized batch (mean burst_mean_size, minimum 1) submitted
   /// at the same tick.
   double burst_mean_size = 8.0;
-  /// Job attributes, matching sched::WorkloadParams' distributions:
-  /// lognormal durations (clamped) and uniform IT power.
-  double duration_log_mean = 1.2;
-  double duration_log_sigma = 1.0;
-  double max_duration_hours = 96.0;
-  double min_power_kw = 0.6;
-  double max_power_kw = 2.4;
   int user_count = 8;
   std::uint64_t seed = 2024;
 };

@@ -1,32 +1,19 @@
 #include "hw/meter.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "core/error.h"
-#include "core/rng.h"
 
 namespace hpcarbon::hw {
 
-EnergyMeter::EnergyMeter(MeterOptions opts)
-    : opts_(opts), noise_state_(opts.seed) {
+EnergyMeter::EnergyMeter(MeterOptions opts) : opts_(opts) {
   HPC_REQUIRE(opts_.sample_interval.count() > 0,
               "sample interval must be positive");
-  HPC_REQUIRE(opts_.noise_sigma >= 0, "noise sigma must be non-negative");
-}
-
-double EnergyMeter::noisy(double watts) {
-  if (opts_.noise_sigma == 0.0) return watts;
-  // Cheap inline RNG: one Gaussian via a dedicated stream so record() stays
-  // deterministic regardless of interleaving with other components.
-  Rng rng(noise_state_);
-  noise_state_ = rng.next_u64();
-  return std::max(0.0, watts * (1.0 + opts_.noise_sigma * rng.normal()));
 }
 
 void EnergyMeter::record(Power p, Hours dt) {
   HPC_REQUIRE(dt.count() >= 0, "negative time step");
-  const double w = noisy(p.to_watts());
+  const double w = p.to_watts();
   if (has_last_) {
     // Trapezoid between the previous and current sample.
     const double avg_kw = 0.5 * (last_watts_ + w) / 1000.0;

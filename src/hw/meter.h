@@ -2,12 +2,12 @@
 //
 // Real deployments read NVML/RAPL counters at a fixed cadence and integrate;
 // carbontracker (which the paper uses) does exactly this at ~1 Hz. The
-// EnergyMeter reproduces that pipeline against a simulated power signal,
-// including optional multiplicative sensor noise, trapezoidal integration,
-// and the sampling error it implies.
+// EnergyMeter reproduces that pipeline against a simulated power signal:
+// exact (noise-free) samples, trapezoidal integration, and the sampling
+// error it implies.
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 #include <functional>
 
 #include "core/units.h"
@@ -19,10 +19,6 @@ using PowerSignal = std::function<Power(Hours elapsed)>;
 
 struct MeterOptions {
   Hours sample_interval = Hours::seconds(1.0);
-  /// Relative 1-sigma multiplicative sensor noise (NVML is ~±5 W on a
-  /// 300 W part; 0 disables).
-  double noise_sigma = 0.0;
-  std::uint64_t seed = 7;
 };
 
 class EnergyMeter {
@@ -49,9 +45,6 @@ class EnergyMeter {
   std::size_t samples_ = 0;
   double last_watts_ = 0;
   bool has_last_ = false;
-  std::uint64_t noise_state_;
-
-  double noisy(double watts);
 };
 
 }  // namespace hpcarbon::hw

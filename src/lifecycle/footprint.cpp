@@ -60,7 +60,7 @@ double embodied_parity_years(const hw::NodeConfig& node, workload::Suite suite,
   const Mass em = hw::node_embodied(node, hw::EmbodiedScope::kFullNode);
   const Power p = hw::node_training_power(node, suite);
   const Energy per_year =
-      (p * Hours::hours(kHoursPerYearD * gpu_usage)) * pue.annual_mean();
+      (p * Hours::hours(kHoursPerYearD * gpu_usage)) * pue.base();
   const Mass op_per_year = intensity * per_year;
   return em.to_grams() / op_per_year.to_grams();
 }

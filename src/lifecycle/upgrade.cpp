@@ -13,7 +13,7 @@ Energy annual_energy_keep(const UpgradeScenario& s) {
               "GPU usage must be in (0,1]");
   const Power p = hw::node_training_power(s.old_node, s.suite);
   const Hours busy = Hours::hours(kHoursPerYearD * s.usage.gpu_usage);
-  return (p * busy) * s.pue.annual_mean();
+  return (p * busy) * s.pue.base();
 }
 
 Energy annual_energy_upgrade(const UpgradeScenario& s) {
@@ -22,7 +22,7 @@ Energy annual_energy_upgrade(const UpgradeScenario& s) {
   const Power p = hw::node_training_power(s.new_node, s.suite);
   const Hours busy =
       Hours::hours(kHoursPerYearD * s.usage.gpu_usage * time_ratio);
-  return (p * busy) * s.pue.annual_mean();
+  return (p * busy) * s.pue.base();
 }
 
 Mass upgrade_embodied(const UpgradeScenario& s) {

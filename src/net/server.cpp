@@ -51,11 +51,9 @@ obs::MetricsRegistry& registry_of(const ServerOptions& opts) {
 }  // namespace
 
 struct Server::Conn {
-  explicit Conn(std::size_t max_line_bytes) : framer(max_line_bytes) {}
-
   int fd = -1;
   std::uint32_t gen = 0;
-  LineFramer framer;
+  LineFramer framer;  // the shared request-line limit (serve/limits.h)
   // Requests awaiting answers, in arrival order. A worker fills
   // slot.response and posts the task; the IO thread marks the slot done
   // when it collects that completion. Only the IO thread pushes/pops, and
@@ -196,7 +194,7 @@ void Server::accept_ready(int listen_fd) {
     // No-op (harmless failure) on Unix-domain sockets.
     setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 
-    auto c = std::make_shared<Conn>(opts_.max_line_bytes);
+    auto c = std::make_shared<Conn>();
     c->fd = fd;
     c->gen = ++conn_gen_;
     c->last_activity_ms = now_ms_;

@@ -66,7 +66,6 @@
 #include "net/framing.h"
 #include "obs/metrics.h"
 #include "serve/engine.h"
-#include "serve/limits.h"
 
 namespace hpcarbon::net {
 
@@ -103,8 +102,6 @@ struct ServerOptions {
   /// bytes — output backlog plus answers held behind an unfinished
   /// request — exceed this many; resume below half.
   std::size_t read_high_watermark = std::size_t{4} << 20;
-  /// Shared request-line limit (serve/limits.h).
-  std::size_t max_line_bytes = serve::kMaxRequestLineBytes;
 
   static std::size_t default_workers() {
     const unsigned hw = std::thread::hardware_concurrency();

@@ -1,6 +1,7 @@
 #include "op/operational.h"
 
-#include <algorithm>
+#include <utility>
+#include <vector>
 
 #include "core/error.h"
 
@@ -17,34 +18,10 @@ Mass operational_carbon(Power it_power,
                         HourOfYear start, Hours duration,
                         const PueModel& pue) {
   HPC_REQUIRE(duration.count() > 0, "duration must be positive");
-  const double kw = it_power.to_kilowatts();
-  if (pue.is_constant()) {
-    // O(1): the trace's prefix sums price the whole interval at once; the
-    // constant PUE factors out of the integral.
-    return Mass::grams(kw * pue.base() *
-                       trace.interval_sum(start.index(), duration.count()));
-  }
-  // Seasonal PUE varies per hour: one-shot callers keep the hour-stepping
-  // loop (building a weighted prefix would cost a full year's pass anyway);
-  // repeated-query callers should hold a CarbonIntegrator instead.
-  double grams = 0;
-  double remaining = duration.count();
-  int idx = start.index();
-  const bool hourly = trace.hourly();
-  while (remaining > 0) {
-    const double w = std::min(1.0, remaining);
-    const HourOfYear h(idx);
-    // Hourly traces read the sample directly (bit-identical to the
-    // pre-StepSeries loop); finer traces integrate the hour chunk so
-    // intra-hour variation is captured under the hour's PUE.
-    const double intensity_hours =
-        hourly ? trace.at(h).to_g_per_kwh() * w
-               : trace.interval_sum(idx, w);
-    grams += kw * pue.at(h) * intensity_hours;
-    remaining -= w;
-    idx = (idx + 1) % kHoursPerYear;
-  }
-  return Mass::grams(grams);
+  // O(1): the trace's prefix sums price the whole interval at once; the
+  // constant PUE factors out of the integral.
+  return Mass::grams(it_power.to_kilowatts() * pue.base() *
+                     trace.interval_sum(start.index(), duration.count()));
 }
 
 CarbonIntensity effective_intensity(const grid::CarbonIntensityTrace& trace,
@@ -54,15 +31,8 @@ CarbonIntensity effective_intensity(const grid::CarbonIntensityTrace& trace,
 
 CarbonIntegrator::CarbonIntegrator(const grid::CarbonIntensityTrace& trace,
                                    const PueModel& pue) {
-  // Weight each native-resolution sample by the PUE of the hour containing
-  // it (PUE is modeled hour-granular; sub-hourly samples within one hour
-  // share that hour's PUE).
   std::vector<double> weighted(trace.values());
-  const double step_hours = trace.step_hours();
-  for (std::size_t i = 0; i < weighted.size(); ++i) {
-    const auto hour = static_cast<int>(static_cast<double>(i) * step_hours);
-    weighted[i] *= pue.at(HourOfYear(hour));
-  }
+  for (double& w : weighted) w *= pue.base();
   weighted_ = StepSeries(std::move(weighted), trace.step_seconds());
 }
 

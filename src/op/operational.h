@@ -3,11 +3,13 @@
 //   C_op = I_sys * E_op, with E_op = E_IT * PUE.
 //
 // Two forms are provided: the constant-intensity product (used by the
-// upgrade analysis columns of Fig. 8) and an hour-by-hour integration
-// against a carbon-intensity trace (used by the scheduler and the tracker).
+// upgrade analysis columns of Fig. 8) and an integration against a
+// carbon-intensity trace (used by the scheduler). PUE is one constant per
+// system, so it factors out of every integral.
 #pragma once
 
 #include "core/series.h"
+#include "core/time.h"
 #include "core/units.h"
 #include "grid/trace.h"
 #include "op/pue.h"
@@ -20,8 +22,9 @@ Mass operational_carbon(Energy it_energy, CarbonIntensity intensity,
                         const PueModel& pue = PueModel());
 
 /// Eq. 6 integrated against a trace: constant IT power over
-/// [start, start+duration) in the trace's local time, hourly intensity and
-/// (optionally seasonal) PUE applied per hour. Duration may wrap the year.
+/// [start, start+duration) in the trace's local time, priced through the
+/// trace's prefix sums in O(1) and scaled by the constant PUE. Duration may
+/// wrap the year.
 Mass operational_carbon(Power it_power, const grid::CarbonIntensityTrace& trace,
                         HourOfYear start, Hours duration,
                         const PueModel& pue = PueModel());
@@ -32,13 +35,12 @@ CarbonIntensity effective_intensity(const grid::CarbonIntensityTrace& trace,
                                     HourOfYear start, Hours duration);
 
 /// PUE-weighted cumulative carbon over a trace: prefix sums of
-/// intensity(t) * PUE(t) built once at the trace's native resolution
+/// intensity(t) * PUE built once at the trace's native resolution
 /// (hourly or 5-/15-minute imports alike), then every interval-carbon
 /// query is O(1) regardless of duration — fractional endpoints and year
 /// wrap included. This is what makes the scheduling engine's per-job
-/// carbon pricing constant-time; hold one per (trace, PUE) pair for
-/// repeated queries instead of calling the free operational_carbon() in a
-/// loop.
+/// carbon pricing constant-time at fractional-hour and tick starts; hold
+/// one per (trace, PUE) pair.
 class CarbonIntegrator {
  public:
   CarbonIntegrator() = default;

@@ -1,24 +1,11 @@
 #include "op/pue.h"
 
-#include <cmath>
-
 #include "core/error.h"
 
 namespace hpcarbon::op {
 
-PueModel::PueModel(double base, double seasonal_amp, int peak_day_of_year)
-    : base_(base), seasonal_amp_(seasonal_amp), peak_day_(peak_day_of_year) {
+PueModel::PueModel(double base) : base_(base) {
   HPC_REQUIRE(base >= 1.0, "PUE cannot be below 1.0");
-  HPC_REQUIRE(seasonal_amp >= 0.0 && base - seasonal_amp >= 1.0,
-              "seasonal swing would push PUE below 1.0");
-}
-
-double PueModel::at(HourOfYear hour) const {
-  if (seasonal_amp_ == 0.0) return base_;
-  constexpr double kTwoPi = 2.0 * 3.14159265358979323846;
-  return base_ + seasonal_amp_ *
-                     std::cos(kTwoPi * (hour.day_of_year() - peak_day_) /
-                              kDaysPerYear);
 }
 
 }  // namespace hpcarbon::op

@@ -1,12 +1,9 @@
 // Power Usage Effectiveness model.
 //
-// The paper sets PUE to a constant across the systems it characterizes and
-// notes that seasonal variation exists but can be approximated with IT and
-// cooling energy monitors. We support both: a constant baseline and an
-// optional seasonal swing (cooling overhead peaks in summer).
+// The paper sets PUE to a constant across the systems it characterizes:
+// facility energy is IT energy times one number per system. Seasonal
+// cooling swings exist but are not modeled.
 #pragma once
-
-#include "core/time.h"
 
 namespace hpcarbon::op {
 
@@ -14,25 +11,12 @@ class PueModel {
  public:
   /// Constant PUE (the paper's configuration). Modern leadership HPC
   /// facilities run at roughly 1.1-1.3; 1.2 is the library default.
-  explicit PueModel(double base = 1.2, double seasonal_amp = 0.0,
-                    int peak_day_of_year = 200);
+  explicit PueModel(double base = 1.2);
 
   double base() const { return base_; }
 
-  /// True when the model has no seasonal swing, i.e. at() == base()
-  /// everywhere; fast paths (O(1) trace integration) key off this.
-  bool is_constant() const { return seasonal_amp_ == 0.0; }
-
-  /// PUE at a specific hour (seasonal cosine around the base).
-  double at(HourOfYear hour) const;
-
-  /// Annual mean PUE (== base: the seasonal term integrates to ~zero).
-  double annual_mean() const { return base_; }
-
  private:
   double base_;
-  double seasonal_amp_;
-  int peak_day_;
 };
 
 }  // namespace hpcarbon::op

@@ -32,7 +32,6 @@ TrackerReport Tracker::track(const std::string& job_name,
   HPC_REQUIRE(duration.count() > 0, "duration must be positive");
   hw::MeterOptions mopts;
   mopts.sample_interval = opts_.sample_interval;
-  mopts.noise_sigma = opts_.sensor_noise_sigma;
   hw::EnergyMeter meter(mopts);
 
   // Integrate energy and carbon together, hour-aligned so each joule is
@@ -50,8 +49,7 @@ TrackerReport Tracker::track(const std::string& job_name,
     // Price the interval at its midpoint hour so accumulated floating-point
     // drift in `t` cannot push a sample across an hour boundary.
     const HourOfYear hour = start_.shifted(static_cast<int>(t + 0.5 * dt));
-    const double pue = opts_.pue.at(hour);
-    const double kwh = avg_kw * dt * pue;
+    const double kwh = avg_kw * dt * opts_.pue.base();
     facility_kwh += kwh;
     grams += trace_->at(hour).to_g_per_kwh() * kwh;
     meter.record(Power::watts(w), Hours::hours(dt));

@@ -3,9 +3,9 @@
 //
 // The paper measures C_op with the carbontracker tool (Anthony et al.):
 // sample device power at a fixed cadence, integrate to energy, multiply by
-// PUE and the grid's carbon intensity at the time of consumption. Tracker
-// reproduces that pipeline against the simulated node power model and a
-// grid trace.
+// the system's constant PUE and the grid's carbon intensity at the time of
+// consumption. Tracker reproduces that pipeline against the simulated node
+// power model and a grid trace; the meter reads the modeled power exactly.
 #pragma once
 
 #include <string>
@@ -33,7 +33,6 @@ struct TrackerReport {
 
 struct TrackerOptions {
   Hours sample_interval = Hours::seconds(1.0);
-  double sensor_noise_sigma = 0.0;
   PueModel pue = PueModel();
 };
 

@@ -1,9 +1,6 @@
 #include "sched/workload_gen.h"
 
-#include <algorithm>
-
 #include "core/error.h"
-#include "core/rng.h"
 
 namespace hpcarbon::sched {
 
@@ -20,12 +17,8 @@ std::vector<Job> generate_jobs(const WorkloadParams& p) {
     if (t >= p.horizon_hours) break;
     Job j;
     j.id = id++;
-    j.user = static_cast<std::uint32_t>(rng.uniform_int(0, p.user_count - 1));
     j.submit_hour = t;
-    j.duration_hours = std::min(
-        p.max_duration_hours, rng.lognormal(p.duration_log_mean,
-                                            p.duration_log_sigma));
-    j.it_power = Power::kilowatts(rng.uniform(p.min_power_kw, p.max_power_kw));
+    draw_job_attributes(j, p.user_count, rng);
     jobs.push_back(j);
   }
   return jobs;

@@ -43,9 +43,12 @@ check run_uncertainty_golden.txt \
   "$hpcarbon" run TK ESO CISO ERCOT --days 3 --uncertainty 4 --threads 1
 check sweep_sched_golden.txt \
   "$hpcarbon" sweep --smoke --section sched --threads 1
-check carbon_aware_scheduling_golden.txt \
-  "$hpcarbon" example carbon-aware-scheduling
 check sched_ablation_smoke_golden.txt sched_ablation
+# Every example's whole stdout.
+for example in quickstart region-explorer upgrade-advisor system-designer \
+  green500-reranker carbon-aware-scheduling; do
+  check "examples/$example.txt" "$hpcarbon" example "$example"
+done
 # The paper's figures and tables, one bench each. sensitivity draws its
 # Monte-Carlo samples on the pool, so it must also read the same on one
 # thread.

@@ -37,6 +37,7 @@
 #include "fleetsim/workload.h"
 #include "grid/presets.h"
 #include "grid/simulator.h"
+#include "job_digest.h"
 #include "reference_engine.h"
 #include "sched/policy.h"
 #include "sched/workload_gen.h"
@@ -766,6 +767,20 @@ TEST(FleetEngineBasics, RunsReadTheFleetsArrivalsInPlace) {
   expect_metrics_bitwise(first, second, "recording");
 }
 
+// Three sites of INT_MAX slots each: the total must not wrap (signed int
+// overflow), and utilization divides by the same total.
+TEST(FleetEngineBasics, CapacityTotalHoldsThreeSitesOfIntMaxSlots) {
+  const int slots = std::numeric_limits<int>::max();
+  const FleetEngine engine(fig7_sites(slots), HourOfYear(0));
+  EXPECT_EQ(engine.capacity_total(), 3 * std::int64_t{slots});
+  const FleetJobs fleet({job_at(0, 0.0, 2.0), job_at(1, 1.0, 2.0)}, {"a"});
+  const auto policy = sched::make_policy("fcfs-local");
+  const auto m = engine.run(fleet, *policy);
+  EXPECT_EQ(m.jobs_completed, 2);
+  // 4 busy node-hours over a 3 h makespan on every slot.
+  EXPECT_EQ(m.utilization, 4.0 / (3.0 * slots * 3.0));
+}
+
 // The engine's completion heap frees the same sites at the same ticks as
 // the std::priority_queue of (tick, site) pairs it replaced. Both order
 // ties by site, so the freed sequences match, not only the sets. Random
@@ -861,6 +876,31 @@ TEST(FleetWorkload, GenerationIsDeterministicPerSeedAndProcess) {
   p.seed = 2024;
   const FleetJobs base = generate_fleet_jobs(p);
   EXPECT_NE(submit_ticks(base), submit_ticks(other_seed));
+}
+
+// Every generated fleet, bit for bit, one per arrival process over a week.
+// A mismatch prints the digest of the build under test.
+TEST(FleetWorkload, GeneratedFleetsKeepTheirBitPatterns) {
+  struct Pinned {
+    ArrivalProcess process;
+    std::size_t jobs;
+    std::uint64_t digest;
+  };
+  constexpr Pinned kPinned[] = {
+      {ArrivalProcess::kPoisson, 696, 0xfeaa59361f755305},
+      {ArrivalProcess::kDiurnal, 684, 0x871cb1f5237176f8},
+      {ArrivalProcess::kBursty, 865, 0x2a24f3f51de54903},
+  };
+  for (const Pinned& pin : kPinned) {
+    FleetWorkloadParams p;
+    p.process = pin.process;
+    p.horizon_hours = 24 * 7;
+    const FleetJobs jobs = generate_fleet_jobs(p);
+    const std::uint64_t digest = testutil::job_digest(jobs.arrivals());
+    EXPECT_EQ(jobs.size(), pin.jobs) << to_string(pin.process);
+    EXPECT_EQ(digest, pin.digest)
+        << to_string(pin.process) << " digest 0x" << std::hex << digest;
+  }
 }
 
 TEST(FleetWorkload, AttributeStreamIsSharedAcrossProcesses) {

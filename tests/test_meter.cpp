@@ -37,8 +37,8 @@ TEST(Meter, FinerSamplingReducesErrorOnCurvedSignal) {
   coarse.sample_interval = Hours::minutes(30);
   MeterOptions fine;
   fine.sample_interval = Hours::seconds(10);
-  EnergyMeter mc(coarse), mf(fine), reference(MeterOptions{
-                                        Hours::seconds(1), 0.0, 7});
+  EnergyMeter mc(coarse), mf(fine),
+      reference(MeterOptions{Hours::seconds(1)});
   const double c = mc.integrate(signal, Hours::hours(4)).to_kwh();
   const double f = mf.integrate(signal, Hours::hours(4)).to_kwh();
   const double r = reference.integrate(signal, Hours::hours(4)).to_kwh();
@@ -65,28 +65,9 @@ TEST(Meter, ResetClearsState) {
   EXPECT_DOUBLE_EQ(meter.average_power().to_watts(), 0.0);
 }
 
-TEST(Meter, NoiseIsUnbiasedAndDeterministic) {
-  MeterOptions noisy;
-  noisy.noise_sigma = 0.05;
-  noisy.sample_interval = Hours::seconds(10);
-  noisy.seed = 11;
-  EnergyMeter a(noisy), b(noisy);
-  auto signal = [](Hours) { return Power::kilowatts(1.0); };
-  const double ea = a.integrate(signal, Hours::hours(10)).to_kwh();
-  const double eb = b.integrate(signal, Hours::hours(10)).to_kwh();
-  EXPECT_DOUBLE_EQ(ea, eb);            // same seed, same answer
-  EXPECT_NEAR(ea, 10.0, 0.1);          // ~1% of truth over 3600 samples
-  noisy.seed = 12;
-  EnergyMeter c(noisy);
-  EXPECT_NE(c.integrate(signal, Hours::hours(10)).to_kwh(), ea);
-}
-
 TEST(Meter, RejectsBadOptions) {
   MeterOptions bad;
   bad.sample_interval = Hours::hours(0);
-  EXPECT_THROW(EnergyMeter{bad}, Error);
-  bad = MeterOptions{};
-  bad.noise_sigma = -0.1;
   EXPECT_THROW(EnergyMeter{bad}, Error);
   EnergyMeter ok;
   EXPECT_THROW(

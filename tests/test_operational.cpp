@@ -15,24 +15,13 @@ grid::CarbonIntensityTrace constant_trace(double v) {
 }
 
 TEST(Pue, ConstantModel) {
-  const PueModel pue(1.2);
-  EXPECT_DOUBLE_EQ(pue.base(), 1.2);
-  EXPECT_DOUBLE_EQ(pue.at(HourOfYear(0)), 1.2);
-  EXPECT_DOUBLE_EQ(pue.at(HourOfYear(5000)), 1.2);
-  EXPECT_DOUBLE_EQ(pue.annual_mean(), 1.2);
-}
-
-TEST(Pue, SeasonalModelPeaksInSummer) {
-  const PueModel pue(1.3, 0.1, 200);
-  EXPECT_NEAR(pue.at(HourOfYear(200 * 24)), 1.4, 1e-9);
-  // Opposite phase (~6 months away) is the trough.
-  EXPECT_NEAR(pue.at(HourOfYear(17 * 24)), 1.2, 0.01);
+  EXPECT_DOUBLE_EQ(PueModel(1.35).base(), 1.35);
+  EXPECT_DOUBLE_EQ(PueModel().base(), 1.2);  // the library default
 }
 
 TEST(Pue, RejectsNonPhysicalValues) {
   EXPECT_THROW(PueModel(0.9), Error);
-  EXPECT_THROW(PueModel(1.1, 0.2), Error);  // would dip below 1.0
-  EXPECT_THROW(PueModel(1.2, -0.1), Error);
+  EXPECT_NO_THROW(PueModel(1.0));
 }
 
 TEST(Operational, Eq6ConstantIntensity) {
@@ -92,16 +81,16 @@ TEST(Operational, EffectiveIntensityIsWindowMean) {
               200.0, 1e-9);
 }
 
-TEST(Operational, IntegratorMatchesHourSteppingWithSeasonalPue) {
+TEST(Operational, IntegratorMatchesHourStepping) {
   // The PUE-weighted prefix sums must reproduce the per-hour integration
-  // (trace CI x seasonal PUE) within 1e-9 relative, fractional starts and
-  // year wrap included.
+  // (trace CI x PUE) within 1e-9 relative, fractional starts and year wrap
+  // included.
   std::vector<double> v(kHoursPerYear);
   for (int i = 0; i < kHoursPerYear; ++i) {
     v[static_cast<std::size_t>(i)] = 100.0 + (i % 31) * 13.0;
   }
   const grid::CarbonIntensityTrace trace("X", kUtc, v);
-  const PueModel pue(1.3, 0.1, 200);  // seasonal swing
+  const PueModel pue(1.3);
   const CarbonIntegrator integrator(trace, pue);
   const double kw = 2.5;
   for (double start : {0.0, 1234.75, kHoursPerYear - 3.5}) {
@@ -116,7 +105,7 @@ TEST(Operational, IntegratorMatchesHourSteppingWithSeasonalPue) {
         const double step = std::min(remaining, hour_end - cursor);
         const HourOfYear h(static_cast<int>(std::floor(cursor)) %
                            kHoursPerYear);
-        expected += trace.at(h).to_g_per_kwh() * kw * step * pue.at(h);
+        expected += trace.at(h).to_g_per_kwh() * kw * step * pue.base();
         cursor += step;
         remaining -= step;
       }
@@ -159,17 +148,14 @@ TEST(Operational, IntegratorSeesSubHourlyStructure) {
   EXPECT_NEAR(integrator.carbon_g(1.0, 10.5, 0.5), 1.2 * 500.0 * 0.5, 1e-9);
   // A whole hour averages the two.
   EXPECT_NEAR(integrator.carbon_g(1.0, 10.0, 1.0), 1.2 * 300.0, 1e-9);
-  // The seasonal-PUE stepping path agrees with the integrator on the same
-  // sub-hourly trace (it integrates each hour chunk through the prefix
-  // sums rather than sampling the hour's first value).
-  const PueModel seasonal(1.2, 0.1);
-  const CarbonIntegrator seasonal_integrator(trace, seasonal);
-  const Mass stepped = operational_carbon(Power::kilowatts(2), trace,
-                                          HourOfYear(4000), Hours::hours(30.5),
-                                          seasonal);
-  EXPECT_NEAR(stepped.to_grams(),
-              seasonal_integrator.carbon_g(2.0, 4000.0, 30.5),
-              1e-6 * stepped.to_grams());
+  // The free function agrees with the integrator on the same sub-hourly
+  // trace (both integrate through prefix sums rather than sampling each
+  // hour's first value).
+  const Mass direct = operational_carbon(Power::kilowatts(2), trace,
+                                         HourOfYear(4000), Hours::hours(30.5),
+                                         pue);
+  EXPECT_NEAR(direct.to_grams(), integrator.carbon_g(2.0, 4000.0, 30.5),
+              1e-9 * direct.to_grams());
 }
 
 TEST(Operational, GreenerGridMeansLessCarbonSameEnergy) {

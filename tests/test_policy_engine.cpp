@@ -127,7 +127,7 @@ TEST(PolicyEngine, PrefixSumCarbonMatchesHourSteppingPerJob) {
         const HourOfYear h =
             epoch.shifted(static_cast<int>(std::floor(cursor)));
         grams += sites[s].region->trace_utc.at(h).to_g_per_kwh() * kw * step *
-                 pue.at(h);
+                 pue.base();
         cursor += step;
         remaining -= step;
       }

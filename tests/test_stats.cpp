@@ -189,24 +189,6 @@ TEST(Stats, PearsonCorrelation) {
   EXPECT_THROW(pearson(x, wrong), Error);
 }
 
-TEST(Stats, WelfordMatchesBatch) {
-  std::vector<double> xs = {1.5, 2.5, 3.5, 10.0, -4.0, 0.0};
-  Welford w;
-  for (double x : xs) w.add(x);
-  EXPECT_EQ(w.count(), xs.size());
-  EXPECT_NEAR(w.mean(), mean(xs), 1e-12);
-  EXPECT_NEAR(w.variance(), variance(xs), 1e-12);
-  EXPECT_NEAR(w.stddev(), stddev(xs), 1e-12);
-}
-
-TEST(Stats, WelfordFewSamples) {
-  Welford w;
-  EXPECT_DOUBLE_EQ(w.variance(), 0.0);
-  w.add(5.0);
-  EXPECT_DOUBLE_EQ(w.mean(), 5.0);
-  EXPECT_DOUBLE_EQ(w.variance(), 0.0);
-}
-
 TEST(Stats, SummaryMatchesFreeFunctions) {
   const std::vector<double> xs = {7.5, -1.0, 3.25, 3.25, 12.0, 0.5, 9.75};
   const Summary s(xs);
