@@ -58,7 +58,7 @@ static int tool_main() {
     // A trio of one region is the home site alone.
     const fleetsim::FleetEngine sim =
         fleetsim::trio_engine({sched::prepare_region(trace)}, 24,
-                              HourOfYear(month_start_hour(5)));
+                              fleetsim::trio_epoch());
     // One knob bag: threshold-delay reads the threshold and the delay cap,
     // forecast-delay only the delay cap.
     sched::PolicyConfig cfg;

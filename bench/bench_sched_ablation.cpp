@@ -110,8 +110,8 @@ static int tool_main(int argc, char** argv) {
   const auto traces = grid::generate_traces(grid::fig7_regions());
   const auto regions = sched::prepare_regions(traces);
   const fleetsim::FleetEngine engine =
-      fleetsim::trio_engine({regions[2], regions[0], regions[1]}, 16,
-                            HourOfYear(month_start_hour(5)));
+      fleetsim::trio_engine({regions[2], regions[0], regions[1]},
+                            fleetsim::kTrioSlots, fleetsim::trio_epoch());
 
   sched::WorkloadParams wp;
   wp.horizon_hours = 24.0 * (args.smoke ? 7 : 28);

@@ -24,7 +24,7 @@ static int tool_main() {
       sched::prepare_regions(grid::generate_traces(grid::fig7_regions()));
   const fleetsim::FleetEngine sim =
       fleetsim::trio_engine({regions[2], regions[0], regions[1]}, 12,
-                            HourOfYear(month_start_hour(5)));
+                            fleetsim::trio_epoch());
 
   sched::WorkloadParams wp;
   wp.horizon_hours = 24.0 * 28;

@@ -173,7 +173,7 @@ int cmd_run(int argc, char** argv, std::ostream& out, std::ostream& err) {
   std::cout << report.jobs << " jobs over "
             << static_cast<int>(opts.horizon_days) << " days; "
             << report.rows.size() << " scenario cells on "
-            << report.worker_threads_used << " worker threads\n";
+            << report.pool_threads << " worker threads\n";
   for (const auto& note : report.trace_notes) {
     std::cout << "trace override: " << note << '\n';
   }

@@ -30,7 +30,7 @@ struct FleetsimOptions {
   fleetsim::FleetWorkloadParams workload;
   std::string process = fleetsim::to_string(workload.process);
   double days = workload.horizon_hours / 24.0;
-  int capacity = 16;
+  int capacity = fleetsim::kTrioSlots;
   int uncertainty_samples = 0;
   std::string jobs_csv;  // replay instead of generating when non-empty
   std::size_t threads = 0;
@@ -83,7 +83,7 @@ int cmd_fleetsim(int argc, char** argv, std::ostream& out, std::ostream&) {
   }
   const fleetsim::FleetEngine engine = fleetsim::trio_engine(
       sched::prepare_regions(traces_for(specs, {})), opts.capacity,
-      HourOfYear(month_start_hour(5)));
+      fleetsim::trio_epoch());
 
   fleetsim::FleetJobs jobs;
   if (!opts.jobs_csv.empty()) {

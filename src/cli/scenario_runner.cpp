@@ -1,13 +1,10 @@
 #include "cli/scenario_runner.h"
 
 #include <algorithm>
-#include <set>
 #include <sstream>
-#include <thread>
 
 #include "core/csv.h"
 #include "core/error.h"
-#include "core/thread_annotations.h"
 #include "core/thread_pool.h"
 #include "fleetsim/ablation.h"
 #include "grid/analysis.h"
@@ -151,17 +148,13 @@ ScenarioReport run_scenarios(const ScenarioOptions& opts) {
         sched::generated_user_names(sample.user_count));
   };
   const fleetsim::FleetJobs jobs = jobs_for_seed(wp.seed);
-  // Tick 0 is June 1, where Fig. 7's complementarity peaks.
-  const HourOfYear epoch(month_start_hour(5));
+  const HourOfYear epoch = fleetsim::trio_epoch();
 
   ScenarioReport report;
   report.trace_notes = std::move(trace_notes);
   report.jobs = jobs.size();
   report.uncertainty_samples = opts.uncertainty_samples;
   report.rows.resize(specs.size() * policies.size());
-
-  AnnotatedMutex mu;
-  std::set<std::thread::id> worker_ids;  // guarded by mu (function-local)
 
   // Stage 2 — one trio engine per region on the global pool, every policy
   // of the region scored on it. With --uncertainty, the region's savings
@@ -175,7 +168,7 @@ ScenarioReport run_scenarios(const ScenarioOptions& opts) {
       if (i != r) regions.push_back(prepared[i]);
     }
     const fleetsim::FleetEngine engine =
-        fleetsim::trio_engine(regions, /*capacity=*/16, epoch);
+        fleetsim::trio_engine(regions, fleetsim::kTrioSlots, epoch);
     const fleetsim::Ablation ablation =
         fleetsim::run_ablation(engine, jobs, policies);
     std::vector<mc::Distribution> savings;
@@ -204,10 +197,8 @@ ScenarioReport run_scenarios(const ScenarioOptions& opts) {
         row.savings_p95 = savings[p].p95();
       }
     }
-    MutexLock lock(mu);
-    worker_ids.insert(std::this_thread::get_id());
   });
-  report.worker_threads_used = worker_ids.size();
+  report.pool_threads = ThreadPool::global().size();
   return report;
 }
 

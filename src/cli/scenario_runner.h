@@ -84,8 +84,8 @@ struct ScenarioReport {
   std::size_t jobs = 0;
   /// Workload seeds behind the savings% quantile columns (0: disabled).
   int uncertainty_samples = 0;
-  /// Distinct pool worker threads that scored regions.
-  std::size_t worker_threads_used = 0;
+  /// Threads of the pool the cells ran on (ThreadPool::global()).
+  std::size_t pool_threads = 0;
   /// One line per --trace-csv override ("ESO <- grid.csv: ...").
   std::vector<std::string> trace_notes;
 

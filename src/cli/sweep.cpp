@@ -85,7 +85,7 @@ void sweep_lifetime(const SweepOptions& opts, SweepReport& report) {
   const mc::SamplePlan plan{opts.samples, opts.seed, nullptr};
   const auto traces = traces_for({grid::require_region(opts.region)},
                                  overrides_matching(opts, {opts.region}));
-  const HourOfYear start(month_start_hour(5));  // June 1, as in `run`
+  const HourOfYear start = fleetsim::trio_epoch();  // as in `run`
   for (const auto& node : {hw::v100_node(), hw::a100_node()}) {
     const auto d = lifecycle::node_lifetime_footprint_distribution(
         node, workload::Suite::kNlp, 0.40, opts.lifetime_years, traces[0],
@@ -154,8 +154,8 @@ void sweep_sched(const SweepOptions& opts, SweepReport& report) {
       overrides_matching(opts, grid::codes_of(grid::fig7_regions())));
   const auto regions = sched::prepare_regions(traces);
   const fleetsim::FleetEngine fleet =
-      fleetsim::trio_engine({regions[2], regions[0], regions[1]}, 16,
-                            HourOfYear(month_start_hour(5)));
+      fleetsim::trio_engine({regions[2], regions[0], regions[1]},
+                            fleetsim::kTrioSlots, fleetsim::trio_epoch());
   std::vector<std::string> policies = {fleetsim::kBaselinePolicy};
   for (const auto& desc : sched::registered_policies()) {
     if (desc.name != fleetsim::kBaselinePolicy) policies.push_back(desc.name);

@@ -35,6 +35,23 @@ namespace hpcarbon::fleetsim {
 /// The carbon-unaware baseline every policy is scored against.
 inline constexpr const char* kBaselinePolicy = "fcfs-local";
 
+/// The month (0 = January) whose first hour is a trio's tick 0: June,
+/// where Fig. 7's complementarity peaks. `hpcarbon run`, `fleetsim` and
+/// `sweep`, `bench sched-ablation`, `bench forecast` and `example
+/// carbon-aware-scheduling` start there, and serve's start_month
+/// defaults to it.
+inline constexpr int kTrioStartMonth = 5;
+
+/// Slots per site where a trio caller takes no capacity (`run`, `sweep`,
+/// `bench sched-ablation`), and the default of those that do (`fleetsim
+/// --capacity`, serve's capacity).
+inline constexpr int kTrioSlots = 16;
+
+/// kTrioStartMonth's first hour.
+inline HourOfYear trio_epoch() {
+  return HourOfYear(month_start_hour(kTrioStartMonth));
+}
+
 /// The trio engine of a region list: regions[0] is home, then the two
 /// other regions of lowest annual median intensity
 /// (PreparedRegion::median_g_per_kwh), cleanest first, ties in list

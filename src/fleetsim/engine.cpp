@@ -1,6 +1,7 @@
 #include "fleetsim/engine.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <queue>
@@ -119,6 +120,28 @@ sched::ScheduleMetrics FleetEngine::run(const FleetJobs& jobs,
   for (const auto& s : sites_) free_slots.push_back(s.capacity);
 
   std::vector<sched::PendingJob> waiting;
+  // A job that starts at its submit tick (on time) completes at its
+  // natural tick, so the fleet's natural order (FleetJobs::natural_position)
+  // already ranks it: its site is kept at its position, whose bit stays set
+  // until the slot is freed. Only a job that starts later goes through the
+  // completion heap. A start completes after every completion due by now,
+  // so every set bit lies past the positions already freed: the first set
+  // bit is the next on-time completion, due at natural_next.
+  std::vector<std::uint32_t> on_time_site(n);  // by natural position
+  std::vector<std::uint64_t> on_time_bits((n + 63) / 64);
+  std::size_t on_time_running = 0;  // bits set
+  std::size_t on_time_first = 0;    // the first set bit, while one is
+  Tick natural_next = kNoEvent;
+  // The first set bit past position p, which must exist. Empty words are
+  // skipped 64 positions at a time, so the positions of late and unstarted
+  // jobs cost no visit of their own.
+  auto on_time_after = [&](std::size_t p) {
+    std::size_t w = (p + 1) / 64;
+    std::uint64_t word =
+        on_time_bits[w] & (~std::uint64_t{0} << (p + 1) % 64);
+    while (word == 0) word = on_time_bits[++w];
+    return w * 64 + static_cast<std::size_t>(std::countr_zero(word));
+  };
   // Completions at one tick leave in site order, but all those due free
   // their slots before any decision is consulted, so tie order is
   // unobservable.
@@ -172,12 +195,24 @@ sched::ScheduleMetrics FleetEngine::run(const FleetJobs& jobs,
   // Accounting runs in a fixed order on exact tick-derived doubles, so a
   // run is bit-reproducible (tests/reference_engine.h evaluates the same
   // expressions in the same order; test_fleetsim pins the two bitwise).
-  auto start_job = [&](const sched::Job& j, std::size_t site, Tick now_tick,
-                       Tick duration_tick) {
+  auto start_job = [&](std::uint32_t a, std::size_t site) {
+    const sched::Job& j = arrivals[a];
+    const Tick now_tick = t;
+    const Tick duration_tick = jobs.duration_tick(a);
     const double now = t_hours;
     --free_slots[site];
-    completions.push(now_tick + duration_tick,
-                     static_cast<std::uint32_t>(site));
+    if (now_tick == jobs.submit_tick(a)) {
+      const std::uint32_t p = jobs.natural_position(a);
+      on_time_site[p] = static_cast<std::uint32_t>(site);
+      on_time_bits[p / 64] |= std::uint64_t{1} << p % 64;
+      if (on_time_running++ == 0 || p < on_time_first) {
+        on_time_first = p;
+        natural_next = now_tick + duration_tick;
+      }
+    } else {
+      completions.push(now_tick + duration_tick,
+                       static_cast<std::uint32_t>(site));
+    }
     // ClusterView::job_carbon_g's product, priced from the ticks.
     const double grams =
         j.it_power.to_kilowatts() *
@@ -224,7 +259,7 @@ sched::ScheduleMetrics FleetEngine::run(const FleetJobs& jobs,
       waiting.erase(waiting.begin() +
                     static_cast<std::ptrdiff_t>(decision->queue_index));
       started[a] = 1;
-      start_job(arrivals[a], decision->site, t, jobs.duration_tick(a));
+      start_job(a, decision->site);
     }
   };
 
@@ -246,6 +281,7 @@ sched::ScheduleMetrics FleetEngine::run(const FleetJobs& jobs,
       if (!completions.empty()) {
         next_tick = std::min(next_tick, completions.top_tick());
       }
+      next_tick = std::min(next_tick, natural_next);
       while (!planned_starts.empty() &&
              (planned_starts.top().first <= t ||
               started[planned_starts.top().second] != 0)) {
@@ -262,6 +298,18 @@ sched::ScheduleMetrics FleetEngine::run(const FleetJobs& jobs,
     while (!completions.empty() && completions.top_tick() <= t) {
       ++free_slots[completions.top_site()];
       completions.pop();
+    }
+    // The on-time completions due, in natural order.
+    while (natural_next <= t) {
+      const std::size_t p = on_time_first;
+      ++free_slots[on_time_site[p]];
+      on_time_bits[p / 64] &= ~(std::uint64_t{1} << p % 64);
+      if (--on_time_running == 0) {
+        natural_next = kNoEvent;
+      } else {
+        on_time_first = on_time_after(p);
+        natural_next = jobs.natural_tick(on_time_first);
+      }
     }
     while (next_submit <= t) {
       const double planned = policy.planned_start(arrivals[next_arrival], view);

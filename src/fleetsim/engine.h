@@ -19,8 +19,9 @@
 //    nearest tick (at most 1.8 s);
 //  * each job is held once: a FleetJobs is validated when it is built,
 //    and every run hands its arrivals to the policy and the view in
-//    place, reading a job's ticks back with a multiply. Outcomes leave
-//    as flat vectors (FleetOutcomes), not one record per job;
+//    place, reading a job's ticks from the fleet's 32-bit tick tables.
+//    Outcomes leave as flat vectors (FleetOutcomes), not one record per
+//    job;
 //  * users are indexes into FleetJobs::users() for the whole run: a
 //    sched::Job is 32 trivially copyable bytes, and a job start charges
 //    the budget ledger (a flat vector of accounts) by index, with no
@@ -31,16 +32,30 @@
 //    one memmove of 4 bytes per entry behind it (still O(queue) bytes).
 //    A fleet holds fewer than 2^32 jobs (the FleetJobs constructor
 //    refuses more);
-//  * completions leave through a 4-ary min-heap of packed 8-byte keys,
-//    `tick << site_bits | site` with site_bits = bit_width(sites - 1)
-//    (fleetsim/completion_heap.h): one unsigned compare orders two
-//    completions, a slot's four children are 32 contiguous bytes, and a
-//    pop picks the least child with conditional selects instead of a
-//    data-dependent branch. A push whose tick would not fit beside the
-//    site bits throws; a fleet's ticks stay within kMaxJobTicks
-//    (fleetsim/jobs.h), which keeps every run far inside that.
-//    Completions at one tick leave in site order, but all those due free
-//    their slots before any decision is consulted, so tie order cannot be
+//  * a job that starts at its submit tick (on time) completes at its
+//    natural tick, submit + duration, in the order FleetJobs computed
+//    once per fleet (FleetJobs::natural_position). The run keeps such a
+//    job's site at its position and sets the position's bit in a bitmap;
+//    each event frees the on-time completions due, from the first set
+//    bit on, and reads the next one's tick from the fleet. A start
+//    completes after every completion already due, so its position lies
+//    past every one already freed, and the next set bit is always the
+//    next on-time completion. Scans skip 64 positions per empty word, so
+//    the positions of late and unstarted jobs cost no visit of their own.
+//    An on-time completion costs a bit test and a store instead of a
+//    heap pop: greedy-lowest-ci and forecast-net-benefit start every job
+//    of the fleet-policies fleets on time, fcfs-local a third of them;
+//  * the other completions, late starts only, leave through a 4-ary
+//    min-heap of packed 8-byte keys, `tick << site_bits | site` with
+//    site_bits = bit_width(sites - 1) (fleetsim/completion_heap.h): one
+//    unsigned compare orders two completions, a slot's four children are
+//    32 contiguous bytes, and a pop picks the least child with
+//    conditional selects instead of a data-dependent branch. A push
+//    whose tick would not fit beside the site bits throws; a fleet's
+//    ticks stay within kMaxJobTicks (fleetsim/jobs.h), which keeps every
+//    run far inside that. Completions at one tick leave in site order,
+//    and the heap's before the order's, but all those due free their
+//    slots before any decision is consulted, so tie order cannot be
 //    observed;
 //  * a completion wakes the engine only while a job waits. With the queue
 //    empty no callback can run before the next arrival, so that arrival is
@@ -93,7 +108,8 @@
 // site's intensity whenever its clock moves; tests/test_fleetsim.cpp pins
 // bit-identical metrics, outcomes, and ledgers against it on tick-aligned
 // workloads for every registered policy, on hourly, 15- and 5-minute
-// sites and across the year boundary, and the same sequence of policy
+// sites and across the year boundary, on fleets that mix on-time and late
+// starts from 1 to 256 slots per site, and the same sequence of policy
 // callbacks, each seeing the same clock, free slots, intensities and
 // queue.
 #pragma once

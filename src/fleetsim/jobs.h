@@ -17,13 +17,25 @@
 // most 1/2048 h (about 1.8 s) per time, and nothing for times already on
 // the grid (generated submit times, tick-aligned CSVs). A run neither
 // re-checks nor copies a job: FleetEngine hands arrivals() to the policy
-// and the view in place and reads each tick back with a multiply. On the
-// `hpcarbon run` trio the snapping moves a policy's savings_pct by a few
-// hundredths of a percentage point (tests/test_fleetsim.cpp bounds it).
+// and the view in place and reads each tick from the fleet's tables. On
+// the `hpcarbon run` trio the snapping moves a policy's savings_pct by a
+// few hundredths of a percentage point (tests/test_fleetsim.cpp bounds
+// it).
+//
+// Beside the 32-byte jobs a fleet holds 16 bytes per job, four 32-bit
+// tables built once by the constructor: each arrival's submit and
+// duration ticks, and its natural completion order. A job's natural tick
+// is submit + duration, when it completes if it starts the moment it is
+// submitted; the order lists the arrivals by natural tick, equal ticks in
+// arrival order. It depends only on the fleet, so every run of it shares
+// it: FleetEngine frees the slots of on-time starts in this order instead
+// of through its completion heap (fleetsim/engine.h).
 #pragma once
 
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -63,6 +75,11 @@ inline Tick nearest_tick(double hours) {
 inline constexpr Tick kMaxJobTicks =
     static_cast<Tick>(kMaxJobHours) * kTicksPerHour;
 
+// A fleet's tick tables are 32-bit: a submit plus a duration, each at most
+// kMaxJobTicks, is a natural tick that fits exactly.
+static_assert(2 * kMaxJobTicks <= std::numeric_limits<std::uint32_t>::max(),
+              "natural completion ticks must fit the 32-bit tick tables");
+
 /// Smallest tick >= the fractional-hour value: policy-planned starts that
 /// are not tick-aligned wake the engine at the next grid point.
 inline Tick ceil_tick(double hours) {
@@ -92,10 +109,11 @@ class FleetJobs {
   /// is stable-sorted by submit time first, so jobs submitted at the same
   /// instant keep their input order; then every time snaps to the nearest
   /// tick, submits clamped up to 0 and durations to one tick, so no job
-  /// becomes instantaneous. Throws hpcarbon::Error when a submit time or
-  /// duration is NaN or exceeds kMaxJobHours in magnitude, when a user
-  /// index has no name, or for 2^32 jobs or more (a queue entry holds its
-  /// arrival index in 32 bits).
+  /// becomes instantaneous, and the tick tables and the natural order are
+  /// built from the snapped ticks. Throws hpcarbon::Error when a submit
+  /// time or duration is NaN or exceeds kMaxJobHours in magnitude, when a
+  /// user index has no name, or for 2^32 jobs or more (a queue entry holds
+  /// its arrival index in 32 bits).
   FleetJobs(std::vector<sched::Job> jobs, std::vector<std::string> users);
 
   /// The jobs in submit order, every time on the tick grid: the vector
@@ -107,22 +125,27 @@ class FleetJobs {
   std::size_t size() const { return arrivals_.size(); }
   bool empty() const { return arrivals_.empty(); }
 
-  /// Arrival i's submit time and duration in ticks: exact, because the
-  /// constructor put both on the grid.
-  Tick submit_tick(std::size_t i) const {
-    return to_tick(arrivals_[i].submit_hour);
+  /// Arrival i's submit time and duration in ticks: the ticks the
+  /// constructor snapped arrivals()[i]'s hours to.
+  Tick submit_tick(std::size_t i) const { return submit_ticks_[i]; }
+  Tick duration_tick(std::size_t i) const { return duration_ticks_[i]; }
+
+  /// Arrival i's position in the natural completion order: positions
+  /// ascend by natural tick (submit + duration), and equal natural ticks
+  /// keep arrival order. A bijection of [0, size()).
+  std::uint32_t natural_position(std::size_t i) const {
+    return natural_positions_[i];
   }
-  Tick duration_tick(std::size_t i) const {
-    return to_tick(arrivals_[i].duration_hours);
-  }
+  /// The natural tick of the arrival at position `p` of that order.
+  Tick natural_tick(std::size_t p) const { return natural_ticks_[p]; }
 
  private:
-  static Tick to_tick(double hours) {
-    return static_cast<Tick>(hours * static_cast<double>(kTicksPerHour));
-  }
-
   std::vector<sched::Job> arrivals_;
   std::vector<std::string> users_;
+  std::vector<std::uint32_t> submit_ticks_;       // by arrival
+  std::vector<std::uint32_t> duration_ticks_;     // by arrival
+  std::vector<std::uint32_t> natural_positions_;  // by arrival
+  std::vector<std::uint32_t> natural_ticks_;      // by position
 };
 
 /// Parse a job-trace CSV into FleetJobs. Expected columns, with a header

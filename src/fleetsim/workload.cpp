@@ -51,16 +51,23 @@ std::vector<Tick> arrival_ticks(const FleetWorkloadParams& p, Rng& rng) {
       // Thinning: candidates at the peak rate, each kept with probability
       // rate(t)/peak — exact for an inhomogeneous Poisson process, and
       // the accept stream is one uniform per candidate, so reproducible.
+      // A draw below the trough rate is kept without the cosine: cos is
+      // never below -1 and each rounded step of rate(t) is monotone, so
+      // rate(t) >= trough, and the cosine draws nothing from the stream.
       const double peak = p.rate_per_hour * (1.0 + p.diurnal_amplitude);
+      const double trough =
+          p.rate_per_hour * (1.0 + p.diurnal_amplitude * -1.0);
       double t = 0;
+      const auto rate = [&] {
+        return p.rate_per_hour *
+               (1.0 + p.diurnal_amplitude *
+                          std::cos(kTwoPi * (t - p.diurnal_peak_hour) / 24.0));
+      };
       while (true) {
         t += rng.exponential(peak);
         if (t >= horizon) break;
-        const double rate =
-            p.rate_per_hour *
-            (1.0 + p.diurnal_amplitude *
-                       std::cos(kTwoPi * (t - p.diurnal_peak_hour) / 24.0));
-        if (rng.uniform() * peak < rate) ticks.push_back(nearest_tick(t));
+        const double draw = rng.uniform() * peak;
+        if (draw < trough || draw < rate()) ticks.push_back(nearest_tick(t));
       }
       break;
     }

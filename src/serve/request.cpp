@@ -6,6 +6,7 @@
 
 #include "core/error.h"
 #include "core/time.h"
+#include "fleetsim/ablation.h"
 #include "grid/presets.h"
 #include "sched/policy.h"
 
@@ -312,7 +313,7 @@ void normalize(ParamReader& r, LifetimeQuery& q) {
   // bit-identical whatever pool executes it.
   q.samples = r.integer("samples", 0, 0, 1000000);
   q.seed = r.integer("seed", 42, 0, static_cast<long>(kMaxExactInt));
-  q.start_month = r.integer("start_month", 5, 0, 11);
+  q.start_month = r.integer("start_month", fleetsim::kTrioStartMonth, 0, 11);
   q.suite = r.choice("suite", "nlp", kSuites);
   q.trace_csv = r.optional_str("trace_csv");
   q.years = r.number("years", 5.0, 0.1, 100.0);
@@ -331,14 +332,14 @@ void normalize(ParamReader& r, BreakevenQuery& q) {
 }
 
 void normalize(ParamReader& r, SchedQuery& q) {
-  q.capacity = r.integer("capacity", 16, 1, 4096);
+  q.capacity = r.integer("capacity", fleetsim::kTrioSlots, 1, 4096);
   q.days = r.number("days", 28.0, 0.5, 366.0);
   q.policy = policy(r);
   q.rate = r.number("rate", 2.5, 0.01, 1000.0);
   check_expected_jobs(r, q.rate, q.days);
   q.regions = regions(r);
   q.seed = r.integer("seed", 2024, 0, static_cast<long>(kMaxExactInt));
-  q.start_month = r.integer("start_month", 5, 0, 11);
+  q.start_month = r.integer("start_month", fleetsim::kTrioStartMonth, 0, 11);
 }
 
 void normalize(ParamReader& r, TraceQuery& q) {
@@ -360,7 +361,7 @@ void normalize(ParamReader& r, TraceQuery& q) {
 }
 
 void normalize(ParamReader& r, FleetsimQuery& q) {
-  q.capacity = r.integer("capacity", 16, 1, 4096);
+  q.capacity = r.integer("capacity", fleetsim::kTrioSlots, 1, 4096);
   q.days = r.number("days", 28.0, 0.5, 366.0);
   q.policy = policy(r);
   q.process = r.choice("process", "poisson", kProcesses);
@@ -371,7 +372,7 @@ void normalize(ParamReader& r, FleetsimQuery& q) {
   // sample is two full fleet runs).
   q.samples = r.integer("samples", 0, 0, 64);
   q.seed = r.integer("seed", 2024, 0, static_cast<long>(kMaxExactInt));
-  q.start_month = r.integer("start_month", 5, 0, 11);
+  q.start_month = r.integer("start_month", fleetsim::kTrioStartMonth, 0, 11);
 }
 
 }  // namespace

@@ -155,28 +155,81 @@ TEST(FleetTicks, ConversionsAreExact) {
   EXPECT_EQ(ceil_tick(hours_of(5) + 1e-9), Tick{6});
 }
 
+/// Forwards every callback to a table policy. select() throws once a run
+/// has called it 64 times per arrival (plus 4096): an engine that stops
+/// making progress (its clock stuck at one tick, or a slot never freed
+/// while jobs wait) calls it forever, and its test then fails at once
+/// instead of hanging or, recording every callback, filling memory.
+class BoundedPolicy : public sched::SchedulingPolicy {
+ public:
+  explicit BoundedPolicy(std::unique_ptr<sched::SchedulingPolicy> inner)
+      : inner_(std::move(inner)) {}
+
+  std::string name() const override { return inner_->name(); }
+  void begin_run(const std::vector<sched::Job>& arrivals,
+                 sched::CarbonBudgetLedger& ledger,
+                 const sched::ClusterView& view) override {
+    selects_left_ = 64 * arrivals.size() + 4096;
+    inner_->begin_run(arrivals, ledger, view);
+  }
+  double planned_start(const sched::Job& job,
+                       const sched::ClusterView& view) override {
+    return inner_->planned_start(job, view);
+  }
+  std::optional<sched::DispatchDecision> select(
+      const sched::PendingQueue& queue,
+      const sched::ClusterView& view) override {
+    if (selects_left_ == 0) {
+      throw Error(name() + ": select() called past 64 times per arrival; "
+                           "the engine stopped making progress");
+    }
+    --selects_left_;
+    return inner_->select(queue, view);
+  }
+  void on_job_started(const sched::Job& job, std::size_t site,
+                      double carbon_g,
+                      const sched::ClusterView& view) override {
+    inner_->on_job_started(job, site, carbon_g, view);
+  }
+
+ private:
+  std::unique_ptr<sched::SchedulingPolicy> inner_;
+  std::size_t selects_left_ = 0;
+};
+
+/// How many of a run's jobs started at their submit tick, and how many
+/// later: the two ways FleetEngine completes a job.
+struct StartCounts {
+  std::size_t on_time = 0;
+  std::size_t late = 0;
+};
+
 /// Run every registered policy through both engines on `sites` and pin
-/// metrics, outcomes, and ledger balances bitwise. The default epoch is
-/// June 1, as the scheduler suite uses.
-void expect_registry_parity(const std::vector<sched::Site>& sites,
-                            const std::vector<sched::Job>& jobs,
-                            const sched::PolicyConfig& cfg,
-                            HourOfYear epoch = HourOfYear(3624)) {
-  const FleetJobs fleet_jobs = fleet_of(jobs);
+/// metrics, outcomes, and ledger balances bitwise; returns the fleet
+/// engine's starts over every policy. The default epoch is June 1, as the
+/// scheduler suite uses.
+StartCounts expect_registry_parity(const std::vector<sched::Site>& sites,
+                                   const FleetJobs& fleet_jobs,
+                                   const sched::PolicyConfig& cfg,
+                                   HourOfYear epoch = HourOfYear(3624)) {
   reference::SchedulingEngine oracle(sites, epoch);
   const FleetEngine fleet(sites, epoch);
 
+  StartCounts starts;
   for (const auto& desc : sched::registered_policies()) {
     std::vector<reference::JobOutcome> oracle_outcomes;
     sched::CarbonBudgetLedger oracle_ledger;
     const auto oracle_policy = desc.make(cfg);
-    const auto expected =
-        oracle.run(jobs, *oracle_policy, &oracle_outcomes, &oracle_ledger);
+    const auto expected = oracle.run(fleet_jobs.arrivals(), *oracle_policy,
+                                     &oracle_outcomes, &oracle_ledger);
 
     FleetOutcomes outcomes;
     sched::CarbonBudgetLedger ledger;
-    const auto fleet_policy = desc.make(cfg);
-    const auto got = fleet.run(fleet_jobs, *fleet_policy, &outcomes, &ledger);
+    BoundedPolicy fleet_policy(desc.make(cfg));
+    const auto got = fleet.run(fleet_jobs, fleet_policy, &outcomes, &ledger);
+    for (const double wait : outcomes.wait_hours) {
+      ++(wait == 0 ? starts.on_time : starts.late);
+    }
 
     const std::string label =
         desc.name + " epoch " + std::to_string(epoch.index());
@@ -190,6 +243,7 @@ void expect_registry_parity(const std::vector<sched::Site>& sites,
           << label << " user " << fleet_jobs.users()[u];
     }
   }
+  return starts;
 }
 
 // The tentpole contract: every registered policy produces bit-identical
@@ -198,7 +252,7 @@ void expect_registry_parity(const std::vector<sched::Site>& sites,
 TEST(FleetParity, AllRegistryPoliciesBitIdentical) {
   const auto jobs = seeded_quantized_jobs();
   ASSERT_GT(jobs.size(), 200u);
-  expect_registry_parity(fig7_sites(), jobs, tuned_config());
+  expect_registry_parity(fig7_sites(), fleet_of(jobs), tuned_config());
 }
 
 // Congested parity: capacity small enough that queues build and the
@@ -209,7 +263,7 @@ TEST(FleetParity, AllRegistryPoliciesBitIdentical) {
 TEST(FleetParity, CongestedTrioStaysBitIdentical) {
   const auto sites = fig7_sites(/*capacity=*/4);
   const auto jobs = seeded_quantized_jobs();
-  expect_registry_parity(sites, jobs, {});
+  expect_registry_parity(sites, fleet_of(jobs), {});
 
   // The queue is deep: right after fcfs-local starts its i-th job, every
   // job submitted by then that is not among the first i + 1 is waiting.
@@ -269,7 +323,8 @@ TEST(FleetParity, SubHourlySitesAcrossTheYearStayBitIdentical) {
     SCOPED_TRACE("CISO step " + std::to_string(ciso_step) + " s");
     const auto sites = sub_hourly_sites(ciso_step);
     for (const int epoch : {3624, 8700, 8759}) {
-      expect_registry_parity(sites, jobs, tuned_config(), HourOfYear(epoch));
+      expect_registry_parity(sites, fleet_of(jobs), tuned_config(),
+                             HourOfYear(epoch));
     }
   }
 }
@@ -434,7 +489,8 @@ TEST(FleetParity, PoliciesSeeTheSameCallbacksInBothEngines) {
                        " slots per site, epoch " + std::to_string(epoch) +
                        (five_minute ? ", 15-min ESO, 5-min CISO" : ", hourly"));
           TracingPolicy want(desc.make(tuned_config()));
-          TracingPolicy got(desc.make(tuned_config()));
+          TracingPolicy got(
+              std::make_unique<BoundedPolicy>(desc.make(tuned_config())));
           oracle.run(jobs, want);
           fleet.run(fleet_jobs, got);
           EXPECT_GT(want.trace.size(), 2 * jobs.size());
@@ -731,6 +787,153 @@ TEST(FleetEngineBasics, ConstructorSortsSnapsAndRejects) {
     EXPECT_THROW(FleetJobs({job_at(0, hours, 1.0)}, {"a"}), Error) << hours;
     EXPECT_THROW(FleetJobs({job_at(0, 0.0, hours)}, {"a"}), Error) << hours;
   }
+}
+
+/// The arrival at each position of the fleet's natural completion order.
+std::vector<std::size_t> arrivals_by_position(const FleetJobs& jobs) {
+  std::vector<std::size_t> arrival(jobs.size(), jobs.size());
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    const std::uint32_t p = jobs.natural_position(i);
+    EXPECT_LT(p, jobs.size()) << "arrival " << i;
+    if (p >= jobs.size()) continue;
+    EXPECT_EQ(arrival[p], jobs.size()) << "position " << p << " taken twice";
+    arrival[p] = i;
+  }
+  return arrival;
+}
+
+/// Every position holds one arrival, whose natural tick is its submit
+/// plus duration tick; ticks ascend along the order, equal ticks in
+/// arrival order.
+void expect_natural_order(const FleetJobs& jobs, const std::string& label) {
+  const std::vector<std::size_t> arrival = arrivals_by_position(jobs);
+  for (std::size_t p = 0; p < jobs.size(); ++p) {
+    ASSERT_LT(arrival[p], jobs.size()) << label << " position " << p;
+    EXPECT_EQ(jobs.natural_position(arrival[p]), p) << label;
+    EXPECT_EQ(jobs.natural_tick(p), jobs.submit_tick(arrival[p]) +
+                                        jobs.duration_tick(arrival[p]))
+        << label << " position " << p;
+    if (p == 0) continue;
+    EXPECT_LE(jobs.natural_tick(p - 1), jobs.natural_tick(p))
+        << label << " position " << p;
+    if (jobs.natural_tick(p - 1) == jobs.natural_tick(p)) {
+      EXPECT_LT(arrival[p - 1], arrival[p]) << label << " position " << p;
+    }
+  }
+}
+
+// The natural completion order, which FleetEngine frees on-time starts
+// in, ranks the arrivals by submit + duration tick, ties in arrival order,
+// up to natural ticks of 2 * kMaxJobTicks.
+TEST(FleetJobsOrder, PositionsAscendByNaturalTickTiesInArrivalOrder) {
+  // Natural ticks 3 h, 3 h, 2 h, 5 h and 2 h plus the one tick a zero
+  // duration clamps to.
+  const FleetJobs small({job_at(0, 0.0, 3.0), job_at(1, 1.0, 2.0),
+                         job_at(2, 1.0, 1.0), job_at(3, 2.0, 3.0),
+                         job_at(4, 2.0, 0.0)},
+                        {"a"});
+  const std::vector<std::uint32_t> want_positions = {2, 3, 0, 4, 1};
+  const std::vector<Tick> want_ticks = {2 * kTicksPerHour,
+                                        2 * kTicksPerHour + 1,
+                                        3 * kTicksPerHour, 3 * kTicksPerHour,
+                                        5 * kTicksPerHour};
+  for (std::size_t i = 0; i < small.size(); ++i) {
+    EXPECT_EQ(small.natural_position(i), want_positions[i]) << i;
+    EXPECT_EQ(small.natural_tick(i), want_ticks[i]) << i;
+  }
+  expect_natural_order(small, "small");
+
+  // Near the bound the ticks need the radix sort's top digits, and the
+  // largest, 2 * kMaxJobTicks, reads back exactly from 32 bits.
+  const FleetJobs far(
+      {job_at(0, 0.0, 1.0), job_at(1, kMaxJobHours - 1.0, kMaxJobHours),
+       job_at(2, kMaxJobHours, kMaxJobHours - 2.0),
+       job_at(3, kMaxJobHours, kMaxJobHours)},
+      {"a"});
+  EXPECT_EQ(far.natural_position(1), 2u);
+  EXPECT_EQ(far.natural_position(2), 1u);
+  EXPECT_EQ(far.natural_tick(3), 2 * kMaxJobTicks);
+  EXPECT_EQ(far.natural_tick(2), 2 * kMaxJobTicks - kTicksPerHour);
+  expect_natural_order(far, "near kMaxJobTicks");
+
+  // Generated fleets: bursty batches share submit ticks, so many natural
+  // ticks tie.
+  for (const auto process : {ArrivalProcess::kPoisson,
+                             ArrivalProcess::kDiurnal,
+                             ArrivalProcess::kBursty}) {
+    FleetWorkloadParams p;
+    p.process = process;
+    p.horizon_hours = 24 * 28;
+    const FleetJobs generated = generate_fleet_jobs(p);
+    ASSERT_GT(generated.size(), 2000u);
+    expect_natural_order(generated, to_string(process));
+  }
+  expect_natural_order(FleetJobs{}, "empty");
+}
+
+// On-time starts complete in the fleet's natural order and late ones
+// through the completion heap, so the two must agree with the reference
+// wherever they mix: small poisson, diurnal and bursty fleets, from idle
+// (8 slots per site) to one slot per site, under every table policy, with
+// metrics, outcomes and ledgers compared bit for bit. The sweep holds
+// both kinds of start by the thousand (3,565 on time and 18,003 late).
+TEST(FleetParity, OnTimeAndLateStartsStayBitIdentical) {
+  std::vector<std::vector<sched::Site>> trios;
+  for (const int slots : {1, 2, 4, 8}) trios.push_back(fig7_sites(slots));
+  StartCounts starts;
+  for (const auto process : {ArrivalProcess::kPoisson,
+                             ArrivalProcess::kDiurnal,
+                             ArrivalProcess::kBursty}) {
+    FleetWorkloadParams p;
+    p.process = process;
+    p.horizon_hours = 24 * 4;
+    p.rate_per_hour = 2.0;
+    p.seed = 35;
+    const FleetJobs jobs = generate_fleet_jobs(p);
+    ASSERT_LE(jobs.size(), 400u) << to_string(process);
+    for (const auto& sites : trios) {
+      SCOPED_TRACE(std::string(to_string(process)) + ", " +
+                   std::to_string(sites[0].capacity) + " slots per site");
+      const StartCounts run = expect_registry_parity(sites, jobs,
+                                                     tuned_config());
+      starts.on_time += run.on_time;
+      starts.late += run.late;
+    }
+  }
+  EXPECT_GT(starts.on_time, 1000u);
+  EXPECT_GT(starts.late, 1000u);
+}
+
+// A job that starts one tick after its submit completes one tick after
+// its natural tick, so it must complete through the heap. Here it holds
+// a slot past its natural tick, at which the next job arrives and must
+// wait that tick. One site of two slots under fcfs-local: job 0 (until
+// tick 1025) and job 1 (until 2000) start at tick 0; job 2, submitted at
+// 1024, starts at 1025, one tick late, for 2048 ticks; job 3 takes the
+// slot job 1 frees at 2000; job 4 arrives at 3072, job 2's natural tick,
+// and starts at 3073. Job 2's position in the natural order comes up
+// right after job 1's completion, so the order must not free it.
+TEST(FleetParity, StartOneTickLateCompletesOneTickAfterItsNaturalTick) {
+  const FleetJobs jobs({job_at(0, 0.0, hours_of(1025)),
+                        job_at(1, 0.0, hours_of(2000)),
+                        job_at(2, 1.0, 2.0),
+                        job_at(3, hours_of(2000), 4.0),
+                        job_at(4, 3.0, 1.0)},
+                       {"a"});
+  std::vector<sched::Site> sites = fig7_sites(/*capacity=*/2);
+  sites.resize(1);
+  const HourOfYear epoch(3624);
+  const auto oracle_policy = sched::make_policy("fcfs-local");
+  std::vector<reference::JobOutcome> oracle_outcomes;
+  const auto expected = reference::SchedulingEngine(sites, epoch)
+                            .run(jobs.arrivals(), *oracle_policy,
+                                 &oracle_outcomes);
+  BoundedPolicy policy(sched::make_policy("fcfs-local"));
+  FleetOutcomes outcomes;
+  const auto got = FleetEngine(sites, epoch).run(jobs, policy, &outcomes);
+  expect_metrics_bitwise(expected, got, "one tick late");
+  expect_outcomes_bitwise(sites, outcomes, oracle_outcomes, "one tick late");
+  EXPECT_EQ(outcomes.start, (std::vector<Tick>{0, 0, 1025, 2000, 3073}));
 }
 
 /// Records the arrivals each run hands begin_run, and starts the front

@@ -10,6 +10,7 @@
 // gCO2 answer waiting to be served.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cstdint>
@@ -22,6 +23,7 @@
 #include "core/thread_pool.h"
 #include "fleetsim/ablation.h"
 #include "fleetsim/jobs.h"
+#include "fleetsim/workload.h"
 #include "grid/presets.h"
 #include "grid/simulator.h"
 #include "obs/metrics.h"
@@ -222,41 +224,32 @@ TEST(RaceStress, BatchDuplicateKeysRacingTheLeader) {
   EXPECT_LE(s.bytes, batch_engine.options().cache_bytes);
 }
 
-// Eight threads run forecast-delay and forecast-net-benefit at once on one
-// trio engine, whose sites share their prepared regions and so each
-// region's one forecast. The epoch is January 3, so the trailing 14-day
-// windows of the first two weeks wrap back into December. Every run must
-// answer bit for bit what the same run on one thread does: metrics,
-// outcomes and ledger.
-TEST(RaceStress, ForecastPoliciesShareTheirRegionsForecasts) {
+struct FleetRun {
+  sched::ScheduleMetrics metrics;
+  fleetsim::FleetOutcomes outcomes;
+  sched::CarbonBudgetLedger ledger;
+};
+
+/// Runs each of `policies` on `engine` and `jobs` on this thread, then has
+/// eight threads run them all at once (thread t from policies[t % size]
+/// on, once every thread has started). Every concurrent run must answer
+/// bit for bit what the same run on one thread did: metrics, outcomes and
+/// ledger. Returns the one-thread runs, in the order named.
+std::vector<FleetRun> expect_concurrent_runs_agree(
+    const fleetsim::FleetEngine& engine, const fleetsim::FleetJobs& jobs,
+    const std::vector<std::string>& policies) {
   constexpr int kThreads = 8;
-  const fleetsim::FleetEngine engine = fleetsim::trio_engine(
-      sched::prepare_regions(grid::generate_traces(grid::fig7_regions())), 8,
-      HourOfYear(2 * kHoursPerDay));
-  sched::WorkloadParams wp;
-  wp.horizon_hours = 24 * 10;
-  wp.arrival_rate_per_hour = 4.0;
-  wp.seed = 2023;
-  const fleetsim::FleetJobs jobs(sched::generate_jobs(wp),
-                                 sched::generated_user_names(wp.user_count));
-  struct Run {
-    sched::ScheduleMetrics metrics;
-    fleetsim::FleetOutcomes outcomes;
-    sched::CarbonBudgetLedger ledger;
-  };
   auto run = [&](const std::string& name) {
-    Run r;
+    FleetRun r;
     const auto policy = sched::make_policy(name);
     r.metrics = engine.run(jobs, *policy, &r.outcomes, &r.ledger);
     return r;
   };
-  const std::string policies[] = {"forecast-delay", "forecast-net-benefit"};
-  const Run expected[] = {run(policies[0]), run(policies[1])};
-  ASSERT_GT(expected[1].metrics.remote_dispatches, 0);
+  const std::size_t n = policies.size();
+  std::vector<FleetRun> expected;
+  for (const std::string& p : policies) expected.push_back(run(p));
 
-  // Thread t runs both policies, starting with policies[t % 2], once all
-  // threads have started, so the two read the shared forecasts at once.
-  std::vector<std::vector<Run>> got(kThreads);
+  std::vector<std::vector<FleetRun>> got(kThreads);
   std::atomic<int> waiting{kThreads};
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
@@ -264,10 +257,10 @@ TEST(RaceStress, ForecastPoliciesShareTheirRegionsForecasts) {
     threads.emplace_back([&, t] {
       waiting.fetch_sub(1);
       while (waiting.load() > 0) std::this_thread::yield();
-      const auto first = static_cast<std::size_t>(t % 2);
-      got[static_cast<std::size_t>(t)].resize(2);
-      for (std::size_t i = 0; i < 2; ++i) {
-        const std::size_t p = (first + i) % 2;
+      const auto first = static_cast<std::size_t>(t) % n;
+      got[static_cast<std::size_t>(t)].resize(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        const std::size_t p = (first + i) % n;
         got[static_cast<std::size_t>(t)][p] = run(policies[p]);
       }
     });
@@ -276,9 +269,9 @@ TEST(RaceStress, ForecastPoliciesShareTheirRegionsForecasts) {
 
   const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
   for (int t = 0; t < kThreads; ++t) {
-    for (std::size_t p = 0; p < 2; ++p) {
-      const Run& want = expected[p];
-      const Run& run_got = got[static_cast<std::size_t>(t)][p];
+    for (std::size_t p = 0; p < n; ++p) {
+      const FleetRun& want = expected[p];
+      const FleetRun& run_got = got[static_cast<std::size_t>(t)][p];
       const std::string label = policies[p] + ", thread " + std::to_string(t);
       const sched::ScheduleMetrics& a = want.metrics;
       const sched::ScheduleMetrics& b = run_got.metrics;
@@ -295,7 +288,8 @@ TEST(RaceStress, ForecastPoliciesShareTheirRegionsForecasts) {
       EXPECT_EQ(a.remote_dispatches, b.remote_dispatches) << label;
       const fleetsim::FleetOutcomes& x = want.outcomes;
       const fleetsim::FleetOutcomes& y = run_got.outcomes;
-      ASSERT_EQ(x.size(), y.size()) << label;
+      EXPECT_EQ(x.size(), y.size()) << label;
+      if (x.size() != y.size()) continue;
       EXPECT_EQ(x.job_id, y.job_id) << label;
       EXPECT_EQ(x.site, y.site) << label;
       EXPECT_EQ(x.start, y.start) << label;
@@ -313,6 +307,52 @@ TEST(RaceStress, ForecastPoliciesShareTheirRegionsForecasts) {
       }
     }
   }
+  return expected;
+}
+
+// Eight threads run forecast-delay and forecast-net-benefit at once on one
+// trio engine, whose sites share their prepared regions and so each
+// region's one forecast. The epoch is January 3, so the trailing 14-day
+// windows of the first two weeks wrap back into December.
+TEST(RaceStress, ForecastPoliciesShareTheirRegionsForecasts) {
+  const fleetsim::FleetEngine engine = fleetsim::trio_engine(
+      sched::prepare_regions(grid::generate_traces(grid::fig7_regions())), 8,
+      HourOfYear(2 * kHoursPerDay));
+  sched::WorkloadParams wp;
+  wp.horizon_hours = 24 * 10;
+  wp.arrival_rate_per_hour = 4.0;
+  wp.seed = 2023;
+  const fleetsim::FleetJobs jobs(sched::generate_jobs(wp),
+                                 sched::generated_user_names(wp.user_count));
+  const std::vector<FleetRun> expected = expect_concurrent_runs_agree(
+      engine, jobs, {"forecast-delay", "forecast-net-benefit"});
+  EXPECT_GT(expected[1].metrics.remote_dispatches, 0);
+}
+
+// Eight threads run greedy-lowest-ci and fcfs-local at once on one engine
+// and one fleet, whose natural completion order every run reads. On 16
+// slots per site greedy starts every job on time, and fcfs-local queues
+// at the diurnal peaks, so both of the engine's completion sources run.
+TEST(RaceStress, RunsShareOneFleetsNaturalOrder) {
+  const fleetsim::FleetEngine engine = fleetsim::trio_engine(
+      sched::prepare_regions(grid::generate_traces(grid::fig7_regions())),
+      fleetsim::kTrioSlots, fleetsim::trio_epoch());
+  fleetsim::FleetWorkloadParams wp;
+  wp.process = fleetsim::ArrivalProcess::kDiurnal;
+  wp.horizon_hours = 24 * 7;
+  wp.rate_per_hour = 2.0;
+  const fleetsim::FleetJobs jobs = fleetsim::generate_fleet_jobs(wp);
+  const std::vector<FleetRun> expected = expect_concurrent_runs_agree(
+      engine, jobs, {"greedy-lowest-ci", "fcfs-local"});
+  // greedy-lowest-ci starts all 326 jobs on time, fcfs-local 241.
+  const auto on_time = [](const FleetRun& r) {
+    return std::count(r.outcomes.wait_hours.begin(),
+                      r.outcomes.wait_hours.end(), 0.0);
+  };
+  const auto n = static_cast<std::ptrdiff_t>(jobs.size());
+  EXPECT_EQ(on_time(expected[0]), n);
+  EXPECT_GT(on_time(expected[1]), 100);
+  EXPECT_GT(n - on_time(expected[1]), 50);
 }
 
 // Re-entrancy stress: external threads share one pool, each mixing
