@@ -126,11 +126,4 @@ std::string csv_num(double v) {
   return out.str();
 }
 
-std::string to_csv_column(const std::string& name,
-                          const std::vector<double>& values) {
-  std::string out = csv_row({name});
-  for (double v : values) out += csv_row({csv_num(v)});
-  return out;
-}
-
 }  // namespace hpcarbon

@@ -52,8 +52,4 @@ std::string csv_row(const std::vector<std::string>& cells);
 /// every tool's CSV uses for numeric columns.
 std::string csv_num(double v);
 
-/// Serialise a single numeric column with a header name.
-std::string to_csv_column(const std::string& name,
-                          const std::vector<double>& values);
-
 }  // namespace hpcarbon

@@ -75,11 +75,6 @@ double Rng::lognormal(double mu, double sigma) {
 
 bool Rng::bernoulli(double p) { return uniform() < p; }
 
-Rng Rng::split() {
-  Rng child(next_u64() ^ 0xA5A5A5A55A5A5A5AULL);
-  return child;
-}
-
 Ar1::Ar1(double rho, Rng& rng) : rho_(rho), rng_(&rng) {
   HPC_REQUIRE(rho >= 0.0 && rho < 1.0, "AR(1) rho must be in [0,1)");
   noise_scale_ = std::sqrt(1.0 - rho * rho);

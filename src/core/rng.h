@@ -49,9 +49,6 @@ class Rng {
   double lognormal(double mu, double sigma);
   bool bernoulli(double p);
 
-  /// Derive an independent stream (for per-region / per-thread use).
-  Rng split();
-
  private:
   std::uint64_t s_[4];
   double cached_normal_ = 0;

@@ -58,10 +58,6 @@ StepSeries::StepSeries(std::vector<double> values, double step_seconds)
   }
 }
 
-StepSeries StepSeries::hourly(std::vector<double> values) {
-  return StepSeries(std::move(values), kSecondsPerHour);
-}
-
 double StepSeries::wrapped(double hours) const {
   // fmod returns an argument already in [0, period) unchanged, so only
   // instants outside that range pay for it (-0.0 stays -0.0 either way).
@@ -150,11 +146,6 @@ double StepSeries::integral_ticks(Tick start, Tick duration) const {
            cumulative_ticks(e - period_ticks_);
   }
   return acc;
-}
-
-double StepSeries::mean(double start_hours, double duration_hours) const {
-  HPC_REQUIRE(duration_hours > 0.0, "mean needs a positive duration");
-  return integral(start_hours, duration_hours) / duration_hours;
 }
 
 StepSeries StepSeries::resampled(double new_step_seconds) const {

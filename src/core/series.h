@@ -52,8 +52,6 @@ class StepSeries {
   /// series repeats with period values.size() * step_seconds. Values must
   /// be finite; step must be positive and finite.
   StepSeries(std::vector<double> values, double step_seconds);
-  /// The historical hourly layout (step = 3600 s).
-  static StepSeries hourly(std::vector<double> values);
 
   bool empty() const { return values_.empty(); }
   std::size_t size() const { return values_.size(); }
@@ -83,8 +81,6 @@ class StepSeries {
   /// O(1), and about twice as fast as integral() when one sample spans a
   /// power-of-two number of ticks (see the file comment).
   double integral_ticks(Tick start, Tick duration) const;
-  /// integral / duration; duration must be positive.
-  double mean(double start_hours, double duration_hours) const;
 
   /// Mean-preserving resample onto a new step. The new step must divide the
   /// period evenly. Downsampling averages the covered samples (via the

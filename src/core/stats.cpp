@@ -41,16 +41,6 @@ double variance(std::span<const double> xs) {
 
 double stddev(std::span<const double> xs) { return std::sqrt(variance(xs)); }
 
-double min(std::span<const double> xs) {
-  HPC_REQUIRE(!xs.empty(), "min of empty range");
-  return *std::min_element(xs.begin(), xs.end());
-}
-
-double max(std::span<const double> xs) {
-  HPC_REQUIRE(!xs.empty(), "max of empty range");
-  return *std::max_element(xs.begin(), xs.end());
-}
-
 double cov_percent(std::span<const double> xs) {
   const double m = mean(xs);
   HPC_REQUIRE(m != 0.0, "CoV undefined for zero mean");
@@ -102,8 +92,6 @@ double Summary::mean() const {
   return mean_;
 }
 
-double Summary::variance() const { return variance_; }
-
 double Summary::stddev() const { return std::sqrt(variance_); }
 
 double Summary::min() const {
@@ -142,35 +130,6 @@ BoxStats box_stats(std::span<const double> xs) {
     if (x <= hi_fence && x > b.whisker_high) b.whisker_high = x;
   }
   return b;
-}
-
-std::vector<std::size_t> histogram(std::span<const double> xs, double lo,
-                                   double hi, std::size_t bins) {
-  HPC_REQUIRE(bins > 0, "histogram needs at least one bin");
-  HPC_REQUIRE(hi > lo, "histogram range is empty");
-  std::vector<std::size_t> counts(bins, 0);
-  const double width = (hi - lo) / static_cast<double>(bins);
-  for (double x : xs) {
-    auto bin = static_cast<long>(std::floor((x - lo) / width));
-    bin = std::clamp(bin, 0L, static_cast<long>(bins) - 1);
-    ++counts[static_cast<std::size_t>(bin)];
-  }
-  return counts;
-}
-
-double pearson(std::span<const double> xs, std::span<const double> ys) {
-  HPC_REQUIRE(xs.size() == ys.size(), "pearson: size mismatch");
-  if (xs.size() < 2) return 0.0;
-  const double mx = mean(xs), my = mean(ys);
-  double sxy = 0, sxx = 0, syy = 0;
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    const double dx = xs[i] - mx, dy = ys[i] - my;
-    sxy += dx * dy;
-    sxx += dx * dx;
-    syy += dy * dy;
-  }
-  if (sxx == 0.0 || syy == 0.0) return 0.0;
-  return sxy / std::sqrt(sxx * syy);
 }
 
 }  // namespace hpcarbon::stats

@@ -1,6 +1,7 @@
-// Descriptive statistics used by the regional carbon-intensity analysis
-// (Fig. 6 box plots + coefficient of variation) and by the test suite's
-// property checks.
+// Descriptive statistics: the box plots and coefficient of variation of
+// the regional carbon-intensity analysis (Fig. 6), the mean and p95 wait
+// of a scheduling run, trace medians, and the one-sort Summary behind
+// every Monte-Carlo mc::Distribution.
 #pragma once
 
 #include <cstddef>
@@ -13,8 +14,6 @@ double mean(std::span<const double> xs);
 /// Sample variance (n-1 denominator); 0 for fewer than two samples.
 double variance(std::span<const double> xs);
 double stddev(std::span<const double> xs);
-double min(std::span<const double> xs);
-double max(std::span<const double> xs);
 
 /// Coefficient of variation as a percentage: 100 * stddev / mean.
 /// This is exactly the metric of Fig. 6(b).
@@ -47,8 +46,7 @@ class Summary {
   bool empty() const { return sorted_.empty(); }
 
   double mean() const;
-  double variance() const;  // sample variance, n-1 denominator
-  double stddev() const;
+  double stddev() const;  // sample standard deviation, n-1 denominator
   double min() const;
   double max() const;
 
@@ -81,13 +79,5 @@ struct BoxStats {
   double max = 0;
 };
 BoxStats box_stats(std::span<const double> xs);
-
-/// Fixed-width histogram over [lo, hi); values outside are clamped into the
-/// edge bins. Returns per-bin counts.
-std::vector<std::size_t> histogram(std::span<const double> xs, double lo,
-                                   double hi, std::size_t bins);
-
-/// Pearson correlation coefficient; 0 if either side is constant.
-double pearson(std::span<const double> xs, std::span<const double> ys);
 
 }  // namespace hpcarbon::stats

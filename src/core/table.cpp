@@ -12,10 +12,6 @@ namespace hpcarbon {
 TextTable::TextTable(std::vector<std::string> header)
     : header_(std::move(header)) {}
 
-void TextTable::set_header(std::vector<std::string> header) {
-  header_ = std::move(header);
-}
-
 void TextTable::add_row(std::vector<std::string> row) {
   HPC_REQUIRE(header_.empty() || row.size() == header_.size(),
               "row width does not match header");
@@ -95,20 +91,6 @@ std::string TextTable::to_string() const {
       first = false;
     }
   }
-  return out.str();
-}
-
-std::string TextTable::to_csv() const {
-  std::ostringstream out;
-  auto emit = [&](const std::vector<std::string>& r) {
-    for (std::size_t c = 0; c < r.size(); ++c) {
-      if (c) out << ',';
-      out << r[c];
-    }
-    out << '\n';
-  };
-  if (!header_.empty()) emit(header_);
-  for (const auto& r : rows_) emit(r);
   return out.str();
 }
 

@@ -1,8 +1,8 @@
 // Plain-text table rendering for the bench harnesses.
 //
 // Every figure/table bench prints its reproduced data as an aligned ASCII
-// table (and optionally CSV) so the output can be diffed, plotted, or pasted
-// into EXPERIMENTS.md directly.
+// table so the output can be diffed, plotted, or pasted into
+// EXPERIMENTS.md directly.
 #pragma once
 
 #include <initializer_list>
@@ -16,7 +16,6 @@ class TextTable {
   TextTable() = default;
   explicit TextTable(std::vector<std::string> header);
 
-  void set_header(std::vector<std::string> header);
   void add_row(std::vector<std::string> row);
 
   /// Convenience: formats doubles with the given precision.
@@ -28,8 +27,6 @@ class TextTable {
 
   /// Render with column alignment; numeric-looking cells right-aligned.
   std::string to_string() const;
-  /// Render as CSV (no quoting of commas — callers use plain cells).
-  std::string to_csv() const;
 
  private:
   std::vector<std::string> header_;

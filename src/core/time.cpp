@@ -1,7 +1,5 @@
 #include "core/time.h"
 
-#include <cstdio>
-
 namespace hpcarbon {
 
 int month_start_hour(int month) {
@@ -9,34 +7,6 @@ int month_start_hour(int month) {
   int days = 0;
   for (int m = 0; m < month; ++m) days += kDaysInMonth[static_cast<size_t>(m)];
   return days * kHoursPerDay;
-}
-
-int HourOfYear::month() const {
-  int day = day_of_year();
-  for (int m = 0; m < 12; ++m) {
-    const int len = kDaysInMonth[static_cast<size_t>(m)];
-    if (day < len) return m;
-    day -= len;
-  }
-  return 11;  // unreachable for a wrapped index
-}
-
-int HourOfYear::day_of_month() const {
-  int day = day_of_year();
-  for (int m = 0; m < 12; ++m) {
-    const int len = kDaysInMonth[static_cast<size_t>(m)];
-    if (day < len) return day + 1;
-    day -= len;
-  }
-  return kDaysInMonth.back();
-}
-
-std::string HourOfYear::to_string() const {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%s-%02d %02d:00",
-                kMonthNames[static_cast<size_t>(month())], day_of_month(),
-                hour_of_day());
-  return buf;
 }
 
 }  // namespace hpcarbon

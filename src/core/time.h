@@ -3,13 +3,13 @@
 // The paper analyses one calendar year (2021) of hourly data: 365 days,
 // 8760 hours, no leap handling (matching the Electricity Maps exports it
 // consumed). We model an hour-of-year index [0, 8760) in some time zone and
-// provide the conversions Fig. 7 needs (everything is re-aligned to JST,
-// UTC+9, before the hour-of-day winner analysis).
+// the fixed UTC offsets Fig. 7 re-aligns by (everything is re-aligned to
+// JST, UTC+9, before the hour-of-day winner analysis; see
+// grid::CarbonIntensityTrace::to_time_zone).
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <string>
 
 #include "core/error.h"
 
@@ -71,25 +71,10 @@ class HourOfYear {
   constexpr int hour_of_day() const { return index_ % kHoursPerDay; }
   constexpr int day_of_year() const { return index_ / kHoursPerDay; }
 
-  /// Month in [0,11] under the non-leap civil calendar.
-  int month() const;
-  /// Day within the month, 1-based.
-  int day_of_month() const;
-
   /// Shift by whole hours with year wraparound (hour 8759 + 1 -> hour 0).
   constexpr HourOfYear shifted(int hours) const {
     return HourOfYear(index_ + hours);
   }
-
-  /// Re-express this instant (given as local time in `from`) as local time
-  /// in `to`. Wraps around the year boundary, which is the behaviour the
-  /// paper's JST re-alignment requires for a full-year histogram.
-  constexpr HourOfYear convert(TimeZone from, TimeZone to) const {
-    return shifted(to.utc_offset_hours() - from.utc_offset_hours());
-  }
-
-  /// "Mar-04 13:00" style label for tables.
-  std::string to_string() const;
 
   friend constexpr bool operator==(HourOfYear a, HourOfYear b) {
     return a.index_ == b.index_;
@@ -109,9 +94,6 @@ class HourOfYear {
 /// Days in each month of the modeled (non-leap) year.
 inline constexpr std::array<int, 12> kDaysInMonth = {31, 28, 31, 30, 31, 30,
                                                      31, 31, 30, 31, 30, 31};
-inline constexpr std::array<const char*, 12> kMonthNames = {
-    "Jan", "Feb", "Mar", "Apr", "May", "Jun",
-    "Jul", "Aug", "Sep", "Oct", "Nov", "Dec"};
 
 /// First hour-of-year of a month (month in [0,11]).
 int month_start_hour(int month);

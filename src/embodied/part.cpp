@@ -13,10 +13,4 @@ const char* to_string(PartClass c) {
   return "?";
 }
 
-double ProcessorPart::total_die_area_mm2() const {
-  double area = 0;
-  for (const auto& d : dies) area += d.area_mm2 * d.count;
-  return area;
-}
-
 }  // namespace hpcarbon::embodied

@@ -46,8 +46,6 @@ struct ProcessorPart {
   double fp32_tflops = 0;
   double tdp_watts = 0;
   double idle_watts = 0;
-
-  double total_die_area_mm2() const;
 };
 
 /// DRAM module / SSD / HDD. EPC is the vendor-sustainability-report-derived

@@ -213,7 +213,7 @@ sched::ScheduleMetrics FleetEngine::run(const FleetJobs& jobs,
       completions.push(now_tick + duration_tick,
                        static_cast<std::uint32_t>(site));
     }
-    // ClusterView::job_carbon_g's product, priced from the ticks.
+    // kW times the integrator's weighted sum, priced from the ticks.
     const double grams =
         j.it_power.to_kilowatts() *
         sites_[site].region->integrator.weighted_sum_ticks(

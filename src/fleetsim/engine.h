@@ -77,8 +77,9 @@
 //    duration), which is StepSeries::integral_ticks. On traces whose
 //    samples span a power-of-two number of ticks (hourly, 30- and
 //    15-minute) that is a shift and a mask per endpoint, and on any trace
-//    it is bit-identical to the double-hour ClusterView::job_carbon_g,
-//    which stays for policies;
+//    it is bit-identical to the same kW times weighted_sum over double
+//    hours, which the reference engine (tests/reference_engine.h) prices
+//    with;
 //  * each site's current intensity lives in a per-run vector that
 //    ClusterView::current_ci reads inline. The engine re-reads every site
 //    (the same index_at_hours(epoch + t) lookup) only when t reaches the

@@ -77,15 +77,4 @@ std::array<double, kHoursPerDay> diurnal_profile(
   return profile;
 }
 
-double fraction_lower(const CarbonIntensityTrace& a,
-                      const CarbonIntensityTrace& b) {
-  const auto au = a.to_time_zone(kUtc);
-  const auto bu = b.to_time_zone(kUtc);
-  int lower = 0;
-  for (int i = 0; i < kHoursPerYear; ++i) {
-    if (hour_value(au, i) < hour_value(bu, i)) ++lower;
-  }
-  return static_cast<double>(lower) / kHoursPerYear;
-}
-
 }  // namespace hpcarbon::grid

@@ -37,9 +37,4 @@ HourlyWinners hourly_lowest_ci(const std::vector<CarbonIntensityTrace>& traces,
 std::array<double, kHoursPerDay> diurnal_profile(
     const CarbonIntensityTrace& trace);
 
-/// Fraction of hours in which `a` is strictly lower than `b`, after aligning
-/// both to UTC. Supports the paper's pairwise "PJM vs ERCOT" observation.
-double fraction_lower(const CarbonIntensityTrace& a,
-                      const CarbonIntensityTrace& b);
-
 }  // namespace hpcarbon::grid

@@ -24,14 +24,6 @@ double add_window(double acc, int h, double remaining, PredictHour predict) {
 
 }  // namespace
 
-double Forecast::predict_window(HourOfYear origin, int start_h,
-                                double duration_h) const {
-  HPC_REQUIRE(duration_h > 0, "window duration must be positive");
-  return add_window(0.0, start_h, duration_h,
-                    [&](int h) { return predict(origin, h); }) /
-         duration_h;
-}
-
 PersistenceForecast::PersistenceForecast(const CarbonIntensityTrace& trace)
     : trace_(&trace) {}
 

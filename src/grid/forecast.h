@@ -31,11 +31,6 @@ class Forecast {
   /// Predict the intensity at `origin + horizon_hours`, using only trace
   /// values strictly before `origin` (local time of the underlying trace).
   virtual double predict(HourOfYear origin, int horizon_hours) const = 0;
-
-  /// Mean predicted intensity over [origin + start_h, origin + start_h +
-  /// duration_h), hour-granular.
-  double predict_window(HourOfYear origin, int start_h,
-                        double duration_h) const;
 };
 
 /// CI(t+h) = CI(t-1): last observed value everywhere.
@@ -62,14 +57,15 @@ class DiurnalTemplateForecast : public Forecast {
   /// reads this small value, so a caller that asks many questions of one
   /// origin (a scheduler pricing sites or start offsets within a
   /// simulated hour) builds it once and reuses it. Answers are
-  /// bit-identical to predict(origin, h) / predict_window.
+  /// bit-identical to predict(origin, h).
   class Outlook {
    public:
     HourOfYear origin() const { return origin_; }
     /// Intensity predicted at origin + horizon_hours.
     double predict(int horizon_hours) const;
     /// Mean predicted intensity over [origin + start_h, origin + start_h +
-    /// duration_h), hour-granular (as Forecast::predict_window). A window
+    /// duration_h), hour-granular: predict(h) for each hour in order, whole
+    /// hours weighted 1 and a trailing part hour by its fraction. A window
     /// from the origin (start_h == 0) takes its first min(floor(duration_h),
     /// kSummedHours) whole hours from the running sum, so a scheduler
     /// pricing many jobs at one origin does not re-add them per job; one

@@ -32,12 +32,4 @@ double lifecycle_ci(SourceType t) {
   return 0.0;
 }
 
-bool is_intermittent(SourceType t) {
-  return t == SourceType::kWind || t == SourceType::kSolar;
-}
-
-bool is_low_carbon(SourceType t) {
-  return lifecycle_ci(t) < 50.0;
-}
-
 }  // namespace hpcarbon::grid

@@ -28,9 +28,4 @@ const char* to_string(SourceType t);
 /// Lifecycle carbon intensity in gCO2/kWh.
 double lifecycle_ci(SourceType t);
 
-/// True for weather-driven, non-dispatchable sources (wind, solar).
-bool is_intermittent(SourceType t);
-/// True for sources with near-zero operating emissions.
-bool is_low_carbon(SourceType t);
-
 }  // namespace hpcarbon::grid

@@ -45,11 +45,6 @@ CarbonIntensity CarbonIntensityTrace::at(HourOfYear local_hour) const {
   return at_hours(static_cast<double>(local_hour.index()));
 }
 
-CarbonIntensity CarbonIntensityTrace::at(HourOfYear hour,
-                                         TimeZone hour_zone) const {
-  return at(hour.convert(hour_zone, tz_));
-}
-
 CarbonIntensity CarbonIntensityTrace::at_hours(double local_hours) const {
   return CarbonIntensity::grams_per_kwh(series_.at_hours(local_hours));
 }

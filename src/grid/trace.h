@@ -47,8 +47,6 @@ class CarbonIntensityTrace {
   /// traces: the value of that hour). Use mean_over for hour averages on
   /// sub-hourly data.
   CarbonIntensity at(HourOfYear local_hour) const;
-  /// Intensity for an instant given in another zone's local time.
-  CarbonIntensity at(HourOfYear hour, TimeZone hour_zone) const;
   /// Intensity at a fractional local hour-of-year (wrapped); resolves to
   /// the native sample containing the instant.
   CarbonIntensity at_hours(double local_hours) const;

@@ -1,7 +1,5 @@
 #include "hw/meter.h"
 
-#include <algorithm>
-
 #include "core/error.h"
 
 namespace hpcarbon::hw {
@@ -27,31 +25,9 @@ void EnergyMeter::record(Power p, Hours dt) {
   ++samples_;
 }
 
-Energy EnergyMeter::integrate(const PowerSignal& signal, Hours duration) {
-  HPC_REQUIRE(duration.count() > 0, "duration must be positive");
-  const double step = opts_.sample_interval.count();
-  double t = 0;
-  // Prime with the t=0 sample so the first trapezoid is well-formed.
-  record(signal(Hours::hours(0)), Hours::hours(0));
-  while (t < duration.count()) {
-    const double dt = std::min(step, duration.count() - t);
-    t += dt;
-    record(signal(Hours::hours(t)), Hours::hours(dt));
-  }
-  return total_;
-}
-
 Power EnergyMeter::average_power() const {
   if (elapsed_.count() <= 0) return Power::watts(0);
   return total_ / elapsed_;
-}
-
-void EnergyMeter::reset() {
-  total_ = Energy();
-  elapsed_ = Hours();
-  samples_ = 0;
-  last_watts_ = 0;
-  has_last_ = false;
 }
 
 }  // namespace hpcarbon::hw

@@ -1,10 +1,10 @@
 // Sampling energy meter: the measurement layer of the operational pipeline.
 //
 // Real deployments read NVML/RAPL counters at a fixed cadence and integrate;
-// carbontracker (which the paper uses) does exactly this at ~1 Hz. The
-// EnergyMeter reproduces that pipeline against a simulated power signal:
-// exact (noise-free) samples, trapezoidal integration, and the sampling
-// error it implies.
+// carbontracker (which the paper uses) does exactly this at ~1 Hz.
+// op::Tracker reproduces that pipeline against a simulated power signal,
+// sampled every MeterOptions::sample_interval; the EnergyMeter integrates
+// the exact (noise-free) samples with the trapezoid rule.
 #pragma once
 
 #include <cstddef>
@@ -28,15 +28,10 @@ class EnergyMeter {
   /// Push one sample (the live-streaming interface used by the Tracker).
   void record(Power p, Hours dt);
 
-  /// Integrate a power signal over a duration by sampling it.
-  Energy integrate(const PowerSignal& signal, Hours duration);
-
   Energy total() const { return total_; }
   Hours elapsed() const { return elapsed_; }
   Power average_power() const;
   std::size_t samples() const { return samples_; }
-
-  void reset();
 
  private:
   MeterOptions opts_;

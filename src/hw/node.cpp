@@ -6,15 +6,6 @@
 
 namespace hpcarbon::hw {
 
-const char* to_string(GpuArch a) {
-  switch (a) {
-    case GpuArch::kPascal: return "Pascal (P100)";
-    case GpuArch::kVolta: return "Volta (V100)";
-    case GpuArch::kAmpere: return "Ampere (A100)";
-  }
-  return "?";
-}
-
 int NodeConfig::dram_module_count() const {
   const auto& dimm = embodied::memory(embodied::PartId::kDram64GbDdr4);
   return static_cast<int>(std::ceil(dram_gb / dimm.capacity_gb));
@@ -99,15 +90,6 @@ NodeConfig a100_node() {
   n.cpu_count = 4;
   n.dram_gb = 512;
   return n;
-}
-
-NodeConfig node_for(GpuArch arch) {
-  switch (arch) {
-    case GpuArch::kPascal: return p100_node();
-    case GpuArch::kVolta: return v100_node();
-    case GpuArch::kAmpere: return a100_node();
-  }
-  return v100_node();
 }
 
 NodeConfig fig4_node(int gpu_count) {

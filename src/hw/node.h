@@ -23,7 +23,6 @@ namespace hpcarbon::hw {
 
 /// NVIDIA datacenter GPU generations studied in RQ 7/8.
 enum class GpuArch { kPascal, kVolta, kAmpere };
-const char* to_string(GpuArch a);
 
 struct NodeConfig {
   std::string name;
@@ -59,7 +58,6 @@ Mass sample_node_embodied(const NodeConfig& node, EmbodiedScope scope,
 NodeConfig p100_node();
 NodeConfig v100_node();
 NodeConfig a100_node();
-NodeConfig node_for(GpuArch arch);
 
 /// Fig. 4 node: 2x Xeon Gold 6240R with a configurable V100 count.
 NodeConfig fig4_node(int gpu_count);

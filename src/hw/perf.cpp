@@ -1,7 +1,5 @@
 #include "hw/perf.h"
 
-#include <cmath>
-
 #include "core/error.h"
 
 namespace hpcarbon::hw {
@@ -27,28 +25,6 @@ double throughput(const workload::BenchmarkModel& m, const NodeConfig& node,
       1.0 + m.ring_overhead * (2.0 * (kd - 1.0) / kd) +
       m.sync_overhead * (kd - 1.0);
   return single * kd / inflate;
-}
-
-double suite_score(workload::Suite suite, const NodeConfig& node,
-                   int gpus_used) {
-  const auto& ms = workload::models(suite);
-  double log_acc = 0;
-  for (const auto& m : ms) {
-    const double ratio =
-        throughput(m, node, gpus_used) / m.base_p100_samples_per_s;
-    log_acc += std::log(ratio);
-  }
-  return std::exp(log_acc / static_cast<double>(ms.size()));
-}
-
-double suite_speedup(workload::Suite suite, const NodeConfig& from,
-                     const NodeConfig& to) {
-  const auto& ms = workload::models(suite);
-  double acc = 0;
-  for (const auto& m : ms) {
-    acc += throughput(m, to) / throughput(m, from);
-  }
-  return acc / static_cast<double>(ms.size());
 }
 
 double suite_time_ratio(workload::Suite suite, const NodeConfig& from,

@@ -23,17 +23,6 @@ double arch_factor(const workload::BenchmarkModel& m, GpuArch arch);
 double throughput(const workload::BenchmarkModel& m, const NodeConfig& node,
                   int gpus_used = 0);
 
-/// Aggregate suite throughput score: geometric mean of per-model speedups
-/// relative to one P100 GPU. Used to compare node generations on a whole
-/// suite.
-double suite_score(workload::Suite suite, const NodeConfig& node,
-                   int gpus_used = 0);
-
-/// Mean per-model speedup of `suite` going from `from` to `to` nodes
-/// (arithmetic mean of per-model throughput ratios).
-double suite_speedup(workload::Suite suite, const NodeConfig& from,
-                     const NodeConfig& to);
-
 /// Mean per-model *time-to-solution ratio* T_new/T_old for a suite; the
 /// quantity that scales busy energy in the upgrade model. Equals
 /// mean_i(1/speedup_i), i.e. 1 - (Table 6 improvement).

@@ -1,7 +1,6 @@
 #include "hw/power.h"
 
 #include "core/error.h"
-#include "hw/perf.h"
 
 namespace hpcarbon::hw {
 
@@ -21,16 +20,6 @@ NodeParts parts(const NodeConfig& node) {
 }
 
 }  // namespace
-
-Power node_idle_power(const NodeConfig& node) {
-  const NodeParts p = parts(node);
-  double w = node.platform_watts;
-  w += p.gpu->idle_watts * node.gpu_count;
-  w += p.cpu->idle_watts * node.cpu_count;
-  w += p.dimm->idle_watts * node.dram_module_count();
-  w += p.ssd->idle_watts * node.ssd_count;
-  return Power::watts(w);
-}
 
 Power node_training_power(const NodeConfig& node,
                           const workload::BenchmarkModel& m, int gpus_used) {
@@ -52,24 +41,6 @@ Power node_training_power(const NodeConfig& node, workload::Suite suite) {
   Power acc;
   for (const auto& m : ms) acc += node_training_power(node, m);
   return acc / static_cast<double>(ms.size());
-}
-
-Power node_average_power(const NodeConfig& node, workload::Suite suite,
-                         double gpu_usage) {
-  HPC_REQUIRE(gpu_usage >= 0.0 && gpu_usage <= 1.0,
-              "GPU usage must be in [0,1]");
-  const Power idle = node_idle_power(node);
-  const Power busy = node_training_power(node, suite);
-  return idle + (busy - idle) * gpu_usage;
-}
-
-Energy training_energy(const NodeConfig& node,
-                       const workload::BenchmarkModel& m, double samples,
-                       int gpus_used) {
-  HPC_REQUIRE(samples > 0, "sample count must be positive");
-  const double tput = throughput(m, node, gpus_used);
-  const Hours duration = Hours::seconds(samples / tput);
-  return node_training_power(node, m, gpus_used) * duration;
 }
 
 }  // namespace hpcarbon::hw

@@ -2,9 +2,10 @@
 //
 // During training the GPUs draw a benchmark-dependent fraction of TDP
 // (~0.92 for the dense DL workloads modeled here) while the host CPUs run
-// the input pipeline at a partial load. Idle power is the sum of component
-// idle floors plus the platform overhead. This mirrors what NVML/RAPL-based
-// measurement (the paper uses carbontracker) reports on real nodes.
+// the input pipeline at a partial load and GPUs left out of the job draw
+// their idle floor, all on top of the platform overhead. This mirrors what
+// NVML/RAPL-based measurement (the paper uses carbontracker) reports on
+// real nodes.
 #pragma once
 
 #include "core/units.h"
@@ -16,9 +17,6 @@ namespace hpcarbon::hw {
 /// Host-CPU load fraction (of TDP) while feeding GPU training.
 inline constexpr double kCpuActiveFraction = 0.45;
 
-/// Node power with no work allocated (component idle floors + platform).
-Power node_idle_power(const NodeConfig& node);
-
 /// Node power while training `m` on `gpus_used` GPUs (0 = all). GPUs not
 /// participating idle.
 Power node_training_power(const NodeConfig& node,
@@ -27,17 +25,5 @@ Power node_training_power(const NodeConfig& node,
 
 /// Suite-average training power (all GPUs busy).
 Power node_training_power(const NodeConfig& node, workload::Suite suite);
-
-/// Average power at a given GPU-usage duty cycle u in [0,1]:
-/// idle + u * (training - idle). The paper's RQ 8 usage model (nodes are
-/// allocated 100% of the time; the GPU usage rate varies).
-Power node_average_power(const NodeConfig& node, workload::Suite suite,
-                         double gpu_usage);
-
-/// Energy to process `samples` samples of `m` on the node (busy power x
-/// time at model throughput). IT energy only; PUE applied downstream.
-Energy training_energy(const NodeConfig& node,
-                       const workload::BenchmarkModel& m, double samples,
-                       int gpus_used = 0);
 
 }  // namespace hpcarbon::hw

@@ -71,17 +71,6 @@ double fleet_savings_percent(const FleetPlan& plan, const GridTrajectory& traj,
   return 100.0 * (keep - up) / keep;
 }
 
-std::vector<Mass> fleet_carbon_curve(const FleetPlan& plan,
-                                     const GridTrajectory& traj,
-                                     const std::vector<double>& years) {
-  std::vector<Mass> out;
-  out.reserve(years.size());
-  for (double y : years) {
-    out.push_back(fleet_cumulative_carbon(plan, traj, y));
-  }
-  return out;
-}
-
 FleetPlan all_at_once(UpgradeScenario node, int node_count) {
   FleetPlan p;
   p.node = std::move(node);

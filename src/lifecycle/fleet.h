@@ -46,11 +46,6 @@ Mass fleet_keep_carbon(const FleetPlan& plan, const GridTrajectory& traj,
 double fleet_savings_percent(const FleetPlan& plan, const GridTrajectory& traj,
                              double years);
 
-/// Carbon trajectories evaluated on a grid of times (for plotting).
-std::vector<Mass> fleet_carbon_curve(const FleetPlan& plan,
-                                     const GridTrajectory& traj,
-                                     const std::vector<double>& years);
-
 /// Canonical schedules to compare.
 FleetPlan all_at_once(UpgradeScenario node, int node_count);
 FleetPlan phased(UpgradeScenario node, int node_count, int phase_years);

@@ -53,16 +53,4 @@ TotalFootprint node_lifetime_footprint(const hw::NodeConfig& node,
   return f;
 }
 
-double embodied_parity_years(const hw::NodeConfig& node, workload::Suite suite,
-                             double gpu_usage, CarbonIntensity intensity,
-                             const op::PueModel& pue) {
-  HPC_REQUIRE(gpu_usage > 0, "usage must be positive for parity");
-  const Mass em = hw::node_embodied(node, hw::EmbodiedScope::kFullNode);
-  const Power p = hw::node_training_power(node, suite);
-  const Energy per_year =
-      (p * Hours::hours(kHoursPerYearD * gpu_usage)) * pue.base();
-  const Mass op_per_year = intensity * per_year;
-  return em.to_grams() / op_per_year.to_grams();
-}
-
 }  // namespace hpcarbon::lifecycle

@@ -43,10 +43,4 @@ TotalFootprint node_lifetime_footprint(const hw::NodeConfig& node,
                                        HourOfYear start = HourOfYear(0),
                                        const op::PueModel& pue = op::PueModel());
 
-/// Years of operation after which cumulative operational carbon equals the
-/// embodied carbon ("carbon payback horizon" of a procurement).
-double embodied_parity_years(const hw::NodeConfig& node, workload::Suite suite,
-                             double gpu_usage, CarbonIntensity intensity,
-                             const op::PueModel& pue = op::PueModel());
-
 }  // namespace hpcarbon::lifecycle

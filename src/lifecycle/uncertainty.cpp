@@ -19,13 +19,25 @@ double grid_scale(Rng& rng, const LifecycleBands& bands) {
   return rng.uniform(1.0 - bands.grid_ci, 1.0 + bands.grid_ci);
 }
 
-// Shared body of the two footprint overloads: embodied is re-sampled per
-// draw, operational is linear in the CI scale, total is their per-sample
-// sum (correlations preserved).
-FootprintDistribution footprint_distribution(const hw::NodeConfig& node,
-                                             double base_operational_g,
-                                             const LifecycleBands& bands,
-                                             const mc::SamplePlan& plan) {
+}  // namespace
+
+void validate(const LifecycleBands& bands) {
+  embodied::validate(bands.embodied);
+  HPC_REQUIRE(bands.grid_ci >= 0.0 && bands.grid_ci < 1.0,
+              "grid CI band must be in [0, 1)");
+}
+
+FootprintDistribution node_lifetime_footprint_distribution(
+    const hw::NodeConfig& node, workload::Suite suite, double gpu_usage,
+    double years, const grid::CarbonIntensityTrace& trace, HourOfYear start,
+    const op::PueModel& pue, const LifecycleBands& bands,
+    const mc::SamplePlan& plan) {
+  validate(bands);
+  const double base_operational_g =
+      node_lifetime_footprint(node, suite, gpu_usage, years, trace, start, pue)
+          .operational.to_grams();
+  // Embodied is re-sampled per draw, operational is linear in the CI
+  // scale, total is their per-sample sum (correlations preserved).
   auto dists = mc::Engine(plan).run_multi(
       3, [&](std::size_t, Rng& rng, std::span<double> out) {
         const double em =
@@ -38,37 +50,6 @@ FootprintDistribution footprint_distribution(const hw::NodeConfig& node,
         out[2] = em + op;
       });
   return {std::move(dists[0]), std::move(dists[1]), std::move(dists[2])};
-}
-
-}  // namespace
-
-void validate(const LifecycleBands& bands) {
-  embodied::validate(bands.embodied);
-  HPC_REQUIRE(bands.grid_ci >= 0.0 && bands.grid_ci < 1.0,
-              "grid CI band must be in [0, 1)");
-}
-
-FootprintDistribution node_lifetime_footprint_distribution(
-    const hw::NodeConfig& node, workload::Suite suite, double gpu_usage,
-    double years, CarbonIntensity intensity, const op::PueModel& pue,
-    const LifecycleBands& bands, const mc::SamplePlan& plan) {
-  validate(bands);
-  const TotalFootprint point =
-      node_lifetime_footprint(node, suite, gpu_usage, years, intensity, pue);
-  return footprint_distribution(node, point.operational.to_grams(), bands,
-                                plan);
-}
-
-FootprintDistribution node_lifetime_footprint_distribution(
-    const hw::NodeConfig& node, workload::Suite suite, double gpu_usage,
-    double years, const grid::CarbonIntensityTrace& trace, HourOfYear start,
-    const op::PueModel& pue, const LifecycleBands& bands,
-    const mc::SamplePlan& plan) {
-  validate(bands);
-  const TotalFootprint point = node_lifetime_footprint(
-      node, suite, gpu_usage, years, trace, start, pue);
-  return footprint_distribution(node, point.operational.to_grams(), bands,
-                                plan);
 }
 
 BreakevenDistribution breakeven_distribution(const UpgradeScenario& s,

@@ -55,14 +55,8 @@ struct FootprintDistribution {
   mc::Distribution total;
 };
 
-/// Distribution counterpart of node_lifetime_footprint (constant CI).
-FootprintDistribution node_lifetime_footprint_distribution(
-    const hw::NodeConfig& node, workload::Suite suite, double gpu_usage,
-    double years, CarbonIntensity intensity, const op::PueModel& pue,
-    const LifecycleBands& bands, const mc::SamplePlan& plan = {});
-
-/// Distribution counterpart of the trace-priced overload: embodied bands
-/// x CI-trace perturbation.
+/// Distribution counterpart of the trace-priced node_lifetime_footprint:
+/// embodied bands x CI-trace perturbation.
 FootprintDistribution node_lifetime_footprint_distribution(
     const hw::NodeConfig& node, workload::Suite suite, double gpu_usage,
     double years, const grid::CarbonIntensityTrace& trace, HourOfYear start,

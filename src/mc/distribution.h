@@ -3,14 +3,12 @@
 // The paper's Threats-to-Validity section argues that yield, per-area
 // emission factors, EPC, and grid carbon intensity are all uncertain, so a
 // single number is the wrong shape for any derived answer. A Distribution
-// wraps the empirical sample set produced by mc::Engine and answers the
-// questions reports need — mean, stddev, arbitrary quantiles, empirical
-// CDF, histogram — with one sort paid at construction (stats::Summary)
-// instead of a sort per query.
+// wraps the empirical sample set produced by mc::Engine and answers what
+// reports read (mean, stddev, arbitrary quantiles, the sorted samples)
+// with one sort paid at construction (stats::Summary) instead of a sort
+// per query.
 #pragma once
 
-#include <cstddef>
-#include <string>
 #include <vector>
 
 #include "core/stats.h"
@@ -29,8 +27,6 @@ class Distribution {
 
   double mean() const { return summary_.mean(); }
   double stddev() const { return summary_.stddev(); }
-  double min() const { return summary_.min(); }
-  double max() const { return summary_.max(); }
 
   /// R type-7 interpolated quantile; p in [0,1]. O(1) after construction.
   double quantile(double p) const { return summary_.quantile(p); }
@@ -38,19 +34,8 @@ class Distribution {
   double p50() const { return quantile(0.50); }
   double p95() const { return quantile(0.95); }
 
-  /// Empirical CDF: fraction of samples <= x. Drives probability-of-payback
-  /// style questions ("P(break-even within 3 years)").
-  double cdf(double x) const;
-
-  /// Fixed-width histogram over [min, max]; degenerate (constant) samples
-  /// collapse into a single bin.
-  std::vector<std::size_t> histogram(std::size_t bins) const;
-
   /// The samples in ascending order.
   const std::vector<double>& sorted() const { return summary_.sorted(); }
-
-  /// "mean 12.3 sd 1.2 [p05 10.4, p95 14.1] (4096 samples)".
-  std::string to_string(int precision = 3) const;
 
  private:
   stats::Summary summary_;

@@ -18,8 +18,8 @@
 //                        substream(seed, i) and writes slot i.
 //
 // Model layers provide a pure per-sample function; the engine returns the
-// raw sample vector or a Distribution (mean/stddev/quantiles/histogram,
-// one sort). See README "Adding an uncertain quantity".
+// raw sample vector or a Distribution (mean/stddev/quantiles, one
+// sort). See README "Adding an uncertain quantity".
 //
 // Execution is blocked: samples are fanned out to the pool in contiguous
 // blocks of kBlock indices, so the per-task dispatch (queue hop, future,

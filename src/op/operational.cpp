@@ -24,11 +24,6 @@ Mass operational_carbon(Power it_power,
                      trace.interval_sum(start.index(), duration.count()));
 }
 
-CarbonIntensity effective_intensity(const grid::CarbonIntensityTrace& trace,
-                                    HourOfYear start, Hours duration) {
-  return trace.mean_over(start, duration);
-}
-
 CarbonIntegrator::CarbonIntegrator(const grid::CarbonIntensityTrace& trace,
                                    const PueModel& pue) {
   std::vector<double> weighted(trace.values());

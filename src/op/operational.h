@@ -29,11 +29,6 @@ Mass operational_carbon(Power it_power, const grid::CarbonIntensityTrace& trace,
                         HourOfYear start, Hours duration,
                         const PueModel& pue = PueModel());
 
-/// Average carbon intensity experienced by a constant-power job over the
-/// window (the effective I_sys of Eq. 6).
-CarbonIntensity effective_intensity(const grid::CarbonIntensityTrace& trace,
-                                    HourOfYear start, Hours duration);
-
 /// PUE-weighted cumulative carbon over a trace: prefix sums of
 /// intensity(t) * PUE built once at the trace's native resolution
 /// (hourly or 5-/15-minute imports alike), then every interval-carbon
@@ -54,16 +49,6 @@ class CarbonIntegrator {
   /// interval on the tick clock (core/time.h): StepSeries::integral_ticks.
   double weighted_sum_ticks(Tick start, Tick duration) const {
     return weighted_.integral_ticks(start, duration);
-  }
-
-  /// Grams of CO2 for a constant IT power over the interval. O(1).
-  double carbon_g(double it_kw, double start_hour,
-                  double duration_hours) const {
-    return it_kw * weighted_sum(start_hour, duration_hours);
-  }
-  Mass carbon(Power it_power, double start_hour, double duration_hours) const {
-    return Mass::grams(
-        carbon_g(it_power.to_kilowatts(), start_hour, duration_hours));
   }
 
  private:

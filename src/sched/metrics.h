@@ -3,8 +3,6 @@
 // serve sched/fleetsim families, and the benches are computed from.
 #pragma once
 
-#include <string>
-
 #include "core/units.h"
 
 namespace hpcarbon::sched {
@@ -18,8 +16,6 @@ struct ScheduleMetrics {
   double utilization = 0;  // busy node-hours / available node-hours
   int jobs_completed = 0;
   int remote_dispatches = 0;
-
-  std::string to_string() const;
 };
 
 }  // namespace hpcarbon::sched

@@ -10,12 +10,6 @@
 
 namespace hpcarbon::sched {
 
-double ClusterView::job_carbon_g(std::size_t i, Power it_power, double start,
-                                 double duration) const {
-  return (*sites_)[i].region->integrator.carbon_g(
-      it_power.to_kilowatts(), epoch_.index() + start, duration);
-}
-
 long ClusterView::lowest_ci_free_site() const {
   long best = -1;
   double best_ci = 0;

@@ -128,10 +128,6 @@ class ClusterView {
   /// so 5- and 15-minute imports expose the live sub-hourly sample. The
   /// engine supplies it; the view only reads.
   double current_ci(std::size_t i) const { return (*current_ci_)[i]; }
-  /// PUE-weighted grams of CO2 if `it_power` ran at site i over
-  /// [start, start + duration) simulation hours. O(1).
-  double job_carbon_g(std::size_t i, Power it_power, double start,
-                      double duration) const;
   double pue_base() const { return pue_->base(); }
 
   const CarbonBudgetLedger& ledger() const { return *ledger_; }

@@ -45,8 +45,9 @@ struct JobOutcome {
 class SchedulingEngine {
  public:
   /// sites[0] is the home site. `epoch` anchors hour 0 of the simulation on
-  /// the traces' calendar (UTC). Jobs are priced through
-  /// ClusterView::job_carbon_g, on each site's prepared integrator.
+  /// the traces' calendar (UTC). A job is priced as its kW times its
+  /// site's prepared CarbonIntegrator::weighted_sum over the start and
+  /// duration hours, the double-hour form of FleetEngine's tick pricing.
   SchedulingEngine(std::vector<sched::Site> sites, HourOfYear epoch)
       : sites_(std::move(sites)), epoch_(epoch) {
     HPC_REQUIRE(!sites_.empty(), "need at least one site");
@@ -114,8 +115,10 @@ class SchedulingEngine {
     auto start_job = [&](const sched::Job& j, std::size_t site, double now) {
       --free_slots[site];
       completions.push(Completion{now + j.duration_hours, site});
-      const double grams = view.job_carbon_g(site, j.it_power, now,
-                                             j.duration_hours);
+      const double grams =
+          j.it_power.to_kilowatts() *
+          sites_[site].region->integrator.weighted_sum(epoch_.index() + now,
+                                                       j.duration_hours);
       const double kwh =
           j.it_power.to_kilowatts() * j.duration_hours * pue_.base();
       double tgrams = 0;

@@ -166,7 +166,8 @@ TEST(Catalog, GenerationalOrderingOfGpus) {
 TEST(Catalog, SxmVariantSharesDieButDrawsMorePower) {
   const auto& pcie = processor(PartId::kA100Pcie40);
   const auto& sxm = processor(PartId::kA100Sxm4_40);
-  EXPECT_DOUBLE_EQ(pcie.total_die_area_mm2(), sxm.total_die_area_mm2());
+  ASSERT_EQ(pcie.dies.size(), sxm.dies.size());
+  EXPECT_DOUBLE_EQ(pcie.dies.at(0).area_mm2, sxm.dies.at(0).area_mm2);
   EXPECT_GT(sxm.tdp_watts, pcie.tdp_watts);
 }
 

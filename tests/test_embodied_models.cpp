@@ -48,7 +48,6 @@ TEST(EmbodiedModels, Eq3SumsMultipleDies) {
   p.dies = {{100.0, ProcessNode::nm7, 2}, {50.0, ProcessNode::nm12, 1}};
   const double expected = 2 * 1600.0 / 0.875 + 0.5 * 1200.0 / 0.875;
   EXPECT_NEAR(processor_manufacturing(p).to_grams(), expected, 1e-9);
-  EXPECT_DOUBLE_EQ(p.total_die_area_mm2(), 250.0);
 }
 
 TEST(EmbodiedModels, Eq3RequiresDies) {

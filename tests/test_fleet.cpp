@@ -97,18 +97,6 @@ TEST(Fleet, ReplacementsAfterHorizonBuyNothing) {
             fleet_keep_carbon(plan, traj, 3.1).to_grams());
 }
 
-TEST(Fleet, CurveMatchesPointQueries) {
-  const auto plan = phased(v_to_a(), 50, 3);
-  const auto traj = flat(250);
-  const std::vector<double> years = {1, 2, 5};
-  const auto curve = fleet_carbon_curve(plan, traj, years);
-  ASSERT_EQ(curve.size(), 3u);
-  for (std::size_t i = 0; i < years.size(); ++i) {
-    EXPECT_DOUBLE_EQ(curve[i].to_grams(),
-                     fleet_cumulative_carbon(plan, traj, years[i]).to_grams());
-  }
-}
-
 TEST(Fleet, MarginalUpgradeOnGreeningGridKeepWins) {
   // On an already-green, rapidly greening grid the upgrade never pays off:
   // keeping beats every replacement schedule at every horizon, and phasing

@@ -27,6 +27,7 @@
 #include <utility>
 #include <vector>
 
+#include "bounded_policy.h"
 #include "core/error.h"
 #include "core/rng.h"
 #include "core/series.h"
@@ -44,6 +45,8 @@
 
 namespace hpcarbon::fleetsim {
 namespace {
+
+using testutil::BoundedPolicy;
 
 // Same paper trio the engine/policy suite uses: ERCOT home, ESO + CISO
 // remote (generate_traces returns fig7_regions order ESO, CISO, ERCOT).
@@ -155,48 +158,6 @@ TEST(FleetTicks, ConversionsAreExact) {
   EXPECT_EQ(ceil_tick(hours_of(5) + 1e-9), Tick{6});
 }
 
-/// Forwards every callback to a table policy. select() throws once a run
-/// has called it 64 times per arrival (plus 4096): an engine that stops
-/// making progress (its clock stuck at one tick, or a slot never freed
-/// while jobs wait) calls it forever, and its test then fails at once
-/// instead of hanging or, recording every callback, filling memory.
-class BoundedPolicy : public sched::SchedulingPolicy {
- public:
-  explicit BoundedPolicy(std::unique_ptr<sched::SchedulingPolicy> inner)
-      : inner_(std::move(inner)) {}
-
-  std::string name() const override { return inner_->name(); }
-  void begin_run(const std::vector<sched::Job>& arrivals,
-                 sched::CarbonBudgetLedger& ledger,
-                 const sched::ClusterView& view) override {
-    selects_left_ = 64 * arrivals.size() + 4096;
-    inner_->begin_run(arrivals, ledger, view);
-  }
-  double planned_start(const sched::Job& job,
-                       const sched::ClusterView& view) override {
-    return inner_->planned_start(job, view);
-  }
-  std::optional<sched::DispatchDecision> select(
-      const sched::PendingQueue& queue,
-      const sched::ClusterView& view) override {
-    if (selects_left_ == 0) {
-      throw Error(name() + ": select() called past 64 times per arrival; "
-                           "the engine stopped making progress");
-    }
-    --selects_left_;
-    return inner_->select(queue, view);
-  }
-  void on_job_started(const sched::Job& job, std::size_t site,
-                      double carbon_g,
-                      const sched::ClusterView& view) override {
-    inner_->on_job_started(job, site, carbon_g, view);
-  }
-
- private:
-  std::unique_ptr<sched::SchedulingPolicy> inner_;
-  std::size_t selects_left_ = 0;
-};
-
 /// How many of a run's jobs started at their submit tick, and how many
 /// later: the two ways FleetEngine completes a job.
 struct StartCounts {
@@ -268,8 +229,8 @@ TEST(FleetParity, CongestedTrioStaysBitIdentical) {
   // The queue is deep: right after fcfs-local starts its i-th job, every
   // job submitted by then that is not among the first i + 1 is waiting.
   FleetOutcomes fcfs;
-  const auto policy = sched::make_policy("fcfs-local");
-  FleetEngine(sites, HourOfYear(3624)).run(fleet_of(jobs), *policy, &fcfs);
+  BoundedPolicy policy(sched::make_policy("fcfs-local"));
+  FleetEngine(sites, HourOfYear(3624)).run(fleet_of(jobs), policy, &fcfs);
   std::size_t deepest = 0;
   for (std::size_t i = 0; i < fcfs.size(); ++i) {
     const double start = hours_of(fcfs.start[i]);
@@ -540,8 +501,8 @@ TEST(FleetPins, PolicyAnswersKeepTheirBitPatterns) {
   const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
   for (const Pinned& p : kPinned) {
     const FleetEngine fleet(fig7_sites(p.slots_per_site), HourOfYear(3624));
-    const auto policy = sched::make_policy(p.policy, tuned_config());
-    const auto m = fleet.run(jobs, *policy);
+    BoundedPolicy policy(sched::make_policy(p.policy, tuned_config()));
+    const auto m = fleet.run(jobs, policy);
     EXPECT_EQ(bits(m.total_carbon.to_grams()), p.total_carbon_g) << p.policy;
     EXPECT_EQ(bits(m.transfer_carbon.to_grams()), p.transfer_carbon_g)
         << p.policy;
@@ -587,9 +548,9 @@ TEST(FleetPins, BudgetLedgerKeepsItsBitPatternsByName) {
   ASSERT_EQ(jobs.users()[generated.front().user], "user7");
 
   const FleetEngine fleet(fig7_sites(/*capacity=*/4), HourOfYear(3624));
-  const auto policy = sched::make_policy("budget-aware", tuned_config());
+  BoundedPolicy policy(sched::make_policy("budget-aware", tuned_config()));
   sched::CarbonBudgetLedger ledger;
-  const auto m = fleet.run(jobs, *policy, nullptr, &ledger);
+  const auto m = fleet.run(jobs, policy, nullptr, &ledger);
   ASSERT_EQ(m.remote_dispatches, 346);
   const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
   for (const Account& a : kPinned) {
@@ -636,8 +597,9 @@ TEST(FleetParity, StartsBeforeThePlanAddNoWakeUps) {
   std::vector<reference::JobOutcome> oracle_outcomes;
   const auto expected = oracle.run(jobs, oracle_policy, &oracle_outcomes);
   EarlyNewestFirstPolicy fleet_policy;
+  BoundedPolicy bounded(fleet_policy);
   FleetOutcomes outcomes;
-  const auto got = fleet.run(fleet_of(jobs), fleet_policy, &outcomes);
+  const auto got = fleet.run(fleet_of(jobs), bounded, &outcomes);
 
   expect_metrics_bitwise(expected, got, "early-newest-first");
   expect_outcomes_bitwise(sites, outcomes, oracle_outcomes,
@@ -672,9 +634,9 @@ TEST(FleetParity, SameTickSubmissionsStayBitIdentical) {
   const FleetEngine fleet(sites, epoch);
   for (const char* name : {"fcfs-local", "greedy-lowest-ci"}) {
     const auto p1 = sched::make_policy(name);
-    const auto p2 = sched::make_policy(name);
+    BoundedPolicy p2(sched::make_policy(name));
     expect_metrics_bitwise(oracle.run(fleet_jobs.arrivals(), *p1),
-                           fleet.run(fleet_jobs, *p2), name);
+                           fleet.run(fleet_jobs, p2), name);
   }
 }
 
@@ -697,17 +659,17 @@ TEST(FleetDrift, SnappingMovesSavingsByUnderATenthOfAPoint) {
     const std::vector<sched::Job> raw = sched::generate_jobs(wp);
     const FleetJobs snapped = fleet_of(raw);
     const auto base_raw = sched::make_policy("fcfs-local");
-    const auto base_snapped = sched::make_policy("fcfs-local");
+    BoundedPolicy base_snapped(sched::make_policy("fcfs-local"));
     const double raw_base_g =
         oracle.run(raw, *base_raw).total_carbon.to_grams();
     const double snapped_base_g =
-        fleet.run(snapped, *base_snapped).total_carbon.to_grams();
+        fleet.run(snapped, base_snapped).total_carbon.to_grams();
     for (const auto& desc : sched::registered_policies()) {
       const auto p_raw = desc.make({});
-      const auto p_snapped = desc.make({});
+      BoundedPolicy p_snapped(desc.make({}));
       const double raw_g = oracle.run(raw, *p_raw).total_carbon.to_grams();
       const double snapped_g =
-          fleet.run(snapped, *p_snapped).total_carbon.to_grams();
+          fleet.run(snapped, p_snapped).total_carbon.to_grams();
       const double raw_savings = 100.0 * (raw_base_g - raw_g) / raw_base_g;
       const double snapped_savings =
           100.0 * (snapped_base_g - snapped_g) / snapped_base_g;
@@ -719,9 +681,9 @@ TEST(FleetDrift, SnappingMovesSavingsByUnderATenthOfAPoint) {
 
 TEST(FleetEngineBasics, EmptyFleetYieldsZeroMetrics) {
   const FleetEngine fleet(fig7_sites(), HourOfYear(0));
-  const auto policy = sched::make_policy("fcfs-local");
+  BoundedPolicy policy(sched::make_policy("fcfs-local"));
   FleetOutcomes outcomes;
-  const auto m = fleet.run(FleetJobs{}, *policy, &outcomes);
+  const auto m = fleet.run(FleetJobs{}, policy, &outcomes);
   EXPECT_EQ(m.jobs_completed, 0);
   EXPECT_EQ(m.total_carbon.to_grams(), 0.0);
   EXPECT_EQ(outcomes.size(), 0u);
@@ -961,8 +923,9 @@ TEST(FleetEngineBasics, RunsReadTheFleetsArrivalsInPlace) {
   const FleetJobs fleet = fleet_of(seeded_quantized_jobs());
   const FleetEngine engine(fig7_sites(/*capacity=*/4), HourOfYear(3624));
   RecordingPolicy policy;
-  const auto first = engine.run(fleet, policy);
-  const auto second = engine.run(fleet, policy);
+  BoundedPolicy bounded(policy);
+  const auto first = engine.run(fleet, bounded);
+  const auto second = engine.run(fleet, bounded);
   ASSERT_EQ(policy.seen.size(), 2u);
   EXPECT_EQ(policy.seen[0], &fleet.arrivals());
   EXPECT_EQ(policy.seen[1], &fleet.arrivals());
@@ -977,8 +940,8 @@ TEST(FleetEngineBasics, CapacityTotalHoldsThreeSitesOfIntMaxSlots) {
   const FleetEngine engine(fig7_sites(slots), HourOfYear(0));
   EXPECT_EQ(engine.capacity_total(), 3 * std::int64_t{slots});
   const FleetJobs fleet({job_at(0, 0.0, 2.0), job_at(1, 1.0, 2.0)}, {"a"});
-  const auto policy = sched::make_policy("fcfs-local");
-  const auto m = engine.run(fleet, *policy);
+  BoundedPolicy policy(sched::make_policy("fcfs-local"));
+  const auto m = engine.run(fleet, policy);
   EXPECT_EQ(m.jobs_completed, 2);
   // 4 busy node-hours over a 3 h makespan on every slot.
   EXPECT_EQ(m.utilization, 4.0 / (3.0 * slots * 3.0));
@@ -1194,8 +1157,8 @@ TEST(FleetReplay, SampleFixtureLoadsAndRuns) {
             Power::kilowatts(1.2).to_kilowatts());
 
   const FleetEngine fleet(fig7_sites(), HourOfYear(3624));
-  const auto policy = sched::make_policy("greedy-lowest-ci");
-  const auto m = fleet.run(jobs, *policy);
+  BoundedPolicy policy(sched::make_policy("greedy-lowest-ci"));
+  const auto m = fleet.run(jobs, policy);
   EXPECT_EQ(m.jobs_completed, 12);
   EXPECT_GT(m.total_carbon.to_grams(), 0.0);
 }
@@ -1209,9 +1172,9 @@ TEST(FleetReplay, ReplayedFixtureMatchesReferenceEngine) {
   reference::SchedulingEngine oracle(sites, HourOfYear(3624));
   const FleetEngine fleet(sites, HourOfYear(3624));
   const auto p1 = sched::make_policy("net-benefit");
-  const auto p2 = sched::make_policy("net-benefit");
+  BoundedPolicy p2(sched::make_policy("net-benefit"));
   expect_metrics_bitwise(oracle.run(jobs.arrivals(), *p1),
-                         fleet.run(jobs, *p2), "replay");
+                         fleet.run(jobs, p2), "replay");
 }
 
 void expect_rejects(const std::string& csv, const std::string& needle,
@@ -1322,14 +1285,15 @@ TEST(TrioAblation, PoliciesScoreAgainstOneBaselineRun) {
   wp.horizon_hours = 24 * 3;
   wp.rate_per_hour = 3.0;
   const FleetJobs jobs = generate_fleet_jobs(wp);
+  // The bounded runs come first: run_ablation makes its own policies, so
+  // on an engine that stalls only these fail instead of hanging.
+  BoundedPolicy fcfs(sched::make_policy(kBaselinePolicy));
+  const auto base = fleet.run(jobs, fcfs);
+  BoundedPolicy greedy(sched::make_policy("greedy-lowest-ci"));
+  const auto metrics = fleet.run(jobs, greedy);
   const Ablation ablation =
       run_ablation(fleet, jobs, {"greedy-lowest-ci", kBaselinePolicy});
   ASSERT_EQ(ablation.policies.size(), 2u);
-
-  const auto fcfs = sched::make_policy(kBaselinePolicy);
-  const auto base = fleet.run(jobs, *fcfs);
-  const auto greedy = sched::make_policy("greedy-lowest-ci");
-  const auto metrics = fleet.run(jobs, *greedy);
   const double base_g = base.total_carbon.to_grams();
   const double g = metrics.total_carbon.to_grams();
   EXPECT_EQ(ablation.baseline.total_carbon.to_grams(), base_g);
@@ -1346,8 +1310,8 @@ TEST(TrioAblation, PoliciesScoreAgainstOneBaselineRun) {
   cfg.ci_threshold_g_per_kwh = 320.0;
   cfg.max_delay_hours = 3.0;
   const Ablation tuned = run_ablation(fleet, jobs, {"threshold-delay"}, cfg);
-  const auto threshold = sched::make_policy("threshold-delay", cfg);
-  const auto direct = fleet.run(jobs, *threshold);
+  BoundedPolicy threshold(sched::make_policy("threshold-delay", cfg));
+  const auto direct = fleet.run(jobs, threshold);
   const double tuned_g = direct.total_carbon.to_grams();
   ASSERT_EQ(tuned.policies.size(), 1u);
   EXPECT_EQ(tuned.baseline.total_carbon.to_grams(), base_g);

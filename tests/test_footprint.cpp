@@ -78,23 +78,6 @@ TEST(Footprint, GreenGridMakesEmbodiedDominant) {
   EXPECT_GT(green.embodied_share(), coal.embodied_share() * 10.0);
 }
 
-TEST(Footprint, ParityYearsMatchesShareCrossover) {
-  const auto node = hw::p100_node();
-  const auto ci = CarbonIntensity::grams_per_kwh(100);
-  const double parity = embodied_parity_years(node, Suite::kCandle, 0.4, ci);
-  EXPECT_GT(parity, 0.0);
-  const auto f = node_lifetime_footprint(node, Suite::kCandle, 0.4, parity, ci);
-  EXPECT_NEAR(f.embodied_share(), 0.5, 1e-6);
-}
-
-TEST(Footprint, ParityScalesInverselyWithUsage) {
-  const auto node = hw::v100_node();
-  const auto ci = CarbonIntensity::grams_per_kwh(200);
-  const double lo = embodied_parity_years(node, Suite::kNlp, 0.2, ci);
-  const double hi = embodied_parity_years(node, Suite::kNlp, 0.8, ci);
-  EXPECT_NEAR(lo / hi, 4.0, 1e-6);
-}
-
 TEST(Footprint, ToStringMentionsBothTerms) {
   TotalFootprint f;
   f.embodied = Mass::kilograms(10);
@@ -112,7 +95,6 @@ TEST(Footprint, Validation) {
                Error);
   EXPECT_THROW(node_lifetime_footprint(node, Suite::kNlp, 1.5, 1.0, ci),
                Error);
-  EXPECT_THROW(embodied_parity_years(node, Suite::kNlp, 0.0, ci), Error);
 }
 
 }  // namespace

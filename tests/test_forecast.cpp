@@ -85,8 +85,7 @@ TEST(Forecast, WindowAveragesHourPredictions) {
   DiurnalTemplateForecast f(trace, 7, 0.0);
   const HourOfYear origin(50 * 24);
   // Window [10, 14): hours 10,11 clean (100), hours 12,13 dirty (300).
-  EXPECT_NEAR(f.predict_window(origin, 10, 4.0), 200.0, 1e-9);
-  EXPECT_THROW(f.predict_window(origin, 0, 0.0), Error);
+  EXPECT_NEAR(f.outlook(origin).predict_window(10, 4.0), 200.0, 1e-9);
   EXPECT_THROW(f.outlook(origin).predict_window(0, 0.0), Error);
 }
 
@@ -147,8 +146,8 @@ double reference_predict(const ReferenceTemplate& ref, double level_blend,
   return std::max(0.0, template_value + level_blend * ref.last_dev);
 }
 
-// Forecast::predict_window's loop as it stood, over precomputed
-// reference predictions (ref[h] == reference_predict(..., origin, h)).
+// The hour-granular window loop, over precomputed predictions (ref[h] is
+// the prediction h hours after the origin).
 double reference_window(const std::vector<double>& ref, int start_h,
                         double duration_h) {
   double acc = 0;
@@ -173,7 +172,7 @@ std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 // from its last hours forward into January: horizons 0-47, and windows
 // from one tick (1/1024 h) to 25 h, around the day boundary. Windows past
 // the outlook's 48 h running sum (one tick past it, four days, 200 h), and
-// predict's per-call entry points (which build an outlook on every call),
+// the per-call predict(origin, h) (which builds an outlook on every call),
 // are checked on the origins that are multiples of five; five is prime to
 // 24 and to every stride used, so those origins still cover every hour of
 // the day. Each window list asks a long window before and after shorter
@@ -203,7 +202,6 @@ void expect_outlook_matches_oracle(const CarbonIntensityTrace& trace,
                             {7, 0.25}, {12, 1.0},        {5, 5.5}};
   const Window long_windows[] = {
       {0, kLongWindow}, {0, kPastSum}, {0, 96.0}, {0, kLongWindow}};
-  const Window per_call_windows[] = {{0, 0.25}, {0, 1.0}, {5, 5.5}};
   const std::string config = "window " + std::to_string(window_days) +
                              " d, blend " + std::to_string(blend) + ", ";
   std::size_t checked = 0;
@@ -250,11 +248,6 @@ void expect_outlook_matches_oracle(const CarbonIntensityTrace& trace,
       expect_same(ref[static_cast<std::size_t>(h)], forecast.predict(origin, h),
                   "per-call predict", o, h, 0);
     }
-    for (const Window& w : per_call_windows) {
-      expect_same(reference_window(ref, w.start_h, w.duration_h),
-                  forecast.predict_window(origin, w.start_h, w.duration_h),
-                  "per-call window", o, w.start_h, w.duration_h);
-    }
   }
   const int long_stride = std::lcm(stride, kLongStride);
   const std::size_t origins = (kHoursPerYear + stride - 1) / stride;
@@ -262,8 +255,7 @@ void expect_outlook_matches_oracle(const CarbonIntensityTrace& trace,
       (kHoursPerYear + long_stride - 1) / long_stride;
   EXPECT_EQ(checked,
             origins * (kHorizons + std::size(windows)) +
-                long_origins * (std::size(long_windows) + 3 +
-                                std::size(per_call_windows)))
+                long_origins * (std::size(long_windows) + 3))
       << config;
   EXPECT_EQ(mismatches, 0u) << "first: " << first;
 }
@@ -301,22 +293,26 @@ TEST(ForecastOracle, OtherWindowsAndBlendsMatchPerCall) {
 
 // A window from the origin shorter than the running sum is one stored
 // sum plus one stored hourly prediction times the part hour, divided by
-// the duration. The base-class Forecast::predict_window loop, which
+// the duration. The window loop over per-call predict(origin, h), which
 // builds an outlook for every hour it adds, must agree bit for bit at
 // every origin slot of the day, across the year's end, at durations on
 // both sides of whole hours and of the 48 h sum.
-TEST(ForecastOracle, OriginWindowsMatchTheBaseClassLoop) {
+TEST(ForecastOracle, OriginWindowsMatchThePerCallLoop) {
   const auto trace = GridSimulator(ciso()).run();
   const DiurnalTemplateForecast forecast(trace, 14);
   constexpr double kDurations[] = {0.25, 0.999,  1.0,  1.5,  23.75,
                                    47.0, 47.999, 48.0, 48.5, 96.3};
   const HourOfYear first(kHoursPerYear - 12);
+  std::vector<double> per_call(97);
   for (int i = 0; i < kHoursPerDay; ++i) {
     const HourOfYear origin = first.shifted(i);
     const Outlook built = forecast.outlook(origin);
+    for (int h = 0; h < static_cast<int>(per_call.size()); ++h) {
+      per_call[static_cast<std::size_t>(h)] = forecast.predict(origin, h);
+    }
     for (const double d : kDurations) {
       EXPECT_EQ(bits(built.predict_window(0, d)),
-                bits(forecast.predict_window(origin, 0, d)))
+                bits(reference_window(per_call, 0, d)))
           << "origin " << origin.index() << ", duration " << d;
     }
   }

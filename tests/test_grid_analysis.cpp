@@ -101,17 +101,6 @@ TEST(Analysis, DiurnalProfileAveragesCorrectly) {
   EXPECT_DOUBLE_EQ(prof[4], 1.0);
 }
 
-TEST(Analysis, FractionLowerIsAntisymmetric) {
-  const auto traces = generate_traces(fig7_regions());
-  const double ab = fraction_lower(traces[0], traces[1]);
-  const double ba = fraction_lower(traces[1], traces[0]);
-  EXPECT_NEAR(ab + ba, 1.0, 1e-6);  // continuous values: no ties
-  // ESO is greener than ERCOT most of the time…
-  EXPECT_GT(fraction_lower(traces[0], traces[2]), 0.6);
-  // …but not always (the paper's distribution argument).
-  EXPECT_LT(fraction_lower(traces[0], traces[2]), 1.0);
-}
-
 TEST(Analysis, SummarizeManyPreservesOrder) {
   const auto traces = generate_traces(fig7_regions());
   const auto sums = summarize(traces);

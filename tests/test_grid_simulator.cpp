@@ -207,11 +207,6 @@ TEST(SourceTypes, LifecycleIntensities) {
   EXPECT_LT(lifecycle_ci(SourceType::kHydro), 50.0);
   EXPECT_LT(lifecycle_ci(SourceType::kNuclear), 50.0);
   EXPECT_GT(lifecycle_ci(SourceType::kCoal), 800.0);
-  EXPECT_TRUE(is_intermittent(SourceType::kWind));
-  EXPECT_TRUE(is_intermittent(SourceType::kSolar));
-  EXPECT_FALSE(is_intermittent(SourceType::kGas));
-  EXPECT_TRUE(is_low_carbon(SourceType::kHydro));
-  EXPECT_FALSE(is_low_carbon(SourceType::kGas));
 }
 
 }  // namespace

@@ -122,16 +122,20 @@ TEST(Integration, SystemEmbodiedTotalsAreAtSupercomputerScale) {
 
 TEST(Integration, EnergyEfficiencyAloneDoesNotDetermineCarbon) {
   // Sec. 6: system A (lower FLOPS/W) on hydro beats system B (higher
-  // FLOPS/W) on gas. Model: P100 node on 20 g/kWh vs A100 node on 490.
+  // FLOPS/W) on gas. Model: P100 node on 20 g/kWh vs A100 node on 490,
+  // each drawing its training power for the modeled run time.
   const auto p = hw::p100_node();
   const auto a = hw::a100_node();
   const auto& m = workload::model_by_name("ResNet50");
   const double samples = 1e7;
-  const Mass carbon_p = op::operational_carbon(
-      hw::training_energy(p, m, samples), CarbonIntensity::grams_per_kwh(20));
-  const Mass carbon_a = op::operational_carbon(
-      hw::training_energy(a, m, samples),
-      CarbonIntensity::grams_per_kwh(490));
+  const auto energy = [&](const hw::NodeConfig& node) {
+    return hw::node_training_power(node, m) *
+           Hours::seconds(samples / hw::throughput(m, node));
+  };
+  const Mass carbon_p =
+      op::operational_carbon(energy(p), CarbonIntensity::grams_per_kwh(20));
+  const Mass carbon_a =
+      op::operational_carbon(energy(a), CarbonIntensity::grams_per_kwh(490));
   EXPECT_LT(carbon_p.to_grams(), carbon_a.to_grams());
 }
 

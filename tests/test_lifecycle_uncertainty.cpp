@@ -32,12 +32,7 @@ UpgradeScenario v100_to_a100() {
 TEST(LifecycleBandsValidation, RejectsBadBands) {
   LifecycleBands negative;
   negative.grid_ci = -0.1;
-  const auto node = hw::v100_node();
-  EXPECT_THROW(node_lifetime_footprint_distribution(
-                   node, workload::Suite::kNlp, 0.4, 3.0,
-                   CarbonIntensity::grams_per_kwh(200), op::PueModel(1.2),
-                   negative, {64, 1, nullptr}),
-               Error);
+  EXPECT_THROW(validate(negative), Error);
   LifecycleBands too_wide;
   too_wide.grid_ci = 1.0;
   EXPECT_THROW(validate(too_wide), Error);
@@ -62,12 +57,14 @@ TEST(LifecycleBandsValidation, YieldBandEscapingClampRejectedAtNodeSeam) {
 
 TEST(FootprintDistributionTest, ZeroBandsCollapseToPointEstimate) {
   const auto node = hw::v100_node();
-  const auto intensity = CarbonIntensity::grams_per_kwh(300);
-  const TotalFootprint point = node_lifetime_footprint(
-      node, workload::Suite::kNlp, 0.4, 5.0, intensity, op::PueModel(1.2));
+  const grid::CarbonIntensityTrace trace(
+      "X", kUtc, std::vector<double>(kHoursPerYear, 300.0));
+  const TotalFootprint point =
+      node_lifetime_footprint(node, workload::Suite::kNlp, 0.4, 5.0, trace,
+                              HourOfYear(0), op::PueModel(1.2));
   const auto d = node_lifetime_footprint_distribution(
-      node, workload::Suite::kNlp, 0.4, 5.0, intensity, op::PueModel(1.2),
-      zero_bands(), {128, 9, nullptr});
+      node, workload::Suite::kNlp, 0.4, 5.0, trace, HourOfYear(0),
+      op::PueModel(1.2), zero_bands(), {128, 9, nullptr});
   // Per-sample arithmetic mirrors (but does not share) the point-estimate
   // code path, so agreement is to rounding, not bit-exact.
   EXPECT_NEAR(d.embodied.mean() / point.embodied.to_grams(), 1.0, 1e-9);

@@ -103,13 +103,14 @@ TEST(McProperties, WiderGridBandWidensLifetimeFootprint) {
   narrow.grid_ci = 0.02;
   lifecycle::LifecycleBands wide;
   wide.grid_ci = 0.30;
-  const auto intensity = CarbonIntensity::grams_per_kwh(350);
+  const grid::CarbonIntensityTrace trace(
+      "X", kUtc, std::vector<double>(kHoursPerYear, 350.0));
   const auto n = lifecycle::node_lifetime_footprint_distribution(
-      node, workload::Suite::kNlp, 0.4, 5.0, intensity, op::PueModel(1.2),
-      narrow, {8192, 13, nullptr});
+      node, workload::Suite::kNlp, 0.4, 5.0, trace, HourOfYear(0),
+      op::PueModel(1.2), narrow, {8192, 13, nullptr});
   const auto w = lifecycle::node_lifetime_footprint_distribution(
-      node, workload::Suite::kNlp, 0.4, 5.0, intensity, op::PueModel(1.2),
-      wide, {8192, 13, nullptr});
+      node, workload::Suite::kNlp, 0.4, 5.0, trace, HourOfYear(0),
+      op::PueModel(1.2), wide, {8192, 13, nullptr});
   EXPECT_GT(w.operational.stddev(), n.operational.stddev() * 5.0);
   // Embodied is untouched by the grid band.
   EXPECT_DOUBLE_EQ(w.embodied.mean(), n.embodied.mean());

@@ -24,9 +24,6 @@ TEST(Node, Table5Presets) {
   EXPECT_EQ(a.gpu, embodied::PartId::kA100Pcie40);
   EXPECT_EQ(a.cpu, embodied::PartId::kEpyc7542);
   EXPECT_EQ(a.cpu_count, 4);  // Table 5: 4x EPYC 7542
-
-  EXPECT_EQ(node_for(GpuArch::kPascal).name, "P100");
-  EXPECT_EQ(node_for(GpuArch::kAmpere).name, "A100");
 }
 
 TEST(Node, DramModuleCount) {
@@ -109,11 +106,6 @@ TEST(Node, EmbodiedRequiresValidCounts) {
   NodeConfig n = v100_node();
   n.cpu_count = 0;
   EXPECT_THROW(node_embodied(n), Error);
-}
-
-TEST(Node, ArchNames) {
-  EXPECT_STREQ(to_string(GpuArch::kPascal), "Pascal (P100)");
-  EXPECT_STREQ(to_string(GpuArch::kAmpere), "Ampere (A100)");
 }
 
 }  // namespace

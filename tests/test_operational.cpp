@@ -72,15 +72,6 @@ TEST(Operational, TraceIntegrationWrapsYear) {
   EXPECT_NEAR(m.to_grams(), 100.0 + 900.0, 1e-9);
 }
 
-TEST(Operational, EffectiveIntensityIsWindowMean) {
-  std::vector<double> v(kHoursPerYear, 100.0);
-  v[0] = 300.0;
-  const grid::CarbonIntensityTrace trace("X", kUtc, v);
-  EXPECT_NEAR(effective_intensity(trace, HourOfYear(0), Hours::hours(2))
-                  .to_g_per_kwh(),
-              200.0, 1e-9);
-}
-
 TEST(Operational, IntegratorMatchesHourStepping) {
   // The PUE-weighted prefix sums must reproduce the per-hour integration
   // (trace CI x PUE) within 1e-9 relative, fractional starts and year wrap
@@ -109,11 +100,9 @@ TEST(Operational, IntegratorMatchesHourStepping) {
         cursor += step;
         remaining -= step;
       }
-      EXPECT_NEAR(integrator.carbon_g(kw, start, d), expected,
+      EXPECT_NEAR(kw * integrator.weighted_sum(start, d), expected,
                   1e-9 * std::max(1.0, expected))
           << "start=" << start << " d=" << d;
-      EXPECT_NEAR(integrator.carbon(Power::kilowatts(kw), start, d).to_grams(),
-                  integrator.carbon_g(kw, start, d), 1e-12);
     }
   }
 }
@@ -126,7 +115,8 @@ TEST(Operational, ConstantPueFastPathMatchesIntegrator) {
   const CarbonIntegrator integrator(trace, pue);
   const Mass direct = operational_carbon(Power::kilowatts(3), trace,
                                          HourOfYear(4), Hours::hours(3), pue);
-  EXPECT_NEAR(direct.to_grams(), integrator.carbon_g(3.0, 4.0, 3.0), 1e-9);
+  EXPECT_NEAR(direct.to_grams(), 3.0 * integrator.weighted_sum(4.0, 3.0),
+              1e-9);
   EXPECT_NEAR(direct.to_grams(), 3.0 * 1.2 * (100.0 + 700.0 + 100.0), 1e-9);
 }
 
@@ -143,18 +133,18 @@ TEST(Operational, IntegratorSeesSubHourlyStructure) {
   const PueModel pue(1.2);
   const CarbonIntegrator integrator(trace, pue);
   // Half an hour starting on the hour: all clean samples.
-  EXPECT_NEAR(integrator.carbon_g(1.0, 10.0, 0.5), 1.2 * 100.0 * 0.5, 1e-9);
+  EXPECT_NEAR(integrator.weighted_sum(10.0, 0.5), 1.2 * 100.0 * 0.5, 1e-9);
   // The second half: all dirty.
-  EXPECT_NEAR(integrator.carbon_g(1.0, 10.5, 0.5), 1.2 * 500.0 * 0.5, 1e-9);
+  EXPECT_NEAR(integrator.weighted_sum(10.5, 0.5), 1.2 * 500.0 * 0.5, 1e-9);
   // A whole hour averages the two.
-  EXPECT_NEAR(integrator.carbon_g(1.0, 10.0, 1.0), 1.2 * 300.0, 1e-9);
+  EXPECT_NEAR(integrator.weighted_sum(10.0, 1.0), 1.2 * 300.0, 1e-9);
   // The free function agrees with the integrator on the same sub-hourly
   // trace (both integrate through prefix sums rather than sampling each
   // hour's first value).
   const Mass direct = operational_carbon(Power::kilowatts(2), trace,
                                          HourOfYear(4000), Hours::hours(30.5),
                                          pue);
-  EXPECT_NEAR(direct.to_grams(), integrator.carbon_g(2.0, 4000.0, 30.5),
+  EXPECT_NEAR(direct.to_grams(), 2.0 * integrator.weighted_sum(4000.0, 30.5),
               1e-9 * direct.to_grams());
 }
 

@@ -8,6 +8,7 @@
 #include <iterator>
 #include <map>
 
+#include "bounded_policy.h"
 #include "core/error.h"
 #include "fleetsim/engine.h"
 #include "grid/presets.h"
@@ -59,7 +60,8 @@ FleetJobs seeded_jobs() {
 ScheduleMetrics run(const FleetEngine& engine, const std::vector<Job>& jobs,
                     SchedulingPolicy& policy,
                     FleetOutcomes* outcomes = nullptr) {
-  return engine.run(FleetJobs(jobs, {"u0"}), policy, outcomes);
+  testutil::BoundedPolicy bounded(policy);
+  return engine.run(FleetJobs(jobs, {"u0"}), bounded, outcomes);
 }
 
 // The eight built-ins, in table order.
@@ -108,9 +110,9 @@ TEST(PolicyEngine, PrefixSumCarbonMatchesHourSteppingPerJob) {
   for (const char* name : {"fcfs-local", "greedy-lowest-ci", "net-benefit",
                            "forecast-net-benefit"}) {
     const FleetEngine engine(sites, epoch);
-    const auto policy = make_policy(name, PolicyConfig{});
+    testutil::BoundedPolicy policy(make_policy(name, PolicyConfig{}));
     FleetOutcomes outcomes;
-    engine.run(fleet_jobs, *policy, &outcomes);
+    engine.run(fleet_jobs, policy, &outcomes);
     ASSERT_EQ(outcomes.size(), jobs.size()) << name;
     for (std::size_t i = 0; i < outcomes.size(); ++i) {
       const Job& j = *by_id.at(outcomes.job_id[i]);

@@ -10,7 +10,6 @@
 #include "grid/presets.h"
 #include "grid/simulator.h"
 #include "hw/perf.h"
-#include "hw/power.h"
 #include "lifecycle/upgrade.h"
 #include "op/operational.h"
 
@@ -107,12 +106,11 @@ TEST_P(GpuCountSweep, SpeedupBoundedByGpuCount) {
 TEST_P(GpuCountSweep, MarginalGpuValueDiminishes) {
   const int k = GetParam();
   if (k < 2) return;
-  for (Suite s : workload::all_suites()) {
-    const double eff_k =
-        hw::suite_score(s, hw::fig4_node(k)) / k;
-    const double eff_prev =
-        hw::suite_score(s, hw::fig4_node(k - 1)) / (k - 1);
-    EXPECT_LT(eff_k, eff_prev * (1.0 + 1e-9)) << workload::to_string(s);
+  for (const auto* m : workload::all_models()) {
+    const double per_gpu_k = hw::throughput(*m, hw::fig4_node(k)) / k;
+    const double per_gpu_prev =
+        hw::throughput(*m, hw::fig4_node(k - 1)) / (k - 1);
+    EXPECT_LT(per_gpu_k, per_gpu_prev * (1.0 + 1e-9)) << m->name;
   }
 }
 
@@ -120,23 +118,6 @@ INSTANTIATE_TEST_SUITE_P(Counts, GpuCountSweep, ::testing::Values(1, 2, 3, 4,
                                                                   6, 8));
 
 // --- Power model properties --------------------------------------------------
-
-class UsageSweep : public ::testing::TestWithParam<double> {};
-
-TEST_P(UsageSweep, AveragePowerMonotoneInUsage) {
-  const double u = GetParam();
-  for (const auto& node :
-       {hw::p100_node(), hw::v100_node(), hw::a100_node()}) {
-    const double at_u =
-        hw::node_average_power(node, Suite::kNlp, u).to_watts();
-    const double at_less =
-        hw::node_average_power(node, Suite::kNlp, u * 0.5).to_watts();
-    EXPECT_GT(at_u, at_less) << node.name;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Usages, UsageSweep,
-                         ::testing::Values(0.1, 0.2667, 0.4, 0.6, 0.8, 1.0));
 
 // --- Upgrade model properties -----------------------------------------------
 

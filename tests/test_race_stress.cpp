@@ -19,6 +19,7 @@
 #include <thread>
 #include <vector>
 
+#include "bounded_policy.h"
 #include "core/rng.h"
 #include "core/thread_pool.h"
 #include "fleetsim/ablation.h"
@@ -241,8 +242,8 @@ std::vector<FleetRun> expect_concurrent_runs_agree(
   constexpr int kThreads = 8;
   auto run = [&](const std::string& name) {
     FleetRun r;
-    const auto policy = sched::make_policy(name);
-    r.metrics = engine.run(jobs, *policy, &r.outcomes, &r.ledger);
+    testutil::BoundedPolicy policy(sched::make_policy(name));
+    r.metrics = engine.run(jobs, policy, &r.outcomes, &r.ledger);
     return r;
   };
   const std::size_t n = policies.size();

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <vector>
 
 #include "core/error.h"
@@ -35,8 +37,8 @@ TEST(Rng, UniformRangeAndMoments) {
   Rng rng(8);
   std::vector<double> xs;
   for (int i = 0; i < 20000; ++i) xs.push_back(rng.uniform(10.0, 20.0));
-  EXPECT_GE(stats::min(xs), 10.0);
-  EXPECT_LT(stats::max(xs), 20.0);
+  EXPECT_GE(*std::min_element(xs.begin(), xs.end()), 10.0);
+  EXPECT_LT(*std::max_element(xs.begin(), xs.end()), 20.0);
   EXPECT_NEAR(stats::mean(xs), 15.0, 0.1);
   EXPECT_THROW(rng.uniform(5.0, 1.0), Error);
 }
@@ -72,7 +74,7 @@ TEST(Rng, ExponentialMoments) {
   std::vector<double> xs;
   for (int i = 0; i < 50000; ++i) xs.push_back(rng.exponential(2.0));
   EXPECT_NEAR(stats::mean(xs), 0.5, 0.02);
-  EXPECT_GE(stats::min(xs), 0.0);
+  EXPECT_GE(*std::min_element(xs.begin(), xs.end()), 0.0);
   EXPECT_THROW(rng.exponential(0.0), Error);
 }
 
@@ -86,17 +88,6 @@ TEST(Rng, BernoulliFrequency) {
   int hits = 0;
   for (int i = 0; i < 20000; ++i) hits += rng.bernoulli(0.3);
   EXPECT_NEAR(hits / 20000.0, 0.3, 0.02);
-}
-
-TEST(Rng, SplitProducesIndependentStream) {
-  Rng a(42);
-  Rng child = a.split();
-  // Child stream should not replay the parent's sequence.
-  Rng b(42);
-  b.next_u64();  // align with the split's consumption
-  int same = 0;
-  for (int i = 0; i < 64; ++i) same += (child.next_u64() == b.next_u64());
-  EXPECT_LT(same, 2);
 }
 
 TEST(Ar1, StationaryMoments) {
@@ -121,7 +112,15 @@ TEST(Ar1, AutocorrelationMatchesRho) {
     x1.push_back(cur);
     prev = cur;
   }
-  EXPECT_NEAR(stats::pearson(x0, x1), rho, 0.02);
+  // Pearson correlation of consecutive steps.
+  const double m0 = stats::mean(x0), m1 = stats::mean(x1);
+  double s01 = 0, s00 = 0, s11 = 0;
+  for (std::size_t i = 0; i < x0.size(); ++i) {
+    s01 += (x0[i] - m0) * (x1[i] - m1);
+    s00 += (x0[i] - m0) * (x0[i] - m0);
+    s11 += (x1[i] - m1) * (x1[i] - m1);
+  }
+  EXPECT_NEAR(s01 / std::sqrt(s00 * s11), rho, 0.02);
 }
 
 TEST(Ar1, RejectsInvalidRho) {

@@ -7,7 +7,7 @@
 
 #include <algorithm>
 
-#include "core/stats.h"
+#include "bounded_policy.h"
 #include "fleetsim/engine.h"
 #include "grid/presets.h"
 #include "grid/simulator.h"
@@ -59,8 +59,8 @@ class PolicySweep : public ::testing::TestWithParam<std::string> {
   /// Engine + table-made policy for the parametrized name.
   static ScheduleMetrics run_param(const FleetEngine& engine,
                                    FleetOutcomes* outcomes = nullptr) {
-    const auto policy = make_policy(GetParam(), config());
-    return engine.run(*fleet_jobs_, *policy, outcomes);
+    testutil::BoundedPolicy policy(make_policy(GetParam(), config()));
+    return engine.run(*fleet_jobs_, policy, outcomes);
   }
   static std::vector<Site>* sites_;
   static FleetJobs* fleet_jobs_;
@@ -137,8 +137,8 @@ TEST_P(PolicySweep, NeverBeatsClairvoyantLowerBound) {
   const auto m = run_param(sim);
   double min_ci = 1e18;
   for (const auto& s : *sites_) {
-    min_ci = std::min(min_ci,
-                      hpcarbon::stats::min(s.region->trace_utc.values()));
+    const auto& values = s.region->trace_utc.values();
+    min_ci = std::min(min_ci, *std::min_element(values.begin(), values.end()));
   }
   double bound_g = 0;
   for (const auto& j : *jobs_) {

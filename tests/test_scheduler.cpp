@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstdint>
 
+#include "bounded_policy.h"
 #include "core/error.h"
 #include "fleetsim/engine.h"
 #include "grid/presets.h"
@@ -29,9 +30,10 @@ ScheduleMetrics run(const FleetEngine& engine, const std::vector<Job>& jobs,
                     CarbonBudgetLedger* ledger = nullptr) {
   std::uint32_t users = 0;
   for (const auto& j : jobs) users = std::max(users, j.user + 1);
+  testutil::BoundedPolicy bounded(make_policy(policy, cfg));
   return engine.run(
       fleetsim::FleetJobs(jobs, generated_user_names(static_cast<int>(users))),
-      *make_policy(policy, cfg), outcomes, ledger);
+      bounded, outcomes, ledger);
 }
 
 grid::CarbonIntensityTrace constant_trace(const std::string& code, double v) {

@@ -159,7 +159,7 @@ TEST(StepSeries, ConstructionValidation) {
 }
 
 TEST(StepSeries, HourlyLayoutMatchesLegacyConstants) {
-  const StepSeries s = StepSeries::hourly(random_values(kHoursPerYear, 1));
+  const StepSeries s(random_values(kHoursPerYear, 1), kSecondsPerHour);
   EXPECT_EQ(s.size(), static_cast<std::size_t>(kHoursPerYear));
   EXPECT_EQ(s.step_hours(), 1.0);
   EXPECT_EQ(s.period_hours(), 8760.0);
@@ -182,7 +182,7 @@ TEST(StepSeries, FiveMinutePeriodIsExact) {
 TEST(StepSeries, BitIdenticalToLegacyHourlyPrefixSum) {
   const auto v = random_values(kHoursPerYear, 7);
   const LegacyHourlyPrefixSum legacy(v);
-  const StepSeries s = StepSeries::hourly(v);
+  const StepSeries s(v, kSecondsPerHour);
   Rng rng(13);
   for (int i = 0; i < 2000; ++i) {
     const double start = rng.uniform(-kHoursPerYear, 2.0 * kHoursPerYear);
@@ -368,13 +368,6 @@ TEST(StepSeries, PointLookup) {
   EXPECT_EQ(s.at_hours(11.5 / 12.0), 11.0);
   EXPECT_EQ(s.at_hours(1.0), 0.0);           // wraps
   EXPECT_EQ(s.at_hours(-1.0 / 24.0), 11.0);  // negative wraps backwards
-}
-
-TEST(StepSeries, MeanMatchesIntegral) {
-  const auto v = random_values(240, 3);
-  const StepSeries s(v, 300.0);
-  EXPECT_NEAR(s.mean(2.5, 7.0), s.integral(2.5, 7.0) / 7.0, 1e-12);
-  EXPECT_THROW(s.mean(0.0, 0.0), Error);
 }
 
 TEST(StepSeries, ResampleDownIsMeanPreserving) {

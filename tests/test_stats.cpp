@@ -23,17 +23,9 @@ TEST(Stats, MeanVarianceStddev) {
   EXPECT_NEAR(stddev(xs), std::sqrt(32.0 / 7.0), 1e-12);
 }
 
-TEST(Stats, MinMax) {
-  std::vector<double> xs = {3.5, -1.0, 7.25, 0.0};
-  EXPECT_DOUBLE_EQ(min(xs), -1.0);
-  EXPECT_DOUBLE_EQ(max(xs), 7.25);
-}
-
 TEST(Stats, EmptyRangesThrow) {
   std::vector<double> empty;
   EXPECT_THROW(mean(empty), Error);
-  EXPECT_THROW(min(empty), Error);
-  EXPECT_THROW(max(empty), Error);
   EXPECT_THROW(quantile(empty, 0.5), Error);
 }
 
@@ -166,39 +158,15 @@ TEST(Stats, BoxStatsWhiskersExcludeOutliers) {
   EXPECT_DOUBLE_EQ(b.max, 100.0);
 }
 
-TEST(Stats, Histogram) {
-  std::vector<double> xs = {0.1, 0.2, 0.55, 0.9, -5.0, 99.0};
-  const auto h = histogram(xs, 0.0, 1.0, 2);
-  ASSERT_EQ(h.size(), 2u);
-  // -5 clamps into bin 0; 99 and 0.9 into bin 1.
-  EXPECT_EQ(h[0], 3u);
-  EXPECT_EQ(h[1], 3u);
-  EXPECT_THROW(histogram(xs, 1.0, 0.0, 2), Error);
-  EXPECT_THROW(histogram(xs, 0.0, 1.0, 0), Error);
-}
-
-TEST(Stats, PearsonCorrelation) {
-  std::vector<double> x = {1, 2, 3, 4, 5};
-  std::vector<double> y = {2, 4, 6, 8, 10};
-  EXPECT_NEAR(pearson(x, y), 1.0, 1e-12);
-  std::vector<double> yn = {10, 8, 6, 4, 2};
-  EXPECT_NEAR(pearson(x, yn), -1.0, 1e-12);
-  std::vector<double> c = {3, 3, 3, 3, 3};
-  EXPECT_DOUBLE_EQ(pearson(x, c), 0.0);
-  std::vector<double> wrong = {1, 2};
-  EXPECT_THROW(pearson(x, wrong), Error);
-}
-
 TEST(Stats, SummaryMatchesFreeFunctions) {
   const std::vector<double> xs = {7.5, -1.0, 3.25, 3.25, 12.0, 0.5, 9.75};
   const Summary s(xs);
   EXPECT_EQ(s.count(), xs.size());
   // Moments accumulate over the input order, so bit-identical.
   EXPECT_DOUBLE_EQ(s.mean(), mean(xs));
-  EXPECT_DOUBLE_EQ(s.variance(), variance(xs));
   EXPECT_DOUBLE_EQ(s.stddev(), stddev(xs));
-  EXPECT_DOUBLE_EQ(s.min(), min(xs));
-  EXPECT_DOUBLE_EQ(s.max(), max(xs));
+  EXPECT_DOUBLE_EQ(s.min(), *std::min_element(xs.begin(), xs.end()));
+  EXPECT_DOUBLE_EQ(s.max(), *std::max_element(xs.begin(), xs.end()));
   for (double p : {0.0, 0.05, 0.25, 0.5, 0.62, 0.95, 1.0}) {
     EXPECT_DOUBLE_EQ(s.quantile(p), quantile(xs, p)) << "p=" << p;
   }
@@ -219,7 +187,7 @@ TEST(Stats, SummaryEdgeCases) {
   EXPECT_TRUE(empty.empty());
   EXPECT_THROW(empty.mean(), Error);
   EXPECT_THROW(empty.quantile(0.5), Error);
-  EXPECT_DOUBLE_EQ(empty.variance(), 0.0);
+  EXPECT_DOUBLE_EQ(empty.stddev(), 0.0);
 
   const Summary one(std::vector<double>{42.0});
   EXPECT_DOUBLE_EQ(one.quantile(0.0), 42.0);

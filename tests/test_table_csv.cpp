@@ -31,12 +31,6 @@ TEST(TextTable, NumberFormatting) {
   EXPECT_EQ(TextTable::pct(-4.0, 1), "-4.0%");
 }
 
-TEST(TextTable, CsvOutput) {
-  TextTable t({"x", "y"});
-  t.add_row({"1", "2"});
-  EXPECT_EQ(t.to_csv(), "x,y\n1,2\n");
-}
-
 TEST(TextTable, EmptyTable) { EXPECT_EQ(TextTable().to_string(), ""); }
 
 TEST(Banner, ContainsTitle) {
@@ -106,10 +100,6 @@ TEST(Csv, FileRoundTrip) {
   } catch (const Error& e) {
     EXPECT_STREQ(e.what(), "cannot open file: /nonexistent/dir/file.csv");
   }
-}
-
-TEST(Csv, ColumnSerialisation) {
-  EXPECT_EQ(to_csv_column("v", {1.5, 2.5}), "v\n1.5\n2.5\n");
 }
 
 TEST(Csv, EscapePassesPlainCellsThrough) {

@@ -16,19 +16,9 @@ TEST(Time, HourOfYearDecomposition) {
   const HourOfYear h(25);  // Jan 2, 01:00
   EXPECT_EQ(h.hour_of_day(), 1);
   EXPECT_EQ(h.day_of_year(), 1);
-  EXPECT_EQ(h.month(), 0);
-  EXPECT_EQ(h.day_of_month(), 2);
-}
-
-TEST(Time, MonthBoundaries) {
-  // Feb 1 00:00 is hour 31*24.
-  const HourOfYear feb1(31 * 24);
-  EXPECT_EQ(feb1.month(), 1);
-  EXPECT_EQ(feb1.day_of_month(), 1);
   // Dec 31 23:00 is the last hour.
   const HourOfYear last(kHoursPerYear - 1);
-  EXPECT_EQ(last.month(), 11);
-  EXPECT_EQ(last.day_of_month(), 31);
+  EXPECT_EQ(last.day_of_year(), kDaysPerYear - 1);
   EXPECT_EQ(last.hour_of_day(), 23);
 }
 
@@ -52,33 +42,9 @@ TEST(Time, ConstructorWrapsIndex) {
   EXPECT_EQ(HourOfYear(-1).index(), kHoursPerYear - 1);
 }
 
-TEST(Time, TimeZoneConversionMatchesPaperSetup) {
-  // The paper aligns GMT, PST, CST data to JST (UTC+9).
-  // Midnight GMT == 09:00 JST the same day.
-  const HourOfYear midnight_gmt(0);
-  EXPECT_EQ(midnight_gmt.convert(kGmt, kJst).hour_of_day(), 9);
-  // 16:00 PST == 09:00 JST next day (PST = UTC-8, JST-PST = 17 h).
-  const HourOfYear pst4pm(16);
-  const HourOfYear in_jst = pst4pm.convert(kPst, kJst);
-  EXPECT_EQ(in_jst.hour_of_day(), 9);
-  EXPECT_EQ(in_jst.day_of_year(), 1);
-}
-
-TEST(Time, ConversionRoundTrips) {
-  for (int i : {0, 100, 5000, kHoursPerYear - 1}) {
-    const HourOfYear h(i);
-    EXPECT_EQ(h.convert(kCst, kJst).convert(kJst, kCst), h);
-  }
-}
-
 TEST(Time, YearFraction) {
   EXPECT_DOUBLE_EQ(year_fraction(HourOfYear(0)), 0.0);
   EXPECT_NEAR(year_fraction(HourOfYear(kHoursPerYear / 2)), 0.5, 1e-9);
-}
-
-TEST(Time, ToStringFormat) {
-  EXPECT_EQ(HourOfYear(0).to_string(), "Jan-01 00:00");
-  EXPECT_EQ(HourOfYear(31 * 24 + 13).to_string(), "Feb-01 13:00");
 }
 
 }  // namespace

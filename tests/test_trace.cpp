@@ -40,20 +40,16 @@ TEST(Trace, AtLocalHour) {
   EXPECT_DOUBLE_EQ(t.at(HourOfYear(4242)).to_g_per_kwh(), 4242.0);
 }
 
-TEST(Trace, AtWithZoneConversion) {
-  const CarbonIntensityTrace t("JP", kJst, ramp_values());
-  // UTC hour 0 == JST hour 9.
-  EXPECT_DOUBLE_EQ(t.at(HourOfYear(0), kUtc).to_g_per_kwh(), 9.0);
-}
-
 TEST(Trace, ToTimeZonePreservesInstants) {
   const CarbonIntensityTrace pst("CISO", kPst, ramp_values());
   const CarbonIntensityTrace jst = pst.to_time_zone(kJst);
   EXPECT_EQ(jst.time_zone().utc_offset_hours(), 9);
-  // Any instant must read the same through either representation.
+  // Any instant must read the same through either representation: JST
+  // hour h is PST hour h shifted by the difference of the offsets.
+  const int shift = kPst.utc_offset_hours() - kJst.utc_offset_hours();
   for (int h : {0, 17, 100, 8000, kHoursPerYear - 1}) {
     EXPECT_DOUBLE_EQ(jst.at(HourOfYear(h)).to_g_per_kwh(),
-                     pst.at(HourOfYear(h), kJst).to_g_per_kwh());
+                     pst.at(HourOfYear(h).shifted(shift)).to_g_per_kwh());
   }
 }
 
@@ -206,9 +202,10 @@ TEST(TraceProperties, ToTimeZoneThereAndBackIsBitIdentical) {
   }
 }
 
-// Property: at(hour, zone) on the original trace agrees with local at() on
-// the rotated trace for every instant — the two spellings of "what was the
-// intensity then" can never disagree, for all seven preset regions.
+// Property: the original trace read at an instant's local hour (the UTC
+// hour shifted by the zone's offset) agrees with the rotated trace read at
+// the UTC hour, for all seven preset regions: the two spellings of "what
+// was the intensity then" can never disagree.
 TEST(TraceProperties, CrossZoneLookupAgreesWithRotatedTrace) {
   int region_index = 0;
   for (const auto& spec : all_regions()) {
@@ -219,11 +216,12 @@ TEST(TraceProperties, CrossZoneLookupAgreesWithRotatedTrace) {
     for (int h :
          {0, 1, 8, 17, 4999, kHoursPerYear - 1, kHoursPerYear - 9}) {
       const HourOfYear hour(h);
-      EXPECT_EQ(local.at(hour, kUtc).to_g_per_kwh(),
+      const int offset = spec.tz.utc_offset_hours();
+      EXPECT_EQ(local.at(hour.shifted(offset)).to_g_per_kwh(),
                 utc.at(hour).to_g_per_kwh())
           << spec.code << " hour " << h;
       // And in the region's own frame.
-      EXPECT_EQ(utc.at(hour, spec.tz).to_g_per_kwh(),
+      EXPECT_EQ(utc.at(hour.shifted(-offset)).to_g_per_kwh(),
                 local.at(hour).to_g_per_kwh())
           << spec.code << " hour " << h;
     }

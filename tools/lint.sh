@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# hpcarbon lint gate — seven checks, one exit code:
+# hpcarbon lint gate — eight checks, one exit code:
 #
 #   1. Determinism lint (grep): the batch==serve byte-identity contract
 #      depends on every random draw flowing through src/core/rng
@@ -37,14 +37,23 @@
 #      fail, so the gate ratchets without demanding a big-bang cleanup.
 #      Skipped with a notice when clang-tidy is not installed (the
 #      clang-tidy CI job pins a version and always runs it).
+#   8. Unreached-code check (build + nm): builds the hpcarbon driver in
+#      ./build-unreached at -O0 -fno-inline -ffunction-sections
+#      -fdata-sections, linked with -Wl,--gc-sections, and lists, demangled,
+#      every `T` symbol of libhpcarbon.a and libhpcarbon_cli_core.a that
+#      the binary does not contain: a src/ function that no tool reaches.
+#      Each must be on tools/unreached_allowlist.txt with the reason it
+#      stays (perfbench calls it, or a test reads state or builds inputs
+#      through it); any other fails. Runs only with --unreached-only.
 #
 # Usage:
-#   tools/lint.sh                  # everything (tidy needs a configured
+#   tools/lint.sh                  # checks 1-7 (tidy needs a configured
 #                                  # build dir with compile_commands.json;
 #                                  # default ./build, or --build-dir DIR)
 #   tools/lint.sh --scripts-only   # greps only (no clang-tidy) — this is
 #                                  # what the `lint_scripts` ctest runs
 #   tools/lint.sh --tidy-only      # clang-tidy only
+#   tools/lint.sh --unreached-only # check 8 only (a full -O0 build)
 #   tools/lint.sh --update-baseline  # rewrite tools/lint_baseline.txt
 #                                  # with the current findings
 #   tools/lint.sh --self-test      # negative test: seed a violation and
@@ -62,10 +71,11 @@ while [[ $# -gt 0 ]]; do
   case "$1" in
     --scripts-only) MODE=scripts ;;
     --tidy-only) MODE=tidy ;;
+    --unreached-only) MODE=unreached ;;
     --update-baseline) UPDATE_BASELINE=1; MODE=tidy ;;
     --self-test) SELF_TEST=1 ;;
     --build-dir) BUILD_DIR="$2"; shift ;;
-    -h|--help) sed -n '2,51p' "${BASH_SOURCE[0]}"; exit 0 ;;
+    -h|--help) sed -n '2,60p' "${BASH_SOURCE[0]}"; exit 0 ;;
     *) echo "lint.sh: unknown flag '$1' (see --help)" >&2; exit 2 ;;
   esac
   shift
@@ -392,11 +402,65 @@ tidy_lint() {
   rm -f "$raw" "$current" "$known"
 }
 
+# --- 8. unreached-code check ------------------------------------------------
+
+UNREACHED_ALLOWLIST="$ROOT/tools/unreached_allowlist.txt"
+UNREACHED_BUILD_DIR="$ROOT/build-unreached"
+
+# Demangled `T` symbols of the two libraries that the driver binary does not
+# contain, sorted. At -O0 -fno-inline every call stays a call, so a function
+# the binary lacks is one no code path of any tool reaches: the archive
+# never pulled in its object file, or --gc-sections dropped its section.
+unreached_symbols() {
+  local dir="$UNREACHED_BUILD_DIR" log="$UNREACHED_BUILD_DIR/lint_build.log"
+  mkdir -p "$dir"
+  if ! { cmake -S "$ROOT" -B "$dir" -DCMAKE_BUILD_TYPE=Debug \
+           -DCMAKE_CXX_FLAGS_DEBUG="-O0 -fno-inline -ffunction-sections -fdata-sections" \
+           -DCMAKE_EXE_LINKER_FLAGS="-Wl,--gc-sections" \
+           -DHPCARBON_BUILD_TESTS=OFF -DHPCARBON_WERROR=OFF &&
+         cmake --build "$dir" --target hpcarbon_cli -j "$(nproc)"; } \
+       >"$log" 2>&1; then
+    tail -n 40 "$log" >&2
+    echo "unreached-code check FAILED: the -O0 --gc-sections build failed (log: $log)" >&2
+    return 1
+  fi
+  LC_ALL=C comm -23 \
+    <(nm --defined-only "$dir/src/libhpcarbon.a" \
+        "$dir/src/cli/libhpcarbon_cli_core.a" 2>/dev/null |
+      awk '$2 == "T" { print $3 }' | LC_ALL=C sort -u) \
+    <(nm --defined-only "$dir/hpcarbon" | awk '{ print $3 }' |
+      LC_ALL=C sort -u) |
+    c++filt | LC_ALL=C sort
+}
+
+unreached_lint() {
+  local found allowed unlisted
+  found="$(unreached_symbols)" || return 1
+  allowed="$(grep -vE '^[[:space:]]*(#|$)' "$UNREACHED_ALLOWLIST" |
+    sed -E 's/[[:space:]]+#.*$//' | LC_ALL=C sort -u)"
+  unlisted="$(LC_ALL=C comm -23 <(printf '%s\n' "$found") \
+    <(printf '%s\n' "$allowed") | sed '/^$/d')"
+  if [[ -n "$unlisted" ]]; then
+    echo "unreached-code check FAILED — src/ functions that no tool reaches:" >&2
+    echo "$unlisted" | sed 's/^/  /' >&2
+    echo "(delete each with its declaration and the tests that check only it; or, if perfbench or a test needs it, add it to tools/unreached_allowlist.txt with the reason it stays)" >&2
+    return 1
+  fi
+  echo "unreached-code check: $(printf '%s\n' "$found" | sed '/^$/d' | wc -l) function(s) no tool reaches, all allowlisted:"
+  printf '%s\n' "$found" | sed '/^$/d; s/^/  /'
+  echo "unreached-code check OK"
+}
+
 # --- driver -----------------------------------------------------------------
 
 if [[ "$SELF_TEST" -eq 1 ]]; then
   self_test
   exit 0
+fi
+
+if [[ "$MODE" == unreached ]]; then
+  unreached_lint
+  exit $?
 fi
 
 rc=0
